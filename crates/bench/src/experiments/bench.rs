@@ -1,8 +1,8 @@
 //! `bench` exhibit: wall-clock timing of the record-once/replay-many
 //! pipeline on a pinned grid sweep.
 //!
-//! Five timed phases over the same 18 benchmarks × 8 configurations × 6
-//! latencies grid (the full Fig. 13 roster), the first four on one fresh
+//! Four timed phases over the same 18 benchmarks × 8 configurations × 6
+//! latencies grid (the full Fig. 13 roster), the first three on one fresh
 //! [`SweepEngine`] (disk-backed store, empty memory tiers) so this
 //! exhibit's counters are not mixed with other exhibits':
 //!
@@ -18,15 +18,12 @@
 //!    [`SweepEngine::grid_sweep_unfused`], one independent replay per
 //!    cell: the reference the fusion speedup and bit-identity are
 //!    measured against;
-//! 4. **interpreted** — the same cells through
-//!    [`run_compiled_interpreted`] (warm compile cache, no tapes): the
-//!    pre-tape pipeline, best of `--bench-reps` passes;
-//! 5. **disk-warm** — a *fresh* engine (modelling a fresh process: cold
+//! 4. **disk-warm** — a *fresh* engine (modelling a fresh process: cold
 //!    memory tiers) in incremental mode over the store the cold pass
 //!    just populated: every cell is answered from its content-addressed
 //!    [`RunResult`] artifact without simulating (DESIGN.md §16).
 //!
-//! After the five phases, a **fusion check** measures the fused-vs-
+//! After the four phases, a **fusion check** measures the fused-vs-
 //! unfused ratio at pinned worker counts (1 and 4 threads, each side
 //! best of `--bench-reps`, on fresh engines reading the now-populated
 //! store) so the ratio is comparable across machines regardless of
@@ -48,7 +45,7 @@
 
 use super::{bench_opts, programs_for, ExhibitError, RunScale, LATENCIES};
 use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_sim::driver::{run_compiled_interpreted, RunResult};
+use nbl_sim::driver::RunResult;
 use nbl_sim::pool::available_threads;
 use nbl_sim::report;
 use nbl_sim::store::{store_settings, ArtifactStore, StoreStats};
@@ -107,42 +104,6 @@ fn unfused_pass(
         .flat_map(|s| s.rows.into_iter().flatten())
         .collect();
     Ok((wall, flat))
-}
-
-/// Runs the same cells, in the same order, through the interpreter path
-/// (compilations served from the engine's warm cache, no tapes).
-fn interpreted_pass(
-    engine: &SweepEngine,
-    programs: &[Program],
-) -> Result<(f64, Vec<RunResult>), ExhibitError> {
-    let configs = grid_configs();
-    let (nl, nc) = (LATENCIES.len(), configs.len());
-    let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let t0 = Instant::now();
-    let results = engine
-        .pool()
-        .try_run(
-            programs.len() * nl * nc,
-            |idx| -> Result<RunResult, String> {
-                let program = &programs[idx / (nl * nc)];
-                let cfg = SimConfig {
-                    hw: configs[idx % nc].clone(),
-                    ..base.clone()
-                }
-                .at_latency(LATENCIES[(idx / nc) % nl]);
-                let compiled = engine
-                    .cache()
-                    .get_or_compile(program, cfg.load_latency)
-                    .map_err(|e| format!("{}: {e}", program.name))?;
-                run_compiled_interpreted(&program.name, &compiled, &cfg)
-                    .map_err(|e| format!("{}: {e}", program.name))
-            },
-        )
-        .map_err(|e| ExhibitError::new("bench interpreted pass", e))?
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| ExhibitError::new("bench interpreted pass", e))?;
-    Ok((t0.elapsed().as_secs_f64(), results))
 }
 
 fn json_escape(s: &str) -> String {
@@ -260,12 +221,6 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     let mem_step_s = warm_wall - tape_scan_s;
     let (unfused_wall, unfused) = unfused_pass(&engine, &programs)?;
     identical &= unfused == cold;
-    let mut interp_wall = f64::INFINITY;
-    for _ in 0..reps {
-        let (wall, pass) = interpreted_pass(&engine, &programs)?;
-        interp_wall = interp_wall.min(wall);
-        identical &= pass == cold;
-    }
     // Disk-warm: a fresh engine models a fresh process — empty memory
     // tiers, incremental mode, same (now populated) store. Every cell's
     // inputs are unchanged, so the whole grid is answered from stored
@@ -302,7 +257,6 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         *slot = unfused_best / fused_best;
     }
     let [speedup_fused_vs_unfused_1t, speedup_fused_vs_unfused_4t] = fusion_speedups;
-    let speedup_vs_interpreted = interp_wall / warm_wall;
     let speedup_vs_cold = cold_wall / warm_wall;
     let speedup_fused_vs_unfused = unfused_wall / warm_wall;
     let speedup_disk_warm_vs_cold = cold_wall / disk_warm_wall;
@@ -334,7 +288,6 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         ("cold (compile+record)", cold_wall),
         ("warm (fused replay)", warm_wall),
         ("warm (unfused replay)", unfused_wall),
-        ("interpreted (no tape)", interp_wall),
         ("disk-warm (incremental)", disk_warm_wall),
     ] {
         let _ = writeln!(
@@ -347,7 +300,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     }
     let _ = writeln!(
         out,
-        "speedup: warm fused vs interpreted {speedup_vs_interpreted:.2}x, vs unfused {speedup_fused_vs_unfused:.2}x, vs cold {speedup_vs_cold:.2}x"
+        "speedup: warm fused vs unfused {speedup_fused_vs_unfused:.2}x, vs cold {speedup_vs_cold:.2}x"
     );
     let _ = writeln!(
         out,
@@ -397,7 +350,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     );
     let _ = writeln!(
         out,
-        "results bit-identical across all passes (fused/unfused/interpreted/disk-warm): {}",
+        "results bit-identical across all passes (fused/unfused/disk-warm): {}",
         if identical { "yes" } else { "NO" }
     );
 
@@ -407,10 +360,10 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         concat!(
             "{{\"date\":\"{}\",\"git\":\"{}\",\"threads\":{},\"reps\":{},",
             "\"cold_wall_s\":{:.6},\"warm_wall_s\":{:.6},\"unfused_wall_s\":{:.6},",
-            "\"interpreted_wall_s\":{:.6},\"disk_warm_wall_s\":{:.6},",
+            "\"disk_warm_wall_s\":{:.6},",
             "\"tape_scan_s\":{:.6},\"mem_step_s\":{:.6},",
             "\"warm_runs_per_sec\":{:.2},",
-            "\"speedup_warm_vs_interpreted\":{:.3},\"speedup_fused_vs_unfused\":{:.3},",
+            "\"speedup_fused_vs_unfused\":{:.3},",
             "\"speedup_fused_vs_unfused_1t\":{:.3},\"speedup_fused_vs_unfused_4t\":{:.3},",
             "\"speedup_disk_warm_vs_cold\":{:.3},\"fusion_regressed\":{},",
             "\"bit_identical\":{},\"oracle_checked\":{}}}"
@@ -422,12 +375,10 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         cold_wall,
         warm_wall,
         unfused_wall,
-        interp_wall,
         disk_warm_wall,
         tape_scan_s,
         mem_step_s,
         runs as f64 / warm_wall,
-        speedup_vs_interpreted,
         speedup_fused_vs_unfused,
         speedup_fused_vs_unfused_1t,
         speedup_fused_vs_unfused_4t,
@@ -468,10 +419,10 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
             "\"benchmarks\":{},\"configs\":{},\"load_latencies\":{},",
             "\"runs\":{},\"threads\":{},\"reps\":{},\"git\":\"{}\",\"date\":\"{}\",",
             "\"cold_wall_s\":{:.6},\"warm_wall_s\":{:.6},\"unfused_wall_s\":{:.6},",
-            "\"interpreted_wall_s\":{:.6},\"disk_warm_wall_s\":{:.6},",
+            "\"disk_warm_wall_s\":{:.6},",
             "\"tape_scan_s\":{:.6},\"mem_step_s\":{:.6},",
             "\"warm_runs_per_sec\":{:.2},",
-            "\"speedup_warm_vs_interpreted\":{:.3},\"speedup_fused_vs_unfused\":{:.3},",
+            "\"speedup_fused_vs_unfused\":{:.3},",
             "\"speedup_fused_vs_unfused_1t\":{:.3},\"speedup_fused_vs_unfused_4t\":{:.3},",
             "\"speedup_warm_vs_cold\":{:.3},\"speedup_disk_warm_vs_cold\":{:.3},",
             "\"fusion_regressed\":{},",
@@ -489,12 +440,10 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         cold_wall,
         warm_wall,
         unfused_wall,
-        interp_wall,
         disk_warm_wall,
         tape_scan_s,
         mem_step_s,
         runs as f64 / warm_wall,
-        speedup_vs_interpreted,
         speedup_fused_vs_unfused,
         speedup_fused_vs_unfused_1t,
         speedup_fused_vs_unfused_4t,

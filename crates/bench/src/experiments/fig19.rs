@@ -12,7 +12,7 @@
 
 use super::{engine, programs_for, ExhibitError, RunScale, LATENCIES};
 use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_sim::driver::{run_dual_cached, run_program_cached};
+use nbl_sim::driver::{run_dual, run_program};
 use std::io::Write;
 
 /// The four configurations the paper compares.
@@ -50,7 +50,7 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
     // parallel across benchmarks.
     let probes = pool
         .run(programs.len(), |b| {
-            run_dual_cached(&programs[b], &SimConfig::baseline(HwConfig::NoRestrict))
+            run_dual(&programs[b], &SimConfig::baseline(HwConfig::NoRestrict))
                 .map_err(|e| e.to_string())
         })
         .into_iter()
@@ -68,12 +68,11 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
             let p = &programs[b];
             let ipc = probes[b].ipc;
             let hw = hws[c].clone();
-            let dual =
-                run_dual_cached(p, &SimConfig::baseline(hw.clone())).map_err(|e| e.to_string())?;
+            let dual = run_dual(p, &SimConfig::baseline(hw.clone())).map_err(|e| e.to_string())?;
             let single_cfg = SimConfig::baseline(hw)
                 .at_latency(snap_latency(10.0 * ipc))
                 .with_penalty((16.0 * ipc).round().max(1.0) as u32);
-            let single = run_program_cached(p, &single_cfg).map_err(|e| e.to_string())?;
+            let single = run_program(p, &single_cfg).map_err(|e| e.to_string())?;
             // The scaled single-issue MCPI is per *scaled* cycle; mapping
             // back to dual-issue cycles divides by the IPC.
             Ok((dual.mcpi, single.mcpi / ipc))

@@ -1,4 +1,4 @@
-//! Processor-model sensitivity: miss CPI for eqntott under the stalling
+//! Sensitivity to the processor model: miss CPI for eqntott under the stalling
 //! single-issue pipeline, the dual-issue pipeline, and the replaying
 //! speculative pipeline (XiangShan-style replay causes), sweeping model ×
 //! MSHR configuration × the paper's six load latencies. The paper's

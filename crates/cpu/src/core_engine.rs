@@ -1,4 +1,4 @@
-//! The shared execution engine underlying both processor models.
+//! The shared execution engine underlying every processor model.
 //!
 //! [`Core`] owns the issue clock, the register scoreboard and the stall
 //! accounting, and drives all memory traffic through the narrow
@@ -16,9 +16,9 @@
 //! * under a blocking cache (or a write-allocate store miss) the whole
 //!   miss penalty is exposed as a *blocking* stall.
 //!
-//! The single-issue [`crate::pipeline::Processor`] and the dual-issue
-//! [`crate::dual::DualIssueProcessor`] are thin issue policies over this
-//! engine.
+//! The single-issue, dual-issue and replaying models are the three
+//! [`crate::issue::IssuePolicy`] values of one [`crate::issue::IssueEngine`]
+//! over this engine.
 
 use crate::scoreboard::Scoreboard;
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution, StallCause};

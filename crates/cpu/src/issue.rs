@@ -1,20 +1,31 @@
-//! The policy-parameterized issue engine every processor model shares.
+//! The policy-parameterized issue engine: the one processor type, with
+//! each processor model an [`IssuePolicy`] value (enum dispatch, the same
+//! seam shape as the tag arrays' `ReplacementPolicy`):
 //!
-//! [`Processor`](crate::pipeline::Processor) and
-//! [`DualIssueProcessor`](crate::dual::DualIssueProcessor) used to carry
-//! their own copies of the fetch/hazard/issue/retire plumbing; both are
-//! now thin wrappers over one [`IssueEngine`], selected by
-//! [`IssuePolicy`] enum dispatch (the same seam shape as the tag arrays'
-//! `ReplacementPolicy`). The third policy, [`IssuePolicy::ReplayCause`],
-//! models a modern speculative load pipeline: loads issue without waiting
-//! for hit/miss resolution and are *replayed* on a prioritized set of
-//! causes (XiangShan's `LoadReplayCauses` design space) instead of
-//! stalling the whole pipeline, with per-cause counts and stall cycles
-//! accumulated into a [`ReplayAttribution`].
+//! * [`IssuePolicy::SingleInOrder`] — the paper's §3.1 machine, which all
+//!   baseline figures use. One instruction issues per cycle with
+//!   single-cycle latency, perfect I-cache and branch prediction, so the
+//!   measured stall cycles per instruction are exactly the miss CPI.
+//! * [`IssuePolicy::DualInOrder`] — the §6 machine that validates the
+//!   IPC-scaling rule (Fig. 19). Up to two instructions issue per cycle,
+//!   strictly in order; at most one is a memory operation (one data-cache
+//!   port); the follower may not read or rewrite the leader's destination
+//!   and must be free of pending-register hazards, and the leader never
+//!   waits for the follower. Run the same stream with `perfect_cache` for
+//!   the no-miss cycle count: [`IssueEngine::mcpi_against`] gives
+//!   `(cycles − perfect_cycles) / instructions`, the dual-issue MCPI.
+//! * [`IssuePolicy::ReplayCause`] — a modern speculative load pipeline:
+//!   loads issue without waiting for hit/miss resolution and are
+//!   *replayed* on a prioritized set of causes (XiangShan's
+//!   `LoadReplayCauses` design space) instead of stalling the whole
+//!   pipeline, with per-cause counts and stall cycles accumulated into a
+//!   [`ReplayAttribution`].
 //!
-//! Both the interpreted ([`IssueEngine::push`]) and tape-replay
-//! ([`IssueEngine::run_tape`]) rails dispatch on the same policy, so a
-//! model is defined once and drives every rail identically.
+//! Every simulation replays a recorded tape ([`IssueEngine::run_tape`]).
+//! The stream rail ([`IssueEngine::push`] / [`IssueEngine::run`] over
+//! [`DynInst`]s) dispatches on the same policy and is the reference the
+//! tape rail is tested against, so a model is defined once and drives
+//! both rails identically.
 
 use crate::core_engine::{Core, EngineConfig, EngineError};
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution};
@@ -45,6 +56,28 @@ pub enum IssuePolicy {
 /// The shared issue engine: a [`Core`] (scoreboard + clock + stats +
 /// memory port) plus the policy-specific issue state (the dual pairing
 /// buffer, the replay attribution counters).
+///
+/// # Examples
+///
+/// ```
+/// use nbl_cpu::core_engine::EngineConfig;
+/// use nbl_cpu::issue::{IssueEngine, IssuePolicy};
+/// use nbl_core::cache::CacheConfig;
+/// use nbl_core::mshr::MshrConfig;
+/// use nbl_core::mshr::inverted::InvertedConfig;
+/// use nbl_core::inst::DynInst;
+/// use nbl_core::types::{Addr, LoadFormat, PhysReg};
+///
+/// let config = EngineConfig::with_cache(CacheConfig::baseline(MshrConfig::Inverted(
+///     InvertedConfig::typical(),
+/// )));
+/// let mut cpu = IssueEngine::new(config, IssuePolicy::SingleInOrder);
+/// cpu.push(DynInst::load(Addr(0x100), PhysReg::int(1), LoadFormat::WORD)).unwrap();
+/// cpu.push(DynInst::alu(PhysReg::int(2), [Some(PhysReg::int(1)), None])).unwrap();
+/// cpu.finish().unwrap();
+/// // The dependent use stalled for the miss penalty (16 - 1 issue cycle).
+/// assert_eq!(cpu.stats().data_dep_stall_cycles, 15);
+/// ```
 #[derive(Debug, Clone)]
 pub struct IssueEngine {
     core: Core,
@@ -306,6 +339,11 @@ impl IssueEngine {
     }
 
     /// Accumulated statistics.
+    ///
+    /// Under [`IssuePolicy::DualInOrder`], `stats().mcpi()` (stall cycles
+    /// per instruction) undercounts the paper's memory CPI, because a miss
+    /// also suppresses co-issue opportunities; use
+    /// [`IssueEngine::mcpi_against`] with a perfect-cache run.
     pub fn stats(&self) -> &CpuStats {
         self.core.stats()
     }
@@ -395,8 +433,489 @@ mod tests {
         )))
     }
 
+    fn blocking() -> EngineConfig {
+        EngineConfig::with_cache(CacheConfig::baseline(MshrConfig::Blocking))
+    }
+
     fn engine(config: EngineConfig, policy: IssuePolicy) -> IssueEngine {
         IssueEngine::new(config, policy)
+    }
+
+    fn single(config: EngineConfig) -> IssueEngine {
+        engine(config, IssuePolicy::SingleInOrder)
+    }
+
+    fn dual(perfect: bool) -> IssueEngine {
+        let mut config = unrestricted();
+        config.perfect_cache = perfect;
+        engine(config, IssuePolicy::DualInOrder)
+    }
+
+    fn tape_of(stream: &[DynInst]) -> TraceTape {
+        let mut tape = TraceTape::with_capacity("t", 1, 0, stream.len());
+        for inst in stream {
+            tape.push(*inst);
+        }
+        tape
+    }
+
+    /// Loads to distinct lines in recurring sets, each used by an ALU op
+    /// whose result is stored, plus an independent ALU op.
+    fn mixed_stream() -> Vec<DynInst> {
+        (0..60u64)
+            .flat_map(|i| {
+                [
+                    DynInst::load(Addr(i * 520), PhysReg::int((i % 8) as u8), LoadFormat::WORD),
+                    DynInst::alu(
+                        PhysReg::int(10 + (i % 8) as u8),
+                        [Some(PhysReg::int((i % 8) as u8)), None],
+                    ),
+                    DynInst::alu(PhysReg::int(20), [None, None]),
+                    DynInst::store(Addr(i * 520 + 4), Some(PhysReg::int(10 + (i % 8) as u8))),
+                ]
+            })
+            .collect()
+    }
+
+    fn independent_alus(n: usize) -> Vec<DynInst> {
+        (0..n)
+            .map(|i| DynInst::alu(PhysReg::int((i % 16) as u8), [Some(PhysReg::int(20)), None]))
+            .collect()
+    }
+
+    /// A two-miss independent sequence: ld A; ld B; use A; use B.
+    fn two_loads_two_uses() -> Vec<DynInst> {
+        vec![
+            DynInst::load(Addr(0x1000), PhysReg::int(1), LoadFormat::WORD),
+            DynInst::load(Addr(0x2000), PhysReg::int(2), LoadFormat::WORD),
+            DynInst::alu(PhysReg::int(3), [Some(PhysReg::int(1)), None]),
+            DynInst::alu(PhysReg::int(4), [Some(PhysReg::int(2)), None]),
+        ]
+    }
+
+    #[test]
+    fn overlapping_misses_beat_hit_under_miss() {
+        // Unrestricted: both misses overlap; total stall ≈ one penalty.
+        let mut best = single(unrestricted());
+        best.run(two_loads_two_uses()).unwrap();
+        best.finish().unwrap();
+        // ld A cy0 (fill 16), ld B cy1 (fill 17), use A stalls 2..16,
+        // use B issues at 17 with no stall.
+        assert_eq!(best.stats().data_dep_stall_cycles, 14);
+        assert_eq!(best.stats().total_stall_cycles(), 14);
+
+        // mc=1: the second load structurally stalls until the first fill.
+        let mut hum = single(mc1());
+        hum.run(two_loads_two_uses()).unwrap();
+        hum.finish().unwrap();
+        // ld A cy0 (fill 16); ld B stalls 1..16 then misses (fill 32);
+        // use A at 17 (no stall); use B stalls 18..32.
+        assert_eq!(hum.stats().structural_stall_cycles, 15);
+        assert_eq!(hum.stats().data_dep_stall_cycles, 14);
+        assert!(hum.stats().total_stall_cycles() > best.stats().total_stall_cycles());
+
+        // Blocking: both misses serialize completely.
+        let mut blk = single(blocking());
+        blk.run(two_loads_two_uses()).unwrap();
+        blk.finish().unwrap();
+        assert_eq!(blk.stats().blocking_stall_cycles, 32);
+        assert!(blk.stats().total_stall_cycles() > hum.stats().total_stall_cycles());
+    }
+
+    #[test]
+    fn mcpi_accounts_per_instruction() {
+        let mut p = single(blocking());
+        p.run(two_loads_two_uses()).unwrap();
+        p.finish().unwrap();
+        assert_eq!(p.stats().instructions, 4);
+        assert!((p.stats().mcpi() - 32.0 / 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sampler_sees_overlap_only_when_hardware_allows() {
+        let mut best = single(unrestricted());
+        best.run(two_loads_two_uses()).unwrap();
+        best.finish().unwrap();
+        assert_eq!(best.sampler().max_misses(), 2);
+        assert_eq!(best.sampler().max_fetches(), 2);
+
+        let mut hum = single(mc1());
+        hum.run(two_loads_two_uses()).unwrap();
+        hum.finish().unwrap();
+        assert_eq!(hum.sampler().max_misses(), 1);
+    }
+
+    #[test]
+    fn single_issue_tape_replay_matches_pushed_stream() {
+        let stream: Vec<DynInst> = (0..40u64)
+            .flat_map(|i| {
+                [
+                    DynInst::load(
+                        Addr(i * 520), // distinct lines, recurring sets
+                        PhysReg::int((i % 8) as u8),
+                        LoadFormat::WORD,
+                    ),
+                    DynInst::alu(
+                        PhysReg::int(10 + (i % 8) as u8),
+                        [Some(PhysReg::int((i % 8) as u8)), None],
+                    ),
+                    DynInst::store(Addr(i * 520 + 4), Some(PhysReg::int(10 + (i % 8) as u8))),
+                ]
+            })
+            .collect();
+        let tape = tape_of(&stream);
+        for config in [unrestricted(), mc1(), blocking()] {
+            let mut pushed = single(config.clone());
+            pushed.run(stream.iter().copied()).unwrap();
+            pushed.finish().unwrap();
+            let mut replayed = single(config);
+            replayed.run_tape(&tape).unwrap();
+            replayed.finish().unwrap();
+            assert_eq!(replayed.now(), pushed.now());
+            assert_eq!(replayed.stats(), pushed.stats());
+            assert_eq!(
+                replayed.cache().counters(),
+                pushed.cache().counters(),
+                "replay must drive the memory system identically"
+            );
+        }
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_engine_bit_for_bit() {
+        let tape = tape_of(&mixed_stream());
+        for config in [unrestricted(), mc1(), blocking()] {
+            let mut fresh = single(config.clone());
+            fresh.run_tape(&tape).unwrap();
+            fresh.finish().unwrap();
+
+            let mut reused = single(config);
+            reused.run_tape(&tape).unwrap();
+            reused.finish().unwrap();
+            reused.reset();
+            reused.run_tape(&tape).unwrap();
+            reused.finish().unwrap();
+
+            assert_eq!(reused.now(), fresh.now());
+            assert_eq!(reused.stats(), fresh.stats());
+            assert_eq!(reused.cache().counters(), fresh.cache().counters());
+            assert_eq!(
+                reused.sampler().max_misses(),
+                fresh.sampler().max_misses(),
+                "reset must clear sampler history"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_replay_matches_independent_replays_across_mixed_configs() {
+        let tape = tape_of(&mixed_stream());
+        let configs = [unrestricted(), mc1(), blocking()];
+
+        let mut solo: Vec<IssueEngine> = configs.iter().cloned().map(single).collect();
+        for p in &mut solo {
+            p.run_tape(&tape).unwrap();
+            p.finish().unwrap();
+        }
+
+        let mut fused: Vec<IssueEngine> = configs.iter().cloned().map(single).collect();
+        {
+            let mut cores: Vec<&mut Core> = fused.iter_mut().map(IssueEngine::core_mut).collect();
+            Core::replay_fused(&tape, &mut cores).unwrap();
+        }
+        for p in &mut fused {
+            p.finish().unwrap();
+        }
+
+        for (f, s) in fused.iter().zip(&solo) {
+            assert_eq!(f.now(), s.now());
+            assert_eq!(f.stats(), s.stats());
+            assert_eq!(f.cache().counters(), s.cache().counters());
+            assert_eq!(f.sampler().max_misses(), s.sampler().max_misses());
+        }
+    }
+
+    #[test]
+    fn run_of_hits_is_stall_free() {
+        let mut p = single(mc1());
+        // Touch a line (primary miss), let the fill land behind 16 ALU ops,
+        // then hammer the resident line: pure hits, no further stalls.
+        p.push(DynInst::load(Addr(0), PhysReg::int(1), LoadFormat::WORD))
+            .unwrap();
+        for _ in 0..16 {
+            p.push(DynInst::alu(PhysReg::int(2), [None, None])).unwrap();
+        }
+        let stalls_after_warmup = p.stats().total_stall_cycles();
+        let before = p.now();
+        for i in 0..20u64 {
+            p.push(DynInst::load(
+                Addr(i % 32),
+                PhysReg::int(3 + (i % 20) as u8),
+                LoadFormat::WORD,
+            ))
+            .unwrap();
+        }
+        p.finish().unwrap();
+        assert_eq!(
+            p.now().since(before),
+            20,
+            "hits cost exactly their issue cycle"
+        );
+        assert_eq!(p.stats().total_stall_cycles(), stalls_after_warmup);
+    }
+
+    #[test]
+    fn independent_alus_dual_issue_at_ipc_2() {
+        let mut p = dual(true);
+        p.run(independent_alus(17)).unwrap();
+        p.finish().unwrap();
+        // 16 registers rotate, neighbours never conflict: 8 pairs + 1 single.
+        assert_eq!(p.now(), Cycle(9));
+        assert_eq!(p.stats().instructions, 17);
+        assert_eq!(p.pairs_issued(), 8);
+    }
+
+    #[test]
+    fn dependent_chain_single_issues() {
+        let mut p = dual(true);
+        let chain: Vec<_> = (0..10)
+            .map(|i| {
+                DynInst::alu(
+                    PhysReg::int((i + 1) as u8),
+                    [Some(PhysReg::int(i as u8)), None],
+                )
+            })
+            .collect();
+        p.run(chain).unwrap();
+        p.finish().unwrap();
+        assert_eq!(p.now(), Cycle(10));
+        assert_eq!(p.pairs_issued(), 0);
+    }
+
+    #[test]
+    fn only_one_memory_op_per_cycle() {
+        let mut p = dual(true);
+        let loads: Vec<_> = (0..10)
+            .map(|i| DynInst::load(Addr(i * 8), PhysReg::int(i as u8), LoadFormat::WORD))
+            .collect();
+        p.run(loads).unwrap();
+        p.finish().unwrap();
+        assert_eq!(p.now(), Cycle(10), "loads cannot pair with loads");
+    }
+
+    #[test]
+    fn load_pairs_with_alu() {
+        let mut p = dual(true);
+        for i in 0..10u64 {
+            p.push(DynInst::load(
+                Addr(i * 8),
+                PhysReg::int(i as u8),
+                LoadFormat::WORD,
+            ))
+            .unwrap();
+            p.push(DynInst::alu(
+                PhysReg::int(20),
+                [Some(PhysReg::int(21)), None],
+            ))
+            .unwrap();
+        }
+        p.finish().unwrap();
+        assert_eq!(p.now(), Cycle(10));
+        assert_eq!(p.pairs_issued(), 10);
+    }
+
+    #[test]
+    fn follower_with_pending_source_waits_a_cycle() {
+        let mut p = dual(false);
+        // Leader load misses; follower uses its result: cannot co-issue and
+        // then stalls as leader of the next cycle until the fill.
+        p.push(DynInst::load(
+            Addr(0x1000),
+            PhysReg::int(1),
+            LoadFormat::WORD,
+        ))
+        .unwrap();
+        p.push(DynInst::alu(PhysReg::int(2), [Some(PhysReg::int(1)), None]))
+            .unwrap();
+        p.finish().unwrap();
+        assert_eq!(p.pairs_issued(), 0);
+        assert_eq!(p.stats().data_dep_stall_cycles, 15);
+    }
+
+    #[test]
+    fn follower_structural_stall_blocks_the_pair() {
+        // mc=1: a second miss cannot be tracked.
+        let mut p = engine(mc1(), IssuePolicy::DualInOrder);
+        // Leader load misses; follower ALU pairs with it.
+        p.push(DynInst::load(
+            Addr(0x1000),
+            PhysReg::int(1),
+            LoadFormat::WORD,
+        ))
+        .unwrap();
+        p.push(DynInst::alu(PhysReg::int(9), [None, None])).unwrap();
+        // Next pair: a second load misses structurally and must wait for
+        // the first fill before its fetch can start.
+        p.push(DynInst::load(
+            Addr(0x2000),
+            PhysReg::int(2),
+            LoadFormat::WORD,
+        ))
+        .unwrap();
+        p.push(DynInst::alu(PhysReg::int(10), [None, None]))
+            .unwrap();
+        p.finish().unwrap();
+        assert!(p.stats().structural_stall_cycles > 0);
+        assert_eq!(p.stats().structural_stall_misses, 1);
+        assert_eq!(p.stats().instructions, 4);
+    }
+
+    #[test]
+    fn mem_mem_pairs_rejected_in_both_orders() {
+        // The single memory port rejects a mem/mem pair whichever way
+        // round it arrives: load-then-store and store-then-load both
+        // single-issue, one memory op per cycle.
+        for store_first in [false, true] {
+            let mut p = dual(true);
+            for i in 0..5u64 {
+                let load = DynInst::load(Addr(i * 8), PhysReg::int(i as u8), LoadFormat::WORD);
+                let store = DynInst::store(Addr(0x4000 + i * 8), None);
+                let (first, second) = if store_first {
+                    (store, load)
+                } else {
+                    (load, store)
+                };
+                p.push(first).unwrap();
+                p.push(second).unwrap();
+            }
+            p.finish().unwrap();
+            assert_eq!(p.pairs_issued(), 0, "store_first={store_first}");
+            assert_eq!(p.now(), Cycle(10), "store_first={store_first}");
+            assert_eq!(p.stats().instructions, 10);
+        }
+    }
+
+    #[test]
+    fn pair_split_across_stream_boundaries_matches_one_stream() {
+        // A leader buffered in the issue slot at the end of one `run`
+        // call must still pair with the follower that arrives at the
+        // start of the next — feeding the stream in arbitrary chunks is
+        // invisible in the timing.
+        let stream = independent_alus(12);
+        let mut whole = dual(true);
+        whole.run(stream.clone()).unwrap();
+        whole.finish().unwrap();
+        for split in [1, 3, 5, 11] {
+            let mut chunked = dual(true);
+            let (head, tail) = stream.split_at(split);
+            chunked.run(head.to_vec()).unwrap();
+            chunked.run(tail.to_vec()).unwrap();
+            chunked.finish().unwrap();
+            assert_eq!(chunked.now(), whole.now(), "split at {split}");
+            assert_eq!(chunked.stats(), whole.stats());
+            assert_eq!(chunked.pairs_issued(), whole.pairs_issued());
+        }
+    }
+
+    #[test]
+    fn odd_length_tail_single_issues_on_finish() {
+        // Odd stream: the last instruction has no partner and is flushed
+        // by `finish` as a lone leader.
+        let mut even = dual(true);
+        even.run(independent_alus(8)).unwrap();
+        even.finish().unwrap();
+        assert_eq!(even.now(), Cycle(4));
+        assert_eq!(even.pairs_issued(), 4);
+        let mut odd = dual(true);
+        odd.run(independent_alus(9)).unwrap();
+        odd.finish().unwrap();
+        assert_eq!(odd.now(), Cycle(5), "the tail costs one extra cycle");
+        assert_eq!(odd.pairs_issued(), 4);
+        assert_eq!(odd.stats().instructions, 9);
+    }
+
+    #[test]
+    fn run_then_finish_equals_push_sequence() {
+        let stream: Vec<DynInst> = (0..9)
+            .map(|i| DynInst::load(Addr(i * 8), PhysReg::int(i as u8), LoadFormat::WORD))
+            .collect();
+        let mut a = dual(true);
+        a.run(stream.clone()).unwrap();
+        a.finish().unwrap();
+        let mut b = dual(true);
+        for i in stream {
+            b.push(i).unwrap();
+        }
+        b.finish().unwrap();
+        assert_eq!(a.now(), b.now());
+        assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn dual_tape_replay_matches_push_sequence() {
+        // Mixed stream exercising every pairing outcome: co-issued
+        // load+ALU, mem/mem port conflicts, RAW conflicts, and (for the
+        // odd lengths) an unpaired tail flushed by `finish`.
+        let stream: Vec<DynInst> = (0..30u64)
+            .flat_map(|i| {
+                [
+                    DynInst::load(
+                        Addr(i * 4096),
+                        PhysReg::int((i % 8) as u8),
+                        LoadFormat::WORD,
+                    ),
+                    DynInst::alu(
+                        PhysReg::int(10 + (i % 4) as u8),
+                        [Some(PhysReg::int((i % 8) as u8)), None],
+                    ),
+                    DynInst::store(Addr(i * 4096 + 8), Some(PhysReg::int(10 + (i % 4) as u8))),
+                ]
+            })
+            .collect();
+        for len in [0, 1, 2, stream.len() - 1, stream.len()] {
+            let tape = tape_of(&stream[..len]);
+            for perfect in [true, false] {
+                let mut pushed = dual(perfect);
+                pushed.run(stream[..len].iter().copied()).unwrap();
+                pushed.finish().unwrap();
+                let mut replayed = dual(perfect);
+                replayed.run_tape(&tape).unwrap();
+                replayed.finish().unwrap();
+                assert_eq!(replayed.now(), pushed.now(), "len {len} perfect {perfect}");
+                assert_eq!(replayed.stats(), pushed.stats());
+                assert_eq!(replayed.pairs_issued(), pushed.pairs_issued());
+                assert_eq!(replayed.cache().counters(), pushed.cache().counters());
+            }
+        }
+    }
+
+    #[test]
+    fn mcpi_against_perfect_run() {
+        let stream = |n: u64| {
+            (0..n).flat_map(move |i| {
+                [
+                    DynInst::load(
+                        Addr(i * 4096),
+                        PhysReg::int((i % 8) as u8),
+                        LoadFormat::WORD,
+                    ),
+                    DynInst::alu(
+                        PhysReg::int(10 + (i % 8) as u8),
+                        [Some(PhysReg::int((i % 8) as u8)), None],
+                    ),
+                ]
+            })
+        };
+        let mut perfect = dual(true);
+        perfect.run(stream(50)).unwrap();
+        perfect.finish().unwrap();
+        let mut real = dual(false);
+        real.run(stream(50)).unwrap();
+        real.finish().unwrap();
+        let mcpi = real.mcpi_against(perfect.now());
+        assert!(mcpi > 0.0, "misses must cost something: {mcpi}");
+        // Every pair misses and immediately uses the data: near-worst case.
+        assert!(mcpi < 16.0);
     }
 
     /// ld A; use A — the use's wait is attributed to the miss cause.
@@ -561,23 +1080,8 @@ mod tests {
     /// The replaying model's tape rail is bit-identical to its push rail.
     #[test]
     fn replaying_tape_matches_pushed_stream() {
-        let stream: Vec<DynInst> = (0..60u64)
-            .flat_map(|i| {
-                [
-                    DynInst::load(Addr(i * 520), PhysReg::int((i % 8) as u8), LoadFormat::WORD),
-                    DynInst::alu(
-                        PhysReg::int(10 + (i % 8) as u8),
-                        [Some(PhysReg::int((i % 8) as u8)), None],
-                    ),
-                    DynInst::alu(PhysReg::int(20), [None, None]),
-                    DynInst::store(Addr(i * 520 + 4), Some(PhysReg::int(10 + (i % 8) as u8))),
-                ]
-            })
-            .collect();
-        let mut tape = TraceTape::with_capacity("t", 1, 0, stream.len());
-        for inst in &stream {
-            tape.push(*inst);
-        }
+        let stream = mixed_stream();
+        let tape = tape_of(&stream);
         for config in [unrestricted(), mc1()] {
             let mut pushed = engine(config.clone(), IssuePolicy::ReplayCause);
             pushed.run(stream.iter().copied()).unwrap();

@@ -10,22 +10,17 @@
 //! * [`core_engine`] — the shared event mechanics (fills, hazards,
 //!   structural-stall retry, blocking fetches), driving all memory traffic
 //!   through the [`nbl_mem::system::MemorySystem`] port;
-//! * [`issue`] — the policy-parameterized issue engine
-//!   ([`issue::IssuePolicy`]: single, dual, or replaying) every processor
-//!   model shares;
-//! * [`pipeline`] — the single-issue processor all baseline figures use;
-//! * [`dual`] — the dual-issue processor of §6 / Fig. 19.
+//! * [`issue`] — the one processor type, [`issue::IssueEngine`]: each
+//!   processor model is an [`issue::IssuePolicy`] value — the single-issue
+//!   machine all baseline figures use, the dual-issue machine of §6 /
+//!   Fig. 19, and the replaying extension.
 
 pub mod core_engine;
-pub mod dual;
 pub mod issue;
-pub mod pipeline;
 pub mod scoreboard;
 pub mod stats;
 
 pub use core_engine::{Core, EngineConfig, EngineError};
-pub use dual::DualIssueProcessor;
 pub use issue::{IssueEngine, IssuePolicy};
-pub use pipeline::Processor;
 pub use scoreboard::Scoreboard;
 pub use stats::{CpuStats, InFlightSampler, ReplayAttribution, StallCause};

@@ -34,7 +34,7 @@ pub use store::{CellVerdict, OracleStore, ORACLE_FORMAT_VERSION};
 
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::tag_array::ReplacementKind;
-use nbl_sim::config::{IssueWidth, ProcessorKind, SimConfig};
+use nbl_sim::config::{ProcessorKind, SimConfig};
 
 /// Why the oracle refused or failed a cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,11 +120,6 @@ impl OracleConfig {
         if cfg.processor != ProcessorKind::SingleInOrder {
             return Err(OracleError::Unsupported {
                 feature: "processor_model",
-            });
-        }
-        if cfg.issue != IssueWidth::Single {
-            return Err(OracleError::Unsupported {
-                feature: "issue_width",
             });
         }
         let mshr = cfg.hw.mshr_config();

@@ -153,18 +153,9 @@ impl fmt::Display for HwConfig {
     }
 }
 
-/// Processor issue policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IssueWidth {
-    /// One instruction per cycle (paper §3.1, all baseline figures).
-    #[default]
-    Single,
-    /// Two instructions per cycle, one memory port (paper §6 / Fig. 19).
-    Dual,
-}
-
 /// Which processor model runs the workload — the sweep axis of the
-/// `figures replaymodel` exhibit. Maps one-to-one onto
+/// `figures replaymodel` exhibit, and the only issue-width switch
+/// ([`ProcessorKind::DualInOrder`] is the §6 machine). Maps one-to-one onto
 /// [`nbl_cpu::issue::IssuePolicy`] via [`ProcessorKind::policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProcessorKind {
@@ -225,10 +216,9 @@ pub struct SimConfig {
     pub miss_penalty: u32,
     /// Scheduled load latency the workload is compiled for (§3.3).
     pub load_latency: u32,
-    /// Issue width.
-    pub issue: IssueWidth,
-    /// Processor model for the single-width driver rails (`figures
-    /// replaymodel` sweeps it; the paper's figures keep the default).
+    /// Which processor model runs (`figures replaymodel` sweeps it; the paper's
+    /// figures keep the default, Fig. 19 goes through
+    /// [`crate::driver::run_dual`]).
     pub processor: ProcessorKind,
     /// Minimum cycles between fetch completions (0 = the paper's fully
     /// pipelined memory; nonzero only in the bandwidth ablation).
@@ -255,7 +245,6 @@ impl SimConfig {
             geometry: CacheGeometry::baseline(),
             miss_penalty: 16,
             load_latency: 10,
-            issue: IssueWidth::Single,
             processor: ProcessorKind::default(),
             memory_gap: 0,
             l2: None,

@@ -1,23 +1,28 @@
 //! The simulation driver: compile a workload for the configured load
-//! latency, stream it through the configured processor, and collect the
-//! paper's metrics.
+//! latency, record its dynamic stream to a tape, replay the tape through
+//! the configured processor model, and collect the paper's metrics.
+//!
+//! There is one execution rail: every entry point ends in a tape replay on
+//! an [`IssueEngine`](nbl_cpu::issue::IssueEngine) taken from the worker
+//! arena. Programs compile through the process-wide
+//! [`CompileCache`](crate::compile_cache::CompileCache) and tapes come from
+//! the process-wide [`TapeCache`](crate::tape_cache::TapeCache), so
+//! repeated runs of one `(benchmark, latency)` pair share one compilation
+//! and one recording.
 
 use crate::compile_cache::CompileCache;
 use crate::config::{ProcessorKind, SimConfig};
 use crate::tape_cache::TapeCache;
 use crate::telemetry::Telemetry;
 use nbl_core::geometry::CacheGeometry;
-use nbl_core::inst::DynInst;
 use nbl_cpu::core_engine::{Core, EngineConfig, EngineError, L2Params};
-use nbl_cpu::dual::DualIssueProcessor;
 use nbl_cpu::issue::{IssueEngine, IssuePolicy};
 use nbl_cpu::stats::ReplayAttribution;
 use nbl_mem::event::MemTrace;
 use nbl_mem::AccessOutcome;
-use nbl_sched::compile::{compile, CompileError};
-use nbl_trace::exec::Executor;
+use nbl_sched::compile::CompileError;
 use nbl_trace::ir::Program;
-use nbl_trace::machine::{CompiledProgram, InstSink};
+use nbl_trace::machine::CompiledProgram;
 use nbl_trace::tape::TraceTape;
 use std::cell::RefCell;
 use std::fmt;
@@ -98,7 +103,7 @@ pub struct RunResult {
     pub benchmark: String,
     /// Hardware configuration label.
     pub config: String,
-    /// Processor-model label (`"single"` unless the run swept models).
+    /// Label of the processor model (`"single"` unless the run swept models).
     pub model: String,
     /// Replacement-policy label (`"lru"` unless the run swept it).
     pub replacement: String,
@@ -146,41 +151,6 @@ impl fmt::Display for RunResult {
             "{} [{}] lat={} pen={}: MCPI {:.3}",
             self.benchmark, self.config, self.load_latency, self.miss_penalty, self.mcpi
         )
-    }
-}
-
-/// [`InstSink`] adapters: `InstSink::exec` is infallible, so an engine
-/// error is held sticky — execution degenerates to a no-op for the rest of
-/// the stream and the driver reports the first error after the run.
-struct SingleSink<'a> {
-    cpu: &'a mut IssueEngine,
-    error: Option<EngineError>,
-}
-
-impl InstSink for SingleSink<'_> {
-    #[inline]
-    fn exec(&mut self, inst: DynInst) {
-        if self.error.is_none() {
-            if let Err(e) = self.cpu.push(inst) {
-                self.error = Some(e);
-            }
-        }
-    }
-}
-
-struct DualSink<'a> {
-    cpu: &'a mut DualIssueProcessor,
-    error: Option<EngineError>,
-}
-
-impl InstSink for DualSink<'_> {
-    #[inline]
-    fn exec(&mut self, inst: DynInst) {
-        if self.error.is_none() {
-            if let Err(e) = self.cpu.push(inst) {
-                self.error = Some(e);
-            }
-        }
     }
 }
 
@@ -302,8 +272,7 @@ fn single_engine_config(cfg: &SimConfig) -> EngineConfig {
     }
 }
 
-/// Telemetry common to every single-issue run, tape-replayed or
-/// interpreted.
+/// Telemetry common to every run that produces a [`RunResult`].
 fn record_single_run(cfg: &SimConfig, result: &RunResult, trace: Option<&MemTrace>) {
     Telemetry::global().record_run(result.instructions, result.cycles);
     if cfg.replacement != nbl_core::tag_array::ReplacementKind::default() {
@@ -317,8 +286,8 @@ fn record_single_run(cfg: &SimConfig, result: &RunResult, trace: Option<&MemTrac
     }
 }
 
-/// Drives the run (finish + summarize + telemetry) once the stream has
-/// been fed, shared by the tape and interpreter paths.
+/// Drives the run (finish + summarize + telemetry) once the tape has been
+/// replayed, shared by every tape entry point.
 fn finish_single(
     benchmark: &str,
     cfg: &SimConfig,
@@ -330,33 +299,6 @@ fn finish_single(
     let result = summarize(benchmark, cfg, static_spill_ops, cpu);
     record_single_run(cfg, &result, trace.as_ref());
     Ok((result, trace))
-}
-
-fn run_single(
-    benchmark: &str,
-    compiled: &CompiledProgram,
-    cfg: &SimConfig,
-    trace_ring: Option<usize>,
-) -> Result<(RunResult, Option<MemTrace>), EngineError> {
-    debug_assert_eq!(compiled.load_latency, cfg.load_latency);
-    let engine_config = single_engine_config(cfg);
-    let policy = cfg.processor.policy();
-    let mut cpu = acquire_engine(&engine_config, policy);
-    if let Some(ring) = trace_ring {
-        cpu.enable_mem_tracing(ring);
-    }
-    let mut sink = SingleSink {
-        cpu: &mut cpu,
-        error: None,
-    };
-    Executor::new(compiled).run(&mut sink);
-    if let Some(e) = sink.error {
-        return Err(e);
-    }
-    let spills = compiled.blocks.iter().map(|b| b.spill_ops).sum();
-    let out = finish_single(benchmark, cfg, spills, &mut cpu)?;
-    release_engine((engine_config, policy), cpu);
-    Ok(out)
 }
 
 fn replay_single(
@@ -479,7 +421,7 @@ pub fn run_tape_fused(
 /// The dynamic stream is served from the process-wide [`TapeCache`]:
 /// recorded by one `Executor` walk on the first run of this
 /// `(benchmark, latency)` pair, replayed from the flat tape on every
-/// later run. Use [`run_compiled_interpreted`] to force the interpreter.
+/// later run.
 ///
 /// # Errors
 ///
@@ -493,65 +435,22 @@ pub fn run_compiled(
     run_tape(benchmark, &tape, cfg)
 }
 
-/// [`run_compiled`] without the tape fast path: re-interprets the
-/// compiled program's script through the [`Executor`]. Kept public as the
-/// reference implementation the equivalence tests and the `figures bench`
-/// exhibit compare the replay path against.
-///
-/// # Errors
-///
-/// [`EngineError`] if the engine hit a model invariant violation mid-run.
-pub fn run_compiled_interpreted(
-    benchmark: &str,
-    compiled: &CompiledProgram,
-    cfg: &SimConfig,
-) -> Result<RunResult, EngineError> {
-    run_single(benchmark, compiled, cfg, None).map(|(r, _)| r)
-}
-
-/// Like [`run_compiled`], but with miss-lifecycle tracing enabled: the
-/// returned [`MemTrace`] holds the last `ring_capacity` raw events and the
-/// full [`nbl_mem::event::MissLifecycleStats`] aggregate of the run.
-///
-/// # Errors
-///
-/// [`EngineError`] if the engine hit a model invariant violation mid-run.
-pub fn run_compiled_traced(
-    benchmark: &str,
-    compiled: &CompiledProgram,
-    cfg: &SimConfig,
-    ring_capacity: usize,
-) -> Result<(RunResult, MemTrace), EngineError> {
-    let tape = TapeCache::global().get_or_record(compiled);
-    replay_single(benchmark, &tape, cfg, Some(ring_capacity))
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
-}
-
-/// Like [`run_program`], but compiling through the process-wide
-/// [`CompileCache`] — repeated runs of one `(benchmark, latency)` pair
-/// (across configurations, experiments, or pool workers) share a single
-/// compilation.
-///
-/// # Errors
-///
-/// [`SimError`] from the compiler model or the engine.
-pub fn run_program_cached(program: &Program, cfg: &SimConfig) -> Result<RunResult, SimError> {
-    let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
-    Ok(run_compiled(&program.name, &compiled, cfg)?)
-}
-
-/// Compiles `program` for `cfg.load_latency` and runs it.
+/// Compiles `program` for `cfg.load_latency` through the process-wide
+/// [`CompileCache`] and runs it ([`run_compiled`]): repeated runs of one
+/// `(benchmark, latency)` pair — across configurations, experiments, or
+/// pool workers — share a single compilation.
 ///
 /// # Errors
 ///
 /// [`SimError`] from the compiler model or the engine.
 pub fn run_program(program: &Program, cfg: &SimConfig) -> Result<RunResult, SimError> {
-    let compiled = compile(program, cfg.load_latency)?;
+    let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
     Ok(run_compiled(&program.name, &compiled, cfg)?)
 }
 
-/// Compiles `program` and runs it with miss-lifecycle tracing (see
-/// [`run_compiled_traced`]).
+/// Like [`run_program`], but with miss-lifecycle tracing enabled: the
+/// returned [`MemTrace`] holds the last `ring_capacity` raw events and the
+/// full [`nbl_mem::event::MissLifecycleStats`] aggregate of the run.
 ///
 /// # Errors
 ///
@@ -562,12 +461,9 @@ pub fn run_program_traced(
     ring_capacity: usize,
 ) -> Result<(RunResult, MemTrace), SimError> {
     let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
-    Ok(run_compiled_traced(
-        &program.name,
-        &compiled,
-        cfg,
-        ring_capacity,
-    )?)
+    let tape = TapeCache::global().get_or_record(&compiled);
+    let (result, trace) = replay_single(&program.name, &tape, cfg, Some(ring_capacity))?;
+    Ok((result, trace.expect("tracing was enabled")))
 }
 
 /// Result of a dual-issue run (paper §6 / Fig. 19).
@@ -590,134 +486,51 @@ pub struct DualRunResult {
     pub mcpi: f64,
 }
 
-/// Runs `program` on the dual-issue machine: once with a perfect cache to
-/// obtain the machine's ideal cycle count and IPC, once for real.
+/// Runs `program` on the dual-issue machine, once for real and once with a
+/// perfect cache to obtain the machine's ideal cycle count and IPC. Both
+/// passes replay one tape served by the process-wide caches, exactly as
+/// [`run_program`] does: the real pass is [`run_tape`] under
+/// [`ProcessorKind::DualInOrder`], and the perfect pass takes a dual
+/// engine with `perfect_cache` set from the same worker arena.
 ///
 /// # Errors
 ///
 /// [`SimError`] from the compiler model or the engine.
 pub fn run_dual(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, SimError> {
-    let compiled = compile(program, cfg.load_latency)?;
-    Ok(run_dual_compiled(&program.name, &compiled, cfg)?)
-}
-
-/// Like [`run_dual`], but compiling through the process-wide
-/// [`CompileCache`].
-///
-/// # Errors
-///
-/// [`SimError`] from the compiler model or the engine.
-pub fn run_dual_cached(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, SimError> {
     let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
-    Ok(run_dual_compiled(&program.name, &compiled, cfg)?)
-}
-
-fn dual_engine_config(cfg: &SimConfig, perfect: bool) -> EngineConfig {
-    let mut cache = cfg.hw.cache_config(cfg.geometry);
-    cache.victim_entries = cfg.victim_entries;
-    cache.replacement = cfg.replacement;
-    EngineConfig {
-        cache,
-        miss_penalty: cfg.miss_penalty,
-        perfect_cache: perfect,
-        memory_gap: cfg.memory_gap,
-        l2: l2_params(cfg),
-    }
-}
-
-/// Builds the [`DualRunResult`] from the two finished passes and records
-/// both as simulated work.
-fn summarize_dual(
-    benchmark: &str,
-    cfg: &SimConfig,
-    perfect: &DualIssueProcessor,
-    real: &DualIssueProcessor,
-) -> DualRunResult {
-    let instructions = real.stats().instructions;
-    Telemetry::global().record_run(instructions, perfect.now().0);
-    Telemetry::global().record_run(instructions, real.now().0);
-    DualRunResult {
-        benchmark: benchmark.to_string(),
-        config: cfg.hw.label(),
-        instructions,
-        cycles: real.now().0,
-        perfect_cycles: perfect.now().0,
-        ipc: instructions as f64 / perfect.now().0.max(1) as f64,
-        mcpi: real.mcpi_against(perfect.now()),
-    }
-}
-
-/// The dual-issue run on a recorded tape (which must match
-/// `cfg.load_latency`): both passes — perfect-cache and real — replay the
-/// same tape, so the stream is materialized once for the pair.
-///
-/// # Errors
-///
-/// [`EngineError`] if either pass hit a model invariant violation.
-pub fn run_dual_tape(
-    benchmark: &str,
-    tape: &TraceTape,
-    cfg: &SimConfig,
-) -> Result<DualRunResult, EngineError> {
-    debug_assert_eq!(tape.load_latency(), cfg.load_latency);
-    let run_pass = |perfect: bool| -> Result<DualIssueProcessor, EngineError> {
-        let mut cpu = DualIssueProcessor::new(dual_engine_config(cfg, perfect));
-        cpu.run_tape(tape)?;
-        cpu.finish()?;
-        Ok(cpu)
+    let tape = TapeCache::global().get_or_record(&compiled);
+    let dual_cfg = SimConfig {
+        processor: ProcessorKind::DualInOrder,
+        ..cfg.clone()
     };
-    let perfect = run_pass(true)?;
-    let real = run_pass(false)?;
-    Ok(summarize_dual(benchmark, cfg, &perfect, &real))
-}
+    let real = run_tape(&program.name, &tape, &dual_cfg)?;
 
-/// The dual-issue run on an already-compiled program (which must match
-/// `cfg.load_latency`). The stream is served from the process-wide
-/// [`TapeCache`], shared by the perfect-cache and real passes (and by
-/// every other configuration of the pair); use
-/// [`run_dual_compiled_interpreted`] to force the interpreter.
-///
-/// # Errors
-///
-/// [`EngineError`] if either pass hit a model invariant violation.
-pub fn run_dual_compiled(
-    benchmark: &str,
-    compiled: &CompiledProgram,
-    cfg: &SimConfig,
-) -> Result<DualRunResult, EngineError> {
-    let tape = TapeCache::global().get_or_record(compiled);
-    run_dual_tape(benchmark, &tape, cfg)
-}
-
-/// [`run_dual_compiled`] without the tape fast path: both passes
-/// re-interpret the compiled program's script. The reference
-/// implementation the equivalence tests compare the replay path against.
-///
-/// # Errors
-///
-/// [`EngineError`] if either pass hit a model invariant violation.
-pub fn run_dual_compiled_interpreted(
-    benchmark: &str,
-    compiled: &CompiledProgram,
-    cfg: &SimConfig,
-) -> Result<DualRunResult, EngineError> {
-    debug_assert_eq!(compiled.load_latency, cfg.load_latency);
-    let run_pass = |perfect: bool| -> Result<DualIssueProcessor, EngineError> {
-        let mut cpu = DualIssueProcessor::new(dual_engine_config(cfg, perfect));
-        let mut sink = DualSink {
-            cpu: &mut cpu,
-            error: None,
-        };
-        Executor::new(compiled).run(&mut sink);
-        if let Some(e) = sink.error {
-            return Err(e);
-        }
-        cpu.finish()?;
-        Ok(cpu)
+    let perfect_config = EngineConfig {
+        perfect_cache: true,
+        ..single_engine_config(cfg)
     };
-    let perfect = run_pass(true)?;
-    let real = run_pass(false)?;
-    Ok(summarize_dual(benchmark, cfg, &perfect, &real))
+    let mut cpu = acquire_engine(&perfect_config, IssuePolicy::DualInOrder);
+    cpu.run_tape(&tape)?;
+    cpu.finish()?;
+    let perfect_cycles = cpu.now().0;
+    release_engine((perfect_config, IssuePolicy::DualInOrder), cpu);
+    Telemetry::global().record_run(real.instructions, perfect_cycles);
+
+    // `IssueEngine::mcpi_against` arithmetic, on the two finished passes.
+    let mcpi = if real.instructions == 0 {
+        0.0
+    } else {
+        real.cycles.saturating_sub(perfect_cycles) as f64 / real.instructions as f64
+    };
+    Ok(DualRunResult {
+        benchmark: real.benchmark,
+        config: real.config,
+        instructions: real.instructions,
+        cycles: real.cycles,
+        perfect_cycles,
+        ipc: real.instructions as f64 / perfect_cycles.max(1) as f64,
+        mcpi,
+    })
 }
 
 impl RunResult {

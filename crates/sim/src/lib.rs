@@ -7,7 +7,10 @@
 //!   "no restrict") and complete [`config::SimConfig`]s;
 //! * [`driver`] — compile-and-run of one workload under one configuration,
 //!   producing a [`driver::RunResult`] with every metric the paper plots
-//!   (MCPI, stall breakdown, miss rates, in-flight histograms);
+//!   (MCPI, stall breakdown, miss rates, in-flight histograms). Every
+//!   entry point replays a recorded tape through a pooled
+//!   [`nbl_cpu::issue::IssueEngine`]; the dual-issue run
+//!   ([`driver::run_dual`]) is two such replays, real and perfect cache;
 //! * [`sweep`] — configuration × latency and configuration × penalty
 //!   sweeps with compilation shared across configurations, serially or on
 //!   the parallel [`sweep::SweepEngine`];
@@ -51,12 +54,10 @@ pub mod tape_cache;
 pub mod telemetry;
 
 pub use compile_cache::{CacheStats, CompileCache};
-pub use config::{HwConfig, IssueWidth, ProcessorKind, SimConfig};
+pub use config::{HwConfig, ProcessorKind, SimConfig};
 pub use driver::{
-    run_compiled, run_compiled_interpreted, run_compiled_traced, run_dual, run_dual_cached,
-    run_dual_compiled, run_dual_compiled_interpreted, run_dual_tape, run_program,
-    run_program_cached, run_program_traced, run_tape, run_tape_fused, run_tape_probed,
-    DualRunResult, RunResult, SimError,
+    run_compiled, run_dual, run_program, run_program_traced, run_tape, run_tape_fused,
+    run_tape_probed, DualRunResult, RunResult, SimError,
 };
 pub use pool::{available_threads, JobPanic, JobPool};
 pub use store::{

@@ -163,13 +163,13 @@ impl ReplacementSweep {
     }
 }
 
-/// Processor-model sensitivity grid for one benchmark: model × MSHR
+/// Sensitivity grid over processor models for one benchmark: model × MSHR
 /// configuration × load latency (the `figures replaymodel` exhibit).
 #[derive(Debug, Clone)]
 pub struct ModelSweep {
     /// Benchmark name.
     pub benchmark: String,
-    /// Processor-model labels, in input order.
+    /// Labels of the processor models, in input order.
     pub models: Vec<String>,
     /// Configuration labels.
     pub configs: Vec<String>,

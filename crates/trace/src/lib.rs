@@ -11,15 +11,15 @@
 //! * [`machine`] — the compiled (scheduled + register-allocated) program
 //!   form produced by `nbl-sched`;
 //! * [`exec`] — the deterministic executor that turns a compiled program
-//!   into a dynamic instruction stream for the processor models;
-//! * [`dump`] — binary trace capture and replay (the long-address-trace
-//!   tooling of the paper's infrastructure lineage);
+//!   into a dynamic instruction stream (the tape recorder's input);
 //! * [`tape`] — a flat struct-of-arrays recording of the fully-resolved
 //!   dynamic stream, materialized once per (benchmark, latency) pair and
-//!   replayed across every hardware configuration of a sweep.
+//!   replayed across every hardware configuration of a sweep. Its codec
+//!   ([`tape::io`], `NBLT` magic) is the one on-disk instruction-stream
+//!   format: trace capture to a file is `to_bytes`, replay is
+//!   `from_bytes` plus a tape run.
 
 pub mod builder;
-pub mod dump;
 pub mod exec;
 pub mod ir;
 pub mod machine;
@@ -27,7 +27,6 @@ pub mod tape;
 pub mod workloads;
 
 pub use builder::ProgramBuilder;
-pub use dump::{TraceReader, TraceWriter};
 pub use exec::Executor;
 pub use ir::{AddrPattern, Block, BlockId, IrOp, PatternId, Program, ScriptNode, VirtReg};
 pub use machine::{CompiledProgram, CountingSink, InstSink, MachineBlock, MachineOp};

@@ -149,8 +149,9 @@ impl CompiledProgram {
 
 /// Consumer of the dynamic instruction stream produced by the executor.
 ///
-/// `nbl-sim` implements this for the single- and dual-issue processors;
-/// tests implement it with plain collectors.
+/// [`crate::tape::TraceTape`] implements it (recording is one executor
+/// walk into a tape); tests implement it with plain collectors such as
+/// `Vec<DynInst>`.
 pub trait InstSink {
     /// Executes one dynamic instruction.
     fn exec(&mut self, inst: DynInst);

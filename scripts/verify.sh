@@ -34,6 +34,9 @@ cargo test -q -p nbl-sim --test warm_arena
 echo "== artifact store: cross-process warm start + corruption recovery =="
 cargo test -q -p nbl-sim --test artifact_store
 
+echo "== nbl-benchmark: builds and passes its tests against the public API =="
+cargo test -q --release --manifest-path nbl-benchmark/Cargo.toml
+
 echo "== clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -111,6 +114,14 @@ for r in d["runs"]:
 print("replaymodel.json: shape OK")
 EOF
 
+echo "== smoke: Fig. 19 dual-issue table vs pinned golden =="
+cargo run --release -p nbl-bench -- fig19 --quick --out "$replsens_dir/fig19.txt" >/dev/null
+# The table must be bit-identical to the pinned golden: the dual-issue
+# run (real- and perfect-cache tape replays) may not drift. The
+# wall-clock throughput summary after the table is left out.
+sed -n '/^== Figure 19/,/^$/{/^$/d;p}' "$replsens_dir/fig19.txt" \
+  | diff -u scripts/golden/fig19_quick.txt -
+
 echo "== oracle gate: 72-cell cross-check, zero violations (--deny) =="
 oracle_store="$replsens_dir/oracle-store"
 # Twice against one verdict store: the first pass analyzes and persists,
@@ -168,7 +179,7 @@ assert best >= 90.0, f"best lru coverage {best:.1f}% < 90%"
 print("oracle.json: shape + coverage floor OK")
 EOF
 
-echo "== smoke: bench rail (fused/unfused/interpreted/disk-warm + artifact store) =="
+echo "== smoke: bench rail (fused/unfused/disk-warm + artifact store) =="
 bench_json="$replsens_dir/bench.json"
 bench_store="$replsens_dir/store"
 bench_date="$(git log -1 --format=%cs 2>/dev/null || echo unknown)"
@@ -194,9 +205,8 @@ bench_date = sys.argv[2]
 assert d["kind"] == "bench_sweep", d["kind"]
 assert d["runs"] == len(d["benchmarks"]) * len(d["configs"]) * len(d["load_latencies"])
 assert d["bit_identical"] is True, "a replay or store path diverged"
-for key in ("cold_wall_s", "warm_wall_s", "unfused_wall_s", "interpreted_wall_s",
+for key in ("cold_wall_s", "warm_wall_s", "unfused_wall_s",
             "disk_warm_wall_s", "tape_scan_s", "mem_step_s",
-            "speedup_warm_vs_interpreted",
             "speedup_fused_vs_unfused", "speedup_warm_vs_cold",
             "speedup_disk_warm_vs_cold"):
     assert d[key] > 0, key

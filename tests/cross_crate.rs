@@ -4,7 +4,7 @@
 //! results.
 
 use nonblocking_loads::cpu::core_engine::EngineConfig;
-use nonblocking_loads::cpu::pipeline::Processor;
+use nonblocking_loads::cpu::issue::{IssueEngine, IssuePolicy};
 use nonblocking_loads::sched::compile::compile;
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
 use nonblocking_loads::sim::driver::{run_compiled, run_dual, run_program};
@@ -189,27 +189,24 @@ fn engine_composes_from_parts() {
 
     let p = build("eqntott", scale()).unwrap();
     let compiled = compile(&p, 10).unwrap();
-    let mut cpu = Processor::new(EngineConfig::with_cache(CacheConfig::baseline(
-        MshrConfig::Blocking,
-    )));
-    struct Sink<'a>(&'a mut Processor);
-    impl nonblocking_loads::trace::machine::InstSink for Sink<'_> {
-        fn exec(&mut self, inst: DynInst) {
-            self.0.step(&inst).expect("no engine error on replay");
-        }
-    }
-    Executor::new(&compiled).run(&mut Sink(&mut cpu));
-    cpu.finish();
+    let mut cpu = IssueEngine::new(
+        EngineConfig::with_cache(CacheConfig::baseline(MshrConfig::Blocking)),
+        IssuePolicy::SingleInOrder,
+    );
+    let mut stream: Vec<DynInst> = Vec::new();
+    Executor::new(&compiled).run(&mut stream);
+    cpu.run(stream).unwrap();
+    cpu.finish().unwrap();
     assert!(cpu.stats().instructions > 10_000);
     assert!(cpu.stats().mcpi() > 0.0);
 
-    // Hand-rolled instructions interleave fine with the same processor.
-    cpu.step(&DynInst::load(
+    // Hand-rolled instructions interleave fine with the same engine.
+    cpu.push(DynInst::load(
         Addr(0xdead00),
         PhysReg::int(3),
         LoadFormat::WORD,
     ))
     .unwrap();
-    cpu.finish();
+    cpu.finish().unwrap();
     assert!(cpu.stats().blocking_load_misses > 0);
 }

@@ -1,18 +1,24 @@
 //! Tape-replay equivalence guard for the record-once/replay-many backend.
 //!
-//! `run_compiled` serves the dynamic stream from a recorded [`TraceTape`]
-//! instead of re-walking the compiled script through the `Executor`; this
-//! suite pins that the swap is invisible: every metric of every
-//! [`RunResult`] is bit-identical between the replay and interpreter
-//! paths, on the same 72-cell golden grid `refactor_equivalence.rs` pins
-//! against the pre-port engine, plus one workload per family and the
-//! dual-issue driver.
+//! Every simulation replays a recorded [`TraceTape`]
+//! ([`IssueEngine::run_tape`]) instead of walking the compiled script. This
+//! suite pins that the tape is invisible: for each processor model, an
+//! engine fed the `Executor`'s instruction stream through
+//! [`IssueEngine::run`] ends in exactly the state of one that replays the
+//! tape — clock, stall statistics, cache counters, in-flight sampler,
+//! replay attribution and dual-issue pair count, bit for bit. It covers
+//! the 72-cell golden grid `refactor_equivalence.rs` pins (under the
+//! stalling and the replaying model), one workload per family, and the
+//! dual-issue model's perfect- and real-cache passes, and ties each
+//! engine-level result back to the driver's answer for the same cell.
 
+use nonblocking_loads::core::inst::DynInst;
+use nonblocking_loads::cpu::core_engine::EngineConfig;
+use nonblocking_loads::cpu::issue::{IssueEngine, IssuePolicy};
 use nonblocking_loads::sched::compile::compile;
-use nonblocking_loads::sim::config::{HwConfig, SimConfig};
-use nonblocking_loads::sim::driver::{
-    run_compiled, run_compiled_interpreted, run_dual_compiled, run_dual_compiled_interpreted,
-};
+use nonblocking_loads::sim::config::{HwConfig, ProcessorKind, SimConfig};
+use nonblocking_loads::sim::driver::{run_compiled, run_dual};
+use nonblocking_loads::trace::exec::Executor;
 use nonblocking_loads::trace::machine::CompiledProgram;
 use nonblocking_loads::trace::tape::{barrier_index, barrier_is_mem, TraceTape};
 use nonblocking_loads::trace::workloads::{build, Scale};
@@ -35,50 +41,152 @@ fn compiled(name: &str, latency: u32) -> CompiledProgram {
     compile(&p, latency).unwrap()
 }
 
-/// Replay must be indistinguishable from interpretation on the exact grid
-/// the refactor-equivalence goldens pin: 2 benchmarks × 6 configurations
-/// × 6 latencies, full `RunResult` equality (every field, bit for bit).
-#[test]
-fn tape_replay_matches_interpreter_on_every_golden_cell() {
-    for bench in ["eqntott", "tomcatv"] {
-        for lat in LATENCIES {
-            let c = compiled(bench, lat);
-            for hw in &GOLDEN_CONFIGS {
-                let cfg = SimConfig::baseline(hw.clone()).at_latency(lat);
-                let replayed = run_compiled(bench, &c, &cfg).unwrap();
-                let interpreted = run_compiled_interpreted(bench, &c, &cfg).unwrap();
+/// One compiled pair in both forms: the executor's instruction stream and
+/// the tape recorded from it.
+struct Streams {
+    compiled: CompiledProgram,
+    stream: Vec<DynInst>,
+    tape: TraceTape,
+}
+
+fn streams(name: &str, latency: u32) -> Streams {
+    let compiled = compiled(name, latency);
+    let mut stream = Vec::new();
+    Executor::new(&compiled).run(&mut stream);
+    let tape = TraceTape::record(&compiled);
+    Streams {
+        compiled,
+        stream,
+        tape,
+    }
+}
+
+/// The engine configuration the driver builds for a baseline `cfg` (no
+/// L2, no victim buffer, LRU — the only shapes this suite runs).
+fn engine_config(cfg: &SimConfig, perfect_cache: bool) -> EngineConfig {
+    assert!(cfg.l2.is_none() && cfg.victim_entries == 0);
+    let mut cache = cfg.hw.cache_config(cfg.geometry);
+    cache.replacement = cfg.replacement;
+    EngineConfig {
+        cache,
+        miss_penalty: cfg.miss_penalty,
+        perfect_cache,
+        memory_gap: cfg.memory_gap,
+        l2: None,
+    }
+}
+
+/// Runs `s` both ways under `(config, policy)`, asserts the two engines
+/// ended in the same observable state, and returns the tape-fed one.
+fn both_rails(s: &Streams, config: EngineConfig, policy: IssuePolicy, what: &str) -> IssueEngine {
+    let mut by_stream = IssueEngine::new(config.clone(), policy);
+    by_stream.run(s.stream.iter().copied()).unwrap();
+    by_stream.finish().unwrap();
+    let mut by_tape = IssueEngine::new(config, policy);
+    by_tape.run_tape(&s.tape).unwrap();
+    by_tape.finish().unwrap();
+
+    assert_eq!(by_tape.now(), by_stream.now(), "{what}: cycles");
+    assert_eq!(by_tape.stats(), by_stream.stats(), "{what}: stats");
+    assert_eq!(
+        by_tape.cache().counters(),
+        by_stream.cache().counters(),
+        "{what}: cache counters"
+    );
+    let (t, r) = (by_tape.sampler(), by_stream.sampler());
+    assert_eq!(t.max_misses(), r.max_misses(), "{what}: max misses");
+    assert_eq!(t.max_fetches(), r.max_fetches(), "{what}: max fetches");
+    assert_eq!(t.miss_histogram(), r.miss_histogram(), "{what}: miss dist");
+    assert_eq!(
+        t.fetch_histogram(),
+        r.fetch_histogram(),
+        "{what}: fetch dist"
+    );
+    assert_eq!(
+        t.fraction_with_misses_in_flight().to_bits(),
+        r.fraction_with_misses_in_flight().to_bits(),
+        "{what}: busy fraction"
+    );
+    assert_eq!(
+        by_tape.attribution(),
+        by_stream.attribution(),
+        "{what}: replay attribution"
+    );
+    assert_eq!(
+        by_tape.pairs_issued(),
+        by_stream.pairs_issued(),
+        "{what}: pairs issued"
+    );
+    by_tape
+}
+
+/// Checks every cell of `benches × latencies × configs` under `model`,
+/// and that the driver's `RunResult` for the cell counts the same
+/// cycles, instructions and replays as the engine.
+fn check_grid(benches: &[&str], latencies: &[u32], configs: &[HwConfig], model: ProcessorKind) {
+    for bench in benches {
+        for &lat in latencies {
+            let s = streams(bench, lat);
+            for hw in configs {
+                let cfg = SimConfig {
+                    processor: model,
+                    ..SimConfig::baseline(hw.clone()).at_latency(lat)
+                };
+                let what = format!("{bench} [{}] latency {lat} {model}", hw.label());
+                let engine = both_rails(&s, engine_config(&cfg, false), model.policy(), &what);
+                let driver = run_compiled(bench, &s.compiled, &cfg).unwrap();
+                assert_eq!(driver.cycles, engine.now().0, "{what}: driver cycles");
                 assert_eq!(
-                    replayed,
-                    interpreted,
-                    "{bench} [{}] latency {lat}: tape replay diverged",
-                    hw.label()
+                    driver.instructions,
+                    engine.stats().instructions,
+                    "{what}: driver instructions"
+                );
+                assert_eq!(
+                    driver.replay,
+                    *engine.attribution(),
+                    "{what}: driver replay"
                 );
             }
         }
     }
 }
 
+/// The stalling model on the exact grid the refactor-equivalence goldens
+/// pin: 2 benchmarks × 6 configurations × 6 latencies.
+#[test]
+fn tape_replay_matches_interpreter_on_every_golden_cell() {
+    check_grid(
+        &["eqntott", "tomcatv"],
+        &LATENCIES,
+        &GOLDEN_CONFIGS,
+        ProcessorKind::SingleInOrder,
+    );
+}
+
+/// The replaying model on the same 72-cell grid: its barrier loop must
+/// reproduce the pushed stream's per-cause attribution on real
+/// workloads, not just on hand-built streams.
+#[test]
+fn replay_cause_tape_replay_matches_interpreter_on_every_golden_cell() {
+    check_grid(
+        &["eqntott", "tomcatv"],
+        &LATENCIES,
+        &GOLDEN_CONFIGS,
+        ProcessorKind::ReplayCause,
+    );
+}
+
 /// One benchmark per workload family, run under the two configurations
 /// the golden grid does not cover (blocking + write-miss allocate, and
-/// the in-cache MSHR organization) as well as the unrestricted one.
+/// the in-cache MSHR organization) as well as the unrestricted one, under
+/// both single-width models.
 #[test]
 fn tape_replay_matches_interpreter_per_workload_family() {
     // integer / pointer-chase / FP-streaming / FP-mixed archetypes.
-    for bench in ["eqntott", "xlisp", "tomcatv", "doduc"] {
-        for lat in [2, 10] {
-            let c = compiled(bench, lat);
-            for hw in [HwConfig::Mc0Wma, HwConfig::InCache, HwConfig::NoRestrict] {
-                let cfg = SimConfig::baseline(hw.clone()).at_latency(lat);
-                let replayed = run_compiled(bench, &c, &cfg).unwrap();
-                let interpreted = run_compiled_interpreted(bench, &c, &cfg).unwrap();
-                assert_eq!(
-                    replayed,
-                    interpreted,
-                    "{bench} [{}] latency {lat}: tape replay diverged",
-                    hw.label()
-                );
-            }
-        }
+    let families = ["eqntott", "xlisp", "tomcatv", "doduc"];
+    let configs = [HwConfig::Mc0Wma, HwConfig::InCache, HwConfig::NoRestrict];
+    for model in [ProcessorKind::SingleInOrder, ProcessorKind::ReplayCause] {
+        check_grid(&families, &[2, 10], &configs, model);
     }
 }
 
@@ -119,20 +227,37 @@ fn recorded_tapes_are_structurally_sound_for_every_family() {
     }
 }
 
-/// The dual-issue driver replays both its passes (perfect-cache and real)
-/// from one tape; the pair must match the interpreted reference exactly.
+/// The dual-issue model's two passes, perfect-cache and real, match
+/// across rails, and [`run_dual`] reports exactly those two cycle counts.
 #[test]
 fn dual_issue_tape_replay_matches_interpreter() {
     for bench in ["eqntott", "doduc"] {
+        let s = streams(bench, 3);
+        let program = build(bench, Scale::quick()).unwrap();
         for hw in [HwConfig::Mc(1), HwConfig::NoRestrict] {
-            let c = compiled(bench, 3);
             let cfg = SimConfig::baseline(hw.clone()).at_latency(3);
-            let replayed = run_dual_compiled(bench, &c, &cfg).unwrap();
-            let interpreted = run_dual_compiled_interpreted(bench, &c, &cfg).unwrap();
+            let [perfect, real] = [true, false].map(|perfect| {
+                let what = format!("{bench} [{}] dual perfect={perfect}", hw.label());
+                both_rails(
+                    &s,
+                    engine_config(&cfg, perfect),
+                    IssuePolicy::DualInOrder,
+                    &what,
+                )
+            });
+            let d = run_dual(&program, &cfg).unwrap();
+            assert_eq!(d.cycles, real.now().0, "{bench} [{}]", hw.label());
             assert_eq!(
-                replayed,
-                interpreted,
-                "{bench} [{}]: dual tape replay diverged",
+                d.perfect_cycles,
+                perfect.now().0,
+                "{bench} [{}]",
+                hw.label()
+            );
+            assert_eq!(d.instructions, real.stats().instructions);
+            assert_eq!(
+                d.mcpi.to_bits(),
+                real.mcpi_against(perfect.now()).to_bits(),
+                "{bench} [{}]: run_dual MCPI is the engine's mcpi_against",
                 hw.label()
             );
         }
