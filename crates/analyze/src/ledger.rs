@@ -84,8 +84,8 @@ pub const LEDGER: &[LedgerEntry] = &[
         surfaces: &["crates/cpu/src/core_engine.rs", "DESIGN.md"],
     },
     LedgerEntry {
-        name: "TapeCodecError",
-        decl_file: "crates/trace/src/tape/io.rs",
+        name: "CodecError",
+        decl_file: "crates/core/src/frame.rs",
         kind: LedgerKind::Enum,
         surfaces: &["DESIGN.md"],
     },

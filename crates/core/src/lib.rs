@@ -52,6 +52,8 @@
 pub mod cache;
 /// Cross-process stable fingerprints for content-addressed artifacts.
 pub mod fingerprint;
+/// The byte frame, writer/reader and codec error every artifact shares.
+pub mod frame;
 /// Cache geometry (size, line size, associativity) and its validation.
 pub mod geometry;
 /// Fixed-seed hashing: [`hash::FastMap`] keeps map iteration deterministic.

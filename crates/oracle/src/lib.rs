@@ -30,7 +30,7 @@ mod prop;
 
 pub use check::{check_cell, cross_check, CellReport, CrossCheckViolation};
 pub use domain::{analyze_tape, Classification, Coverage, OracleAnalysis};
-pub use store::{CellVerdict, OracleStore, ORACLE_FORMAT_VERSION};
+pub use store::{verdict_key, CellVerdict, VerdictArtifact};
 
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::tag_array::ReplacementKind;

@@ -12,13 +12,16 @@
 //! * `--json PATH` — write the machine-readable report;
 //! * `--store DIR` — persist / reuse verdicts keyed by
 //!   `(format version, tape fingerprint, geometry, policy, window,
-//!   hw config)`.
+//!   hw config)`. Store trouble degrades to re-analysis and shows in the
+//!   JSON report's `"store"` counters; it never fails the run.
 
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::tag_array::ReplacementKind;
-use nbl_oracle::{check_cell, CellReport, CellVerdict, OracleConfig, OracleError, OracleStore};
+use nbl_oracle::{
+    check_cell, verdict_key, CellReport, CellVerdict, OracleConfig, OracleError, VerdictArtifact,
+};
 use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_sim::store::{compiled_fingerprint, ArtifactStore};
+use nbl_sim::store::{compiled_fingerprint, ArtifactStore, DiskTier, KindStats};
 use nbl_trace::workloads::{self, Scale};
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -77,17 +80,10 @@ fn hw_configs() -> Vec<HwConfig> {
 
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
-    let store = match &args.store {
-        Some(dir) => Some(
-            OracleStore::open(std::path::Path::new(dir))
-                .map_err(|e| format!("cannot open --store {dir}: {e}"))?,
-        ),
-        None => None,
-    };
+    let store = args.store.as_ref().map(DiskTier::new);
     let artifacts = ArtifactStore::in_memory();
-    let mut reports: Vec<(CellReport, bool)> = Vec::new();
+    let mut reports: Vec<CellReport> = Vec::new();
     let mut total_violations = 0u64;
-    let mut cached_cells = 0u64;
 
     for bench in BENCHMARKS {
         let program = workloads::build(bench, Scale::quick())
@@ -105,37 +101,32 @@ fn run() -> Result<ExitCode, String> {
                         .with_geometry(geometry)
                         .with_replacement(policy);
                     let ocfg = OracleConfig::from_sim(&cfg).map_err(|e| e.to_string())?;
-                    let key = OracleStore::key(tape_fp, &ocfg, &hw.label());
-                    let cached = store.as_ref().and_then(|s| s.load(key));
-                    let (report, from_store) = match cached {
-                        Some(verdict) if verdict.violations == 0 => {
-                            cached_cells += 1;
-                            (
-                                CellReport {
-                                    benchmark: bench.to_string(),
-                                    geometry: geometry_label(&geometry),
-                                    policy: policy.label(),
-                                    hw: hw.label(),
-                                    coverage: verdict.coverage,
-                                    violations: Vec::new(),
-                                },
-                                true,
-                            )
-                        }
+                    let key = verdict_key(tape_fp, &ocfg, &hw.label());
+                    let cached = store
+                        .as_ref()
+                        .and_then(|s| s.read::<VerdictArtifact>(&key).ok()?);
+                    let report = match cached {
+                        Some(verdict) if verdict.violations == 0 => CellReport {
+                            benchmark: bench.to_string(),
+                            geometry: geometry_label(&geometry),
+                            policy: policy.label(),
+                            hw: hw.label(),
+                            coverage: verdict.coverage,
+                            violations: Vec::new(),
+                        },
                         _ => {
                             let report =
                                 check_cell(bench, &tape, &cfg).map_err(|e| e.to_string())?;
-                            if report.violations.is_empty() {
-                                if let Some(s) = &store {
-                                    let verdict = CellVerdict {
-                                        coverage: report.coverage,
-                                        violations: 0,
-                                    };
-                                    s.save(key, &verdict)
-                                        .map_err(|e| format!("verdict save failed: {e}"))?;
-                                }
+                            if let (Some(s), true) = (&store, report.violations.is_empty()) {
+                                let verdict = CellVerdict {
+                                    coverage: report.coverage,
+                                    violations: 0,
+                                };
+                                // A failed write is counted in `io_errors`;
+                                // the cell is simply re-analyzed next run.
+                                let _ = s.write::<VerdictArtifact>(&key, &verdict);
                             }
-                            (report, false)
+                            report
                         }
                     };
                     total_violations += report.violations.len() as u64;
@@ -145,18 +136,21 @@ fn run() -> Result<ExitCode, String> {
                             report.geometry, report.policy, report.hw
                         );
                     }
-                    reports.push((report, from_store));
+                    reports.push(report);
                 }
             }
         }
     }
 
-    print_table(&reports, cached_cells);
+    let stats = store
+        .map(|s| s.kind_stats::<VerdictArtifact>())
+        .unwrap_or_default();
+    print_table(&reports, stats.hits);
     if let Some(path) = &args.csv {
         write_csv(path, &reports).map_err(|e| format!("csv write failed: {e}"))?;
     }
     if let Some(path) = &args.json {
-        write_json(path, &reports, total_violations)
+        write_json(path, &reports, total_violations, &stats)
             .map_err(|e| format!("json write failed: {e}"))?;
     }
     if total_violations > 0 {
@@ -189,12 +183,12 @@ fn pct(part: u64, whole: u64) -> f64 {
     }
 }
 
-fn print_table(reports: &[(CellReport, bool)], cached: u64) {
+fn print_table(reports: &[CellReport], cached: u64) {
     println!(
         "{:<9} {:<12} {:<7} {:<12} {:>9} {:>7} {:>7} {:>7} {:>5}",
         "bench", "geometry", "policy", "hw", "accesses", "hit%", "miss%", "unk%", "viol"
     );
-    for (r, _) in reports {
+    for r in reports {
         let c = &r.coverage;
         println!(
             "{:<9} {:<12} {:<7} {:<12} {:>9} {:>6.1} {:>6.1} {:>6.1} {:>6}",
@@ -210,14 +204,14 @@ fn print_table(reports: &[(CellReport, bool)], cached: u64) {
         );
     }
     let cells = reports.len();
-    let violations: usize = reports.iter().map(|(r, _)| r.violations.len()).sum();
+    let violations: usize = reports.iter().map(|r| r.violations.len()).sum();
     println!("{cells} cells, {violations} violation(s), {cached} from verdict store");
 }
 
-fn write_csv(path: &str, reports: &[(CellReport, bool)]) -> std::io::Result<()> {
+fn write_csv(path: &str, reports: &[CellReport]) -> std::io::Result<()> {
     let mut out = String::new();
     out.push_str("bench,geometry,policy,hw,accesses,must_hit,must_miss,unknown,violations\n");
-    for (r, _) in reports {
+    for r in reports {
         let c = &r.coverage;
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{}\n",
@@ -237,23 +231,30 @@ fn write_csv(path: &str, reports: &[(CellReport, bool)]) -> std::io::Result<()> 
 
 fn write_json(
     path: &str,
-    reports: &[(CellReport, bool)],
+    reports: &[CellReport],
     total_violations: u64,
+    store: &KindStats,
 ) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"exhibit\": \"oracle\",")?;
     writeln!(f, "  \"cells\": {},", reports.len())?;
     writeln!(f, "  \"violations\": {total_violations},")?;
+    writeln!(
+        f,
+        "  \"store\": {{\"hits\": {}, \"misses\": {}, \"writes\": {}, \
+         \"corruptions\": {}, \"io_errors\": {}}},",
+        store.hits, store.misses, store.writes, store.corruptions, store.io_errors
+    )?;
     writeln!(f, "  \"rows\": [")?;
-    for (i, (r, from_store)) in reports.iter().enumerate() {
+    for (i, r) in reports.iter().enumerate() {
         let c = &r.coverage;
         let comma = if i + 1 < reports.len() { "," } else { "" };
         writeln!(
             f,
             "    {{\"bench\": \"{}\", \"geometry\": \"{}\", \"policy\": \"{}\", \
              \"hw\": \"{}\", \"accesses\": {}, \"must_hit\": {}, \"must_miss\": {}, \
-             \"unknown\": {}, \"violations\": {}, \"from_store\": {}}}{comma}",
+             \"unknown\": {}, \"violations\": {}}}{comma}",
             r.benchmark,
             r.geometry,
             r.policy,
@@ -262,8 +263,7 @@ fn write_json(
             c.must_hit,
             c.must_miss,
             c.unknown,
-            r.violations.len(),
-            from_store
+            r.violations.len()
         )?;
     }
     writeln!(f, "  ]")?;

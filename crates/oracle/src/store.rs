@@ -1,40 +1,23 @@
-//! Persisted oracle verdicts: a small content-addressed side-store next
-//! to the simulator's artifact store.
+//! Persisted oracle verdicts: the verdict kind of the simulator's
+//! artifact store (`DESIGN.md` §16, §18.4).
 //!
-//! One file per analyzed cell, keyed by the stable fingerprint of
-//! `(ORACLE_FORMAT_VERSION, tape fingerprint, geometry, replacement,
-//! window, write_allocate, hw label)` — the inputs the analyzer
-//! consumes *plus* the hardware configuration the cross-check replayed
-//! against. The hw label matters even when two configurations share a
-//! fill window (`fc=2` and `no restrict` do): the analysis is identical
-//! but the simulator's observed outcomes are not, and a verdict vouches
-//! for the cross-check, not just the analysis. A key collision across
-//! distinct cells would require a fingerprint collision. Files use the same defensive codec discipline
-//! as the simulator's store (`DESIGN.md` §16): magic + version header,
-//! little-endian fields, trailing [`checksum_bytes`] checksum,
-//! tmp-write + atomic rename on publish, and degrade-to-`None` (force a
-//! re-analysis) on any read anomaly rather than trusting a damaged
-//! record.
-//!
-//! The store is deliberately independent of the simulator's
-//! `DiskTier` — oracle verdicts are *about* tapes, not artifacts the
-//! sweeps consume, and keeping them out of `StoreStats` keeps the
-//! store's accounting invariants untouched.
+//! One file per analyzed cell, keyed by [`verdict_key`]: the stable
+//! fingerprint of `(format version, tape fingerprint, geometry,
+//! replacement, window, write_allocate, hw label)` — the inputs the
+//! analyzer consumes *plus* the hardware configuration the cross-check
+//! replayed against. The hw label matters even when two configurations
+//! share a fill window (`fc=2` and `no restrict` do): the analysis is
+//! identical but the simulator's observed outcomes are not, and a verdict
+//! vouches for the cross-check, not just the analysis. A key collision
+//! across distinct cells would require a fingerprint collision. Reads,
+//! publishes, quarantine and counters are the disk tier's; verdicts are
+//! the one kind whose publish syncs to disk.
 
 use crate::domain::Coverage;
 use crate::OracleConfig;
-use nbl_core::fingerprint::{checksum_bytes, fingerprint_of};
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-
-/// Version of the verdict file format; embedded in the key fingerprint
-/// *and* the file header, so a format change both misses old files and
-/// refuses to misread them.
-pub const ORACLE_FORMAT_VERSION: u32 = 1;
-
-/// Magic prefix of every verdict file.
-const MAGIC: &[u8; 4] = b"NBLO";
+use nbl_core::fingerprint::fingerprint_of;
+use nbl_core::frame::{CodecError, Frame};
+use nbl_sim::store::ArtifactKind;
 
 /// A persisted per-cell verdict: what the analyzer concluded and
 /// whether the cross-check agreed.
@@ -46,173 +29,77 @@ pub struct CellVerdict {
     pub violations: u64,
 }
 
-/// Directory-backed store of [`CellVerdict`]s.
-#[derive(Debug, Clone)]
-pub struct OracleStore {
-    dir: PathBuf,
-}
+/// [`CellVerdict`]s as a disk-tier artifact kind, keyed by
+/// [`verdict_key`]. The frame's version is also part of the key, so a
+/// format change both misses old files and refuses to misread them. The
+/// file holds no copy of its key: any verdict that decodes is what its
+/// address names.
+pub struct VerdictArtifact;
 
-impl OracleStore {
-    /// Opens (creating if needed) a verdict store rooted at `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `create_dir_all` failure.
-    pub fn open(dir: &Path) -> std::io::Result<OracleStore> {
-        fs::create_dir_all(dir)?;
-        Ok(OracleStore {
-            dir: dir.to_path_buf(),
+impl ArtifactKind for VerdictArtifact {
+    type Value = CellVerdict;
+    type Key<'a> = u64;
+    const PREFIX: &'static str = "oracle";
+    const EXTENSION: &'static str = "nbo";
+    const FRAME: Frame = Frame {
+        magic: *b"NBLO",
+        version: 1,
+    };
+    const SYNC: bool = true;
+
+    fn address(key: &u64) -> String {
+        format!("{key:016x}")
+    }
+
+    fn encode(v: &CellVerdict) -> Vec<u8> {
+        let mut w = Self::FRAME.writer(4 + 4 + 5 * 8 + 8);
+        w.u64s(&[
+            v.coverage.accesses,
+            v.coverage.must_hit,
+            v.coverage.must_miss,
+            v.coverage.unknown,
+            v.violations,
+        ]);
+        w.seal()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<CellVerdict, CodecError> {
+        let mut r = Self::FRAME.open(bytes)?;
+        r.verify_checksum()?;
+        let [accesses, must_hit, must_miss, unknown, violations] = r.u64_array()?;
+        r.finish()?;
+        let classified = must_hit
+            .checked_add(must_miss)
+            .and_then(|c| c.checked_add(unknown));
+        if classified != Some(accesses) {
+            return Err(CodecError::HeaderMismatch);
+        }
+        Ok(CellVerdict {
+            coverage: Coverage {
+                accesses,
+                must_hit,
+                must_miss,
+                unknown,
+            },
+            violations,
         })
     }
 
-    /// The content-addressed key of one cell. `hw_label` names the
-    /// hardware configuration the cross-check replays against; it is
-    /// part of the key because the verdict certifies the cross-check,
-    /// which depends on the simulator's behavior under that config even
-    /// when the abstract analysis does not.
-    pub fn key(tape_fingerprint: u64, cfg: &OracleConfig, hw_label: &str) -> u64 {
-        fingerprint_of(&(
-            ORACLE_FORMAT_VERSION,
-            tape_fingerprint,
-            cfg.geometry,
-            cfg.replacement,
-            cfg.window,
-            cfg.write_allocate,
-            hw_label,
-        ))
-    }
-
-    fn path_of(&self, key: u64) -> PathBuf {
-        self.dir
-            .join(format!("oracle-v{ORACLE_FORMAT_VERSION}-{key:016x}.nbo"))
-    }
-
-    /// Loads a previously persisted verdict, or `None` when absent or
-    /// damaged in any way (wrong magic/version/length/checksum) — the
-    /// caller re-analyzes, which is always safe.
-    pub fn load(&self, key: u64) -> Option<CellVerdict> {
-        let bytes = fs::read(self.path_of(key)).ok()?;
-        decode(&bytes)
-    }
-
-    /// Persists `verdict` under `key` via tmp-write + rename, so a
-    /// concurrent reader never observes a half-written file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures; the store directory is left
-    /// without a (possibly partial) published file on error.
-    pub fn save(&self, key: u64, verdict: &CellVerdict) -> std::io::Result<()> {
-        let bytes = encode(verdict);
-        let path = self.path_of(key);
-        let tmp = self.dir.join(format!("tmp-{key:016x}.partial"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+    fn describes(_: &CellVerdict, _: &u64) -> bool {
+        true
     }
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn encode(v: &CellVerdict) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 4 + 5 * 8 + 8);
-    out.extend_from_slice(MAGIC);
-    push_u32(&mut out, ORACLE_FORMAT_VERSION);
-    push_u64(&mut out, v.coverage.accesses);
-    push_u64(&mut out, v.coverage.must_hit);
-    push_u64(&mut out, v.coverage.must_miss);
-    push_u64(&mut out, v.coverage.unknown);
-    push_u64(&mut out, v.violations);
-    let sum = checksum_bytes(&out);
-    push_u64(&mut out, sum);
-    out
-}
-
-fn decode(bytes: &[u8]) -> Option<CellVerdict> {
-    const LEN: usize = 4 + 4 + 5 * 8 + 8;
-    if bytes.len() != LEN {
-        return None;
-    }
-    let (body, sum) = bytes.split_at(LEN - 8);
-    if checksum_bytes(body) != u64::from_le_bytes(sum.try_into().ok()?) {
-        return None;
-    }
-    if &body[..4] != MAGIC {
-        return None;
-    }
-    let word_u32 = |at: usize| -> u32 { u32::from_le_bytes(body[at..at + 4].try_into().unwrap()) };
-    let word = |at: usize| -> u64 { u64::from_le_bytes(body[at..at + 8].try_into().unwrap()) };
-    if word_u32(4) != ORACLE_FORMAT_VERSION {
-        return None;
-    }
-    let coverage = Coverage {
-        accesses: word(8),
-        must_hit: word(16),
-        must_miss: word(24),
-        unknown: word(32),
-    };
-    if coverage.must_hit + coverage.must_miss + coverage.unknown != coverage.accesses {
-        return None;
-    }
-    Some(CellVerdict {
-        coverage,
-        violations: word(40),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn verdict() -> CellVerdict {
-        CellVerdict {
-            coverage: Coverage {
-                accesses: 100,
-                must_hit: 60,
-                must_miss: 30,
-                unknown: 10,
-            },
-            violations: 0,
-        }
-    }
-
-    #[test]
-    fn roundtrip_and_damage_rejection() {
-        let v = verdict();
-        let bytes = encode(&v);
-        assert_eq!(decode(&bytes), Some(v));
-        // Any single-byte flip must be rejected, not misread.
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert_eq!(decode(&bad), None, "flip at byte {i} accepted");
-        }
-        assert_eq!(decode(&bytes[..bytes.len() - 1]), None);
-    }
-
-    #[test]
-    fn store_roundtrip_on_disk() {
-        let dir = std::env::temp_dir().join(format!("nbo-test-{}", std::process::id()));
-        let store = OracleStore::open(&dir).unwrap();
-        let key = 0xdead_beef_u64;
-        assert_eq!(store.load(key), None);
-        store.save(key, &verdict()).unwrap();
-        assert_eq!(store.load(key), Some(verdict()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+/// The content-addressed key of one cell (see the module docs);
+/// `hw_label` names the hardware configuration the cross-check replays.
+pub fn verdict_key(tape_fingerprint: u64, cfg: &OracleConfig, hw_label: &str) -> u64 {
+    fingerprint_of(&(
+        VerdictArtifact::FRAME.version,
+        tape_fingerprint,
+        cfg.geometry,
+        cfg.replacement,
+        cfg.window,
+        cfg.write_allocate,
+        hw_label,
+    ))
 }

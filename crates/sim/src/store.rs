@@ -9,7 +9,8 @@
 //! content-addressed artifacts that survive the process, so a fresh run
 //! against a populated store skips straight past recording (tape
 //! artifacts) or past simulation entirely (result artifacts, under
-//! `--incremental`).
+//! `--incremental`). The oracle's verdicts are a third kind of the same
+//! tier.
 //!
 //! ## Content addressing
 //!
@@ -23,49 +24,55 @@
 //! results/store/
 //!   tape-v1-<workload>-l<latency>-<fp:016x>.nbt    recorded trace tape
 //!   result-v1-<workload>-l<latency>-<fp:016x>.nbr  one RunResult
+//!   oracle-v1-<key:016x>.nbo                       one oracle verdict
 //!   <name>.corrupt                                 quarantined artifact
 //! ```
 //!
-//! A tape's `<fp>` is the [`fingerprint_of`](nbl_core::fingerprint::fingerprint_of) the compiled program; a
-//! result's is the fingerprint of `(program-IR fingerprint, SimConfig)`,
-//! so a result can be looked up *before* compiling. Format versions are
-//! embedded in the name: a version bump makes old files invisible
-//! instead of misread.
+//! A tape's `<fp>` is the
+//! [`fingerprint_of`](nbl_core::fingerprint::fingerprint_of) the
+//! compiled program; a result's is the fingerprint of `(program-IR
+//! fingerprint, SimConfig)`, so a result can be looked up *before*
+//! compiling. Format versions are embedded in the name: a version bump
+//! makes old files invisible instead of misread.
 //!
-//! ## Corruption policy
+//! ## One read, publish and quarantine path
 //!
-//! Every artifact carries a trailing [`checksum_bytes`](nbl_core::fingerprint::checksum_bytes) checksum. A file
-//! that fails to decode — truncated, bit-flipped, version-skewed, or
-//! describing a different workload than its name claims — is counted,
-//! renamed to `<name>.corrupt` (quarantined, so the evidence survives
-//! but the path never resolves again), and treated as a miss: the caller
-//! transparently re-records or re-simulates. Disk trouble therefore
-//! *degrades* the store to the memory tier; it never fails a sweep and
-//! never perturbs results.
+//! Each [`ArtifactKind`](crate::store::ArtifactKind) supplies naming, a
+//! [`Frame`](nbl_core::frame::Frame)-based codec, an identity check and
+//! its durability; the tier owns the rest. A file that fails to decode,
+//! or describes another workload than its name claims, is counted,
+//! quarantined as `<name>.corrupt` (the evidence survives, the path never
+//! resolves again) and treated as a miss, so the caller re-derives it. A
+//! publish renames a temp file named for its writer into place; a failed
+//! one leaves nothing behind. Disk trouble therefore *degrades* the store
+//! to the memory tier; it never fails a sweep and never perturbs results.
 
 use crate::compile_cache::CompileCache;
 use crate::config::SimConfig;
 use crate::driver::RunResult;
 use crate::tape_cache::TapeCache;
-use nbl_core::fingerprint::{checksum_bytes, fingerprint_of};
+use nbl_core::fingerprint::fingerprint_of;
+use nbl_core::frame::{CodecError, Frame};
 use nbl_cpu::stats::ReplayAttribution;
 use nbl_sched::compile::CompileError;
 use nbl_trace::ir::Program;
 use nbl_trace::machine::CompiledProgram;
-use nbl_trace::tape::io::TapeCodecError;
+use nbl_trace::tape::io::TAPE_FRAME;
 use nbl_trace::tape::TraceTape;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Leading magic of a serialized [`RunResult`] artifact.
-pub const RESULT_MAGIC: [u8; 4] = *b"NBLR";
-
-/// Format version of [`RunResult`] artifacts. Bump on any change to the
-/// result byte layout *or* to the `RunResult` field set; the version is
-/// embedded in filenames, so old artifacts are ignored, not misparsed.
-pub const RESULT_FORMAT_VERSION: u32 = 1;
+/// Magic (`NBLR`) and format version of a serialized [`RunResult`].
+/// Bump the version on any change to the result byte layout *or* to the
+/// `RunResult` field set; it is embedded in filenames and result
+/// fingerprints, so old artifacts are ignored, not misparsed.
+pub const RESULT_FRAME: Frame = Frame {
+    magic: *b"NBLR",
+    version: 1,
+};
 
 /// Why a disk-tier operation failed. The store maps every variant to a
 /// degraded-but-correct outcome (quarantine + miss, or skip the write),
@@ -78,7 +85,7 @@ pub enum ArtifactError {
     Io(std::io::ErrorKind),
     /// The artifact's bytes fail decoding (bad magic, version skew,
     /// truncation, checksum mismatch, …). The file is quarantined.
-    Codec(TapeCodecError),
+    Codec(CodecError),
     /// The artifact decoded cleanly but describes a different
     /// `(workload, latency)` than its content address claims — a
     /// renamed or colliding file. Quarantined like corruption.
@@ -87,22 +94,120 @@ pub enum ArtifactError {
 
 impl std::fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArtifactError::Io(kind) => write!(f, "artifact store i/o error: {kind}"),
-            ArtifactError::Codec(e) => write!(f, "artifact damaged: {e}"),
-            ArtifactError::Identity => {
-                write!(f, "artifact identity does not match its content address")
-            }
-        }
+        write!(f, "artifact store error: {self:?}")
     }
 }
 
 impl std::error::Error for ArtifactError {}
 
-impl From<TapeCodecError> for ArtifactError {
-    fn from(e: TapeCodecError) -> ArtifactError {
-        ArtifactError::Codec(e)
+/// One kind of artifact the [`DiskTier`] persists.
+pub trait ArtifactKind {
+    /// The decoded artifact.
+    type Value;
+    /// What a lookup names: the content address, and the identity a
+    /// decoded value must match.
+    type Key<'a>: Copy;
+    /// Filename prefix; also names the kind's counters.
+    const PREFIX: &'static str;
+    /// Filename extension.
+    const EXTENSION: &'static str;
+    /// Magic and format version; the version is part of every filename.
+    const FRAME: Frame;
+    /// Whether a publish syncs the file (and its directory entry) to disk.
+    const SYNC: bool;
+    /// The key's part of the filename, between version and extension.
+    fn address(key: &Self::Key<'_>) -> String;
+    /// Serializes `value` on [`Self::FRAME`].
+    fn encode(value: &Self::Value) -> Vec<u8>;
+    /// Inverse of [`ArtifactKind::encode`]; [`CodecError`] on any damage.
+    fn decode(bytes: &[u8]) -> Result<Self::Value, CodecError>;
+    /// Whether a cleanly decoded `value` is what `key` addresses.
+    fn describes(value: &Self::Value, key: &Self::Key<'_>) -> bool;
+}
+
+/// The address of a per-workload artifact: `(workload name, load
+/// latency, content fingerprint)`. Name and latency are for human eyes
+/// and the identity check, the fingerprint for correctness.
+pub type CellKey<'a> = (&'a str, u32, u64);
+
+/// `<name>-l<latency>-<fp:016x>`, the name kept portable: lowercase
+/// alphanumerics, `_` and `-` pass through, everything else becomes `-`.
+fn cell_address(&(name, latency, fingerprint): &CellKey<'_>) -> String {
+    let name: String = name
+        .chars()
+        .map(|c| match c {
+            'a'..='z' | '0'..='9' | '_' | '-' => c,
+            'A'..='Z' => c.to_ascii_lowercase(),
+            _ => '-',
+        })
+        .collect();
+    format!("{name}-l{latency}-{fingerprint:016x}")
+}
+
+/// Recorded [`TraceTape`]s, keyed by the compiled program's fingerprint.
+/// Unsynced: a cold sweep writes hundreds of MiB of tapes, and a torn
+/// tape only costs a re-record.
+pub struct TapeArtifact;
+
+impl ArtifactKind for TapeArtifact {
+    type Value = TraceTape;
+    type Key<'a> = CellKey<'a>;
+    const PREFIX: &'static str = "tape";
+    const EXTENSION: &'static str = "nbt";
+    const FRAME: Frame = TAPE_FRAME;
+    const SYNC: bool = false;
+    fn address(key: &CellKey<'_>) -> String {
+        cell_address(key)
     }
+    fn encode(tape: &TraceTape) -> Vec<u8> {
+        tape.to_bytes()
+    }
+    fn decode(bytes: &[u8]) -> Result<TraceTape, CodecError> {
+        TraceTape::from_bytes(bytes)
+    }
+    fn describes(tape: &TraceTape, &(name, latency, _): &CellKey<'_>) -> bool {
+        tape.name() == name && tape.load_latency() == latency
+    }
+}
+
+/// Simulated [`RunResult`]s, keyed by [`result_fingerprint`]. Unsynced,
+/// like tapes.
+pub struct ResultArtifact;
+
+impl ArtifactKind for ResultArtifact {
+    type Value = RunResult;
+    type Key<'a> = CellKey<'a>;
+    const PREFIX: &'static str = "result";
+    const EXTENSION: &'static str = "nbr";
+    const FRAME: Frame = RESULT_FRAME;
+    const SYNC: bool = false;
+    fn address(key: &CellKey<'_>) -> String {
+        cell_address(key)
+    }
+    fn encode(result: &RunResult) -> Vec<u8> {
+        encode_result(result)
+    }
+    fn decode(bytes: &[u8]) -> Result<RunResult, CodecError> {
+        decode_result(bytes)
+    }
+    fn describes(result: &RunResult, &(name, latency, _): &CellKey<'_>) -> bool {
+        result.benchmark == name && result.load_latency == latency
+    }
+}
+
+/// Counters of one artifact kind in a [`DiskTier`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KindStats {
+    /// Lookups answered from a decoded artifact.
+    pub hits: u64,
+    /// Lookups that found no artifact (the caller re-derives).
+    pub misses: u64,
+    /// Artifacts published.
+    pub writes: u64,
+    /// Artifacts that failed decoding or identity and were quarantined.
+    pub corruptions: u64,
+    /// Filesystem errors absorbed (reads and writes that gave up).
+    pub io_errors: u64,
 }
 
 /// Counter snapshot from a [`DiskTier`]: how the disk tier served and
@@ -122,44 +227,29 @@ pub struct StoreStats {
     pub result_misses: u64,
     /// Result artifacts written through after a simulation.
     pub result_writes: u64,
-    /// Artifacts that failed decoding or identity and were quarantined.
+    /// Artifacts of any kind that failed decoding or identity.
     pub corruptions: u64,
     /// Filesystem errors absorbed (reads and writes that gave up).
     pub io_errors: u64,
 }
 
+/// Distinguishes the temp files of concurrent publishes in one process.
+static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+
 /// The on-disk tier: a directory of content-addressed, versioned,
-/// checksummed artifacts shared across processes. All methods are
-/// `&self` and thread-safe; counters are atomics.
+/// checksummed artifacts of every [`ArtifactKind`], shared across
+/// processes. All methods are `&self` and thread-safe.
 #[derive(Debug)]
 pub struct DiskTier {
     root: PathBuf,
-    /// Result paths this process has already published (or found on
-    /// disk): content addressing means an equal key carries equal bytes,
-    /// so a repeated write is a no-op — this set answers it without the
+    /// Paths this tier has already published (or found on disk):
+    /// content addressing means an equal key carries equal bytes, so a
+    /// repeated write is a no-op — this set answers it without the
     /// per-call `stat`. Benches that resimulate the same grid many times
     /// otherwise pay hundreds of filesystem probes per pass.
-    results_written: Mutex<BTreeSet<PathBuf>>,
-    tape_hits: AtomicU64,
-    tape_misses: AtomicU64,
-    tape_writes: AtomicU64,
-    result_hits: AtomicU64,
-    result_misses: AtomicU64,
-    result_writes: AtomicU64,
-    corruptions: AtomicU64,
-    io_errors: AtomicU64,
-}
-
-/// Keeps content-addressed filenames portable: lowercase alphanumerics,
-/// `_` and `-` pass through, everything else becomes `-`.
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| match c {
-            'a'..='z' | '0'..='9' | '_' | '-' => c,
-            'A'..='Z' => c.to_ascii_lowercase(),
-            _ => '-',
-        })
-        .collect()
+    published: Mutex<BTreeSet<PathBuf>>,
+    /// Per-kind counters, by [`ArtifactKind::PREFIX`].
+    counters: Mutex<BTreeMap<&'static str, KindStats>>,
 }
 
 impl DiskTier {
@@ -168,15 +258,8 @@ impl DiskTier {
     pub fn new(root: impl Into<PathBuf>) -> DiskTier {
         DiskTier {
             root: root.into(),
-            results_written: Mutex::new(BTreeSet::new()),
-            tape_hits: AtomicU64::new(0),
-            tape_misses: AtomicU64::new(0),
-            tape_writes: AtomicU64::new(0),
-            result_hits: AtomicU64::new(0),
-            result_misses: AtomicU64::new(0),
-            result_writes: AtomicU64::new(0),
-            corruptions: AtomicU64::new(0),
-            io_errors: AtomicU64::new(0),
+            published: Mutex::new(BTreeSet::new()),
+            counters: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -185,202 +268,188 @@ impl DiskTier {
         &self.root
     }
 
-    /// Content address of a tape artifact: workload + latency for human
-    /// eyes, fingerprint + format version for correctness.
-    pub fn tape_path(&self, name: &str, latency: u32, fingerprint: u64) -> PathBuf {
-        self.root.join(format!(
-            "tape-v{}-{}-l{latency}-{fingerprint:016x}.nbt",
-            nbl_trace::tape::io::TAPE_FORMAT_VERSION,
-            sanitize(name),
-        ))
-    }
-
-    /// Content address of a result artifact.
-    pub fn result_path(&self, name: &str, latency: u32, fingerprint: u64) -> PathBuf {
-        self.root.join(format!(
-            "result-v{RESULT_FORMAT_VERSION}-{}-l{latency}-{fingerprint:016x}.nbr",
-            sanitize(name),
-        ))
-    }
-
-    /// Moves a damaged artifact aside as `<name>.corrupt` so the path
-    /// never resolves again but the evidence survives for diagnosis.
-    fn quarantine(&self, path: &Path) {
-        self.corruptions.fetch_add(1, Ordering::Relaxed);
-        let mut target = path.as_os_str().to_owned();
-        target.push(".corrupt");
-        if std::fs::rename(path, &target).is_err() {
-            // Removal is the fallback; if even that fails the next read
-            // will just quarantine again.
-            let _ = std::fs::remove_file(path);
+    fn count<K: ArtifactKind>(&self, counter: fn(&mut KindStats) -> &mut u64) {
+        if let Ok(mut counters) = self.counters.lock() {
+            *counter(counters.entry(K::PREFIX).or_default()) += 1;
         }
     }
 
-    /// Atomically publishes `bytes` at `path` (temp file + rename, so
-    /// readers never observe a partial artifact).
-    fn publish(&self, path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
-        let io = |e: std::io::Error| {
-            self.io_errors.fetch_add(1, Ordering::Relaxed);
-            ArtifactError::Io(e.kind())
-        };
-        std::fs::create_dir_all(&self.root).map_err(io)?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        std::fs::write(&tmp, bytes).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+    /// Content address of the `K` artifact named by `key`.
+    pub fn path<K: ArtifactKind>(&self, key: &K::Key<'_>) -> PathBuf {
+        self.root.join(format!(
+            "{}-v{}-{}.{}",
+            K::PREFIX,
+            K::FRAME.version,
+            K::address(key),
+            K::EXTENSION
+        ))
     }
 
-    fn read_file(&self, path: &Path) -> Result<Option<Vec<u8>>, ArtifactError> {
-        match std::fs::read(path) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-                Err(ArtifactError::Io(e.kind()))
-            }
-        }
-    }
-
-    /// Looks up the tape recorded for `(name, latency, fingerprint)`.
+    /// Looks up the `K` artifact named by `key`.
     ///
-    /// `Ok(None)` is a plain miss. A decodable artifact must also agree
-    /// with the requested identity; damage or disagreement quarantines
-    /// the file and reports the typed cause.
+    /// `Ok(None)` is a plain miss. A decodable artifact must also be
+    /// what `key` describes; damage or disagreement quarantines the file
+    /// and reports the typed cause.
     ///
     /// # Errors
     ///
     /// [`ArtifactError`] on filesystem trouble, damage, or identity
-    /// mismatch — all of which the caller treats as "record it again".
-    pub fn read_tape(
+    /// mismatch — all of which the caller treats as "derive it again".
+    pub fn read<K: ArtifactKind>(
         &self,
-        name: &str,
-        latency: u32,
-        fingerprint: u64,
-    ) -> Result<Option<TraceTape>, ArtifactError> {
-        let path = self.tape_path(name, latency, fingerprint);
-        let Some(bytes) = self.read_file(&path)? else {
-            self.tape_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        };
-        match TraceTape::from_bytes(&bytes) {
-            Ok(tape) if tape.name() == name && tape.load_latency() == latency => {
-                self.tape_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(tape))
-            }
-            Ok(_) => {
-                self.quarantine(&path);
-                Err(ArtifactError::Identity)
+        key: &K::Key<'_>,
+    ) -> Result<Option<K::Value>, ArtifactError> {
+        let path = self.path::<K>(key);
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                self.count::<K>(|s| &mut s.misses);
+                return Ok(None);
             }
             Err(e) => {
-                self.quarantine(&path);
-                Err(ArtifactError::Codec(e))
+                self.count::<K>(|s| &mut s.io_errors);
+                return Err(ArtifactError::Io(e.kind()));
             }
+        };
+        let err = match K::decode(&bytes) {
+            Ok(value) if K::describes(&value, key) => {
+                self.count::<K>(|s| &mut s.hits);
+                return Ok(Some(value));
+            }
+            Ok(_) => ArtifactError::Identity,
+            Err(e) => ArtifactError::Codec(e),
+        };
+        // Quarantine: move the damaged file aside as `<name>.corrupt`, so
+        // the path never resolves again but the evidence survives.
+        self.count::<K>(|s| &mut s.corruptions);
+        if let Ok(mut published) = self.published.lock() {
+            published.remove(&path);
         }
+        let mut target = path.as_os_str().to_owned();
+        target.push(".corrupt");
+        if std::fs::rename(&path, &target).is_err() {
+            // Removal is the fallback; if even that fails the next read
+            // will just quarantine again.
+            let _ = std::fs::remove_file(&path);
+        }
+        Err(err)
     }
 
-    /// [`DiskTier::read_tape`] degraded to an `Option`: any typed
-    /// failure has been counted (and quarantined) and becomes a miss.
-    pub fn load_tape(&self, name: &str, latency: u32, fingerprint: u64) -> Option<TraceTape> {
-        self.read_tape(name, latency, fingerprint).ok().flatten()
-    }
-
-    /// Writes `tape` through to its content address.
+    /// Writes `value` through to the content address `key`: a temp file
+    /// unique to this writer, renamed into place, so readers never observe
+    /// a partial artifact and concurrent writers never share a temp file.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::Io`] if the filesystem refuses; the failure is
-    /// counted and the store simply stays cold for this key.
-    pub fn write_tape(&self, tape: &TraceTape, fingerprint: u64) -> Result<(), ArtifactError> {
-        let path = self.tape_path(tape.name(), tape.load_latency(), fingerprint);
-        // Content-addressed: an artifact already at this path holds these
-        // exact bytes (damage is quarantined away at read time), so the
-        // write would be a byte-identical no-op — skip the disk traffic.
-        if path.exists() {
+    /// counted, no temp file is left behind, and the store simply stays
+    /// cold for this key.
+    pub fn write<K: ArtifactKind>(
+        &self,
+        key: &K::Key<'_>,
+        value: &K::Value,
+    ) -> Result<(), ArtifactError> {
+        let path = self.path::<K>(key);
+        if self.published.lock().is_ok_and(|p| p.contains(&path)) {
             return Ok(());
         }
-        self.publish(&path, &tape.to_bytes())?;
-        self.tape_writes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Looks up the stored [`RunResult`] for `(name, latency,
-    /// fingerprint)` — the incremental-sweep fast path that answers a
-    /// grid cell without compiling, recording or simulating.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError`] exactly as [`DiskTier::read_tape`]: damage is
-    /// quarantined and the caller re-simulates.
-    pub fn read_result(
-        &self,
-        name: &str,
-        latency: u32,
-        fingerprint: u64,
-    ) -> Result<Option<RunResult>, ArtifactError> {
-        let path = self.result_path(name, latency, fingerprint);
-        let Some(bytes) = self.read_file(&path)? else {
-            self.result_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        };
-        match decode_result(&bytes) {
-            Ok(result) if result.benchmark == name && result.load_latency == latency => {
-                self.result_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(result))
-            }
-            Ok(_) => {
-                self.quarantine(&path);
-                Err(ArtifactError::Identity)
-            }
-            Err(e) => {
-                self.quarantine(&path);
-                Err(ArtifactError::Codec(e))
-            }
-        }
-    }
-
-    /// [`DiskTier::read_result`] degraded to an `Option`: typed failures
-    /// are counted (and quarantined) and become misses.
-    pub fn load_result(&self, name: &str, latency: u32, fingerprint: u64) -> Option<RunResult> {
-        self.read_result(name, latency, fingerprint).ok().flatten()
-    }
-
-    /// Writes `result` through to its content address.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] if the filesystem refuses; counted, never
-    /// fatal.
-    pub fn write_result(&self, result: &RunResult, fingerprint: u64) -> Result<(), ArtifactError> {
-        let path = self.result_path(&result.benchmark, result.load_latency, fingerprint);
-        // Process-local exactly-once: a path this tier already published
-        // (or already found on disk) never pays another `stat`.
-        if let Ok(written) = self.results_written.lock() {
-            if written.contains(&path) {
-                return Ok(());
-            }
-        }
-        // Same existence skip as `write_tape`: equal key ⇒ equal bytes.
+        // An artifact already at this path holds these exact bytes
+        // (damage is quarantined away at read time), so the write would
+        // be a byte-identical no-op — skip the disk traffic.
         if !path.exists() {
-            self.publish(&path, &encode_result(result))?;
-            self.result_writes.fetch_add(1, Ordering::Relaxed);
+            let mut tmp = path.as_os_str().to_owned();
+            let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+            tmp.push(format!(".tmp-{}-{n}", std::process::id()));
+            let tmp = PathBuf::from(tmp);
+            let publish = || -> std::io::Result<()> {
+                std::fs::create_dir_all(&self.root)?;
+                let mut file = std::fs::File::create(&tmp)?;
+                file.write_all(&K::encode(value))?;
+                if K::SYNC {
+                    file.sync_all()?;
+                }
+                std::fs::rename(&tmp, &path)?;
+                if K::SYNC {
+                    std::fs::File::open(&self.root)?.sync_all()?;
+                }
+                Ok(())
+            };
+            if let Err(e) = publish() {
+                let _ = std::fs::remove_file(&tmp);
+                self.count::<K>(|s| &mut s.io_errors);
+                return Err(ArtifactError::Io(e.kind()));
+            }
+            self.count::<K>(|s| &mut s.writes);
         }
-        if let Ok(mut written) = self.results_written.lock() {
-            written.insert(path);
+        if let Ok(mut published) = self.published.lock() {
+            published.insert(path);
         }
         Ok(())
     }
 
-    /// Current hit/miss/write/corruption counters.
+    /// Content address of a tape artifact.
+    pub fn tape_path(&self, name: &str, latency: u32, fingerprint: u64) -> PathBuf {
+        self.path::<TapeArtifact>(&(name, latency, fingerprint))
+    }
+
+    /// Content address of a result artifact.
+    pub fn result_path(&self, name: &str, latency: u32, fingerprint: u64) -> PathBuf {
+        self.path::<ResultArtifact>(&(name, latency, fingerprint))
+    }
+
+    /// The stored tape recorded for `(name, latency, fingerprint)`, if a
+    /// valid one exists: any failure of [`DiskTier::read`] is a miss.
+    pub fn load_tape(&self, name: &str, latency: u32, fingerprint: u64) -> Option<TraceTape> {
+        self.read::<TapeArtifact>(&(name, latency, fingerprint))
+            .ok()
+            .flatten()
+    }
+
+    /// Writes `tape` through to its content address, as [`DiskTier::write`].
+    pub fn write_tape(&self, tape: &TraceTape, fingerprint: u64) -> Result<(), ArtifactError> {
+        let key = (tape.name(), tape.load_latency(), fingerprint);
+        self.write::<TapeArtifact>(&key, tape)
+    }
+
+    /// The stored [`RunResult`] for `(name, latency, fingerprint)` — the
+    /// incremental-sweep fast path that answers a grid cell without
+    /// compiling, recording or simulating.
+    pub fn load_result(&self, name: &str, latency: u32, fingerprint: u64) -> Option<RunResult> {
+        self.read::<ResultArtifact>(&(name, latency, fingerprint))
+            .ok()
+            .flatten()
+    }
+
+    /// Writes `result` through to its content address, as [`DiskTier::write`].
+    pub fn write_result(&self, result: &RunResult, fingerprint: u64) -> Result<(), ArtifactError> {
+        let key = (result.benchmark.as_str(), result.load_latency, fingerprint);
+        self.write::<ResultArtifact>(&key, result)
+    }
+
+    fn snapshot(&self) -> BTreeMap<&'static str, KindStats> {
+        self.counters.lock().map(|c| c.clone()).unwrap_or_default()
+    }
+
+    /// Current counters of one artifact kind.
+    pub fn kind_stats<K: ArtifactKind>(&self) -> KindStats {
+        self.snapshot().get(K::PREFIX).copied().unwrap_or_default()
+    }
+
+    /// Current hit/miss/write counters of tapes and results, with
+    /// corruptions and io errors summed over every kind.
     pub fn stats(&self) -> StoreStats {
+        let all = self.snapshot();
+        let kind = |prefix| all.get(prefix).copied().unwrap_or_default();
+        let (tape, result) = (kind(TapeArtifact::PREFIX), kind(ResultArtifact::PREFIX));
         StoreStats {
-            tape_hits: self.tape_hits.load(Ordering::Relaxed),
-            tape_misses: self.tape_misses.load(Ordering::Relaxed),
-            tape_writes: self.tape_writes.load(Ordering::Relaxed),
-            result_hits: self.result_hits.load(Ordering::Relaxed),
-            result_misses: self.result_misses.load(Ordering::Relaxed),
-            result_writes: self.result_writes.load(Ordering::Relaxed),
-            corruptions: self.corruptions.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
+            tape_hits: tape.hits,
+            tape_misses: tape.misses,
+            tape_writes: tape.writes,
+            result_hits: result.hits,
+            result_misses: result.misses,
+            result_writes: result.writes,
+            corruptions: all.values().map(|s| s.corruptions).sum(),
+            io_errors: all.values().map(|s| s.io_errors).sum(),
         }
     }
 }
@@ -402,137 +471,51 @@ pub fn compiled_fingerprint(compiled: &CompiledProgram) -> u64 {
 /// latency, determines the compiled form and the tape) and the complete
 /// [`SimConfig`] — folded into one stable fingerprint.
 pub fn result_fingerprint(program_fp: u64, cfg: &SimConfig) -> u64 {
-    fingerprint_of(&(RESULT_FORMAT_VERSION, program_fp, cfg))
+    fingerprint_of(&(RESULT_FRAME.version, program_fp, cfg))
 }
 
 // ---------------------------------------------------------------------
 // RunResult binary codec
 // ---------------------------------------------------------------------
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    // Bit pattern, not value: round-trips NaN payloads and -0.0, so a
-    // stored result stays bit-identical to the simulated one.
-    push_u64(out, v.to_bits());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TapeCodecError> {
-        let end = self.off.checked_add(n).ok_or(TapeCodecError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.off..end)
-            .ok_or(TapeCodecError::Truncated)?;
-        self.off = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, TapeCodecError> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, TapeCodecError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn f64(&mut self) -> Result<f64, TapeCodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize_u64(&mut self) -> Result<usize, TapeCodecError> {
-        usize::try_from(self.u64()?).map_err(|_| TapeCodecError::HeaderMismatch)
-    }
-
-    fn string(&mut self) -> Result<String, TapeCodecError> {
-        let len = usize::try_from(self.u32()?).map_err(|_| TapeCodecError::Truncated)?;
-        Ok(std::str::from_utf8(self.take(len)?)
-            .map_err(|_| TapeCodecError::HeaderMismatch)?
-            .to_string())
-    }
-
-    fn f64_array<const N: usize>(&mut self) -> Result<[f64; N], TapeCodecError> {
-        let mut out = [0.0; N];
-        for slot in &mut out {
-            *slot = self.f64()?;
-        }
-        Ok(out)
-    }
-
-    fn u64_array<const N: usize>(&mut self) -> Result<[u64; N], TapeCodecError> {
-        let mut out = [0; N];
-        for slot in &mut out {
-            *slot = self.u64()?;
-        }
-        Ok(out)
-    }
-}
-
-/// Serializes one [`RunResult`] into the versioned, checksummed artifact
-/// format (`NBLR` magic; field order pinned by
-/// [`RESULT_FORMAT_VERSION`]). Floats serialize by bit pattern, so
+/// Serializes one [`RunResult`] on [`RESULT_FRAME`] (field order pinned
+/// by its version). Floats serialize by bit pattern, so
 /// decode → compare is exact equality with the simulated result.
 pub fn encode_result(r: &RunResult) -> Vec<u8> {
-    let mut out = Vec::with_capacity(512);
-    out.extend_from_slice(&RESULT_MAGIC);
-    push_u32(&mut out, RESULT_FORMAT_VERSION);
-    push_str(&mut out, &r.benchmark);
-    push_str(&mut out, &r.config);
-    push_str(&mut out, &r.model);
-    push_str(&mut out, &r.replacement);
-    push_u32(&mut out, r.load_latency);
-    push_u32(&mut out, r.miss_penalty);
-    push_u64(&mut out, r.instructions);
-    push_u64(&mut out, r.loads);
-    push_u64(&mut out, r.stores);
-    push_u64(&mut out, r.cycles);
-    push_f64(&mut out, r.mcpi);
-    push_u64(&mut out, r.data_dep_stalls);
-    push_u64(&mut out, r.structural_stalls);
-    push_u64(&mut out, r.blocking_stalls);
-    push_f64(&mut out, r.structural_fraction);
-    push_u64(&mut out, r.structural_stall_misses);
-    push_f64(&mut out, r.load_miss_rate);
-    push_f64(&mut out, r.secondary_miss_rate);
-    push_f64(&mut out, r.inflight.frac_time_with_misses);
-    for v in r.inflight.miss_dist {
-        push_f64(&mut out, v);
+    let mut w = RESULT_FRAME.writer(512);
+    w.str(&r.benchmark);
+    w.str(&r.config);
+    w.str(&r.model);
+    w.str(&r.replacement);
+    w.u32(r.load_latency);
+    w.u32(r.miss_penalty);
+    w.u64(r.instructions);
+    w.u64(r.loads);
+    w.u64(r.stores);
+    w.u64(r.cycles);
+    w.f64(r.mcpi);
+    w.u64(r.data_dep_stalls);
+    w.u64(r.structural_stalls);
+    w.u64(r.blocking_stalls);
+    w.f64(r.structural_fraction);
+    w.u64(r.structural_stall_misses);
+    w.f64(r.load_miss_rate);
+    w.f64(r.secondary_miss_rate);
+    w.f64(r.inflight.frac_time_with_misses);
+    for v in r
+        .inflight
+        .miss_dist
+        .into_iter()
+        .chain(r.inflight.fetch_dist)
+    {
+        w.f64(v);
     }
-    for v in r.inflight.fetch_dist {
-        push_f64(&mut out, v);
-    }
-    push_u64(&mut out, r.inflight.max_misses as u64);
-    push_u64(&mut out, r.inflight.max_fetches as u64);
-    push_u64(&mut out, r.static_spill_ops as u64);
-    for v in r.replay.counts {
-        push_u64(&mut out, v);
-    }
-    for v in r.replay.stall_cycles {
-        push_u64(&mut out, v);
-    }
-    let sum = checksum_bytes(&out);
-    push_u64(&mut out, sum);
-    out
+    w.u64(r.inflight.max_misses as u64);
+    w.u64(r.inflight.max_fetches as u64);
+    w.u64(r.static_spill_ops as u64);
+    w.u64s(&r.replay.counts);
+    w.u64s(&r.replay.stall_cycles);
+    w.seal()
 }
 
 /// Decodes a [`RunResult`] artifact, verifying magic, version and the
@@ -540,31 +523,11 @@ pub fn encode_result(r: &RunResult) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`TapeCodecError`] (the shared artifact codec error) on any damage;
-/// the store quarantines and the sweep re-simulates.
-pub fn decode_result(bytes: &[u8]) -> Result<RunResult, TapeCodecError> {
-    let mut r = Reader { buf: bytes, off: 0 };
-    if r.take(4)? != RESULT_MAGIC {
-        return Err(TapeCodecError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != RESULT_FORMAT_VERSION {
-        return Err(TapeCodecError::UnsupportedVersion(version));
-    }
-    let body_len = bytes
-        .len()
-        .checked_sub(8)
-        .ok_or(TapeCodecError::Truncated)?;
-    let stored = {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(bytes.get(body_len..).ok_or(TapeCodecError::Truncated)?);
-        u64::from_le_bytes(b)
-    };
-    let body = bytes.get(..body_len).ok_or(TapeCodecError::Truncated)?;
-    if checksum_bytes(body) != stored {
-        return Err(TapeCodecError::ChecksumMismatch);
-    }
-    r.buf = body;
+/// [`CodecError`] on any damage; the store quarantines and the sweep
+/// re-simulates.
+pub fn decode_result(bytes: &[u8]) -> Result<RunResult, CodecError> {
+    let mut r = RESULT_FRAME.open(bytes)?;
+    r.verify_checksum()?;
     let result = RunResult {
         benchmark: r.string()?,
         config: r.string()?,
@@ -586,20 +549,18 @@ pub fn decode_result(bytes: &[u8]) -> Result<RunResult, TapeCodecError> {
         secondary_miss_rate: r.f64()?,
         inflight: crate::driver::InFlightSummary {
             frac_time_with_misses: r.f64()?,
-            miss_dist: r.f64_array()?,
-            fetch_dist: r.f64_array()?,
-            max_misses: r.usize_u64()?,
-            max_fetches: r.usize_u64()?,
+            miss_dist: r.u64_array()?.map(f64::from_bits),
+            fetch_dist: r.u64_array()?.map(f64::from_bits),
+            max_misses: r.len_u64()?,
+            max_fetches: r.len_u64()?,
         },
-        static_spill_ops: r.usize_u64()?,
+        static_spill_ops: r.len_u64()?,
         replay: ReplayAttribution {
             counts: r.u64_array()?,
             stall_cycles: r.u64_array()?,
         },
     };
-    if r.off != body.len() {
-        return Err(TapeCodecError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(result)
 }
 

@@ -1,19 +1,28 @@
 //! End-to-end tests of the tiered artifact store (DESIGN.md §16): two
 //! store instances over one directory model two processes sharing
 //! `results/store/`, and every corruption scenario must degrade to a
-//! transparent re-record/re-simulate with bit-identical results.
+//! transparent re-record/re-simulate with bit-identical results. The
+//! per-kind suite at the end runs every codec and tier check over all
+//! three artifact kinds: tapes, results and oracle verdicts.
 
-use nbl_sim::driver::RunResult;
+use nbl_core::fingerprint::checksum_bytes;
+use nbl_core::frame::CodecError;
+use nbl_core::inst::DynInst;
+use nbl_core::types::{Addr, LoadFormat, PhysReg};
+use nbl_cpu::stats::ReplayAttribution;
+use nbl_oracle::{CellVerdict, Coverage, VerdictArtifact};
+use nbl_sim::driver::{InFlightSummary, RunResult};
 use nbl_sim::store::{
-    decode_result, encode_result, program_fingerprint, result_fingerprint, ArtifactError,
-    ArtifactStore, DiskTier,
+    program_fingerprint, result_fingerprint, ArtifactError, ArtifactKind, ArtifactStore, CellKey,
+    DiskTier, ResultArtifact, TapeArtifact,
 };
 use nbl_sim::{HwConfig, SimConfig, SweepEngine};
 use nbl_trace::ir::Program;
-use nbl_trace::tape::io::TapeCodecError;
 use nbl_trace::tape::TraceTape;
 use nbl_trace::workloads::{build, Scale};
-use std::path::PathBuf;
+use std::fmt::Debug;
+use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 
 /// A fresh per-test store directory under the system temp dir. Each test
 /// passes a distinct tag, so the tests in this binary can run
@@ -55,7 +64,7 @@ fn disk_engine(dir: &PathBuf, incremental: bool) -> SweepEngine {
 }
 
 /// Artifact files of one kind currently in the store directory.
-fn artifacts_with_extension(dir: &PathBuf, ext: &str) -> Vec<PathBuf> {
+fn artifacts_with_extension(dir: &Path, ext: &str) -> Vec<PathBuf> {
     let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -202,90 +211,6 @@ fn corrupted_result_is_quarantined_and_the_cell_re_simulated() {
 }
 
 #[test]
-fn truncated_and_mislabeled_artifacts_report_typed_errors() {
-    let dir = temp_store("typed-errors");
-    let program = build("eqntott", Scale::quick()).unwrap();
-    let store = ArtifactStore::in_memory();
-    let compiled = store.get_or_compile(&program, 6).unwrap();
-    let tape = TraceTape::record(&compiled);
-
-    let tier = DiskTier::new(&dir);
-    let fp = 0x1234u64;
-    tier.write_tape(&tape, fp).unwrap();
-    let path = tier.tape_path(tape.name(), tape.load_latency(), fp);
-
-    // Truncation is a typed codec error, and the read quarantines the
-    // file, so the next lookup is a plain miss.
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-    match tier.read_tape(tape.name(), tape.load_latency(), fp) {
-        Err(ArtifactError::Codec(_)) => {}
-        other => panic!("truncated artifact must be a codec error, got {other:?}"),
-    }
-    assert_eq!(
-        tier.read_tape(tape.name(), tape.load_latency(), fp),
-        Ok(None)
-    );
-
-    // A healthy artifact parked at the wrong content address decodes
-    // fine but fails the identity check.
-    let alias = tier.tape_path("compress", tape.load_latency(), fp);
-    std::fs::write(&alias, &bytes).unwrap();
-    assert_eq!(
-        tier.read_tape("compress", tape.load_latency(), fp),
-        Err(ArtifactError::Identity)
-    );
-    assert!(!alias.exists(), "mislabeled artifact is quarantined");
-
-    let stats = tier.stats();
-    assert_eq!(stats.corruptions, 2);
-    assert_eq!(stats.tape_misses, 1);
-    assert_eq!(stats.tape_hits, 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn result_codec_round_trips_and_rejects_every_bit_flip() {
-    let program = build("swm256", Scale::quick()).unwrap();
-    let store = ArtifactStore::in_memory();
-    let compiled = store.get_or_compile(&program, 10).unwrap();
-    let cfg = SimConfig::baseline(HwConfig::Fc(4)).at_latency(10);
-    let result = nbl_sim::run_compiled(&program.name, &compiled, &cfg).unwrap();
-
-    let bytes = encode_result(&result);
-    assert_eq!(
-        decode_result(&bytes).unwrap(),
-        result,
-        "decode must reproduce the result bit-for-bit (floats included)"
-    );
-
-    // Every single-bit flip anywhere in the artifact must be caught by
-    // magic, version, structure, or checksum — never decode silently.
-    for byte in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut damaged = bytes.clone();
-            damaged[byte] ^= 1 << bit;
-            assert!(
-                decode_result(&damaged).is_err(),
-                "bit flip at byte {byte} bit {bit} decoded silently"
-            );
-        }
-    }
-
-    // Every truncation must be typed, and appended garbage is rejected.
-    for len in 0..bytes.len() {
-        assert!(decode_result(&bytes[..len]).is_err());
-    }
-    let mut padded = bytes.clone();
-    padded.push(0);
-    assert!(matches!(
-        decode_result(&padded),
-        Err(TapeCodecError::ChecksumMismatch | TapeCodecError::TrailingBytes)
-    ));
-}
-
-#[test]
 fn result_fingerprints_separate_configs_and_programs() {
     let eqntott = build("eqntott", Scale::quick()).unwrap();
     let compress = build("compress", Scale::quick()).unwrap();
@@ -332,3 +257,323 @@ fn result_fingerprints_separate_configs_and_programs() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// The per-kind suite
+// ---------------------------------------------------------------------
+
+/// One artifact kind under test: a fixed sample, its content address,
+/// and the byte-format golden of the encoded sample (length and
+/// `checksum_bytes`), pinned from the codecs before they shared one
+/// frame — so a drift in any on-disk format fails here.
+trait Fixture: ArtifactKind<Value: PartialEq + Debug> {
+    const GOLDEN: (usize, u64);
+    fn sample() -> Self::Value;
+    /// A value whose publish takes long enough for concurrent writers to
+    /// overlap.
+    fn bulky() -> Self::Value {
+        Self::sample()
+    }
+    fn key(value: &Self::Value, fingerprint: u64) -> Self::Key<'_>;
+}
+
+impl Fixture for TapeArtifact {
+    const GOLDEN: (usize, u64) = (4698, 0x22c0_8223_3e32_6879);
+
+    fn sample() -> TraceTape {
+        tape_of_len(300)
+    }
+
+    /// About 1.3 MB encoded.
+    fn bulky() -> TraceTape {
+        tape_of_len(100_000)
+    }
+
+    fn key(tape: &TraceTape, fingerprint: u64) -> CellKey<'_> {
+        (tape.name(), tape.load_latency(), fingerprint)
+    }
+}
+
+/// Loads, stores, ALU chains and branches, with barriers spanning more
+/// than one flag word.
+fn tape_of_len(len: u64) -> TraceTape {
+    let mut tape = TraceTape::with_capacity("golden", 6, 2, len as usize);
+    for i in 0..len {
+        let r = PhysReg::from_dense((i % 48) as usize);
+        let r2 = PhysReg::from_dense(((i + 7) % 48) as usize);
+        match i % 5 {
+            0 => tape.push(DynInst::load(Addr(0x1000 + i * 8), r, LoadFormat::WORD)),
+            1 => tape.push(DynInst::alu(r2, [Some(r), None])),
+            2 => tape.push(DynInst::store(Addr(0x9000 + i * 4), Some(r2))),
+            3 => tape.push(DynInst::branch([Some(r2), None])),
+            _ => tape.push(DynInst::alu(r, [None, None])),
+        }
+    }
+    tape
+}
+
+impl Fixture for ResultArtifact {
+    const GOLDEN: (usize, u64) = (363, 0x7201_033d_61d8_f70d);
+
+    /// `-0.0` among the floats pins them by bit pattern, not value.
+    fn sample() -> RunResult {
+        RunResult {
+            benchmark: "golden".to_string(),
+            config: "fc=2".to_string(),
+            model: "single".to_string(),
+            replacement: "lru".to_string(),
+            load_latency: 6,
+            miss_penalty: 16,
+            instructions: 123_456,
+            loads: 23_456,
+            stores: 3_456,
+            cycles: 234_567,
+            mcpi: 0.8125,
+            data_dep_stalls: 1_111,
+            structural_stalls: 2_222,
+            blocking_stalls: 0,
+            structural_fraction: -0.0,
+            structural_stall_misses: 33,
+            load_miss_rate: 0.0625,
+            secondary_miss_rate: 0.015625,
+            inflight: InFlightSummary {
+                frac_time_with_misses: 0.375,
+                miss_dist: [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.015625],
+                fetch_dist: [0.75, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.0078125],
+                max_misses: 9,
+                max_fetches: 4,
+            },
+            static_spill_ops: 5,
+            replay: ReplayAttribution {
+                counts: std::array::from_fn(|i| i as u64 + 1),
+                stall_cycles: std::array::from_fn(|i| 10 * (i as u64 + 1)),
+            },
+        }
+    }
+
+    fn key(result: &RunResult, fingerprint: u64) -> CellKey<'_> {
+        (&result.benchmark, result.load_latency, fingerprint)
+    }
+}
+
+impl Fixture for VerdictArtifact {
+    const GOLDEN: (usize, u64) = (56, 0x69ef_8ec1_ace5_eccb);
+
+    fn sample() -> CellVerdict {
+        CellVerdict {
+            coverage: Coverage {
+                accesses: 1000,
+                must_hit: 600,
+                must_miss: 300,
+                unknown: 100,
+            },
+            violations: 0,
+        }
+    }
+
+    fn key(_: &CellVerdict, fingerprint: u64) -> u64 {
+        fingerprint
+    }
+}
+
+/// Names of the files in `dir` that look like publish temp files.
+fn temp_debris(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.contains(".tmp"))
+        .collect()
+}
+
+fn byte_format_matches_the_golden<K: Fixture>() {
+    let bytes = K::encode(&K::sample());
+    assert_eq!((bytes.len(), checksum_bytes(&bytes)), K::GOLDEN);
+}
+
+fn codec_and_tier_round_trip<K: Fixture>() {
+    let sample = K::sample();
+    let bytes = K::encode(&sample);
+    let back = K::decode(&bytes).unwrap();
+    assert_eq!(back, sample, "decode must invert encode exactly");
+    assert_eq!(K::encode(&back), bytes, "encoding is a pure function");
+
+    let dir = temp_store(&format!("{}-round-trip", K::PREFIX));
+    let tier = DiskTier::new(&dir);
+    let key = K::key(&sample, 0x1234);
+    assert_eq!(tier.read::<K>(&key), Ok(None));
+    tier.write::<K>(&key, &sample).unwrap();
+    tier.write::<K>(&key, &sample).unwrap();
+    assert_eq!(std::fs::read(tier.path::<K>(&key)).unwrap(), bytes);
+    assert_eq!(tier.read::<K>(&key), Ok(Some(sample)));
+    let stats = tier.kind_stats::<K>();
+    assert_eq!((stats.hits, stats.misses, stats.writes), (1, 1, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn every_bit_flip_is_rejected<K: Fixture>() {
+    let bytes = K::encode(&K::sample());
+    for byte in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut damaged = bytes.clone();
+            damaged[byte] ^= 1 << bit;
+            assert!(
+                K::decode(&damaged).is_err(),
+                "bit flip at byte {byte} bit {bit} decoded silently"
+            );
+        }
+    }
+}
+
+fn every_truncation_is_typed<K: Fixture>() {
+    let bytes = K::encode(&K::sample());
+    for len in 0..bytes.len() {
+        let err = K::decode(&bytes[..len]).err();
+        assert!(
+            matches!(
+                err,
+                Some(CodecError::Truncated | CodecError::ChecksumMismatch)
+            ),
+            "prefix of {len} bytes: {err:?}"
+        );
+    }
+    let mut padded = bytes.clone();
+    padded.push(0);
+    assert!(matches!(
+        K::decode(&padded).err(),
+        Some(CodecError::ChecksumMismatch | CodecError::TrailingBytes)
+    ));
+}
+
+fn damage_is_quarantined_and_counted<K: Fixture>() {
+    let dir = temp_store(&format!("{}-quarantine", K::PREFIX));
+    let tier = DiskTier::new(&dir);
+    let sample = K::sample();
+    let key = K::key(&sample, 0x5678);
+    tier.write::<K>(&key, &sample).unwrap();
+    let path = tier.path::<K>(&key);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+
+    assert!(matches!(tier.read::<K>(&key), Err(ArtifactError::Codec(_))));
+    assert!(!path.exists(), "the damaged file leaves its address");
+    assert_eq!(
+        artifacts_with_extension(&dir, "corrupt").len(),
+        1,
+        "the damaged file is kept aside as evidence"
+    );
+    assert_eq!(tier.read::<K>(&key), Ok(None), "then it is a plain miss");
+
+    // The same tier republishes the address it had already written.
+    tier.write::<K>(&key, &sample).unwrap();
+    assert_eq!(tier.read::<K>(&key), Ok(Some(sample)));
+    let stats = tier.kind_stats::<K>();
+    assert_eq!(stats.corruptions, 1);
+    assert_eq!((stats.hits, stats.misses, stats.writes), (1, 1, 2));
+    assert_eq!(tier.stats().corruptions, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn failed_publish_is_counted_and_leaves_no_debris<K: Fixture>() {
+    let dir = temp_store(&format!("{}-root-is-a-file", K::PREFIX));
+    std::fs::create_dir_all(&dir).unwrap();
+    let root = dir.join("not-a-directory");
+    std::fs::write(&root, b"x").unwrap();
+    let tier = DiskTier::new(&root);
+    let sample = K::sample();
+    let key = K::key(&sample, 0x9abc);
+    assert!(matches!(tier.read::<K>(&key), Err(ArtifactError::Io(_))));
+    assert!(matches!(
+        tier.write::<K>(&key, &sample),
+        Err(ArtifactError::Io(_))
+    ));
+    let stats = tier.kind_stats::<K>();
+    assert_eq!((stats.writes, stats.io_errors), (0, 2));
+    assert_eq!(tier.stats().io_errors, 2);
+    assert!(temp_debris(&dir).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn concurrent_writers_of_one_key_all_succeed<K: Fixture>() {
+    const WRITERS: usize = 4;
+    const ROUNDS: u64 = 8;
+    let dir = temp_store(&format!("{}-two-writers", K::PREFIX));
+    let barrier = Barrier::new(WRITERS);
+    for round in 0..ROUNDS {
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let tier = DiskTier::new(&dir);
+                        let sample = K::bulky();
+                        barrier.wait();
+                        tier.write::<K>(&K::key(&sample, round), &sample)
+                    })
+                })
+                .collect();
+            for w in writers {
+                assert_eq!(w.join().unwrap(), Ok(()), "round {round}");
+            }
+        });
+    }
+    let tier = DiskTier::new(&dir);
+    let sample = K::bulky();
+    for round in 0..ROUNDS {
+        let published = tier.read::<K>(&K::key(&sample, round));
+        assert_eq!(published.ok().flatten().as_ref(), Some(&sample));
+    }
+    assert!(temp_debris(&dir).is_empty(), "{:?}", temp_debris(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A healthy artifact parked at another content address decodes fine
+/// but fails the identity check. (Verdict files hold no copy of their
+/// key, so the check applies to tapes and results only.)
+fn mislabeled_artifact_fails_identity<K: Fixture>(alias: K::Key<'_>) {
+    let dir = temp_store(&format!("{}-identity", K::PREFIX));
+    let tier = DiskTier::new(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = tier.path::<K>(&alias);
+    std::fs::write(&path, K::encode(&K::sample())).unwrap();
+    assert_eq!(tier.read::<K>(&alias), Err(ArtifactError::Identity));
+    assert!(!path.exists(), "mislabeled artifact is quarantined");
+    assert_eq!(tier.kind_stats::<K>().corruptions, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn mislabeled_tape_fails_identity() {
+    mislabeled_artifact_fails_identity::<TapeArtifact>(("compress", 6, 1));
+}
+
+#[test]
+fn mislabeled_result_fails_identity() {
+    mislabeled_artifact_fails_identity::<ResultArtifact>(("golden", 10, 1));
+}
+
+/// Instantiates every generic check above once per artifact kind, as
+/// `tape::<check>`, `result::<check>` and `verdict::<check>`.
+macro_rules! per_kind {
+    ($($check:ident),* $(,)?) => {
+        mod tape {
+            $(#[test] fn $check() { super::$check::<nbl_sim::store::TapeArtifact>() })*
+        }
+        mod result {
+            $(#[test] fn $check() { super::$check::<nbl_sim::store::ResultArtifact>() })*
+        }
+        mod verdict {
+            $(#[test] fn $check() { super::$check::<nbl_oracle::VerdictArtifact>() })*
+        }
+    };
+}
+
+per_kind!(
+    byte_format_matches_the_golden,
+    codec_and_tier_round_trip,
+    every_bit_flip_is_rejected,
+    every_truncation_is_typed,
+    damage_is_quarantined_and_counted,
+    failed_publish_is_counted_and_leaves_no_debris,
+    concurrent_writers_of_one_key_all_succeed,
+);

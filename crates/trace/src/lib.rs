@@ -30,5 +30,5 @@ pub use builder::ProgramBuilder;
 pub use exec::Executor;
 pub use ir::{AddrPattern, Block, BlockId, IrOp, PatternId, Program, ScriptNode, VirtReg};
 pub use machine::{CompiledProgram, CountingSink, InstSink, MachineBlock, MachineOp};
-pub use tape::io::{TapeCodecError, TAPE_FORMAT_VERSION};
+pub use tape::io::TAPE_FRAME;
 pub use tape::{MemOp, TapeKind, TraceTape};

@@ -17,84 +17,27 @@
 //! checksum u64 over every preceding byte
 //! ```
 //!
-//! All integers are little-endian; multi-byte streams serialize value by
-//! value, so the bytes are identical across host endianness. The
-//! trailing checksum is [`checksum_bytes`](nbl_core::fingerprint::checksum_bytes)
-//! — the same pinned mixing as
-//! the store's content fingerprints — so truncation and bit flips are
-//! detected before a corrupt tape can reach a replay. Decoding
-//! additionally re-validates the structural invariants replay relies on
-//! (barrier indices in range, flag plane sized and populated
-//! consistently with the barrier index), because a checksum only
-//! protects against *accidental* damage after a correct encode.
-//!
-//! Every failure is a typed [`TapeCodecError`](crate::tape::io::TapeCodecError);
-//! the store maps any of
-//! them to "quarantine the file and re-record" (never a panic, never a
-//! wrong replay).
+//! The shared frame (`nbl_core::frame`) makes every integer
+//! little-endian and ends the artifact with a checksum, so truncation and
+//! bit flips are typed [`CodecError`](nbl_core::frame::CodecError)s
+//! before a corrupt tape can reach a replay. Decoding also re-validates
+//! the structural invariants replay relies on (barrier indices in range,
+//! flag plane sized and populated consistently with the barrier index),
+//! because a checksum only protects against *accidental* damage after a
+//! correct encode.
 
 use super::{TapeKind, TraceTape};
-use nbl_core::fingerprint::checksum_bytes;
-use std::fmt;
+use nbl_core::frame::{CodecError, Frame};
 
-/// Leading magic of a serialized tape.
-pub const TAPE_MAGIC: [u8; 4] = *b"NBLT";
-
-/// Current tape format version. Bump on any change to the byte layout
-/// (or to the checksum/fingerprint scheme, see
-/// [`nbl_core::fingerprint::FINGERPRINT_VERSION`]); the store embeds the
-/// version in artifact filenames, so old files are ignored rather than
-/// misparsed.
-pub const TAPE_FORMAT_VERSION: u32 = 1;
-
-/// Why a serialized tape failed to decode. The artifact store treats
-/// every variant the same way — quarantine and re-record — but the
-/// variant names the failure for diagnostics and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TapeCodecError {
-    /// The buffer does not start with [`TAPE_MAGIC`].
-    BadMagic,
-    /// The format version is not [`TAPE_FORMAT_VERSION`] (a newer or
-    /// older writer); the payload is not decodable by this build.
-    UnsupportedVersion(u32),
-    /// The buffer ends before the structure it declares (a cut-short
-    /// write or a length field the buffer cannot satisfy).
-    Truncated,
-    /// The buffer is longer than the structure it declares.
-    TrailingBytes,
-    /// The trailing checksum does not match the payload (bit rot, torn
-    /// write, or any in-place mutation).
-    ChecksumMismatch,
-    /// A kind byte is outside the [`TapeKind`] encoding.
-    BadKind(u8),
-    /// Header fields are mutually inconsistent (flag plane sized or
-    /// populated out of step with the barrier index, barrier entry out
-    /// of range, non-UTF-8 name) — the invariants replay relies on.
-    HeaderMismatch,
-}
-
-impl fmt::Display for TapeCodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TapeCodecError::BadMagic => write!(f, "not a tape artifact (bad magic)"),
-            TapeCodecError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported tape format version {v} (this build reads v{TAPE_FORMAT_VERSION})"
-                )
-            }
-            TapeCodecError::Truncated => write!(f, "tape artifact truncated"),
-            TapeCodecError::TrailingBytes => write!(f, "tape artifact has trailing bytes"),
-            TapeCodecError::ChecksumMismatch => write!(f, "tape artifact checksum mismatch"),
-            TapeCodecError::BadKind(b) => write!(f, "tape artifact has invalid kind byte {b}"),
-            TapeCodecError::HeaderMismatch => {
-                write!(f, "tape artifact header is internally inconsistent")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TapeCodecError {}
+/// Magic (`NBLT`) and format version of a serialized tape. Bump the
+/// version on any change to the byte layout (or to the checksum scheme,
+/// see [`nbl_core::fingerprint::FINGERPRINT_VERSION`]); the store embeds
+/// the version in artifact filenames, so old files are ignored rather
+/// than misparsed.
+pub const TAPE_FRAME: Frame = Frame {
+    magic: *b"NBLT",
+    version: 1,
+};
 
 /// Fixed bytes before the name: magic + version + 2 `u32` + 7 `u64`.
 const FIXED_HEADER_BYTES: usize = 4 + 4 + 4 + 4 + 7 * 8;
@@ -114,48 +57,6 @@ fn artifact_len(n: usize, nb: usize, nf: usize, name_len: usize) -> Option<usize
         .checked_add(8)
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A bounds-checked cursor over the serialized buffer.
-struct Reader<'a> {
-    buf: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TapeCodecError> {
-        let end = self.off.checked_add(n).ok_or(TapeCodecError::Truncated)?;
-        let slice = self
-            .buf
-            .get(self.off..end)
-            .ok_or(TapeCodecError::Truncated)?;
-        self.off = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, TapeCodecError> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, TapeCodecError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn len_u64(&mut self) -> Result<usize, TapeCodecError> {
-        usize::try_from(self.u64()?).map_err(|_| TapeCodecError::Truncated)
-    }
-}
-
 impl TraceTape {
     /// Serializes the tape into the versioned, checksummed byte format
     /// (see the [module docs](self) for the layout). The encoding is a
@@ -165,40 +66,25 @@ impl TraceTape {
         let (n, nb, nf) = (self.kinds.len(), self.barriers.len(), self.mem_flags.len());
         let name = self.name.as_bytes();
         let cap = artifact_len(n, nb, nf, name.len()).unwrap_or(FIXED_HEADER_BYTES);
-        let mut out = Vec::with_capacity(cap);
-        out.extend_from_slice(&TAPE_MAGIC);
-        push_u32(&mut out, TAPE_FORMAT_VERSION);
-        push_u32(&mut out, name.len() as u32);
-        push_u32(&mut out, self.load_latency);
-        push_u64(&mut out, self.static_spill_ops as u64);
-        push_u64(&mut out, n as u64);
-        push_u64(&mut out, nb as u64);
-        push_u64(&mut out, nf as u64);
-        push_u64(&mut out, self.loads);
-        push_u64(&mut out, self.stores);
-        push_u64(&mut out, self.load_written);
-        out.extend_from_slice(name);
-        for &w in &self.mem_flags {
-            push_u64(&mut out, w);
-        }
-        for &k in &self.kinds {
-            out.push(k as u8);
-        }
-        out.extend_from_slice(&self.dsts);
-        for &[a, b] in &self.srcs {
-            out.push(a);
-            out.push(b);
-        }
-        for &a in &self.addrs {
-            push_u64(&mut out, a);
-        }
-        out.extend_from_slice(&self.formats);
-        for &b in &self.barriers {
-            push_u32(&mut out, b);
-        }
-        let sum = checksum_bytes(&out);
-        push_u64(&mut out, sum);
-        out
+        let mut w = TAPE_FRAME.writer(cap);
+        w.u32(name.len() as u32);
+        w.u32(self.load_latency);
+        w.u64(self.static_spill_ops as u64);
+        w.u64(n as u64);
+        w.u64(nb as u64);
+        w.u64(nf as u64);
+        w.u64(self.loads);
+        w.u64(self.stores);
+        w.u64(self.load_written);
+        w.bytes(name);
+        w.u64s(&self.mem_flags);
+        w.bytes(&self.kinds.iter().map(|&k| k as u8).collect::<Vec<u8>>());
+        w.bytes(&self.dsts);
+        w.bytes(self.srcs.as_flattened());
+        w.u64s(&self.addrs);
+        w.bytes(&self.formats);
+        w.u32s(&self.barriers);
+        w.seal()
     }
 
     /// Decodes a serialized tape, verifying the magic, version, declared
@@ -210,18 +96,11 @@ impl TraceTape {
     ///
     /// # Errors
     ///
-    /// [`TapeCodecError`] on any damage or version skew; the caller
+    /// [`CodecError`] on any damage or version skew; the caller
     /// (the artifact store) quarantines the file and re-records.
-    pub fn from_bytes(bytes: &[u8]) -> Result<TraceTape, TapeCodecError> {
-        let mut r = Reader { buf: bytes, off: 0 };
-        if r.take(4)? != TAPE_MAGIC {
-            return Err(TapeCodecError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != TAPE_FORMAT_VERSION {
-            return Err(TapeCodecError::UnsupportedVersion(version));
-        }
-        let name_len = usize::try_from(r.u32()?).map_err(|_| TapeCodecError::Truncated)?;
+    pub fn from_bytes(bytes: &[u8]) -> Result<TraceTape, CodecError> {
+        let mut r = TAPE_FRAME.open(bytes)?;
+        let name_len = r.len_u32()?;
         let load_latency = r.u32()?;
         let static_spill_ops = r.len_u64()?;
         let n = r.len_u64()?;
@@ -235,31 +114,16 @@ impl TraceTape {
         // checking before the checksum distinguishes truncation from rot.
         match artifact_len(n, nb, nf, name_len) {
             Some(total) if total == bytes.len() => {}
-            Some(total) if total > bytes.len() => return Err(TapeCodecError::Truncated),
-            Some(_) => return Err(TapeCodecError::TrailingBytes),
-            None => return Err(TapeCodecError::Truncated),
+            Some(total) if total < bytes.len() => return Err(CodecError::TrailingBytes),
+            _ => return Err(CodecError::Truncated),
         }
-        let body_len = bytes.len() - 8;
-        let stored = {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(bytes.get(body_len..).ok_or(TapeCodecError::Truncated)?);
-            u64::from_le_bytes(b)
-        };
-        let body = bytes.get(..body_len).ok_or(TapeCodecError::Truncated)?;
-        if checksum_bytes(body) != stored {
-            return Err(TapeCodecError::ChecksumMismatch);
-        }
+        r.verify_checksum()?;
         if nf != nb.div_ceil(64) {
-            return Err(TapeCodecError::HeaderMismatch);
+            return Err(CodecError::HeaderMismatch);
         }
 
-        let name = std::str::from_utf8(r.take(name_len)?)
-            .map_err(|_| TapeCodecError::HeaderMismatch)?
-            .to_string();
-        let mut mem_flags = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            mem_flags.push(r.u64()?);
-        }
+        let name = r.utf8(name_len)?;
+        let mem_flags = r.u64_vec(nf)?;
         let mut kinds = Vec::with_capacity(n);
         for &b in r.take(n)? {
             kinds.push(match b {
@@ -267,28 +131,18 @@ impl TraceTape {
                 1 => TapeKind::Branch,
                 2 => TapeKind::Load,
                 3 => TapeKind::Store,
-                other => return Err(TapeCodecError::BadKind(other)),
+                other => return Err(CodecError::BadKind(other)),
             });
         }
         let dsts = r.take(n)?.to_vec();
-        let mut srcs = Vec::with_capacity(n);
-        for pair in r
-            .take(n.checked_mul(2).ok_or(TapeCodecError::Truncated)?)?
-            .chunks_exact(2)
-        {
-            let mut s = [0u8; 2];
-            s.copy_from_slice(pair);
-            srcs.push(s);
-        }
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            addrs.push(r.u64()?);
-        }
+        let srcs = r
+            .take(n.checked_mul(2).ok_or(CodecError::Truncated)?)?
+            .as_chunks()
+            .0
+            .to_vec();
+        let addrs = r.u64_vec(n)?;
         let formats = r.take(n)?.to_vec();
-        let mut barriers = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            barriers.push(r.u32()?);
-        }
+        let barriers = r.u32_vec(nb)?;
 
         // Structural invariants behind the replay loop's unchecked
         // indexing: every barrier names a real entry, and the flag plane
@@ -296,17 +150,17 @@ impl TraceTape {
         // barrier index is flagged as memory.
         for (slot, &entry) in barriers.iter().enumerate() {
             if super::barrier_index(entry) >= n {
-                return Err(TapeCodecError::HeaderMismatch);
+                return Err(CodecError::HeaderMismatch);
             }
             let word = mem_flags.get(slot / 64).copied().unwrap_or(0);
             if (word >> (slot % 64)) & 1 != u64::from(super::barrier_is_mem(entry)) {
-                return Err(TapeCodecError::HeaderMismatch);
+                return Err(CodecError::HeaderMismatch);
             }
         }
         if let Some(last) = mem_flags.last() {
             let used = nb - (nf - 1) * 64;
             if used < 64 && last >> used != 0 {
-                return Err(TapeCodecError::HeaderMismatch);
+                return Err(CodecError::HeaderMismatch);
             }
         }
 
@@ -376,72 +230,35 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_is_a_typed_error() {
-        let bytes = sample_tape().to_bytes();
-        for cut in 0..bytes.len() {
-            let err = TraceTape::from_bytes(&bytes[..cut]);
-            assert!(err.is_err(), "prefix of {cut} bytes decoded successfully");
-        }
-    }
-
-    #[test]
-    fn every_bit_flip_is_detected() {
-        let bytes = sample_tape().to_bytes();
-        for pos in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 1;
-            assert!(
-                TraceTape::from_bytes(&bad).is_err(),
-                "bit flip at byte {pos} went undetected"
-            );
-        }
-    }
-
-    #[test]
     fn specific_failure_modes_name_themselves() {
         let bytes = sample_tape().to_bytes();
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        assert_eq!(
-            TraceTape::from_bytes(&bad_magic),
-            Err(TapeCodecError::BadMagic)
-        );
+        assert_eq!(TraceTape::from_bytes(&bad_magic), Err(CodecError::BadMagic));
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xfe;
         assert!(matches!(
             TraceTape::from_bytes(&bad_version),
-            Err(TapeCodecError::UnsupportedVersion(_))
+            Err(CodecError::UnsupportedVersion(_))
         ));
         let mut flipped_payload = bytes.clone();
         let mid = bytes.len() / 2;
         flipped_payload[mid] ^= 0x40;
         assert_eq!(
             TraceTape::from_bytes(&flipped_payload),
-            Err(TapeCodecError::ChecksumMismatch)
+            Err(CodecError::ChecksumMismatch)
         );
         assert_eq!(
             TraceTape::from_bytes(&bytes[..bytes.len() - 3]),
-            Err(TapeCodecError::Truncated)
+            Err(CodecError::Truncated)
         );
         let mut trailing = bytes.clone();
         trailing.extend_from_slice(&[0, 0, 0]);
         assert_eq!(
             TraceTape::from_bytes(&trailing),
-            Err(TapeCodecError::TrailingBytes)
+            Err(CodecError::TrailingBytes)
         );
-        assert_eq!(TraceTape::from_bytes(b""), Err(TapeCodecError::Truncated));
-        // Errors render.
-        for e in [
-            TapeCodecError::BadMagic,
-            TapeCodecError::UnsupportedVersion(9),
-            TapeCodecError::Truncated,
-            TapeCodecError::TrailingBytes,
-            TapeCodecError::ChecksumMismatch,
-            TapeCodecError::BadKind(7),
-            TapeCodecError::HeaderMismatch,
-        ] {
-            assert!(!e.to_string().is_empty());
-        }
+        assert_eq!(TraceTape::from_bytes(b""), Err(CodecError::Truncated));
     }
 }
 
