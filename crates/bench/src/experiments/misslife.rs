@@ -5,10 +5,10 @@
 //! `Issued → Merged/Rejected → FetchLaunched → Filled → TargetsWoken`
 //! event stream exists to expose; no paper figure plots it directly.
 
-use super::{program, write_json, ExhibitError, RunScale};
+use super::{engine, program, write_json, ExhibitError, RunScale};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::report;
-use nbl_sim::run_program_traced;
+use nbl_sim::run_tape_traced;
 use std::io::Write;
 
 /// Ring capacity for the recorder: enough to keep the tail of the run
@@ -33,11 +33,16 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
     let (benchmarks, configs) = cells();
     let _ = writeln!(out, "== Miss lifecycle: traced transaction summaries ==");
     let mut json = String::from("[");
+    let store = engine().store();
     for name in &benchmarks {
         let p = program(name, scale)?;
+        let compiled = store
+            .get_or_compile(&p, LATENCY)
+            .map_err(|e| ExhibitError::new(format!("{name} @ latency {LATENCY}"), e))?;
+        let tape = store.get_or_record(&compiled);
         for hw in &configs {
             let cfg = SimConfig::baseline(hw.clone()).at_latency(LATENCY);
-            let (_result, trace) = run_program_traced(&p, &cfg, RING)
+            let (_result, trace) = run_tape_traced(name, &tape, &cfg, RING)
                 .map_err(|e| ExhibitError::new(format!("{name} @ {} traced", hw.label()), e))?;
             let label = hw.label();
             let _ = writeln!(

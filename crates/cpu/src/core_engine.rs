@@ -23,7 +23,7 @@
 use crate::scoreboard::Scoreboard;
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution, StallCause};
 use nbl_core::cache::{CacheConfig, LockupFreeCache};
-use nbl_core::geometry::DecodedAddr;
+use nbl_core::geometry::{DecodedAddr, GeometryError};
 use nbl_core::inst::{DynInst, DynKind};
 use nbl_core::mshr::MissKind;
 use nbl_core::types::{Addr, Cycle, Dest, LoadFormat, PhysReg};
@@ -76,6 +76,15 @@ pub enum EngineError {
         /// Index of the offending tape entry.
         index: usize,
     },
+    /// The configuration asks for a second-level cache whose geometry
+    /// cannot exist (e.g. a size that is not a power of two), so no
+    /// engine can be built for it.
+    InvalidL2 {
+        /// The requested L2 size in bytes.
+        size_bytes: u64,
+        /// Why the geometry was refused.
+        reason: GeometryError,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -89,6 +98,9 @@ impl std::fmt::Display for EngineError {
                     f,
                     "malformed trace tape: load entry {index} has no destination"
                 )
+            }
+            EngineError::InvalidL2 { size_bytes, reason } => {
+                write!(f, "invalid {size_bytes}-byte L2: {reason}")
             }
         }
     }
@@ -264,8 +276,9 @@ impl Core {
         &self.scoreboard
     }
 
-    /// Starts recording miss-lifecycle events (see [`nbl_mem::event`]);
-    /// the ring keeps the last `ring_capacity` raw events.
+    /// Starts the memory system's one observer (see [`nbl_mem::event`]):
+    /// lifecycle events (the ring keeps the last `ring_capacity`), their
+    /// stats, and one [`nbl_mem::AccessOutcome`] per resolved access.
     pub fn enable_mem_tracing(&mut self, ring_capacity: usize) {
         self.mem.enable_tracing(ring_capacity);
     }
@@ -273,19 +286,6 @@ impl Core {
     /// Stops tracing and returns the recorded trace, if any.
     pub fn take_mem_trace(&mut self) -> Option<nbl_mem::event::MemTrace> {
         self.mem.take_trace()
-    }
-
-    /// Starts the per-access outcome tap (see
-    /// [`nbl_mem::MemorySystem::enable_outcome_tap`]): one
-    /// [`nbl_mem::AccessOutcome`] per finally-resolved memory access, in
-    /// program order. The static cache oracle's cross-check probe.
-    pub fn enable_outcome_tap(&mut self) {
-        self.mem.enable_outcome_tap();
-    }
-
-    /// Stops the outcome tap and returns the recorded outcomes, if any.
-    pub fn take_outcomes(&mut self) -> Option<Vec<nbl_mem::AccessOutcome>> {
-        self.mem.take_outcomes()
     }
 
     /// Advances time to `to` (clamped), charging the elapsed cycles to
@@ -713,7 +713,7 @@ impl Core {
                             if b > *i {
                                 core.issue_free_run(b - *i);
                             }
-                            let hit = core.mem.load_hit_direct(e.decoded.set, e.decoded.tag);
+                            let hit = core.mem.load_hit_direct(&e.decoded, core.now);
                             if !hit {
                                 core.execute_load_decoded(&e.decoded, dst, format)?;
                             }
@@ -731,13 +731,7 @@ impl Core {
                             if b > *i {
                                 core.issue_free_run(b - *i);
                             }
-                            let now = core.now;
-                            let hit = core.mem.store_hit_direct(
-                                e.decoded.addr,
-                                e.decoded.set,
-                                e.decoded.tag,
-                                now,
-                            );
+                            let hit = core.mem.store_hit_direct(&e.decoded, core.now);
                             if !hit {
                                 core.execute_store_decoded(&e.decoded);
                             }
@@ -768,7 +762,7 @@ impl Core {
                         let fast = match e.op {
                             GroupOp::Free => true,
                             GroupOp::Load { dst, format } => {
-                                let hit = core.mem.load_hit_direct(e.decoded.set, e.decoded.tag);
+                                let hit = core.mem.load_hit_direct(&e.decoded, core.now);
                                 if !hit {
                                     core.execute_load_decoded(&e.decoded, dst, format)?;
                                 }
@@ -776,13 +770,7 @@ impl Core {
                                 hit
                             }
                             GroupOp::Store => {
-                                let now = core.now;
-                                let hit = core.mem.store_hit_direct(
-                                    e.decoded.addr,
-                                    e.decoded.set,
-                                    e.decoded.tag,
-                                    now,
-                                );
+                                let hit = core.mem.store_hit_direct(&e.decoded, core.now);
                                 if !hit {
                                     core.execute_store_decoded(&e.decoded);
                                 }

@@ -384,7 +384,8 @@ impl IssueEngine {
         self.core.memory()
     }
 
-    /// Starts recording miss-lifecycle events (see [`nbl_mem::event`]).
+    /// Starts the memory system's one observer (see [`nbl_mem::event`]):
+    /// lifecycle events, their stats, and the per-access outcome log.
     pub fn enable_mem_tracing(&mut self, ring_capacity: usize) {
         self.core.enable_mem_tracing(ring_capacity);
     }
@@ -392,18 +393,6 @@ impl IssueEngine {
     /// Stops tracing and returns the recorded trace, if any.
     pub fn take_mem_trace(&mut self) -> Option<nbl_mem::event::MemTrace> {
         self.core.take_mem_trace()
-    }
-
-    /// Starts the per-access outcome tap (the static cache oracle's
-    /// cross-check probe): one [`nbl_mem::AccessOutcome`] per
-    /// finally-resolved memory access, in program order.
-    pub fn enable_outcome_tap(&mut self) {
-        self.core.enable_outcome_tap();
-    }
-
-    /// Stops the outcome tap and returns the recorded outcomes, if any.
-    pub fn take_outcomes(&mut self) -> Option<Vec<nbl_mem::AccessOutcome>> {
-        self.core.take_outcomes()
     }
 }
 

@@ -10,16 +10,19 @@
 //!        └─► FetchLaunched ──► Filled ──► TargetsWoken
 //! ```
 //!
-//! Plain hits terminate at access time and produce no events. Tracing is
-//! **off by default**: the memory system holds an `Option<Box<MemTrace>>`
-//! and the only cost when disabled is one pointer null check per access —
-//! no event is even constructed.
+//! Every access that does not retry also ends in one
+//! [`MemEvent::Resolved`] carrying its final [`AccessOutcome`] — plain hits
+//! included, which produce no other event. Tracing is **off by default**:
+//! the memory system holds an `Option<Box<MemTrace>>` and the only cost
+//! when disabled is one pointer null check per emission — no event is
+//! even constructed.
 //!
 //! The observer side is the [`MemEventSink`] trait; [`RingRecorder`] keeps
 //! the last N raw events for inspection, and [`MissLifecycleStats`]
 //! aggregates the per-run summary the paper-adjacent delayed-hits analyses
 //! need: merge depth per fetch, fill-to-wake fan-out, and time-in-flight
-//! histograms. [`MemTrace`] bundles both.
+//! histograms. [`MemTrace`] bundles both with the per-access outcome log
+//! the static cache oracle cross-checks against.
 
 use nbl_core::mshr::Rejection;
 use nbl_core::types::{BlockAddr, Cycle};
@@ -102,6 +105,27 @@ impl ReplayCause {
     }
 }
 
+/// Final hit/miss resolution of one memory access, carried by
+/// [`MemEvent::Resolved`]. Rejected accesses (a load answered with a
+/// retry) resolve nothing — a rejection leaves the tag array untouched
+/// and the retried access resolves later — so with a single in-order
+/// issue stream the *n*-th outcome belongs to the *n*-th memory
+/// instruction in program order. This is the observation side of the
+/// static cache oracle's cross-check (DESIGN.md §18).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessOutcome {
+    /// The access hit in the L1 tag array.
+    Hit,
+    /// The access hit in the victim buffer (counts as resident data, but
+    /// not an L1 tag hit — the oracle refuses configs where this can
+    /// occur).
+    VictimHit,
+    /// The access missed: primary, secondary (merged into an in-flight
+    /// fetch), write-around, or serviced synchronously by a blocking
+    /// cache.
+    Miss,
+}
+
 /// One step of a memory transaction's lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemEvent {
@@ -181,6 +205,19 @@ pub enum MemEvent {
         /// Replay time.
         at: Cycle,
     },
+    /// The access reached its final hit/miss resolution (every access
+    /// except a rejected one, which resolves when it retries). Emitted
+    /// after the access's lifecycle events, if any.
+    Resolved {
+        /// Load or store.
+        kind: AccessKind,
+        /// How it resolved.
+        outcome: AccessOutcome,
+        /// The accessed block.
+        block: BlockAddr,
+        /// Access time.
+        at: Cycle,
+    },
 }
 
 impl MemEvent {
@@ -193,7 +230,8 @@ impl MemEvent {
             | MemEvent::FetchLaunched { at, .. }
             | MemEvent::Filled { at, .. }
             | MemEvent::TargetsWoken { at, .. }
-            | MemEvent::LoadReplayed { at, .. } => at,
+            | MemEvent::LoadReplayed { at, .. }
+            | MemEvent::Resolved { at, .. } => at,
         }
     }
 }
@@ -416,26 +454,34 @@ impl MemEventSink for MissLifecycleStats {
             MemEvent::LoadReplayed { cause, .. } => {
                 self.replays[cause.index()] += 1;
             }
+            // A resolution is not a lifecycle stage.
+            MemEvent::Resolved { .. } => {}
         }
     }
 }
 
-/// The memory system's built-in observer: a [`RingRecorder`] of the most
-/// recent raw events plus the [`MissLifecycleStats`] aggregate.
+/// The memory system's one observer: a [`RingRecorder`] of the most
+/// recent lifecycle events, the [`MissLifecycleStats`] aggregate, and the
+/// per-access outcome log. [`MemEvent::Resolved`] goes to the log only;
+/// every other event goes to the ring and the aggregate, so
+/// `ring.total() == stats.total_events()` always holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemTrace {
-    /// The last-N raw events.
+    /// The last-N lifecycle events.
     pub ring: RingRecorder,
     /// The per-run aggregate.
     pub stats: MissLifecycleStats,
+    /// One outcome per [`MemEvent::Resolved`], in resolution order.
+    pub outcomes: Vec<AccessOutcome>,
 }
 
 impl MemTrace {
-    /// A trace retaining the last `ring_capacity` raw events.
+    /// A trace retaining the last `ring_capacity` lifecycle events.
     pub fn new(ring_capacity: usize) -> MemTrace {
         MemTrace {
             ring: RingRecorder::new(ring_capacity),
             stats: MissLifecycleStats::new(),
+            outcomes: Vec::new(),
         }
     }
 }
@@ -448,8 +494,12 @@ impl Default for MemTrace {
 
 impl MemEventSink for MemTrace {
     fn record(&mut self, event: &MemEvent) {
-        self.ring.record(event);
-        self.stats.record(event);
+        if let MemEvent::Resolved { outcome, .. } = *event {
+            self.outcomes.push(outcome);
+        } else {
+            self.ring.record(event);
+            self.stats.record(event);
+        }
     }
 }
 
@@ -600,9 +650,16 @@ mod tests {
         for e in fill(3, 18, 1) {
             t.record(&e);
         }
-        assert_eq!(t.ring.total(), 4);
+        t.record(&MemEvent::Resolved {
+            kind: AccessKind::Load,
+            outcome: AccessOutcome::Miss,
+            block: BlockAddr(3),
+            at: Cycle(2),
+        });
+        assert_eq!(t.ring.total(), 4, "a resolution stays out of the ring");
         assert_eq!(t.stats.fetches, 1);
         assert_eq!(t.stats.total_events(), 4);
+        assert_eq!(t.outcomes, vec![AccessOutcome::Miss]);
         assert_eq!(t.ring.events().last().unwrap().at(), Cycle(18));
     }
 }

@@ -12,8 +12,9 @@
 //!   the optional L2, the pipelined memory and the write buffer behind the
 //!   narrow access/advance API the processors drive;
 //! * [`event`] — the miss-lifecycle event model (`Issued → Merged |
-//!   Rejected | FetchLaunched → Filled → TargetsWoken`) with its
-//!   zero-cost-when-disabled observers.
+//!   Rejected | FetchLaunched → Filled → TargetsWoken`, plus one
+//!   `Resolved` outcome per access) with its zero-cost-when-disabled
+//!   observer.
 
 /// Miss-lifecycle events, sinks and the zero-cost-when-disabled recorders.
 pub mod event;
@@ -24,10 +25,12 @@ pub mod system;
 /// The store write buffer with its retire policies.
 pub mod write_buffer;
 
-pub use event::{MemEvent, MemEventSink, MemTrace, MissLifecycleStats, RingRecorder};
+pub use event::{
+    AccessOutcome, MemEvent, MemEventSink, MemTrace, MissLifecycleStats, RingRecorder,
+};
 pub use memory::{CompletedFetch, MemoryError, PipelinedMemory};
 pub use system::{
-    AccessOutcome, FillEvent, FusedMemGroup, GroupError, L2Params, LoadResponse, MemSystemConfig,
-    MemorySystem, StoreResponse,
+    FillEvent, FusedMemGroup, GroupError, L2Params, LoadResponse, MemSystemConfig, MemorySystem,
+    StoreResponse,
 };
 pub use write_buffer::{RetirePolicy, WriteBuffer, WriteBufferStats};

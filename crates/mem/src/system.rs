@@ -18,10 +18,13 @@
 //! (MSHR tracking, fetch launch and latency selection, fill ordering,
 //! write buffering). Each non-hit access moves through the explicit
 //! lifecycle `Issued → Merged | Rejected | FetchLaunched → Filled →
-//! TargetsWoken`, observable via [`MemorySystem::enable_tracing`] — see
-//! [`crate::event`].
+//! TargetsWoken`, and every access that does not retry ends in one
+//! `Resolved` outcome; both are observable through the one observer armed
+//! by [`MemorySystem::enable_tracing`] — see [`crate::event`].
 
-use crate::event::{AccessKind, MemEvent, MemEventSink, MemTrace, ReplayCause, ServiceLevel};
+use crate::event::{
+    AccessKind, AccessOutcome, MemEvent, MemEventSink, MemTrace, ReplayCause, ServiceLevel,
+};
 use crate::memory::{MemoryError, PipelinedMemory};
 use crate::write_buffer::{RetirePolicy, WriteBuffer, WriteBufferStats};
 use nbl_core::cache::{CacheConfig, LoadAccess, LockupFreeCache, StoreAccess};
@@ -103,27 +106,6 @@ pub enum LoadResponse {
     /// wait for a fill ([`MemorySystem::advance_to_next_event`]) and
     /// retry the access.
     Retry(Rejection),
-}
-
-/// Final hit/miss resolution of one memory access, recorded by the
-/// outcome tap ([`MemorySystem::enable_outcome_tap`]). Rejected accesses
-/// ([`LoadResponse::Retry`]) record nothing — a rejection leaves the tag
-/// array untouched and the retried access records its eventual
-/// resolution — so with a single in-order issue stream the *n*-th
-/// recorded outcome corresponds to the *n*-th memory instruction in
-/// program order. This is the observation side of the static cache
-/// oracle's cross-check (DESIGN.md §18).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOutcome {
-    /// The access hit in the L1 tag array.
-    Hit,
-    /// The access hit in the victim buffer (counts as resident data, but
-    /// not an L1 tag hit — the oracle refuses configs where this can
-    /// occur).
-    VictimHit,
-    /// The access missed: primary, secondary (merged into an in-flight
-    /// fetch), or serviced synchronously by a blocking cache.
-    Miss,
 }
 
 /// How a store access resolved at the port.
@@ -307,12 +289,10 @@ pub struct MemorySystem {
     l2: Option<(TagArray, u32)>,
     memory: PipelinedMemory,
     write_buffer: WriteBuffer,
-    /// Lifecycle observer; `None` (the default) records nothing and costs
-    /// one pointer null-check per access.
+    /// The one observer (lifecycle ring, stats and outcome log); `None`
+    /// (the default) records nothing and costs one pointer null-check per
+    /// emission.
     trace: Option<Box<MemTrace>>,
-    /// Per-access outcome tap; `None` (the default) records nothing and
-    /// costs one null-check per access, like `trace`.
-    outcomes: Option<Vec<AccessOutcome>>,
     next_txn: u64,
     /// Recycled target vectors for [`FillEvent`]s: the processor hands each
     /// consumed event back via [`MemorySystem::recycle_fill`], so a
@@ -349,7 +329,6 @@ impl MemorySystem {
             l1: LockupFreeCache::new(config.cache),
             write_buffer: WriteBuffer::new(config.retire),
             trace: None,
-            outcomes: None,
             next_txn: 0,
             spare_targets: Vec::new(),
             replay: ReplayClassifier::default(),
@@ -367,7 +346,6 @@ impl MemorySystem {
         self.memory.reset();
         self.write_buffer.reset();
         self.trace = None;
-        self.outcomes = None;
         self.next_txn = 0;
         self.replay = ReplayClassifier::default();
     }
@@ -380,8 +358,9 @@ impl MemorySystem {
         self.spare_targets.push(fill.targets);
     }
 
-    /// Starts recording lifecycle events into a fresh [`MemTrace`] whose
-    /// ring keeps the last `ring_capacity` raw events.
+    /// Starts recording every event into a fresh [`MemTrace`]: lifecycle
+    /// events into its ring (the last `ring_capacity` kept) and stats, and
+    /// each access's final outcome into its outcome log.
     pub fn enable_tracing(&mut self, ring_capacity: usize) {
         self.trace = Some(Box::new(MemTrace::new(ring_capacity)));
     }
@@ -396,36 +375,23 @@ impl MemorySystem {
         self.trace.take().map(|b| *b)
     }
 
-    /// Starts recording one [`AccessOutcome`] per finally-resolved memory
-    /// access (the cross-check probe of the static cache oracle). Costs
-    /// one null-check per access when off, like lifecycle tracing.
-    pub fn enable_outcome_tap(&mut self) {
-        self.outcomes = Some(Vec::new());
-    }
-
-    /// The outcomes recorded so far, if the tap is enabled.
-    pub fn outcomes(&self) -> Option<&[AccessOutcome]> {
-        self.outcomes.as_deref()
-    }
-
-    /// Stops the outcome tap and returns the recorded outcomes.
-    pub fn take_outcomes(&mut self) -> Option<Vec<AccessOutcome>> {
-        self.outcomes.take()
-    }
-
-    #[inline]
-    fn note_outcome(&mut self, outcome: AccessOutcome) {
-        if let Some(v) = self.outcomes.as_mut() {
-            v.push(outcome);
-        }
-    }
-
     #[inline]
     fn emit(&mut self, event: MemEvent) {
         if let Some(t) = self.trace.as_deref_mut() {
             // nbl-allow(event-guard): this wrapper IS the guard every other emit site routes through
             t.record(&event);
         }
+    }
+
+    /// Emits the final resolution of one access.
+    #[inline]
+    fn resolve(&mut self, kind: AccessKind, outcome: AccessOutcome, block: BlockAddr, at: Cycle) {
+        self.emit(MemEvent::Resolved {
+            kind,
+            outcome,
+            block,
+            at,
+        });
     }
 
     #[inline]
@@ -465,19 +431,17 @@ impl MemorySystem {
         self.l2.is_some()
     }
 
-    /// Direct-mapped load-hit fast path with pre-decoded set and tag: the
+    /// Direct-mapped load-hit fast path over a pre-decoded address: the
     /// monomorphic fused kernel's first probe. Returns `true` — and
     /// counts the hit — exactly when [`MemorySystem::access_load`] would
     /// answer [`LoadResponse::Hit`] under a `ways == 1` L1 (a hit never
-    /// reaches the MSHRs, the L2 or the write buffer, and emits no trace
-    /// events). On `false` nothing is recorded; the caller falls back to
-    /// the full port.
+    /// reaches the MSHRs, the L2 or the write buffer; its only event is
+    /// the `Resolved` hit). On `false` nothing is recorded; the caller
+    /// falls back to the full port.
     #[inline]
-    pub fn load_hit_direct(&mut self, set: u32, tag: u64) -> bool {
-        if self.l1.load_hit_direct(set, tag) {
-            if self.outcomes.is_some() {
-                self.note_outcome(AccessOutcome::Hit);
-            }
+    pub fn load_hit_direct(&mut self, decoded: &DecodedAddr, now: Cycle) -> bool {
+        if self.l1.load_hit_direct(decoded.set, decoded.tag) {
+            self.resolve(AccessKind::Load, AccessOutcome::Hit, decoded.block, now);
             return true;
         }
         false
@@ -487,12 +451,10 @@ impl MemorySystem {
     /// hit twin of [`MemorySystem::load_hit_direct`] — counts the hit and
     /// buffers the store. Same fall-back contract on `false`.
     #[inline]
-    pub fn store_hit_direct(&mut self, addr: Addr, set: u32, tag: u64, now: Cycle) -> bool {
-        if self.l1.store_hit_direct(set, tag) {
-            if self.outcomes.is_some() {
-                self.note_outcome(AccessOutcome::Hit);
-            }
-            self.write_buffer.push(addr, now);
+    pub fn store_hit_direct(&mut self, decoded: &DecodedAddr, now: Cycle) -> bool {
+        if self.l1.store_hit_direct(decoded.set, decoded.tag) {
+            self.resolve(AccessKind::Store, AccessOutcome::Hit, decoded.block, now);
+            self.write_buffer.push(decoded.addr, now);
             return true;
         }
         false
@@ -538,19 +500,34 @@ impl MemorySystem {
         }
     }
 
-    /// Launches the fetch of a primary miss and emits its lifecycle
-    /// events. Returns the fill time.
-    fn launch_fetch(&mut self, txn: u64, block: BlockAddr, now: Cycle) -> Cycle {
-        let (latency, level) = self.fetch_latency(block);
-        let fill_at = self.memory.issue_fetch_after(block, now, latency);
-        self.emit(MemEvent::FetchLaunched {
+    /// Enters a non-blocking miss into the pipeline: a primary miss
+    /// launches its fetch, a secondary merges into the one in flight.
+    fn track_miss(&mut self, kind: AccessKind, miss: MissKind, block: BlockAddr, now: Cycle) {
+        let txn = self.fresh_txn();
+        self.emit(MemEvent::Issued {
             txn,
+            kind,
             block,
             at: now,
-            fill_at,
-            level,
         });
-        fill_at
+        match miss {
+            MissKind::Primary => {
+                let (latency, level) = self.fetch_latency(block);
+                let fill_at = self.memory.issue_fetch_after(block, now, latency);
+                self.emit(MemEvent::FetchLaunched {
+                    txn,
+                    block,
+                    at: now,
+                    fill_at,
+                    level,
+                });
+            }
+            MissKind::Secondary => self.emit(MemEvent::Merged {
+                txn,
+                block,
+                at: now,
+            }),
+        }
     }
 
     /// Services a blocking miss synchronously: probes the hierarchy for
@@ -558,10 +535,17 @@ impl MemorySystem {
     /// plus whatever targets the fill woke.
     fn blocking_service(
         &mut self,
-        txn: u64,
+        kind: AccessKind,
         block: BlockAddr,
         now: Cycle,
     ) -> (Cycle, Vec<TargetRecord>) {
+        let txn = self.fresh_txn();
+        self.emit(MemEvent::Issued {
+            txn,
+            kind,
+            block,
+            at: now,
+        });
         let (latency, level) = self.fetch_latency(block);
         let at = now.plus(u64::from(latency));
         self.emit(MemEvent::FetchLaunched {
@@ -607,39 +591,24 @@ impl MemorySystem {
         format: LoadFormat,
         now: Cycle,
     ) -> LoadResponse {
-        let response = match self.l1.access_load_decoded(decoded, dest, format) {
-            LoadAccess::Hit => LoadResponse::Hit,
-            LoadAccess::VictimHit => LoadResponse::VictimHit,
+        let block = decoded.block;
+        let (response, outcome) = match self.l1.access_load_decoded(decoded, dest, format) {
+            LoadAccess::Hit => (LoadResponse::Hit, AccessOutcome::Hit),
+            LoadAccess::VictimHit => (LoadResponse::VictimHit, AccessOutcome::VictimHit),
             LoadAccess::Miss(kind) => {
-                let block = decoded.block;
-                if self.trace.is_some() {
-                    let txn = self.fresh_txn();
-                    self.emit(MemEvent::Issued {
-                        txn,
-                        kind: AccessKind::Load,
-                        block,
-                        at: now,
-                    });
-                    match kind {
-                        MissKind::Primary => {
-                            self.launch_fetch(txn, block, now);
-                        }
-                        MissKind::Secondary => self.emit(MemEvent::Merged {
-                            txn,
-                            block,
-                            at: now,
-                        }),
-                    }
-                } else if kind == MissKind::Primary {
-                    let (latency, _) = self.fetch_latency(block);
-                    self.memory.issue_fetch_after(block, now, latency);
-                }
-                LoadResponse::Pending { kind }
+                self.track_miss(AccessKind::Load, kind, block, now);
+                (LoadResponse::Pending { kind }, AccessOutcome::Miss)
             }
             LoadAccess::Stalled(Rejection::Blocking) => {
                 // Lockup cache: service the whole miss synchronously; the
                 // data is then in the cache and usable at `at`.
-                let block = decoded.block;
+                let (at, woken) = self.blocking_service(AccessKind::Load, block, now);
+                debug_assert!(woken.is_empty(), "blocking cache has no waiting targets");
+                (LoadResponse::Ready { at }, AccessOutcome::Miss)
+            }
+            LoadAccess::Stalled(reason) => {
+                // A rejection leaves the tag state untouched and resolves
+                // nothing; the retried access resolves later.
                 let txn = self.fresh_txn();
                 self.emit(MemEvent::Issued {
                     txn,
@@ -647,42 +616,16 @@ impl MemorySystem {
                     block,
                     at: now,
                 });
-                let (at, woken) = self.blocking_service(txn, block, now);
-                debug_assert!(woken.is_empty(), "blocking cache has no waiting targets");
-                LoadResponse::Ready { at }
-            }
-            LoadAccess::Stalled(reason) => {
-                if self.trace.is_some() {
-                    let block = decoded.block;
-                    let txn = self.fresh_txn();
-                    self.emit(MemEvent::Issued {
-                        txn,
-                        kind: AccessKind::Load,
-                        block,
-                        at: now,
-                    });
-                    self.emit(MemEvent::Rejected {
-                        txn,
-                        block,
-                        reason,
-                        at: now,
-                    });
-                }
-                LoadResponse::Retry(reason)
+                self.emit(MemEvent::Rejected {
+                    txn,
+                    block,
+                    reason,
+                    at: now,
+                });
+                return LoadResponse::Retry(reason);
             }
         };
-        if self.outcomes.is_some() {
-            match &response {
-                LoadResponse::Hit => self.note_outcome(AccessOutcome::Hit),
-                LoadResponse::VictimHit => self.note_outcome(AccessOutcome::VictimHit),
-                LoadResponse::Pending { .. } | LoadResponse::Ready { .. } => {
-                    self.note_outcome(AccessOutcome::Miss);
-                }
-                // A rejection leaves the tag state untouched; the retried
-                // access records the final resolution.
-                LoadResponse::Retry(_) => {}
-            }
-        }
+        self.resolve(AccessKind::Load, outcome, block, now);
         response
     }
 
@@ -698,17 +641,9 @@ impl MemorySystem {
     /// under this system's L1 geometry (the store half of the fused group
     /// step).
     pub fn access_store_decoded(&mut self, decoded: &DecodedAddr, now: Cycle) -> StoreResponse {
-        let addr = decoded.addr;
+        let (addr, block) = (decoded.addr, decoded.block);
         let access = self.l1.access_store_decoded(decoded);
-        if self.outcomes.is_some() {
-            self.note_outcome(match access {
-                StoreAccess::Hit => AccessOutcome::Hit,
-                StoreAccess::MissAround
-                | StoreAccess::MissAllocate
-                | StoreAccess::MissAllocateTracked(_) => AccessOutcome::Miss,
-            });
-        }
-        match access {
+        let response = match access {
             StoreAccess::Hit | StoreAccess::MissAround => {
                 self.write_buffer.push(addr, now);
                 StoreResponse::Done
@@ -716,48 +651,25 @@ impl MemorySystem {
             StoreAccess::MissAllocate => {
                 // Blocking write allocate: fetch the line synchronously;
                 // the store is buffered once the line arrives.
-                let block = decoded.block;
-                let txn = self.fresh_txn();
-                self.emit(MemEvent::Issued {
-                    txn,
-                    kind: AccessKind::Store,
-                    block,
-                    at: now,
-                });
-                let (at, _woken) = self.blocking_service(txn, block, now);
+                let (at, _woken) = self.blocking_service(AccessKind::Store, block, now);
                 self.write_buffer.push(addr, at);
                 StoreResponse::Ready { at }
             }
             StoreAccess::MissAllocateTracked(kind) => {
                 // Non-blocking write allocate: the store data waits in the
                 // write buffer for the line; the processor does not stall.
-                let block = decoded.block;
-                if self.trace.is_some() {
-                    let txn = self.fresh_txn();
-                    self.emit(MemEvent::Issued {
-                        txn,
-                        kind: AccessKind::Store,
-                        block,
-                        at: now,
-                    });
-                    match kind {
-                        MissKind::Primary => {
-                            self.launch_fetch(txn, block, now);
-                        }
-                        MissKind::Secondary => self.emit(MemEvent::Merged {
-                            txn,
-                            block,
-                            at: now,
-                        }),
-                    }
-                } else if kind == MissKind::Primary {
-                    let (latency, _) = self.fetch_latency(block);
-                    self.memory.issue_fetch_after(block, now, latency);
-                }
+                self.track_miss(AccessKind::Store, kind, block, now);
                 self.write_buffer.push(addr, now);
                 StoreResponse::Pending { kind }
             }
-        }
+        };
+        let outcome = if access == StoreAccess::Hit {
+            AccessOutcome::Hit
+        } else {
+            AccessOutcome::Miss
+        };
+        self.resolve(AccessKind::Store, outcome, block, now);
+        response
     }
 
     /// Submits a *speculatively issued* load at time `now` for the
@@ -1108,22 +1020,29 @@ mod tests {
     #[test]
     fn direct_hit_fast_paths_match_the_full_port() {
         let mut m = system(mc(2));
+        m.enable_tracing(0);
         let addr = Addr(0x1000);
         let d = m.l1().config().geometry.decode(addr);
         // Cold: the fast paths refuse and record nothing.
-        assert!(!m.load_hit_direct(d.set, d.tag));
-        assert!(!m.store_hit_direct(addr, d.set, d.tag, Cycle(0)));
+        assert!(!m.load_hit_direct(&d, Cycle(0)));
+        assert!(!m.store_hit_direct(&d, Cycle(0)));
         assert_eq!(m.l1().counters().load_hits, 0);
         assert_eq!(m.write_buffer_stats().writes, 0);
         // Fill the line; both fast paths now hit, with side effects
         // matching the full port (counters, write buffering).
         let _ = m.access_load(addr, Dest::Reg(PhysReg::int(1)), LoadFormat::WORD, Cycle(0));
         m.advance_to(Cycle(16), |_| {});
-        assert!(m.load_hit_direct(d.set, d.tag));
+        assert!(m.load_hit_direct(&d, Cycle(17)));
         assert_eq!(m.l1().counters().load_hits, 1);
-        assert!(m.store_hit_direct(addr, d.set, d.tag, Cycle(17)));
+        assert!(m.store_hit_direct(&d, Cycle(17)));
         assert_eq!(m.l1().counters().store_hits, 1);
         assert_eq!(m.write_buffer_stats().writes, 1);
+        // ...and each hit resolves exactly as the full port's would.
+        let outcomes = m.take_trace().expect("tracing was enabled").outcomes;
+        assert_eq!(
+            outcomes,
+            vec![AccessOutcome::Miss, AccessOutcome::Hit, AccessOutcome::Hit]
+        );
     }
 
     #[test]
@@ -1172,11 +1091,11 @@ mod tests {
     }
 
     #[test]
-    fn outcome_tap_records_final_resolutions_without_perturbing() {
-        let run = |tapped: bool| {
+    fn resolved_events_record_final_resolutions_without_perturbing() {
+        let run = |traced: bool| {
             let mut m = system(mc(2));
-            if tapped {
-                m.enable_outcome_tap();
+            if traced {
+                m.enable_tracing(64);
             }
             let mut log = Vec::new();
             for (i, addr) in [0x1000u64, 0x1008, 0x2000, 0x1000].into_iter().enumerate() {
@@ -1196,21 +1115,25 @@ mod tests {
                 Cycle(100),
             );
             log.push(format!("{r:?}"));
-            (log, m.take_outcomes())
+            (log, m.take_trace())
         };
-        let (untapped_log, none) = run(false);
-        let (tapped_log, outcomes) = run(true);
-        assert_eq!(untapped_log, tapped_log, "the tap must not perturb timing");
-        assert_eq!(none, None, "no tap, no buffer");
+        let (untraced_log, none) = run(false);
+        let (traced_log, trace) = run(true);
+        assert_eq!(untraced_log, traced_log, "tracing must not perturb timing");
+        assert_eq!(none, None, "no observer, no log");
+        let trace = trace.expect("tracing was enabled");
         // Primary miss to 0x1000; the 0x1008 and repeated 0x1000
         // accesses are rejected (mc=2 MSHRs hold one target each) and a
-        // rejection records *nothing* — only final resolutions count.
+        // rejection resolves *nothing* — only final resolutions count.
         // Then a second primary miss to 0x2000, and a genuine hit after
         // the fills land.
         assert_eq!(
-            outcomes.expect("tap was enabled"),
+            trace.outcomes,
             vec![AccessOutcome::Miss, AccessOutcome::Miss, AccessOutcome::Hit]
         );
+        // Resolutions stay out of the lifecycle ring and stats.
+        assert_eq!(trace.ring.total(), trace.stats.total_events());
+        assert_eq!(trace.stats.rejected, 2);
     }
 
     #[test]

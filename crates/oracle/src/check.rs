@@ -3,7 +3,8 @@
 //!
 //! A *cell* is one `(benchmark tape, SimConfig)` pair. The check runs
 //! the analyzer over the tape, replays the same tape through the actual
-//! engine with the [`AccessOutcome`] tap enabled, and compares verdicts
+//! engine with the memory observer armed (its [`AccessOutcome`] log is
+//! fed by the `Resolved` events of the memory system), and compares verdicts
 //! access-by-access: every [`Classification::MustHit`] must have hit
 //! (in L1 or the victim buffer — the oracle only gates victim-free
 //! configs, but the mapping stays conservative), and every
@@ -17,7 +18,7 @@ use crate::{OracleConfig, OracleError};
 use nbl_core::types::Addr;
 use nbl_mem::AccessOutcome;
 use nbl_sim::config::SimConfig;
-use nbl_sim::driver::run_tape_probed;
+use nbl_sim::driver::run_tape_traced;
 use nbl_trace::TraceTape;
 
 /// A disagreement between the oracle and the simulator for one access.
@@ -37,13 +38,13 @@ pub enum CrossCheckViolation {
         /// The accessed address.
         addr: Addr,
     },
-    /// The analyzer and the tap disagree on how many memory accesses
+    /// The analyzer and the outcome log disagree on how many memory accesses
     /// the tape performs — a plumbing bug, reported as its own variant
     /// so it can never masquerade as a clean pass.
     LengthMismatch {
         /// Accesses the analyzer classified.
         analyzed: usize,
-        /// Outcomes the tap recorded.
+        /// Outcomes the simulator resolved.
         observed: usize,
     },
 }
@@ -64,7 +65,7 @@ impl std::fmt::Display for CrossCheckViolation {
             CrossCheckViolation::LengthMismatch { analyzed, observed } => {
                 write!(
                     f,
-                    "access count mismatch: analyzer saw {analyzed}, tap saw {observed}"
+                    "access count mismatch: analyzer saw {analyzed}, simulator resolved {observed}"
                 )
             }
         }
@@ -75,8 +76,8 @@ impl std::fmt::Display for CrossCheckViolation {
 ///
 /// `classes` and `outcomes` are both in tape memory-op order (the
 /// single-issue in-order core resolves accesses in program order, and
-/// the tap records final resolutions only — retried accesses record
-/// one outcome at their final resolution). A victim-buffer hit counts
+/// the simulator resolves each access once — a retried access resolves
+/// at its final attempt). A victim-buffer hit counts
 /// as a hit.
 pub fn cross_check(
     tape: &TraceTape,
@@ -129,13 +130,13 @@ pub struct CellReport {
     pub violations: Vec<CrossCheckViolation>,
 }
 
-/// Analyzes `tape` under `cfg` and cross-validates against a probed
+/// Analyzes `tape` under `cfg` and cross-validates against a traced
 /// replay through the real engine.
 ///
 /// # Errors
 ///
 /// [`OracleError::Unsupported`] when `cfg` is outside the model's
-/// envelope; [`OracleError::Engine`] when the probed replay fails.
+/// envelope; [`OracleError::Engine`] when the traced replay fails.
 pub fn check_cell(
     benchmark: &str,
     tape: &TraceTape,
@@ -143,9 +144,9 @@ pub fn check_cell(
 ) -> Result<CellReport, OracleError> {
     let ocfg = OracleConfig::from_sim(cfg)?;
     let analysis = analyze_tape(tape, &ocfg);
-    let (_, outcomes) =
-        run_tape_probed(benchmark, tape, cfg).map_err(|e| OracleError::Engine(e.to_string()))?;
-    let violations = cross_check(tape, &analysis.classes, &outcomes);
+    let (_, trace) =
+        run_tape_traced(benchmark, tape, cfg, 0).map_err(|e| OracleError::Engine(e.to_string()))?;
+    let violations = cross_check(tape, &analysis.classes, &trace.outcomes);
     Ok(CellReport {
         benchmark: benchmark.to_string(),
         geometry: format!(

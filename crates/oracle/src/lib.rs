@@ -12,7 +12,7 @@
 //! ([`TraceTape::mem_ops`](nbl_trace::TraceTape::mem_ops)) → abstract
 //! domain ([`analyze_tape`], one [`Classification`] per access) →
 //! cross-check ([`cross_check`] against the simulator's per-access
-//! [`AccessOutcome`](nbl_mem::AccessOutcome) tap) → report
+//! [`AccessOutcome`](nbl_mem::AccessOutcome) log of a traced replay) → report
 //! ([`CellReport`], persisted verdicts in [`store`]).
 //!
 //! Soundness is the product: a [`Classification::MustHit`] access that
@@ -50,7 +50,7 @@ pub enum OracleError {
         /// Which feature tripped the gate.
         feature: &'static str,
     },
-    /// The probed replay failed inside the engine.
+    /// The traced replay failed inside the engine.
     Engine(String),
     /// A benchmark failed to build or compile (CLI path).
     Compile(String),
@@ -62,7 +62,7 @@ impl std::fmt::Display for OracleError {
             OracleError::Unsupported { feature } => {
                 write!(f, "configuration outside the oracle's envelope: {feature}")
             }
-            OracleError::Engine(e) => write!(f, "probed replay failed: {e}"),
+            OracleError::Engine(e) => write!(f, "traced replay failed: {e}"),
             OracleError::Compile(e) => write!(f, "benchmark compilation failed: {e}"),
         }
     }

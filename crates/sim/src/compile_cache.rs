@@ -47,8 +47,10 @@ pub struct CacheStats {
     pub compiles: u64,
 }
 
-/// The cache itself. Use [`CompileCache::global`] to share compiles across
-/// every sweep in the process, or a local instance for isolated tests.
+/// The cache itself: the compile tier of an
+/// [`ArtifactStore`](crate::store::ArtifactStore). The process shares one
+/// through [`SweepEngine::global`](crate::sweep::SweepEngine::global)'s
+/// store; isolated tests use a local instance.
 #[derive(Debug, Default)]
 pub struct CompileCache {
     slots: Mutex<FastMap<Key, Slot>>,
@@ -60,13 +62,6 @@ impl CompileCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The process-wide cache shared by the sweep engine and the cached
-    /// driver entry points.
-    pub fn global() -> &'static CompileCache {
-        static GLOBAL: OnceLock<CompileCache> = OnceLock::new();
-        GLOBAL.get_or_init(CompileCache::new)
     }
 
     /// Returns the compiled form of `program` at `latency`, compiling on

@@ -6,6 +6,7 @@ use nbl_core::limit::Limit;
 use nbl_core::mshr::inverted::InvertedConfig;
 use nbl_core::mshr::{MshrConfig, RegisterFileConfig, TargetPolicy};
 use nbl_core::tag_array::ReplacementKind;
+use nbl_cpu::core_engine::{EngineConfig, EngineError, L2Params};
 use std::fmt;
 
 /// A named point in the paper's hardware design space — the legend entries
@@ -310,6 +311,38 @@ impl SimConfig {
     pub fn with_processor(mut self, processor: ProcessorKind) -> SimConfig {
         self.processor = processor;
         self
+    }
+
+    /// The issue-engine configuration this simulation runs on: the
+    /// hardware config's cache over this geometry (with the victim buffer
+    /// and replacement policy applied), the miss penalty, the memory gap,
+    /// and any L2 as a direct-mapped cache with the L1's line size and
+    /// replacement policy.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidL2`] when the L2 size cannot form a cache
+    /// geometry.
+    pub fn engine_config(&self) -> Result<EngineConfig, EngineError> {
+        let mut cache = self.hw.cache_config(self.geometry);
+        cache.victim_entries = self.victim_entries;
+        cache.replacement = self.replacement;
+        let l2 = match self.l2 {
+            Some((size_bytes, hit_penalty)) => Some(L2Params {
+                geometry: CacheGeometry::direct_mapped(size_bytes, self.geometry.line_bytes())
+                    .map_err(|reason| EngineError::InvalidL2 { size_bytes, reason })?,
+                hit_penalty,
+                replacement: self.replacement,
+            }),
+            None => None,
+        };
+        Ok(EngineConfig {
+            cache,
+            miss_penalty: self.miss_penalty,
+            perfect_cache: false,
+            memory_gap: self.memory_gap,
+            l2,
+        })
     }
 }
 

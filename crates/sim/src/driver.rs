@@ -4,22 +4,19 @@
 //!
 //! There is one execution rail: every entry point ends in a tape replay on
 //! an [`IssueEngine`](nbl_cpu::issue::IssueEngine) taken from the worker
-//! arena. Programs compile through the process-wide
-//! [`CompileCache`](crate::compile_cache::CompileCache) and tapes come from
-//! the process-wide [`TapeCache`](crate::tape_cache::TapeCache), so
-//! repeated runs of one `(benchmark, latency)` pair share one compilation
-//! and one recording.
+//! arena. Program-level entries compile and record through the artifact
+//! store of the process-wide [`SweepEngine`], the same store every sweep
+//! runs on, so repeated runs of one `(benchmark, latency)` pair share one
+//! compilation and one recording, and a configured disk tier serves them
+//! too.
 
-use crate::compile_cache::CompileCache;
 use crate::config::{ProcessorKind, SimConfig};
-use crate::tape_cache::TapeCache;
+use crate::sweep::SweepEngine;
 use crate::telemetry::Telemetry;
-use nbl_core::geometry::CacheGeometry;
-use nbl_cpu::core_engine::{Core, EngineConfig, EngineError, L2Params};
+use nbl_cpu::core_engine::{Core, EngineConfig, EngineError};
 use nbl_cpu::issue::{IssueEngine, IssuePolicy};
 use nbl_cpu::stats::ReplayAttribution;
 use nbl_mem::event::MemTrace;
-use nbl_mem::AccessOutcome;
 use nbl_sched::compile::CompileError;
 use nbl_trace::ir::Program;
 use nbl_trace::machine::CompiledProgram;
@@ -154,15 +151,6 @@ impl fmt::Display for RunResult {
     }
 }
 
-fn l2_params(cfg: &SimConfig) -> Option<L2Params> {
-    cfg.l2.map(|(size, hit_penalty)| L2Params {
-        geometry: CacheGeometry::direct_mapped(size, cfg.geometry.line_bytes())
-            .expect("valid L2 geometry"),
-        hit_penalty,
-        replacement: cfg.replacement,
-    })
-}
-
 fn summarize(
     benchmark: &str,
     cfg: &SimConfig,
@@ -259,19 +247,6 @@ fn release_engine(key: (EngineConfig, IssuePolicy), cpu: IssueEngine) {
     });
 }
 
-fn single_engine_config(cfg: &SimConfig) -> EngineConfig {
-    let mut cache = cfg.hw.cache_config(cfg.geometry);
-    cache.victim_entries = cfg.victim_entries;
-    cache.replacement = cfg.replacement;
-    EngineConfig {
-        cache,
-        miss_penalty: cfg.miss_penalty,
-        perfect_cache: false,
-        memory_gap: cfg.memory_gap,
-        l2: l2_params(cfg),
-    }
-}
-
 /// Telemetry common to every run that produces a [`RunResult`].
 fn record_single_run(cfg: &SimConfig, result: &RunResult, trace: Option<&MemTrace>) {
     Telemetry::global().record_run(result.instructions, result.cycles);
@@ -301,19 +276,19 @@ fn finish_single(
     Ok((result, trace))
 }
 
+/// Replays `tape` under `cfg` on an arena engine that `arm` prepares
+/// first (the traced entry arms the memory observer there).
 fn replay_single(
     benchmark: &str,
     tape: &TraceTape,
     cfg: &SimConfig,
-    trace_ring: Option<usize>,
+    arm: impl FnOnce(&mut IssueEngine),
 ) -> Result<(RunResult, Option<MemTrace>), EngineError> {
     debug_assert_eq!(tape.load_latency(), cfg.load_latency);
-    let engine_config = single_engine_config(cfg);
+    let engine_config = cfg.engine_config()?;
     let policy = cfg.processor.policy();
     let mut cpu = acquire_engine(&engine_config, policy);
-    if let Some(ring) = trace_ring {
-        cpu.enable_mem_tracing(ring);
-    }
+    arm(&mut cpu);
     cpu.run_tape(tape)?;
     let out = finish_single(benchmark, cfg, tape.static_spill_ops(), &mut cpu)?;
     release_engine((engine_config, policy), cpu);
@@ -326,41 +301,38 @@ fn replay_single(
 ///
 /// # Errors
 ///
-/// [`EngineError`] if the engine hit a model invariant violation mid-run.
+/// [`EngineError`] if `cfg` names an impossible L2 or the engine hit a
+/// model invariant violation mid-run.
 pub fn run_tape(
     benchmark: &str,
     tape: &TraceTape,
     cfg: &SimConfig,
 ) -> Result<RunResult, EngineError> {
-    replay_single(benchmark, tape, cfg, None).map(|(r, _)| r)
+    replay_single(benchmark, tape, cfg, |_| {}).map(|(r, _)| r)
 }
 
-/// [`run_tape`] with the per-access outcome tap armed: returns the run
-/// result plus one [`AccessOutcome`] per finally-resolved memory access,
-/// in program order (the *n*-th outcome belongs to the *n*-th memory
-/// operation of the tape). This is the observation half of the static
-/// cache oracle's cell-by-cell cross-check (DESIGN.md §18); the tap adds
-/// one null-check per access, so the replayed timing is identical to an
-/// untapped run.
+/// [`run_tape`] with the memory system's observer armed: the returned
+/// [`MemTrace`] holds the last `ring_capacity` lifecycle events, the full
+/// [`nbl_mem::event::MissLifecycleStats`] aggregate, and one
+/// [`nbl_mem::AccessOutcome`] per resolved memory access in program order
+/// (the *n*-th outcome belongs to the *n*-th memory operation of the
+/// tape — the observation half of the static cache oracle's cross-check,
+/// DESIGN.md §18). Observing costs one null-check per emission, so the
+/// [`RunResult`] is identical to [`run_tape`]'s.
 ///
 /// # Errors
 ///
-/// [`EngineError`] if the engine hit a model invariant violation mid-run.
-pub fn run_tape_probed(
+/// As [`run_tape`].
+pub fn run_tape_traced(
     benchmark: &str,
     tape: &TraceTape,
     cfg: &SimConfig,
-) -> Result<(RunResult, Vec<AccessOutcome>), EngineError> {
-    debug_assert_eq!(tape.load_latency(), cfg.load_latency);
-    let engine_config = single_engine_config(cfg);
-    let policy = cfg.processor.policy();
-    let mut cpu = acquire_engine(&engine_config, policy);
-    cpu.enable_outcome_tap();
-    cpu.run_tape(tape)?;
-    let (result, _) = finish_single(benchmark, cfg, tape.static_spill_ops(), &mut cpu)?;
-    let outcomes = cpu.take_outcomes().unwrap_or_default();
-    release_engine((engine_config, policy), cpu);
-    Ok((result, outcomes))
+    ring_capacity: usize,
+) -> Result<(RunResult, MemTrace), EngineError> {
+    let (result, trace) = replay_single(benchmark, tape, cfg, |cpu| {
+        cpu.enable_mem_tracing(ring_capacity);
+    })?;
+    Ok((result, trace.unwrap_or_default()))
 }
 
 /// Replays one tape through several hardware configurations in a single
@@ -372,8 +344,9 @@ pub fn run_tape_probed(
 ///
 /// # Errors
 ///
-/// [`EngineError`] if any configuration hit a model invariant violation —
-/// the whole group is discarded as a unit (no partial results).
+/// [`EngineError`] if any configuration names an impossible L2 or hit a
+/// model invariant violation — the whole group is discarded as a unit (no
+/// partial results).
 pub fn run_tape_fused(
     benchmark: &str,
     tape: &TraceTape,
@@ -395,7 +368,10 @@ pub fn run_tape_fused(
             .map(|cfg| run_tape(benchmark, tape, cfg))
             .collect();
     }
-    let engine_configs: Vec<EngineConfig> = cfgs.iter().map(single_engine_config).collect();
+    let engine_configs = cfgs
+        .iter()
+        .map(SimConfig::engine_config)
+        .collect::<Result<Vec<_>, _>>()?;
     let mut cpus: Vec<IssueEngine> = engine_configs
         .iter()
         .map(|c| acquire_engine(c, IssuePolicy::SingleInOrder))
@@ -418,52 +394,36 @@ pub fn run_tape_fused(
 /// Runs one compiled program through the single-issue processor under
 /// `cfg` (the program must already be compiled for `cfg.load_latency`).
 ///
-/// The dynamic stream is served from the process-wide [`TapeCache`]:
-/// recorded by one `Executor` walk on the first run of this
-/// `(benchmark, latency)` pair, replayed from the flat tape on every
-/// later run.
+/// The dynamic stream comes from the [`SweepEngine::global`] store's
+/// tape tiers: recorded by one `Executor` walk on the first run of this
+/// `(benchmark, latency)` pair (or decoded from a configured disk tier),
+/// replayed from the flat tape on every later run.
 ///
 /// # Errors
 ///
-/// [`EngineError`] if the engine hit a model invariant violation mid-run.
+/// As [`run_tape`].
 pub fn run_compiled(
     benchmark: &str,
     compiled: &CompiledProgram,
     cfg: &SimConfig,
 ) -> Result<RunResult, EngineError> {
-    let tape = TapeCache::global().get_or_record(compiled);
+    let tape = SweepEngine::global().store().get_or_record(compiled);
     run_tape(benchmark, &tape, cfg)
 }
 
-/// Compiles `program` for `cfg.load_latency` through the process-wide
-/// [`CompileCache`] and runs it ([`run_compiled`]): repeated runs of one
-/// `(benchmark, latency)` pair — across configurations, experiments, or
-/// pool workers — share a single compilation.
+/// Compiles `program` for `cfg.load_latency` through the
+/// [`SweepEngine::global`] store and runs it ([`run_compiled`]): repeated
+/// runs of one `(benchmark, latency)` pair — across configurations,
+/// experiments, sweeps, or pool workers — share a single compilation.
 ///
 /// # Errors
 ///
 /// [`SimError`] from the compiler model or the engine.
 pub fn run_program(program: &Program, cfg: &SimConfig) -> Result<RunResult, SimError> {
-    let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
+    let compiled = SweepEngine::global()
+        .store()
+        .get_or_compile(program, cfg.load_latency)?;
     Ok(run_compiled(&program.name, &compiled, cfg)?)
-}
-
-/// Like [`run_program`], but with miss-lifecycle tracing enabled: the
-/// returned [`MemTrace`] holds the last `ring_capacity` raw events and the
-/// full [`nbl_mem::event::MissLifecycleStats`] aggregate of the run.
-///
-/// # Errors
-///
-/// [`SimError`] from the compiler model or the engine.
-pub fn run_program_traced(
-    program: &Program,
-    cfg: &SimConfig,
-    ring_capacity: usize,
-) -> Result<(RunResult, MemTrace), SimError> {
-    let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
-    let tape = TapeCache::global().get_or_record(&compiled);
-    let (result, trace) = replay_single(&program.name, &tape, cfg, Some(ring_capacity))?;
-    Ok((result, trace.expect("tracing was enabled")))
 }
 
 /// Result of a dual-issue run (paper §6 / Fig. 19).
@@ -488,7 +448,7 @@ pub struct DualRunResult {
 
 /// Runs `program` on the dual-issue machine, once for real and once with a
 /// perfect cache to obtain the machine's ideal cycle count and IPC. Both
-/// passes replay one tape served by the process-wide caches, exactly as
+/// passes replay one tape served by the process-wide store, exactly as
 /// [`run_program`] does: the real pass is [`run_tape`] under
 /// [`ProcessorKind::DualInOrder`], and the perfect pass takes a dual
 /// engine with `perfect_cache` set from the same worker arena.
@@ -497,8 +457,9 @@ pub struct DualRunResult {
 ///
 /// [`SimError`] from the compiler model or the engine.
 pub fn run_dual(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, SimError> {
-    let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
-    let tape = TapeCache::global().get_or_record(&compiled);
+    let store = SweepEngine::global().store();
+    let compiled = store.get_or_compile(program, cfg.load_latency)?;
+    let tape = store.get_or_record(&compiled);
     let dual_cfg = SimConfig {
         processor: ProcessorKind::DualInOrder,
         ..cfg.clone()
@@ -507,7 +468,7 @@ pub fn run_dual(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, Sim
 
     let perfect_config = EngineConfig {
         perfect_cache: true,
-        ..single_engine_config(cfg)
+        ..cfg.engine_config()?
     };
     let mut cpu = acquire_engine(&perfect_config, IssuePolicy::DualInOrder);
     cpu.run_tape(&tape)?;
@@ -590,6 +551,24 @@ mod tests {
         // Blocking caches have nothing in flight.
         assert_eq!(blocking.inflight.max_fetches, 0);
         assert!(best.inflight.max_fetches >= 2);
+    }
+
+    #[test]
+    fn an_impossible_l2_is_an_error_not_a_panic() {
+        let p = build("eqntott", Scale::quick()).unwrap();
+        let bad = SimConfig::baseline(HwConfig::Mc(1)).with_l2(3000, 4);
+        for result in [
+            run_program(&p, &bad).map(|_| ()),
+            run_dual(&p, &bad).map(|_| ()),
+        ] {
+            assert!(matches!(
+                result,
+                Err(SimError::Engine(EngineError::InvalidL2 {
+                    size_bytes: 3000,
+                    ..
+                }))
+            ));
+        }
     }
 
     #[test]

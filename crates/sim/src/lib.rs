@@ -56,8 +56,8 @@ pub mod telemetry;
 pub use compile_cache::{CacheStats, CompileCache};
 pub use config::{HwConfig, ProcessorKind, SimConfig};
 pub use driver::{
-    run_compiled, run_dual, run_program, run_program_traced, run_tape, run_tape_fused,
-    run_tape_probed, DualRunResult, RunResult, SimError,
+    run_compiled, run_dual, run_program, run_tape, run_tape_fused, run_tape_traced, DualRunResult,
+    RunResult, SimError,
 };
 pub use pool::{available_threads, JobPanic, JobPool};
 pub use store::{

@@ -958,10 +958,13 @@ mod tests {
 
     #[test]
     fn miss_lifecycle_render_and_json() {
-        use crate::driver::run_program_traced;
+        use crate::driver::run_tape_traced;
+        use crate::sweep::SweepEngine;
         let p = build("tomcatv", Scale::quick()).unwrap();
-        let (_r, trace) =
-            run_program_traced(&p, &SimConfig::baseline(HwConfig::NoRestrict), 128).unwrap();
+        let cfg = SimConfig::baseline(HwConfig::NoRestrict);
+        let store = SweepEngine::global().store();
+        let tape = store.get_or_record(&store.get_or_compile(&p, cfg.load_latency).unwrap());
+        let (_r, trace) = run_tape_traced(&p.name, &tape, &cfg, 128).unwrap();
         let stats = &trace.stats;
         assert!(stats.fetches > 0, "tomcatv must miss");
         let table = miss_lifecycle_table("tomcatv", "no restrict", stats);

@@ -296,8 +296,10 @@ impl SweepEngine {
     /// The process-wide engine: default thread count (`NBL_THREADS` or the
     /// machine's parallelism) and a store wired from
     /// [`crate::store::store_settings`] (CLI flags or `NBL_STORE_DIR` /
-    /// `NBL_INCREMENTAL`), shared across every sweep, so a whole bench
-    /// invocation compiles and records each pair at most once.
+    /// `NBL_INCREMENTAL`), shared across every sweep and the driver's
+    /// program-level entries ([`crate::driver::run_program`] and kin), so
+    /// a whole bench invocation compiles and records each pair at most
+    /// once.
     pub fn global() -> &'static SweepEngine {
         static GLOBAL: OnceLock<SweepEngine> = OnceLock::new();
         GLOBAL.get_or_init(|| Self {

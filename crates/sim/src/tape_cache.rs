@@ -78,8 +78,10 @@ pub struct TapeStats {
     pub resident_bytes: usize,
 }
 
-/// The cache itself. Use [`TapeCache::global`] to share recordings across
-/// every sweep in the process, or a local instance for isolated tests.
+/// The cache itself: the memory tape tier of an
+/// [`ArtifactStore`](crate::store::ArtifactStore). The process shares one
+/// through [`SweepEngine::global`](crate::sweep::SweepEngine::global)'s
+/// store; isolated tests use a local instance.
 #[derive(Debug)]
 pub struct TapeCache {
     state: Mutex<State>,
@@ -128,13 +130,6 @@ impl TapeCache {
         let mut cache = Self::new();
         cache.disk = Some(disk);
         cache
-    }
-
-    /// The process-wide cache shared by the sweep engine and the cached
-    /// driver entry points.
-    pub fn global() -> &'static TapeCache {
-        static GLOBAL: OnceLock<TapeCache> = OnceLock::new();
-        GLOBAL.get_or_init(TapeCache::new)
     }
 
     /// Returns the recorded tape of `compiled`: from the memory tier if
@@ -254,13 +249,16 @@ impl TapeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile_cache::CompileCache;
     use crate::pool::JobPool;
+    use crate::sweep::SweepEngine;
     use nbl_trace::workloads::{build, Scale};
 
     fn compiled(name: &str, latency: u32, scale: Scale) -> Arc<CompiledProgram> {
         let p = build(name, scale).unwrap();
-        CompileCache::global().get_or_compile(&p, latency).unwrap()
+        SweepEngine::global()
+            .store()
+            .get_or_compile(&p, latency)
+            .unwrap()
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! trigger (unit tests in the library binary run concurrently and would
 //! perturb the deltas).
 
-use nbl_sim::{run_tape, run_tape_fused, CompileCache, HwConfig, SimConfig, TapeCache, Telemetry};
+use nbl_sim::{run_tape, run_tape_fused, ArtifactStore, HwConfig, SimConfig, Telemetry};
 use nbl_trace::workloads::{build, Scale};
 use std::sync::Mutex;
 
@@ -19,10 +19,9 @@ fn warm_workers_serve_replays_without_building_processors() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     let program = build("eqntott", Scale::quick()).unwrap();
     let base = SimConfig::baseline(HwConfig::Mc0);
-    let compiled = CompileCache::global()
-        .get_or_compile(&program, base.load_latency)
-        .unwrap();
-    let tape = TapeCache::global().get_or_record(&compiled);
+    let store = ArtifactStore::in_memory();
+    let compiled = store.get_or_compile(&program, base.load_latency).unwrap();
+    let tape = store.get_or_record(&compiled);
     let configs = [
         SimConfig::baseline(HwConfig::Mc0),
         SimConfig::baseline(HwConfig::Mc(1)),
@@ -58,10 +57,9 @@ fn fused_replay_draws_from_and_refills_the_arena() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     let program = build("compress", Scale::quick()).unwrap();
     let base = SimConfig::baseline(HwConfig::Mc0);
-    let compiled = CompileCache::global()
-        .get_or_compile(&program, base.load_latency)
-        .unwrap();
-    let tape = TapeCache::global().get_or_record(&compiled);
+    let store = ArtifactStore::in_memory();
+    let compiled = store.get_or_compile(&program, base.load_latency).unwrap();
+    let tape = store.get_or_record(&compiled);
     let cfgs = vec![
         SimConfig::baseline(HwConfig::Mc0),
         SimConfig::baseline(HwConfig::Mc(2)),

@@ -364,8 +364,8 @@ impl TraceTape {
     /// [`MemOp`] per load or store, carrying the instruction index and
     /// effective address. This is the walk API the static cache oracle
     /// consumes — its classification vector and the simulator's
-    /// `AccessOutcome` tap both index accesses in this order, so the
-    /// *n*-th item here lines up with the *n*-th recorded outcome.
+    /// `AccessOutcome` log both index accesses in this order, so the
+    /// *n*-th item here lines up with the *n*-th resolved outcome.
     #[inline]
     pub fn mem_ops(&self) -> impl Iterator<Item = MemOp> + '_ {
         self.kinds

@@ -122,6 +122,13 @@ cargo run --release -p nbl-bench -- fig19 --quick --out "$replsens_dir/fig19.txt
 sed -n '/^== Figure 19/,/^$/{/^$/d;p}' "$replsens_dir/fig19.txt" \
   | diff -u scripts/golden/fig19_quick.txt -
 
+echo "== smoke: miss-lifecycle stats vs pinned golden =="
+cargo run --release -p nbl-bench -- misslife --quick --json "$replsens_dir" --out /dev/null >/dev/null
+# The lifecycle aggregates must be bit-identical to the pinned golden:
+# the memory system's one event stream may not drift, and an access's
+# resolution event stays out of the lifecycle stats.
+diff -u scripts/golden/misslife_quick.json "$replsens_dir/misslife.json"
+
 echo "== oracle gate: 72-cell cross-check, zero violations (--deny) =="
 oracle_store="$replsens_dir/oracle-store"
 # Four passes: cold and warm against one verdict store (the second must

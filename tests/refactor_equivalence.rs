@@ -8,7 +8,8 @@
 //! stall-cause breakdown stay bit-identical.
 
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
-use nonblocking_loads::sim::driver::run_program;
+use nonblocking_loads::sim::driver::{run_program, run_tape, run_tape_traced};
+use nonblocking_loads::sim::sweep::SweepEngine;
 use nonblocking_loads::trace::workloads::{build, Scale};
 
 /// `(benchmark, config label, latency, instructions, cycles,
@@ -125,16 +126,25 @@ fn port_refactor_preserves_every_golden_row() {
 
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
-    use nonblocking_loads::sim::driver::run_program_traced;
-    for &(bench, label) in &[("eqntott", "mc=1"), ("tomcatv", "no restrict")] {
+    let store = SweepEngine::global().store();
+    for &(bench, label, lat, ..) in &GOLDEN {
         let p = build(bench, Scale::quick()).unwrap();
-        let cfg = SimConfig::baseline(config_for(label)).at_latency(10);
-        let plain = run_program(&p, &cfg).unwrap();
-        let (traced, trace) = run_program_traced(&p, &cfg, 64).unwrap();
-        assert_eq!(plain, traced, "{bench} [{label}]: tracing changed the run");
-        assert!(
-            trace.stats.fetches > 0,
-            "{bench} [{label}]: trace recorded nothing"
+        let cfg = SimConfig::baseline(config_for(label)).at_latency(lat);
+        let tape = store.get_or_record(&store.get_or_compile(&p, lat).unwrap());
+        let plain = run_tape(bench, &tape, &cfg).unwrap();
+        let (traced, trace) = run_tape_traced(bench, &tape, &cfg, 64).unwrap();
+        let cell = format!("{bench} [{label}] latency {lat}");
+        assert_eq!(plain, traced, "{cell}: tracing changed the run");
+        assert!(trace.stats.fetches > 0, "{cell}: trace recorded nothing");
+        assert_eq!(
+            trace.ring.total(),
+            trace.stats.total_events(),
+            "{cell}: ring and stats saw different lifecycle streams"
+        );
+        assert_eq!(
+            trace.outcomes.len() as u64,
+            plain.loads + plain.stores,
+            "{cell}: every access must resolve exactly once"
         );
     }
 }

@@ -61,21 +61,6 @@ fn streams(name: &str, latency: u32) -> Streams {
     }
 }
 
-/// The engine configuration the driver builds for a baseline `cfg` (no
-/// L2, no victim buffer, LRU — the only shapes this suite runs).
-fn engine_config(cfg: &SimConfig, perfect_cache: bool) -> EngineConfig {
-    assert!(cfg.l2.is_none() && cfg.victim_entries == 0);
-    let mut cache = cfg.hw.cache_config(cfg.geometry);
-    cache.replacement = cfg.replacement;
-    EngineConfig {
-        cache,
-        miss_penalty: cfg.miss_penalty,
-        perfect_cache,
-        memory_gap: cfg.memory_gap,
-        l2: None,
-    }
-}
-
 /// Runs `s` both ways under `(config, policy)`, asserts the two engines
 /// ended in the same observable state, and returns the tape-fed one.
 fn both_rails(s: &Streams, config: EngineConfig, policy: IssuePolicy, what: &str) -> IssueEngine {
@@ -133,7 +118,7 @@ fn check_grid(benches: &[&str], latencies: &[u32], configs: &[HwConfig], model: 
                     ..SimConfig::baseline(hw.clone()).at_latency(lat)
                 };
                 let what = format!("{bench} [{}] latency {lat} {model}", hw.label());
-                let engine = both_rails(&s, engine_config(&cfg, false), model.policy(), &what);
+                let engine = both_rails(&s, cfg.engine_config().unwrap(), model.policy(), &what);
                 let driver = run_compiled(bench, &s.compiled, &cfg).unwrap();
                 assert_eq!(driver.cycles, engine.now().0, "{what}: driver cycles");
                 assert_eq!(
@@ -238,12 +223,11 @@ fn dual_issue_tape_replay_matches_interpreter() {
             let cfg = SimConfig::baseline(hw.clone()).at_latency(3);
             let [perfect, real] = [true, false].map(|perfect| {
                 let what = format!("{bench} [{}] dual perfect={perfect}", hw.label());
-                both_rails(
-                    &s,
-                    engine_config(&cfg, perfect),
-                    IssuePolicy::DualInOrder,
-                    &what,
-                )
+                let config = EngineConfig {
+                    perfect_cache: perfect,
+                    ..cfg.engine_config().unwrap()
+                };
+                both_rails(&s, config, IssuePolicy::DualInOrder, &what)
             });
             let d = run_dual(&program, &cfg).unwrap();
             assert_eq!(d.cycles, real.now().0, "{bench} [{}]", hw.label());
