@@ -29,10 +29,13 @@
 //! store) so the ratio is comparable across machines regardless of
 //! `NBL_THREADS`; fusion-aware row-span scheduling
 //! ([`SweepEngine::grid_sweep`]) is what keeps the multi-thread ratio
-//! above 1.0. The warm wall is also split into an estimated
-//! `tape_scan_s` + `mem_step_s` pair by instruction/cycle attribution
-//! (every tape entry ticks once; cycles beyond instructions are
-//! memory-system stepping).
+//! above 1.0. The unfused wall is also split into a measured
+//! `tape_scan_s` + `mem_step_s` pair: `tape_scan_s` is a timed
+//! **perfect-cache** pass ([`EngineConfig::perfect_cache`]: every access
+//! hits, so nothing reaches the memory system) replaying the same warm
+//! tapes cell by cell, best of `--bench-reps`; `mem_step_s` is the
+//! unfused real-cache wall minus that pass — the time the memory system's
+//! misses, fills and stalls add to the same walk.
 //!
 //! The exhibit asserts nothing but verifies and reports that all passes
 //! produce bit-identical [`RunResult`]s, and writes the measurements to
@@ -44,13 +47,13 @@
 //! flagged (`fusion_regressed`) — the gate `scripts/verify.sh` fails on.
 
 use super::{bench_opts, programs_for, ExhibitError, RunScale, LATENCIES};
+use nbl_cpu::{EngineConfig, IssueEngine, IssuePolicy};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::driver::RunResult;
 use nbl_sim::pool::available_threads;
 use nbl_sim::report;
 use nbl_sim::store::{store_settings, ArtifactStore, StoreStats};
 use nbl_sim::sweep::SweepEngine;
-use nbl_sim::telemetry::Telemetry;
 use nbl_trace::ir::Program;
 use nbl_trace::workloads::ALL;
 use std::io::Write;
@@ -104,6 +107,46 @@ fn unfused_pass(
         .flat_map(|s| s.rows.into_iter().flatten())
         .collect();
     Ok((wall, flat))
+}
+
+/// Replays every cell of the grid on a perfect cache, one independent
+/// single-issue replay per cell like [`unfused_pass`] (each job fetches
+/// its warm tape from the engine's store the same way): the tape walk
+/// with no memory-system work. Returns the wall seconds.
+fn perfect_pass(engine: &SweepEngine, programs: &[Program]) -> Result<f64, ExhibitError> {
+    let configs = grid_configs();
+    let (nl, nc) = (LATENCIES.len(), configs.len());
+    let base = SimConfig::baseline(HwConfig::NoRestrict);
+    let store = engine.store();
+    let t0 = Instant::now();
+    let cells = engine
+        .pool()
+        .try_run(programs.len() * nl * nc, |idx| -> Result<(), String> {
+            let program = &programs[idx / (nl * nc)];
+            let cfg = SimConfig {
+                hw: configs[idx % nc].clone(),
+                ..base.clone()
+            }
+            .at_latency(LATENCIES[(idx / nc) % nl]);
+            let compiled = store
+                .get_or_compile(program, cfg.load_latency)
+                .map_err(|e| e.to_string())?;
+            let tape = store.get_or_record(&compiled);
+            let config = EngineConfig {
+                perfect_cache: true,
+                ..cfg.engine_config().map_err(|e| e.to_string())?
+            };
+            let mut cpu = IssueEngine::new(config, IssuePolicy::SingleInOrder);
+            cpu.run_tape(&tape).map_err(|e| e.to_string())?;
+            cpu.finish().map_err(|e| e.to_string())
+        })
+        .map_err(|e| ExhibitError::new("bench perfect-cache pass", e))?;
+    let wall = t0.elapsed().as_secs_f64();
+    cells
+        .into_iter()
+        .collect::<Result<(), String>>()
+        .map_err(|e| ExhibitError::new("bench perfect-cache pass", e))?;
+    Ok(wall)
 }
 
 fn json_escape(s: &str) -> String {
@@ -199,28 +242,22 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     let (cold_wall, cold) = sweep_pass(&engine, &programs)?;
     let mut identical = true;
     let mut warm_wall = f64::INFINITY;
-    let tele_before = Telemetry::global().snapshot();
     for _ in 0..reps {
         let (wall, pass) = sweep_pass(&engine, &programs)?;
         warm_wall = warm_wall.min(wall);
         identical &= pass == cold;
     }
-    // Per-phase attribution of the warm fused wall, estimated from the
-    // telemetry counters: every tape entry ticks the core exactly once,
-    // so the simulated instruction count tracks tape-scan work while the
-    // cycles beyond it are memory-system stepping (miss stalls, fill
-    // drains, hazard replays). The shares are per-pass invariant, so the
-    // fraction over the whole reps interval applies to the best wall.
-    let tele_warm = Telemetry::global().snapshot().since(tele_before);
-    let scan_frac = if tele_warm.cycles > 0 {
-        (tele_warm.instructions as f64 / tele_warm.cycles as f64).min(1.0)
-    } else {
-        0.0
-    };
-    let tape_scan_s = warm_wall * scan_frac;
-    let mem_step_s = warm_wall - tape_scan_s;
-    let (unfused_wall, unfused) = unfused_pass(&engine, &programs)?;
-    identical &= unfused == cold;
+    // The unfused real-cache wall and the same per-cell walk on a
+    // perfect cache, best of `reps` each: their difference is the time
+    // the memory system adds, the perfect pass the tape scan itself.
+    let (mut unfused_wall, mut tape_scan_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let (wall, pass) = unfused_pass(&engine, &programs)?;
+        unfused_wall = unfused_wall.min(wall);
+        identical &= pass == cold;
+        tape_scan_s = tape_scan_s.min(perfect_pass(&engine, &programs)?);
+    }
+    let mem_step_s = unfused_wall - tape_scan_s;
     // Disk-warm: a fresh engine models a fresh process — empty memory
     // tiers, incremental mode, same (now populated) store. Every cell's
     // inputs are unchanged, so the whole grid is answered from stored
@@ -314,8 +351,8 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     );
     let _ = writeln!(
         out,
-        "warm phase estimate: tape scan {tape_scan_s:.3}s + mem step {mem_step_s:.3}s \
-         (instruction/cycle attribution)"
+        "unfused split: tape scan {tape_scan_s:.3}s (perfect-cache pass) + mem step \
+         {mem_step_s:.3}s (real-cache wall minus it)"
     );
     if fusion_regressed {
         let _ = writeln!(

@@ -163,7 +163,9 @@ impl CacheCounters {
     }
 }
 
-/// A lockup-free data cache with a configurable MSHR organization.
+/// The paper's lockup-free data cache: a [`TagArray`] fronted by one of
+/// the four MSHR organizations, servicing loads/stores while up to
+/// `MshrConfig`-many fetches are outstanding.
 ///
 /// # Examples
 ///
@@ -189,50 +191,6 @@ impl CacheCounters {
 /// assert_eq!(wakeups.len(), 1);
 /// assert!(cache.access_load(Addr(0x1000), Dest::Reg(PhysReg::int(2)), LoadFormat::WORD).is_hit());
 /// ```
-/// Counting filter over the low bits of in-transit block addresses. Every
-/// load and store probes the MSHRs for transit state before the tag array
-/// may report a hit; a zero count here proves "not in transit" from one
-/// array load, so the common un-aliased access never touches the MSHR
-/// maps. Counts (not bits) make removal exact on fill.
-#[derive(Debug, Clone)]
-struct TransitFilter {
-    counts: [u16; 64],
-}
-
-impl TransitFilter {
-    fn new() -> TransitFilter {
-        TransitFilter { counts: [0; 64] }
-    }
-
-    #[inline]
-    fn slot(block: BlockAddr) -> usize {
-        (block.0 as usize) & 63
-    }
-
-    /// `false` proves no fetch for `block` is outstanding.
-    #[inline]
-    fn maybe(&self, block: BlockAddr) -> bool {
-        self.counts[Self::slot(block)] != 0
-    }
-
-    #[inline]
-    fn inc(&mut self, block: BlockAddr) {
-        self.counts[Self::slot(block)] += 1;
-    }
-
-    #[inline]
-    fn dec(&mut self, block: BlockAddr) {
-        debug_assert!(
-            self.counts[Self::slot(block)] > 0,
-            "transit filter underflow"
-        );
-        self.counts[Self::slot(block)] -= 1;
-    }
-}
-
-/// The paper's lockup-free data cache: a [`TagArray`] fronted by one of
-/// the four MSHR organizations, servicing loads/stores while up to
-/// `MshrConfig`-many fetches are outstanding.
 #[derive(Debug, Clone)]
 pub struct LockupFreeCache {
     config: CacheConfig,
@@ -240,8 +198,6 @@ pub struct LockupFreeCache {
     /// and replacement policy (see [`crate::tag_array`]).
     tags: TagArray,
     mshrs: MshrBank,
-    /// Fast-path summary of the MSHRs' outstanding fetches.
-    transit: TransitFilter,
     counters: CacheCounters,
     wb_slot: u8,
     /// Victim buffer: most recently evicted blocks, newest last.
@@ -258,7 +214,6 @@ impl LockupFreeCache {
             config,
             tags,
             mshrs,
-            transit: TransitFilter::new(),
             counters: CacheCounters::default(),
             wb_slot: 0,
             victims: Vec::new(),
@@ -276,7 +231,6 @@ impl LockupFreeCache {
     pub fn reset(&mut self) {
         self.tags.reset();
         self.mshrs.reset();
-        self.transit = TransitFilter::new();
         self.counters = CacheCounters::default();
         self.wb_slot = 0;
         self.victims.clear();
@@ -302,14 +256,6 @@ impl LockupFreeCache {
     /// Direct access to the MSHR bank (for occupancy statistics).
     pub fn mshrs(&self) -> &MshrBank {
         &self.mshrs
-    }
-
-    /// `true` if a fetch for `block` is outstanding, resolved through the
-    /// [`TransitFilter`] first so the common un-aliased case never probes
-    /// the MSHR maps.
-    #[inline]
-    fn in_transit(&self, block: BlockAddr) -> bool {
-        self.transit.maybe(block) && self.mshrs.is_in_transit(block)
     }
 
     /// Records an evicted block in the victim buffer (if configured).
@@ -370,7 +316,25 @@ impl LockupFreeCache {
             self.counters.load_hits += 1;
             return LoadAccess::Hit;
         }
-        if !self.in_transit(block) && self.try_victim_swap(block) {
+        self.load_miss_decoded(decoded, dest, format)
+    }
+
+    /// The miss half of [`LockupFreeCache::access_load_decoded`], for a
+    /// caller that has just seen the tag probe miss (the direct-mapped
+    /// fused kernel's [`LockupFreeCache::load_hit_direct`] returned
+    /// `false`, with no fill since): checks the victim buffer, then
+    /// presents the miss to the MSHRs, without probing the tags again.
+    pub fn load_miss_decoded(
+        &mut self,
+        decoded: &DecodedAddr,
+        dest: Dest,
+        format: LoadFormat,
+    ) -> LoadAccess {
+        let block = decoded.block;
+        if self.config.victim_entries != 0
+            && !self.mshrs.is_in_transit(block)
+            && self.try_victim_swap(block)
+        {
             self.counters.victim_hits += 1;
             return LoadAccess::VictimHit;
         }
@@ -385,7 +349,6 @@ impl LockupFreeCache {
             MshrResponse::Accepted(kind) => {
                 match kind {
                     MissKind::Primary => {
-                        self.transit.inc(block);
                         self.counters.load_primary_misses += 1;
                         if self.config.mshr.evicts_on_miss() {
                             self.claim_victim_for_transit(block);
@@ -435,11 +398,8 @@ impl LockupFreeCache {
                 };
                 match self.mshrs.try_load_miss(&req) {
                     MshrResponse::Accepted(kind) => {
-                        if kind == MissKind::Primary {
-                            self.transit.inc(block);
-                            if self.config.mshr.evicts_on_miss() {
-                                self.claim_victim_for_transit(block);
-                            }
+                        if kind == MissKind::Primary && self.config.mshr.evicts_on_miss() {
+                            self.claim_victim_for_transit(block);
                         }
                         StoreAccess::MissAllocateTracked(kind)
                     }
@@ -514,14 +474,7 @@ impl LockupFreeCache {
             self.remember_victim(victim);
         }
         self.counters.fills += 1;
-        let before = out.len();
         self.mshrs.fill_into(block, out);
-        if out.len() > before {
-            // Every tracked primary carries at least one target, so a
-            // non-empty drain is exactly "a fetch was outstanding"; a
-            // blocking-cache fill drains nothing and decrements nothing.
-            self.transit.dec(block);
-        }
     }
 
     /// `true` if `block` currently resides in the cache (ignoring transit).

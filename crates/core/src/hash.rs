@@ -1,20 +1,17 @@
-//! A fast, deterministic hasher for the simulator's hot-path maps.
+//! A fast, deterministic hasher for the simulator's hash maps.
 //!
-//! The MSHR organizations key their in-flight state by
-//! [`BlockAddr`](crate::types::BlockAddr) (and
-//! small integers), and the cache probes those maps on **every** memory
-//! access — `is_in_transit` runs before the tag array can even report a
-//! hit. `std`'s default SipHash is keyed for HashDoS resistance the
-//! simulator does not need (all keys come from the trace, not a network),
-//! and its setup cost dominates a probe of a map holding a handful of
-//! block addresses. This module provides the classic Fibonacci
+//! The highly associative tag arrays index their resident blocks by
+//! [`BlockAddr`](crate::types::BlockAddr), and the compiler model keys
+//! its register assignments by virtual register. `std`'s default SipHash
+//! is keyed for HashDoS resistance the simulator does not need (all keys
+//! come from the trace, not a network), and its setup cost dominates a
+//! probe of a small map. This module provides the classic Fibonacci
 //! multiply-xor construction instead: a couple of arithmetic instructions
 //! per word, no per-map random state, identical across runs and machines.
 //!
-//! Determinism is a feature beyond speed: map iteration order (e.g. the
-//! inverted MSHR's match-encoder scan in its `fill`) becomes a pure
-//! function of the access sequence, so replays and golden tests can never
-//! diverge on hasher seeding.
+//! Determinism is a feature beyond speed: map iteration order becomes a
+//! pure function of the insertion sequence, so replays and golden tests
+//! can never diverge on hasher seeding.
 
 // nbl-allow(determinism): this module builds the fixed-seed wrapper everyone else uses
 use std::collections::HashMap;

@@ -11,10 +11,10 @@
 //!   set: `entries = Unlimited`, `max_fetches_per_set = N`.
 //! * Fig. 14's implicit/explicit/hybrid sweep — vary `targets`.
 
-use super::targets::{TargetPolicy, TargetStorage};
-use super::{MissKind, MissRequest, MshrResponse, Rejection, TargetRecord};
+use super::slots::FetchSlots;
+use super::targets::TargetPolicy;
+use super::{MissRequest, MshrResponse, Rejection, TargetRecord};
 use crate::geometry::CacheGeometry;
-use crate::hash::FastMap;
 use crate::limit::Limit;
 use crate::types::BlockAddr;
 
@@ -45,41 +45,22 @@ impl Default for RegisterFileConfig {
     }
 }
 
-/// One in-flight entry.
-#[derive(Debug, Clone)]
-struct Entry {
-    set: u32,
-    targets: TargetStorage,
-}
-
 /// The dynamic state of a file of discrete register MSHRs.
 #[derive(Debug, Clone)]
 pub struct RegisterMshrFile {
     config: RegisterFileConfig,
-    geometry: CacheGeometry,
-    /// In-flight entries keyed by block address (the associative search of
-    /// the comparators in Figs. 1 and 2).
-    entries: FastMap<BlockAddr, Entry>,
-    /// In-flight fetch count per set, maintained incrementally.
-    per_set: FastMap<u32, u32>,
-    /// Total waiting target records across all entries.
-    total_misses: usize,
-    /// Recycled target storages: every fill returns its entry's storage
-    /// here and every primary miss takes one back, so a warm replay
-    /// allocates a storage only while growing past its high-water mark.
-    spare: Vec<TargetStorage>,
+    /// The in-flight entries: one flat slot per MSHR, searched by block
+    /// (the associative search of the comparators in Figs. 1 and 2), with
+    /// per-set fetch counts indexed by set.
+    slots: FetchSlots,
 }
 
 impl RegisterMshrFile {
     /// Creates an empty file.
     pub fn new(config: RegisterFileConfig, geometry: &CacheGeometry) -> RegisterMshrFile {
         RegisterMshrFile {
+            slots: FetchSlots::new(config.targets, geometry),
             config,
-            geometry: *geometry,
-            entries: FastMap::default(),
-            per_set: FastMap::default(),
-            total_misses: 0,
-            spare: Vec::new(),
         }
     }
 
@@ -88,15 +69,10 @@ impl RegisterMshrFile {
         &self.config
     }
 
-    /// Empties the file back to its as-built state, keeping the entry
-    /// maps' buckets and the recycled target storages for reuse.
+    /// Empties the file back to its as-built state, keeping every slot's
+    /// target storage for reuse.
     pub fn reset(&mut self) {
-        for (_, mut entry) in self.entries.drain() {
-            entry.targets.clear();
-            self.spare.push(entry.targets);
-        }
-        self.per_set.clear();
-        self.total_misses = 0;
+        self.slots.reset();
     }
 
     /// Presents a load miss.
@@ -105,7 +81,7 @@ impl RegisterMshrFile {
         if !self
             .config
             .max_outstanding_misses
-            .allows_one_more(self.total_misses)
+            .allows_one_more(self.slots.outstanding_misses())
         {
             return MshrResponse::Rejected(Rejection::MissLimit);
         }
@@ -114,45 +90,26 @@ impl RegisterMshrFile {
             offset: req.offset,
             format: req.format,
         };
-        if let Some(entry) = self.entries.get_mut(&req.block) {
+        if let Some(slot) = self.slots.find(req.block) {
             // Outstanding fetch for this block: try to merge (secondary miss).
-            return match entry.targets.try_add(record) {
-                Ok(()) => {
-                    self.total_misses += 1;
-                    MshrResponse::Accepted(MissKind::Secondary)
-                }
-                Err(reason) => MshrResponse::Rejected(reason),
-            };
+            return self.slots.merge(slot, record);
         }
         // New block: need a free MSHR and per-set headroom.
-        if !self.config.entries.allows_one_more(self.entries.len()) {
+        if !self
+            .config
+            .entries
+            .allows_one_more(self.slots.outstanding_fetches())
+        {
             return MshrResponse::Rejected(Rejection::NoFreeMshr);
         }
-        let in_set = self.per_set.get(&req.set).copied().unwrap_or(0) as usize;
-        if !self.config.max_fetches_per_set.allows_one_more(in_set) {
+        if !self
+            .config
+            .max_fetches_per_set
+            .allows_one_more(self.slots.fetches_in_set(req.set))
+        {
             return MshrResponse::Rejected(Rejection::PerSetFetchLimit);
         }
-        let mut targets = self
-            .spare
-            .pop()
-            .unwrap_or_else(|| TargetStorage::new(self.config.targets, &self.geometry));
-        match targets.try_add(record) {
-            Ok(()) => {}
-            Err(reason) => {
-                self.spare.push(targets);
-                return MshrResponse::Rejected(reason);
-            }
-        }
-        self.entries.insert(
-            req.block,
-            Entry {
-                set: req.set,
-                targets,
-            },
-        );
-        *self.per_set.entry(req.set).or_insert(0) += 1;
-        self.total_misses += 1;
-        MshrResponse::Accepted(MissKind::Primary)
+        self.slots.allocate(req.block, req.set, record)
     }
 
     /// Completes the fetch of `block`, returning all waiting targets.
@@ -163,59 +120,43 @@ impl RegisterMshrFile {
     }
 
     /// Completes the fetch of `block`, appending all waiting targets to
-    /// `out` — the allocation-free twin of [`RegisterMshrFile::fill`]:
-    /// the entry's target storage is recycled for the next primary miss
-    /// instead of dropped.
+    /// `out` in arrival order — the allocation-free twin of
+    /// [`RegisterMshrFile::fill`]: the freed entry keeps its target
+    /// storage for the next primary miss.
+    #[inline]
     pub fn fill_into(&mut self, block: BlockAddr, out: &mut Vec<TargetRecord>) {
-        let Some(mut entry) = self.entries.remove(&block) else {
-            return;
-        };
-        let before = out.len();
-        entry.targets.drain_into(out);
-        self.total_misses -= out.len() - before;
-        self.spare.push(entry.targets);
-        debug_assert!(
-            self.per_set.contains_key(&entry.set),
-            "per-set count tracks entries"
-        );
-        if let Some(count) = self.per_set.get_mut(&entry.set) {
-            *count -= 1;
-            if *count == 0 {
-                self.per_set.remove(&entry.set);
-            }
-        }
+        self.slots.fill_into(block, out);
     }
 
-    /// `true` if a fetch for `block` is outstanding. Probed on every
-    /// access (before the tag array can report a hit), so the common
-    /// nothing-in-flight case short-circuits before hashing.
+    /// `true` if a fetch for `block` is outstanding.
     #[inline]
     pub fn is_in_transit(&self, block: BlockAddr) -> bool {
-        !self.entries.is_empty() && self.entries.contains_key(&block)
+        self.slots.find(block).is_some()
     }
 
     /// Number of in-flight fetches.
     #[inline]
     pub fn outstanding_fetches(&self) -> usize {
-        self.entries.len()
+        self.slots.outstanding_fetches()
     }
 
     /// Number of waiting target records (outstanding misses).
     #[inline]
     pub fn outstanding_misses(&self) -> usize {
-        self.total_misses
+        self.slots.outstanding_misses()
     }
 
     /// In-flight fetches mapping to `set`.
     #[inline]
     pub fn fetches_in_set(&self, set: u32) -> usize {
-        self.per_set.get(&set).copied().unwrap_or(0) as usize
+        self.slots.fetches_in_set(set)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mshr::MissKind;
     use crate::types::{Dest, LoadFormat, PhysReg};
 
     fn geom() -> CacheGeometry {

@@ -14,65 +14,39 @@
 //! * The number of MSHRs equals the number of cache lines, so there is no
 //!   global entry limit worth modeling.
 
-use super::targets::{TargetPolicy, TargetStorage};
-use super::{MissKind, MissRequest, MshrResponse, Rejection, TargetRecord};
+use super::slots::FetchSlots;
+use super::targets::TargetPolicy;
+use super::{MissRequest, MshrResponse, Rejection, TargetRecord};
 use crate::geometry::CacheGeometry;
-use crate::hash::FastMap;
 use crate::types::BlockAddr;
-
-/// One line-resident in-flight fetch.
-#[derive(Debug, Clone)]
-struct TransitLine {
-    block: BlockAddr,
-    targets: TargetStorage,
-}
 
 /// Dynamic state of the in-cache MSHR organization.
 #[derive(Debug, Clone)]
 pub struct InCacheMshr {
-    targets_policy: TargetPolicy,
-    geometry: CacheGeometry,
-    /// Transit lines per set (at most `ways` per set).
-    per_set: FastMap<u32, Vec<TransitLine>>,
-    /// Block → set reverse index for `fill`/`is_in_transit`.
-    by_block: FastMap<BlockAddr, u32>,
-    total_misses: usize,
-    /// Recycled target storages: every fill returns its line's storage here
-    /// and every new primary miss takes one back, so a warmed-up MSHR
-    /// allocates nothing on the miss/fill path.
-    spare: Vec<TargetStorage>,
+    ways: usize,
+    /// The transit lines: one flat slot per in-flight fetch, with the
+    /// per-set count of lines in transit indexed by set.
+    slots: FetchSlots,
 }
 
 impl InCacheMshr {
     /// Creates the organization for a cache of the given geometry.
     pub fn new(targets_policy: TargetPolicy, geometry: &CacheGeometry) -> InCacheMshr {
         InCacheMshr {
-            targets_policy,
-            geometry: *geometry,
-            per_set: FastMap::default(),
-            by_block: FastMap::default(),
-            total_misses: 0,
-            spare: Vec::new(),
+            ways: geometry.ways() as usize,
+            slots: FetchSlots::new(targets_policy, geometry),
         }
     }
 
-    /// Clears all dynamic state while keeping every allocation (per-set
-    /// vectors, hash-map capacity, recycled target storages) for reuse by
-    /// the next run on the same worker.
+    /// Clears all dynamic state while keeping every slot's target storage
+    /// for reuse by the next run on the same worker.
     pub fn reset(&mut self) {
-        for lines in self.per_set.values_mut() {
-            for mut line in lines.drain(..) {
-                line.targets.clear();
-                self.spare.push(line.targets);
-            }
-        }
-        self.by_block.clear();
-        self.total_misses = 0;
+        self.slots.reset();
     }
 
     /// The target-field layout stored in each transit line.
     pub fn targets_policy(&self) -> TargetPolicy {
-        self.targets_policy
+        self.slots.policy()
     }
 
     /// Presents a load miss.
@@ -82,39 +56,15 @@ impl InCacheMshr {
             offset: req.offset,
             format: req.format,
         };
-        let lines = self.per_set.entry(req.set).or_default();
-        if let Some(line) = lines.iter_mut().find(|l| l.block == req.block) {
-            return match line.targets.try_add(record) {
-                Ok(()) => {
-                    self.total_misses += 1;
-                    MshrResponse::Accepted(MissKind::Secondary)
-                }
-                Err(reason) => MshrResponse::Rejected(reason),
-            };
+        if let Some(slot) = self.slots.find(req.block) {
+            return self.slots.merge(slot, record);
         }
         // A new primary miss needs a line in the set to live in. Lines
         // already in transit cannot be claimed.
-        if lines.len() >= self.geometry.ways() as usize {
+        if self.slots.fetches_in_set(req.set) >= self.ways {
             return MshrResponse::Rejected(Rejection::PerSetFetchLimit);
         }
-        let mut targets = self
-            .spare
-            .pop()
-            .unwrap_or_else(|| TargetStorage::new(self.targets_policy, &self.geometry));
-        match targets.try_add(record) {
-            Ok(()) => {}
-            Err(reason) => {
-                self.spare.push(targets);
-                return MshrResponse::Rejected(reason);
-            }
-        }
-        lines.push(TransitLine {
-            block: req.block,
-            targets,
-        });
-        self.by_block.insert(req.block, req.set);
-        self.total_misses += 1;
-        MshrResponse::Accepted(MissKind::Primary)
+        self.slots.allocate(req.block, req.set, record)
     }
 
     /// Completes the fetch of `block`.
@@ -125,54 +75,36 @@ impl InCacheMshr {
     }
 
     /// Completes the fetch of `block`, appending the waiting targets to
-    /// `out` — the allocation-free twin of [`InCacheMshr::fill`]: the
-    /// line's target storage is recycled for the next primary miss.
+    /// `out` in arrival order — the allocation-free twin of
+    /// [`InCacheMshr::fill`]: the freed line keeps its target storage for
+    /// the next primary miss.
+    #[inline]
     pub fn fill_into(&mut self, block: BlockAddr, out: &mut Vec<TargetRecord>) {
-        let Some(set) = self.by_block.remove(&block) else {
-            return;
-        };
-        debug_assert!(self.per_set.contains_key(&set), "by_block tracks per_set");
-        let Some(lines) = self.per_set.get_mut(&set) else {
-            return;
-        };
-        let Some(idx) = lines.iter().position(|l| l.block == block) else {
-            debug_assert!(false, "by_block tracks per_set");
-            return;
-        };
-        // The emptied per-set vector stays in the map: sets that miss once
-        // miss again, and keeping the allocation avoids a free/alloc cycle
-        // per fetch.
-        let mut line = lines.swap_remove(idx);
-        let before = out.len();
-        line.targets.drain_into(out);
-        self.total_misses -= out.len() - before;
-        self.spare.push(line.targets);
+        self.slots.fill_into(block, out);
     }
 
-    /// `true` if a fetch for `block` is outstanding. Probed on every
-    /// access (before the tag array can report a hit), so the common
-    /// nothing-in-flight case short-circuits before hashing.
+    /// `true` if a fetch for `block` is outstanding.
     #[inline]
     pub fn is_in_transit(&self, block: BlockAddr) -> bool {
-        !self.by_block.is_empty() && self.by_block.contains_key(&block)
+        self.slots.find(block).is_some()
     }
 
     /// Number of in-flight fetches.
     #[inline]
     pub fn outstanding_fetches(&self) -> usize {
-        self.by_block.len()
+        self.slots.outstanding_fetches()
     }
 
     /// Number of waiting target records.
     #[inline]
     pub fn outstanding_misses(&self) -> usize {
-        self.total_misses
+        self.slots.outstanding_misses()
     }
 
     /// In-flight fetches mapping to `set`.
     #[inline]
     pub fn fetches_in_set(&self, set: u32) -> usize {
-        self.per_set.get(&set).map_or(0, Vec::len)
+        self.slots.fetches_in_set(set)
     }
 }
 
@@ -180,6 +112,7 @@ impl InCacheMshr {
 mod tests {
     use super::*;
     use crate::limit::Limit;
+    use crate::mshr::MissKind;
     use crate::types::{Dest, LoadFormat, PhysReg};
 
     fn req(block: u64, set: u32, offset: u32, reg: u8) -> MissRequest {

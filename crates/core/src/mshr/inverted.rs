@@ -13,8 +13,8 @@
 //! for at most one load, which the processor's scoreboard already
 //! guarantees. This is the paper's "no restrict" curve.
 
+use super::slots::FREE;
 use super::{MissKind, MissRequest, MshrResponse, Rejection, TargetRecord};
-use crate::hash::FastMap;
 use crate::types::{BlockAddr, Dest, LoadFormat, REGS_PER_CLASS};
 
 /// Sizing of an [`InvertedMshr`].
@@ -53,24 +53,57 @@ impl Default for InvertedConfig {
     }
 }
 
-/// One valid destination entry.
+/// Destination slots before the write-buffer range: the 64 registers
+/// (by dense index) and the program counter.
+const WB_BASE: usize = 2 * REGS_PER_CLASS as usize + 1;
+
+/// First prefetch-buffer slot: one write-buffer slot per possible index.
+const PF_BASE: usize = WB_BASE + 256;
+
+/// One destination entry: the block it waits for ([`FREE`] when the
+/// valid bit is clear) and what to deliver.
 #[derive(Debug, Clone, Copy)]
 struct EntryState {
     block: BlockAddr,
+    dest: Dest,
     offset: u32,
     format: LoadFormat,
+}
+
+impl EntryState {
+    const INVALID: EntryState = EntryState {
+        block: FREE,
+        dest: Dest::Pc,
+        offset: 0,
+        format: LoadFormat::WORD,
+    };
 }
 
 /// Dynamic state of the inverted MSHR.
 #[derive(Debug, Clone)]
 pub struct InvertedMshr {
     config: InvertedConfig,
-    /// Valid entries keyed by destination (the per-destination field rows of
-    /// Fig. 3; the valid bit is membership).
-    entries: FastMap<Dest, EntryState>,
-    /// Outstanding-fetch index: block → number of waiting destinations.
-    /// Models the associative search + match encoder without a full scan.
-    fetches: FastMap<BlockAddr, u32>,
+    /// One entry per destination, indexed by [`slot_of`] (the
+    /// per-destination field rows of Fig. 3). Grown on first use of a
+    /// slot, so a register-only run holds 65 entries.
+    entries: Vec<EntryState>,
+    /// The valid entries' slots, in allocation order: the match encoder
+    /// of a fill walks only these.
+    valid: Vec<u16>,
+    /// The blocks being fetched (the short fetch list).
+    fetches: Vec<BlockAddr>,
+}
+
+/// The entry slot of a destination: registers by dense index, then the
+/// program counter, then one slot per write-buffer and prefetch index.
+#[inline]
+fn slot_of(dest: Dest) -> usize {
+    match dest {
+        Dest::Reg(r) => r.dense_index(),
+        Dest::Pc => WB_BASE - 1,
+        Dest::WriteBuffer(i) => WB_BASE + usize::from(i),
+        Dest::Prefetch(i) => PF_BASE + usize::from(i),
+    }
 }
 
 impl InvertedMshr {
@@ -78,8 +111,9 @@ impl InvertedMshr {
     pub fn new(config: InvertedConfig) -> InvertedMshr {
         InvertedMshr {
             config,
-            entries: FastMap::default(),
-            fetches: FastMap::default(),
+            entries: vec![EntryState::INVALID; WB_BASE],
+            valid: Vec::new(),
+            fetches: Vec::new(),
         }
     }
 
@@ -88,10 +122,13 @@ impl InvertedMshr {
         self.config
     }
 
-    /// Clears all dynamic state while keeping the hash-map capacity for
+    /// Clears all dynamic state while keeping the arrays' capacity for
     /// reuse by the next run on the same worker.
     pub fn reset(&mut self) {
-        self.entries.clear();
+        for &slot in &self.valid {
+            self.entries[usize::from(slot)].block = FREE;
+        }
+        self.valid.clear();
         self.fetches.clear();
     }
 
@@ -102,23 +139,30 @@ impl InvertedMshr {
     /// (secondary). The only rejection is a destination already waiting,
     /// which a scoreboarded in-order processor never produces.
     pub fn try_load_miss(&mut self, req: &MissRequest) -> MshrResponse {
-        if self.entries.contains_key(&req.dest) {
+        debug_assert!(
+            req.block != FREE,
+            "block address collides with the free marker"
+        );
+        let slot = slot_of(req.dest);
+        if slot >= self.entries.len() {
+            self.entries.resize(slot + 1, EntryState::INVALID);
+        }
+        if self.entries[slot].block != FREE {
             return MshrResponse::Rejected(Rejection::DestinationBusy);
         }
-        self.entries.insert(
-            req.dest,
-            EntryState {
-                block: req.block,
-                offset: req.offset,
-                format: req.format,
-            },
-        );
-        let waiting = self.fetches.entry(req.block).or_insert(0);
-        *waiting += 1;
-        if *waiting == 1 {
-            MshrResponse::Accepted(MissKind::Primary)
-        } else {
+        self.entries[slot] = EntryState {
+            block: req.block,
+            dest: req.dest,
+            offset: req.offset,
+            format: req.format,
+        };
+        // Slots stop below PF_BASE + 256, so they fit a u16.
+        self.valid.push(slot as u16);
+        if self.fetches.contains(&req.block) {
             MshrResponse::Accepted(MissKind::Secondary)
+        } else {
+            self.fetches.push(req.block);
+            MshrResponse::Accepted(MissKind::Primary)
         }
     }
 
@@ -131,31 +175,33 @@ impl InvertedMshr {
     }
 
     /// Completes the fetch of `block`, appending the waiting targets to
-    /// `out` — the allocation-free twin of [`InvertedMshr::fill`].
+    /// `out` in the order their entries became valid — the
+    /// allocation-free twin of [`InvertedMshr::fill`].
     pub fn fill_into(&mut self, block: BlockAddr, out: &mut Vec<TargetRecord>) {
-        if self.fetches.remove(&block).is_none() {
+        let Some(pos) = self.fetches.iter().position(|&b| b == block) else {
             return;
-        }
-        self.entries.retain(|dest, state| {
-            if state.block == block {
-                out.push(TargetRecord {
-                    dest: *dest,
-                    offset: state.offset,
-                    format: state.format,
-                });
-                false
-            } else {
-                true
+        };
+        self.fetches.swap_remove(pos);
+        let entries = &mut self.entries;
+        self.valid.retain(|&slot| {
+            let entry = &mut entries[usize::from(slot)];
+            if entry.block != block {
+                return true;
             }
+            out.push(TargetRecord {
+                dest: entry.dest,
+                offset: entry.offset,
+                format: entry.format,
+            });
+            entry.block = FREE;
+            false
         });
     }
 
-    /// `true` if a fetch for `block` is outstanding. Probed on every
-    /// access (before the tag array can report a hit), so the common
-    /// nothing-in-flight case short-circuits before hashing.
+    /// `true` if a fetch for `block` is outstanding.
     #[inline]
     pub fn is_in_transit(&self, block: BlockAddr) -> bool {
-        !self.fetches.is_empty() && self.fetches.contains_key(&block)
+        self.fetches.contains(&block)
     }
 
     /// Number of distinct blocks being fetched.
@@ -167,7 +213,7 @@ impl InvertedMshr {
     /// Number of destinations waiting for data.
     #[inline]
     pub fn outstanding_misses(&self) -> usize {
-        self.entries.len()
+        self.valid.len()
     }
 
     /// The inverted MSHR imposes no per-set limits; this always reports the

@@ -22,9 +22,10 @@
 //! classifies the miss as **primary** (a new fetch must be launched),
 //! **secondary** (merged into an outstanding fetch), or rejected — in which
 //! case the processor takes a **structural-stall** (the paper's
-//! structural-stall miss). When fetch data returns, [`MshrBank::fill`]
-//! surfaces every waiting [`TargetRecord`] so the register file can be
-//! written — all at once, per the paper's multi-write-port assumption.
+//! structural-stall miss). When fetch data returns,
+//! [`MshrBank::fill_into`] surfaces every waiting [`TargetRecord`] so the
+//! register file can be written — all at once, per the paper's
+//! multi-write-port assumption.
 
 /// Hardware-cost model (comparators, storage bits) per MSHR organization.
 pub mod cost;
@@ -34,6 +35,9 @@ pub mod file;
 pub mod incache;
 /// The inverted MSHR organization: one entry per destination register.
 pub mod inverted;
+/// Flat slot-stable fetch storage behind the register-file and in-cache
+/// organizations.
+mod slots;
 /// Per-miss target records and the bounded target-list storage.
 pub mod targets;
 
@@ -258,20 +262,9 @@ impl MshrBank {
     }
 
     /// Completes the fetch of `block`: releases the tracking resources and
-    /// returns every waiting target so the caller can deliver data to all of
-    /// them simultaneously.
-    ///
-    /// Returns an empty vector if no fetch for `block` was outstanding
-    /// (e.g. a blocking-cache fill).
-    pub fn fill(&mut self, block: BlockAddr) -> Vec<TargetRecord> {
-        let mut records = Vec::new();
-        self.fill_into(block, &mut records);
-        records
-    }
-
-    /// Completes the fetch of `block`, appending every waiting target to
-    /// `out` — the allocation-free twin of [`MshrBank::fill`] used by the
-    /// cache's recycled-fill path.
+    /// appends every waiting target to `out`, so the caller can deliver
+    /// data to all of them simultaneously. Appends nothing if no fetch for
+    /// `block` was outstanding (e.g. a blocking-cache fill).
     pub fn fill_into(&mut self, block: BlockAddr, out: &mut Vec<TargetRecord>) {
         match self {
             MshrBank::Blocking => {}
@@ -361,7 +354,9 @@ mod tests {
         assert_eq!(bank.outstanding_fetches(), 0);
         assert_eq!(bank.outstanding_misses(), 0);
         assert!(!bank.is_in_transit(BlockAddr(1)));
-        assert!(bank.fill(BlockAddr(1)).is_empty());
+        let mut woken = Vec::new();
+        bank.fill_into(BlockAddr(1), &mut woken);
+        assert!(woken.is_empty());
     }
 
     #[test]

@@ -224,14 +224,6 @@ impl TargetStorage {
         self.records.is_empty()
     }
 
-    /// Drains all recorded targets (called on fill).
-    pub fn drain(&mut self) -> Vec<TargetRecord> {
-        for o in &mut self.occupancy {
-            *o = 0;
-        }
-        std::mem::take(&mut self.records)
-    }
-
     /// Discards all recorded targets, keeping the buffers' capacity (the
     /// recycling twin of [`TargetStorage::drain_into`] for resets where
     /// nobody wants the records).
@@ -242,10 +234,10 @@ impl TargetStorage {
         self.records.clear();
     }
 
-    /// Appends all recorded targets to `out` and resets the storage for
-    /// reuse — unlike [`TargetStorage::drain`] the internal record buffer
-    /// keeps its capacity, so a recycled storage records its next fetch's
-    /// targets without allocating (the warm-replay fill path).
+    /// Appends all recorded targets to `out` (called on fill) and resets
+    /// the storage for reuse. The record buffer keeps its capacity, so the
+    /// slot's next fetch records its targets without allocating (the
+    /// warm-replay fill path).
     pub fn drain_into(&mut self, out: &mut Vec<TargetRecord>) {
         for o in &mut self.occupancy {
             *o = 0;
@@ -358,7 +350,8 @@ mod tests {
         let mut st = TargetStorage::new(TargetPolicy::explicit(Limit::Finite(2)), &geom());
         st.try_add(rec(0, 1)).unwrap();
         st.try_add(rec(8, 2)).unwrap();
-        let drained = st.drain();
+        let mut drained = Vec::new();
+        st.drain_into(&mut drained);
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].dest, Dest::Reg(PhysReg::int(1)));
         assert_eq!(drained[1].dest, Dest::Reg(PhysReg::int(2)));

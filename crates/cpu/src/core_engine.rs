@@ -300,15 +300,12 @@ impl Core {
     }
 
     /// Applies one fill on the processor side: wakes every waiting
-    /// register and updates the sampler at the fill's own timestamp.
-    fn apply_fill(&mut self, fill: &FillEvent) {
-        self.sampler.advance(fill.at);
-        for r in &fill.targets {
-            if let Dest::Reg(reg) = r.dest {
-                self.scoreboard.clear(reg);
-            }
-        }
-        self.sampler.on_fill(fill.targets.len());
+    /// register with one scoreboard mask clear and updates the sampler at
+    /// the fill's own timestamp.
+    fn apply_fill(scoreboard: &mut Scoreboard, sampler: &mut InFlightSampler, fill: FillEvent) {
+        sampler.advance(fill.at);
+        scoreboard.clear_mask(fill.woken_regs);
+        sampler.on_fill(fill.targets as usize);
     }
 
     /// Processes every fetch that has completed by the current time.
@@ -320,15 +317,7 @@ impl Core {
             now,
             ..
         } = self;
-        mem.advance_to(*now, |fill| {
-            sampler.advance(fill.at);
-            for r in &fill.targets {
-                if let Dest::Reg(reg) = r.dest {
-                    scoreboard.clear(reg);
-                }
-            }
-            sampler.on_fill(fill.targets.len());
-        });
+        mem.advance_to(*now, |fill| Self::apply_fill(scoreboard, sampler, fill));
     }
 
     /// Stalls (charging `cause`) until the earliest outstanding fetch
@@ -345,8 +334,7 @@ impl Core {
             .advance_to_next_event()
             .map_err(|_| EngineError::NoOutstandingFetch)?;
         self.stall_until(fill.at, cause);
-        self.apply_fill(&fill);
-        self.mem.recycle_fill(fill);
+        Self::apply_fill(&mut self.scoreboard, &mut self.sampler, fill);
         Ok(())
     }
 
@@ -715,7 +703,7 @@ impl Core {
                             }
                             let hit = core.mem.load_hit_direct(&e.decoded, core.now);
                             if !hit {
-                                core.execute_load_decoded(&e.decoded, dst, format)?;
+                                core.execute_load_missed(&e.decoded, dst, format)?;
                             }
                             core.stats.loads += 1;
                             core.stats.instructions += 1;
@@ -764,7 +752,7 @@ impl Core {
                             GroupOp::Load { dst, format } => {
                                 let hit = core.mem.load_hit_direct(&e.decoded, core.now);
                                 if !hit {
-                                    core.execute_load_decoded(&e.decoded, dst, format)?;
+                                    core.execute_load_missed(&e.decoded, dst, format)?;
                                 }
                                 core.stats.loads += 1;
                                 hit
@@ -836,27 +824,46 @@ impl Core {
             return Ok(());
         }
         let decoded = self.mem.l1().config().geometry.decode(addr);
-        self.execute_load_decoded(&decoded, dst, format)
+        let resp = self
+            .mem
+            .access_load_decoded(&decoded, Dest::Reg(dst), format, self.now);
+        self.complete_load(resp, &decoded, dst, format)
     }
 
-    /// [`Core::execute_load`] with the address pre-decoded under this
-    /// engine's L1 geometry — the fused group step decodes each barrier
-    /// entry once and hands the split to every engine.
-    fn execute_load_decoded(
+    /// The direct-mapped fused kernel's miss fallback: `decoded`'s tag
+    /// probe just missed ([`MemorySystem::load_hit_direct`]), so the first
+    /// attempt skips straight to the miss path
+    /// ([`MemorySystem::load_miss_direct`]); a structural retry probes
+    /// again in full, since the fill it waited for may have brought the
+    /// line in.
+    fn execute_load_missed(
         &mut self,
         decoded: &DecodedAddr,
         dst: PhysReg,
         format: LoadFormat,
     ) -> Result<(), EngineError> {
-        if self.perfect {
-            return Ok(());
-        }
+        debug_assert!(
+            !self.perfect,
+            "the direct kernel never runs a perfect cache"
+        );
+        let resp = self
+            .mem
+            .load_miss_direct(decoded, Dest::Reg(dst), format, self.now);
+        self.complete_load(resp, decoded, dst, format)
+    }
+
+    /// Applies a load's port response on the processor side, waiting for
+    /// a fill and retrying the access after each structural rejection.
+    fn complete_load(
+        &mut self,
+        mut resp: LoadResponse,
+        decoded: &DecodedAddr,
+        dst: PhysReg,
+        format: LoadFormat,
+    ) -> Result<(), EngineError> {
         let mut stalled_structurally = false;
         loop {
-            match self
-                .mem
-                .access_load_decoded(decoded, Dest::Reg(dst), format, self.now)
-            {
+            match resp {
                 LoadResponse::Hit => break,
                 LoadResponse::VictimHit => {
                     // One cycle to swap the line back from the victim
@@ -886,6 +893,9 @@ impl Core {
                         self.stats.structural_stall_misses += 1;
                     }
                     self.wait_for_next_fill(StallCause::Structural)?;
+                    resp = self
+                        .mem
+                        .access_load_decoded(decoded, Dest::Reg(dst), format, self.now);
                 }
             }
         }
@@ -1103,8 +1113,7 @@ impl Core {
             if fill.at > self.now {
                 self.now = fill.at;
             }
-            self.apply_fill(&fill);
-            self.mem.recycle_fill(fill);
+            Self::apply_fill(&mut self.scoreboard, &mut self.sampler, fill);
         }
         self.sampler.advance(self.now);
     }

@@ -51,11 +51,12 @@ impl Scoreboard {
         self.pending |= Self::bit(reg);
     }
 
-    /// Marks `reg` valid (its load data arrived). Idempotent, because a
-    /// fill may name destinations (PC, write buffer) that were never marked.
+    /// Marks every register in `mask` valid at once (bit `i` = dense
+    /// index `i`): how a fill wakes all of its waiting registers.
+    /// Idempotent: clearing a register that is not pending is a no-op.
     #[inline]
-    pub fn clear(&mut self, reg: PhysReg) {
-        self.pending &= !Self::bit(reg);
+    pub fn clear_mask(&mut self, mask: u64) {
+        self.pending &= !mask;
     }
 
     /// Number of registers currently pending (one popcount of the word).
@@ -92,19 +93,32 @@ mod tests {
         assert!(!sb.is_pending(f), "int and fp files are distinct");
         sb.set_pending(f);
         assert_eq!(sb.pending_count(), 2);
-        sb.clear(r);
+        sb.clear_mask(Scoreboard::bit(r));
         assert!(!sb.is_pending(r));
         assert!(sb.is_pending(f));
-        sb.clear(f);
+        sb.clear_mask(Scoreboard::bit(f));
         assert!(!sb.any_pending());
+    }
+
+    #[test]
+    fn clear_mask_wakes_exactly_the_masked_registers() {
+        let mut sb = Scoreboard::new();
+        for r in [PhysReg::int(2), PhysReg::int(9), PhysReg::fp(9)] {
+            sb.set_pending(r);
+        }
+        sb.clear_mask(1 << PhysReg::int(2).dense_index() | 1 << PhysReg::fp(9).dense_index());
+        assert!(!sb.is_pending(PhysReg::int(2)));
+        assert!(sb.is_pending(PhysReg::int(9)));
+        assert!(!sb.is_pending(PhysReg::fp(9)));
+        assert_eq!(sb.pending_count(), 1);
     }
 
     #[test]
     fn clear_is_idempotent() {
         let mut sb = Scoreboard::new();
         sb.set_pending(PhysReg::int(0));
-        sb.clear(PhysReg::int(0));
-        sb.clear(PhysReg::int(0));
+        sb.clear_mask(Scoreboard::bit(PhysReg::int(0)));
+        sb.clear_mask(Scoreboard::bit(PhysReg::int(0)));
         assert_eq!(sb.pending_count(), 0);
     }
 

@@ -5,15 +5,17 @@
 //! constant number of cycles is required to fetch a cache line from the
 //! memory into the cache."
 //!
-//! With the paper's constant latency, fetches complete in issue order; the
+//! In-flight fetches wait in an in-order fill queue sorted by completion
+//! time, ties broken by issue order. With the paper's constant latency
+//! (and with a bandwidth gap, which only pushes completions later),
+//! fetches complete in issue order, so every insert is an append. The
 //! two-level-hierarchy extension issues fetches with *per-fetch* latency
 //! ([`PipelinedMemory::issue_fetch_after`] — an L2 hit returns sooner than
-//! an earlier L2 miss), so completions are kept in a min-heap ordered by
-//! completion time (ties broken by issue order).
+//! an earlier L2 miss); such a fetch is inserted ahead of the later
+//! completions it overtakes.
 
 use nbl_core::types::{BlockAddr, Cycle};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Errors from the memory model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +68,9 @@ pub struct PipelinedMemory {
     /// bandwidth-limited bus (ablation only).
     issue_gap: u32,
     last_ready: Cycle,
-    /// Min-heap by (completion time, issue sequence).
-    in_flight: BinaryHeap<Reverse<(Cycle, u64, BlockAddr)>>,
-    next_seq: u64,
+    /// The fill queue: in-flight fetches sorted by (completion time,
+    /// issue order), earliest at the front.
+    in_flight: VecDeque<CompletedFetch>,
 }
 
 impl PipelinedMemory {
@@ -95,8 +97,7 @@ impl PipelinedMemory {
             miss_penalty,
             issue_gap,
             last_ready: Cycle::ZERO,
-            in_flight: BinaryHeap::new(),
-            next_seq: 0,
+            in_flight: VecDeque::new(),
         }
     }
 
@@ -115,12 +116,11 @@ impl PipelinedMemory {
         self.miss_penalty
     }
 
-    /// Clears all in-flight state while keeping the heap's allocation for
+    /// Clears all in-flight state while keeping the queue's allocation for
     /// reuse by the next run on this worker.
     pub fn reset(&mut self) {
         self.in_flight.clear();
         self.last_ready = Cycle::ZERO;
-        self.next_seq = 0;
     }
 
     /// Launches a fetch of `block` at time `now`; its data arrives at
@@ -148,8 +148,10 @@ impl PipelinedMemory {
         if at > self.last_ready {
             self.last_ready = at;
         }
-        self.in_flight.push(Reverse((at, self.next_seq, block)));
-        self.next_seq += 1;
+        // The new fetch is the latest issued, so it goes after every fetch
+        // completing no later than it: an append unless it overtakes.
+        let pos = self.in_flight.partition_point(|f| f.at <= at);
+        self.in_flight.insert(pos, CompletedFetch { block, at });
         at
     }
 
@@ -164,15 +166,17 @@ impl PipelinedMemory {
     /// # Errors
     ///
     /// [`MemoryError::NoFetchOutstanding`] if the pipe is empty.
+    #[inline]
     pub fn next_completion(&self) -> Result<Cycle, MemoryError> {
         self.in_flight
-            .peek()
-            .map(|Reverse((at, _, _))| *at)
+            .front()
+            .map(|f| f.at)
             .ok_or(MemoryError::NoFetchOutstanding)
     }
 
     /// Removes and returns every fetch that has completed by `now`
     /// (inclusive), in completion order.
+    #[inline]
     pub fn drain_ready(&mut self, now: Cycle) -> DrainReady<'_> {
         DrainReady { memory: self, now }
     }
@@ -184,10 +188,10 @@ impl PipelinedMemory {
     /// # Errors
     ///
     /// [`MemoryError::NoFetchOutstanding`] if the pipe is empty.
+    #[inline]
     pub fn pop_next(&mut self) -> Result<CompletedFetch, MemoryError> {
         self.in_flight
-            .pop()
-            .map(|Reverse((at, _, block))| CompletedFetch { block, at })
+            .pop_front()
             .ok_or(MemoryError::NoFetchOutstanding)
     }
 }
@@ -202,10 +206,10 @@ pub struct DrainReady<'a> {
 impl Iterator for DrainReady<'_> {
     type Item = CompletedFetch;
 
+    #[inline]
     fn next(&mut self) -> Option<CompletedFetch> {
-        let Reverse((at, _, _)) = *self.memory.in_flight.peek()?;
-        if at <= self.now {
-            self.memory.pop_next().ok()
+        if self.memory.in_flight.front()?.at <= self.now {
+            self.memory.in_flight.pop_front()
         } else {
             None
         }
@@ -288,6 +292,74 @@ mod tests {
         m.issue_fetch_after(BlockAddr(6), Cycle(5), 5); // also ready at 10
         assert_eq!(m.pop_next().unwrap().block, BlockAddr(5));
         assert_eq!(m.pop_next().unwrap().block, BlockAddr(6));
+    }
+
+    /// Replays a seeded mix of per-fetch latencies (L2 hits overtaking
+    /// earlier misses), equal completion times and bandwidth gaps, with
+    /// `drain_ready` and `pop_next` interleaved. Against a reference that
+    /// sorts the queued fetches by (completion, issue sequence), every
+    /// `pop_next` must yield the first of that sort and every
+    /// `drain_ready` exactly its prefix completed by `now`.
+    #[test]
+    fn fill_queue_yields_completion_then_issue_order() {
+        use nbl_core::rng::SplitMix64;
+        for gap in [0u32, 1, 3] {
+            for seed in 0..20u64 {
+                let mut rng = SplitMix64::new(seed * 31 + u64::from(gap));
+                let mut m = PipelinedMemory::with_gap(12, gap);
+                // (completion, issue sequence, block) of every queued fetch.
+                let mut reference: Vec<(Cycle, u64, BlockAddr)> = Vec::new();
+                let take = |reference: &mut Vec<(Cycle, u64, BlockAddr)>, n: usize| {
+                    reference.sort();
+                    reference
+                        .drain(..n)
+                        .map(|(at, _, block)| CompletedFetch { block, at })
+                        .collect::<Vec<_>>()
+                };
+                let mut now = 0u64;
+                let (mut overtakes, mut ties) = (0, 0);
+                for seq in 0..200u64 {
+                    now += rng.next_below(3);
+                    let block = BlockAddr(seq);
+                    let at = match rng.next_below(4) {
+                        0 => m.issue_fetch(block, Cycle(now)),
+                        // Short latencies overtake, long ones land later;
+                        // the narrow range makes equal completions common.
+                        _ => {
+                            let lat = 1 + rng.next_below(14) as u32;
+                            m.issue_fetch_after(block, Cycle(now), lat)
+                        }
+                    };
+                    if reference.iter().any(|&(queued, _, _)| queued > at) {
+                        overtakes += 1;
+                    }
+                    if reference.iter().any(|&(queued, _, _)| queued == at) {
+                        ties += 1;
+                    }
+                    reference.push((at, seq, block));
+                    match rng.next_below(8) {
+                        0 => {
+                            let got: Vec<_> = m.pop_next().into_iter().collect();
+                            assert_eq!(got, take(&mut reference, 1), "gap {gap}, seed {seed}");
+                        }
+                        1 => {
+                            let got: Vec<_> = m.drain_ready(Cycle(now)).collect();
+                            let due = reference.iter().filter(|f| f.0 <= Cycle(now)).count();
+                            assert_eq!(got, take(&mut reference, due), "gap {gap}, seed {seed}");
+                        }
+                        _ => {}
+                    }
+                    assert_eq!(m.outstanding(), reference.len());
+                }
+                let rest: Vec<_> = std::iter::from_fn(|| m.pop_next().ok()).collect();
+                let n = reference.len();
+                assert_eq!(rest, take(&mut reference, n), "gap {gap}, seed {seed}");
+                // A gap serializes completions, so only the fully
+                // pipelined memory can be overtaken or tie.
+                assert_eq!(overtakes > 0, gap == 0, "gap {gap}, seed {seed}");
+                assert_eq!(ties > 0, gap == 0, "gap {gap}, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use crate::event::{
     AccessKind, AccessOutcome, MemEvent, MemEventSink, MemTrace, ReplayCause, ServiceLevel,
 };
-use crate::memory::{MemoryError, PipelinedMemory};
+use crate::memory::{CompletedFetch, MemoryError, PipelinedMemory};
 use crate::write_buffer::{RetirePolicy, WriteBuffer, WriteBufferStats};
 use nbl_core::cache::{CacheConfig, LoadAccess, LockupFreeCache, StoreAccess};
 use nbl_core::geometry::{CacheGeometry, DecodedAddr};
@@ -179,15 +179,22 @@ impl ReplayClassifier {
 
 /// One applied fill: the line is installed and all of its waiting targets
 /// woke simultaneously at `at`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The registers woken form one bitmask (bit `i` = the register with dense
+/// index `i`, [`nbl_core::types::PhysReg::dense_index`]), so the processor
+/// applies a fill with one scoreboard mask clear. `targets` counts every
+/// waiting target, registers or not (write-buffer slots, prefetch tags),
+/// so `woken_regs.count_ones() <= targets`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillEvent {
     /// The filled block.
     pub block: BlockAddr,
     /// Completion time.
     pub at: Cycle,
-    /// Every target that was waiting on the line (registers to mark
-    /// valid, write-buffer slots, prefetch tags).
-    pub targets: Vec<TargetRecord>,
+    /// The registers the fill made valid, as a dense-index bitmask.
+    pub woken_regs: u64,
+    /// Number of targets that were waiting on the line.
+    pub targets: u32,
 }
 
 /// Why a [`FusedMemGroup`] could not be formed over a set of memory
@@ -294,10 +301,9 @@ pub struct MemorySystem {
     /// emission.
     trace: Option<Box<MemTrace>>,
     next_txn: u64,
-    /// Recycled target vectors for [`FillEvent`]s: the processor hands each
-    /// consumed event back via [`MemorySystem::recycle_fill`], so a
-    /// warmed-up system builds fills without touching the allocator.
-    spare_targets: Vec<Vec<TargetRecord>>,
+    /// The one buffer every fill drains its MSHR targets through before
+    /// they fold into a [`FillEvent`]; always empty between fills.
+    fill_targets: Vec<TargetRecord>,
     /// Replay-cause classification state (only the replaying pipeline
     /// model reads or writes it).
     replay: ReplayClassifier,
@@ -330,7 +336,7 @@ impl MemorySystem {
             write_buffer: WriteBuffer::new(config.retire),
             trace: None,
             next_txn: 0,
-            spare_targets: Vec::new(),
+            fill_targets: Vec::new(),
             replay: ReplayClassifier::default(),
         }
     }
@@ -348,14 +354,6 @@ impl MemorySystem {
         self.trace = None;
         self.next_txn = 0;
         self.replay = ReplayClassifier::default();
-    }
-
-    /// Hands a consumed [`FillEvent`]'s target vector back for reuse by a
-    /// later fill. Dropping the event instead is always correct — this is
-    /// purely an allocation-avoidance fast path.
-    pub fn recycle_fill(&mut self, mut fill: FillEvent) {
-        fill.targets.clear();
-        self.spare_targets.push(fill.targets);
     }
 
     /// Starts recording every event into a fresh [`MemTrace`]: lifecycle
@@ -532,13 +530,9 @@ impl MemorySystem {
 
     /// Services a blocking miss synchronously: probes the hierarchy for
     /// the latency, installs the line, and returns the completion time
-    /// plus whatever targets the fill woke.
-    fn blocking_service(
-        &mut self,
-        kind: AccessKind,
-        block: BlockAddr,
-        now: Cycle,
-    ) -> (Cycle, Vec<TargetRecord>) {
+    /// plus the number of targets the fill drained (none under a lockup
+    /// cache; the caller wakes no register for them).
+    fn blocking_service(&mut self, kind: AccessKind, block: BlockAddr, now: Cycle) -> (Cycle, u32) {
         let txn = self.fresh_txn();
         self.emit(MemEvent::Issued {
             txn,
@@ -555,14 +549,26 @@ impl MemorySystem {
             fill_at: at,
             level,
         });
-        let targets = self.l1.fill(block);
+        let (_, targets) = self.install_fill(block);
         self.emit(MemEvent::Filled { block, at });
-        self.emit(MemEvent::TargetsWoken {
-            block,
-            at,
-            targets: targets.len() as u32,
-        });
+        self.emit(MemEvent::TargetsWoken { block, at, targets });
         (at, targets)
+    }
+
+    /// Installs `block` in the L1 and drains its waiting MSHR targets
+    /// through the fill buffer: returns the woken-register mask and the
+    /// target count.
+    fn install_fill(&mut self, block: BlockAddr) -> (u64, u32) {
+        self.l1.fill_into(block, &mut self.fill_targets);
+        let targets = self.fill_targets.len() as u32;
+        let mut woken_regs = 0u64;
+        for r in self.fill_targets.drain(..) {
+            if let Dest::Reg(reg) = r.dest {
+                woken_regs |= 1u64 << reg.dense_index();
+            }
+        }
+        debug_assert!(woken_regs.count_ones() <= targets);
+        (woken_regs, targets)
     }
 
     /// Submits a load at time `now`. Hits resolve immediately; misses are
@@ -591,8 +597,32 @@ impl MemorySystem {
         format: LoadFormat,
         now: Cycle,
     ) -> LoadResponse {
-        let block = decoded.block;
-        let (response, outcome) = match self.l1.access_load_decoded(decoded, dest, format) {
+        let access = self.l1.access_load_decoded(decoded, dest, format);
+        self.complete_load(access, decoded.block, now)
+    }
+
+    /// The miss half of [`MemorySystem::access_load_decoded`] for the
+    /// direct-mapped fused kernel: `decoded`'s tag probe has just missed
+    /// ([`MemorySystem::load_hit_direct`] returned `false`, with no fill
+    /// applied since), so the L1 goes straight to its victim buffer and
+    /// MSHRs without probing the tags again. Answers exactly what
+    /// [`MemorySystem::access_load_decoded`] would.
+    pub fn load_miss_direct(
+        &mut self,
+        decoded: &DecodedAddr,
+        dest: Dest,
+        format: LoadFormat,
+        now: Cycle,
+    ) -> LoadResponse {
+        let access = self.l1.load_miss_decoded(decoded, dest, format);
+        self.complete_load(access, decoded.block, now)
+    }
+
+    /// Carries a load's L1 outcome through the rest of the hierarchy:
+    /// tracks or services a miss, or reports a rejection, and emits the
+    /// access's lifecycle and resolution events.
+    fn complete_load(&mut self, access: LoadAccess, block: BlockAddr, now: Cycle) -> LoadResponse {
+        let (response, outcome) = match access {
             LoadAccess::Hit => (LoadResponse::Hit, AccessOutcome::Hit),
             LoadAccess::VictimHit => (LoadResponse::VictimHit, AccessOutcome::VictimHit),
             LoadAccess::Miss(kind) => {
@@ -603,7 +633,7 @@ impl MemorySystem {
                 // Lockup cache: service the whole miss synchronously; the
                 // data is then in the cache and usable at `at`.
                 let (at, woken) = self.blocking_service(AccessKind::Load, block, now);
-                debug_assert!(woken.is_empty(), "blocking cache has no waiting targets");
+                debug_assert_eq!(woken, 0, "blocking cache has no waiting targets");
                 (LoadResponse::Ready { at }, AccessOutcome::Miss)
             }
             LoadAccess::Stalled(reason) => {
@@ -758,20 +788,12 @@ impl MemorySystem {
     }
 
     /// Applies every fetch that completes by `now` (inclusive), in
-    /// completion order: each line is installed, its waiting targets are
-    /// collected into a [`FillEvent`], and the event is handed to
-    /// `on_fill` (the processor wakes registers and samples from it).
-    pub fn advance_to(&mut self, now: Cycle, mut on_fill: impl FnMut(&FillEvent)) {
-        while self.memory.next_completion().is_ok_and(|at| at <= now) {
-            // next_completion just said nonempty, so this never breaks;
-            // structured as a break (not a panic) to keep sweeps alive.
-            let Some(mut fill) = self.apply_next_fill() else {
-                debug_assert!(false, "next_completion said nonempty");
-                break;
-            };
-            on_fill(&fill);
-            fill.targets.clear();
-            self.spare_targets.push(fill.targets);
+    /// completion order: each line is installed, its waiting targets fold
+    /// into a [`FillEvent`], and the event is handed to `on_fill` (the
+    /// processor wakes registers and samples from it).
+    pub fn advance_to(&mut self, now: Cycle, mut on_fill: impl FnMut(FillEvent)) {
+        while let Some(f) = self.memory.drain_ready(now).next() {
+            on_fill(self.apply_fill(f));
         }
     }
 
@@ -787,16 +809,14 @@ impl MemorySystem {
     /// engine propagates instead of panicking), and the normal
     /// termination condition for end-of-run drains.
     pub fn advance_to_next_event(&mut self) -> Result<FillEvent, MemoryError> {
-        match self.apply_next_fill() {
-            Some(fill) => Ok(fill),
-            None => Err(MemoryError::NoFetchOutstanding),
-        }
+        let f = self.memory.pop_next()?;
+        Ok(self.apply_fill(f))
     }
 
-    fn apply_next_fill(&mut self) -> Option<FillEvent> {
-        let f = self.memory.pop_next().ok()?;
-        let mut targets = self.spare_targets.pop().unwrap_or_default();
-        self.l1.fill_into(f.block, &mut targets);
+    /// Applies one completed fetch: installs the line, wakes its targets
+    /// and emits the fill's events.
+    fn apply_fill(&mut self, f: CompletedFetch) -> FillEvent {
+        let (woken_regs, targets) = self.install_fill(f.block);
         self.emit(MemEvent::Filled {
             block: f.block,
             at: f.at,
@@ -804,13 +824,14 @@ impl MemorySystem {
         self.emit(MemEvent::TargetsWoken {
             block: f.block,
             at: f.at,
-            targets: targets.len() as u32,
+            targets,
         });
-        Some(FillEvent {
+        FillEvent {
             block: f.block,
             at: f.at,
+            woken_regs,
             targets,
-        })
+        }
     }
 }
 
@@ -854,13 +875,13 @@ mod tests {
         assert_eq!(m.next_event(), Some(Cycle(16)));
         // Nothing due yet at cycle 10.
         let mut fills = Vec::new();
-        m.advance_to(Cycle(10), |f| fills.push(f.clone()));
+        m.advance_to(Cycle(10), |f| fills.push(f));
         assert!(fills.is_empty());
-        m.advance_to(Cycle(16), |f| fills.push(f.clone()));
+        m.advance_to(Cycle(16), |f| fills.push(f));
         assert_eq!(fills.len(), 1);
         assert_eq!(fills[0].at, Cycle(16));
-        assert_eq!(fills[0].targets.len(), 1);
-        assert_eq!(fills[0].targets[0].dest, Dest::Reg(PhysReg::int(1)));
+        assert_eq!(fills[0].targets, 1);
+        assert_eq!(fills[0].woken_regs, 1 << PhysReg::int(1).dense_index());
         assert_eq!(m.next_event(), None);
         // The line is now resident.
         let r = m.access_load(
@@ -870,6 +891,46 @@ mod tests {
             Cycle(17),
         );
         assert_eq!(r, LoadResponse::Hit);
+    }
+
+    #[test]
+    fn fill_folds_every_merged_target_into_one_event() {
+        // Write-allocate over fc=1: a store miss (write-buffer target)
+        // launches the fetch, two loads to the same line merge into it.
+        let mut cfg = CacheConfig::baseline(MshrConfig::Register(RegisterFileConfig {
+            entries: Limit::Finite(1),
+            targets: TargetPolicy::explicit(Limit::Unlimited),
+            max_outstanding_misses: Limit::Unlimited,
+            max_fetches_per_set: Limit::Unlimited,
+        }));
+        cfg.write_miss = WriteMissPolicy::WriteAllocate;
+        let mut m = MemorySystem::new(MemSystemConfig::with_cache(cfg));
+        assert_eq!(
+            m.access_store(Addr(0x1000), Cycle(0)),
+            StoreResponse::Pending {
+                kind: MissKind::Primary
+            }
+        );
+        for (reg, addr) in [(PhysReg::int(3), 0x1008), (PhysReg::fp(5), 0x1010)] {
+            assert_eq!(
+                m.access_load(Addr(addr), Dest::Reg(reg), LoadFormat::WORD, Cycle(1)),
+                LoadResponse::Pending {
+                    kind: MissKind::Secondary
+                }
+            );
+        }
+        let fill = m.advance_to_next_event().expect("one fetch outstanding");
+        assert_eq!(fill.at, Cycle(16));
+        // Three targets woke; only the two registers are in the mask.
+        assert_eq!(fill.targets, 3);
+        assert_eq!(
+            fill.woken_regs,
+            1 << PhysReg::int(3).dense_index() | 1 << PhysReg::fp(5).dense_index()
+        );
+        assert_eq!(
+            m.advance_to_next_event(),
+            Err(MemoryError::NoFetchOutstanding)
+        );
     }
 
     #[test]

@@ -25,6 +25,9 @@ cargo test -q -p nbl-trace --features codec-prop
 echo "== probe-prop: split probe/note_hit vs fused touch under all policies =="
 cargo test -q -p nbl-core --features probe-prop
 
+echo "== mshr-prop: flat MSHR slots vs an ordered-map reference on every shape =="
+cargo test -q -p nbl-core --features mshr-prop
+
 echo "== oracle-prop: abstract-domain soundness vs the engine on random tapes =="
 cargo test -q -p nbl-oracle --features oracle-prop
 
