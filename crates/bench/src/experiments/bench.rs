@@ -298,8 +298,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     let speedup_fused_vs_unfused = unfused_wall / warm_wall;
     let speedup_disk_warm_vs_cold = cold_wall / disk_warm_wall;
     let fusion_regressed = speedup_fused_vs_unfused_1t < 1.0 || speedup_fused_vs_unfused_4t < 1.0;
-    let compile = engine.cache().stats();
-    let tapes = engine.tapes().stats();
+    let (compiled, tapes) = engine.store().memory_stats();
     let store = engine.store().disk_stats();
     let disk_store = disk_engine.store().disk_stats();
     let git = git_describe();
@@ -365,9 +364,9 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     let _ = writeln!(
         out,
         "caches: {} compiles + {} hits, {} tape records + {} replays ({:.2} MiB resident)",
-        compile.compiles,
-        compile.hits,
-        tapes.records,
+        compiled.derived,
+        compiled.hits,
+        tapes.derived,
         tapes.hits,
         tapes.resident_bytes as f64 / (1024.0 * 1024.0)
     );
@@ -488,7 +487,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         speedup_disk_warm_vs_cold,
         fusion_regressed,
         identical,
-        report::caches_json(&compile, &tapes, &combined),
+        report::caches_json(&compiled, &tapes, &combined),
         trajectory,
     );
     std::fs::write(&path, json).map_err(|e| ExhibitError::new(format!("writing {path}"), e))?;

@@ -71,11 +71,11 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         .collect();
     let programs = programs_for(&names, scale)?;
     // All (benchmark, latency) compilations in parallel, through the
-    // shared cache — the sweeps that follow in an `all` run reuse them.
+    // shared store — the sweeps that follow in an `all` run reuse them.
     let nl = LATENCIES.len();
     let mixes = engine().pool().run(programs.len() * nl, |idx| {
         engine()
-            .cache()
+            .store()
             .get_or_compile(&programs[idx / nl], LATENCIES[idx % nl])
             .map(|c| c.dynamic_mix())
             .map_err(|e| e.to_string())

@@ -17,7 +17,7 @@ fn baseline() -> SimConfig {
 }
 
 /// The doduc baseline sweep behind Figs. 5, 7 and 8, computed once per
-/// scale and shared — the compile cache would make a rerun cheap to
+/// scale and shared — the artifact store would make a rerun cheap to
 /// build, but not to simulate (42 cells).
 static DODUC_SWEEP: Mutex<Option<(RunScale, LatencySweep)>> = Mutex::new(None);
 

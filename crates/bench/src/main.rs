@@ -15,7 +15,7 @@
 //! adding an exhibit is one table entry. Simulation cells run on the
 //! parallel sweep engine (worker count from `NBL_THREADS` or the
 //! machine); every exhibit is timed, and a throughput summary (wall
-//! clock, simulated instructions per second, compile-cache counters)
+//! clock, simulated instructions per second, artifact-store counters)
 //! prints at the end of the run.
 
 mod experiments;
@@ -92,17 +92,16 @@ fn print_summary(out: &mut dyn Write, timings: &[Timing]) {
         total.instructions as f64 / 1e6,
         total.inst_per_sec(total_wall) / 1e6,
     );
-    let cache = experiments::engine().cache().stats();
+    let (compiled, tapes) = experiments::engine().store().memory_stats();
     let _ = writeln!(
         out,
         "compile cache: {} compilations, {} reuses (each (benchmark, latency) pair compiled once)",
-        cache.compiles, cache.hits
+        compiled.derived, compiled.hits
     );
-    let tapes = experiments::engine().tapes().stats();
     let _ = writeln!(
         out,
         "tape cache: {} recordings, {} replays, {} evictions ({:.2} MiB resident)",
-        tapes.records,
+        tapes.derived,
         tapes.hits,
         tapes.evictions,
         tapes.resident_bytes as f64 / (1024.0 * 1024.0)

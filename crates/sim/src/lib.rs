@@ -16,14 +16,11 @@
 //!   the parallel [`sweep::SweepEngine`];
 //! * [`pool`] — the scoped-thread job pool behind the parallel sweeps
 //!   (`NBL_THREADS` overrides the worker count);
-//! * [`compile_cache`] — exactly-once compilation per `(benchmark,
-//!   latency)` pair, shared by reference across configurations and sweeps;
-//! * [`tape_cache`] — exactly-once recording of each compiled pair's
-//!   dynamic instruction stream into a flat [`nbl_trace::tape::TraceTape`],
-//!   replayed (instead of re-interpreted) at every grid point, with a byte
-//!   budget and idle-tape eviction;
-//! * [`store`] — the tiered artifact store behind both caches: a
-//!   content-addressed, versioned, checksummed on-disk tier
+//! * [`store`] — the tiered artifact store: an exactly-once memory tier
+//!   that compiles each `(benchmark, latency)` pair once and records its
+//!   dynamic instruction stream once into a flat
+//!   [`nbl_trace::tape::TraceTape`] (byte budget, idle-tape eviction),
+//!   over a content-addressed, versioned, checksummed on-disk tier
 //!   (`results/store/`) that persists tapes and [`driver::RunResult`]s
 //!   across processes, with quarantine-and-re-record corruption handling
 //!   and the incremental-sweep fast path;
@@ -32,8 +29,6 @@
 //! * [`report`] — fixed-width text rendering in the shape of the paper's
 //!   figures and tables.
 
-/// Exactly-once compilation cache shared across sweep grid points.
-pub mod compile_cache;
 /// The experiment configuration space (Fig. 13 machine configs et al.).
 pub mod config;
 /// Single-run driver: build the machine, run a benchmark, collect results.
@@ -42,18 +37,15 @@ pub mod driver;
 pub mod pool;
 /// Fixed-width tables and hand-rolled JSON emitters for every exhibit.
 pub mod report;
-/// The tiered artifact store: memory caches over a content-addressed,
-/// checksummed on-disk artifact directory.
+/// The tiered artifact store: an exactly-once memory tier over a
+/// content-addressed, checksummed on-disk artifact directory.
 pub mod store;
 /// The parallel sweep engine (latency / penalty / grid / replacement /
 /// processor model).
 pub mod sweep;
-/// Record-once/replay-many trace-tape cache beside the compile cache.
-pub mod tape_cache;
 /// Process-wide atomic counters surfaced in the throughput table.
 pub mod telemetry;
 
-pub use compile_cache::{CacheStats, CompileCache};
 pub use config::{HwConfig, ProcessorKind, SimConfig};
 pub use driver::{
     run_compiled, run_dual, run_program, run_tape, run_tape_fused, run_tape_traced, DualRunResult,
@@ -62,10 +54,9 @@ pub use driver::{
 pub use pool::{available_threads, JobPanic, JobPool};
 pub use store::{
     configure_store, store_settings, ArtifactError, ArtifactStore, DiskTier, StoreSettings,
-    StoreStats,
+    StoreStats, TierStats,
 };
 pub use sweep::{
     latency_sweep, penalty_sweep, LatencySweep, ModelSweep, PenaltySweep, SweepEngine,
 };
-pub use tape_cache::{TapeCache, TapeStats};
 pub use telemetry::{Telemetry, TelemetrySnapshot};

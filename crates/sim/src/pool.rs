@@ -10,9 +10,9 @@
 //! Thread count comes from the `NBL_THREADS` environment variable when set
 //! (any value ≥ 1), else from [`std::thread::available_parallelism`].
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Jobs claimed per queue transaction, per worker. Small enough to keep
 /// workers load-balanced when cell costs vary by benchmark, large enough
@@ -135,69 +135,8 @@ impl JobPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let guarded = |i: usize| {
-            catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| JobPanic {
-                job: i,
-                message: panic_message(payload.as_ref()),
-            })
-        };
-        if self.threads <= 1 || jobs <= 1 {
-            return (0..jobs).map(guarded).collect();
-        }
         let chunk = (jobs / (self.threads * 4)).clamp(1, MAX_CHUNK);
-        let next = AtomicUsize::new(0);
-        let bailed = AtomicBool::new(false);
-        let first_panic: Mutex<Option<JobPanic>> = Mutex::new(None);
-        let workers = self.threads.min(jobs);
-        let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        while !bailed.load(Ordering::Relaxed) {
-                            let start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= jobs {
-                                break;
-                            }
-                            for i in start..(start + chunk).min(jobs) {
-                                match guarded(i) {
-                                    Ok(t) => local.push((i, t)),
-                                    Err(p) => {
-                                        bailed.store(true, Ordering::Relaxed);
-                                        let mut slot =
-                                            first_panic.lock().expect("panic slot poisoned");
-                                        if slot.as_ref().is_none_or(|prev| p.job < prev.job) {
-                                            *slot = Some(p);
-                                        }
-                                        return local;
-                                    }
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker itself never panics"))
-                .collect()
-        });
-        if let Some(p) = first_panic.into_inner().expect("panic slot poisoned") {
-            return Err(p);
-        }
-        // Merge worker-local results back into input order.
-        let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-        for part in parts {
-            for (i, t) in part {
-                debug_assert!(slots[i].is_none(), "job {i} produced twice");
-                slots[i] = Some(t);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every job produces exactly one result"))
-            .collect())
+        self.claim_loop(jobs, chunk, |pos| pos, f)
     }
 
     /// [`JobPool::try_run`] with an explicit claim order: workers claim
@@ -239,6 +178,25 @@ impl JobPool {
             },
             "order must be a permutation of 0..jobs"
         );
+        self.claim_loop(jobs, 1, |pos| order[pos], f)
+    }
+
+    /// The one claim loop behind [`JobPool::try_run`] and
+    /// [`JobPool::try_run_order`]: workers take `chunk` claim positions
+    /// per transaction from a shared counter, and position `pos` runs job
+    /// `job_at(pos)`. The first observed panic stops further claims;
+    /// results come back in input order.
+    fn claim_loop<T, F>(
+        &self,
+        jobs: usize,
+        chunk: usize,
+        job_at: impl Fn(usize) -> usize + Sync,
+        f: F,
+    ) -> Result<Vec<T>, JobPanic>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
         let guarded = |i: usize| {
             catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| JobPanic {
                 job: i,
@@ -250,6 +208,8 @@ impl JobPool {
         }
         let next = AtomicUsize::new(0);
         let bailed = AtomicBool::new(false);
+        // Only whole-value stores happen under this lock, so a poisoned
+        // lock still holds a consistent value.
         let first_panic: Mutex<Option<JobPanic>> = Mutex::new(None);
         let workers = self.threads.min(jobs);
         let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
@@ -258,20 +218,24 @@ impl JobPool {
                     s.spawn(|| {
                         let mut local = Vec::new();
                         while !bailed.load(Ordering::Relaxed) {
-                            let pos = next.fetch_add(1, Ordering::Relaxed);
-                            if pos >= jobs {
+                            let start = next.fetch_add(chunk, Ordering::Relaxed);
+                            if start >= jobs {
                                 break;
                             }
-                            let i = order[pos];
-                            match guarded(i) {
-                                Ok(t) => local.push((i, t)),
-                                Err(p) => {
-                                    bailed.store(true, Ordering::Relaxed);
-                                    let mut slot = first_panic.lock().expect("panic slot poisoned");
-                                    if slot.as_ref().is_none_or(|prev| p.job < prev.job) {
-                                        *slot = Some(p);
+                            for pos in start..(start + chunk).min(jobs) {
+                                let i = job_at(pos);
+                                match guarded(i) {
+                                    Ok(t) => local.push((i, t)),
+                                    Err(p) => {
+                                        bailed.store(true, Ordering::Relaxed);
+                                        let mut slot = first_panic
+                                            .lock()
+                                            .unwrap_or_else(PoisonError::into_inner);
+                                        if slot.as_ref().is_none_or(|prev| p.job < prev.job) {
+                                            *slot = Some(p);
+                                        }
+                                        return local;
                                     }
-                                    return local;
                                 }
                             }
                         }
@@ -279,25 +243,27 @@ impl JobPool {
                     })
                 })
                 .collect();
+            // Jobs run under `catch_unwind`, so a worker panic is the
+            // pool's own bug: re-raise it as is.
             handles
                 .into_iter()
-                .map(|h| h.join().expect("pool worker itself never panics"))
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
                 .collect()
         });
-        if let Some(p) = first_panic.into_inner().expect("panic slot poisoned") {
+        if let Some(p) = first_panic
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
             return Err(p);
         }
-        let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-        for part in parts {
-            for (i, t) in part {
-                debug_assert!(slots[i].is_none(), "job {i} produced twice");
-                slots[i] = Some(t);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every job produces exactly one result"))
-            .collect())
+        // Merge worker-local results back into input order.
+        let mut done: Vec<(usize, T)> = parts.into_iter().flatten().collect();
+        done.sort_unstable_by_key(|&(i, _)| i);
+        debug_assert!(
+            done.iter().map(|&(i, _)| i).eq(0..jobs),
+            "every job produces exactly one result"
+        );
+        Ok(done.into_iter().map(|(_, t)| t).collect())
     }
 }
 

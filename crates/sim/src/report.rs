@@ -1,11 +1,9 @@
 //! Plain-text rendering of sweep results in the shape of the paper's
 //! figures and tables.
 
-use crate::compile_cache::CacheStats;
 use crate::driver::RunResult;
-use crate::store::StoreStats;
+use crate::store::{StoreStats, TierStats};
 use crate::sweep::{LatencySweep, ModelSweep, PenaltySweep, ReplacementSweep};
-use crate::tape_cache::TapeStats;
 use nbl_cpu::stats::ReplayAttribution;
 use nbl_mem::event::{MissLifecycleStats, ReplayCause, DEPTH_BUCKETS, FLIGHT_BUCKETS};
 use std::fmt::Write as _;
@@ -566,22 +564,23 @@ pub fn store_json(store: &StoreStats) -> String {
     )
 }
 
-/// Serializes compile-cache, tape-cache and disk-store counters as one
-/// JSON object, so any emitter can place artifact-store telemetry next
-/// to its runs (`BENCH_sweep.json` embeds this under its `caches` key).
-pub fn caches_json(compile: &CacheStats, tape: &TapeStats, store: &StoreStats) -> String {
+/// Serializes the store's memory-tier counters (compiled programs, then
+/// tapes) and its disk counters as one JSON object, so any emitter can
+/// place artifact-store telemetry next to its runs (`BENCH_sweep.json`
+/// embeds this under its `caches` key).
+pub fn caches_json(compiled: &TierStats, tapes: &TierStats, store: &StoreStats) -> String {
     format!(
         concat!(
             "{{\"compile_cache\":{{\"compiles\":{},\"hits\":{}}},",
             "\"tape_cache\":{{\"records\":{},\"hits\":{},\"evictions\":{},",
             "\"resident_bytes\":{}}},\"store\":{}}}"
         ),
-        compile.compiles,
-        compile.hits,
-        tape.records,
-        tape.hits,
-        tape.evictions,
-        tape.resident_bytes,
+        compiled.derived,
+        compiled.hits,
+        tapes.derived,
+        tapes.hits,
+        tapes.evictions,
+        tapes.resident_bytes,
         store_json(store),
     )
 }

@@ -1,16 +1,16 @@
 //! The tiered artifact store: one abstraction over every cached
 //! derivation of a workload (DESIGN.md §16).
 //!
-//! The memory tier is the existing pair of exactly-once caches —
-//! [`CompileCache`](crate::compile_cache::CompileCache) for compiled
-//! programs and [`TapeCache`](crate::tape_cache::TapeCache) for recorded
-//! tapes — with unchanged semantics. This module adds the disk tier
-//! ([`DiskTier`]): a directory (by convention `results/store/`) of
-//! content-addressed artifacts that survive the process, so a fresh run
-//! against a populated store skips straight past recording (tape
-//! artifacts) or past simulation entirely (result artifacts, under
-//! `--incremental`). The oracle's verdicts are a third kind of the same
-//! tier.
+//! Two tiers stand behind every lookup. The memory tier keeps one
+//! exactly-once slot per `(name, latency, fingerprint)` cell key, so each
+//! compiled program and each recorded tape exists once per process and
+//! is shared by `Arc`. The disk tier ([`DiskTier`]) is a directory (by
+//! convention `results/store/`) of content-addressed artifacts that
+//! survive the process, so a fresh run against a populated store skips
+//! straight past recording (tape artifacts) or past simulation entirely
+//! (result artifacts, under `--incremental`). The oracle's verdicts are
+//! a third kind of the same disk tier. [`ArtifactStore`] is the one
+//! place that composes the tiers.
 //!
 //! ## Content addressing
 //!
@@ -47,23 +47,22 @@
 //! one leaves nothing behind. Disk trouble therefore *degrades* the store
 //! to the memory tier; it never fails a sweep and never perturbs results.
 
-use crate::compile_cache::CompileCache;
 use crate::config::SimConfig;
 use crate::driver::RunResult;
-use crate::tape_cache::TapeCache;
 use nbl_core::fingerprint::fingerprint_of;
 use nbl_core::frame::{CodecError, Frame};
+use nbl_core::hash::FastMap;
 use nbl_cpu::stats::ReplayAttribution;
-use nbl_sched::compile::CompileError;
+use nbl_sched::compile::{compile, CompileError};
 use nbl_trace::ir::Program;
 use nbl_trace::machine::CompiledProgram;
 use nbl_trace::tape::io::TAPE_FRAME;
 use nbl_trace::tape::TraceTape;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Magic (`NBLR`) and format version of a serialized [`RunResult`].
 /// Bump the version on any change to the result byte layout *or* to the
@@ -613,22 +612,219 @@ pub fn store_settings() -> StoreSettings {
 }
 
 // ---------------------------------------------------------------------
-// The tiered store facade
+// The memory tier
 // ---------------------------------------------------------------------
 
-/// The tiered artifact store the sweep engine runs on: the two
-/// exactly-once memory caches, optionally backed by a shared
-/// [`DiskTier`], plus the incremental-mode switch.
+/// Byte budget of the tape memory tier: comfortably holds every
+/// (benchmark, latency) tape of a full `figures all` run (~108 pairs ×
+/// ~5 MiB) while bounding degenerate workloads.
+const TAPE_BUDGET_BYTES: usize = 2048 * 1024 * 1024;
+
+/// The owned form of a [`CellKey`], which files a memory-tier slot.
+type OwnedCellKey = (String, u32, u64);
+
+/// Counter snapshot of one memory tier of an [`ArtifactStore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TierStats {
+    /// Requests served from an already filled slot.
+    pub hits: u64,
+    /// Requests that derived the artifact: ran the compiler, or ran the
+    /// executor to record a tape. A tape decoded from the disk tier
+    /// fills its slot without counting here.
+    pub derived: u64,
+    /// Artifacts dropped to stay inside the byte budget.
+    pub evictions: u64,
+    /// Bytes held by resident artifacts.
+    pub resident_bytes: usize,
+}
+
+/// What the memory tier needs of a value it holds.
+trait Resident: Clone {
+    /// Bytes the value counts against the tier's budget.
+    fn footprint(&self) -> usize;
+    /// Whether the tier holds the only reference, so dropping the slot
+    /// frees the value.
+    fn idle(&self) -> bool;
+}
+
+impl Resident for Arc<TraceTape> {
+    fn footprint(&self) -> usize {
+        self.bytes()
+    }
+    fn idle(&self) -> bool {
+        Arc::strong_count(self) == 1
+    }
+}
+
+/// Compile outcomes, failures included, cost no budget and stay
+/// resident for the life of the store.
+impl Resident for Result<Arc<CompiledProgram>, CompileError> {
+    fn footprint(&self) -> usize {
+        0
+    }
+    fn idle(&self) -> bool {
+        false
+    }
+}
+
+/// How a memory-tier slot was filled.
+enum Fill {
+    /// Compiled or recorded here: counts as [`TierStats::derived`].
+    Derived,
+    /// Decoded from the disk tier.
+    Loaded,
+}
+
+#[derive(Debug)]
+struct TierState<V> {
+    slots: FastMap<OwnedCellKey, Arc<OnceLock<V>>>,
+    /// Fill order, for FIFO eviction over the budget.
+    order: VecDeque<OwnedCellKey>,
+    /// Footprint of the filled resident values.
+    bytes: usize,
+}
+
+/// One exactly-once memory tier: a `OnceLock` slot per cell key, so
+/// concurrent first requests for a key block on its single fill, plus
+/// counters and an optional byte budget.
 ///
-/// Tier order on a tape request: memory (`OnceLock` slot) → disk
-/// (decode + verify) → record. Recordings write through to disk; the
-/// memory tier's semantics (sharing, byte budget, eviction) are
-/// unchanged from the pre-store caches.
+/// Over budget, the oldest idle values are dropped FIFO until the total
+/// fits. A value still referenced outside the tier (a tape under replay)
+/// is never evicted, and an evicted key is simply filled again on its
+/// next request.
+#[derive(Debug)]
+struct MemoryTier<V> {
+    state: Mutex<TierState<V>>,
+    /// Byte budget; `None` never evicts.
+    budget: Option<usize>,
+    hits: AtomicU64,
+    derived: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl<V: Resident> MemoryTier<V> {
+    fn new(budget: Option<usize>) -> Self {
+        MemoryTier {
+            state: Mutex::new(TierState {
+                slots: FastMap::default(),
+                order: VecDeque::new(),
+                bytes: 0,
+            }),
+            budget,
+            hits: AtomicU64::new(0),
+            derived: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// Every critical section leaves the state consistent, so a lock
+    /// poisoned by a panicking caller is still safe to use.
+    fn lock(&self) -> MutexGuard<'_, TierState<V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value filed under `key`: the resident one (a hit), else what
+    /// `fill` produces, which runs once per key even when first requests
+    /// race.
+    fn get_or_fill(&self, key: OwnedCellKey, fill: impl FnOnce(&OwnedCellKey) -> (V, Fill)) -> V {
+        let slot = Arc::clone(self.lock().slots.entry(key.clone()).or_default());
+        let mut filled_here = false;
+        let value = slot
+            .get_or_init(|| {
+                filled_here = true;
+                let (value, how) = fill(&key);
+                if let Fill::Derived = how {
+                    self.derived.fetch_add(1, Ordering::Relaxed);
+                }
+                value
+            })
+            .clone();
+        if filled_here {
+            let mut st = self.lock();
+            st.bytes += value.footprint();
+            st.order.push_back(key);
+            self.evict_to_budget(&mut st);
+        } else {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// Drops the oldest idle values until the resident total fits the
+    /// budget. Slots still filling and values still referenced are
+    /// skipped. One bounded pass: if everything old is busy, the tier
+    /// stays over budget for now rather than block.
+    fn evict_to_budget(&self, st: &mut TierState<V>) {
+        let Some(budget) = self.budget else {
+            return;
+        };
+        let mut scan = st.order.len();
+        while st.bytes > budget && scan > 0 {
+            scan -= 1;
+            let Some(key) = st.order.pop_front() else {
+                break;
+            };
+            let freed = st
+                .slots
+                .get(&key)
+                .and_then(|slot| slot.get())
+                .filter(|value| value.idle())
+                .map(Resident::footprint);
+            match freed {
+                Some(bytes) => {
+                    st.slots.remove(&key);
+                    st.bytes = st.bytes.saturating_sub(bytes);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                None => st.order.push_back(key),
+            }
+        }
+    }
+
+    /// `f` of a resident value filed under `(name, latency)`, any
+    /// fingerprint. Never fills a slot and moves no counter.
+    fn peek<R>(&self, name: &str, latency: u32, f: impl FnOnce(&V) -> R) -> Option<R> {
+        let st = self.lock();
+        st.slots
+            .iter()
+            .find_map(|((n, l, _), slot)| {
+                (n == name && *l == latency).then(|| slot.get()).flatten()
+            })
+            .map(f)
+    }
+
+    fn stats(&self) -> TierStats {
+        TierStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            derived: self.derived.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            resident_bytes: self.lock().bytes,
+        }
+    }
+
+    /// Number of keys resident.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.lock().slots.len()
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tiered store
+// ---------------------------------------------------------------------
+
+/// The tiered artifact store the sweep engine runs on: the memory tier,
+/// optionally backed by a shared [`DiskTier`], plus the incremental-mode
+/// switch.
+///
+/// A compiled program comes from memory, else the compiler. A tape comes
+/// from memory, else the disk tier (decode + verify), else a recording,
+/// which writes through to disk.
 #[derive(Debug)]
 pub struct ArtifactStore {
-    compile: CompileCache,
-    tapes: TapeCache,
-    disk: Option<Arc<DiskTier>>,
+    compiled: MemoryTier<Result<Arc<CompiledProgram>, CompileError>>,
+    tapes: MemoryTier<Arc<TraceTape>>,
+    disk: Option<DiskTier>,
     incremental: bool,
 }
 
@@ -639,25 +835,30 @@ impl Default for ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// A memory-only store: exactly the pre-disk cache behavior.
-    pub fn in_memory() -> ArtifactStore {
+    fn new(disk: Option<DiskTier>, incremental: bool, tape_budget: usize) -> ArtifactStore {
         ArtifactStore {
-            compile: CompileCache::new(),
-            tapes: TapeCache::new(),
-            disk: None,
-            incremental: false,
+            compiled: MemoryTier::new(None),
+            tapes: MemoryTier::new(Some(tape_budget)),
+            disk,
+            incremental,
         }
+    }
+
+    /// A memory-only store.
+    pub fn in_memory() -> ArtifactStore {
+        ArtifactStore::new(None, false, TAPE_BUDGET_BYTES)
+    }
+
+    /// A memory-only store whose tape tier holds at most `bytes` of idle
+    /// tapes.
+    #[cfg(test)]
+    pub(crate) fn with_tape_budget(bytes: usize) -> ArtifactStore {
+        ArtifactStore::new(None, false, bytes)
     }
 
     /// A store with a disk tier rooted at `dir`.
     pub fn with_disk(dir: impl Into<PathBuf>, incremental: bool) -> ArtifactStore {
-        let disk = Arc::new(DiskTier::new(dir));
-        ArtifactStore {
-            compile: CompileCache::new(),
-            tapes: TapeCache::with_disk(Arc::clone(&disk)),
-            disk: Some(disk),
-            incremental,
-        }
+        ArtifactStore::new(Some(DiskTier::new(dir)), incremental, TAPE_BUDGET_BYTES)
     }
 
     /// A store wired from [`store_settings`] (CLI flags or environment).
@@ -669,19 +870,8 @@ impl ArtifactStore {
         }
     }
 
-    /// The memory-tier compile cache.
-    pub fn compile_cache(&self) -> &CompileCache {
-        &self.compile
-    }
-
-    /// The memory-tier tape cache (disk-backed when the store has a
-    /// disk tier).
-    pub fn tape_cache(&self) -> &TapeCache {
-        &self.tapes
-    }
-
     /// The disk tier, if this store has one.
-    pub fn disk(&self) -> Option<&Arc<DiskTier>> {
+    pub fn disk(&self) -> Option<&DiskTier> {
         self.disk.as_ref()
     }
 
@@ -691,24 +881,58 @@ impl ArtifactStore {
         self.incremental && self.disk.is_some()
     }
 
-    /// Compiles through the memory tier (exactly-once per key).
+    /// Compiles through the memory tier: once per `(name, latency,
+    /// program fingerprint)`, shared by `Arc` thereafter. The IR
+    /// fingerprint keeps quick- and full-scale builds of one benchmark
+    /// apart.
     ///
     /// # Errors
     ///
-    /// Propagates [`CompileError`] like
-    /// [`CompileCache::get_or_compile`].
+    /// [`CompileError`] from the compiler model. A failed compile is
+    /// cached too, so a bad pair fails fast on every later request.
     pub fn get_or_compile(
         &self,
         program: &Program,
         latency: u32,
     ) -> Result<Arc<CompiledProgram>, CompileError> {
-        self.compile.get_or_compile(program, latency)
+        let key = (program.name.clone(), latency, program_fingerprint(program));
+        self.compiled.get_or_fill(key, |_| {
+            (compile(program, latency).map(Arc::new), Fill::Derived)
+        })
     }
 
     /// Fetches the tape for `compiled` through all tiers (memory →
     /// disk → record), writing any fresh recording through to disk.
+    /// Disk damage of any kind is absorbed (quarantine + re-record), so
+    /// the call is infallible.
     pub fn get_or_record(&self, compiled: &CompiledProgram) -> Arc<TraceTape> {
-        self.tapes.get_or_record(compiled)
+        let key = (
+            compiled.name.clone(),
+            compiled.load_latency,
+            compiled_fingerprint(compiled),
+        );
+        self.tapes.get_or_fill(key, |(name, latency, fingerprint)| {
+            let cell = (name.as_str(), *latency, *fingerprint);
+            if let Some(disk) = &self.disk {
+                if let Ok(Some(tape)) = disk.read::<TapeArtifact>(&cell) {
+                    return (Arc::new(tape), Fill::Loaded);
+                }
+            }
+            let tape = TraceTape::record(compiled);
+            if let Some(disk) = &self.disk {
+                let _ = disk.write::<TapeArtifact>(&cell, &tape);
+            }
+            (Arc::new(tape), Fill::Derived)
+        })
+    }
+
+    /// Barrier count of a resident tape for `(name, latency)`, any
+    /// fingerprint: a scheduling hint, not a correctness input. Answers
+    /// from memory only and moves no counter, so schedulers can weigh
+    /// work without perturbing store telemetry.
+    pub(crate) fn resident_barriers(&self, name: &str, latency: u32) -> Option<u64> {
+        self.tapes
+            .peek(name, latency, |tape| tape.barriers().len() as u64)
     }
 
     /// The stored result for one grid cell, if the disk tier holds one
@@ -727,8 +951,260 @@ impl ArtifactStore {
         }
     }
 
+    /// Memory-tier counters: compiled programs, then tapes.
+    pub fn memory_stats(&self) -> (TierStats, TierStats) {
+        (self.compiled.stats(), self.tapes.stats())
+    }
+
     /// Disk-tier counters (zeroes for a memory-only store).
     pub fn disk_stats(&self) -> StoreStats {
         self.disk.as_ref().map(|d| d.stats()).unwrap_or_default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::JobPool;
+    use nbl_core::types::{RegClass, REGS_PER_CLASS};
+    use nbl_trace::builder::ProgramBuilder;
+    use nbl_trace::workloads::{build, Scale};
+
+    fn compiled(
+        store: &ArtifactStore,
+        name: &str,
+        latency: u32,
+        scale: Scale,
+    ) -> Arc<CompiledProgram> {
+        store
+            .get_or_compile(&build(name, scale).unwrap(), latency)
+            .unwrap()
+    }
+
+    #[test]
+    fn compiles_each_pair_exactly_once() {
+        let store = ArtifactStore::in_memory();
+        let p = build("doduc", Scale::quick()).unwrap();
+        let a = store.get_or_compile(&p, 10).unwrap();
+        let b = store.get_or_compile(&p, 10).unwrap();
+        let c = store.get_or_compile(&p, 6).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "same pair must share one compilation");
+        assert!(
+            !Arc::ptr_eq(&a, &c),
+            "different latency is a different pair"
+        );
+        assert_eq!(
+            store.memory_stats().0,
+            TierStats {
+                hits: 1,
+                derived: 2,
+                evictions: 0,
+                resident_bytes: 0,
+            }
+        );
+        assert_eq!(store.compiled.len(), 2);
+    }
+
+    #[test]
+    fn compiled_scale_variants_of_one_benchmark_do_not_alias() {
+        let store = ArtifactStore::in_memory();
+        let quick = build("eqntott", Scale::quick()).unwrap();
+        let full = build("eqntott", Scale::full()).unwrap();
+        let a = store.get_or_compile(&quick, 10).unwrap();
+        let b = store.get_or_compile(&full, 10).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(store.memory_stats().0.derived, 2);
+    }
+
+    #[test]
+    fn concurrent_first_access_still_compiles_once() {
+        // 16 workers race for 4 distinct (benchmark, latency) pairs; the
+        // OnceLock slots must serialize each pair to a single compile.
+        let store = ArtifactStore::in_memory();
+        let doduc = build("doduc", Scale::quick()).unwrap();
+        let eqntott = build("eqntott", Scale::quick()).unwrap();
+        let programs = [&doduc, &eqntott];
+        let latencies = [6u32, 10];
+        let pool = JobPool::new(8);
+        let out = pool.run(16, |i| {
+            let p = programs[i % 2];
+            let lat = latencies[(i / 2) % 2];
+            store.get_or_compile(p, lat).unwrap().load_latency
+        });
+        assert_eq!(out.len(), 16);
+        let s = store.memory_stats().0;
+        assert_eq!(s.derived, 4, "one compile per distinct pair");
+        assert_eq!(s.hits + s.derived, 16);
+    }
+
+    #[test]
+    fn a_failed_compile_is_cached_and_never_retried() {
+        // One more loop-carried integer register than the compiler
+        // reserves for carried state.
+        let mut pb = ProgramBuilder::new("overcarried");
+        let mut b = pb.block();
+        for _ in 0..=REGS_PER_CLASS / 2 {
+            let r = b.carried(RegClass::Int);
+            b.alu_into(r, Some(r), None);
+        }
+        let body = b.finish();
+        pb.run(body, 4);
+        let program = pb.build();
+
+        let store = ArtifactStore::in_memory();
+        let first = store.get_or_compile(&program, 6).unwrap_err();
+        assert_eq!(first, CompileError::TooManyCarried(RegClass::Int));
+        let second = store.get_or_compile(&program, 6).unwrap_err();
+        assert_eq!(second, first, "the cached failure is returned again");
+        let s = store.memory_stats().0;
+        assert_eq!(s.derived, 1, "the failing pair compiles once");
+        assert_eq!(s.hits, 1);
+        assert_eq!(store.compiled.len(), 1);
+    }
+
+    #[test]
+    fn records_each_pair_exactly_once() {
+        let store = ArtifactStore::in_memory();
+        let c = compiled(&store, "doduc", 10, Scale::quick());
+        assert_eq!(store.resident_barriers("doduc", 10), None);
+        let a = store.get_or_record(&c);
+        let b = store.get_or_record(&c);
+        let c6 = compiled(&store, "doduc", 6, Scale::quick());
+        let d = store.get_or_record(&c6);
+        assert!(Arc::ptr_eq(&a, &b), "same pair must share one recording");
+        assert!(
+            !Arc::ptr_eq(&a, &d),
+            "different latency is a different pair"
+        );
+        let s = store.memory_stats().1;
+        assert_eq!((s.hits, s.derived, s.evictions), (1, 2, 0));
+        assert_eq!(s.resident_bytes, a.bytes() + d.bytes());
+        assert_eq!(store.tapes.len(), 2);
+        // The scheduling peek answers from memory and moves no counter.
+        assert_eq!(
+            store.resident_barriers("doduc", 10),
+            Some(a.barriers().len() as u64)
+        );
+        assert_eq!(store.memory_stats().1, s);
+    }
+
+    #[test]
+    fn tape_scale_variants_of_one_benchmark_do_not_alias() {
+        let store = ArtifactStore::in_memory();
+        let quick = compiled(&store, "eqntott", 10, Scale::quick());
+        let full = compiled(&store, "eqntott", 10, Scale::full());
+        let a = store.get_or_record(&quick);
+        let b = store.get_or_record(&full);
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_ne!(a.len(), b.len());
+        assert_eq!(store.memory_stats().1.derived, 2);
+    }
+
+    #[test]
+    fn concurrent_first_access_still_records_once() {
+        // 16 workers race for 4 distinct (benchmark, latency) pairs; the
+        // OnceLock slots must serialize each pair to a single recording.
+        let store = ArtifactStore::in_memory();
+        let programs = [
+            compiled(&store, "doduc", 6, Scale::quick()),
+            compiled(&store, "doduc", 10, Scale::quick()),
+            compiled(&store, "eqntott", 6, Scale::quick()),
+            compiled(&store, "eqntott", 10, Scale::quick()),
+        ];
+        let pool = JobPool::new(8);
+        let lens = pool.run(16, |i| store.get_or_record(&programs[i % 4]).len());
+        assert_eq!(lens.len(), 16);
+        let s = store.memory_stats().1;
+        assert_eq!(s.derived, 4, "one recording per distinct pair");
+        assert_eq!(s.hits + s.derived, 16);
+    }
+
+    #[test]
+    fn over_budget_idle_tapes_are_evicted_fifo() {
+        let scratch = ArtifactStore::in_memory();
+        let c1 = compiled(&scratch, "eqntott", 10, Scale::quick());
+        let c2 = compiled(&scratch, "eqntott", 6, Scale::quick());
+        let t1 = TraceTape::record(&c1);
+        let (t1_bytes, t1_len) = (t1.bytes(), t1.len());
+        // Budget fits exactly one tape: inserting the second must evict
+        // the (idle) first.
+        let store = ArtifactStore::with_tape_budget(t1_bytes);
+        drop(store.get_or_record(&c1));
+        let t2 = store.get_or_record(&c2);
+        let s = store.memory_stats().1;
+        assert_eq!(s.evictions, 1);
+        assert_eq!(s.resident_bytes, t2.bytes());
+        assert_eq!(store.tapes.len(), 1);
+        // The evicted pair re-records on its next request.
+        let again = store.get_or_record(&c1);
+        assert_eq!(store.memory_stats().1.derived, 3);
+        assert_eq!(again.len(), t1_len);
+    }
+
+    #[test]
+    fn tape_shared_by_concurrent_fused_replays_survives_budget_pressure() {
+        use crate::config::{HwConfig, SimConfig};
+        use crate::driver::{run_tape, run_tape_fused};
+
+        // One tape walked by several fused replays at once, while another
+        // worker churns the tier with insertions that each trigger an
+        // eviction pass on a budget of one byte. The walked tape must be
+        // served pointer-identical to every replay (never evicted and
+        // re-recorded mid-walk), and the results must be unperturbed.
+        let store = ArtifactStore::with_tape_budget(1);
+        let shared = compiled(&store, "swm256", 6, Scale::quick());
+        let tape = store.get_or_record(&shared);
+        let cfgs: Vec<SimConfig> = [HwConfig::Mc0, HwConfig::Mc(1), HwConfig::NoRestrict]
+            .into_iter()
+            .map(|hw| SimConfig::baseline(hw).at_latency(6))
+            .collect();
+        let reference: Vec<_> = cfgs
+            .iter()
+            .map(|cfg| run_tape("swm256", &tape, cfg).unwrap())
+            .collect();
+
+        let pool = JobPool::new(4);
+        let out = pool.run(4, |i| {
+            if i == 0 {
+                // Pressure: every insertion runs an eviction pass.
+                for name in ["doduc", "eqntott", "tomcatv"] {
+                    drop(store.get_or_record(&compiled(&store, name, 6, Scale::quick())));
+                }
+                None
+            } else {
+                let t = store.get_or_record(&shared);
+                let identical = Arc::ptr_eq(&t, &tape);
+                Some((identical, run_tape_fused("swm256", &t, &cfgs).unwrap()))
+            }
+        });
+        for (identical, results) in out.into_iter().flatten() {
+            assert!(identical, "a busy tape must never be evicted mid-walk");
+            assert_eq!(results, reference, "pressure must not perturb results");
+        }
+        let s = store.memory_stats().1;
+        assert_eq!(
+            s.derived, 4,
+            "the shared tape records once; only the 3 pressure tapes add"
+        );
+        assert!(s.resident_bytes >= tape.bytes());
+    }
+
+    #[test]
+    fn in_use_tapes_survive_eviction_pressure() {
+        let store = ArtifactStore::with_tape_budget(1); // everything is over budget
+        let c1 = compiled(&store, "tomcatv", 10, Scale::quick());
+        let c2 = compiled(&store, "tomcatv", 6, Scale::quick());
+        let held = store.get_or_record(&c1); // kept alive by this Arc
+        let second = store.get_or_record(&c2);
+        assert!(
+            store.memory_stats().1.resident_bytes >= held.bytes(),
+            "a tape with a live replay reference must not be dropped"
+        );
+        assert!(store.tapes.len() > 0);
+        // Once released, the next insertion can reclaim it.
+        drop(held);
+        drop(second);
+        let _third = store.get_or_record(&compiled(&store, "tomcatv", 3, Scale::quick()));
+        assert!(store.memory_stats().1.evictions >= 1);
     }
 }

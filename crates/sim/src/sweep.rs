@@ -7,12 +7,10 @@
 //! pair is compiled once and replayed under every configuration, exactly
 //! as the paper replays each binary.
 
-use crate::compile_cache::CompileCache;
 use crate::config::{HwConfig, ProcessorKind, SimConfig};
 use crate::driver::{run_compiled, run_tape, run_tape_fused, RunResult, SimError};
 use crate::pool::JobPool;
 use crate::store::{program_fingerprint, result_fingerprint, ArtifactStore};
-use crate::tape_cache::TapeCache;
 use nbl_core::tag_array::ReplacementKind;
 use nbl_sched::compile::compile;
 use nbl_trace::ir::Program;
@@ -252,12 +250,12 @@ fn span_claim_order(spans: &[RowSpan], weights: &[u64]) -> Vec<usize> {
 }
 
 /// The parallel sweep engine: a [`JobPool`] plus an [`ArtifactStore`]
-/// (the memory-tier [`CompileCache`] and [`TapeCache`], optionally
+/// (exactly-once compiled programs and tapes in memory, optionally
 /// backed by the content-addressed disk tier).
 ///
 /// Sweeps flatten their `(benchmark, latency, configuration)` grids into a
 /// single pool invocation; each cell fetches its compiled program from the
-/// compile cache (compiled exactly once per `(benchmark, latency)` pair)
+/// store (compiled exactly once per `(benchmark, latency)` pair)
 /// and the recorded tape through the store's tiers (the dynamic stream is
 /// materialized exactly once per pair — decoded from disk when a prior
 /// process persisted it), then replays the tape under its own hardware
@@ -318,16 +316,6 @@ impl SweepEngine {
         &self.store
     }
 
-    /// The engine's compile cache (e.g. for counter reporting).
-    pub fn cache(&self) -> &CompileCache {
-        self.store.compile_cache()
-    }
-
-    /// The engine's tape cache (e.g. for counter reporting).
-    pub fn tapes(&self) -> &TapeCache {
-        self.store.tape_cache()
-    }
-
     /// The result-artifact fingerprint of one cell, when the store has a
     /// disk tier to address into.
     fn cell_fingerprint(&self, program: &Program, cfg: &SimConfig) -> Option<u64> {
@@ -357,30 +345,19 @@ impl SweepEngine {
         Ok(result)
     }
 
-    /// One fused row — every configuration of a `(program, latency)`
-    /// pair in one tape walk. In incremental mode, cells whose stored
-    /// results are present under their exact input fingerprints are
-    /// answered from the store; only the missing configurations are
-    /// simulated (still fused, and each configuration's replay is
-    /// independent of its row neighbours, so the mix is bit-identical to
-    /// an all-simulated row). Fresh results write through.
-    fn run_row_fused(
-        &self,
-        program: &Program,
-        program_fp: Option<u64>,
-        latency: u32,
-        cfgs: &[SimConfig],
-    ) -> Result<Vec<RunResult>, SimError> {
-        self.run_row_span(program, program_fp, latency, cfgs, &OnceLock::new())
-    }
-
     /// One scheduling unit of a fused row: the contiguous configuration
-    /// slice `cfgs` of a `(program, latency)` pair. When a row is split
+    /// slice `cfgs` of a `(program, latency)` pair, replayed in one tape
+    /// walk. In incremental mode, cells whose stored results are present
+    /// under their exact input fingerprints are answered from the store;
+    /// only the missing configurations are simulated (still fused, and
+    /// each configuration's replay is independent of its row neighbours,
+    /// so the mix is bit-identical to an all-simulated row). Fresh
+    /// results write through. When a row is split
     /// across units (fusion-aware scheduling under a multi-thread pool),
     /// all of its units share `tape_slot`, so the pair is still compiled
     /// and recorded **exactly once per sweep** — the first unit that
     /// needs the tape initializes the slot and the rest reuse the `Arc`
-    /// without touching the caches; cache counters are identical to the
+    /// without touching the store; store counters are identical to the
     /// one-job-per-row path.
     fn run_row_span(
         &self,
@@ -425,17 +402,43 @@ impl SweepEngine {
     /// (warm sweeps — the common bench shape), else the program's
     /// statically estimated dynamic instruction count. Both are
     /// proportional to replay work; mixing the two across rows only
-    /// happens on partially warm caches, where any positive weight
+    /// happens on a partially warm store, where any positive weight
     /// already beats uniform chunking.
     fn row_weight(&self, program: &Program, latency: u32) -> u64 {
         self.store
-            .tape_cache()
-            .peek_barriers(&program.name, latency)
+            .resident_barriers(&program.name, latency)
             .unwrap_or_else(|| program.estimated_instructions())
     }
 
+    /// Runs an `outer × latency × configuration` grid of independent
+    /// cells as one flat pool invocation, regrouped as
+    /// `rows[outer][latency][configuration]`. `cell(o, cfg)` runs outer
+    /// index `o` under `base` at one latency and hardware configuration.
+    fn run_cells(
+        &self,
+        outer: usize,
+        base: &SimConfig,
+        configs: &[HwConfig],
+        latencies: &[u32],
+        cell: impl Fn(usize, SimConfig) -> Result<RunResult, SimError> + Sync,
+    ) -> Result<Vec<Vec<Vec<RunResult>>>, SimError> {
+        let (nl, nc) = (latencies.len(), configs.len());
+        let cells = self.pool.try_run(outer * nl * nc, |idx| {
+            let cfg = SimConfig {
+                hw: configs[idx % nc].clone(),
+                ..base.clone()
+            }
+            .at_latency(latencies[(idx / nc) % nl]);
+            cell(idx / (nl * nc), cfg)
+        })?;
+        let mut iter = cells.into_iter();
+        (0..outer)
+            .map(|_| (0..nl).map(|_| iter.by_ref().take(nc).collect()).collect())
+            .collect()
+    }
+
     /// Parallel [`latency_sweep`]: identical results, cells run on the
-    /// pool, compilation via the engine's cache.
+    /// pool, compilation via the engine's store.
     ///
     /// # Errors
     ///
@@ -504,11 +507,12 @@ impl SweepEngine {
             if self.pool.threads() <= 1 || nrows <= 1 || nc == 0 {
                 self.pool
                     .try_run(nrows, |idx| -> Result<Vec<RunResult>, SimError> {
-                        self.run_row_fused(
+                        self.run_row_span(
                             programs[idx / nl],
                             program_fps[idx / nl],
                             latencies[idx % nl],
                             &span_cfgs(idx, 0, nc),
+                            &OnceLock::new(),
                         )
                     })?
             } else {
@@ -548,19 +552,15 @@ impl SweepEngine {
                 }
                 rows
             };
-        let mut iter = rows.into_iter();
+        let mut rows = rows.into_iter();
         programs
             .iter()
             .map(|program| {
-                let mut rows = Vec::with_capacity(nl);
-                for _ in 0..nl {
-                    rows.push(iter.next().expect("one row per (program, latency)")?);
-                }
                 Ok(LatencySweep {
                     benchmark: program.name.clone(),
                     configs: configs.iter().map(HwConfig::label).collect(),
                     latencies: latencies.to_vec(),
-                    rows,
+                    rows: rows.by_ref().take(nl).collect::<Result<_, _>>()?,
                 })
             })
             .collect()
@@ -581,40 +581,23 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<Vec<LatencySweep>, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let cells = self.pool.try_run(
-            programs.len() * nl * nc,
-            |idx| -> Result<RunResult, SimError> {
-                let program = programs[idx / (nl * nc)];
-                let lat = latencies[(idx / nc) % nl];
-                let cfg = SimConfig {
-                    hw: configs[idx % nc].clone(),
-                    ..base.clone()
-                }
-                .at_latency(lat);
-                self.run_cell(program, &cfg)
-            },
-        )?;
-        let mut iter = cells.into_iter();
-        programs
+        let grid = self.run_cells(programs.len(), base, configs, latencies, |p, cfg| {
+            self.run_cell(programs[p], &cfg)
+        })?;
+        Ok(programs
             .iter()
-            .map(|program| {
-                let mut rows = Vec::with_capacity(nl);
-                for _ in 0..nl {
-                    rows.push(iter.by_ref().take(nc).collect::<Result<Vec<_>, _>>()?);
-                }
-                Ok(LatencySweep {
-                    benchmark: program.name.clone(),
-                    configs: configs.iter().map(HwConfig::label).collect(),
-                    latencies: latencies.to_vec(),
-                    rows,
-                })
+            .zip(grid)
+            .map(|(program, rows)| LatencySweep {
+                benchmark: program.name.clone(),
+                configs: configs.iter().map(HwConfig::label).collect(),
+                latencies: latencies.to_vec(),
+                rows,
             })
-            .collect()
+            .collect())
     }
 
     /// Parallel [`penalty_sweep`]: identical results, cells run on the
-    /// pool, the single compilation via the engine's cache.
+    /// pool, the single compilation via the engine's store.
     ///
     /// # Errors
     ///
@@ -672,30 +655,9 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<ReplacementSweep, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let cells = self.pool.try_run(
-            policies.len() * nl * nc,
-            |idx| -> Result<RunResult, SimError> {
-                let policy = policies[idx / (nl * nc)];
-                let lat = latencies[(idx / nc) % nl];
-                let cfg = SimConfig {
-                    hw: configs[idx % nc].clone(),
-                    ..base.clone()
-                }
-                .at_latency(lat)
-                .with_replacement(policy);
-                self.run_cell(program, &cfg)
-            },
-        )?;
-        let mut iter = cells.into_iter();
-        let mut rows = Vec::with_capacity(policies.len());
-        for _ in policies {
-            let mut per_latency = Vec::with_capacity(nl);
-            for _ in 0..nl {
-                per_latency.push(iter.by_ref().take(nc).collect::<Result<Vec<_>, _>>()?);
-            }
-            rows.push(per_latency);
-        }
+        let rows = self.run_cells(policies.len(), base, configs, latencies, |p, cfg| {
+            self.run_cell(program, &cfg.with_replacement(policies[p]))
+        })?;
         Ok(ReplacementSweep {
             benchmark: program.name.clone(),
             policies: policies.iter().map(ReplacementKind::label).collect(),
@@ -722,30 +684,9 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<ModelSweep, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let cells = self.pool.try_run(
-            models.len() * nl * nc,
-            |idx| -> Result<RunResult, SimError> {
-                let model = models[idx / (nl * nc)];
-                let lat = latencies[(idx / nc) % nl];
-                let cfg = SimConfig {
-                    hw: configs[idx % nc].clone(),
-                    ..base.clone()
-                }
-                .at_latency(lat)
-                .with_processor(model);
-                self.run_cell(program, &cfg)
-            },
-        )?;
-        let mut iter = cells.into_iter();
-        let mut rows = Vec::with_capacity(models.len());
-        for _ in models {
-            let mut per_latency = Vec::with_capacity(nl);
-            for _ in 0..nl {
-                per_latency.push(iter.by_ref().take(nc).collect::<Result<Vec<_>, _>>()?);
-            }
-            rows.push(per_latency);
-        }
+        let rows = self.run_cells(models.len(), base, configs, latencies, |m, cfg| {
+            self.run_cell(program, &cfg.with_processor(models[m]))
+        })?;
         Ok(ModelSweep {
             benchmark: program.name.clone(),
             models: models.iter().map(|m| m.label().to_string()).collect(),
@@ -892,15 +833,14 @@ mod tests {
         // 2 benchmarks × 2 latencies compiled; the fused sweep fetches
         // each compilation and tape exactly once per (benchmark, latency)
         // row — the 3 configurations inside a row share one walk.
-        let stats = engine.cache().stats();
+        let (compiled, tapes) = engine.store().memory_stats();
         assert_eq!(
-            stats.compiles, 4,
+            compiled.derived, 4,
             "each (benchmark, latency) pair compiles exactly once"
         );
-        assert_eq!(stats.hits, 0, "fused rows fetch each compilation once");
-        let tapes = engine.tapes().stats();
+        assert_eq!(compiled.hits, 0, "fused rows fetch each compilation once");
         assert_eq!(
-            tapes.records, 4,
+            tapes.derived, 4,
             "each (benchmark, latency) pair records exactly once"
         );
         assert_eq!(tapes.hits, 0, "fused rows fetch each tape once");
@@ -908,18 +848,11 @@ mod tests {
         engine
             .grid_sweep(&[&doduc, &eqntott], &base, &configs, &latencies)
             .unwrap();
-        assert_eq!(
-            engine.cache().stats().compiles,
-            4,
-            "re-sweep recompiles nothing"
-        );
-        assert_eq!(engine.cache().stats().hits, 4);
-        assert_eq!(
-            engine.tapes().stats().records,
-            4,
-            "re-sweep re-records nothing"
-        );
-        assert_eq!(engine.tapes().stats().hits, 4);
+        let (compiled, tapes) = engine.store().memory_stats();
+        assert_eq!(compiled.derived, 4, "re-sweep recompiles nothing");
+        assert_eq!(compiled.hits, 4);
+        assert_eq!(tapes.derived, 4, "re-sweep re-records nothing");
+        assert_eq!(tapes.hits, 4);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn cross_process_warm_start_hits_the_disk_tier() {
     assert_eq!(sa.tape_misses, PAIRS);
     assert_eq!(sa.tape_writes, PAIRS);
     assert_eq!(sa.result_writes, CELLS);
-    assert_eq!(a.tapes().stats().records, PAIRS);
+    assert_eq!(a.store().memory_stats().1.derived, PAIRS);
 
     // "Process" B: a fresh instance over the same directory. Every tape
     // request must be answered by decoding A's artifacts — no recording.
@@ -102,7 +102,7 @@ fn cross_process_warm_start_hits_the_disk_tier() {
     assert_eq!(sb.tape_misses, 0);
     assert_eq!(sb.corruptions, 0);
     assert_eq!(
-        b.tapes().stats().records,
+        b.store().memory_stats().1.derived,
         0,
         "warm start must not re-record"
     );
@@ -128,16 +128,9 @@ fn incremental_mode_answers_cells_from_stored_results() {
     let sb = b.store().disk_stats();
     assert_eq!(sb.result_hits, CELLS);
     assert_eq!(sb.result_misses, 0);
-    assert_eq!(
-        b.cache().stats().compiles,
-        0,
-        "incremental hit skips compile"
-    );
-    assert_eq!(
-        b.tapes().stats().records,
-        0,
-        "incremental hit skips recording"
-    );
+    let (compiled, tapes) = b.store().memory_stats();
+    assert_eq!(compiled.derived, 0, "incremental hit skips compile");
+    assert_eq!(tapes.derived, 0, "incremental hit skips recording");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -168,7 +161,7 @@ fn corrupted_tape_is_quarantined_and_transparently_re_recorded() {
     assert_eq!(sb.corruptions, 1);
     assert_eq!(sb.tape_hits, PAIRS - 1);
     assert_eq!(sb.tape_writes, 1, "the damaged pair is re-recorded");
-    assert_eq!(b.tapes().stats().records, 1);
+    assert_eq!(b.store().memory_stats().1.derived, 1);
     assert_eq!(
         artifacts_with_extension(&dir, "corrupt").len(),
         1,

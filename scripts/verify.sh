@@ -272,6 +272,10 @@ store = caches["store"]
 assert set(store) == {"tape_hits", "tape_misses", "tape_writes",
                       "result_hits", "result_misses", "result_writes",
                       "corruptions", "io_errors"}, store
+assert set(caches) == {"compile_cache", "tape_cache", "store"}, caches
+assert set(caches["compile_cache"]) == {"compiles", "hits"}, caches["compile_cache"]
+assert set(caches["tape_cache"]) == {"records", "hits", "evictions",
+                                     "resident_bytes"}, caches["tape_cache"]
 # Second process: every tape pair decoded from the disk tier, none
 # re-recorded; all 864 cells answered by the disk-warm phase.
 assert caches["tape_cache"]["records"] == 0, caches["tape_cache"]
