@@ -33,7 +33,7 @@ use nbl_mem::system::{
     StoreResponse,
 };
 use nbl_mem::write_buffer::RetirePolicy;
-use nbl_trace::tape::{barrier_index, barrier_is_mem, TapeKind, TraceTape};
+use nbl_trace::tape::{barrier_index, barrier_is_mem, AddrCursor, TapeKind, TraceTape};
 
 /// Replay-bubble length for the *fast* causes (bank conflict, dcache
 /// NACK): the load re-enters from the replay queue after a short
@@ -60,6 +60,17 @@ fn replay_bubble(cause: ReplayCause) -> (u64, StallCause) {
 
 pub use nbl_mem::system::L2Params;
 
+/// The end-of-walk check on a replay's address cursor: a full replay of
+/// an `n`-entry tape takes exactly one address per memory operation, so
+/// an address left over means the walk skipped a memory barrier.
+pub(crate) fn check_drained(addrs: &AddrCursor<'_>, n: usize) -> Result<(), EngineError> {
+    if addrs.is_drained() {
+        Ok(())
+    } else {
+        Err(EngineError::MalformedTape { index: n })
+    }
+}
+
 /// A recoverable engine failure, reported instead of aborting the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {
@@ -68,12 +79,16 @@ pub enum EngineError {
     /// the scoreboard and the memory system disagree — a model invariant
     /// violation the caller can surface instead of a panic.
     NoOutstandingFetch,
-    /// A trace-tape entry was structurally invalid — e.g. a load without
-    /// a recorded destination register. The recorder upholds this by
-    /// construction, so hitting it means the tape bytes were corrupted;
-    /// replay surfaces the entry index instead of panicking mid-sweep.
+    /// A trace-tape entry was structurally invalid — a load without a
+    /// recorded destination register, a memory operation whose address
+    /// cursor ran dry, or addresses left over when the walk ended. The
+    /// recorder and the decoder uphold this by construction, so hitting
+    /// it means a corrupted tape or a replay loop that lost step with its
+    /// cursor; replay surfaces the entry index instead of panicking
+    /// mid-sweep.
     MalformedTape {
-        /// Index of the offending tape entry.
+        /// Index of the offending tape entry (the tape length when
+        /// addresses were left over at the end).
         index: usize,
     },
     /// The configuration asks for a second-level cache whose geometry
@@ -94,10 +109,7 @@ impl std::fmt::Display for EngineError {
                 write!(f, "engine waited for a fill but no fetch is outstanding")
             }
             EngineError::MalformedTape { index } => {
-                write!(
-                    f,
-                    "malformed trace tape: load entry {index} has no destination"
-                )
+                write!(f, "malformed trace tape at entry {index}")
             }
             EngineError::InvalidL2 { size_bytes, reason } => {
                 write!(f, "invalid {size_bytes}-byte L2: {reason}")
@@ -182,12 +194,17 @@ struct GroupEntry {
 }
 
 impl GroupEntry {
+    /// Decodes memory barrier `b`, taking its address from `addrs`.
     #[inline]
     fn decode(
         tape: &TraceTape,
         b: usize,
+        addrs: &mut AddrCursor<'_>,
         group: &FusedMemGroup,
     ) -> Result<GroupEntry, EngineError> {
+        let addr = addrs
+            .next()
+            .ok_or(EngineError::MalformedTape { index: b })?;
         let op = match tape.kind(b) {
             TapeKind::Alu | TapeKind::Branch => GroupOp::Free,
             TapeKind::Load => GroupOp::Load {
@@ -198,7 +215,7 @@ impl GroupEntry {
         };
         Ok(GroupEntry {
             op,
-            decoded: group.decode(tape.addr(b)),
+            decoded: group.decode(addr),
         })
     }
 }
@@ -435,22 +452,33 @@ impl Core {
 
     /// Tape-indexed twin of [`Core::execute`]: performs entry `i`'s
     /// operation and stats accounting directly from the packed arrays.
+    /// `addr` is the entry's address as the walk's [`AddrCursor`] yielded
+    /// it ([`AddrCursor::step`]): `Some` for a memory operation, `None`
+    /// otherwise.
     ///
     /// # Errors
     ///
     /// [`EngineError::NoOutstandingFetch`] as for [`Core::execute`], and
     /// [`EngineError::MalformedTape`] if entry `i` is a load with no
-    /// recorded destination.
-    pub fn replay_execute(&mut self, tape: &TraceTape, i: usize) -> Result<(), EngineError> {
+    /// recorded destination or a memory operation with no address.
+    pub fn replay_execute(
+        &mut self,
+        tape: &TraceTape,
+        i: usize,
+        addr: Option<Addr>,
+    ) -> Result<(), EngineError> {
         match tape.kind(i) {
             TapeKind::Alu | TapeKind::Branch => {}
             TapeKind::Load => {
-                let dst = tape.dst(i).ok_or(EngineError::MalformedTape { index: i })?;
-                self.execute_load(tape.addr(i), dst, tape.format(i))?;
+                let (Some(addr), Some(dst)) = (addr, tape.dst(i)) else {
+                    return Err(EngineError::MalformedTape { index: i });
+                };
+                self.execute_load(addr, dst, tape.format(i))?;
                 self.stats.loads += 1;
             }
             TapeKind::Store => {
-                self.execute_store(tape.addr(i));
+                let addr = addr.ok_or(EngineError::MalformedTape { index: i })?;
+                self.execute_store(addr);
                 self.stats.stores += 1;
             }
         }
@@ -492,6 +520,7 @@ impl Core {
     pub fn replay(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
         let barriers = tape.barriers();
         let n = tape.len();
+        let mut addrs = tape.addr_cursor();
         let mut i = 0; // next instruction index to account for
         let mut j = 0; // next barrier to process
         while j < barriers.len() {
@@ -510,18 +539,19 @@ impl Core {
                 let Some(&b) = barriers.get(j) else { break };
                 // The memory barrier itself: nothing outstanding, so no
                 // drain and no register hazard is possible.
-                self.replay_execute(tape, barrier_index(b))?;
+                self.replay_execute(tape, barrier_index(b), addrs.next())?;
                 self.tick();
                 i = barrier_index(b) + 1;
                 j += 1;
             } else {
-                let b = barrier_index(barriers[j]);
+                let entry = barriers[j];
+                let b = barrier_index(entry);
                 if b > i {
                     self.issue_free_run(b - i);
                 }
                 self.drain_fills();
                 self.replay_hazards(tape, b)?;
-                self.replay_execute(tape, b)?;
+                self.replay_execute(tape, b, addrs.step(barrier_is_mem(entry)))?;
                 self.tick();
                 i = b + 1;
                 j += 1;
@@ -530,7 +560,7 @@ impl Core {
         if i < n {
             self.issue_free_run(n - i);
         }
-        Ok(())
+        check_drained(&addrs, n)
     }
 
     /// Replays one recorded tape through several engines in lockstep,
@@ -570,6 +600,9 @@ impl Core {
         let n = tape.len();
         // Per-engine cursor: the next instruction index to account for.
         let mut cursors = vec![0usize; cores.len()];
+        // One address cursor for the whole group: every engine steps
+        // every memory barrier, so the group takes one address each.
+        let mut addrs = tape.addr_cursor();
         let mut j = 0;
         while j < barriers.len() {
             if cores.iter().all(|c| c.mem.next_event().is_none()) {
@@ -579,12 +612,13 @@ impl Core {
                 j = tape.next_mem_barrier(j);
                 let Some(&entry) = barriers.get(j) else { break };
                 let b = barrier_index(entry);
+                let addr = addrs.next();
                 for (core, i) in cores.iter_mut().zip(&mut cursors) {
                     if b > *i {
                         core.issue_free_run(b - *i);
                     }
                     // Nothing outstanding: no drain, no hazard possible.
-                    core.replay_execute(tape, b)?;
+                    core.replay_execute(tape, b, addr)?;
                     core.tick();
                     *i = b + 1;
                 }
@@ -592,6 +626,7 @@ impl Core {
                 let entry = barriers[j];
                 let b = barrier_index(entry);
                 let is_mem = barrier_is_mem(entry);
+                let addr = addrs.step(is_mem);
                 for (core, i) in cores.iter_mut().zip(&mut cursors) {
                     let quiescent = core.mem.next_event().is_none();
                     if quiescent && !is_mem {
@@ -607,7 +642,7 @@ impl Core {
                         core.drain_fills();
                         core.replay_hazards(tape, b)?;
                     }
-                    core.replay_execute(tape, b)?;
+                    core.replay_execute(tape, b, addr)?;
                     core.tick();
                     *i = b + 1;
                 }
@@ -619,7 +654,7 @@ impl Core {
                 core.issue_free_run(n - *i);
             }
         }
-        Ok(())
+        check_drained(&addrs, n)
     }
 
     /// `true` when every engine in the group matches the specialized
@@ -662,6 +697,7 @@ impl Core {
         let barriers = tape.barriers();
         let n = tape.len();
         let mut cursors = vec![0usize; cores.len()];
+        let mut addrs = tape.addr_cursor();
         let all: u64 = if cores.len() >= 64 {
             u64::MAX
         } else {
@@ -681,7 +717,7 @@ impl Core {
                 j = tape.next_mem_barrier(j);
                 let Some(&entry) = barriers.get(j) else { break };
                 let b = barrier_index(entry);
-                let e = GroupEntry::decode(tape, b, group)?;
+                let e = GroupEntry::decode(tape, b, &mut addrs, group)?;
                 // The operation is one and the same for the whole group,
                 // so the dispatch happens once out here and each arm is a
                 // tight per-engine loop: free-run span, one direct-mapped
@@ -737,7 +773,7 @@ impl Core {
                 let entry = barriers[j];
                 let b = barrier_index(entry);
                 if barrier_is_mem(entry) {
-                    let e = GroupEntry::decode(tape, b, group)?;
+                    let e = GroupEntry::decode(tape, b, &mut addrs, group)?;
                     for (k, (core, i)) in cores.iter_mut().zip(&mut cursors).enumerate() {
                         let was_quiescent = quiescent & (1 << k) != 0;
                         if b > *i {
@@ -795,7 +831,7 @@ impl Core {
                         }
                         core.drain_fills();
                         core.replay_hazards(tape, b)?;
-                        core.replay_execute(tape, b)?;
+                        core.replay_execute(tape, b, None)?;
                         core.tick();
                         *i = b + 1;
                         if core.mem.next_event().is_none() {
@@ -811,7 +847,7 @@ impl Core {
                 core.issue_free_run(n - *i);
             }
         }
-        Ok(())
+        check_drained(&addrs, n)
     }
 
     fn execute_load(
@@ -969,28 +1005,33 @@ impl Core {
         Ok(())
     }
 
-    /// Tape-indexed twin of [`Core::execute_speculative`].
+    /// Tape-indexed twin of [`Core::execute_speculative`], with `addr`
+    /// as for [`Core::replay_execute`].
     ///
     /// # Errors
     ///
     /// As for [`Core::execute_speculative`], plus
     /// [`EngineError::MalformedTape`] if entry `i` is a load with no
-    /// recorded destination.
+    /// recorded destination or a memory operation with no address.
     pub(crate) fn replay_execute_speculative(
         &mut self,
         tape: &TraceTape,
         i: usize,
+        addr: Option<Addr>,
         attr: &mut ReplayAttribution,
     ) -> Result<(), EngineError> {
         match tape.kind(i) {
             TapeKind::Alu | TapeKind::Branch => {}
             TapeKind::Load => {
-                let dst = tape.dst(i).ok_or(EngineError::MalformedTape { index: i })?;
-                self.execute_load_speculative(tape.addr(i), dst, tape.format(i), attr)?;
+                let (Some(addr), Some(dst)) = (addr, tape.dst(i)) else {
+                    return Err(EngineError::MalformedTape { index: i });
+                };
+                self.execute_load_speculative(addr, dst, tape.format(i), attr)?;
                 self.stats.loads += 1;
             }
             TapeKind::Store => {
-                self.execute_store_speculative(tape.addr(i));
+                let addr = addr.ok_or(EngineError::MalformedTape { index: i })?;
+                self.execute_store_speculative(addr);
                 self.stats.stores += 1;
             }
         }

@@ -27,14 +27,14 @@
 //! tape rail is tested against, so a model is defined once and drives
 //! both rails identically.
 
-use crate::core_engine::{Core, EngineConfig, EngineError};
+use crate::core_engine::{check_drained, Core, EngineConfig, EngineError};
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution};
 use nbl_core::cache::LockupFreeCache;
 use nbl_core::inst::DynInst;
 use nbl_core::types::Cycle;
 use nbl_mem::event::ReplayCause;
 use nbl_mem::system::MemorySystem;
-use nbl_trace::tape::{barrier_index, TraceTape};
+use nbl_trace::tape::{barrier_index, barrier_is_mem, TraceTape};
 
 /// Which issue discipline the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -190,7 +190,8 @@ impl IssueEngine {
 
     /// The dual pairing loop over packed tape entries: leader/follower
     /// conflict and port checks use the byte-compare forms
-    /// ([`TraceTape::conflicts`], [`TraceTape::is_mem`]) and only a
+    /// ([`TraceTape::conflicts`], [`TraceTape::is_mem`]), addresses come
+    /// from one cursor stepped at each executed entry, and only a
     /// trailing unpaired entry is ever reconstructed as a [`DynInst`] (it
     /// lands in the pairing buffer for [`IssueEngine::finish`], exactly as
     /// a pushed stream would).
@@ -201,16 +202,19 @@ impl IssueEngine {
             return self.run(tape.iter());
         }
         let n = tape.len();
+        let mut addrs = tape.addr_cursor();
         let mut i = 0;
         while i < n {
             if i + 1 == n {
                 // Unpaired tail: buffered, flushed by `finish`.
-                self.slot = Some(tape.get(i));
+                let tail = tape.get(i, &mut addrs);
+                self.slot = Some(tail.ok_or(EngineError::MalformedTape { index: i })?);
                 break;
             }
             self.core.drain_fills();
             self.core.replay_hazards(tape, i)?;
-            self.core.replay_execute(tape, i)?;
+            self.core
+                .replay_execute(tape, i, addrs.step(tape.is_mem(i)))?;
             let coissue = !(tape.conflicts(i, i + 1) || tape.is_mem(i) && tape.is_mem(i + 1)) && {
                 // Fills that completed during the leader's stalls may
                 // have freed the follower's registers this very cycle.
@@ -218,7 +222,8 @@ impl IssueEngine {
                 self.core.replay_hazards_clear(tape, i + 1)
             };
             if coissue {
-                self.core.replay_execute(tape, i + 1)?;
+                self.core
+                    .replay_execute(tape, i + 1, addrs.step(tape.is_mem(i + 1)))?;
                 self.pairs_issued += 1;
                 self.core.tick();
                 i += 2;
@@ -227,7 +232,7 @@ impl IssueEngine {
                 i += 1;
             }
         }
-        Ok(())
+        check_drained(&addrs, n)
     }
 
     /// The replaying model's barrier loop: the same gap bulk-issue and
@@ -238,6 +243,7 @@ impl IssueEngine {
     fn run_tape_replaying(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
         let barriers = tape.barriers();
         let n = tape.len();
+        let mut addrs = tape.addr_cursor();
         let mut i = 0; // next instruction index to account for
         let mut j = 0; // next barrier to process
         while j < barriers.len() {
@@ -252,13 +258,15 @@ impl IssueEngine {
                 self.core.replay_execute_speculative(
                     tape,
                     barrier_index(b),
+                    addrs.next(),
                     &mut self.attribution,
                 )?;
                 self.core.tick();
                 i = barrier_index(b) + 1;
                 j += 1;
             } else {
-                let b = barrier_index(barriers[j]);
+                let entry = barriers[j];
+                let b = barrier_index(entry);
                 if b > i {
                     self.core.issue_free_run(b - i);
                 }
@@ -267,8 +275,12 @@ impl IssueEngine {
                 self.core.replay_hazards(tape, b)?;
                 self.attribution.stall_cycles[ReplayCause::DcacheMiss.index()] +=
                     self.core.now().since(before);
-                self.core
-                    .replay_execute_speculative(tape, b, &mut self.attribution)?;
+                self.core.replay_execute_speculative(
+                    tape,
+                    b,
+                    addrs.step(barrier_is_mem(entry)),
+                    &mut self.attribution,
+                )?;
                 self.core.tick();
                 i = b + 1;
                 j += 1;
@@ -277,7 +289,7 @@ impl IssueEngine {
         if i < n {
             self.core.issue_free_run(n - i);
         }
-        Ok(())
+        check_drained(&addrs, n)
     }
 
     fn issue_leader(&mut self, leader: &DynInst) -> Result<(), EngineError> {

@@ -22,7 +22,7 @@
 //!
 //! ```text
 //! results/store/
-//!   tape-v1-<workload>-l<latency>-<fp:016x>.nbt    recorded trace tape
+//!   tape-v2-<workload>-l<latency>-<fp:016x>.nbt    recorded trace tape
 //!   result-v1-<workload>-l<latency>-<fp:016x>.nbr  one RunResult
 //!   oracle-v1-<key:016x>.nbo                       one oracle verdict
 //!   <name>.corrupt                                 quarantined artifact
@@ -33,7 +33,8 @@
 //! compiled program; a result's is the fingerprint of `(program-IR
 //! fingerprint, SimConfig)`, so a result can be looked up *before*
 //! compiling. Format versions are embedded in the name: a version bump
-//! makes old files invisible instead of misread.
+//! makes old files invisible instead of misread (a `tape-v1-` file from
+//! before the dense tape layout is never opened, and stays where it is).
 //!
 //! ## One read, publish and quarantine path
 //!

@@ -172,6 +172,100 @@ fn corrupted_tape_is_quarantined_and_transparently_re_recorded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `bytes` (a current tape artifact) re-framed as format version 1: the
+/// version field rewritten and the checksum resealed, so the frame is
+/// intact and only the version is stale.
+fn as_version_1(mut bytes: Vec<u8>) -> Vec<u8> {
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = checksum_bytes(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// The name a tape artifact had under format version 1.
+fn version_1_name(v2: &Path) -> PathBuf {
+    let name = v2.file_name().unwrap().to_str().unwrap();
+    v2.with_file_name(name.replacen("tape-v2-", "tape-v1-", 1))
+}
+
+#[test]
+fn stale_version_1_tape_is_ignored_and_left_alone() {
+    let dir = temp_store("stale-v1");
+    let programs = grid_programs();
+
+    // Learn the v2 addresses from a populated store, then start over
+    // with only a v1-named, v1-framed file in the directory.
+    let baseline = run_grid(&disk_engine(&dir, false), &programs);
+    let v2 = artifacts_with_extension(&dir, "nbt");
+    assert_eq!(v2.len(), PAIRS as usize);
+    let stale = as_version_1(std::fs::read(&v2[0]).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1_path = version_1_name(&v2[0]);
+    std::fs::write(&v1_path, &stale).unwrap();
+
+    // The store never asks for the v1 name: every pair records once,
+    // nothing counts as damage, and the old file is untouched.
+    let b = disk_engine(&dir, false);
+    let again = run_grid(&b, &programs);
+    assert_eq!(again, baseline);
+    let sb = b.store().disk_stats();
+    assert_eq!(
+        (sb.tape_hits, sb.tape_misses, sb.tape_writes),
+        (0, PAIRS, PAIRS)
+    );
+    assert_eq!(sb.corruptions, 0);
+    assert_eq!(b.store().memory_stats().1.derived, PAIRS);
+    assert_eq!(std::fs::read(&v1_path).unwrap(), stale, "left alone");
+    assert!(artifacts_with_extension(&dir, "corrupt").is_empty());
+    assert!(v2[0].exists(), "the v2 address is populated beside it");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_1_frame_at_a_version_2_path_is_quarantined_and_re_recorded() {
+    let dir = temp_store("v1-at-v2");
+    let programs = grid_programs();
+
+    let a = disk_engine(&dir, false);
+    let baseline = run_grid(&a, &programs);
+
+    // Overwrite one v2 tape with the same content in a v1 frame.
+    let tapes = artifacts_with_extension(&dir, "nbt");
+    let victim = &tapes[2];
+    let original = std::fs::read(victim).unwrap();
+    let stale = as_version_1(original.clone());
+    assert_eq!(
+        TraceTape::from_bytes(&stale),
+        Err(CodecError::UnsupportedVersion(1))
+    );
+    std::fs::write(victim, &stale).unwrap();
+
+    let b = disk_engine(&dir, false);
+    let again = run_grid(&b, &programs);
+    assert_eq!(
+        again, baseline,
+        "the re-recorded tape replays bit-identically"
+    );
+    let sb = b.store().disk_stats();
+    assert_eq!(sb.corruptions, 1);
+    assert_eq!(sb.tape_hits, PAIRS - 1);
+    assert_eq!(sb.tape_writes, 1, "the stale pair is re-recorded");
+    assert_eq!(b.store().memory_stats().1.derived, 1);
+    let quarantined = artifacts_with_extension(&dir, "corrupt");
+    assert_eq!(quarantined.len(), 1);
+    assert_eq!(std::fs::read(&quarantined[0]).unwrap(), stale);
+    assert_eq!(
+        std::fs::read(victim).unwrap(),
+        original,
+        "the address is repopulated with the same v2 bytes"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupted_result_is_quarantined_and_the_cell_re_simulated() {
     let dir = temp_store("corrupt-result");
@@ -271,13 +365,13 @@ trait Fixture: ArtifactKind<Value: PartialEq + Debug> {
 }
 
 impl Fixture for TapeArtifact {
-    const GOLDEN: (usize, u64) = (4698, 0x22c0_8223_3e32_6879);
+    const GOLDEN: (usize, u64) = (2958, 0x43a9_dc00_6659_f5af);
 
     fn sample() -> TraceTape {
         tape_of_len(300)
     }
 
-    /// About 1.3 MB encoded.
+    /// About 1 MB encoded.
     fn bulky() -> TraceTape {
         tape_of_len(100_000)
     }

@@ -11,17 +11,23 @@
 //! per chase pattern) and a [`DynInst`] construction per instruction.
 //!
 //! A [`TraceTape`] flattens that stream once into a struct-of-arrays
-//! encoding that replays with nothing but sequential array reads:
+//! encoding that replays with nothing but sequential array reads. Three
+//! arrays run per instruction:
 //!
-//! | array     | type       | bytes/inst | contents                        |
-//! |-----------|------------|------------|---------------------------------|
-//! | `kinds`   | `TapeKind` | 1          | Alu / Branch / Load / Store     |
-//! | `dsts`    | `u8`       | 1          | dense register index, `0xff` = none |
-//! | `srcs`    | `[u8; 2]`  | 2          | dense register indices, `0xff` = none |
-//! | `addrs`   | `u64`      | 8          | effective address (mem ops only) |
-//! | `formats` | `u8`       | 1          | packed [`LoadFormat`] (loads only) |
+//! | array   | type      | bytes/inst | contents                                  |
+//! |---------|-----------|------------|-------------------------------------------|
+//! | `kinds` | `u8`      | 1          | [`TapeKind`] in bits 0–1, packed [`LoadFormat`] in bits 2–4 (loads only) |
+//! | `dsts`  | `u8`      | 1          | dense register index, `0xff` = none       |
+//! | `srcs`  | `[u8; 2]` | 2          | dense register indices, `0xff` = none     |
 //!
-//! plus a side index of **barrier** entries (`u32` each): the memory
+//! Effective addresses live apart, in one dense `u64` array in
+//! memory-operation order: the *k*-th address belongs to the *k*-th load
+//! or store. Nothing indexes it by instruction; replay reads it through an
+//! [`AddrCursor`] that advances once per memory barrier, in program
+//! order — exactly the memory-access sequence the static cache oracle
+//! consumes ([`TraceTape::mem_ops`]).
+//!
+//! A side index of **barrier** entries (`u32` each) lists the memory
 //! operations and the entries that read or rewrite a register whose most
 //! recent writer is a load. Only a barrier can stall or touch the memory
 //! system — a register is pending only while an outstanding load owns it,
@@ -34,12 +40,13 @@
 //! scan ([`TraceTape::next_mem_barrier`]) strides over non-memory spans
 //! 64 barriers at a time instead of probing bit 31 entry by entry.
 //!
-//! 13 bytes per dynamic instruction plus 4 per barrier (~40 % of entries
-//! on the paper's workload mixes) plus 8 per 64-barrier flag word, laid
-//! out so a replay touches each array linearly: ~0.6 MiB for a
-//! quick-scale (~40 k instruction) run and ~6 MiB for a full-scale
-//! (~400 k) one — see [`TraceTape::bytes`] and DESIGN.md §12 for the
-//! footprint bounds.
+//! The footprint is 4 bytes per dynamic instruction, plus 8 per memory
+//! operation (~26 % of entries on the paper's workload mixes), plus 4 per
+//! barrier (~46 %), plus 8 per 64-barrier flag word — about 8 bytes per
+//! instruction in all, laid out so a replay touches each array linearly:
+//! ~0.3 MiB for a quick-scale (~40 k instruction) run and ~3 MiB for a
+//! full-scale (~400 k) one. [`TraceTape::bytes`] and the codec share the
+//! arithmetic; DESIGN.md §12 gives the measured bounds.
 //!
 //! The tape is itself an [`InstSink`], so recording is just running the
 //! executor once into it ([`TraceTape::record`]); `nbl-sim` caches the
@@ -57,6 +64,12 @@ pub mod io;
 
 /// Dense register encoding for "no register".
 const REG_NONE: u8 = u8::MAX;
+
+/// Bits of a kind byte holding the [`TapeKind`].
+const KIND_MASK: u8 = 0b11;
+
+/// Shift of the packed [`LoadFormat`] within a load's kind byte.
+const FORMAT_SHIFT: u32 = 2;
 
 /// Bit 31 of a barrier entry: set when the barrier is a memory operation
 /// (see [`TraceTape::barriers`]). Instruction indices stay well below
@@ -79,7 +92,26 @@ pub fn barrier_is_mem(entry: u32) -> bool {
     entry & BARRIER_MEM != 0
 }
 
-/// What one tape entry does. One byte per entry; the split of
+/// Bytes of a tape's arrays for `insts` entries, `mem_ops` memory
+/// operations, `barriers` barriers and `flag_words` flag-plane words:
+/// 4 per instruction (kind, destination, two sources), 8 per memory
+/// operation (its address), 4 per barrier, 8 per flag word. `None` on
+/// overflow. [`TraceTape::bytes`] and the codec's artifact length both
+/// use this one formula.
+pub(crate) fn layout_bytes(
+    insts: usize,
+    mem_ops: usize,
+    barriers: usize,
+    flag_words: usize,
+) -> Option<usize> {
+    insts
+        .checked_mul(4)?
+        .checked_add(mem_ops.checked_mul(8)?)?
+        .checked_add(barriers.checked_mul(4)?)?
+        .checked_add(flag_words.checked_mul(8)?)
+}
+
+/// What one tape entry does: bits 0–1 of its kind byte. The split of
 /// [`DynKind::Alu`] into `Alu` (has a destination) and `Branch` (none)
 /// keeps the destination array sentinel-free on the hot load path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,10 +121,39 @@ pub enum TapeKind {
     Alu = 0,
     /// Branch / compare: single-cycle, no destination.
     Branch = 1,
-    /// Load: reads `addrs[i]`, writes `dsts[i]`, format in `formats[i]`.
+    /// Load: reads the next address, writes `dsts[i]`, format in bits
+    /// 2–4 of its kind byte.
     Load = 2,
-    /// Store: writes memory at `addrs[i]`.
+    /// Store: writes memory at the next address.
     Store = 3,
+}
+
+impl TapeKind {
+    /// The kind a kind byte carries in its low two bits.
+    #[inline]
+    fn of(byte: u8) -> TapeKind {
+        match byte & KIND_MASK {
+            0 => TapeKind::Alu,
+            1 => TapeKind::Branch,
+            2 => TapeKind::Load,
+            _ => TapeKind::Store,
+        }
+    }
+}
+
+/// `true` if a kind byte is a load or a store (kinds 2 and 3 share bit 1).
+#[inline]
+fn is_mem_byte(byte: u8) -> bool {
+    byte & 0b10 != 0
+}
+
+/// `true` if `byte` is a kind byte [`TraceTape::push`] can write: format
+/// bits only on a load, the top three bits always clear. Keeping the
+/// encoding canonical keeps "equal tapes" and "equal bytes" one relation.
+#[inline]
+fn is_canonical_kind(byte: u8) -> bool {
+    let rest = byte >> FORMAT_SHIFT;
+    (rest == 0) | ((byte & KIND_MASK == TapeKind::Load as u8) & (rest < 0b1000))
 }
 
 /// One memory operation of a tape, as yielded by [`TraceTape::mem_ops`]:
@@ -107,6 +168,55 @@ pub struct MemOp {
     /// Effective byte address.
     pub addr: Addr,
 }
+
+/// A read position in a tape's dense address array
+/// ([`TraceTape::addr_cursor`]). It yields the effective address of each
+/// memory operation in program order; a replay loop takes one address
+/// per memory barrier it executes, so the cursor and the barrier walk
+/// stay in step without ever indexing addresses by instruction. A cursor
+/// that runs dry before the walk ends yields `None`, which replay reports
+/// as a malformed tape.
+#[derive(Debug, Clone)]
+pub struct AddrCursor<'a> {
+    rest: std::slice::Iter<'a, u64>,
+}
+
+impl AddrCursor<'_> {
+    /// The next address if `is_mem`, else `None` without advancing — one
+    /// call per executed entry keeps the cursor in step with the walk.
+    #[inline]
+    pub fn step(&mut self, is_mem: bool) -> Option<Addr> {
+        if is_mem {
+            self.next()
+        } else {
+            None
+        }
+    }
+
+    /// `true` once every address has been consumed — where a full replay
+    /// of the tape must leave its cursor.
+    #[inline]
+    #[must_use]
+    pub fn is_drained(&self) -> bool {
+        self.rest.as_slice().is_empty()
+    }
+}
+
+impl Iterator for AddrCursor<'_> {
+    type Item = Addr;
+
+    #[inline]
+    fn next(&mut self) -> Option<Addr> {
+        self.rest.next().map(|&a| Addr(a))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rest.size_hint()
+    }
+}
+
+impl ExactSizeIterator for AddrCursor<'_> {}
 
 #[inline]
 fn pack_reg(r: Option<PhysReg>) -> u8 {
@@ -127,6 +237,13 @@ fn reg_bit(packed: u8) -> u64 {
 #[inline]
 fn unpack_reg(b: u8) -> Option<PhysReg> {
     (b != REG_NONE).then(|| PhysReg::from_dense(b as usize))
+}
+
+/// `true` if `b` is a register byte [`unpack_reg`] accepts: the sentinel
+/// or one of the 64 dense register indices.
+#[inline]
+fn is_valid_reg(b: u8) -> bool {
+    (b == REG_NONE) | (b < 64)
 }
 
 #[inline]
@@ -161,11 +278,13 @@ pub struct TraceTape {
     name: String,
     load_latency: u32,
     static_spill_ops: usize,
-    kinds: Vec<TapeKind>,
+    /// One byte per entry: [`TapeKind`] in bits 0–1, a load's packed
+    /// [`LoadFormat`] in bits 2–4.
+    kinds: Vec<u8>,
     dsts: Vec<u8>,
     srcs: Vec<[u8; 2]>,
+    /// Effective addresses of the memory operations, in program order.
     addrs: Vec<u64>,
-    formats: Vec<u8>,
     barriers: Vec<u32>,
     /// Packed flag plane over barrier *positions*: bit `k` of word `w` is
     /// set when `barriers[w * 64 + k]` is a memory operation. Redundant
@@ -181,7 +300,8 @@ pub struct TraceTape {
 }
 
 impl TraceTape {
-    /// An empty tape with the given identity and reserved capacity.
+    /// An empty tape with the given identity and room for `capacity`
+    /// instructions (the address array grows as memory operations arrive).
     pub fn with_capacity(
         name: &str,
         load_latency: u32,
@@ -195,8 +315,7 @@ impl TraceTape {
             kinds: Vec::with_capacity(capacity),
             dsts: Vec::with_capacity(capacity),
             srcs: Vec::with_capacity(capacity),
-            addrs: Vec::with_capacity(capacity),
-            formats: Vec::with_capacity(capacity),
+            addrs: Vec::new(),
             barriers: Vec::new(),
             mem_flags: Vec::new(),
             load_written: 0,
@@ -207,15 +326,19 @@ impl TraceTape {
 
     /// Records `compiled` by running the executor once into a fresh tape.
     /// The stream is bit-identical to what any processor-backed sink would
-    /// have received — the tape just stores it instead of timing it.
+    /// have received — the tape just stores it instead of timing it. The
+    /// instruction arrays and the address array are reserved exactly from
+    /// [`CompiledProgram::dynamic_mix`].
     pub fn record(compiled: &CompiledProgram) -> TraceTape {
-        let capacity = usize::try_from(compiled.dynamic_instructions()).unwrap_or(0);
+        let (loads, stores, other) = compiled.dynamic_mix();
+        let count = |n: u64| usize::try_from(n).unwrap_or(0);
         let mut tape = TraceTape::with_capacity(
             &compiled.name,
             compiled.load_latency,
             compiled.blocks.iter().map(|b| b.spill_ops).sum(),
-            capacity,
+            count(loads + stores + other),
         );
+        tape.addrs.reserve_exact(count(loads + stores));
         Executor::new(compiled).run(&mut tape);
         debug_assert_eq!(tape.len() as u64, compiled.dynamic_instructions());
         tape.barriers.shrink_to_fit();
@@ -233,21 +356,26 @@ impl TraceTape {
     /// for the entry's own destination: a load sets its bit, an ALU write
     /// clears it, branches and stores write no register.
     pub fn push(&mut self, inst: DynInst) {
-        let (kind, dst, addr, format) = match inst.kind {
+        let (kind, dst) = match inst.kind {
             DynKind::Load { addr, dst, format } => {
                 self.loads += 1;
-                (TapeKind::Load, Some(dst), addr.0, pack_format(format))
+                self.addrs.push(addr.0);
+                (
+                    TapeKind::Load as u8 | pack_format(format) << FORMAT_SHIFT,
+                    Some(dst),
+                )
             }
             DynKind::Store { addr } => {
                 self.stores += 1;
-                (TapeKind::Store, None, addr.0, 0)
+                self.addrs.push(addr.0);
+                (TapeKind::Store as u8, None)
             }
-            DynKind::Alu { dst: Some(dst) } => (TapeKind::Alu, Some(dst), 0, 0),
-            DynKind::Alu { dst: None } => (TapeKind::Branch, None, 0, 0),
+            DynKind::Alu { dst: Some(dst) } => (TapeKind::Alu as u8, Some(dst)),
+            DynKind::Alu { dst: None } => (TapeKind::Branch as u8, None),
         };
         let d = pack_reg(dst);
         let [s0, s1] = [pack_reg(inst.srcs[0]), pack_reg(inst.srcs[1])];
-        let is_mem = matches!(kind, TapeKind::Load | TapeKind::Store);
+        let is_mem = is_mem_byte(kind);
         if is_mem || (reg_bit(d) | reg_bit(s0) | reg_bit(s1)) & self.load_written != 0 {
             let slot = self.barriers.len();
             if slot.is_multiple_of(64) {
@@ -259,7 +387,7 @@ impl TraceTape {
             let flag = if is_mem { BARRIER_MEM } else { 0 };
             self.barriers.push(self.kinds.len() as u32 | flag);
         }
-        match kind {
+        match TapeKind::of(kind) {
             TapeKind::Load => self.load_written |= reg_bit(d),
             TapeKind::Alu => self.load_written &= !reg_bit(d),
             TapeKind::Branch | TapeKind::Store => {}
@@ -267,8 +395,6 @@ impl TraceTape {
         self.kinds.push(kind);
         self.dsts.push(d);
         self.srcs.push([s0, s1]);
-        self.addrs.push(addr);
-        self.formats.push(format);
     }
 
     /// Benchmark name the tape was recorded from.
@@ -308,31 +434,39 @@ impl TraceTape {
         self.stores
     }
 
-    /// Heap footprint of the instruction arrays, in bytes (13 per entry
-    /// plus 4 per barrier plus 8 per 64-barrier flag word; the instruction
-    /// `Vec`s reserve exact capacity at record time via
-    /// [`CompiledProgram::dynamic_instructions`], and [`TraceTape::record`]
-    /// shrinks the barrier index and flag plane when done).
+    /// Length of the dense address array: one address per memory
+    /// operation, so `loads() + stores()`.
+    pub fn addr_count(&self) -> usize {
+        self.addrs.len()
+    }
+
+    /// Bytes the tape's arrays hold: 4 per entry, plus 8 per memory
+    /// operation, plus 4 per barrier, plus 8 per 64-barrier flag word —
+    /// the same arithmetic the codec sizes an artifact's streams with.
+    /// [`TraceTape::record`] and the decoder allocate every array to
+    /// exactly its length, so this is also their heap footprint.
     pub fn bytes(&self) -> usize {
-        self.kinds.capacity()
-            + self.dsts.capacity()
-            + self.srcs.capacity() * 2
-            + self.addrs.capacity() * 8
-            + self.formats.capacity()
-            + self.barriers.capacity() * 4
-            + self.mem_flags.capacity() * 8
+        layout_bytes(
+            self.len(),
+            self.addrs.len(),
+            self.barriers.len(),
+            self.mem_flags.len(),
+        )
+        .unwrap_or(usize::MAX)
+    }
+
+    /// A cursor at the first address of the dense address array.
+    #[inline]
+    pub fn addr_cursor(&self) -> AddrCursor<'_> {
+        AddrCursor {
+            rest: self.addrs.iter(),
+        }
     }
 
     /// Kind of entry `i`.
     #[inline]
     pub fn kind(&self, i: usize) -> TapeKind {
-        self.kinds[i]
-    }
-
-    /// Effective address of entry `i` (meaningful for memory operations).
-    #[inline]
-    pub fn addr(&self, i: usize) -> Addr {
-        Addr(self.addrs[i])
+        TapeKind::of(self.kinds[i])
     }
 
     /// Destination register of entry `i`, if it writes one.
@@ -348,16 +482,17 @@ impl TraceTape {
         [unpack_reg(a), unpack_reg(b)]
     }
 
-    /// Load format of entry `i` (meaningful for loads).
+    /// Load format of entry `i` (meaningful for loads), from bits 2–4 of
+    /// its kind byte.
     #[inline]
     pub fn format(&self, i: usize) -> LoadFormat {
-        unpack_format(self.formats[i])
+        unpack_format(self.kinds[i] >> FORMAT_SHIFT)
     }
 
     /// `true` if entry `i` is a memory operation.
     #[inline]
     pub fn is_mem(&self, i: usize) -> bool {
-        matches!(self.kinds[i], TapeKind::Load | TapeKind::Store)
+        is_mem_byte(self.kinds[i])
     }
 
     /// Walks the tape's memory operations in program order: one
@@ -365,24 +500,20 @@ impl TraceTape {
     /// effective address. This is the walk API the static cache oracle
     /// consumes — its classification vector and the simulator's
     /// `AccessOutcome` log both index accesses in this order, so the
-    /// *n*-th item here lines up with the *n*-th resolved outcome.
+    /// *n*-th item here lines up with the *n*-th resolved outcome. The
+    /// addresses come from the dense array in order, paired with the
+    /// memory entries of the kind stream.
     #[inline]
     pub fn mem_ops(&self) -> impl Iterator<Item = MemOp> + '_ {
         self.kinds
             .iter()
             .enumerate()
-            .filter_map(move |(i, &k)| match k {
-                TapeKind::Load => Some(MemOp {
-                    index: i,
-                    is_store: false,
-                    addr: Addr(self.addrs[i]),
-                }),
-                TapeKind::Store => Some(MemOp {
-                    index: i,
-                    is_store: true,
-                    addr: Addr(self.addrs[i]),
-                }),
-                TapeKind::Alu | TapeKind::Branch => None,
+            .filter(|&(_, &k)| is_mem_byte(k))
+            .zip(self.addr_cursor())
+            .map(|((index, &k), addr)| MemOp {
+                index,
+                is_store: TapeKind::of(k) == TapeKind::Store,
+                addr,
             })
     }
 
@@ -450,28 +581,35 @@ impl TraceTape {
         s0 == d || s1 == d || self.dsts[j] == d
     }
 
-    /// Reconstructs entry `i` as a [`DynInst`].
-    pub fn get(&self, i: usize) -> DynInst {
+    /// Reconstructs entry `i` as a [`DynInst`], taking its address (if it
+    /// is a memory operation) from `addrs`, which must stand at entry
+    /// `i`'s place in the address order. `None` if the tape is malformed
+    /// there: a load without a destination, or a memory operation with
+    /// the cursor run dry.
+    pub fn get(&self, i: usize, addrs: &mut AddrCursor<'_>) -> Option<DynInst> {
         let srcs = self.srcs(i);
-        let kind = match self.kinds[i] {
+        let kind = match self.kind(i) {
             TapeKind::Alu => DynKind::Alu { dst: self.dst(i) },
             TapeKind::Branch => DynKind::Alu { dst: None },
             TapeKind::Load => DynKind::Load {
-                addr: self.addr(i),
-                // nbl-allow(no-panic): InstSink::record stores a dst for every load
-                dst: self.dst(i).expect("loads always record a destination"),
+                addr: addrs.next()?,
+                dst: self.dst(i)?,
                 format: self.format(i),
             },
-            TapeKind::Store => DynKind::Store { addr: self.addr(i) },
+            TapeKind::Store => DynKind::Store {
+                addr: addrs.next()?,
+            },
         };
-        DynInst { srcs, kind }
+        Some(DynInst { srcs, kind })
     }
 
     /// Iterates the tape as reconstructed [`DynInst`]s (for consumers that
-    /// need owned instructions, e.g. the dual-issue pairing buffer; the
-    /// single-issue replay loop reads the arrays directly instead).
+    /// need owned instructions, e.g. the dual-issue pairing buffer's
+    /// push-path fallback; the replay loops read the arrays directly
+    /// instead). Walks one address cursor alongside the entries.
     pub fn iter(&self) -> impl Iterator<Item = DynInst> + '_ {
-        (0..self.len()).map(|i| self.get(i))
+        let mut addrs = self.addr_cursor();
+        (0..self.len()).map_while(move |i| self.get(i, &mut addrs))
     }
 }
 
@@ -479,6 +617,45 @@ impl InstSink for TraceTape {
     #[inline]
     fn exec(&mut self, inst: DynInst) {
         self.push(inst);
+    }
+}
+
+/// Reference for [`TraceTape::mem_ops`]: the memory operations of an
+/// instruction stream, filtered straight out of it. Shared by the unit
+/// tests and both property suites.
+#[cfg(test)]
+pub(crate) fn reference_mem_ops(stream: &[DynInst]) -> Vec<MemOp> {
+    stream
+        .iter()
+        .enumerate()
+        .filter_map(|(index, inst)| match inst.kind {
+            DynKind::Load { addr, .. } => Some(MemOp {
+                index,
+                is_store: false,
+                addr,
+            }),
+            DynKind::Store { addr } => Some(MemOp {
+                index,
+                is_store: true,
+                addr,
+            }),
+            DynKind::Alu { .. } => None,
+        })
+        .collect()
+}
+
+/// A random load format, so a kind byte's format bits take every value.
+#[cfg(all(test, any(feature = "scan-prop", feature = "codec-prop")))]
+pub(crate) fn random_format(rng: &mut nbl_core::rng::SplitMix64) -> LoadFormat {
+    let size = match rng.next_below(4) {
+        0 => AccessSize::B1,
+        1 => AccessSize::B2,
+        2 => AccessSize::B4,
+        _ => AccessSize::B8,
+    };
+    LoadFormat {
+        size,
+        sign_extend: rng.next_below(2) == 1,
     }
 }
 
@@ -523,7 +700,7 @@ mod scan_prop {
         };
         if rng.next_below(1000) < mem_bias {
             if rng.next_below(2) == 0 {
-                DynInst::load(Addr(rng.next_below(1 << 20)), reg(rng), LoadFormat::WORD)
+                DynInst::load(Addr(rng.next_below(1 << 20)), reg(rng), random_format(rng))
             } else {
                 DynInst::store(Addr(rng.next_below(1 << 20)), maybe_reg(rng))
             }
@@ -565,6 +742,68 @@ mod scan_prop {
                 tape.push(inst);
             }
             check_all_starts(&tape, &format!("{barriers_wanted} barriers"));
+        }
+    }
+
+    /// The replay loops' barrier walk reduced to its cursor traffic: at
+    /// each step the walk either takes the quiescent stride (straight to
+    /// the next memory barrier) or steps one barrier, at random; every
+    /// barrier it executes takes [`AddrCursor::step`]. Returns the memory
+    /// operations it met, with the address the cursor gave each.
+    fn cursor_walk<'t>(tape: &'t TraceTape, rng: &mut SplitMix64) -> (Vec<MemOp>, AddrCursor<'t>) {
+        let barriers = tape.barriers();
+        let mut addrs = tape.addr_cursor();
+        let mut met = Vec::new();
+        let mut j = 0;
+        while j < barriers.len() {
+            if rng.next_below(2) == 0 {
+                j = tape.next_mem_barrier(j);
+                let Some(&entry) = barriers.get(j) else { break };
+                assert!(barrier_is_mem(entry));
+            }
+            let entry = barriers[j];
+            if let Some(addr) = addrs.step(barrier_is_mem(entry)) {
+                let index = barrier_index(entry);
+                let is_store = tape.kind(index) == TapeKind::Store;
+                met.push(MemOp {
+                    index,
+                    is_store,
+                    addr,
+                });
+            }
+            j += 1;
+        }
+        (met, addrs)
+    }
+
+    #[test]
+    fn cursor_walks_reproduce_the_pushed_stream() {
+        let mut rng = SplitMix64::new(0xc0de_5ca9);
+        for &mem_bias in &[0, 15, 120, 500, 930, 1000] {
+            for case in 0..24 {
+                let len = rng.next_below(400) as usize;
+                let mut tape = TraceTape::with_capacity("prop", 1, 0, len);
+                let pushed: Vec<DynInst> =
+                    (0..len).map(|_| random_inst(&mut rng, mem_bias)).collect();
+                for &inst in &pushed {
+                    tape.push(inst);
+                }
+                let label = format!("bias {mem_bias} case {case}");
+                let expected = reference_mem_ops(&pushed);
+                assert_eq!(tape.iter().collect::<Vec<_>>(), pushed, "{label}: iter");
+                assert_eq!(
+                    tape.mem_ops().collect::<Vec<_>>(),
+                    expected,
+                    "{label}: mem_ops"
+                );
+                // A full walk, whatever mix of strides and single steps it
+                // takes, meets every memory operation with its own address
+                // and leaves the cursor exactly at the address count.
+                let (met, addrs) = cursor_walk(&tape, &mut rng);
+                assert_eq!(met, expected, "{label}: cursor walk");
+                assert!(addrs.is_drained(), "{label}: addresses left over");
+                assert_eq!(tape.addr_count(), expected.len(), "{label}");
+            }
         }
     }
 
@@ -667,21 +906,20 @@ mod tests {
     #[test]
     fn mem_ops_projects_exactly_the_memory_stream() {
         let c = exercise_program();
+        let mut interpreted: Vec<DynInst> = Vec::new();
+        Executor::new(&c).run(&mut interpreted);
         let tape = TraceTape::record(&c);
         let ops: Vec<MemOp> = tape.mem_ops().collect();
         assert_eq!(ops.len() as u64, tape.loads() + tape.stores());
-        // Every projected op points back at a matching tape entry, in
-        // strictly increasing instruction order.
-        let mut last = None;
+        assert_eq!(ops.len(), tape.addr_count());
+        assert_eq!(ops, reference_mem_ops(&interpreted));
+        // Every projected op points back at a matching tape entry.
         for op in &ops {
-            assert!(last.is_none_or(|l| op.index > l), "indices must ascend");
-            last = Some(op.index);
             match tape.kind(op.index) {
                 TapeKind::Load => assert!(!op.is_store),
                 TapeKind::Store => assert!(op.is_store),
                 other => panic!("mem_ops yielded a {other:?}"),
             }
-            assert_eq!(op.addr, tape.addr(op.index));
         }
     }
 
@@ -698,14 +936,23 @@ mod tests {
     }
 
     #[test]
-    fn footprint_is_thirteen_bytes_per_instruction_plus_barriers() {
+    fn footprint_is_four_bytes_per_instruction_plus_addresses_and_barriers() {
         let tape = TraceTape::record(&exercise_program());
+        let mem_ops = (tape.loads() + tape.stores()) as usize;
         let flag_words = tape.barriers().len().div_ceil(64);
         assert_eq!(
             tape.bytes(),
-            tape.len() * 13 + tape.barriers().len() * 4 + flag_words * 8
+            4 * tape.len() + 8 * mem_ops + 4 * tape.barriers().len() + 8 * flag_words
         );
         assert!(!tape.is_empty());
+        // Recording reserves every array exactly, so `bytes` is also the
+        // heap footprint.
+        assert_eq!(tape.kinds.capacity(), tape.len());
+        assert_eq!(tape.dsts.capacity(), tape.len());
+        assert_eq!(tape.srcs.capacity(), tape.len());
+        assert_eq!(tape.addrs.capacity(), mem_ops);
+        assert_eq!(tape.barriers.capacity(), tape.barriers().len());
+        assert_eq!(tape.mem_flags.capacity(), flag_words);
     }
 
     /// Scalar reference for [`TraceTape::next_mem_barrier`]: the per-entry
@@ -812,15 +1059,20 @@ mod tests {
     #[test]
     fn packed_conflict_check_matches_dyninst() {
         let tape = TraceTape::record(&exercise_program());
+        // One cursor walks the whole tape, reconstructing each entry once.
+        let mut addrs = tape.addr_cursor();
+        let mut a = tape.get(0, &mut addrs).unwrap();
         for i in 0..tape.len() - 1 {
-            let (a, b) = (tape.get(i), tape.get(i + 1));
+            let b = tape.get(i + 1, &mut addrs).unwrap();
             assert_eq!(
                 tape.conflicts(i, i + 1),
                 a.conflicts_with(&b),
                 "entry {i}: packed conflict check must agree"
             );
             assert_eq!(tape.is_mem(i), a.is_mem());
+            a = b;
         }
+        assert!(addrs.is_drained());
         // The exercise block contains both a true conflict (load feeding
         // the ALU) and a non-conflict (store then gather load).
         assert!(tape.conflicts(0, 1));
@@ -829,24 +1081,78 @@ mod tests {
 
     #[test]
     fn per_entry_accessors_agree_with_reconstruction() {
-        let tape = TraceTape::record(&exercise_program());
-        for i in 0..tape.len() {
-            let inst = tape.get(i);
+        let c = exercise_program();
+        let mut interpreted: Vec<DynInst> = Vec::new();
+        Executor::new(&c).run(&mut interpreted);
+        let tape = TraceTape::record(&c);
+        // Two cursors in step: one feeding `get`, one read directly at
+        // each memory entry.
+        let mut for_get = tape.addr_cursor();
+        let mut direct = tape.addr_cursor();
+        for (i, expected) in interpreted.iter().enumerate() {
+            let inst = tape.get(i, &mut for_get).unwrap();
+            assert_eq!(inst, *expected, "entry {i}");
             assert_eq!(tape.dst(i), inst.dst());
             assert_eq!(tape.srcs(i), inst.srcs);
+            assert_eq!(tape.is_mem(i), inst.is_mem());
+            let addr = direct.step(tape.is_mem(i));
             match inst.kind {
-                DynKind::Load { addr, format, .. } => {
+                DynKind::Load {
+                    addr: a, format, ..
+                } => {
                     assert_eq!(tape.kind(i), TapeKind::Load);
-                    assert_eq!(tape.addr(i), addr);
+                    assert_eq!(addr, Some(a));
                     assert_eq!(tape.format(i), format);
                 }
-                DynKind::Store { addr } => {
+                DynKind::Store { addr: a } => {
                     assert_eq!(tape.kind(i), TapeKind::Store);
-                    assert_eq!(tape.addr(i), addr);
+                    assert_eq!(addr, Some(a));
                 }
                 DynKind::Alu { dst: Some(_) } => assert_eq!(tape.kind(i), TapeKind::Alu),
                 DynKind::Alu { dst: None } => assert_eq!(tape.kind(i), TapeKind::Branch),
             }
+            assert_eq!(for_get.len(), direct.len());
+        }
+        // Both walks end exactly at the address count, and a dry cursor
+        // makes a memory entry unreconstructible instead of wrong.
+        assert!(for_get.is_drained() && direct.is_drained());
+        let last_mem = (0..tape.len()).rev().find(|&i| tape.is_mem(i)).unwrap();
+        assert_eq!(tape.get(last_mem, &mut for_get), None);
+        assert_eq!(direct.step(true), None);
+    }
+
+    #[test]
+    fn kind_bytes_carry_the_load_format_and_stay_canonical() {
+        let tape = TraceTape::record(&exercise_program());
+        for (i, &k) in tape.kinds.iter().enumerate() {
+            assert!(is_canonical_kind(k), "entry {i}: kind byte {k:#04x}");
+            assert_eq!(TapeKind::of(k), tape.kind(i));
+            if tape.kind(i) != TapeKind::Load {
+                assert_eq!(k >> FORMAT_SHIFT, 0, "entry {i}: format bits off a load");
+            }
+        }
+        // Every kind byte `push` can write is canonical; nothing else is.
+        let mut writable = Vec::new();
+        for kind in [TapeKind::Alu, TapeKind::Branch, TapeKind::Store] {
+            writable.push(kind as u8);
+        }
+        for size in [
+            AccessSize::B1,
+            AccessSize::B2,
+            AccessSize::B4,
+            AccessSize::B8,
+        ] {
+            for sign_extend in [false, true] {
+                let f = LoadFormat { size, sign_extend };
+                writable.push(TapeKind::Load as u8 | pack_format(f) << FORMAT_SHIFT);
+            }
+        }
+        for byte in 0..=u8::MAX {
+            assert_eq!(
+                is_canonical_kind(byte),
+                writable.contains(&byte),
+                "{byte:#04x}"
+            );
         }
     }
 }

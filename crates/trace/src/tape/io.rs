@@ -6,25 +6,32 @@
 //! loads with **one contiguous read** and no per-entry decoding:
 //!
 //! ```text
-//! magic "NBLT" | format_version u32
+//! magic "NBLT" | format_version u32 (= 2)
 //! header: name_len u32 | load_latency u32 | static_spill_ops u64
 //!         | len u64 | barriers u64 | flag_words u64
 //!         | loads u64 | stores u64 | load_written u64
 //! name bytes (UTF-8, name_len)
 //! flag plane: mem_flags  (flag_words × 8 B)
 //! streams:   kinds (len) | dsts (len) | srcs (2·len)
-//!            | addrs (8·len) | formats (len) | barriers (4·barriers)
+//!            | addrs (8·(loads + stores)) | barriers (4·barriers)
 //! checksum u64 over every preceding byte
 //! ```
+//!
+//! A kind byte carries the entry's kind in bits 0–1 and, on a load, the
+//! packed load format in bits 2–4; the address stream holds one address
+//! per memory operation, in program order.
 //!
 //! The shared frame (`nbl_core::frame`) makes every integer
 //! little-endian and ends the artifact with a checksum, so truncation and
 //! bit flips are typed [`CodecError`](nbl_core::frame::CodecError)s
 //! before a corrupt tape can reach a replay. Decoding also re-validates
-//! the structural invariants replay relies on (barrier indices in range,
-//! flag plane sized and populated consistently with the barrier index),
-//! because a checksum only protects against *accidental* damage after a
-//! correct encode.
+//! the structural invariants replay relies on, because a checksum only
+//! protects against *accidental* damage after a correct encode: every
+//! kind byte canonical and every register byte in range, the header's
+//! load and store counts equal to the kind stream's, barrier indices
+//! strictly ascending and in range with their memory flag matching both
+//! the entry's kind and the flag plane, and the address count equal to
+//! the flag plane's set bits and to loads + stores.
 
 use super::{TapeKind, TraceTape};
 use nbl_core::frame::{CodecError, Frame};
@@ -36,24 +43,19 @@ use nbl_core::frame::{CodecError, Frame};
 /// than misparsed.
 pub const TAPE_FRAME: Frame = Frame {
     magic: *b"NBLT",
-    version: 1,
+    version: 2,
 };
 
 /// Fixed bytes before the name: magic + version + 2 `u32` + 7 `u64`.
 const FIXED_HEADER_BYTES: usize = 4 + 4 + 4 + 4 + 7 * 8;
 
-/// Bytes of the whole artifact for a tape of `n` entries, `nb` barriers,
-/// `nf` flag words and a `name_len`-byte name (including the checksum).
-fn artifact_len(n: usize, nb: usize, nf: usize, name_len: usize) -> Option<usize> {
-    // 13 B/inst + 4 B/barrier + 8 B/flag word, same arithmetic as
-    // `TraceTape::bytes`, plus header and checksum.
-    let streams = n
-        .checked_mul(13)?
-        .checked_add(nb.checked_mul(4)?)?
-        .checked_add(nf.checked_mul(8)?)?;
+/// Bytes of the whole artifact for a tape of `n` entries, `m` memory
+/// operations, `nb` barriers, `nf` flag words and a `name_len`-byte name:
+/// header and checksum around the streams [`super::layout_bytes`] sizes.
+fn artifact_len(n: usize, m: usize, nb: usize, nf: usize, name_len: usize) -> Option<usize> {
     FIXED_HEADER_BYTES
         .checked_add(name_len)?
-        .checked_add(streams)?
+        .checked_add(super::layout_bytes(n, m, nb, nf)?)?
         .checked_add(8)
 }
 
@@ -65,7 +67,8 @@ impl TraceTape {
     pub fn to_bytes(&self) -> Vec<u8> {
         let (n, nb, nf) = (self.kinds.len(), self.barriers.len(), self.mem_flags.len());
         let name = self.name.as_bytes();
-        let cap = artifact_len(n, nb, nf, name.len()).unwrap_or(FIXED_HEADER_BYTES);
+        let cap =
+            artifact_len(n, self.addrs.len(), nb, nf, name.len()).unwrap_or(FIXED_HEADER_BYTES);
         let mut w = TAPE_FRAME.writer(cap);
         w.u32(name.len() as u32);
         w.u32(self.load_latency);
@@ -78,11 +81,10 @@ impl TraceTape {
         w.u64(self.load_written);
         w.bytes(name);
         w.u64s(&self.mem_flags);
-        w.bytes(&self.kinds.iter().map(|&k| k as u8).collect::<Vec<u8>>());
+        w.bytes(&self.kinds);
         w.bytes(&self.dsts);
         w.bytes(self.srcs.as_flattened());
         w.u64s(&self.addrs);
-        w.bytes(&self.formats);
         w.u32s(&self.barriers);
         w.seal()
     }
@@ -112,7 +114,13 @@ impl TraceTape {
 
         // The declared structure must account for the buffer exactly;
         // checking before the checksum distinguishes truncation from rot.
-        match artifact_len(n, nb, nf, name_len) {
+        let Some(m) = loads
+            .checked_add(stores)
+            .and_then(|m| usize::try_from(m).ok())
+        else {
+            return Err(CodecError::Truncated);
+        };
+        match artifact_len(n, m, nb, nf, name_len) {
             Some(total) if total == bytes.len() => {}
             Some(total) if total < bytes.len() => return Err(CodecError::TrailingBytes),
             _ => return Err(CodecError::Truncated),
@@ -124,36 +132,56 @@ impl TraceTape {
 
         let name = r.utf8(name_len)?;
         let mem_flags = r.u64_vec(nf)?;
-        let mut kinds = Vec::with_capacity(n);
-        for &b in r.take(n)? {
-            kinds.push(match b {
-                0 => TapeKind::Alu,
-                1 => TapeKind::Branch,
-                2 => TapeKind::Load,
-                3 => TapeKind::Store,
-                other => return Err(CodecError::BadKind(other)),
-            });
-        }
+        let kinds = r.take(n)?.to_vec();
         let dsts = r.take(n)?.to_vec();
-        let srcs = r
+        let srcs: Vec<[u8; 2]> = r
             .take(n.checked_mul(2).ok_or(CodecError::Truncated)?)?
             .as_chunks()
             .0
             .to_vec();
-        let addrs = r.u64_vec(n)?;
-        let formats = r.take(n)?.to_vec();
+        let addrs = r.u64_vec(m)?;
         let barriers = r.u32_vec(nb)?;
 
-        // Structural invariants behind the replay loop's unchecked
-        // indexing: every barrier names a real entry, and the flag plane
-        // sets bits only at real barrier slots, exactly where the
-        // barrier index is flagged as memory.
+        // Every byte must be one `push` can write: canonical kinds and
+        // registers that unpack without leaving the 64-register file. The
+        // scans are branch-free folds; only a failure searches for the
+        // byte to report.
+        let (mut seen_loads, mut seen_stores, mut canonical) = (0u64, 0u64, true);
+        for &k in &kinds {
+            seen_loads += u64::from(k & super::KIND_MASK == TapeKind::Load as u8);
+            seen_stores += u64::from(k & super::KIND_MASK == TapeKind::Store as u8);
+            canonical &= super::is_canonical_kind(k);
+        }
+        if !canonical {
+            let k = kinds.iter().find(|&&k| !super::is_canonical_kind(k));
+            return Err(CodecError::BadKind(k.copied().unwrap_or(0)));
+        }
+        for regs in [dsts.as_slice(), srcs.as_flattened()] {
+            if !regs.iter().fold(true, |ok, &r| ok & super::is_valid_reg(r)) {
+                let r = regs.iter().find(|&&r| !super::is_valid_reg(r));
+                return Err(CodecError::BadKind(r.copied().unwrap_or(0)));
+            }
+        }
+        if (seen_loads, seen_stores) != (loads, stores) {
+            return Err(CodecError::HeaderMismatch);
+        }
+
+        // Structural invariants behind the replay loop's cursor walk:
+        // barriers name real entries in strictly ascending order, each
+        // flagged as memory exactly when its entry is a load or store and
+        // exactly where the flag plane sets a bit, and the plane sets one
+        // bit per address — so a walk that takes one address per memory
+        // barrier consumes the address array exactly.
+        let mut next_index = 0;
         for (slot, &entry) in barriers.iter().enumerate() {
-            if super::barrier_index(entry) >= n {
+            let i = super::barrier_index(entry);
+            let is_mem = super::barrier_is_mem(entry);
+            if i < next_index || i >= n || is_mem != super::is_mem_byte(kinds[i]) {
                 return Err(CodecError::HeaderMismatch);
             }
+            next_index = i + 1;
             let word = mem_flags.get(slot / 64).copied().unwrap_or(0);
-            if (word >> (slot % 64)) & 1 != u64::from(super::barrier_is_mem(entry)) {
+            if (word >> (slot % 64)) & 1 != u64::from(is_mem) {
                 return Err(CodecError::HeaderMismatch);
             }
         }
@@ -162,6 +190,10 @@ impl TraceTape {
             if used < 64 && last >> used != 0 {
                 return Err(CodecError::HeaderMismatch);
             }
+        }
+        let flagged: usize = mem_flags.iter().map(|w| w.count_ones() as usize).sum();
+        if flagged != m {
+            return Err(CodecError::HeaderMismatch);
         }
 
         Ok(TraceTape {
@@ -172,7 +204,6 @@ impl TraceTape {
             dsts,
             srcs,
             addrs,
-            formats,
             barriers,
             mem_flags,
             load_written,
@@ -185,6 +216,7 @@ impl TraceTape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbl_core::fingerprint::checksum_bytes;
     use nbl_core::inst::DynInst;
     use nbl_core::types::{Addr, LoadFormat, PhysReg};
 
@@ -260,6 +292,122 @@ mod tests {
         );
         assert_eq!(TraceTape::from_bytes(b""), Err(CodecError::Truncated));
     }
+
+    /// Rewrites the trailing checksum after an edit, so the damage gets
+    /// past the checksum and must be caught by the structural checks.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 8;
+        let sum = checksum_bytes(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// Byte offset of the header's `loads` field (then `stores`).
+    const LOADS_AT: usize = FIXED_HEADER_BYTES - 3 * 8;
+
+    #[test]
+    fn resealed_frame_with_inconsistent_counts_is_rejected() {
+        let bytes = sample_tape().to_bytes();
+        let field = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let (loads, stores) = (field(&bytes, LOADS_AT), field(&bytes, LOADS_AT + 8));
+        // Shift one count from stores to loads: the total (and so every
+        // declared length) still adds up, and the checksum is valid.
+        let mut skewed = bytes.clone();
+        skewed[LOADS_AT..LOADS_AT + 8].copy_from_slice(&(loads + 1).to_le_bytes());
+        skewed[LOADS_AT + 8..LOADS_AT + 16].copy_from_slice(&(stores - 1).to_le_bytes());
+        assert_eq!(
+            TraceTape::from_bytes(&reseal(skewed)),
+            Err(CodecError::HeaderMismatch)
+        );
+        // Resealing the untouched bytes is a no-op.
+        assert_eq!(reseal(bytes.clone()), bytes);
+        assert!(TraceTape::from_bytes(&reseal(bytes)).is_ok());
+    }
+
+    /// Rebuilds the flag plane from the barrier index's bit-31 flags.
+    fn reflag(tape: &mut TraceTape) {
+        tape.mem_flags = vec![0; tape.barriers.len().div_ceil(64)];
+        for (slot, &entry) in tape.barriers.iter().enumerate() {
+            if super::super::barrier_is_mem(entry) {
+                tape.mem_flags[slot / 64] |= 1 << (slot % 64);
+            }
+        }
+    }
+
+    /// Encodes a doctored copy of [`sample_tape`] (a valid frame around
+    /// inconsistent content) and decodes it.
+    fn decode_doctored(doctor: impl FnOnce(&mut TraceTape)) -> Result<TraceTape, CodecError> {
+        let mut tape = sample_tape();
+        doctor(&mut tape);
+        TraceTape::from_bytes(&tape.to_bytes())
+    }
+
+    #[test]
+    fn inconsistent_or_non_canonical_content_is_rejected() {
+        // Sample entries: 0 load, 1 alu, 2 store, 3 branch, 4 alu, ...
+        let store_format = 1 << super::super::FORMAT_SHIFT;
+        let load = sample_tape().kinds[0];
+        assert_eq!(
+            decode_doctored(|t| t.kinds[2] |= store_format),
+            Err(CodecError::BadKind(3 | store_format)),
+            "format bits off a load"
+        );
+        assert_eq!(
+            decode_doctored(|t| t.kinds[0] |= 0x80),
+            Err(CodecError::BadKind(load | 0x80)),
+            "reserved bits"
+        );
+        assert_eq!(
+            decode_doctored(|t| t.dsts[1] = 64),
+            Err(CodecError::BadKind(64)),
+            "register outside the file"
+        );
+        assert_eq!(
+            decode_doctored(|t| t.stores += 1),
+            Err(CodecError::Truncated),
+            "a count the streams do not hold"
+        );
+        assert_eq!(
+            decode_doctored(|t| {
+                t.stores += 1;
+                t.addrs.push(0x40);
+            }),
+            Err(CodecError::HeaderMismatch),
+            "an address with no memory entry"
+        );
+        assert_eq!(
+            decode_doctored(|t| {
+                // A store turned ALU, its address kept: the counts match
+                // the header only if the header lies about the kinds.
+                t.kinds[2] = TapeKind::Alu as u8;
+            }),
+            Err(CodecError::HeaderMismatch),
+            "kinds disagree with the header counts"
+        );
+        assert_eq!(
+            decode_doctored(|t| {
+                // Drop the store's barrier: the flag plane then sets one
+                // bit fewer than there are addresses.
+                t.barriers.retain(|&e| super::super::barrier_index(e) != 2);
+                reflag(t);
+            }),
+            Err(CodecError::HeaderMismatch),
+            "a memory operation missing from the barrier index"
+        );
+        assert_eq!(
+            decode_doctored(|t| t.barriers.swap(0, 1)),
+            Err(CodecError::HeaderMismatch),
+            "barriers out of order"
+        );
+        assert_eq!(
+            decode_doctored(|t| {
+                t.barriers[0] &= !super::super::BARRIER_MEM;
+                reflag(t);
+            }),
+            Err(CodecError::HeaderMismatch),
+            "a load's barrier flagged as non-memory"
+        );
+    }
 }
 
 /// Property suite for the codec, gated behind the off-by-default
@@ -270,9 +418,10 @@ mod tests {
 #[cfg(all(test, feature = "codec-prop"))]
 mod codec_prop {
     use super::*;
+    use crate::tape::random_format;
     use nbl_core::inst::DynInst;
     use nbl_core::rng::SplitMix64;
-    use nbl_core::types::{Addr, LoadFormat, PhysReg};
+    use nbl_core::types::{Addr, PhysReg};
 
     /// One random instruction; `mem_bias`/1000 is the memory-op rate.
     fn random_inst(rng: &mut SplitMix64, mem_bias: u64) -> DynInst {
@@ -286,7 +435,7 @@ mod codec_prop {
         };
         if rng.next_below(1000) < mem_bias {
             if rng.next_below(2) == 0 {
-                DynInst::load(Addr(rng.next_below(1 << 40)), reg(rng), LoadFormat::WORD)
+                DynInst::load(Addr(rng.next_below(1 << 40)), reg(rng), random_format(rng))
             } else {
                 DynInst::store(Addr(rng.next_below(1 << 40)), maybe_reg(rng))
             }
@@ -304,8 +453,9 @@ mod codec_prop {
             for case in 0..24 {
                 let len = rng.next_below(700) as usize;
                 let mut tape = TraceTape::with_capacity("prop", 1 + case % 20, 0, len);
-                for _ in 0..len {
-                    let inst = random_inst(&mut rng, mem_bias);
+                let pushed: Vec<DynInst> =
+                    (0..len).map(|_| random_inst(&mut rng, mem_bias)).collect();
+                for &inst in &pushed {
                     tape.push(inst);
                 }
                 let bytes = tape.to_bytes();
@@ -313,6 +463,25 @@ mod codec_prop {
                     .unwrap_or_else(|e| panic!("bias {mem_bias} case {case}: {e}"));
                 assert_eq!(back, tape, "bias {mem_bias} case {case}");
                 assert_eq!(bytes, back.to_bytes());
+                // The decoded tape yields the pushed stream and its memory
+                // operations through the address cursor, and its artifact
+                // is exactly the shared layout's size.
+                assert_eq!(back.iter().collect::<Vec<_>>(), pushed);
+                assert_eq!(
+                    back.mem_ops().collect::<Vec<_>>(),
+                    crate::tape::reference_mem_ops(&pushed)
+                );
+                assert_eq!(back.addr_count() as u64, back.loads() + back.stores());
+                assert_eq!(
+                    Some(bytes.len()),
+                    artifact_len(
+                        len,
+                        back.addr_count(),
+                        back.barriers().len(),
+                        back.mem_flags.len(),
+                        4
+                    )
+                );
             }
         }
     }

@@ -21,7 +21,7 @@ use nonblocking_loads::sim::driver::{run_compiled, run_dual};
 use nonblocking_loads::trace::exec::Executor;
 use nonblocking_loads::trace::machine::CompiledProgram;
 use nonblocking_loads::trace::tape::{barrier_index, barrier_is_mem, TraceTape};
-use nonblocking_loads::trace::workloads::{build, Scale};
+use nonblocking_loads::trace::workloads::{build, Scale, ALL};
 
 /// The Fig. 13 hardware configurations of the 72-row golden grid.
 const GOLDEN_CONFIGS: [HwConfig; 6] = [
@@ -210,6 +210,28 @@ fn recorded_tapes_are_structurally_sound_for_every_family() {
         assert_eq!(mem_ops, loads + stores, "{bench}");
         assert_eq!(mem_barriers, mem_ops, "{bench}");
     }
+}
+
+/// The tape layout's footprint budget over the whole quick grid (the 18
+/// benchmarks at the 6 latencies, 108 tapes): at most 8.5 bytes per
+/// recorded instruction, all arrays counted. The layout lands at 8.03;
+/// storing an address or a format per instruction again would cost
+/// about 7 more and fail here.
+#[test]
+fn quick_grid_tapes_fit_the_footprint_budget() {
+    let (mut bytes, mut insts) = (0usize, 0usize);
+    for bench in ALL {
+        for lat in LATENCIES {
+            let tape = TraceTape::record(&compiled(bench, lat));
+            bytes += tape.bytes();
+            insts += tape.len();
+        }
+    }
+    let per_inst = bytes as f64 / insts as f64;
+    assert!(
+        per_inst <= 8.5,
+        "{per_inst:.3} B/inst over {insts} instructions"
+    );
 }
 
 /// The dual-issue model's two passes, perfect-cache and real, match
