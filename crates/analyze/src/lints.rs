@@ -30,12 +30,14 @@ pub fn known_lint(id: &str) -> bool {
 
 /// Path-prefix scopes for each per-file lint family.
 pub mod scope {
-    /// Hot-path crates where panicking is forbidden outside tests.
+    /// Crates where panicking is forbidden outside tests: the hot path
+    /// and the sweep layer that must survive one bad cell.
     pub const NO_PANIC: &[&str] = &[
         "crates/core/src/",
         "crates/mem/src/",
         "crates/cpu/src/",
         "crates/trace/src/",
+        "crates/sim/src/",
     ];
     /// Crates feeding `RunResult`, JSON emitters or golden CSVs, where
     /// wall-clock reads and unordered iteration would break bit-identical

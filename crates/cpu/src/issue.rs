@@ -453,7 +453,7 @@ mod tests {
     }
 
     fn tape_of(stream: &[DynInst]) -> TraceTape {
-        let mut tape = TraceTape::with_capacity("t", 1, 0, stream.len());
+        let mut tape = TraceTape::with_capacity("t", 0, stream.len());
         for inst in stream {
             tape.push(*inst);
         }

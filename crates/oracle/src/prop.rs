@@ -45,7 +45,7 @@ fn random_inst(rng: &mut SplitMix64, mem_bias: u64, addr_bits: u32) -> DynInst {
 }
 
 fn random_tape(rng: &mut SplitMix64, len: usize, mem_bias: u64, addr_bits: u32) -> TraceTape {
-    let mut tape = TraceTape::with_capacity("oracle-prop", 10, 0, len);
+    let mut tape = TraceTape::with_capacity("oracle-prop", 0, len);
     for _ in 0..len {
         tape.push(random_inst(rng, mem_bias, addr_bits));
     }
@@ -129,7 +129,7 @@ fn window_zero_is_exact_where_claimed() {
 /// must-miss.
 #[test]
 fn write_around_stores_never_install() {
-    let mut tape = TraceTape::with_capacity("oracle-prop", 10, 0, 64);
+    let mut tape = TraceTape::with_capacity("oracle-prop", 0, 64);
     for i in 0..64u64 {
         tape.push(DynInst::store(Addr((i % 8) * 32), None));
     }
@@ -151,7 +151,7 @@ fn hand_built_lru_eviction_is_classified_exactly() {
     // Blocks mapping to set 0 of a 2-set cache: stride 64 bytes.
     let blk = |i: u64| Addr(i * 64);
     let reg = PhysReg::from_dense(1);
-    let mut tape = TraceTape::with_capacity("oracle-prop", 10, 0, 8);
+    let mut tape = TraceTape::with_capacity("oracle-prop", 0, 8);
     let pattern = [0u64, 0, 1, 2, 3, 4, 0]; // A A B C D E A
     for &b in &pattern {
         tape.push(DynInst::load(blk(b), reg, LoadFormat::WORD));

@@ -91,7 +91,10 @@ impl ArtifactKind for VerdictArtifact {
 }
 
 /// The content-addressed key of one cell (see the module docs);
-/// `hw_label` names the hardware configuration the cross-check replays.
+/// `tape_fingerprint` is the schedule's
+/// [`compiled_fingerprint`](nbl_sim::store::compiled_fingerprint), the
+/// tape's own identity, and `hw_label` names the hardware configuration
+/// the cross-check replays.
 pub fn verdict_key(tape_fingerprint: u64, cfg: &OracleConfig, hw_label: &str) -> u64 {
     fingerprint_of(&(
         VerdictArtifact::FRAME.version,

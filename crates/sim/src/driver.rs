@@ -7,8 +7,8 @@
 //! arena. Program-level entries compile and record through the artifact
 //! store of the process-wide [`SweepEngine`], the same store every sweep
 //! runs on, so repeated runs of one `(benchmark, latency)` pair share one
-//! compilation and one recording, and a configured disk tier serves them
-//! too.
+//! compilation, every latency that compiles to one schedule shares one
+//! recording, and a configured disk tier serves them too.
 
 use crate::config::{ProcessorKind, SimConfig};
 use crate::sweep::SweepEngine;
@@ -284,7 +284,6 @@ fn replay_single(
     cfg: &SimConfig,
     arm: impl FnOnce(&mut IssueEngine),
 ) -> Result<(RunResult, Option<MemTrace>), EngineError> {
-    debug_assert_eq!(tape.load_latency(), cfg.load_latency);
     let engine_config = cfg.engine_config()?;
     let policy = cfg.processor.policy();
     let mut cpu = acquire_engine(&engine_config, policy);
@@ -296,7 +295,8 @@ fn replay_single(
 }
 
 /// Replays a recorded tape through the single-issue processor under `cfg`
-/// (the tape must have been recorded at `cfg.load_latency`). Produces a
+/// (the tape must be the recording of the schedule `cfg.load_latency`
+/// compiles to). Produces a
 /// [`RunResult`] bit-identical to interpreting the same compiled program.
 ///
 /// # Errors
@@ -339,7 +339,7 @@ pub fn run_tape_traced(
 /// lockstep walk ([`Core::replay_fused`]): the tape's barrier stream is
 /// decoded once and each entry is applied to every configuration before
 /// moving on, instead of one full traversal per configuration. Every
-/// configuration must share the tape's load latency; results are
+/// configuration's latency must compile to the tape's schedule; results are
 /// bit-identical to calling [`run_tape`] per configuration, in order.
 ///
 /// # Errors
@@ -355,7 +355,6 @@ pub fn run_tape_fused(
     if cfgs.len() == 1 {
         return Ok(vec![run_tape(benchmark, tape, &cfgs[0])?]);
     }
-    debug_assert!(cfgs.iter().all(|c| c.load_latency == tape.load_latency()));
     // The lockstep walk decodes a single-issue schedule; any other
     // processor model replays per configuration instead (identical
     // results, one traversal each).

@@ -17,9 +17,10 @@
 //! * [`pool`] — the scoped-thread job pool behind the parallel sweeps
 //!   (`NBL_THREADS` overrides the worker count);
 //! * [`store`] — the tiered artifact store: an exactly-once memory tier
-//!   that compiles each `(benchmark, latency)` pair once and records its
-//!   dynamic instruction stream once into a flat
-//!   [`nbl_trace::tape::TraceTape`] (byte budget, idle-tape eviction),
+//!   that compiles each `(benchmark, latency)` pair once and records each
+//!   compiled schedule's dynamic instruction stream once into a flat
+//!   [`nbl_trace::tape::TraceTape`], shared by every latency that
+//!   compiles to it (byte budget, idle-tape eviction),
 //!   over a content-addressed, versioned, checksummed on-disk tier
 //!   (`results/store/`) that persists tapes and [`driver::RunResult`]s
 //!   across processes, with quarantine-and-re-record corruption handling

@@ -116,6 +116,7 @@ impl JobPool {
     {
         match self.try_run(jobs, f) {
             Ok(out) => out,
+            // nbl-allow(no-panic): `run` is the documented re-raising twin of `try_run`
             Err(p) => panic!("{p}"),
         }
     }

@@ -109,14 +109,15 @@ pub fn inflight_table(benchmark: &str, rows: &[(u32, &RunResult)]) -> String {
 }
 
 /// One row of the Fig. 13-style table: MCPI and ratio-to-unrestricted for
-/// each configuration, unrestricted last.
+/// each configuration, unrestricted last. An empty row prints just the
+/// label.
 pub fn fig13_row(benchmark: &str, results: &[RunResult]) -> String {
-    let unrestricted = results
-        .last()
-        .expect("at least the unrestricted column")
-        .mcpi;
     let mut out = format!("{benchmark:>10}");
-    for r in &results[..results.len() - 1] {
+    let Some((last, restricted)) = results.split_last() else {
+        return out;
+    };
+    let unrestricted = last.mcpi;
+    for r in restricted {
         let ratio = if unrestricted > 0.0 {
             r.mcpi / unrestricted
         } else {

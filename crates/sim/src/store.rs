@@ -2,15 +2,17 @@
 //! derivation of a workload (DESIGN.md §16).
 //!
 //! Two tiers stand behind every lookup. The memory tier keeps one
-//! exactly-once slot per `(name, latency, fingerprint)` cell key, so each
-//! compiled program and each recorded tape exists once per process and
-//! is shared by `Arc`. The disk tier ([`DiskTier`]) is a directory (by
-//! convention `results/store/`) of content-addressed artifacts that
-//! survive the process, so a fresh run against a populated store skips
-//! straight past recording (tape artifacts) or past simulation entirely
-//! (result artifacts, under `--incremental`). The oracle's verdicts are
-//! a third kind of the same disk tier. [`ArtifactStore`] is the one
-//! place that composes the tiers.
+//! exactly-once slot per compiled program, keyed `(name, latency, IR
+//! fingerprint)`, and one per recorded tape, keyed `(name, schedule
+//! fingerprint)`: each exists once per process and is shared by `Arc`.
+//! Every scheduled latency whose compile lands on an already recorded
+//! schedule is served that schedule's tape. The disk tier ([`DiskTier`])
+//! is a directory (by convention `results/store/`) of content-addressed
+//! artifacts that survive the process, so a fresh run against a populated
+//! store skips straight past recording (tape artifacts) or past
+//! simulation entirely (result artifacts, under `--incremental`). The
+//! oracle's verdicts are a third kind of the same disk tier.
+//! [`ArtifactStore`] is the one place that composes the tiers.
 //!
 //! ## Content addressing
 //!
@@ -22,19 +24,21 @@
 //!
 //! ```text
 //! results/store/
-//!   tape-v2-<workload>-l<latency>-<fp:016x>.nbt    recorded trace tape
+//!   tape-v3-<workload>-<fp:016x>.nbt               recorded trace tape
 //!   result-v1-<workload>-l<latency>-<fp:016x>.nbr  one RunResult
 //!   oracle-v1-<key:016x>.nbo                       one oracle verdict
 //!   <name>.corrupt                                 quarantined artifact
 //! ```
 //!
-//! A tape's `<fp>` is the
-//! [`fingerprint_of`](nbl_core::fingerprint::fingerprint_of) the
-//! compiled program; a result's is the fingerprint of `(program-IR
-//! fingerprint, SimConfig)`, so a result can be looked up *before*
-//! compiling. Format versions are embedded in the name: a version bump
-//! makes old files invisible instead of misread (a `tape-v1-` file from
-//! before the dense tape layout is never opened, and stays where it is).
+//! A tape's `<fp>` is its schedule's
+//! [`compiled_fingerprint`](crate::store::compiled_fingerprint): the
+//! compiled program without its load latency, so every latency that
+//! compiles to one schedule names one file. A result's is the
+//! fingerprint of `(program-IR fingerprint, SimConfig)`, so a result can
+//! be looked up *before* compiling. Format versions are embedded in the
+//! name: a version bump makes old files invisible instead of misread (a
+//! `tape-v2-` file, keyed by latency before tapes were shared across
+//! schedules, is never opened, and stays where it is).
 //!
 //! ## One read, publish and quarantine path
 //!
@@ -86,8 +90,8 @@ pub enum ArtifactError {
     /// The artifact's bytes fail decoding (bad magic, version skew,
     /// truncation, checksum mismatch, …). The file is quarantined.
     Codec(CodecError),
-    /// The artifact decoded cleanly but describes a different
-    /// `(workload, latency)` than its content address claims — a
+    /// The artifact decoded cleanly but describes a different workload
+    /// (or, for a result, latency) than its content address claims — a
     /// renamed or colliding file. Quarantined like corruption.
     Identity,
 }
@@ -125,39 +129,41 @@ pub trait ArtifactKind {
     fn describes(value: &Self::Value, key: &Self::Key<'_>) -> bool;
 }
 
-/// The address of a per-workload artifact: `(workload name, load
-/// latency, content fingerprint)`. Name and latency are for human eyes
-/// and the identity check, the fingerprint for correctness.
+/// The address of a per-cell artifact: `(workload name, load latency,
+/// content fingerprint)`. Name and latency are for human eyes and the
+/// identity check, the fingerprint for correctness.
 pub type CellKey<'a> = (&'a str, u32, u64);
 
-/// `<name>-l<latency>-<fp:016x>`, the name kept portable: lowercase
-/// alphanumerics, `_` and `-` pass through, everything else becomes `-`.
-fn cell_address(&(name, latency, fingerprint): &CellKey<'_>) -> String {
-    let name: String = name
-        .chars()
+/// The address of a tape: `(workload name, schedule fingerprint)`. A
+/// tape belongs to a compiled schedule, not to one latency.
+pub type TapeKey<'a> = (&'a str, u64);
+
+/// `name`, kept portable: lowercase alphanumerics, `_` and `-` pass
+/// through, everything else becomes `-`.
+fn portable(name: &str) -> String {
+    name.chars()
         .map(|c| match c {
             'a'..='z' | '0'..='9' | '_' | '-' => c,
             'A'..='Z' => c.to_ascii_lowercase(),
             _ => '-',
         })
-        .collect();
-    format!("{name}-l{latency}-{fingerprint:016x}")
+        .collect()
 }
 
-/// Recorded [`TraceTape`]s, keyed by the compiled program's fingerprint.
-/// Unsynced: a cold sweep writes hundreds of MiB of tapes, and a torn
-/// tape only costs a re-record.
+/// Recorded [`TraceTape`]s, keyed by [`compiled_fingerprint`], at
+/// `<name>-<fp:016x>`. Unsynced: a cold sweep writes hundreds of MiB of
+/// tapes, and a torn tape only costs a re-record.
 pub struct TapeArtifact;
 
 impl ArtifactKind for TapeArtifact {
     type Value = TraceTape;
-    type Key<'a> = CellKey<'a>;
+    type Key<'a> = TapeKey<'a>;
     const PREFIX: &'static str = "tape";
     const EXTENSION: &'static str = "nbt";
     const FRAME: Frame = TAPE_FRAME;
     const SYNC: bool = false;
-    fn address(key: &CellKey<'_>) -> String {
-        cell_address(key)
+    fn address(&(name, fingerprint): &TapeKey<'_>) -> String {
+        format!("{}-{fingerprint:016x}", portable(name))
     }
     fn encode(tape: &TraceTape) -> Vec<u8> {
         tape.to_bytes()
@@ -165,13 +171,13 @@ impl ArtifactKind for TapeArtifact {
     fn decode(bytes: &[u8]) -> Result<TraceTape, CodecError> {
         TraceTape::from_bytes(bytes)
     }
-    fn describes(tape: &TraceTape, &(name, latency, _): &CellKey<'_>) -> bool {
-        tape.name() == name && tape.load_latency() == latency
+    fn describes(tape: &TraceTape, &(name, _): &TapeKey<'_>) -> bool {
+        tape.name() == name
     }
 }
 
-/// Simulated [`RunResult`]s, keyed by [`result_fingerprint`]. Unsynced,
-/// like tapes.
+/// Simulated [`RunResult`]s, keyed by [`result_fingerprint`], at
+/// `<name>-l<latency>-<fp:016x>`. Unsynced, like tapes.
 pub struct ResultArtifact;
 
 impl ArtifactKind for ResultArtifact {
@@ -181,8 +187,8 @@ impl ArtifactKind for ResultArtifact {
     const EXTENSION: &'static str = "nbr";
     const FRAME: Frame = RESULT_FRAME;
     const SYNC: bool = false;
-    fn address(key: &CellKey<'_>) -> String {
-        cell_address(key)
+    fn address(&(name, latency, fingerprint): &CellKey<'_>) -> String {
+        format!("{}-l{latency}-{fingerprint:016x}", portable(name))
     }
     fn encode(result: &RunResult) -> Vec<u8> {
         encode_result(result)
@@ -387,9 +393,12 @@ impl DiskTier {
         Ok(())
     }
 
-    /// Content address of a tape artifact.
-    pub fn tape_path(&self, name: &str, latency: u32, fingerprint: u64) -> PathBuf {
-        self.path::<TapeArtifact>(&(name, latency, fingerprint))
+    /// Content address of the tape of schedule `fingerprint`. `_latency`
+    /// is unused: a tape is addressed by its schedule alone. The argument
+    /// stays until the per-kind forwarders are deleted in favour of the
+    /// generic [`DiskTier::path`] and [`DiskTier::read`].
+    pub fn tape_path(&self, name: &str, _latency: u32, fingerprint: u64) -> PathBuf {
+        self.path::<TapeArtifact>(&(name, fingerprint))
     }
 
     /// Content address of a result artifact.
@@ -397,18 +406,18 @@ impl DiskTier {
         self.path::<ResultArtifact>(&(name, latency, fingerprint))
     }
 
-    /// The stored tape recorded for `(name, latency, fingerprint)`, if a
-    /// valid one exists: any failure of [`DiskTier::read`] is a miss.
-    pub fn load_tape(&self, name: &str, latency: u32, fingerprint: u64) -> Option<TraceTape> {
-        self.read::<TapeArtifact>(&(name, latency, fingerprint))
+    /// The stored tape of `name`'s schedule `fingerprint`, if a valid one
+    /// exists: any failure of [`DiskTier::read`] is a miss. `_latency` is
+    /// unused, as in [`DiskTier::tape_path`].
+    pub fn load_tape(&self, name: &str, _latency: u32, fingerprint: u64) -> Option<TraceTape> {
+        self.read::<TapeArtifact>(&(name, fingerprint))
             .ok()
             .flatten()
     }
 
     /// Writes `tape` through to its content address, as [`DiskTier::write`].
     pub fn write_tape(&self, tape: &TraceTape, fingerprint: u64) -> Result<(), ArtifactError> {
-        let key = (tape.name(), tape.load_latency(), fingerprint);
-        self.write::<TapeArtifact>(&key, tape)
+        self.write::<TapeArtifact>(&(tape.name(), fingerprint), tape)
     }
 
     /// The stored [`RunResult`] for `(name, latency, fingerprint)` — the
@@ -460,10 +469,20 @@ pub fn program_fingerprint(program: &Program) -> u64 {
     fingerprint_of(program)
 }
 
-/// Stable fingerprint of a compiled program — a tape artifact's content
-/// address.
+/// Stable fingerprint of a compiled program's schedule — a tape's
+/// identity, in memory and on disk, and half of an oracle verdict's key.
+/// It covers every field that shapes the recorded stream (`name`,
+/// `patterns`, `blocks`, `script`) and leaves out `load_latency`, so the
+/// latencies that compile to one schedule share one fingerprint.
 pub fn compiled_fingerprint(compiled: &CompiledProgram) -> u64 {
-    fingerprint_of(compiled)
+    let CompiledProgram {
+        name,
+        load_latency: _,
+        patterns,
+        blocks,
+        script,
+    } = compiled;
+    fingerprint_of(&(name, patterns, blocks, script))
 }
 
 /// Content address of one grid cell's [`RunResult`]: every input that
@@ -616,13 +635,17 @@ pub fn store_settings() -> StoreSettings {
 // The memory tier
 // ---------------------------------------------------------------------
 
-/// Byte budget of the tape memory tier: comfortably holds every
-/// (benchmark, latency) tape of a full `figures all` run (~108 pairs ×
-/// ~5 MiB) while bounding degenerate workloads.
+/// Byte budget of the tape memory tier: comfortably holds every tape of
+/// a full `figures all` run (66 schedules, ~211 MiB) while bounding
+/// degenerate workloads.
 const TAPE_BUDGET_BYTES: usize = 2048 * 1024 * 1024;
 
-/// The owned form of a [`CellKey`], which files a memory-tier slot.
-type OwnedCellKey = (String, u32, u64);
+/// What files a compiled program's memory-tier slot: `(name, latency,
+/// program IR fingerprint)`.
+type CompiledSlotKey = (String, u32, u64);
+
+/// What files a tape's memory-tier slot: the owned [`TapeKey`].
+type TapeSlotKey = (String, u64);
 
 /// Counter snapshot of one memory tier of an [`ArtifactStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -677,15 +700,15 @@ enum Fill {
 }
 
 #[derive(Debug)]
-struct TierState<V> {
-    slots: FastMap<OwnedCellKey, Arc<OnceLock<V>>>,
+struct TierState<K, V> {
+    slots: FastMap<K, Arc<OnceLock<V>>>,
     /// Fill order, for FIFO eviction over the budget.
-    order: VecDeque<OwnedCellKey>,
+    order: VecDeque<K>,
     /// Footprint of the filled resident values.
     bytes: usize,
 }
 
-/// One exactly-once memory tier: a `OnceLock` slot per cell key, so
+/// One exactly-once memory tier: a `OnceLock` slot per key, so
 /// concurrent first requests for a key block on its single fill, plus
 /// counters and an optional byte budget.
 ///
@@ -694,8 +717,8 @@ struct TierState<V> {
 /// is never evicted, and an evicted key is simply filled again on its
 /// next request.
 #[derive(Debug)]
-struct MemoryTier<V> {
-    state: Mutex<TierState<V>>,
+struct MemoryTier<K, V> {
+    state: Mutex<TierState<K, V>>,
     /// Byte budget; `None` never evicts.
     budget: Option<usize>,
     hits: AtomicU64,
@@ -703,7 +726,7 @@ struct MemoryTier<V> {
     evictions: AtomicU64,
 }
 
-impl<V: Resident> MemoryTier<V> {
+impl<K: Clone + Eq + std::hash::Hash, V: Resident> MemoryTier<K, V> {
     fn new(budget: Option<usize>) -> Self {
         MemoryTier {
             state: Mutex::new(TierState {
@@ -720,14 +743,14 @@ impl<V: Resident> MemoryTier<V> {
 
     /// Every critical section leaves the state consistent, so a lock
     /// poisoned by a panicking caller is still safe to use.
-    fn lock(&self) -> MutexGuard<'_, TierState<V>> {
+    fn lock(&self) -> MutexGuard<'_, TierState<K, V>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The value filed under `key`: the resident one (a hit), else what
     /// `fill` produces, which runs once per key even when first requests
     /// race.
-    fn get_or_fill(&self, key: OwnedCellKey, fill: impl FnOnce(&OwnedCellKey) -> (V, Fill)) -> V {
+    fn get_or_fill(&self, key: K, fill: impl FnOnce(&K) -> (V, Fill)) -> V {
         let slot = Arc::clone(self.lock().slots.entry(key.clone()).or_default());
         let mut filled_here = false;
         let value = slot
@@ -755,7 +778,7 @@ impl<V: Resident> MemoryTier<V> {
     /// budget. Slots still filling and values still referenced are
     /// skipped. One bounded pass: if everything old is busy, the tier
     /// stays over budget for now rather than block.
-    fn evict_to_budget(&self, st: &mut TierState<V>) {
+    fn evict_to_budget(&self, st: &mut TierState<K, V>) {
         let Some(budget) = self.budget else {
             return;
         };
@@ -782,15 +805,13 @@ impl<V: Resident> MemoryTier<V> {
         }
     }
 
-    /// `f` of a resident value filed under `(name, latency)`, any
-    /// fingerprint. Never fills a slot and moves no counter.
-    fn peek<R>(&self, name: &str, latency: u32, f: impl FnOnce(&V) -> R) -> Option<R> {
+    /// `f` of the first resident value whose key `matches`. Never fills
+    /// a slot and moves no counter.
+    fn peek<R>(&self, matches: impl Fn(&K) -> bool, f: impl FnOnce(&V) -> R) -> Option<R> {
         let st = self.lock();
         st.slots
             .iter()
-            .find_map(|((n, l, _), slot)| {
-                (n == name && *l == latency).then(|| slot.get()).flatten()
-            })
+            .find_map(|(key, slot)| matches(key).then(|| slot.get()).flatten())
             .map(f)
     }
 
@@ -823,8 +844,8 @@ impl<V: Resident> MemoryTier<V> {
 /// which writes through to disk.
 #[derive(Debug)]
 pub struct ArtifactStore {
-    compiled: MemoryTier<Result<Arc<CompiledProgram>, CompileError>>,
-    tapes: MemoryTier<Arc<TraceTape>>,
+    compiled: MemoryTier<CompiledSlotKey, Result<Arc<CompiledProgram>, CompileError>>,
+    tapes: MemoryTier<TapeSlotKey, Arc<TraceTape>>,
     disk: Option<DiskTier>,
     incremental: bool,
 }
@@ -902,38 +923,45 @@ impl ArtifactStore {
         })
     }
 
-    /// Fetches the tape for `compiled` through all tiers (memory →
-    /// disk → record), writing any fresh recording through to disk.
-    /// Disk damage of any kind is absorbed (quarantine + re-record), so
-    /// the call is infallible.
+    /// Fetches the tape of `compiled`'s schedule through all tiers
+    /// (memory → disk → record), writing any fresh recording through to
+    /// disk. The slot is keyed by `(name, `[`compiled_fingerprint`]`)`,
+    /// so every latency that compiles to one schedule gets the same
+    /// `Arc`, recorded once. Disk damage of any kind is absorbed
+    /// (quarantine + re-record), so the call is infallible.
     pub fn get_or_record(&self, compiled: &CompiledProgram) -> Arc<TraceTape> {
-        let key = (
-            compiled.name.clone(),
-            compiled.load_latency,
-            compiled_fingerprint(compiled),
-        );
-        self.tapes.get_or_fill(key, |(name, latency, fingerprint)| {
-            let cell = (name.as_str(), *latency, *fingerprint);
+        let key = (compiled.name.clone(), compiled_fingerprint(compiled));
+        self.tapes.get_or_fill(key, |(name, fingerprint)| {
+            let key = (name.as_str(), *fingerprint);
             if let Some(disk) = &self.disk {
-                if let Ok(Some(tape)) = disk.read::<TapeArtifact>(&cell) {
+                if let Ok(Some(tape)) = disk.read::<TapeArtifact>(&key) {
                     return (Arc::new(tape), Fill::Loaded);
                 }
             }
             let tape = TraceTape::record(compiled);
             if let Some(disk) = &self.disk {
-                let _ = disk.write::<TapeArtifact>(&cell, &tape);
+                let _ = disk.write::<TapeArtifact>(&key, &tape);
             }
             (Arc::new(tape), Fill::Derived)
         })
     }
 
-    /// Barrier count of a resident tape for `(name, latency)`, any
-    /// fingerprint: a scheduling hint, not a correctness input. Answers
-    /// from memory only and moves no counter, so schedulers can weigh
-    /// work without perturbing store telemetry.
+    /// Barrier count of the resident tape that `(name, latency)` replays,
+    /// any program fingerprint: a scheduling hint, not a correctness
+    /// input. The pair's resident compile names the schedule, and the
+    /// schedule names the tape. Answers from memory only and moves no
+    /// counter, so schedulers can weigh work without perturbing store
+    /// telemetry.
     pub(crate) fn resident_barriers(&self, name: &str, latency: u32) -> Option<u64> {
-        self.tapes
-            .peek(name, latency, |tape| tape.barriers().len() as u64)
+        let compiled = self
+            .compiled
+            .peek(|(n, l, _)| n == name && *l == latency, Clone::clone)?
+            .ok()?;
+        let schedule = compiled_fingerprint(&compiled);
+        self.tapes.peek(
+            |(n, fp)| n == name && *fp == schedule,
+            |tape| tape.barriers().len() as u64,
+        )
     }
 
     /// The stored result for one grid cell, if the disk tier holds one
@@ -969,6 +997,7 @@ mod tests {
     use crate::pool::JobPool;
     use nbl_core::types::{RegClass, REGS_PER_CLASS};
     use nbl_trace::builder::ProgramBuilder;
+    use nbl_trace::ir::ScriptNode;
     use nbl_trace::workloads::{build, Scale};
 
     fn compiled(
@@ -1103,8 +1132,10 @@ mod tests {
 
     #[test]
     fn concurrent_first_access_still_records_once() {
-        // 16 workers race for 4 distinct (benchmark, latency) pairs; the
-        // OnceLock slots must serialize each pair to a single recording.
+        // 16 workers race for 4 (benchmark, latency) pairs with 3
+        // schedules (eqntott compiles to one schedule at 6 and 10); the
+        // OnceLock slots must serialize each schedule to a single
+        // recording.
         let store = ArtifactStore::in_memory();
         let programs = [
             compiled(&store, "doduc", 6, Scale::quick()),
@@ -1113,18 +1144,73 @@ mod tests {
             compiled(&store, "eqntott", 10, Scale::quick()),
         ];
         let pool = JobPool::new(8);
-        let lens = pool.run(16, |i| store.get_or_record(&programs[i % 4]).len());
-        assert_eq!(lens.len(), 16);
+        let tapes = pool.run(16, |i| store.get_or_record(&programs[i % 4]));
+        assert_eq!(tapes.len(), 16);
+        assert!(Arc::ptr_eq(&tapes[2], &tapes[3]), "eqntott 6 and 10 share");
         let s = store.memory_stats().1;
-        assert_eq!(s.derived, 4, "one recording per distinct pair");
+        assert_eq!(s.derived, 3, "one recording per distinct schedule");
         assert_eq!(s.hits + s.derived, 16);
+        assert_eq!(store.tapes.len(), 3);
+    }
+
+    #[test]
+    fn latencies_sharing_a_schedule_share_one_tape() {
+        let store = ArtifactStore::in_memory();
+        let at6 = compiled(&store, "eqntott", 6, Scale::quick());
+        let at10 = compiled(&store, "eqntott", 10, Scale::quick());
+        let at3 = compiled(&store, "eqntott", 3, Scale::quick());
+        assert_eq!(compiled_fingerprint(&at6), compiled_fingerprint(&at10));
+        assert_ne!(compiled_fingerprint(&at6), compiled_fingerprint(&at3));
+        let a = store.get_or_record(&at6);
+        // Latency 10 was never recorded, yet its compile names the
+        // resident schedule: the scheduling peek already sees its tape.
+        assert_eq!(
+            store.resident_barriers("eqntott", 10),
+            Some(a.barriers().len() as u64)
+        );
+        assert_eq!(store.resident_barriers("eqntott", 3), None);
+        assert_eq!(store.resident_barriers("eqntott", 20), None, "not compiled");
+        let b = store.get_or_record(&at10);
+        assert!(Arc::ptr_eq(&a, &b), "one schedule, one tape");
+        let c = store.get_or_record(&at3);
+        assert!(!Arc::ptr_eq(&a, &c));
+        let s = store.memory_stats().1;
+        assert_eq!((s.hits, s.derived), (1, 2));
+        assert_eq!(s.resident_bytes, a.bytes() + c.bytes());
+        assert_eq!(store.tapes.len(), 2);
+        assert_eq!(store.memory_stats().0.derived, 3, "every pair compiles");
+    }
+
+    #[test]
+    fn compiled_fingerprint_names_the_schedule_not_the_latency() {
+        let store = ArtifactStore::in_memory();
+        let base = (*compiled(&store, "tomcatv", 6, Scale::quick())).clone();
+        let fp = compiled_fingerprint(&base);
+        let variant = |edit: fn(&mut CompiledProgram)| {
+            let mut c = base.clone();
+            edit(&mut c);
+            compiled_fingerprint(&c)
+        };
+        assert_eq!(variant(|c| c.load_latency = 10), fp, "latency alone");
+        assert_ne!(variant(|c| c.name.push('x')), fp, "name");
+        assert_ne!(variant(|c| c.patterns.push(c.patterns[0])), fp, "patterns");
+        assert_ne!(variant(|c| c.blocks[0].ops.reverse()), fp, "blocks");
+        assert_ne!(
+            variant(|c| match &mut c.script[0] {
+                ScriptNode::Run { times, .. } => *times += 1,
+                ScriptNode::Loop { trips, .. } => *trips += 1,
+            }),
+            fp,
+            "script"
+        );
     }
 
     #[test]
     fn over_budget_idle_tapes_are_evicted_fifo() {
         let scratch = ArtifactStore::in_memory();
+        // Two latencies with distinct schedules, so two distinct tapes.
         let c1 = compiled(&scratch, "eqntott", 10, Scale::quick());
-        let c2 = compiled(&scratch, "eqntott", 6, Scale::quick());
+        let c2 = compiled(&scratch, "eqntott", 3, Scale::quick());
         let t1 = TraceTape::record(&c1);
         let (t1_bytes, t1_len) = (t1.bytes(), t1.len());
         // Budget fits exactly one tape: inserting the second must evict

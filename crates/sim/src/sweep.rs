@@ -32,6 +32,21 @@ pub struct LatencySweep {
 }
 
 impl LatencySweep {
+    /// The sweep of `program` over `configs` × `latencies`, from its rows.
+    fn of(
+        program: &Program,
+        configs: &[HwConfig],
+        latencies: &[u32],
+        rows: Vec<Vec<RunResult>>,
+    ) -> LatencySweep {
+        LatencySweep {
+            benchmark: program.name.clone(),
+            configs: configs.iter().map(HwConfig::label).collect(),
+            latencies: latencies.to_vec(),
+            rows,
+        }
+    }
+
     /// The MCPI curve (over latency) of configuration index `j`.
     pub fn curve(&self, j: usize) -> Vec<f64> {
         self.rows.iter().map(|r| r[j].mcpi).collect()
@@ -70,12 +85,7 @@ pub fn latency_sweep(
         }
         rows.push(row);
     }
-    Ok(LatencySweep {
-        benchmark: program.name.clone(),
-        configs: configs.iter().map(HwConfig::label).collect(),
-        latencies: latencies.to_vec(),
-        rows,
-    })
+    Ok(LatencySweep::of(program, configs, latencies, rows))
 }
 
 /// MCPI-vs-miss-penalty table for one benchmark at a fixed latency
@@ -257,8 +267,9 @@ fn span_claim_order(spans: &[RowSpan], weights: &[u64]) -> Vec<usize> {
 /// single pool invocation; each cell fetches its compiled program from the
 /// store (compiled exactly once per `(benchmark, latency)` pair)
 /// and the recorded tape through the store's tiers (the dynamic stream is
-/// materialized exactly once per pair — decoded from disk when a prior
-/// process persisted it), then replays the tape under its own hardware
+/// materialized exactly once per compiled schedule, which latencies past
+/// a block's slack share — decoded from disk when a prior process
+/// persisted it), then replays the tape under its own hardware
 /// configuration — record once, replay at every grid point. With a disk
 /// tier every cell's [`RunResult`] also writes through under its input
 /// fingerprint; in incremental mode
@@ -296,8 +307,8 @@ impl SweepEngine {
     /// [`crate::store::store_settings`] (CLI flags or `NBL_STORE_DIR` /
     /// `NBL_INCREMENTAL`), shared across every sweep and the driver's
     /// program-level entries ([`crate::driver::run_program`] and kin), so
-    /// a whole bench invocation compiles and records each pair at most
-    /// once.
+    /// a whole bench invocation compiles each pair and records each
+    /// schedule at most once.
     pub fn global() -> &'static SweepEngine {
         static GLOBAL: OnceLock<SweepEngine> = OnceLock::new();
         GLOBAL.get_or_init(|| Self {
@@ -450,11 +461,8 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<LatencySweep, SimError> {
-        let sweeps = self.grid_sweep(&[program], base, configs, latencies)?;
-        Ok(sweeps
-            .into_iter()
-            .next()
-            .expect("one program in, one sweep out"))
+        let rows = self.fused_rows(&[program], base, configs, latencies)?;
+        Ok(LatencySweep::of(program, configs, latencies, rows))
     }
 
     /// Cross-benchmark sweep, fused: every `(program, latency)` pair of
@@ -483,6 +491,27 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<Vec<LatencySweep>, SimError> {
+        let mut rows = self
+            .fused_rows(programs, base, configs, latencies)?
+            .into_iter();
+        Ok(programs
+            .iter()
+            .map(|program| {
+                let own = rows.by_ref().take(latencies.len()).collect();
+                LatencySweep::of(program, configs, latencies, own)
+            })
+            .collect())
+    }
+
+    /// The fused grid's `(program, latency)` rows, program-major: the
+    /// body of [`Self::grid_sweep`]. The first failing row's error wins.
+    fn fused_rows(
+        &self,
+        programs: &[&Program],
+        base: &SimConfig,
+        configs: &[HwConfig],
+        latencies: &[u32],
+    ) -> Result<Vec<Vec<RunResult>>, SimError> {
         let (nl, nc) = (latencies.len(), configs.len());
         let nrows = programs.len() * nl;
         // One stable IR fingerprint per program, shared by every row job
@@ -552,18 +581,7 @@ impl SweepEngine {
                 }
                 rows
             };
-        let mut rows = rows.into_iter();
-        programs
-            .iter()
-            .map(|program| {
-                Ok(LatencySweep {
-                    benchmark: program.name.clone(),
-                    configs: configs.iter().map(HwConfig::label).collect(),
-                    latencies: latencies.to_vec(),
-                    rows: rows.by_ref().take(nl).collect::<Result<_, _>>()?,
-                })
-            })
-            .collect()
+        rows.into_iter().collect()
     }
 
     /// [`Self::grid_sweep`] without tape fusion: every
@@ -587,12 +605,7 @@ impl SweepEngine {
         Ok(programs
             .iter()
             .zip(grid)
-            .map(|(program, rows)| LatencySweep {
-                benchmark: program.name.clone(),
-                configs: configs.iter().map(HwConfig::label).collect(),
-                latencies: latencies.to_vec(),
-                rows,
-            })
+            .map(|(program, rows)| LatencySweep::of(program, configs, latencies, rows))
             .collect())
     }
 
@@ -830,19 +843,17 @@ mod tests {
                 }
             }
         }
-        // 2 benchmarks × 2 latencies compiled; the fused sweep fetches
-        // each compilation and tape exactly once per (benchmark, latency)
-        // row — the 3 configurations inside a row share one walk.
+        // 2 benchmarks × 2 latencies compiled, 4 distinct schedules (no
+        // two of these pairs share one); the fused sweep fetches each
+        // compilation and tape exactly once per (benchmark, latency) row —
+        // the 3 configurations inside a row share one walk.
         let (compiled, tapes) = engine.store().memory_stats();
         assert_eq!(
             compiled.derived, 4,
             "each (benchmark, latency) pair compiles exactly once"
         );
         assert_eq!(compiled.hits, 0, "fused rows fetch each compilation once");
-        assert_eq!(
-            tapes.derived, 4,
-            "each (benchmark, latency) pair records exactly once"
-        );
+        assert_eq!(tapes.derived, 4, "each schedule records exactly once");
         assert_eq!(tapes.hits, 0, "fused rows fetch each tape once");
         assert_eq!(tapes.evictions, 0);
         engine

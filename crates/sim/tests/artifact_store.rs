@@ -14,7 +14,7 @@ use nbl_oracle::{CellVerdict, Coverage, VerdictArtifact};
 use nbl_sim::driver::{InFlightSummary, RunResult};
 use nbl_sim::store::{
     program_fingerprint, result_fingerprint, ArtifactError, ArtifactKind, ArtifactStore, CellKey,
-    DiskTier, ResultArtifact, TapeArtifact,
+    DiskTier, ResultArtifact, TapeArtifact, TapeKey,
 };
 use nbl_sim::{HwConfig, SimConfig, SweepEngine};
 use nbl_trace::ir::Program;
@@ -35,7 +35,9 @@ fn temp_store(tag: &str) -> PathBuf {
 }
 
 /// A small but heterogeneous grid: 2 benchmarks x 2 configs x 2
-/// latencies = 8 cells, 4 `(benchmark, latency)` compile/tape pairs.
+/// latencies = 8 cells and 4 `(benchmark, latency)` compile pairs, but
+/// only 2 schedules: eqntott and compress each compile to one schedule
+/// at latencies 6 and 10, so each records and stores one tape.
 fn grid_programs() -> Vec<Program> {
     vec![
         build("eqntott", Scale::quick()).unwrap(),
@@ -47,6 +49,7 @@ const GRID_CONFIGS: [HwConfig; 2] = [HwConfig::Mc0, HwConfig::Mc(4)];
 const GRID_LATENCIES: [u32; 2] = [6, 10];
 const CELLS: u64 = 8;
 const PAIRS: u64 = 4;
+const SCHEDULES: u64 = 2;
 
 fn run_grid(engine: &SweepEngine, programs: &[Program]) -> Vec<RunResult> {
     let refs: Vec<&Program> = programs.iter().collect();
@@ -79,15 +82,22 @@ fn cross_process_warm_start_hits_the_disk_tier() {
     let dir = temp_store("warm");
     let programs = grid_programs();
 
-    // "Process" A: empty store, so every pair records and writes through.
+    // "Process" A: empty store, so every schedule records and writes
+    // through once; the pair that shares it is a memory-tier hit.
     let a = disk_engine(&dir, false);
     let baseline = run_grid(&a, &programs);
     let sa = a.store().disk_stats();
     assert_eq!(sa.tape_hits, 0);
-    assert_eq!(sa.tape_misses, PAIRS);
-    assert_eq!(sa.tape_writes, PAIRS);
+    assert_eq!(sa.tape_misses, SCHEDULES);
+    assert_eq!(sa.tape_writes, SCHEDULES);
     assert_eq!(sa.result_writes, CELLS);
-    assert_eq!(a.store().memory_stats().1.derived, PAIRS);
+    let (compiled, tapes) = a.store().memory_stats();
+    assert_eq!(compiled.derived, PAIRS, "every pair compiles");
+    assert_eq!((tapes.derived, tapes.hits), (SCHEDULES, PAIRS - SCHEDULES));
+    assert_eq!(
+        artifacts_with_extension(&dir, "nbt").len(),
+        SCHEDULES as usize
+    );
 
     // "Process" B: a fresh instance over the same directory. Every tape
     // request must be answered by decoding A's artifacts — no recording.
@@ -98,7 +108,7 @@ fn cross_process_warm_start_hits_the_disk_tier() {
         "disk-tier tapes must replay bit-identically"
     );
     let sb = b.store().disk_stats();
-    assert_eq!(sb.tape_hits, PAIRS);
+    assert_eq!(sb.tape_hits, SCHEDULES);
     assert_eq!(sb.tape_misses, 0);
     assert_eq!(sb.corruptions, 0);
     assert_eq!(
@@ -145,7 +155,7 @@ fn corrupted_tape_is_quarantined_and_transparently_re_recorded() {
 
     // Flip one bit in the middle of one tape artifact.
     let tapes = artifacts_with_extension(&dir, "nbt");
-    assert_eq!(tapes.len(), PAIRS as usize);
+    assert_eq!(tapes.len(), SCHEDULES as usize);
     let victim = &tapes[1];
     let mut bytes = std::fs::read(victim).unwrap();
     let mid = bytes.len() / 2;
@@ -153,14 +163,15 @@ fn corrupted_tape_is_quarantined_and_transparently_re_recorded() {
     std::fs::write(victim, &bytes).unwrap();
 
     // A fresh "process" must detect the damage, quarantine the file,
-    // re-record the pair, and finish the sweep with unperturbed results.
+    // re-record the schedule, and finish the sweep with unperturbed
+    // results.
     let b = disk_engine(&dir, false);
     let again = run_grid(&b, &programs);
     assert_eq!(again, baseline, "corruption must not perturb results");
     let sb = b.store().disk_stats();
     assert_eq!(sb.corruptions, 1);
-    assert_eq!(sb.tape_hits, PAIRS - 1);
-    assert_eq!(sb.tape_writes, 1, "the damaged pair is re-recorded");
+    assert_eq!(sb.tape_hits, SCHEDULES - 1);
+    assert_eq!(sb.tape_writes, 1, "the damaged schedule is re-recorded");
     assert_eq!(b.store().memory_stats().1.derived, 1);
     assert_eq!(
         artifacts_with_extension(&dir, "corrupt").len(),
@@ -172,74 +183,85 @@ fn corrupted_tape_is_quarantined_and_transparently_re_recorded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `bytes` (a current tape artifact) re-framed as format version 1: the
-/// version field rewritten and the checksum resealed, so the frame is
-/// intact and only the version is stale.
-fn as_version_1(mut bytes: Vec<u8>) -> Vec<u8> {
-    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+/// `bytes` (a current, version 3 tape artifact) in the version 2 layout:
+/// the version field rewritten, the load latency version 2 carried after
+/// the name length put back, and the checksum resealed — an intact
+/// artifact of the previous format.
+fn as_version_2(v3: &[u8], latency: u32) -> Vec<u8> {
+    let mut bytes = v3[..12].to_vec();
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&latency.to_le_bytes());
+    bytes.extend_from_slice(&v3[12..]);
     let body = bytes.len() - 8;
     let sum = checksum_bytes(&bytes[..body]);
     bytes[body..].copy_from_slice(&sum.to_le_bytes());
     bytes
 }
 
-/// The name a tape artifact had under format version 1.
-fn version_1_name(v2: &Path) -> PathBuf {
-    let name = v2.file_name().unwrap().to_str().unwrap();
-    v2.with_file_name(name.replacen("tape-v2-", "tape-v1-", 1))
+/// The name the tape at `v3` had under format version 2, where a tape
+/// was addressed per latency: `tape-v2-<workload>-l<latency>-<fp>.nbt`.
+fn version_2_name(v3: &Path, latency: u32) -> PathBuf {
+    let name = v3.file_name().unwrap().to_str().unwrap();
+    let rest = name.strip_prefix("tape-v3-").unwrap();
+    let (workload, fp) = rest.rsplit_once('-').unwrap();
+    v3.with_file_name(format!("tape-v2-{workload}-l{latency}-{fp}"))
 }
 
 #[test]
-fn stale_version_1_tape_is_ignored_and_left_alone() {
-    let dir = temp_store("stale-v1");
+fn stale_version_2_tape_is_ignored_and_left_alone() {
+    let dir = temp_store("stale-v2");
     let programs = grid_programs();
 
-    // Learn the v2 addresses from a populated store, then start over
-    // with only a v1-named, v1-framed file in the directory.
+    // Learn the v3 addresses from a populated store, then start over
+    // with only a v2-named, v2-framed file in the directory.
     let baseline = run_grid(&disk_engine(&dir, false), &programs);
-    let v2 = artifacts_with_extension(&dir, "nbt");
-    assert_eq!(v2.len(), PAIRS as usize);
-    let stale = as_version_1(std::fs::read(&v2[0]).unwrap());
+    let v3 = artifacts_with_extension(&dir, "nbt");
+    assert_eq!(v3.len(), SCHEDULES as usize);
+    let stale = as_version_2(&std::fs::read(&v3[0]).unwrap(), 6);
+    assert_eq!(
+        TraceTape::from_bytes(&stale),
+        Err(CodecError::UnsupportedVersion(2))
+    );
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let v1_path = version_1_name(&v2[0]);
-    std::fs::write(&v1_path, &stale).unwrap();
+    let v2_path = version_2_name(&v3[0], 6);
+    std::fs::write(&v2_path, &stale).unwrap();
 
-    // The store never asks for the v1 name: every pair records once,
-    // nothing counts as damage, and the old file is untouched.
+    // The store never asks for the v2 name: every schedule records
+    // once, nothing counts as damage, and the old file is untouched.
     let b = disk_engine(&dir, false);
     let again = run_grid(&b, &programs);
     assert_eq!(again, baseline);
     let sb = b.store().disk_stats();
     assert_eq!(
         (sb.tape_hits, sb.tape_misses, sb.tape_writes),
-        (0, PAIRS, PAIRS)
+        (0, SCHEDULES, SCHEDULES)
     );
     assert_eq!(sb.corruptions, 0);
-    assert_eq!(b.store().memory_stats().1.derived, PAIRS);
-    assert_eq!(std::fs::read(&v1_path).unwrap(), stale, "left alone");
+    assert_eq!(b.store().memory_stats().1.derived, SCHEDULES);
+    assert_eq!(std::fs::read(&v2_path).unwrap(), stale, "left alone");
     assert!(artifacts_with_extension(&dir, "corrupt").is_empty());
-    assert!(v2[0].exists(), "the v2 address is populated beside it");
+    assert!(v3[0].exists(), "the v3 address is populated beside it");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn version_1_frame_at_a_version_2_path_is_quarantined_and_re_recorded() {
-    let dir = temp_store("v1-at-v2");
+fn version_2_frame_at_a_version_3_path_is_quarantined_and_re_recorded() {
+    let dir = temp_store("v2-at-v3");
     let programs = grid_programs();
 
     let a = disk_engine(&dir, false);
     let baseline = run_grid(&a, &programs);
 
-    // Overwrite one v2 tape with the same content in a v1 frame.
+    // Overwrite one v3 tape with the same content in a v2 frame.
     let tapes = artifacts_with_extension(&dir, "nbt");
-    let victim = &tapes[2];
+    let victim = &tapes[1];
     let original = std::fs::read(victim).unwrap();
-    let stale = as_version_1(original.clone());
+    let stale = as_version_2(&original, 10);
     assert_eq!(
         TraceTape::from_bytes(&stale),
-        Err(CodecError::UnsupportedVersion(1))
+        Err(CodecError::UnsupportedVersion(2))
     );
     std::fs::write(victim, &stale).unwrap();
 
@@ -251,8 +273,8 @@ fn version_1_frame_at_a_version_2_path_is_quarantined_and_re_recorded() {
     );
     let sb = b.store().disk_stats();
     assert_eq!(sb.corruptions, 1);
-    assert_eq!(sb.tape_hits, PAIRS - 1);
-    assert_eq!(sb.tape_writes, 1, "the stale pair is re-recorded");
+    assert_eq!(sb.tape_hits, SCHEDULES - 1);
+    assert_eq!(sb.tape_writes, 1, "the stale schedule is re-recorded");
     assert_eq!(b.store().memory_stats().1.derived, 1);
     let quarantined = artifacts_with_extension(&dir, "corrupt");
     assert_eq!(quarantined.len(), 1);
@@ -260,7 +282,7 @@ fn version_1_frame_at_a_version_2_path_is_quarantined_and_re_recorded() {
     assert_eq!(
         std::fs::read(victim).unwrap(),
         original,
-        "the address is repopulated with the same v2 bytes"
+        "the address is repopulated with the same v3 bytes"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -365,7 +387,7 @@ trait Fixture: ArtifactKind<Value: PartialEq + Debug> {
 }
 
 impl Fixture for TapeArtifact {
-    const GOLDEN: (usize, u64) = (2958, 0x43a9_dc00_6659_f5af);
+    const GOLDEN: (usize, u64) = (2954, 0xe4d5_785c_86dc_d043);
 
     fn sample() -> TraceTape {
         tape_of_len(300)
@@ -376,15 +398,15 @@ impl Fixture for TapeArtifact {
         tape_of_len(100_000)
     }
 
-    fn key(tape: &TraceTape, fingerprint: u64) -> CellKey<'_> {
-        (tape.name(), tape.load_latency(), fingerprint)
+    fn key(tape: &TraceTape, fingerprint: u64) -> TapeKey<'_> {
+        (tape.name(), fingerprint)
     }
 }
 
 /// Loads, stores, ALU chains and branches, with barriers spanning more
 /// than one flag word.
 fn tape_of_len(len: u64) -> TraceTape {
-    let mut tape = TraceTape::with_capacity("golden", 6, 2, len as usize);
+    let mut tape = TraceTape::with_capacity("golden", 2, len as usize);
     for i in 0..len {
         let r = PhysReg::from_dense((i % 48) as usize);
         let r2 = PhysReg::from_dense(((i + 7) % 48) as usize);
@@ -631,7 +653,7 @@ fn mislabeled_artifact_fails_identity<K: Fixture>(alias: K::Key<'_>) {
 
 #[test]
 fn mislabeled_tape_fails_identity() {
-    mislabeled_artifact_fails_identity::<TapeArtifact>(("compress", 6, 1));
+    mislabeled_artifact_fails_identity::<TapeArtifact>(("compress", 1));
 }
 
 #[test]

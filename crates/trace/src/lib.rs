@@ -13,8 +13,9 @@
 //! * [`exec`] — the deterministic executor that turns a compiled program
 //!   into a dynamic instruction stream (the tape recorder's input);
 //! * [`tape`] — a flat struct-of-arrays recording of the fully-resolved
-//!   dynamic stream, materialized once per (benchmark, latency) pair and
-//!   replayed across every hardware configuration of a sweep. Its codec
+//!   dynamic stream, materialized once per compiled schedule and
+//!   replayed across every hardware configuration of a sweep, at every
+//!   scheduled latency that compiles to that schedule. Its codec
 //!   ([`tape::io`], `NBLT` magic) is the one on-disk instruction-stream
 //!   format: trace capture to a file is `to_bytes`, replay is
 //!   `from_bytes` plus a tape run.

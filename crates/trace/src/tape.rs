@@ -49,9 +49,11 @@
 //! arithmetic; DESIGN.md §12 gives the measured bounds.
 //!
 //! The tape is itself an [`InstSink`], so recording is just running the
-//! executor once into it ([`TraceTape::record`]); `nbl-sim` caches the
-//! result per `(benchmark, latency, fingerprint)` and replays it through
-//! the processor models for every grid point.
+//! executor once into it ([`TraceTape::record`]). A tape carries no load
+//! latency: scheduled latencies past a block's slack compile to the same
+//! schedule and so record the same stream, and `nbl-sim` keeps one tape
+//! per `(benchmark, schedule fingerprint)`, replayed through the processor
+//! models for every grid point of every latency that shares it.
 
 use crate::exec::Executor;
 use crate::machine::{CompiledProgram, InstSink};
@@ -276,7 +278,6 @@ fn unpack_format(b: u8) -> LoadFormat {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceTape {
     name: String,
-    load_latency: u32,
     static_spill_ops: usize,
     /// One byte per entry: [`TapeKind`] in bits 0–1, a load's packed
     /// [`LoadFormat`] in bits 2–4.
@@ -302,15 +303,9 @@ pub struct TraceTape {
 impl TraceTape {
     /// An empty tape with the given identity and room for `capacity`
     /// instructions (the address array grows as memory operations arrive).
-    pub fn with_capacity(
-        name: &str,
-        load_latency: u32,
-        static_spill_ops: usize,
-        capacity: usize,
-    ) -> TraceTape {
+    pub fn with_capacity(name: &str, static_spill_ops: usize, capacity: usize) -> TraceTape {
         TraceTape {
             name: name.to_string(),
-            load_latency,
             static_spill_ops,
             kinds: Vec::with_capacity(capacity),
             dsts: Vec::with_capacity(capacity),
@@ -334,7 +329,6 @@ impl TraceTape {
         let count = |n: u64| usize::try_from(n).unwrap_or(0);
         let mut tape = TraceTape::with_capacity(
             &compiled.name,
-            compiled.load_latency,
             compiled.blocks.iter().map(|b| b.spill_ops).sum(),
             count(loads + stores + other),
         );
@@ -400,11 +394,6 @@ impl TraceTape {
     /// Benchmark name the tape was recorded from.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Scheduled load latency the recorded program was compiled for.
-    pub fn load_latency(&self) -> u32 {
-        self.load_latency
     }
 
     /// Spill memory operations the compiler added, per static program
@@ -720,7 +709,7 @@ mod scan_prop {
         for &mem_bias in &[0, 15, 120, 500, 930, 1000] {
             for case in 0..24 {
                 let len = 1 + rng.next_below(400) as usize;
-                let mut tape = TraceTape::with_capacity("prop", 1, 0, len);
+                let mut tape = TraceTape::with_capacity("prop", 0, len);
                 for _ in 0..len {
                     let inst = random_inst(&mut rng, mem_bias);
                     tape.push(inst);
@@ -736,7 +725,7 @@ mod scan_prop {
         // Exactly 64 and 128 barriers: the tail word is full, exercising
         // the word-boundary exit paths.
         for &barriers_wanted in &[64usize, 128] {
-            let mut tape = TraceTape::with_capacity("prop", 1, 0, barriers_wanted);
+            let mut tape = TraceTape::with_capacity("prop", 0, barriers_wanted);
             while tape.barriers().len() < barriers_wanted {
                 let inst = random_inst(&mut rng, 700);
                 tape.push(inst);
@@ -782,7 +771,7 @@ mod scan_prop {
         for &mem_bias in &[0, 15, 120, 500, 930, 1000] {
             for case in 0..24 {
                 let len = rng.next_below(400) as usize;
-                let mut tape = TraceTape::with_capacity("prop", 1, 0, len);
+                let mut tape = TraceTape::with_capacity("prop", 0, len);
                 let pushed: Vec<DynInst> =
                     (0..len).map(|_| random_inst(&mut rng, mem_bias)).collect();
                 for &inst in &pushed {
@@ -809,7 +798,7 @@ mod scan_prop {
 
     #[test]
     fn empty_tape_scan_is_a_no_op() {
-        let tape = TraceTape::with_capacity("prop", 1, 0, 0);
+        let tape = TraceTape::with_capacity("prop", 0, 0);
         assert_eq!(tape.next_mem_barrier(0), 0);
         assert_eq!(tape.next_mem_barrier(10), 0);
     }
@@ -928,7 +917,6 @@ mod tests {
         let c = exercise_program();
         let tape = TraceTape::record(&c);
         assert_eq!(tape.name(), "exercise");
-        assert_eq!(tape.load_latency(), 6);
         let (loads, stores, _) = c.dynamic_mix();
         assert_eq!(tape.loads(), loads);
         assert_eq!(tape.stores(), stores);
@@ -1018,7 +1006,7 @@ mod tests {
 
     #[test]
     fn alu_rewrite_retires_a_load_written_register() {
-        let mut tape = TraceTape::with_capacity("t", 1, 0, 8);
+        let mut tape = TraceTape::with_capacity("t", 0, 8);
         let (r1, r2, r3) = (PhysReg::int(1), PhysReg::int(2), PhysReg::int(3));
         // ALU chain touching no load results: no barriers.
         tape.push(DynInst::alu(r2, [None, None]));

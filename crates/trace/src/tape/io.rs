@@ -6,8 +6,8 @@
 //! loads with **one contiguous read** and no per-entry decoding:
 //!
 //! ```text
-//! magic "NBLT" | format_version u32 (= 2)
-//! header: name_len u32 | load_latency u32 | static_spill_ops u64
+//! magic "NBLT" | format_version u32 (= 3)
+//! header: name_len u32 | static_spill_ops u64
 //!         | len u64 | barriers u64 | flag_words u64
 //!         | loads u64 | stores u64 | load_written u64
 //! name bytes (UTF-8, name_len)
@@ -19,7 +19,10 @@
 //!
 //! A kind byte carries the entry's kind in bits 0–1 and, on a load, the
 //! packed load format in bits 2–4; the address stream holds one address
-//! per memory operation, in program order.
+//! per memory operation, in program order. The header names no load
+//! latency: a tape is the recording of one compiled schedule, which
+//! several scheduled latencies may share (version 3 dropped the field
+//! version 2 carried).
 //!
 //! The shared frame (`nbl_core::frame`) makes every integer
 //! little-endian and ends the artifact with a checksum, so truncation and
@@ -43,11 +46,11 @@ use nbl_core::frame::{CodecError, Frame};
 /// than misparsed.
 pub const TAPE_FRAME: Frame = Frame {
     magic: *b"NBLT",
-    version: 2,
+    version: 3,
 };
 
-/// Fixed bytes before the name: magic + version + 2 `u32` + 7 `u64`.
-const FIXED_HEADER_BYTES: usize = 4 + 4 + 4 + 4 + 7 * 8;
+/// Fixed bytes before the name: magic + version + 1 `u32` + 7 `u64`.
+const FIXED_HEADER_BYTES: usize = 4 + 4 + 4 + 7 * 8;
 
 /// Bytes of the whole artifact for a tape of `n` entries, `m` memory
 /// operations, `nb` barriers, `nf` flag words and a `name_len`-byte name:
@@ -71,7 +74,6 @@ impl TraceTape {
             artifact_len(n, self.addrs.len(), nb, nf, name.len()).unwrap_or(FIXED_HEADER_BYTES);
         let mut w = TAPE_FRAME.writer(cap);
         w.u32(name.len() as u32);
-        w.u32(self.load_latency);
         w.u64(self.static_spill_ops as u64);
         w.u64(n as u64);
         w.u64(nb as u64);
@@ -103,7 +105,6 @@ impl TraceTape {
     pub fn from_bytes(bytes: &[u8]) -> Result<TraceTape, CodecError> {
         let mut r = TAPE_FRAME.open(bytes)?;
         let name_len = r.len_u32()?;
-        let load_latency = r.u32()?;
         let static_spill_ops = r.len_u64()?;
         let n = r.len_u64()?;
         let nb = r.len_u64()?;
@@ -198,7 +199,6 @@ impl TraceTape {
 
         Ok(TraceTape {
             name,
-            load_latency,
             static_spill_ops,
             kinds,
             dsts,
@@ -223,7 +223,7 @@ mod tests {
     /// A small mixed tape: loads, stores, ALU chains, barriers spanning
     /// more than one flag word.
     fn sample_tape() -> TraceTape {
-        let mut tape = TraceTape::with_capacity("sample", 6, 2, 400);
+        let mut tape = TraceTape::with_capacity("sample", 2, 400);
         for i in 0..400u64 {
             let r = PhysReg::from_dense((i % 48) as usize);
             let r2 = PhysReg::from_dense(((i + 7) % 48) as usize);
@@ -245,7 +245,6 @@ mod tests {
         let back = TraceTape::from_bytes(&bytes).unwrap();
         assert_eq!(back, tape, "decode must invert encode exactly");
         assert_eq!(back.name(), "sample");
-        assert_eq!(back.load_latency(), 6);
         assert_eq!(back.static_spill_ops(), 2);
         assert_eq!(back.loads(), tape.loads());
         assert_eq!(back.stores(), tape.stores());
@@ -255,7 +254,7 @@ mod tests {
 
     #[test]
     fn empty_tape_round_trips() {
-        let tape = TraceTape::with_capacity("empty", 1, 0, 0);
+        let tape = TraceTape::with_capacity("empty", 0, 0);
         let back = TraceTape::from_bytes(&tape.to_bytes()).unwrap();
         assert_eq!(back, tape);
         assert!(back.is_empty());
@@ -452,7 +451,7 @@ mod codec_prop {
         for &mem_bias in &[0, 40, 500, 1000] {
             for case in 0..24 {
                 let len = rng.next_below(700) as usize;
-                let mut tape = TraceTape::with_capacity("prop", 1 + case % 20, 0, len);
+                let mut tape = TraceTape::with_capacity("prop", 0, len);
                 let pushed: Vec<DynInst> =
                     (0..len).map(|_| random_inst(&mut rng, mem_bias)).collect();
                 for &inst in &pushed {
@@ -489,7 +488,7 @@ mod codec_prop {
     #[test]
     fn random_corruption_never_decodes_to_a_different_tape() {
         let mut rng = SplitMix64::new(0xdeadc0de);
-        let mut tape = TraceTape::with_capacity("prop", 3, 1, 300);
+        let mut tape = TraceTape::with_capacity("prop", 1, 300);
         for _ in 0..300 {
             let inst = random_inst(&mut rng, 400);
             tape.push(inst);

@@ -4,7 +4,10 @@
 //! writes it to disk in the tape codec's `.nblt` format (the lineage of
 //! the paper's long-address-trace infrastructure), then reads the file
 //! back, replays it through the simulator, and verifies the result is
-//! bit-identical to direct execution.
+//! bit-identical to direct execution. A tape names no load latency: it is
+//! the recording of one compiled schedule, identified by the schedule's
+//! fingerprint, and every latency that compiles to that schedule replays
+//! it.
 //!
 //! ```text
 //! cargo run --release --example trace_capture [benchmark] [out.nblt]
@@ -13,6 +16,7 @@
 use nonblocking_loads::sched::compile::compile;
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
 use nonblocking_loads::sim::driver::{run_compiled, run_tape};
+use nonblocking_loads::sim::store::compiled_fingerprint;
 use nonblocking_loads::trace::tape::TraceTape;
 use nonblocking_loads::trace::workloads::{build, Scale};
 
@@ -44,9 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Read the file back and replay it.
     let loaded = TraceTape::from_bytes(&std::fs::read(&path)?)?;
     println!(
-        "trace header: name={} latency={}",
+        "trace header: name={} loads={} stores={} (schedule {:016x}, compiled at latency {})",
         loaded.name(),
-        loaded.load_latency()
+        loaded.loads(),
+        loaded.stores(),
+        compiled_fingerprint(&compiled),
+        compiled.load_latency
     );
     let replayed = run_tape(&bench, &loaded, &cfg)?;
     println!(

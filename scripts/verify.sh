@@ -276,11 +276,15 @@ assert set(caches) == {"compile_cache", "tape_cache", "store"}, caches
 assert set(caches["compile_cache"]) == {"compiles", "hits"}, caches["compile_cache"]
 assert set(caches["tape_cache"]) == {"records", "hits", "evictions",
                                      "resident_bytes"}, caches["tape_cache"]
-# Second process: every tape pair decoded from the disk tier, none
-# re-recorded; all 864 cells answered by the disk-warm phase.
+# Second process: every tape decoded from the disk tier, none
+# re-recorded; all 864 cells answered by the disk-warm phase. Tapes are
+# per schedule: the 108 (benchmark, latency) pairs compile to 66
+# schedules, and the other 42 pairs' lookups are memory-tier hits.
+schedules = 66
 assert caches["tape_cache"]["records"] == 0, caches["tape_cache"]
-assert store["tape_hits"] == pairs, store
-assert caches["tape_cache"]["records"] + store["tape_hits"] == pairs
+assert store["tape_hits"] == schedules, store
+assert caches["tape_cache"]["records"] + store["tape_hits"] == schedules
+assert caches["tape_cache"]["hits"] >= pairs - schedules, caches["tape_cache"]
 assert store["result_hits"] >= d["runs"], store
 assert store["corruptions"] == 0 and store["io_errors"] == 0, store
 assert caches["tape_cache"]["hits"] > 0

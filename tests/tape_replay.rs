@@ -18,6 +18,7 @@ use nonblocking_loads::cpu::issue::{IssueEngine, IssuePolicy};
 use nonblocking_loads::sched::compile::compile;
 use nonblocking_loads::sim::config::{HwConfig, ProcessorKind, SimConfig};
 use nonblocking_loads::sim::driver::{run_compiled, run_dual};
+use nonblocking_loads::sim::store::compiled_fingerprint;
 use nonblocking_loads::trace::exec::Executor;
 use nonblocking_loads::trace::machine::CompiledProgram;
 use nonblocking_loads::trace::tape::{barrier_index, barrier_is_mem, TraceTape};
@@ -232,6 +233,51 @@ fn quick_grid_tapes_fit_the_footprint_budget() {
         per_inst <= 8.5,
         "{per_inst:.3} B/inst over {insts} instructions"
     );
+}
+
+/// The quick grid's 108 `(benchmark, latency)` pairs compile to exactly
+/// 66 schedules: once a latency passes a block's slack the list scheduler
+/// stops changing the code, so higher latencies reuse a lower one's
+/// schedule. Pairs that share a [`compiled_fingerprint`] record
+/// byte-identical tapes, which is what lets the store keep one tape per
+/// schedule. The sharing, `=` joining latencies of one schedule (the
+/// same at full scale):
+///
+/// ```text
+/// alvinn    1 | 2=3=6=10=20         ora       1=2=3=6=10=20
+/// doduc     1 | 2 | 3 | 6 | 10=20   su2cor    1 | 2 | 3 | 6 | 10=20
+/// ear       1 | 2 | 3 | 6 | 10=20   swm256    1 | 2 | 3 | 6=10=20
+/// fpppp     1 | 2=3=6=10=20         spice2g6  all six distinct
+/// hydro2d   1 | 2=3 | 6=10=20       tomcatv   all six distinct
+/// mdljdp2   1 | 2 | 3=6=10=20       wave5     1 | 2=3=6=10=20
+/// mdljsp2   1 | 2 | 3=6=10=20       compress  1 | 2 | 3=6=10=20
+/// nasa7     1 | 2 | 3 | 6=10=20     eqntott   1 | 2 | 3 | 6=10=20
+/// espresso  1=2 | 3=6=10=20         xlisp     all six distinct
+/// ```
+#[test]
+fn latency_saturated_pairs_share_one_schedule_and_one_tape() {
+    let mut schedules: Vec<(u64, u32, Vec<u8>)> = Vec::new();
+    let mut shared = 0;
+    for bench in ALL {
+        for lat in LATENCIES {
+            let c = compiled(bench, lat);
+            let fp = compiled_fingerprint(&c);
+            let bytes = TraceTape::record(&c).to_bytes();
+            match schedules.iter().find(|s| s.0 == fp) {
+                Some((_, first_lat, recorded)) => {
+                    assert!(
+                        *recorded == bytes,
+                        "{bench}: latencies {first_lat} and {lat} share a schedule \
+                         but recorded different tapes"
+                    );
+                    shared += 1;
+                }
+                None => schedules.push((fp, lat, bytes)),
+            }
+        }
+    }
+    assert_eq!(schedules.len(), 66, "distinct schedules on the quick grid");
+    assert_eq!(shared, 42, "pairs answered by a lower latency's tape");
 }
 
 /// The dual-issue model's two passes, perfect-cache and real, match
