@@ -67,10 +67,22 @@ pub fn run_analysis(root: &Path) -> std::io::Result<Analysis> {
     }
     files.sort();
 
+    let sources = files
+        .iter()
+        .map(|path| SourceFile::load(root, path))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let mut scans: Vec<Scan<'_>> = sources.iter().map(Scan::new).collect();
+    let test_roots = test_module_roots(&files, &scans);
+    for (path, scan) in files.iter().zip(&mut scans) {
+        if test_roots.iter().any(|root| path.starts_with(root)) {
+            scan.mark_test_only();
+        }
+    }
+
     let mut findings = Vec::new();
     let mut allows_used = 0usize;
-    for path in &files {
-        let file = SourceFile::load(root, path)?;
+    for scan in &scans {
+        let file = scan.file;
         let mut active: Vec<&'static str> = Vec::new();
         if lints::in_scope(&file.rel_path, lints::scope::NO_PANIC) {
             active.push("no-panic");
@@ -88,9 +100,8 @@ pub fn run_analysis(root: &Path) -> std::io::Result<Analysis> {
         }
         // Every file is still scanned for directive hygiene (bad-allow),
         // even when no token lint applies to it.
-        let scan = Scan::new(&file);
-        findings.extend(lints::check_file(&scan, &active));
-        let (bad, used) = audit_allows(&scan);
+        findings.extend(lints::check_file(scan, &active));
+        let (bad, used) = audit_allows(scan);
         findings.extend(bad);
         allows_used += used;
     }
@@ -153,6 +164,30 @@ pub fn audit_allows(scan: &Scan<'_>) -> (Vec<Finding>, usize) {
         }
     }
     (out, used)
+}
+
+/// Where the files of test-only modules live: for every out-of-line
+/// module declared in test code ([`Scan::test_mod_decls`]), its
+/// `name.rs` beside the declaring module and its `name/` directory.
+/// Every file at or under one of these paths is test code.
+fn test_module_roots(files: &[PathBuf], scans: &[Scan<'_>]) -> Vec<PathBuf> {
+    let mut roots = Vec::new();
+    for (path, scan) in files.iter().zip(scans) {
+        let Some(parent) = path.parent() else {
+            continue;
+        };
+        // `lib.rs`, `main.rs` and `mod.rs` own their directory; any other
+        // file `foo.rs` keeps its submodules under `foo/`.
+        let dir = match path.file_stem().and_then(|s| s.to_str()) {
+            Some("lib" | "main" | "mod") | None => parent.to_path_buf(),
+            Some(stem) => parent.join(stem),
+        };
+        for name in scan.test_mod_decls() {
+            roots.push(dir.join(format!("{name}.rs")));
+            roots.push(dir.join(name));
+        }
+    }
+    roots
 }
 
 /// Recursively collects `.rs` files under `dir`.

@@ -30,14 +30,16 @@ pub fn known_lint(id: &str) -> bool {
 
 /// Path-prefix scopes for each per-file lint family.
 pub mod scope {
-    /// Crates where panicking is forbidden outside tests: the hot path
-    /// and the sweep layer that must survive one bad cell.
+    /// Crates where panicking is forbidden outside tests: the hot path,
+    /// the sweep layer that must survive one bad cell, and the oracle
+    /// gate, which reports failures through its exit status.
     pub const NO_PANIC: &[&str] = &[
         "crates/core/src/",
         "crates/mem/src/",
         "crates/cpu/src/",
         "crates/trace/src/",
         "crates/sim/src/",
+        "crates/oracle/src/",
     ];
     /// Crates feeding `RunResult`, JSON emitters or golden CSVs, where
     /// wall-clock reads and unordered iteration would break bit-identical

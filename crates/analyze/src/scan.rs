@@ -56,6 +56,29 @@ impl<'a> Scan<'a> {
         self.test_ranges.iter().any(|&(a, b)| off >= a && off < b)
     }
 
+    /// The names of the out-of-line modules (`mod name;`) declared inside
+    /// test-only code, e.g. `#[cfg(all(test, feature = "x"))] mod prop;`:
+    /// their files are test code as a whole.
+    pub fn test_mod_decls(&self) -> Vec<&str> {
+        let src = self.src();
+        self.tokens
+            .windows(3)
+            .filter(|w| {
+                w[0].is_ident(src, "mod")
+                    && w[1].kind == TokKind::Ident
+                    && w[2].is_punct(src, ';')
+                    && self.in_test(w[0].off)
+            })
+            .map(|w| w[1].text(src))
+            .collect()
+    }
+
+    /// Marks the whole file as test-only code (its module is declared
+    /// under a test cfg elsewhere).
+    pub fn mark_test_only(&mut self) {
+        self.test_ranges = vec![(0, self.file.text.len())];
+    }
+
     /// Whether a finding of `lint` at 1-based `line` is suppressed by an
     /// `nbl-allow` directive on the same line or the line directly above.
     /// Directives with an empty reason do not suppress (they are reported
@@ -290,6 +313,17 @@ mod tests {
         let (f, _) = scan(src);
         let s = Scan::new(&f);
         assert!(s.in_test(src.find("inner").unwrap()));
+    }
+
+    #[test]
+    fn out_of_line_test_modules_are_declared() {
+        let src = "#[cfg(all(test, feature = \"p\"))]\nmod prop;\nmod live;\n#[cfg(test)]\nmod tests { mod inner; }\n";
+        let (f, _) = scan(src);
+        let mut s = Scan::new(&f);
+        assert_eq!(s.test_mod_decls(), vec!["prop", "inner"]);
+        assert!(!s.in_test(src.find("live").unwrap()));
+        s.mark_test_only();
+        assert!(s.in_test(src.find("live").unwrap()));
     }
 
     #[test]

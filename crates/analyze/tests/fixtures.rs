@@ -122,3 +122,23 @@ fn findings_render_as_file_line_col() {
         "{rendered}"
     );
 }
+
+#[test]
+fn modules_declared_under_a_test_cfg_are_test_code() {
+    // `prop.rs` is declared `#[cfg(all(test, feature = "prop"))] mod
+    // prop;` and `prop/gen.rs` is its submodule: their unwrap and expect
+    // stay silent. `live.rs`, declared without a cfg, is still linted.
+    let a = run_analysis(&fixture("test_mod_tree")).expect("fixture tree readable");
+    assert_eq!(a.files_scanned, 4);
+    let np = of_lint(&a, "no-panic");
+    let found: Vec<(&str, &str, u32)> = np
+        .iter()
+        .map(|f| (f.file.as_str(), f.item.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        found,
+        vec![("crates/core/src/live.rs", "unwrap", 4)],
+        "{np:#?}"
+    );
+    assert_eq!(a.findings.len(), 1, "{:#?}", a.findings);
+}

@@ -42,7 +42,8 @@
 //! `BENCH_sweep.json` (path override: `NBL_BENCH_JSON`). The file is a
 //! history, not a snapshot: each run appends one entry (threads, git
 //! describe, caller-supplied ISO date, timings) to its `trajectory`
-//! array, so speedups are tracked commit over commit. Entries where
+//! array, so speedups are tracked run over run in one checkout (the
+//! file is git-ignored, not a committed record). Entries where
 //! fused replay *loses* to unfused at either pinned thread count are
 //! flagged (`fusion_regressed`) — the gate `scripts/verify.sh` fails on.
 
@@ -391,7 +392,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     );
 
     // One trajectory entry per invocation; the file accumulates them so
-    // BENCH_sweep.json reads as a perf history across commits.
+    // BENCH_sweep.json reads as a perf history across runs.
     let entry = format!(
         concat!(
             "{{\"date\":\"{}\",\"git\":\"{}\",\"threads\":{},\"reps\":{},",

@@ -28,6 +28,6 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
     );
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_table(&sweep));
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_chart(&sweep));
-    write_csv("fig15", &report::latency_sweep_csv(&sweep))?;
-    write_json("fig15", &report::latency_sweep_json(&sweep))
+    write_csv("fig15", &report::sweep_csv(&sweep))?;
+    write_json("fig15", &report::sweep_json(&sweep))
 }

@@ -25,8 +25,8 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         "== Figure 18: MCPI vs miss penalty for tomcatv (latency 10) =="
     );
     let _ = writeln!(out, "{}", report::mcpi_vs_penalty_table(&sweep));
-    write_csv("fig18", &report::penalty_sweep_csv(&sweep))?;
-    write_json("fig18", &report::penalty_sweep_json(&sweep))?;
+    write_csv("fig18", &report::sweep_csv(&sweep))?;
+    write_json("fig18", &report::sweep_json(&sweep))?;
     // The paper's numbers, for side-by-side comparison.
     let _ = writeln!(out, "paper's Fig. 18 (same layout):");
     let _ = write!(out, "{:>14}", "config");

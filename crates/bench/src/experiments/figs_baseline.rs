@@ -8,7 +8,7 @@ use nbl_core::geometry::CacheGeometry;
 use nbl_mem::memory::PipelinedMemory;
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::report;
-use nbl_sim::sweep::LatencySweep;
+use nbl_sim::sweep::Sweep;
 use std::io::Write;
 use std::sync::Mutex;
 
@@ -19,9 +19,9 @@ fn baseline() -> SimConfig {
 /// The doduc baseline sweep behind Figs. 5, 7 and 8, computed once per
 /// scale and shared — the artifact store would make a rerun cheap to
 /// build, but not to simulate (42 cells).
-static DODUC_SWEEP: Mutex<Option<(RunScale, LatencySweep)>> = Mutex::new(None);
+static DODUC_SWEEP: Mutex<Option<(RunScale, Sweep)>> = Mutex::new(None);
 
-fn doduc_sweep(scale: RunScale) -> Result<LatencySweep, ExhibitError> {
+fn doduc_sweep(scale: RunScale) -> Result<Sweep, ExhibitError> {
     // A panic while the lock was held (a failed sibling exhibit) only
     // poisons a cache of pure data — recover the inner value.
     let mut slot = DODUC_SWEEP.lock().unwrap_or_else(|p| p.into_inner());
@@ -39,13 +39,13 @@ fn emit_sweep(
     out: &mut dyn Write,
     fig: &str,
     title: &str,
-    sweep: &LatencySweep,
+    sweep: &Sweep,
 ) -> Result<(), ExhibitError> {
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_table(sweep));
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_chart(sweep));
-    write_csv(fig, &report::latency_sweep_csv(sweep))?;
-    write_json(fig, &report::latency_sweep_json(sweep))
+    write_csv(fig, &report::sweep_csv(sweep))?;
+    write_json(fig, &report::sweep_json(sweep))
 }
 
 /// Fig. 5: baseline miss CPI for doduc (sweep shared with Figs. 7–8).

@@ -22,7 +22,7 @@ pub mod replaymodel;
 pub mod replsens;
 
 use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_sim::sweep::{LatencySweep, SweepEngine};
+use nbl_sim::sweep::{Sweep, SweepEngine};
 use nbl_trace::ir::Program;
 use nbl_trace::workloads::{build, Scale};
 use std::io::Write;
@@ -335,7 +335,7 @@ pub fn baseline_sweep(
     name: &str,
     scale: RunScale,
     base: &SimConfig,
-) -> Result<LatencySweep, ExhibitError> {
+) -> Result<Sweep, ExhibitError> {
     let p = program(name, scale)?;
     engine()
         .latency_sweep(&p, base, &HwConfig::baseline_seven(), &LATENCIES)

@@ -12,7 +12,7 @@
 use super::{engine, program, write_csv, write_json, ExhibitError, RunScale, LATENCIES};
 use nbl_sim::config::{HwConfig, ProcessorKind, SimConfig};
 use nbl_sim::report;
-use nbl_sim::sweep::ModelSweep;
+use nbl_sim::sweep::PlaneSweep;
 use std::io::Write;
 
 /// Benchmark shown: eqntott, whose pointer-chasing loads exercise every
@@ -28,8 +28,8 @@ fn configs() -> Vec<HwConfig> {
 
 /// Configuration labels ordered best-first (lowest MCPI) for `model` at
 /// the sweep's largest latency.
-fn ranking(sweep: &ModelSweep, model: &str) -> Option<Vec<String>> {
-    let m = sweep.models.iter().position(|x| x == model)?;
+fn ranking(sweep: &PlaneSweep, model: &str) -> Option<Vec<String>> {
+    let m = sweep.planes.iter().position(|x| x == model)?;
     let i = sweep.latencies.len().checked_sub(1)?;
     let row = &sweep.rows[m][i];
     let mut order: Vec<usize> = (0..row.len()).collect();
@@ -51,10 +51,10 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         out,
         "== Processor-model sensitivity: {BENCHMARK}, stalling vs replaying pipelines =="
     );
-    let _ = writeln!(out, "{}", report::model_mcpi_table(&sweep));
+    let _ = writeln!(out, "{}", report::plane_mcpi_table(&sweep));
     let _ = writeln!(out, "{}", report::replay_attribution_table(&sweep));
     let max_lat = LATENCIES[LATENCIES.len() - 1];
-    for model in &sweep.models {
+    for model in &sweep.planes {
         if let Some(order) = ranking(&sweep, model) {
             let _ = writeln!(
                 out,
@@ -64,6 +64,6 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         }
     }
     let _ = writeln!(out);
-    write_csv("replaymodel", &report::model_sweep_csv(&sweep))?;
-    write_json("replaymodel", &report::model_sweep_json(&sweep))
+    write_csv("replaymodel", &report::plane_sweep_csv(&sweep))?;
+    write_json("replaymodel", &report::plane_sweep_json(&sweep))
 }

@@ -38,7 +38,7 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         out,
         "== Replacement-policy sensitivity: {BENCHMARK}, 4-way 8KB cache =="
     );
-    let _ = writeln!(out, "{}", report::replacement_mcpi_table(&sweep));
-    write_csv("replsens", &report::replacement_sweep_csv(&sweep))?;
-    write_json("replsens", &report::replacement_sweep_json(&sweep))
+    let _ = writeln!(out, "{}", report::plane_mcpi_table(&sweep));
+    write_csv("replsens", &report::plane_sweep_csv(&sweep))?;
+    write_json("replsens", &report::plane_sweep_json(&sweep))
 }

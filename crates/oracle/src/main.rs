@@ -64,12 +64,14 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn geometries() -> Vec<CacheGeometry> {
+fn geometries() -> Result<Vec<CacheGeometry>, String> {
     // 8 KB / 32 B lines, direct-mapped and 4-way: both paper shapes.
-    vec![
-        CacheGeometry::new(8 * 1024, 32, 1).expect("valid dm geometry"),
-        CacheGeometry::new(8 * 1024, 32, 4).expect("valid 4-way geometry"),
-    ]
+    [1, 4]
+        .into_iter()
+        .map(|ways| {
+            CacheGeometry::new(8 * 1024, 32, ways).map_err(|e| format!("{ways}-way geometry: {e}"))
+        })
+        .collect()
 }
 
 fn hw_configs() -> Vec<HwConfig> {
@@ -80,6 +82,7 @@ fn hw_configs() -> Vec<HwConfig> {
 
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
+    let geometries = geometries()?;
     let store = args.store.as_ref().map(DiskTier::new);
     let artifacts = ArtifactStore::in_memory();
     let mut reports: Vec<CellReport> = Vec::new();
@@ -94,7 +97,7 @@ fn run() -> Result<ExitCode, String> {
             .map_err(|e| OracleError::Compile(e.to_string()).to_string())?;
         let tape = artifacts.get_or_record(&compiled);
         let tape_fp = compiled_fingerprint(&compiled);
-        for geometry in geometries() {
+        for &geometry in &geometries {
             for policy in ReplacementKind::all() {
                 for hw in hw_configs() {
                     let cfg = SimConfig::baseline(hw.clone())

@@ -19,7 +19,6 @@ use nbl_cpu::stats::ReplayAttribution;
 use nbl_mem::event::MemTrace;
 use nbl_sched::compile::CompileError;
 use nbl_trace::ir::Program;
-use nbl_trace::machine::CompiledProgram;
 use nbl_trace::tape::TraceTape;
 use std::cell::RefCell;
 use std::fmt;
@@ -390,39 +389,22 @@ pub fn run_tape_fused(
     Ok(results)
 }
 
-/// Runs one compiled program through the single-issue processor under
-/// `cfg` (the program must already be compiled for `cfg.load_latency`).
-///
-/// The dynamic stream comes from the [`SweepEngine::global`] store's
-/// tape tiers: recorded by one `Executor` walk on the first run of this
-/// `(benchmark, latency)` pair (or decoded from a configured disk tier),
-/// replayed from the flat tape on every later run.
-///
-/// # Errors
-///
-/// As [`run_tape`].
-pub fn run_compiled(
-    benchmark: &str,
-    compiled: &CompiledProgram,
-    cfg: &SimConfig,
-) -> Result<RunResult, EngineError> {
-    let tape = SweepEngine::global().store().get_or_record(compiled);
-    run_tape(benchmark, &tape, cfg)
-}
-
 /// Compiles `program` for `cfg.load_latency` through the
-/// [`SweepEngine::global`] store and runs it ([`run_compiled`]): repeated
-/// runs of one `(benchmark, latency)` pair — across configurations,
-/// experiments, sweeps, or pool workers — share a single compilation.
+/// [`SweepEngine::global`] store and replays its tape ([`run_tape`]):
+/// repeated runs of one `(benchmark, latency)` pair — across
+/// configurations, experiments, sweeps, or pool workers — share a single
+/// compilation, and every latency that compiles to one schedule shares
+/// one recording (decoded from a configured disk tier when a prior
+/// process persisted it).
 ///
 /// # Errors
 ///
 /// [`SimError`] from the compiler model or the engine.
 pub fn run_program(program: &Program, cfg: &SimConfig) -> Result<RunResult, SimError> {
-    let compiled = SweepEngine::global()
-        .store()
-        .get_or_compile(program, cfg.load_latency)?;
-    Ok(run_compiled(&program.name, &compiled, cfg)?)
+    let store = SweepEngine::global().store();
+    let compiled = store.get_or_compile(program, cfg.load_latency)?;
+    let tape = store.get_or_record(&compiled);
+    Ok(run_tape(&program.name, &tape, cfg)?)
 }
 
 /// Result of a dual-issue run (paper §6 / Fig. 19).

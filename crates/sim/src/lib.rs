@@ -11,9 +11,11 @@
 //!   entry point replays a recorded tape through a pooled
 //!   [`nbl_cpu::issue::IssueEngine`]; the dual-issue run
 //!   ([`driver::run_dual`]) is two such replays, real and perfect cache;
-//! * [`sweep`] — configuration × latency and configuration × penalty
-//!   sweeps with compilation shared across configurations, serially or on
-//!   the parallel [`sweep::SweepEngine`];
+//! * [`sweep`] — the parallel [`sweep::SweepEngine`] and its two result
+//!   types: a [`sweep::Sweep`] (configuration × load latency or miss
+//!   penalty, every row one fused tape walk) and a [`sweep::PlaneSweep`]
+//!   (replacement policy or processor model × configuration × latency),
+//!   with compilation shared across configurations;
 //! * [`pool`] — the scoped-thread job pool behind the parallel sweeps
 //!   (`NBL_THREADS` overrides the worker count);
 //! * [`store`] — the tiered artifact store: an exactly-once memory tier
@@ -41,23 +43,21 @@ pub mod report;
 /// The tiered artifact store: an exactly-once memory tier over a
 /// content-addressed, checksummed on-disk artifact directory.
 pub mod store;
-/// The parallel sweep engine (latency / penalty / grid / replacement /
-/// processor model).
+/// The parallel sweep engine and its two result types, [`Sweep`] and
+/// [`PlaneSweep`].
 pub mod sweep;
 /// Process-wide atomic counters surfaced in the throughput table.
 pub mod telemetry;
 
 pub use config::{HwConfig, ProcessorKind, SimConfig};
 pub use driver::{
-    run_compiled, run_dual, run_program, run_tape, run_tape_fused, run_tape_traced, DualRunResult,
-    RunResult, SimError,
+    run_dual, run_program, run_tape, run_tape_fused, run_tape_traced, DualRunResult, RunResult,
+    SimError,
 };
 pub use pool::{available_threads, JobPanic, JobPool};
 pub use store::{
     configure_store, store_settings, ArtifactError, ArtifactStore, DiskTier, StoreSettings,
     StoreStats, TierStats,
 };
-pub use sweep::{
-    latency_sweep, penalty_sweep, LatencySweep, ModelSweep, PenaltySweep, SweepEngine,
-};
+pub use sweep::{Axis, PlaneAxis, PlaneSweep, Sweep, SweepEngine};
 pub use telemetry::{Telemetry, TelemetrySnapshot};

@@ -3,63 +3,51 @@
 
 use crate::driver::RunResult;
 use crate::store::{StoreStats, TierStats};
-use crate::sweep::{LatencySweep, ModelSweep, PenaltySweep, ReplacementSweep};
+use crate::sweep::{PlaneSweep, Sweep};
 use nbl_cpu::stats::ReplayAttribution;
 use nbl_mem::event::{MissLifecycleStats, ReplayCause, DEPTH_BUCKETS, FLIGHT_BUCKETS};
 use std::fmt::Write as _;
 
-/// Renders a latency sweep as a fixed-width table: one row per latency,
-/// one MCPI column per configuration (the data behind Figs. 5, 9–12,
-/// 15–17).
-pub fn mcpi_vs_latency_table(sweep: &LatencySweep) -> String {
+/// Renders one value per cell of a latency sweep as a fixed-width table:
+/// one row per latency, one column per configuration, under `title`.
+fn per_latency_table(sweep: &Sweep, title: &str, cell: impl Fn(&RunResult) -> String) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "miss CPI vs scheduled load latency — {}",
-        sweep.benchmark
-    );
+    let _ = writeln!(out, "{title} — {}", sweep.benchmark);
     let _ = write!(out, "{:>8}", "lat");
     for c in &sweep.configs {
         let _ = write!(out, "{c:>14}");
     }
     out.push('\n');
-    for (i, &lat) in sweep.latencies.iter().enumerate() {
+    for (i, &lat) in sweep.points.iter().enumerate() {
         let _ = write!(out, "{lat:>8}");
         for r in &sweep.rows[i] {
-            let _ = write!(out, "{:>14.4}", r.mcpi);
+            out.push_str(&cell(r));
         }
         out.push('\n');
     }
     out
+}
+
+/// Renders a latency sweep as a fixed-width table: one row per latency,
+/// one MCPI column per configuration (the data behind Figs. 5, 9–12,
+/// 15–17).
+pub fn mcpi_vs_latency_table(sweep: &Sweep) -> String {
+    per_latency_table(sweep, "miss CPI vs scheduled load latency", |r| {
+        format!("{:>14.4}", r.mcpi)
+    })
 }
 
 /// Renders the structural-stall share per latency (Fig. 7: "% MCPI due to
 /// structural hazard stalls").
-pub fn structural_share_table(sweep: &LatencySweep) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "%% MCPI from structural-hazard stalls — {}",
-        sweep.benchmark
-    );
-    let _ = write!(out, "{:>8}", "lat");
-    for c in &sweep.configs {
-        let _ = write!(out, "{c:>14}");
-    }
-    out.push('\n');
-    for (i, &lat) in sweep.latencies.iter().enumerate() {
-        let _ = write!(out, "{lat:>8}");
-        for r in &sweep.rows[i] {
-            let _ = write!(out, "{:>13.1}%", 100.0 * r.structural_fraction);
-        }
-        out.push('\n');
-    }
-    out
+pub fn structural_share_table(sweep: &Sweep) -> String {
+    per_latency_table(sweep, "%% MCPI from structural-hazard stalls", |r| {
+        format!("{:>13.1}%", 100.0 * r.structural_fraction)
+    })
 }
 
 /// Renders the load miss rates per latency (Fig. 8: primary+secondary and
 /// secondary-only).
-pub fn miss_rate_table(sweep: &LatencySweep) -> String {
+pub fn miss_rate_table(sweep: &Sweep) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "load miss rate (%% of loads) — {}", sweep.benchmark);
     let _ = write!(out, "{:>8}", "lat");
@@ -68,7 +56,7 @@ pub fn miss_rate_table(sweep: &LatencySweep) -> String {
         let _ = write!(out, "{:>8}s", "");
     }
     out.push('\n');
-    for (i, &lat) in sweep.latencies.iter().enumerate() {
+    for (i, &lat) in sweep.points.iter().enumerate() {
         let _ = write!(out, "{lat:>8}");
         for r in &sweep.rows[i] {
             let _ = write!(out, "{:>14.2}", 100.0 * r.load_miss_rate);
@@ -131,11 +119,11 @@ pub fn fig13_row(benchmark: &str, results: &[RunResult]) -> String {
 
 /// Renders a penalty sweep as the Fig. 18 table: one row per
 /// configuration, one column per penalty.
-pub fn mcpi_vs_penalty_table(sweep: &PenaltySweep) -> String {
+pub fn mcpi_vs_penalty_table(sweep: &Sweep) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "miss CPI vs miss penalty — {}", sweep.benchmark);
     let _ = write!(out, "{:>14}", "config");
-    for &p in &sweep.penalties {
+    for &p in &sweep.points {
         let _ = write!(out, "{p:>10}");
     }
     out.push('\n');
@@ -153,7 +141,7 @@ pub fn mcpi_vs_penalty_table(sweep: &PenaltySweep) -> String {
 /// figures: MCPI on the y axis, scheduled load latency on the x axis, one
 /// letter per configuration (see the legend below the plot). Points that
 /// coincide are drawn as `*`.
-pub fn mcpi_vs_latency_chart(sweep: &LatencySweep) -> String {
+pub fn mcpi_vs_latency_chart(sweep: &Sweep) -> String {
     const HEIGHT: usize = 18;
     let mut max = f64::MIN;
     let mut min = f64::MAX;
@@ -170,9 +158,9 @@ pub fn mcpi_vs_latency_chart(sweep: &LatencySweep) -> String {
         max = min + 1.0;
     }
     let col_width = 6;
-    let width = sweep.latencies.len() * col_width;
+    let width = sweep.points.len() * col_width;
     let mut grid = vec![vec![' '; width]; HEIGHT];
-    for (i, _) in sweep.latencies.iter().enumerate() {
+    for (i, _) in sweep.points.iter().enumerate() {
         for (j, _) in sweep.configs.iter().enumerate() {
             let m = sweep.rows[i][j].mcpi;
             let y = ((max - m) / (max - min) * (HEIGHT - 1) as f64).round() as usize;
@@ -194,7 +182,7 @@ pub fn mcpi_vs_latency_chart(sweep: &LatencySweep) -> String {
         let _ = writeln!(out, "{label:>8.3} |{}", line.trim_end());
     }
     let _ = write!(out, "{:>8}  ", "");
-    for lat in &sweep.latencies {
+    for lat in &sweep.points {
         let _ = write!(out, "{lat:^col_width$}");
     }
     out.push('\n');
@@ -213,16 +201,16 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Serializes a latency sweep as CSV: one row per latency, one MCPI column
-/// per configuration — ready for external plotting.
-pub fn latency_sweep_csv(sweep: &LatencySweep) -> String {
-    let mut out = String::from("load_latency");
+/// Serializes a sweep as CSV: one row per axis value, one MCPI column per
+/// configuration — ready for external plotting.
+pub fn sweep_csv(sweep: &Sweep) -> String {
+    let mut out = String::from(sweep.axis.csv_header());
     for c in &sweep.configs {
         let _ = write!(out, ",{}", csv_field(c));
     }
     out.push('\n');
-    for (i, lat) in sweep.latencies.iter().enumerate() {
-        let _ = write!(out, "{lat}");
+    for (i, point) in sweep.points.iter().enumerate() {
+        let _ = write!(out, "{point}");
         for r in &sweep.rows[i] {
             let _ = write!(out, ",{:.6}", r.mcpi);
         }
@@ -231,38 +219,21 @@ pub fn latency_sweep_csv(sweep: &LatencySweep) -> String {
     out
 }
 
-/// Serializes a penalty sweep as CSV: one row per penalty, one MCPI column
-/// per configuration.
-pub fn penalty_sweep_csv(sweep: &PenaltySweep) -> String {
-    let mut out = String::from("miss_penalty");
-    for c in &sweep.configs {
-        let _ = write!(out, ",{}", csv_field(c));
-    }
-    out.push('\n');
-    for (i, pen) in sweep.penalties.iter().enumerate() {
-        let _ = write!(out, "{pen}");
-        for r in &sweep.rows[i] {
-            let _ = write!(out, ",{:.6}", r.mcpi);
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders a replacement sweep as one fixed-width table per MSHR
-/// configuration: rows are load latencies, columns are policies — the
-/// layout that makes the policy spread at each operating point visible
-/// at a glance.
-pub fn replacement_mcpi_table(sweep: &ReplacementSweep) -> String {
+/// Renders a plane sweep as one fixed-width table per MSHR configuration:
+/// rows are load latencies, columns are planes (policies or processor
+/// models) — the layout that shows at a glance how far the plane axis
+/// moves each configuration at each operating point.
+pub fn plane_mcpi_table(sweep: &PlaneSweep) -> String {
     let mut out = String::new();
     for (j, config) in sweep.configs.iter().enumerate() {
         let _ = writeln!(
             out,
-            "miss CPI by replacement policy — {} [{config}]",
+            "{} — {} [{config}]",
+            sweep.plane_axis.title(),
             sweep.benchmark
         );
         let _ = write!(out, "{:>8}", "lat");
-        for p in &sweep.policies {
+        for p in &sweep.planes {
             let _ = write!(out, "{p:>12}");
         }
         out.push('\n');
@@ -278,19 +249,22 @@ pub fn replacement_mcpi_table(sweep: &ReplacementSweep) -> String {
     out
 }
 
-/// Serializes a replacement sweep as long-format CSV —
-/// `policy,config,load_latency,mcpi,cycles` — one row per cell, the
-/// format external plotting (and the verify-script golden diff) wants.
-pub fn replacement_sweep_csv(sweep: &ReplacementSweep) -> String {
-    let mut out = String::from("policy,config,load_latency,mcpi,cycles\n");
-    for (p, policy) in sweep.policies.iter().enumerate() {
+/// Serializes a plane sweep as long-format CSV —
+/// `policy|model,config,load_latency,mcpi,cycles` — one row per cell, the
+/// format external plotting (and the verify-script golden diffs) wants.
+pub fn plane_sweep_csv(sweep: &PlaneSweep) -> String {
+    let mut out = format!(
+        "{},config,load_latency,mcpi,cycles\n",
+        sweep.plane_axis.csv_column()
+    );
+    for (p, plane) in sweep.planes.iter().enumerate() {
         for (i, &lat) in sweep.latencies.iter().enumerate() {
             for (j, config) in sweep.configs.iter().enumerate() {
                 let r = &sweep.rows[p][i][j];
                 let _ = writeln!(
                     out,
                     "{},{},{lat},{:.6},{}",
-                    csv_field(policy),
+                    csv_field(plane),
                     csv_field(config),
                     r.mcpi,
                     r.cycles
@@ -301,42 +275,13 @@ pub fn replacement_sweep_csv(sweep: &ReplacementSweep) -> String {
     out
 }
 
-/// Renders a model sweep as one fixed-width table per MSHR configuration:
-/// rows are load latencies, columns are processor models — the layout
-/// that shows whether the pipeline's reaction to a miss (stall vs.
-/// replay) changes each configuration's standing.
-pub fn model_mcpi_table(sweep: &ModelSweep) -> String {
-    let mut out = String::new();
-    for (j, config) in sweep.configs.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "miss CPI by processor model — {} [{config}]",
-            sweep.benchmark
-        );
-        let _ = write!(out, "{:>8}", "lat");
-        for m in &sweep.models {
-            let _ = write!(out, "{m:>12}");
-        }
-        out.push('\n');
-        for (i, &lat) in sweep.latencies.iter().enumerate() {
-            let _ = write!(out, "{lat:>8}");
-            for plane in &sweep.rows {
-                let _ = write!(out, "{:>12.4}", plane[i][j].mcpi);
-            }
-            out.push('\n');
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders the per-cause replay attribution of a model sweep's replaying
-/// plane: one row per `(latency, configuration)` cell, one
+/// planes: one row per `(latency, configuration)` cell, one
 /// `count/stall-cycles` column pair per replay cause. Planes whose model
 /// never replays (the stalling pipelines) are skipped.
-pub fn replay_attribution_table(sweep: &ModelSweep) -> String {
+pub fn replay_attribution_table(sweep: &PlaneSweep) -> String {
     let mut out = String::new();
-    for (m, model) in sweep.models.iter().enumerate() {
+    for (m, model) in sweep.planes.iter().enumerate() {
         let plane = &sweep.rows[m];
         if plane
             .iter()
@@ -367,29 +312,6 @@ pub fn replay_attribution_table(sweep: &ModelSweep) -> String {
             }
         }
         out.push('\n');
-    }
-    out
-}
-
-/// Serializes a model sweep as long-format CSV —
-/// `model,config,load_latency,mcpi,cycles` — one row per cell, the format
-/// external plotting (and the verify-script golden diff) wants.
-pub fn model_sweep_csv(sweep: &ModelSweep) -> String {
-    let mut out = String::from("model,config,load_latency,mcpi,cycles\n");
-    for (m, model) in sweep.models.iter().enumerate() {
-        for (i, &lat) in sweep.latencies.iter().enumerate() {
-            for (j, config) in sweep.configs.iter().enumerate() {
-                let r = &sweep.rows[m][i][j];
-                let _ = writeln!(
-                    out,
-                    "{},{},{lat},{:.6},{}",
-                    csv_field(model),
-                    csv_field(config),
-                    r.mcpi,
-                    r.cycles
-                );
-            }
-        }
     }
     out
 }
@@ -586,136 +508,66 @@ pub fn caches_json(compiled: &TierStats, tapes: &TierStats, store: &StoreStats) 
     )
 }
 
-fn sweep_json(
+/// The one sweep document emitter: `kind`, `benchmark`, the optional
+/// plane labels under their key, `configs`, the axis values under their
+/// key, then every run in the order given.
+fn sweep_doc<'a>(
     kind: &str,
     benchmark: &str,
-    axis_name: &str,
-    axis: &[u32],
+    planes: Option<(&str, &[String])>,
     configs: &[String],
-    rows: &[Vec<RunResult>],
+    (axis_key, axis): (&str, &[u32]),
+    runs: impl Iterator<Item = &'a RunResult>,
 ) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"kind\":{},\"benchmark\":{},\"configs\":[",
+    let labels = |xs: &[String]| {
+        let body: Vec<String> = xs.iter().map(|x| json_str(x)).collect();
+        format!("[{}]", body.join(","))
+    };
+    let mut out = format!(
+        "{{\"kind\":{},\"benchmark\":{},",
         json_str(kind),
         json_str(benchmark)
     );
-    for (j, c) in configs.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_str(c));
+    if let Some((key, planes)) = planes {
+        let _ = write!(out, "\"{key}\":{},", labels(planes));
     }
+    let axis: Vec<u64> = axis.iter().map(|&v| u64::from(v)).collect();
+    let runs: Vec<String> = runs.map(run_result_json).collect();
     let _ = write!(
         out,
-        "],\"{axis_name}\":{},\"runs\":[",
-        json_u64_array(&axis.iter().map(|&v| u64::from(v)).collect::<Vec<_>>())
+        "\"configs\":{},\"{axis_key}\":{},\"runs\":[{}]}}",
+        labels(configs),
+        json_u64_array(&axis),
+        runs.join(",")
     );
-    let mut first = true;
-    for row in rows {
-        for r in row {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&run_result_json(r));
-        }
-    }
-    out.push_str("]}");
     out
 }
 
-/// Serializes a latency sweep as one JSON document: the axes plus every
-/// [`RunResult`] (row-major, latencies × configurations).
-pub fn latency_sweep_json(sweep: &LatencySweep) -> String {
-    sweep_json(
-        "latency_sweep",
+/// Serializes a sweep as one JSON document: the axes plus every
+/// [`RunResult`] (row-major, axis values × configurations).
+pub fn sweep_json(sweep: &Sweep) -> String {
+    sweep_doc(
+        sweep.axis.json_kind(),
         &sweep.benchmark,
-        "load_latencies",
-        &sweep.latencies,
+        None,
         &sweep.configs,
-        &sweep.rows,
+        (sweep.axis.json_key(), &sweep.points),
+        sweep.rows.iter().flatten(),
     )
 }
 
-/// Serializes a penalty sweep as one JSON document (row-major, penalties ×
-/// configurations).
-pub fn penalty_sweep_json(sweep: &PenaltySweep) -> String {
-    sweep_json(
-        "penalty_sweep",
+/// Serializes a plane sweep as one JSON document: the three axes (planes,
+/// configs, latencies) plus every [`RunResult`], flattened in
+/// plane-major, then latency, then configuration order.
+pub fn plane_sweep_json(sweep: &PlaneSweep) -> String {
+    sweep_doc(
+        sweep.plane_axis.json_kind(),
         &sweep.benchmark,
-        "miss_penalties",
-        &sweep.penalties,
+        Some((sweep.plane_axis.json_key(), &sweep.planes)),
         &sweep.configs,
-        &sweep.rows,
+        ("load_latencies", &sweep.latencies),
+        sweep.rows.iter().flatten().flatten(),
     )
-}
-
-/// Serializes a replacement sweep as one JSON document: the three axes
-/// (policies, configs, latencies) plus every [`RunResult`], flattened in
-/// policy-major, then latency, then configuration order.
-pub fn replacement_sweep_json(sweep: &ReplacementSweep) -> String {
-    let labels = |xs: &[String]| {
-        let body: Vec<String> = xs.iter().map(|x| json_str(x)).collect();
-        format!("[{}]", body.join(","))
-    };
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"kind\":\"replacement_sweep\",\"benchmark\":{},\"policies\":{},\"configs\":{},\"load_latencies\":{},\"runs\":[",
-        json_str(&sweep.benchmark),
-        labels(&sweep.policies),
-        labels(&sweep.configs),
-        json_u64_array(&sweep.latencies.iter().map(|&v| u64::from(v)).collect::<Vec<_>>()),
-    );
-    let mut first = true;
-    for plane in &sweep.rows {
-        for row in plane {
-            for r in row {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&run_result_json(r));
-            }
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Serializes a model sweep as one JSON document: the three axes (models,
-/// configs, latencies) plus every [`RunResult`], flattened in model-major,
-/// then latency, then configuration order.
-pub fn model_sweep_json(sweep: &ModelSweep) -> String {
-    let labels = |xs: &[String]| {
-        let body: Vec<String> = xs.iter().map(|x| json_str(x)).collect();
-        format!("[{}]", body.join(","))
-    };
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"kind\":\"model_sweep\",\"benchmark\":{},\"models\":{},\"configs\":{},\"load_latencies\":{},\"runs\":[",
-        json_str(&sweep.benchmark),
-        labels(&sweep.models),
-        labels(&sweep.configs),
-        json_u64_array(&sweep.latencies.iter().map(|&v| u64::from(v)).collect::<Vec<_>>()),
-    );
-    let mut first = true;
-    for plane in &sweep.rows {
-        for row in plane {
-            for r in row {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&run_result_json(r));
-            }
-        }
-    }
-    out.push_str("]}");
-    out
 }
 
 /// Serializes a miss-lifecycle summary as a JSON object.
@@ -753,18 +605,31 @@ pub fn miss_lifecycle_json(benchmark: &str, config: &str, stats: &MissLifecycleS
 mod tests {
     use super::*;
     use crate::config::{HwConfig, SimConfig};
-    use crate::sweep::{latency_sweep, penalty_sweep};
+    use crate::sweep::SweepEngine;
     use nbl_trace::workloads::{build, Scale};
 
-    fn tiny_sweep() -> LatencySweep {
+    fn tiny_sweep() -> Sweep {
         let p = build("eqntott", Scale::quick()).unwrap();
-        latency_sweep(
-            &p,
-            &SimConfig::baseline(HwConfig::Mc0),
-            &[HwConfig::Mc0, HwConfig::NoRestrict],
-            &[1, 10],
-        )
-        .unwrap()
+        SweepEngine::new(1)
+            .latency_sweep(
+                &p,
+                &SimConfig::baseline(HwConfig::Mc0),
+                &[HwConfig::Mc0, HwConfig::NoRestrict],
+                &[1, 10],
+            )
+            .unwrap()
+    }
+
+    fn tiny_penalty_sweep() -> Sweep {
+        let p = build("eqntott", Scale::quick()).unwrap();
+        SweepEngine::new(1)
+            .penalty_sweep(
+                &p,
+                &SimConfig::baseline(HwConfig::Mc0),
+                &[HwConfig::Mc0],
+                &[8, 16],
+            )
+            .unwrap()
     }
 
     #[test]
@@ -782,7 +647,7 @@ mod tests {
         assert!(structural_share_table(&s).contains('%'));
         assert!(miss_rate_table(&s).contains("eqntott"));
         let rows: Vec<(u32, &RunResult)> = s
-            .latencies
+            .points
             .iter()
             .copied()
             .zip(s.rows.iter().map(|r| &r[1]))
@@ -821,14 +686,14 @@ mod tests {
     #[test]
     fn csv_roundtrips_the_numbers() {
         let s = tiny_sweep();
-        let csv = latency_sweep_csv(&s);
+        let csv = sweep_csv(&s);
         let mut lines = csv.lines();
         assert_eq!(lines.next().unwrap(), "load_latency,mc=0,no restrict");
         let row: Vec<&str> = lines.next().unwrap().split(',').collect();
         assert_eq!(row[0], "1");
         let parsed: f64 = row[1].parse().unwrap();
         assert!((parsed - s.rows[0][0].mcpi).abs() < 1e-6);
-        assert_eq!(csv.lines().count(), 1 + s.latencies.len());
+        assert_eq!(csv.lines().count(), 1 + s.points.len());
     }
 
     #[test]
@@ -840,23 +705,19 @@ mod tests {
 
     #[test]
     fn penalty_csv_renders() {
-        let p = build("eqntott", Scale::quick()).unwrap();
-        let s = penalty_sweep(
-            &p,
-            &SimConfig::baseline(HwConfig::Mc0),
-            &[HwConfig::Mc0],
-            &[8, 16],
-        )
-        .unwrap();
-        let csv = penalty_sweep_csv(&s);
+        let s = tiny_penalty_sweep();
+        let csv = sweep_csv(&s);
         assert!(csv.starts_with("miss_penalty,mc=0"));
         assert_eq!(csv.lines().count(), 3);
+        let doc = sweep_json(&s);
+        assert!(doc.starts_with("{\"kind\":\"penalty_sweep\""));
+        assert!(doc.contains("\"miss_penalties\":[8,16]"));
     }
 
     #[test]
     fn json_emitters_are_well_formed() {
         let s = tiny_sweep();
-        let doc = latency_sweep_json(&s);
+        let doc = sweep_json(&s);
         assert!(doc.starts_with("{\"kind\":\"latency_sweep\""));
         assert!(doc.contains("\"benchmark\":\"eqntott\""));
         assert!(doc.contains("\"load_latencies\":[1,10]"));
@@ -889,11 +750,11 @@ mod tests {
                 &[1, 10],
             )
             .unwrap();
-        let table = replacement_mcpi_table(&s);
+        let table = plane_mcpi_table(&s);
         assert!(table.contains("[mc=1]") && table.contains("[no restrict]"));
         assert!(table.contains("lru") && table.contains("fifo"));
 
-        let csv = replacement_sweep_csv(&s);
+        let csv = plane_sweep_csv(&s);
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
@@ -903,7 +764,7 @@ mod tests {
         assert!(csv.contains("lru,mc=1,1,"));
         assert!(csv.contains("fifo,no restrict,10,"));
 
-        let doc = replacement_sweep_json(&s);
+        let doc = plane_sweep_json(&s);
         assert!(doc.starts_with("{\"kind\":\"replacement_sweep\""));
         assert!(doc.contains("\"policies\":[\"lru\",\"fifo\"]"));
         assert!(doc.contains("\"replacement\":\"fifo\""));
@@ -926,7 +787,7 @@ mod tests {
                 &[1, 10],
             )
             .unwrap();
-        let table = model_mcpi_table(&s);
+        let table = plane_mcpi_table(&s);
         assert!(table.contains("[mc=1]") && table.contains("[no restrict]"));
         assert!(table.contains("single") && table.contains("replay"));
 
@@ -937,7 +798,7 @@ mod tests {
             assert!(causes.contains(cause.label()), "missing {}", cause.label());
         }
 
-        let csv = model_sweep_csv(&s);
+        let csv = plane_sweep_csv(&s);
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
@@ -947,7 +808,7 @@ mod tests {
         assert!(csv.contains("single,mc=1,1,"));
         assert!(csv.contains("replay,no restrict,10,"));
 
-        let doc = model_sweep_json(&s);
+        let doc = plane_sweep_json(&s);
         assert!(doc.starts_with("{\"kind\":\"model_sweep\""));
         assert!(doc.contains("\"models\":[\"single\",\"replay\"]"));
         assert!(doc.contains("\"model\":\"replay\""));
@@ -980,15 +841,7 @@ mod tests {
 
     #[test]
     fn penalty_table_renders() {
-        let p = build("eqntott", Scale::quick()).unwrap();
-        let s = penalty_sweep(
-            &p,
-            &SimConfig::baseline(HwConfig::Mc0),
-            &[HwConfig::Mc0],
-            &[8, 16],
-        )
-        .unwrap();
-        let t = mcpi_vs_penalty_table(&s);
+        let t = mcpi_vs_penalty_table(&tiny_penalty_sweep());
         assert!(t.contains("mc=0"));
         assert!(t.lines().count() == 3);
     }

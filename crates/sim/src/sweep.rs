@@ -1,6 +1,9 @@
 //! Parameter sweeps: the experiment shapes the paper's figures are built
-//! from (configurations × load latencies, configurations × miss penalties,
-//! benchmarks × configurations).
+//! from. A [`Sweep`] is configurations × one x axis ([`Axis`]: scheduled
+//! load latency for Figs. 5, 9–12 and 15–17, miss penalty for Fig. 18);
+//! a [`PlaneSweep`] adds one outer axis ([`PlaneAxis`]: replacement
+//! policy or processor model) for the `replsens` and `replaymodel`
+//! exhibits.
 //!
 //! Compilation is shared across hardware configurations — the compiled
 //! program depends only on the load latency, so each (benchmark, latency)
@@ -8,202 +11,186 @@
 //! as the paper replays each binary.
 
 use crate::config::{HwConfig, ProcessorKind, SimConfig};
-use crate::driver::{run_compiled, run_tape, run_tape_fused, RunResult, SimError};
+use crate::driver::{run_tape, run_tape_fused, RunResult, SimError};
 use crate::pool::JobPool;
 use crate::store::{program_fingerprint, result_fingerprint, ArtifactStore};
 use nbl_core::tag_array::ReplacementKind;
-use nbl_sched::compile::compile;
 use nbl_trace::ir::Program;
 use nbl_trace::tape::TraceTape;
 use std::sync::{Arc, OnceLock};
 
-/// MCPI-vs-load-latency curves for one benchmark (the shape of Figs. 5,
-/// 9–12, 15–17).
+/// The x axis of a [`Sweep`]: what changes from one row to the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// Scheduled load latency (Figs. 5, 9–12, 15–17): each row replays
+    /// the schedule its latency compiles to.
+    LoadLatency,
+    /// Miss penalty at the base configuration's load latency (Fig. 18):
+    /// every row replays one schedule.
+    MissPenalty,
+}
+
+impl Axis {
+    /// The configuration of the row at `point` on this axis.
+    fn row(self, base: &SimConfig, point: u32) -> SimConfig {
+        match self {
+            Axis::LoadLatency => base.clone().at_latency(point),
+            Axis::MissPenalty => base.clone().with_penalty(point),
+        }
+    }
+
+    /// The header of the axis column in a sweep's CSV.
+    pub fn csv_header(self) -> &'static str {
+        match self {
+            Axis::LoadLatency => "load_latency",
+            Axis::MissPenalty => "miss_penalty",
+        }
+    }
+
+    /// The `kind` of a sweep's JSON document.
+    pub fn json_kind(self) -> &'static str {
+        match self {
+            Axis::LoadLatency => "latency_sweep",
+            Axis::MissPenalty => "penalty_sweep",
+        }
+    }
+
+    /// The key of the axis values in a sweep's JSON document.
+    pub fn json_key(self) -> &'static str {
+        match self {
+            Axis::LoadLatency => "load_latencies",
+            Axis::MissPenalty => "miss_penalties",
+        }
+    }
+}
+
+/// One benchmark's results for configurations × one axis: MCPI-vs-latency
+/// curves (Figs. 5, 9–12, 15–17) or the MCPI-vs-penalty table (Fig. 18).
 #[derive(Debug, Clone)]
-pub struct LatencySweep {
+pub struct Sweep {
     /// Benchmark name.
     pub benchmark: String,
+    /// What the points measure.
+    pub axis: Axis,
     /// Configuration labels, in input order (one curve each).
     pub configs: Vec<String>,
-    /// Latencies swept (the x axis).
-    pub latencies: Vec<u32>,
-    /// `rows[i][j]` = result at `latencies[i]` under `configs[j]`.
+    /// The axis values swept, in input order.
+    pub points: Vec<u32>,
+    /// `rows[i][j]` = result at `points[i]` under `configs[j]`.
     pub rows: Vec<Vec<RunResult>>,
 }
 
-impl LatencySweep {
-    /// The sweep of `program` over `configs` × `latencies`, from its rows.
+impl Sweep {
+    /// The sweep of `program` over `configs` × `points`, from its rows.
     fn of(
         program: &Program,
+        axis: Axis,
         configs: &[HwConfig],
-        latencies: &[u32],
+        points: &[u32],
         rows: Vec<Vec<RunResult>>,
-    ) -> LatencySweep {
-        LatencySweep {
+    ) -> Sweep {
+        Sweep {
             benchmark: program.name.clone(),
+            axis,
             configs: configs.iter().map(HwConfig::label).collect(),
-            latencies: latencies.to_vec(),
+            points: points.to_vec(),
             rows,
         }
     }
 
-    /// The MCPI curve (over latency) of configuration index `j`.
+    /// The MCPI curve (along the axis) of configuration index `j`.
     pub fn curve(&self, j: usize) -> Vec<f64> {
         self.rows.iter().map(|r| r[j].mcpi).collect()
     }
 
-    /// Result lookup by configuration label and latency.
-    pub fn at(&self, config: &str, latency: u32) -> Option<&RunResult> {
+    /// Result lookup by configuration label and axis value.
+    pub fn at(&self, config: &str, point: u32) -> Option<&RunResult> {
         let j = self.configs.iter().position(|c| c == config)?;
-        let i = self.latencies.iter().position(|&l| l == latency)?;
+        let i = self.points.iter().position(|&p| p == point)?;
         Some(&self.rows[i][j])
     }
 }
 
-/// Sweeps `configs` × `latencies` for one benchmark program.
-///
-/// # Errors
-///
-/// [`SimError`] from the compiler model or the engine.
-pub fn latency_sweep(
-    program: &Program,
-    base: &SimConfig,
-    configs: &[HwConfig],
-    latencies: &[u32],
-) -> Result<LatencySweep, SimError> {
-    let mut rows = Vec::with_capacity(latencies.len());
-    for &lat in latencies {
-        let compiled = compile(program, lat)?;
-        let mut row = Vec::with_capacity(configs.len());
-        for hw in configs {
-            let cfg = SimConfig {
-                hw: hw.clone(),
-                ..base.clone()
-            }
-            .at_latency(lat);
-            row.push(run_compiled(&program.name, &compiled, &cfg)?);
-        }
-        rows.push(row);
-    }
-    Ok(LatencySweep::of(program, configs, latencies, rows))
+/// The outer axis of a [`PlaneSweep`]: what changes from one plane to
+/// the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlaneAxis {
+    /// Replacement policy (the `replsens` exhibit).
+    Policy,
+    /// Processor model (the `replaymodel` exhibit).
+    Model,
 }
 
-/// MCPI-vs-miss-penalty table for one benchmark at a fixed latency
-/// (Fig. 18's shape).
+impl PlaneAxis {
+    /// The header of the plane column in a plane sweep's CSV.
+    pub fn csv_column(self) -> &'static str {
+        match self {
+            PlaneAxis::Policy => "policy",
+            PlaneAxis::Model => "model",
+        }
+    }
+
+    /// The `kind` of a plane sweep's JSON document.
+    pub fn json_kind(self) -> &'static str {
+        match self {
+            PlaneAxis::Policy => "replacement_sweep",
+            PlaneAxis::Model => "model_sweep",
+        }
+    }
+
+    /// The key of the plane labels in a plane sweep's JSON document.
+    pub fn json_key(self) -> &'static str {
+        match self {
+            PlaneAxis::Policy => "policies",
+            PlaneAxis::Model => "models",
+        }
+    }
+
+    /// The title of a plane sweep's per-configuration tables.
+    pub fn title(self) -> &'static str {
+        match self {
+            PlaneAxis::Policy => "miss CPI by replacement policy",
+            PlaneAxis::Model => "miss CPI by processor model",
+        }
+    }
+}
+
+/// One benchmark's plane × MSHR configuration × load latency grid: the
+/// replacement-policy (`figures replsens`) and processor-model
+/// (`figures replaymodel`) sensitivity exhibits.
 #[derive(Debug, Clone)]
-pub struct PenaltySweep {
+pub struct PlaneSweep {
     /// Benchmark name.
     pub benchmark: String,
-    /// Configuration labels.
-    pub configs: Vec<String>,
-    /// Penalties swept.
-    pub penalties: Vec<u32>,
-    /// `rows[i][j]` = result at `penalties[i]` under `configs[j]`.
-    pub rows: Vec<Vec<RunResult>>,
-}
-
-impl PenaltySweep {
-    /// Result lookup by configuration label and penalty.
-    pub fn at(&self, config: &str, penalty: u32) -> Option<&RunResult> {
-        let j = self.configs.iter().position(|c| c == config)?;
-        let i = self.penalties.iter().position(|&p| p == penalty)?;
-        Some(&self.rows[i][j])
-    }
-}
-
-/// Sweeps `configs` × `penalties` at the base config's load latency.
-///
-/// # Errors
-///
-/// [`SimError`] from the compiler model or the engine.
-pub fn penalty_sweep(
-    program: &Program,
-    base: &SimConfig,
-    configs: &[HwConfig],
-    penalties: &[u32],
-) -> Result<PenaltySweep, SimError> {
-    let compiled = compile(program, base.load_latency)?;
-    let mut rows = Vec::with_capacity(penalties.len());
-    for &pen in penalties {
-        let mut row = Vec::with_capacity(configs.len());
-        for hw in configs {
-            let cfg = SimConfig {
-                hw: hw.clone(),
-                ..base.clone()
-            }
-            .with_penalty(pen);
-            row.push(run_compiled(&program.name, &compiled, &cfg)?);
-        }
-        rows.push(row);
-    }
-    Ok(PenaltySweep {
-        benchmark: program.name.clone(),
-        configs: configs.iter().map(HwConfig::label).collect(),
-        penalties: penalties.to_vec(),
-        rows,
-    })
-}
-
-/// Replacement-policy sensitivity grid for one benchmark: policy × MSHR
-/// configuration × load latency (the `figures replsens` exhibit).
-#[derive(Debug, Clone)]
-pub struct ReplacementSweep {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Policy labels, in input order.
-    pub policies: Vec<String>,
+    /// What the planes vary.
+    pub plane_axis: PlaneAxis,
+    /// Plane labels, in input order.
+    pub planes: Vec<String>,
     /// Configuration labels.
     pub configs: Vec<String>,
     /// Latencies swept.
     pub latencies: Vec<u32>,
-    /// `rows[p][i][j]` = result under `policies[p]` at `latencies[i]`
-    /// under `configs[j]`.
+    /// `rows[p][i][j]` = result in `planes[p]` at `latencies[i]` under
+    /// `configs[j]`.
     pub rows: Vec<Vec<Vec<RunResult>>>,
 }
 
-impl ReplacementSweep {
-    /// Result lookup by policy label, configuration label and latency.
-    pub fn at(&self, policy: &str, config: &str, latency: u32) -> Option<&RunResult> {
-        let p = self.policies.iter().position(|x| x == policy)?;
+impl PlaneSweep {
+    /// Result lookup by plane label, configuration label and latency.
+    pub fn at(&self, plane: &str, config: &str, latency: u32) -> Option<&RunResult> {
+        let p = self.planes.iter().position(|x| x == plane)?;
         let j = self.configs.iter().position(|c| c == config)?;
         let i = self.latencies.iter().position(|&l| l == latency)?;
         Some(&self.rows[p][i][j])
     }
 }
 
-/// Sensitivity grid over processor models for one benchmark: model × MSHR
-/// configuration × load latency (the `figures replaymodel` exhibit).
-#[derive(Debug, Clone)]
-pub struct ModelSweep {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Labels of the processor models, in input order.
-    pub models: Vec<String>,
-    /// Configuration labels.
-    pub configs: Vec<String>,
-    /// Latencies swept.
-    pub latencies: Vec<u32>,
-    /// `rows[m][i][j]` = result under `models[m]` at `latencies[i]`
-    /// under `configs[j]`.
-    pub rows: Vec<Vec<Vec<RunResult>>>,
-}
-
-impl ModelSweep {
-    /// Result lookup by model label, configuration label and latency.
-    pub fn at(&self, model: &str, config: &str, latency: u32) -> Option<&RunResult> {
-        let m = self.models.iter().position(|x| x == model)?;
-        let j = self.configs.iter().position(|c| c == config)?;
-        let i = self.latencies.iter().position(|&l| l == latency)?;
-        Some(&self.rows[m][i][j])
-    }
-}
-
 /// One fusion-aware scheduling unit: configurations `lo..hi` of fused
-/// row `row` (a `(program, latency)` pair). Produced by
+/// row `row` (a program under one row configuration). Produced by
 /// [`plan_row_spans`]; each span replays its slice in one fused walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RowSpan {
-    /// Flat row index (`program_index * latencies.len() + latency_index`).
+    /// Row index, in the order the rows were given.
     row: usize,
     /// First configuration index of the slice (inclusive).
     lo: usize,
@@ -263,9 +250,9 @@ fn span_claim_order(spans: &[RowSpan], weights: &[u64]) -> Vec<usize> {
 /// (exactly-once compiled programs and tapes in memory, optionally
 /// backed by the content-addressed disk tier).
 ///
-/// Sweeps flatten their `(benchmark, latency, configuration)` grids into a
-/// single pool invocation; each cell fetches its compiled program from the
-/// store (compiled exactly once per `(benchmark, latency)` pair)
+/// Sweeps flatten their grids into a single pool invocation; each cell
+/// fetches its compiled program from the store (compiled exactly once per
+/// `(benchmark, latency)` pair)
 /// and the recorded tape through the store's tiers (the dynamic stream is
 /// materialized exactly once per compiled schedule, which latencies past
 /// a block's slack share — decoded from disk when a prior process
@@ -275,8 +262,9 @@ fn span_claim_order(spans: &[RowSpan], weights: &[u64]) -> Vec<usize> {
 /// fingerprint; in incremental mode
 /// ([`ArtifactStore::incremental`]) cells whose fingerprints are
 /// unchanged are answered from those stored results without simulating.
-/// The pool places results in input order, so the parallel sweeps return
-/// [`RunResult`]s **identical** to the serial ones.
+/// The pool places results in input order, so a sweep returns
+/// [`RunResult`]s **identical** at every thread count and identical to
+/// running each cell alone ([`Self::run_many`]).
 #[derive(Debug, Default)]
 pub struct SweepEngine {
     pool: JobPool,
@@ -356,16 +344,16 @@ impl SweepEngine {
         Ok(result)
     }
 
-    /// One scheduling unit of a fused row: the contiguous configuration
-    /// slice `cfgs` of a `(program, latency)` pair, replayed in one tape
-    /// walk. In incremental mode, cells whose stored results are present
+    /// One scheduling unit of a fused row: the hardware configurations
+    /// `hws` of `program` under the row configuration `row`, replayed in
+    /// one tape walk. In incremental mode, cells whose stored results are present
     /// under their exact input fingerprints are answered from the store;
     /// only the missing configurations are simulated (still fused, and
     /// each configuration's replay is independent of its row neighbours,
     /// so the mix is bit-identical to an all-simulated row). Fresh
     /// results write through. When a row is split
     /// across units (fusion-aware scheduling under a multi-thread pool),
-    /// all of its units share `tape_slot`, so the pair is still compiled
+    /// all of its units share `tape_slot`, so the row's program is still compiled
     /// and recorded **exactly once per sweep** — the first unit that
     /// needs the tape initializes the slot and the rest reuse the `Arc`
     /// without touching the store; store counters are identical to the
@@ -374,38 +362,45 @@ impl SweepEngine {
         &self,
         program: &Program,
         program_fp: Option<u64>,
-        latency: u32,
-        cfgs: &[SimConfig],
+        row: &SimConfig,
+        hws: &[HwConfig],
         tape_slot: &OnceLock<Result<Arc<TraceTape>, SimError>>,
     ) -> Result<Vec<RunResult>, SimError> {
+        let cfgs: Vec<SimConfig> = hws
+            .iter()
+            .map(|hw| SimConfig {
+                hw: hw.clone(),
+                ..row.clone()
+            })
+            .collect();
         let fps: Option<Vec<u64>> =
             program_fp.map(|pfp| cfgs.iter().map(|c| result_fingerprint(pfp, c)).collect());
-        let mut row: Vec<Option<RunResult>> = vec![None; cfgs.len()];
+        let mut results: Vec<Option<RunResult>> = vec![None; cfgs.len()];
         if self.store.incremental() {
             if let Some(fps) = &fps {
-                for (slot, &fp) in row.iter_mut().zip(fps) {
-                    *slot = self.store.load_result(&program.name, latency, fp);
+                for (slot, &fp) in results.iter_mut().zip(fps) {
+                    *slot = self.store.load_result(&program.name, row.load_latency, fp);
                 }
             }
         }
-        if row.iter().any(Option::is_none) {
+        if results.iter().any(Option::is_none) {
             let tape = tape_slot
                 .get_or_init(|| {
-                    let compiled = self.store.get_or_compile(program, latency)?;
+                    let compiled = self.store.get_or_compile(program, row.load_latency)?;
                     Ok(self.store.get_or_record(&compiled))
                 })
                 .clone()?;
-            let missing: Vec<usize> = (0..cfgs.len()).filter(|&j| row[j].is_none()).collect();
+            let missing: Vec<usize> = (0..cfgs.len()).filter(|&j| results[j].is_none()).collect();
             let missing_cfgs: Vec<SimConfig> = missing.iter().map(|&j| cfgs[j].clone()).collect();
             let fresh = run_tape_fused(&program.name, &tape, &missing_cfgs)?;
             for (&j, result) in missing.iter().zip(fresh) {
                 if let Some(fps) = &fps {
                     self.store.store_result(&result, fps[j]);
                 }
-                row[j] = Some(result);
+                results[j] = Some(result);
             }
         }
-        Ok(row.into_iter().flatten().collect())
+        Ok(results.into_iter().flatten().collect())
     }
 
     /// The scheduling weight of one `(program, latency)` row: the
@@ -421,35 +416,53 @@ impl SweepEngine {
             .unwrap_or_else(|| program.estimated_instructions())
     }
 
-    /// Runs an `outer × latency × configuration` grid of independent
+    /// Runs a `plane × latency × configuration` grid of independent
     /// cells as one flat pool invocation, regrouped as
-    /// `rows[outer][latency][configuration]`. `cell(o, cfg)` runs outer
-    /// index `o` under `base` at one latency and hardware configuration.
+    /// `rows[plane][latency][configuration]`. Plane `p` runs program
+    /// `planes[p].0` under configuration `planes[p].1`, at each latency
+    /// and hardware configuration.
     fn run_cells(
         &self,
-        outer: usize,
-        base: &SimConfig,
+        planes: &[(&Program, SimConfig)],
         configs: &[HwConfig],
         latencies: &[u32],
-        cell: impl Fn(usize, SimConfig) -> Result<RunResult, SimError> + Sync,
     ) -> Result<Vec<Vec<Vec<RunResult>>>, SimError> {
         let (nl, nc) = (latencies.len(), configs.len());
-        let cells = self.pool.try_run(outer * nl * nc, |idx| {
+        let cells = self.pool.try_run(planes.len() * nl * nc, |idx| {
+            let (program, base) = &planes[idx / (nl * nc)];
             let cfg = SimConfig {
                 hw: configs[idx % nc].clone(),
                 ..base.clone()
             }
             .at_latency(latencies[(idx / nc) % nl]);
-            cell(idx / (nl * nc), cfg)
+            self.run_cell(program, &cfg)
         })?;
         let mut iter = cells.into_iter();
-        (0..outer)
+        (0..planes.len())
             .map(|_| (0..nl).map(|_| iter.by_ref().take(nc).collect()).collect())
             .collect()
     }
 
-    /// Parallel [`latency_sweep`]: identical results, cells run on the
-    /// pool, compilation via the engine's store.
+    /// Fused sweep of `configs` along `axis` for one benchmark: every
+    /// point is one row of [`Self::fused_rows`].
+    fn sweep(
+        &self,
+        program: &Program,
+        base: &SimConfig,
+        configs: &[HwConfig],
+        axis: Axis,
+        points: &[u32],
+    ) -> Result<Sweep, SimError> {
+        let rows: Vec<(&Program, SimConfig)> = points
+            .iter()
+            .map(|&point| (program, axis.row(base, point)))
+            .collect();
+        let rows = self.fused_rows(&rows, configs)?;
+        Ok(Sweep::of(program, axis, configs, points, rows))
+    }
+
+    /// Sweeps `configs` × `latencies` for one benchmark, fused row by row
+    /// (as [`Self::grid_sweep`]).
     ///
     /// # Errors
     ///
@@ -460,9 +473,25 @@ impl SweepEngine {
         base: &SimConfig,
         configs: &[HwConfig],
         latencies: &[u32],
-    ) -> Result<LatencySweep, SimError> {
-        let rows = self.fused_rows(&[program], base, configs, latencies)?;
-        Ok(LatencySweep::of(program, configs, latencies, rows))
+    ) -> Result<Sweep, SimError> {
+        self.sweep(program, base, configs, Axis::LoadLatency, latencies)
+    }
+
+    /// Sweeps `configs` × `penalties` at the base configuration's load
+    /// latency, fused row by row (as [`Self::grid_sweep`]): every penalty
+    /// row replays the one schedule that latency compiles to.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError`] from the compiler model or the engine.
+    pub fn penalty_sweep(
+        &self,
+        program: &Program,
+        base: &SimConfig,
+        configs: &[HwConfig],
+        penalties: &[u32],
+    ) -> Result<Sweep, SimError> {
+        self.sweep(program, base, configs, Axis::MissPenalty, penalties)
     }
 
     /// Cross-benchmark sweep, fused: every `(program, latency)` pair of
@@ -471,15 +500,7 @@ impl SweepEngine {
     /// ([`run_tape_fused`]) — the row's configurations differ only in
     /// hardware, so they replay one recorded schedule. Results are
     /// bit-identical to the per-cell path ([`Self::grid_sweep_unfused`]),
-    /// one [`LatencySweep`] per program in input order.
-    ///
-    /// Scheduling is fusion-aware: under a multi-thread pool, rows are
-    /// split into configuration spans sized by each row's barrier weight
-    /// (`plan_row_spans`) and claimed longest-first, so the ~8× coarser
-    /// fused jobs load-balance like the unfused per-cell grid instead of
-    /// regressing on it. Units of one row share the compiled program and
-    /// tape through a per-row slot (`run_row_span`); a single-thread
-    /// pool keeps the one-job-per-row shape.
+    /// one latency [`Sweep`] per program in input order.
     ///
     /// # Errors
     ///
@@ -490,63 +511,61 @@ impl SweepEngine {
         base: &SimConfig,
         configs: &[HwConfig],
         latencies: &[u32],
-    ) -> Result<Vec<LatencySweep>, SimError> {
-        let mut rows = self
-            .fused_rows(programs, base, configs, latencies)?
-            .into_iter();
+    ) -> Result<Vec<Sweep>, SimError> {
+        let rows: Vec<(&Program, SimConfig)> = programs
+            .iter()
+            .flat_map(|&p| {
+                latencies
+                    .iter()
+                    .map(move |&l| (p, base.clone().at_latency(l)))
+            })
+            .collect();
+        let mut rows = self.fused_rows(&rows, configs)?.into_iter();
         Ok(programs
             .iter()
             .map(|program| {
                 let own = rows.by_ref().take(latencies.len()).collect();
-                LatencySweep::of(program, configs, latencies, own)
+                Sweep::of(program, Axis::LoadLatency, configs, latencies, own)
             })
             .collect())
     }
 
-    /// The fused grid's `(program, latency)` rows, program-major: the
-    /// body of [`Self::grid_sweep`]. The first failing row's error wins.
+    /// The one execution path of every [`Sweep`]: each row — a program
+    /// under a row configuration whose hardware each of `configs`
+    /// replaces — walks its tape once for all configurations
+    /// (`run_row_span`). Result rows come back in input order; the first
+    /// failing row's error wins.
+    ///
+    /// Scheduling is fusion-aware: under a multi-thread pool, rows are
+    /// split into configuration spans sized by each row's barrier weight
+    /// (`plan_row_spans`) and claimed longest-first, so the ~8× coarser
+    /// fused jobs load-balance like the unfused per-cell grid instead of
+    /// regressing on it. Units of one row share the compiled program and
+    /// tape through a per-row slot; a single-thread pool keeps the
+    /// one-job-per-row shape.
     fn fused_rows(
         &self,
-        programs: &[&Program],
-        base: &SimConfig,
+        rows: &[(&Program, SimConfig)],
         configs: &[HwConfig],
-        latencies: &[u32],
     ) -> Result<Vec<Vec<RunResult>>, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let nrows = programs.len() * nl;
-        // One stable IR fingerprint per program, shared by every row job
-        // (only needed when a disk tier exists to address results into).
-        let program_fps: Vec<Option<u64>> = programs
+        let (nrows, nc) = (rows.len(), configs.len());
+        // One stable IR fingerprint per row (only needed when a disk tier
+        // exists to address results into).
+        let program_fps: Vec<Option<u64>> = rows
             .iter()
-            .map(|p| self.store.disk().map(|_| program_fingerprint(p)))
+            .map(|(p, _)| self.store.disk().map(|_| program_fingerprint(p)))
             .collect();
-        let span_cfgs = |row: usize, lo: usize, hi: usize| -> Vec<SimConfig> {
-            configs[lo..hi]
-                .iter()
-                .map(|hw| {
-                    SimConfig {
-                        hw: hw.clone(),
-                        ..base.clone()
-                    }
-                    .at_latency(latencies[row % nl])
-                })
-                .collect()
-        };
-        let rows: Vec<Result<Vec<RunResult>, SimError>> =
+        let results: Vec<Result<Vec<RunResult>, SimError>> =
             if self.pool.threads() <= 1 || nrows <= 1 || nc == 0 {
                 self.pool
-                    .try_run(nrows, |idx| -> Result<Vec<RunResult>, SimError> {
-                        self.run_row_span(
-                            programs[idx / nl],
-                            program_fps[idx / nl],
-                            latencies[idx % nl],
-                            &span_cfgs(idx, 0, nc),
-                            &OnceLock::new(),
-                        )
+                    .try_run(nrows, |r| -> Result<Vec<RunResult>, SimError> {
+                        let (program, row) = &rows[r];
+                        self.run_row_span(program, program_fps[r], row, configs, &OnceLock::new())
                     })?
             } else {
-                let weights: Vec<u64> = (0..nrows)
-                    .map(|row| self.row_weight(programs[row / nl], latencies[row % nl]))
+                let weights: Vec<u64> = rows
+                    .iter()
+                    .map(|(program, row)| self.row_weight(program, row.load_latency))
                     .collect();
                 let spans = plan_row_spans(&weights, nc, self.pool.threads());
                 let order = span_claim_order(&spans, &weights);
@@ -556,13 +575,14 @@ impl SweepEngine {
                     spans.len(),
                     &order,
                     |u| -> Result<Vec<RunResult>, SimError> {
-                        let RowSpan { row, lo, hi } = spans[u];
+                        let RowSpan { row: r, lo, hi } = spans[u];
+                        let (program, row) = &rows[r];
                         self.run_row_span(
-                            programs[row / nl],
-                            program_fps[row / nl],
-                            latencies[row % nl],
-                            &span_cfgs(row, lo, hi),
-                            &tape_slots[row],
+                            program,
+                            program_fps[r],
+                            row,
+                            &configs[lo..hi],
+                            &tape_slots[r],
                         )
                     },
                 )?;
@@ -570,18 +590,18 @@ impl SweepEngine {
                 // so appending in span order rebuilds each row's
                 // configuration order. A row keeps its first (lowest-`lo`)
                 // error, matching the whole-row path's report.
-                let mut rows: Vec<Result<Vec<RunResult>, SimError>> =
+                let mut results: Vec<Result<Vec<RunResult>, SimError>> =
                     (0..nrows).map(|_| Ok(Vec::with_capacity(nc))).collect();
                 for (span, part) in spans.iter().zip(parts) {
-                    match (&mut rows[span.row], part) {
+                    match (&mut results[span.row], part) {
                         (Ok(row), Ok(mut slice)) => row.append(&mut slice),
                         (slot @ Ok(_), Err(e)) => *slot = Err(e),
                         (Err(_), _) => {}
                     }
                 }
-                rows
+                results
             };
-        rows.into_iter().collect()
+        results.into_iter().collect()
     }
 
     /// [`Self::grid_sweep`] without tape fusion: every
@@ -598,64 +618,48 @@ impl SweepEngine {
         base: &SimConfig,
         configs: &[HwConfig],
         latencies: &[u32],
-    ) -> Result<Vec<LatencySweep>, SimError> {
-        let grid = self.run_cells(programs.len(), base, configs, latencies, |p, cfg| {
-            self.run_cell(programs[p], &cfg)
-        })?;
+    ) -> Result<Vec<Sweep>, SimError> {
+        let planes: Vec<(&Program, SimConfig)> =
+            programs.iter().map(|&p| (p, base.clone())).collect();
+        let grid = self.run_cells(&planes, configs, latencies)?;
         Ok(programs
             .iter()
             .zip(grid)
-            .map(|(program, rows)| LatencySweep::of(program, configs, latencies, rows))
+            .map(|(program, rows)| Sweep::of(program, Axis::LoadLatency, configs, latencies, rows))
             .collect())
     }
 
-    /// Parallel [`penalty_sweep`]: identical results, cells run on the
-    /// pool, the single compilation via the engine's store.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError`] from the compiler model or the engine.
-    pub fn penalty_sweep(
+    /// The body of the plane sweeps: `program` under each labelled plane
+    /// configuration × `configs` × `latencies`, as one flat pool
+    /// invocation of independent cells. The compiled program depends
+    /// only on the latency, so every plane and configuration replays the
+    /// same recorded tapes; results are input-ordered and fully
+    /// deterministic.
+    fn plane_sweep(
         &self,
         program: &Program,
-        base: &SimConfig,
+        plane_axis: PlaneAxis,
+        planes: Vec<(String, SimConfig)>,
         configs: &[HwConfig],
-        penalties: &[u32],
-    ) -> Result<PenaltySweep, SimError> {
-        let compiled = self.store.get_or_compile(program, base.load_latency)?;
-        let tape = self.store.get_or_record(&compiled);
-        // One fused job per penalty: the row's configurations share the
-        // tape (compiled for the base latency), so each row is a single
-        // lockstep walk.
-        let rows =
-            self.pool
-                .try_run(penalties.len(), |idx| -> Result<Vec<RunResult>, SimError> {
-                    let cfgs: Vec<SimConfig> = configs
-                        .iter()
-                        .map(|hw| {
-                            SimConfig {
-                                hw: hw.clone(),
-                                ..base.clone()
-                            }
-                            .with_penalty(penalties[idx])
-                        })
-                        .collect();
-                    Ok(run_tape_fused(&program.name, &tape, &cfgs)?)
-                })?;
-        let rows = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(PenaltySweep {
+        latencies: &[u32],
+    ) -> Result<PlaneSweep, SimError> {
+        let (labels, bases): (Vec<String>, Vec<(&Program, SimConfig)>) = planes
+            .into_iter()
+            .map(|(label, cfg)| (label, (program, cfg)))
+            .unzip();
+        Ok(PlaneSweep {
             benchmark: program.name.clone(),
+            plane_axis,
+            planes: labels,
             configs: configs.iter().map(HwConfig::label).collect(),
-            penalties: penalties.to_vec(),
-            rows,
+            latencies: latencies.to_vec(),
+            rows: self.run_cells(&bases, configs, latencies)?,
         })
     }
 
-    /// Policy × configuration × latency grid for one benchmark, as one
-    /// flat pool invocation. The compiled program depends only on the
-    /// latency, so every policy and configuration replays the same
-    /// binaries; results are input-ordered and fully deterministic
-    /// (the random policy reseeds per run from its fixed seed).
+    /// Policy × configuration × latency grid for one benchmark (the
+    /// random policy reseeds per run from its fixed seed, so it too is
+    /// deterministic).
     ///
     /// # Errors
     ///
@@ -667,24 +671,18 @@ impl SweepEngine {
         policies: &[ReplacementKind],
         configs: &[HwConfig],
         latencies: &[u32],
-    ) -> Result<ReplacementSweep, SimError> {
-        let rows = self.run_cells(policies.len(), base, configs, latencies, |p, cfg| {
-            self.run_cell(program, &cfg.with_replacement(policies[p]))
-        })?;
-        Ok(ReplacementSweep {
-            benchmark: program.name.clone(),
-            policies: policies.iter().map(ReplacementKind::label).collect(),
-            configs: configs.iter().map(HwConfig::label).collect(),
-            latencies: latencies.to_vec(),
-            rows,
-        })
+    ) -> Result<PlaneSweep, SimError> {
+        let planes = policies
+            .iter()
+            .map(|&p| (p.label(), base.clone().with_replacement(p)))
+            .collect();
+        self.plane_sweep(program, PlaneAxis::Policy, planes, configs, latencies)
     }
 
-    /// Model × configuration × latency grid for one benchmark, as one
-    /// flat pool invocation. Every model replays the same recorded tape
-    /// (the compiled program depends only on the latency), so the grid
-    /// isolates the pipeline's reaction — stall on first use vs. replay
-    /// with cause attribution — from the code and the reference stream.
+    /// Model × configuration × latency grid for one benchmark. Every
+    /// model replays the same recorded tape, so the grid isolates the
+    /// pipeline's reaction — stall on first use vs. replay with cause
+    /// attribution — from the code and the reference stream.
     ///
     /// # Errors
     ///
@@ -696,22 +694,18 @@ impl SweepEngine {
         models: &[ProcessorKind],
         configs: &[HwConfig],
         latencies: &[u32],
-    ) -> Result<ModelSweep, SimError> {
-        let rows = self.run_cells(models.len(), base, configs, latencies, |m, cfg| {
-            self.run_cell(program, &cfg.with_processor(models[m]))
-        })?;
-        Ok(ModelSweep {
-            benchmark: program.name.clone(),
-            models: models.iter().map(|m| m.label().to_string()).collect(),
-            configs: configs.iter().map(HwConfig::label).collect(),
-            latencies: latencies.to_vec(),
-            rows,
-        })
+    ) -> Result<PlaneSweep, SimError> {
+        let planes = models
+            .iter()
+            .map(|&m| (m.label().to_string(), base.clone().with_processor(m)))
+            .collect();
+        self.plane_sweep(program, PlaneAxis::Model, planes, configs, latencies)
     }
 
     /// Runs many independent `(program, config)` jobs on the pool, results
     /// in input order, compilation cached. The workhorse for experiment
-    /// tables that aren't latency sweeps (per-benchmark rows, ablations).
+    /// tables that aren't sweeps (per-benchmark rows, ablations), and the
+    /// per-cell reference the fused sweeps are tested against.
     ///
     /// # Errors
     ///
@@ -778,7 +772,10 @@ mod tests {
         let p = build("eqntott", Scale::quick()).unwrap();
         let base = SimConfig::baseline(HwConfig::Mc0);
         let configs = [HwConfig::Mc0, HwConfig::Mc(1), HwConfig::NoRestrict];
-        let s = latency_sweep(&p, &base, &configs, &[1, 10]).unwrap();
+        let s = SweepEngine::new(1)
+            .latency_sweep(&p, &base, &configs, &[1, 10])
+            .unwrap();
+        assert_eq!(s.axis, Axis::LoadLatency);
         assert_eq!(s.rows.len(), 2);
         assert_eq!(s.rows[0].len(), 3);
         assert_eq!(s.curve(0).len(), 2);
@@ -789,33 +786,96 @@ mod tests {
         assert!(s.at("mc=1", 11).is_none());
     }
 
+    /// Every cell of `sweep`, run alone on a single-thread engine's
+    /// per-cell path ([`SweepEngine::run_many`]): the reference the fused
+    /// sweeps must reproduce.
+    fn per_cell_reference(
+        program: &Program,
+        base: &SimConfig,
+        configs: &[HwConfig],
+        sweep: &Sweep,
+    ) -> Vec<Vec<RunResult>> {
+        let jobs: Vec<(&Program, SimConfig)> = sweep
+            .points
+            .iter()
+            .flat_map(|&point| {
+                configs.iter().map(move |hw| {
+                    let row = sweep.axis.row(base, point);
+                    (
+                        program,
+                        SimConfig {
+                            hw: hw.clone(),
+                            ..row
+                        },
+                    )
+                })
+            })
+            .collect();
+        let cells = SweepEngine::new(1).run_many(&jobs).unwrap();
+        cells.chunks(configs.len()).map(<[_]>::to_vec).collect()
+    }
+
     #[test]
-    fn parallel_sweeps_match_serial_exactly() {
-        // The determinism contract: parallel execution returns RunResults
-        // *equal* (full struct equality, every metric) to the serial path,
-        // across ≥2 benchmarks × 2 latencies × 3 configs.
+    fn fused_sweeps_match_per_cell_runs_exactly() {
+        // The determinism contract: the fused, span-scheduled sweeps on a
+        // 4-thread pool return RunResults *equal* (full struct equality,
+        // every metric) to running each cell alone, across ≥2 benchmarks ×
+        // 2 latencies × 3 configs, and along the penalty axis.
         let base = SimConfig::baseline(HwConfig::Mc0);
         let configs = [HwConfig::Mc(1), HwConfig::Fc(4), HwConfig::NoRestrict];
-        let latencies = [2, 10];
         let engine = SweepEngine::new(4);
         for name in ["doduc", "eqntott"] {
             let p = build(name, Scale::quick()).unwrap();
-            let serial = latency_sweep(&p, &base, &configs, &latencies).unwrap();
-            let parallel = engine
-                .latency_sweep(&p, &base, &configs, &latencies)
-                .unwrap();
-            assert_eq!(serial.configs, parallel.configs);
-            assert_eq!(serial.latencies, parallel.latencies);
+            let fused = engine.latency_sweep(&p, &base, &configs, &[2, 10]).unwrap();
             assert_eq!(
-                serial.rows, parallel.rows,
-                "{name}: parallel must be bit-identical"
+                fused.rows,
+                per_cell_reference(&p, &base, &configs, &fused),
+                "{name}: the fused latency sweep must be bit-identical"
             );
         }
-        // And the penalty sweep.
         let p = build("tomcatv", Scale::quick()).unwrap();
-        let serial = penalty_sweep(&p, &base, &configs, &[8, 32]).unwrap();
-        let parallel = engine.penalty_sweep(&p, &base, &configs, &[8, 32]).unwrap();
-        assert_eq!(serial.rows, parallel.rows);
+        let fused = engine.penalty_sweep(&p, &base, &configs, &[8, 32]).unwrap();
+        assert_eq!(fused.axis, Axis::MissPenalty);
+        assert_eq!(fused.at("mc=1", 32).unwrap().miss_penalty, 32);
+        assert_eq!(
+            fused.rows,
+            per_cell_reference(&p, &base, &configs, &fused),
+            "the fused penalty sweep must be bit-identical"
+        );
+    }
+
+    #[test]
+    fn penalty_sweep_answers_incrementally_from_disk() {
+        // Penalty rows run on the fused-row runner, so they write results
+        // through and, on an incremental store, answer every cell from it.
+        let dir = std::env::temp_dir().join(format!(
+            "nbl-sweep-penalty-incremental-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let p = build("tomcatv", Scale::quick()).unwrap();
+        let base = SimConfig::baseline(HwConfig::Mc0);
+        let configs = [HwConfig::Mc0, HwConfig::Mc(1), HwConfig::NoRestrict];
+        let penalties = [8, 16, 32];
+        let cells = (configs.len() * penalties.len()) as u64;
+        let pass = || {
+            let engine = SweepEngine::with_store(2, ArtifactStore::with_disk(&dir, true));
+            let sweep = engine
+                .penalty_sweep(&p, &base, &configs, &penalties)
+                .unwrap();
+            (sweep.rows, engine.store().disk_stats())
+        };
+        let (cold, cold_stats) = pass();
+        assert_eq!(cold_stats.result_hits, 0);
+        assert_eq!(cold_stats.result_writes, cells, "every cell writes through");
+        let (warm, warm_stats) = pass();
+        assert_eq!(
+            warm_stats.result_hits, cells,
+            "every cell answered from disk"
+        );
+        assert_eq!(warm_stats.result_writes, 0);
+        assert_eq!(warm, cold, "stored results are bit-identical");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -932,10 +992,13 @@ mod tests {
             .replacement_sweep(&p, &base, &policies, &configs, &latencies)
             .unwrap();
         assert_eq!(a.rows, b.rows, "replay must be bit-identical (seeded)");
-        assert_eq!(a.policies, vec!["lru", "random", "plru"]);
+        assert_eq!(a.plane_axis, PlaneAxis::Policy);
+        assert_eq!(a.planes, vec!["lru", "random", "plru"]);
         // The LRU plane equals a plain (default-policy) run.
         let lru = a.at("lru", "mc=1", 10).unwrap();
-        let plain = latency_sweep(&p, &base, &configs, &latencies).unwrap();
+        let plain = engine
+            .latency_sweep(&p, &base, &configs, &latencies)
+            .unwrap();
         let reference = plain.at("mc=1", 10).unwrap();
         assert_eq!(lru.cycles, reference.cycles);
         assert_eq!(lru.replacement, "lru");
@@ -958,30 +1021,35 @@ mod tests {
             .model_sweep(&p, &base, &models, &configs, &latencies)
             .unwrap();
         assert_eq!(a.rows, b.rows, "replay must be bit-identical");
-        assert_eq!(a.models, vec!["single", "replay"]);
+        assert_eq!(a.plane_axis, PlaneAxis::Model);
+        assert_eq!(a.planes, vec!["single", "replay"]);
         // The single plane equals a plain (default-model) run.
         let single = a.at("single", "mc=1", 10).unwrap();
-        let plain = latency_sweep(&p, &base, &configs, &latencies).unwrap();
+        let plain = engine
+            .latency_sweep(&p, &base, &configs, &latencies)
+            .unwrap();
         assert_eq!(single.cycles, plain.at("mc=1", 10).unwrap().cycles);
         assert_eq!(single.model, "single");
         assert_eq!(single.replay.total_replays(), 0);
         // The replaying plane attributes stalls to causes; the parallel
-        // grid cell equals a direct serial run of the same configuration.
+        // grid cell equals a direct run of the same configuration.
         let replay = a.at("replay", "mc=1", 10).unwrap();
         assert_eq!(replay.model, "replay");
         assert!(replay.replay.total_replays() > 0, "mc=1 must NACK or miss");
         let cfg = SimConfig::baseline(HwConfig::Mc(1))
             .at_latency(10)
             .with_processor(ProcessorKind::ReplayCause);
-        let serial = crate::driver::run_program(&p, &cfg).unwrap();
-        assert_eq!(*replay, serial, "parallel must equal the serial path");
+        let direct = crate::driver::run_program(&p, &cfg).unwrap();
+        assert_eq!(*replay, direct, "parallel must equal the direct path");
     }
 
     #[test]
     fn penalty_sweep_blocking_is_linear() {
         let p = build("tomcatv", Scale::quick()).unwrap();
         let base = SimConfig::baseline(HwConfig::Mc0);
-        let s = penalty_sweep(&p, &base, &[HwConfig::Mc0], &[8, 16, 32]).unwrap();
+        let s = SweepEngine::new(1)
+            .penalty_sweep(&p, &base, &[HwConfig::Mc0], &[8, 16, 32])
+            .unwrap();
         let m8 = s.at("mc=0", 8).unwrap().mcpi;
         let m16 = s.at("mc=0", 16).unwrap().mcpi;
         let m32 = s.at("mc=0", 32).unwrap().mcpi;

@@ -355,7 +355,8 @@ fn result_fingerprints_separate_configs_and_programs() {
     let dir = temp_store("fingerprints");
     let store = ArtifactStore::with_disk(&dir, true);
     let compiled = store.get_or_compile(&eqntott, 6).unwrap();
-    let result = nbl_sim::run_compiled(&eqntott.name, &compiled, &base).unwrap();
+    let tape = store.get_or_record(&compiled);
+    let result = nbl_sim::run_tape(&eqntott.name, &tape, &base).unwrap();
     store.store_result(&result, key);
     assert_eq!(store.load_result(&eqntott.name, 6, key), Some(result));
     assert_eq!(

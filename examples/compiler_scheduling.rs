@@ -13,7 +13,7 @@
 
 use nonblocking_loads::sched::compile::{compile, LOAD_LATENCIES};
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
-use nonblocking_loads::sim::driver::run_compiled;
+use nonblocking_loads::sim::sweep::SweepEngine;
 use nonblocking_loads::trace::machine::MachineOp;
 use nonblocking_loads::trace::workloads::{build, Scale};
 
@@ -59,23 +59,23 @@ fn main() {
         "{:>8} {:>12} {:>10} {:>12} {:>12} {:>12}",
         "latency", "distance", "(static)", "(mc=0)", "(mc=1)", "(no restrict)"
     );
-    for lat in LOAD_LATENCIES {
+    // One latency sweep simulates the three configurations at every
+    // latency (each row one fused replay of that latency's schedule).
+    let sweep = SweepEngine::global()
+        .latency_sweep(
+            &program,
+            &SimConfig::baseline(HwConfig::NoRestrict),
+            &[HwConfig::Mc0, HwConfig::Mc(1), HwConfig::NoRestrict],
+            &LOAD_LATENCIES,
+        )
+        .expect("workloads compile");
+    for (lat, row) in LOAD_LATENCIES.into_iter().zip(&sweep.rows) {
         let compiled = compile(&program, lat).expect("workloads compile");
         let spills: usize = compiled.blocks.iter().map(|b| b.spill_ops).sum();
         let dist = mean_load_use_distance(&compiled);
-        let mcpi = |hw: HwConfig| {
-            run_compiled(&bench, &compiled, &SimConfig::baseline(hw).at_latency(lat))
-                .expect("run succeeds")
-                .mcpi
-        };
         println!(
             "{:>8} {:>12.1} {:>10} {:>12.3} {:>12.3} {:>12.3}",
-            lat,
-            dist,
-            spills,
-            mcpi(HwConfig::Mc0),
-            mcpi(HwConfig::Mc(1)),
-            mcpi(HwConfig::NoRestrict),
+            lat, dist, spills, row[0].mcpi, row[1].mcpi, row[2].mcpi,
         );
     }
     println!(

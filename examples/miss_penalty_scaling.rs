@@ -11,7 +11,7 @@
 //! ```
 
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
-use nonblocking_loads::sim::sweep::penalty_sweep;
+use nonblocking_loads::sim::sweep::SweepEngine;
 use nonblocking_loads::trace::workloads::{build, Scale};
 
 const PENALTIES: [u32; 6] = [4, 8, 16, 32, 64, 128];
@@ -27,13 +27,16 @@ fn main() {
         HwConfig::Fc(2),
         HwConfig::NoRestrict,
     ];
-    let sweep = penalty_sweep(
-        &program,
-        &SimConfig::baseline(HwConfig::NoRestrict),
-        &configs,
-        &PENALTIES,
-    )
-    .expect("workloads compile");
+    // One fused tape walk per penalty row: every configuration of a row
+    // replays the one schedule compiled for the base latency.
+    let sweep = SweepEngine::global()
+        .penalty_sweep(
+            &program,
+            &SimConfig::baseline(HwConfig::NoRestrict),
+            &configs,
+            &PENALTIES,
+        )
+        .expect("workloads compile");
 
     println!("MCPI vs miss penalty for {bench} (load latency 10)\n");
     print!("{:>14}", "config");
@@ -43,8 +46,8 @@ fn main() {
     println!("{:>16}", "growth 16->32");
     for (j, config) in sweep.configs.iter().enumerate() {
         print!("{config:>14}");
-        for row in &sweep.rows {
-            print!("{:>9.3}", row[j].mcpi);
+        for mcpi in sweep.curve(j) {
+            print!("{mcpi:>9.3}");
         }
         let at16 = sweep.at(config, 16).unwrap().mcpi;
         let at32 = sweep.at(config, 32).unwrap().mcpi;

@@ -15,7 +15,7 @@
 
 use nonblocking_loads::sched::compile::compile;
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
-use nonblocking_loads::sim::driver::{run_compiled, run_tape};
+use nonblocking_loads::sim::driver::{run_program, run_tape};
 use nonblocking_loads::sim::store::compiled_fingerprint;
 use nonblocking_loads::trace::tape::TraceTape;
 use nonblocking_loads::trace::workloads::{build, Scale};
@@ -40,9 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         size as f64 / n as f64
     );
 
-    // 2. Direct simulation for reference.
-    let cfg = SimConfig::baseline(HwConfig::Fc(2));
-    let direct = run_compiled(&bench, &compiled, &cfg)?;
+    // 2. Direct simulation for reference: the driver compiles and records
+    //    the program itself.
+    let cfg = SimConfig::baseline(HwConfig::Fc(2)).at_latency(compiled.load_latency);
+    let direct = run_program(&program, &cfg)?;
     println!("direct simulation:   MCPI {:.6}", direct.mcpi);
 
     // 3. Read the file back and replay it.

@@ -76,6 +76,9 @@ cargo run --release -p nbl-bench -- replsens --quick \
 # policy-parameterized tag array may not perturb the default policy.
 grep '^lru,' "$replsens_dir/replsens.csv" \
   | diff -u scripts/golden/replsens_lru_quick.csv -
+# The whole file, every policy plane, must match too: the plane-sweep
+# layer may not perturb the non-LRU policies either.
+diff -u scripts/golden/replsens_quick_full.csv "$replsens_dir/replsens.csv"
 python3 - "$replsens_dir/replsens.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -94,6 +97,8 @@ cargo run --release -p nbl-bench -- replaymodel --quick \
 # issue-policy engine may not perturb the default stalling pipeline.
 grep '^single,' "$replsens_dir/replaymodel.csv" \
   | diff -u scripts/golden/replaymodel_single_quick.csv -
+# The whole file, the dual and replaying planes included.
+diff -u scripts/golden/replaymodel_quick_full.csv "$replsens_dir/replaymodel.csv"
 python3 - "$replsens_dir/replaymodel.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -116,6 +121,12 @@ for r in d["runs"]:
         assert all(c["count"] == 0 for c in r["replays"].values()), r
 print("replaymodel.json: shape OK")
 EOF
+
+echo "== smoke: Fig. 18 penalty sweep vs pinned full-file golden =="
+cargo run --release -p nbl-bench -- fig18 --quick --csv "$replsens_dir" --out /dev/null >/dev/null
+# Every penalty row runs on the fused-row runner: the whole table must
+# stay bit-identical.
+diff -u scripts/golden/fig18_quick_full.csv "$replsens_dir/fig18.csv"
 
 echo "== smoke: Fig. 19 dual-issue table vs pinned golden =="
 cargo run --release -p nbl-bench -- fig19 --quick --out "$replsens_dir/fig19.txt" >/dev/null

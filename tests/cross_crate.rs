@@ -7,7 +7,7 @@ use nonblocking_loads::cpu::core_engine::EngineConfig;
 use nonblocking_loads::cpu::issue::{IssueEngine, IssuePolicy};
 use nonblocking_loads::sched::compile::compile;
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
-use nonblocking_loads::sim::driver::{run_compiled, run_dual, run_program};
+use nonblocking_loads::sim::driver::{run_dual, run_program};
 use nonblocking_loads::trace::exec::Executor;
 use nonblocking_loads::trace::machine::CountingSink;
 use nonblocking_loads::trace::workloads::{build, Scale, ALL};
@@ -27,7 +27,7 @@ fn processor_sees_the_static_counts() {
         let compiled = compile(&p, 10).unwrap();
         let mut counter = CountingSink::default();
         Executor::new(&compiled).run(&mut counter);
-        let r = run_compiled(name, &compiled, &SimConfig::baseline(HwConfig::Mc(1))).unwrap();
+        let r = run_program(&p, &SimConfig::baseline(HwConfig::Mc(1)).at_latency(10)).unwrap();
         assert_eq!(r.instructions, counter.instructions, "{name}");
         assert_eq!(r.loads, counter.loads, "{name}");
         assert_eq!(r.stores, counter.stores, "{name}");

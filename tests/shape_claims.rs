@@ -8,7 +8,7 @@
 use nonblocking_loads::core::geometry::CacheGeometry;
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
 use nonblocking_loads::sim::driver::{run_program, RunResult};
-use nonblocking_loads::sim::sweep::{latency_sweep, penalty_sweep};
+use nonblocking_loads::sim::sweep::SweepEngine;
 use nonblocking_loads::trace::workloads::{build, Scale, INTEGER};
 
 fn scale() -> Scale {
@@ -186,13 +186,14 @@ fn su2cor_needs_multiple_fetches_per_set() {
 fn penalty_scaling_linear_for_blocking_superlinear_for_nonblocking() {
     let p = build("tomcatv", scale()).unwrap();
     let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let sweep = penalty_sweep(
-        &p,
-        &base,
-        &[HwConfig::Mc0, HwConfig::NoRestrict],
-        &[8, 16, 32],
-    )
-    .unwrap();
+    let sweep = SweepEngine::global()
+        .penalty_sweep(
+            &p,
+            &base,
+            &[HwConfig::Mc0, HwConfig::NoRestrict],
+            &[8, 16, 32],
+        )
+        .unwrap();
     let m = |c: &str, pen: u32| sweep.at(c, pen).unwrap().mcpi;
     // Blocking: strictly proportional.
     assert!((m("mc=0", 16) / m("mc=0", 8) - 2.0).abs() < 0.05);
@@ -209,7 +210,9 @@ fn penalty_scaling_linear_for_blocking_superlinear_for_nonblocking() {
 fn scheduling_for_misses_unlocks_the_hardware() {
     let p = build("tomcatv", scale()).unwrap();
     let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let sweep = latency_sweep(&p, &base, &[HwConfig::NoRestrict], &[1, 2, 3, 6, 10, 20]).unwrap();
+    let sweep = SweepEngine::global()
+        .latency_sweep(&p, &base, &[HwConfig::NoRestrict], &[1, 2, 3, 6, 10, 20])
+        .unwrap();
     let curve = sweep.curve(0);
     assert!(
         curve[5] < curve[0] / 3.0,

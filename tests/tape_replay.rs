@@ -17,7 +17,7 @@ use nonblocking_loads::cpu::core_engine::EngineConfig;
 use nonblocking_loads::cpu::issue::{IssueEngine, IssuePolicy};
 use nonblocking_loads::sched::compile::compile;
 use nonblocking_loads::sim::config::{HwConfig, ProcessorKind, SimConfig};
-use nonblocking_loads::sim::driver::{run_compiled, run_dual};
+use nonblocking_loads::sim::driver::{run_dual, run_program};
 use nonblocking_loads::sim::store::compiled_fingerprint;
 use nonblocking_loads::trace::exec::Executor;
 use nonblocking_loads::trace::machine::CompiledProgram;
@@ -45,7 +45,6 @@ fn compiled(name: &str, latency: u32) -> CompiledProgram {
 /// One compiled pair in both forms: the executor's instruction stream and
 /// the tape recorded from it.
 struct Streams {
-    compiled: CompiledProgram,
     stream: Vec<DynInst>,
     tape: TraceTape,
 }
@@ -55,11 +54,7 @@ fn streams(name: &str, latency: u32) -> Streams {
     let mut stream = Vec::new();
     Executor::new(&compiled).run(&mut stream);
     let tape = TraceTape::record(&compiled);
-    Streams {
-        compiled,
-        stream,
-        tape,
-    }
+    Streams { stream, tape }
 }
 
 /// Runs `s` both ways under `(config, policy)`, asserts the two engines
@@ -111,6 +106,7 @@ fn both_rails(s: &Streams, config: EngineConfig, policy: IssuePolicy, what: &str
 /// cycles, instructions and replays as the engine.
 fn check_grid(benches: &[&str], latencies: &[u32], configs: &[HwConfig], model: ProcessorKind) {
     for bench in benches {
+        let program = build(bench, Scale::quick()).unwrap();
         for &lat in latencies {
             let s = streams(bench, lat);
             for hw in configs {
@@ -120,7 +116,7 @@ fn check_grid(benches: &[&str], latencies: &[u32], configs: &[HwConfig], model: 
                 };
                 let what = format!("{bench} [{}] latency {lat} {model}", hw.label());
                 let engine = both_rails(&s, cfg.engine_config().unwrap(), model.policy(), &what);
-                let driver = run_compiled(bench, &s.compiled, &cfg).unwrap();
+                let driver = run_program(&program, &cfg).unwrap();
                 assert_eq!(driver.cycles, engine.now().0, "{what}: driver cycles");
                 assert_eq!(
                     driver.instructions,
