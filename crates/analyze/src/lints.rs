@@ -31,15 +31,20 @@ pub fn known_lint(id: &str) -> bool {
 /// Path-prefix scopes for each per-file lint family.
 pub mod scope {
     /// Crates where panicking is forbidden outside tests: the hot path,
-    /// the sweep layer that must survive one bad cell, and the oracle
-    /// gate, which reports failures through its exit status.
+    /// the compiler (`nbl-sched`, whose failures are `CompileError`s),
+    /// the sweep layer that must survive one bad cell, the oracle gate,
+    /// which reports failures through its exit status, and the
+    /// `figures` binary (`nbl-bench`), whose exhibits fail as
+    /// `ExhibitError`s.
     pub const NO_PANIC: &[&str] = &[
         "crates/core/src/",
         "crates/mem/src/",
         "crates/cpu/src/",
         "crates/trace/src/",
+        "crates/sched/src/",
         "crates/sim/src/",
         "crates/oracle/src/",
+        "crates/bench/src/",
     ];
     /// Crates feeding `RunResult`, JSON emitters or golden CSVs, where
     /// wall-clock reads and unordered iteration would break bit-identical

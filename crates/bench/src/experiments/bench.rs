@@ -1,65 +1,50 @@
-//! `bench` exhibit: wall-clock timing of the record-once/replay-many
-//! pipeline on a pinned grid sweep.
+//! `bench` exhibit: a gate-only smoke test of the record-once/replay-many
+//! pipeline on a pinned grid sweep. Speed claims come from
+//! `nbl-benchmark`; this exhibit measures only what its gates read.
 //!
-//! Four timed phases over the same 18 benchmarks × 8 configurations × 6
-//! latencies grid (the full Fig. 13 roster), the first three on one fresh
-//! [`SweepEngine`] (disk-backed store, empty memory tiers) so this
-//! exhibit's counters are not mixed with other exhibits':
+//! Every pass runs the same 18 benchmarks × 8 configurations × 6
+//! latencies grid (the full Fig. 13 roster) at quick scale:
 //!
-//! 1. **cold** — empty memory tiers: every `(benchmark, latency)` pair
-//!    is compiled and recorded to a tape (or, when a previous process
-//!    populated the store, decoded from the disk tier), then all 864
-//!    cells replay, writing tapes and results through to the store;
-//! 2. **warm** — the same sweep again with both caches hot: pure fused
-//!    replay (one tape walk advances all configurations of a
-//!    `(benchmark, latency)` group in lockstep), best of `--bench-reps`
-//!    passes;
-//! 3. **warm unfused** — the same cells through
-//!    [`SweepEngine::grid_sweep_unfused`], one independent replay per
-//!    cell: the reference the fusion speedup and bit-identity are
-//!    measured against;
-//! 4. **disk-warm** — a *fresh* engine (modelling a fresh process: cold
+//! 1. **cold** — a fresh [`SweepEngine`] on a disk-backed store with
+//!    empty memory tiers: every `(benchmark, latency)` pair is compiled
+//!    and its tape recorded (or, when a previous process populated the
+//!    store, decoded from the disk tier), then all 864 cells replay,
+//!    writing tapes and results through to the store;
+//! 2. **warm** — the same sweep on the same engine with both memory
+//!    tiers hot: pure fused replay, best of [`REPS`] passes;
+//! 3. **disk-warm** — a *fresh* engine (modelling a fresh process: cold
 //!    memory tiers) in incremental mode over the store the cold pass
-//!    just populated: every cell is answered from its content-addressed
-//!    [`RunResult`] artifact without simulating (DESIGN.md §16).
+//!    populated: every cell is answered from its content-addressed
+//!    [`RunResult`] artifact without simulating (DESIGN.md §16);
+//! 4. **fusion check** — fresh engines at each of
+//!    [`FUSION_CHECK_THREADS`] on the populated store, an untimed
+//!    warm-up pass, then fused and unfused passes interleaved, best of
+//!    [`REPS`] each side: the fused-vs-unfused ratio at pinned worker
+//!    counts, whatever `NBL_THREADS` says.
 //!
-//! After the four phases, a **fusion check** measures the fused-vs-
-//! unfused ratio at pinned worker counts (1 and 4 threads, each side
-//! best of `--bench-reps`, on fresh engines reading the now-populated
-//! store) so the ratio is comparable across machines regardless of
-//! `NBL_THREADS`; fusion-aware row-span scheduling
-//! ([`SweepEngine::grid_sweep`]) is what keeps the multi-thread ratio
-//! above 1.0. The unfused wall is also split into a measured
-//! `tape_scan_s` + `mem_step_s` pair: `tape_scan_s` is a timed
-//! **perfect-cache** pass ([`EngineConfig::perfect_cache`]: every access
-//! hits, so nothing reaches the memory system) replaying the same warm
-//! tapes cell by cell, best of `--bench-reps`; `mem_step_s` is the
-//! unfused real-cache wall minus that pass — the time the memory system's
-//! misses, fills and stalls add to the same walk.
-//!
-//! The exhibit asserts nothing but verifies and reports that all passes
-//! produce bit-identical [`RunResult`]s, and writes the measurements to
-//! `BENCH_sweep.json` (path override: `NBL_BENCH_JSON`). The file is a
-//! history, not a snapshot: each run appends one entry (threads, git
-//! describe, caller-supplied ISO date, timings) to its `trajectory`
-//! array, so speedups are tracked run over run in one checkout (the
-//! file is git-ignored, not a committed record). Entries where
-//! fused replay *loses* to unfused at either pinned thread count are
-//! flagged (`fusion_regressed`) — the gate `scripts/verify.sh` fails on.
+//! Every pass is checked bit-for-bit against the cold pass. The exhibit
+//! asserts nothing itself: with `--json DIR` it writes the gate inputs
+//! to `DIR/bench.json` ([`Gates::json`]), which `scripts/verify.sh`
+//! asserts on.
 
-use super::{bench_opts, programs_for, ExhibitError, RunScale, LATENCIES};
-use nbl_cpu::{EngineConfig, IssueEngine, IssuePolicy};
+use super::{programs_for, write_json, ExhibitError, RunScale, LATENCIES};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::driver::RunResult;
 use nbl_sim::pool::available_threads;
 use nbl_sim::report;
-use nbl_sim::store::{store_settings, ArtifactStore, StoreStats};
+use nbl_sim::store::{store_settings, ArtifactStore, StoreStats, TierStats};
 use nbl_sim::sweep::SweepEngine;
 use nbl_trace::ir::Program;
 use nbl_trace::workloads::ALL;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// Passes behind every best-of timing.
+const REPS: usize = 2;
+
+/// The worker counts the fusion check pins.
+const FUSION_CHECK_THREADS: [usize; 2] = [1, 4];
 
 /// The Fig. 13-style grid: the seven baseline configurations plus the
 /// in-cache MSHR organization.
@@ -69,157 +54,91 @@ fn grid_configs() -> Vec<HwConfig> {
     configs
 }
 
-/// Runs the full grid once through the engine's fused sweep path (one
-/// tape walk per `(benchmark, latency)` group); returns wall seconds and
-/// the flat cell results.
-fn sweep_pass(
+/// Runs the full grid once, fused (one tape walk per `(benchmark,
+/// latency)` row) or unfused (one independent replay per cell); returns
+/// wall seconds and the flat cell results.
+fn grid_pass(
     engine: &SweepEngine,
     programs: &[Program],
+    fused: bool,
 ) -> Result<(f64, Vec<RunResult>), ExhibitError> {
     let refs: Vec<&Program> = programs.iter().collect();
     let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let t0 = Instant::now();
-    let sweeps = engine
-        .grid_sweep(&refs, &base, &grid_configs(), &LATENCIES)
-        .map_err(|e| ExhibitError::new("bench grid sweep", e))?;
-    let wall = t0.elapsed().as_secs_f64();
-    let flat = sweeps
-        .into_iter()
-        .flat_map(|s| s.rows.into_iter().flatten())
-        .collect();
-    Ok((wall, flat))
-}
-
-/// Runs the same grid with fusion disabled: every cell replays the tape
-/// independently as its own pool job.
-fn unfused_pass(
-    engine: &SweepEngine,
-    programs: &[Program],
-) -> Result<(f64, Vec<RunResult>), ExhibitError> {
-    let refs: Vec<&Program> = programs.iter().collect();
-    let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let t0 = Instant::now();
-    let sweeps = engine
-        .grid_sweep_unfused(&refs, &base, &grid_configs(), &LATENCIES)
-        .map_err(|e| ExhibitError::new("bench unfused grid sweep", e))?;
-    let wall = t0.elapsed().as_secs_f64();
-    let flat = sweeps
-        .into_iter()
-        .flat_map(|s| s.rows.into_iter().flatten())
-        .collect();
-    Ok((wall, flat))
-}
-
-/// Replays every cell of the grid on a perfect cache, one independent
-/// single-issue replay per cell like [`unfused_pass`] (each job fetches
-/// its warm tape from the engine's store the same way): the tape walk
-/// with no memory-system work. Returns the wall seconds.
-fn perfect_pass(engine: &SweepEngine, programs: &[Program]) -> Result<f64, ExhibitError> {
     let configs = grid_configs();
-    let (nl, nc) = (LATENCIES.len(), configs.len());
-    let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let store = engine.store();
     let t0 = Instant::now();
-    let cells = engine
-        .pool()
-        .try_run(programs.len() * nl * nc, |idx| -> Result<(), String> {
-            let program = &programs[idx / (nl * nc)];
-            let cfg = SimConfig {
-                hw: configs[idx % nc].clone(),
-                ..base.clone()
-            }
-            .at_latency(LATENCIES[(idx / nc) % nl]);
-            let compiled = store
-                .get_or_compile(program, cfg.load_latency)
-                .map_err(|e| e.to_string())?;
-            let tape = store.get_or_record(&compiled);
-            let config = EngineConfig {
-                perfect_cache: true,
-                ..cfg.engine_config().map_err(|e| e.to_string())?
-            };
-            let mut cpu = IssueEngine::new(config, IssuePolicy::SingleInOrder);
-            cpu.run_tape(&tape).map_err(|e| e.to_string())?;
-            cpu.finish().map_err(|e| e.to_string())
-        })
-        .map_err(|e| ExhibitError::new("bench perfect-cache pass", e))?;
-    let wall = t0.elapsed().as_secs_f64();
-    cells
-        .into_iter()
-        .collect::<Result<(), String>>()
-        .map_err(|e| ExhibitError::new("bench perfect-cache pass", e))?;
-    Ok(wall)
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn json_str_list(items: &[String]) -> String {
-    let body: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    format!("[{}]", body.join(","))
-}
-
-/// `git describe --always --dirty` of the working tree, or `"unknown"`
-/// when git (or the repository) is unavailable. Identification only —
-/// never on a result path.
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Extracts the contents of the `"trajectory":[...]` array from a prior
-/// `BENCH_sweep.json`, bracket-matching with string awareness so quoted
-/// values cannot derail the scan. Returns the inner text (no brackets),
-/// or `None` if the file has no trajectory yet.
-fn prior_trajectory(json: &str) -> Option<&str> {
-    let start = json.find("\"trajectory\":[")? + "\"trajectory\":[".len();
-    let rest = &json[start..];
-    let (mut depth, mut in_string, mut escaped) = (1usize, false, false);
-    for (i, c) in rest.char_indices() {
-        match (in_string, escaped, c) {
-            (true, true, _) => escaped = false,
-            (true, false, '\\') => escaped = true,
-            (true, false, '"') => in_string = false,
-            (false, _, '"') => in_string = true,
-            (false, _, '[') => depth += 1,
-            (false, _, ']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..i]);
-                }
-            }
-            _ => {}
-        }
+    let sweeps = if fused {
+        engine.grid_sweep(&refs, &base, &configs, &LATENCIES)
+    } else {
+        engine.grid_sweep_unfused(&refs, &base, &configs, &LATENCIES)
     }
-    None
+    .map_err(|e| ExhibitError::new("bench grid sweep", e))?;
+    let wall = t0.elapsed().as_secs_f64();
+    let flat = sweeps
+        .into_iter()
+        .flat_map(|s| s.rows.into_iter().flatten())
+        .collect();
+    Ok((wall, flat))
 }
 
-/// Prints the timing table and writes `BENCH_sweep.json`.
+/// What one invocation measures: the inputs of the `verify.sh` gates.
+struct Gates {
+    runs: usize,
+    threads: usize,
+    cold_wall_s: f64,
+    warm_wall_s: f64,
+    disk_warm_wall_s: f64,
+    /// Unfused wall over fused wall at each of [`FUSION_CHECK_THREADS`].
+    fused_vs_unfused: [f64; 2],
+    bit_identical: bool,
+    /// The main engine's memory tiers: compiled programs, then tapes.
+    compiled: TierStats,
+    tapes: TierStats,
+    /// The main engine's disk counters.
+    store: StoreStats,
+    /// The disk-warm engine's disk counters, kept beside the main
+    /// engine's rather than summed into them.
+    disk_warm_store: StoreStats,
+}
+
+impl Gates {
+    fn speedup_disk_warm_vs_cold(&self) -> f64 {
+        self.cold_wall_s / self.disk_warm_wall_s
+    }
+
+    /// The `bench.json` snapshot.
+    fn json(&self) -> String {
+        let [fused_1t, fused_4t] = self.fused_vs_unfused;
+        format!(
+            concat!(
+                "{{\"kind\":\"bench\",\"runs\":{},\"threads\":{},",
+                "\"cold_wall_s\":{:.6},\"warm_wall_s\":{:.6},\"disk_warm_wall_s\":{:.6},",
+                "\"warm_runs_per_sec\":{:.2},\"speedup_disk_warm_vs_cold\":{:.3},",
+                "\"speedup_fused_vs_unfused_1t\":{:.3},\"speedup_fused_vs_unfused_4t\":{:.3},",
+                "\"bit_identical\":{},\"caches\":{},\"disk_warm_store\":{}}}\n"
+            ),
+            self.runs,
+            self.threads,
+            self.cold_wall_s,
+            self.warm_wall_s,
+            self.disk_warm_wall_s,
+            self.runs as f64 / self.warm_wall_s,
+            self.speedup_disk_warm_vs_cold(),
+            fused_1t,
+            fused_4t,
+            self.bit_identical,
+            report::caches_json(&self.compiled, &self.tapes, &self.store),
+            report::store_json(&self.disk_warm_store),
+        )
+    }
+}
+
+/// Prints the gate table and, with `--json`, writes `bench.json`.
 ///
-/// Pinned to quick scale regardless of `--quick`: this exhibit measures
-/// the harness rather than the workloads, and the JSON it emits is
-/// compared commit over commit, so the grid must not change shape with
-/// command-line flags.
+/// Pinned to quick scale regardless of `--quick`: this exhibit checks
+/// the harness rather than the workloads, and its gates are calibrated
+/// on this grid, so the grid must not change shape with command-line
+/// flags.
 pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
-    let opts = bench_opts();
-    let reps = opts.reps.max(1);
     let programs = programs_for(&ALL, RunScale::Quick)?;
     // The exhibit always runs on a disk-backed store (the configured one,
     // or the conventional default) so the disk-warm phase has artifacts
@@ -237,28 +156,17 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     let runs = ALL.len() * configs.len() * LATENCIES.len();
     let threads = engine.pool().threads();
 
-    // Cold can only be timed once (the caches are warm afterwards); the
-    // repeatable phases take the best of `reps` passes to damp scheduler
-    // noise, after checking every pass agrees bit-for-bit with cold.
-    let (cold_wall, cold) = sweep_pass(&engine, &programs)?;
+    // Cold can only be timed once (the caches are warm afterwards); warm
+    // takes the best of `REPS` passes to damp scheduler noise, after
+    // checking every pass agrees bit-for-bit with cold.
+    let (cold_wall_s, cold) = grid_pass(&engine, &programs, true)?;
     let mut identical = true;
-    let mut warm_wall = f64::INFINITY;
-    for _ in 0..reps {
-        let (wall, pass) = sweep_pass(&engine, &programs)?;
-        warm_wall = warm_wall.min(wall);
+    let mut warm_wall_s = f64::INFINITY;
+    for _ in 0..REPS {
+        let (wall, pass) = grid_pass(&engine, &programs, true)?;
+        warm_wall_s = warm_wall_s.min(wall);
         identical &= pass == cold;
     }
-    // The unfused real-cache wall and the same per-cell walk on a
-    // perfect cache, best of `reps` each: their difference is the time
-    // the memory system adds, the perfect pass the tape scan itself.
-    let (mut unfused_wall, mut tape_scan_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let (wall, pass) = unfused_pass(&engine, &programs)?;
-        unfused_wall = unfused_wall.min(wall);
-        identical &= pass == cold;
-        tape_scan_s = tape_scan_s.min(perfect_pass(&engine, &programs)?);
-    }
-    let mem_step_s = unfused_wall - tape_scan_s;
     // Disk-warm: a fresh engine models a fresh process — empty memory
     // tiers, incremental mode, same (now populated) store. Every cell's
     // inputs are unchanged, so the whole grid is answered from stored
@@ -268,64 +176,62 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         available_threads(),
         ArtifactStore::with_disk(&store_dir, true),
     );
-    let (disk_warm_wall, disk_warm) = sweep_pass(&disk_engine, &programs)?;
+    let (disk_warm_wall_s, disk_warm) = grid_pass(&disk_engine, &programs, true)?;
     identical &= disk_warm == cold;
-    // Fusion check at pinned worker counts: the fused-vs-unfused ratio is
-    // measured at 1 and 4 threads on every invocation (regardless of
-    // `NBL_THREADS`), each side best of `reps` passes so the comparison
-    // is symmetric, and recorded in every trajectory entry — the
-    // regression gate verify.sh enforces. Fresh engines on the populated
-    // store model each shape; their warmup pass (loading tapes from the
-    // disk tier) is untimed and bit-checked like every other pass.
-    const FUSION_CHECK_THREADS: [usize; 2] = [1, 4];
-    let mut fusion_speedups = [0.0f64; 2];
-    for (slot, &t) in fusion_speedups.iter_mut().zip(&FUSION_CHECK_THREADS) {
+    // Fusion check: fresh engines on the populated store model each
+    // pinned shape; their warm-up pass (loading tapes from the disk tier)
+    // is untimed and bit-checked like every other pass, and the fused and
+    // unfused passes interleave so both sides see the same machine state.
+    let mut fused_vs_unfused = [0.0f64; 2];
+    for (slot, &t) in fused_vs_unfused.iter_mut().zip(&FUSION_CHECK_THREADS) {
         let check_engine = SweepEngine::with_store(t, ArtifactStore::with_disk(&store_dir, false));
-        let (_, warmup) = sweep_pass(&check_engine, &programs)?;
+        let (_, warmup) = grid_pass(&check_engine, &programs, true)?;
         identical &= warmup == cold;
         let (mut fused_best, mut unfused_best) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            let (wall, pass) = sweep_pass(&check_engine, &programs)?;
+        for _ in 0..REPS {
+            let (wall, pass) = grid_pass(&check_engine, &programs, true)?;
             fused_best = fused_best.min(wall);
             identical &= pass == cold;
-            let (wall, pass) = unfused_pass(&check_engine, &programs)?;
+            let (wall, pass) = grid_pass(&check_engine, &programs, false)?;
             unfused_best = unfused_best.min(wall);
             identical &= pass == cold;
         }
         *slot = unfused_best / fused_best;
     }
-    let [speedup_fused_vs_unfused_1t, speedup_fused_vs_unfused_4t] = fusion_speedups;
-    let speedup_vs_cold = cold_wall / warm_wall;
-    let speedup_fused_vs_unfused = unfused_wall / warm_wall;
-    let speedup_disk_warm_vs_cold = cold_wall / disk_warm_wall;
-    let fusion_regressed = speedup_fused_vs_unfused_1t < 1.0 || speedup_fused_vs_unfused_4t < 1.0;
     let (compiled, tapes) = engine.store().memory_stats();
-    let store = engine.store().disk_stats();
-    let disk_store = disk_engine.store().disk_stats();
-    let git = git_describe();
+    let gates = Gates {
+        runs,
+        threads,
+        cold_wall_s,
+        warm_wall_s,
+        disk_warm_wall_s,
+        fused_vs_unfused,
+        bit_identical: identical,
+        compiled,
+        tapes,
+        store: engine.store().disk_stats(),
+        disk_warm_store: disk_engine.store().disk_stats(),
+    };
 
     let _ = writeln!(
         out,
-        "== bench: record-once/replay-many pipeline timing (pinned quick scale) =="
+        "== bench: record-once/replay-many pipeline gates (pinned quick scale) =="
     );
     let _ = writeln!(
         out,
-        "{} cells: {} benchmarks x {} configs x {} latencies, {} worker thread{}, best of {} pass{}",
+        "{} cells: {} benchmarks x {} configs x {} latencies, {} worker thread{}, best of {REPS} passes",
         runs,
         ALL.len(),
         configs.len(),
         LATENCIES.len(),
         threads,
         if threads == 1 { "" } else { "s" },
-        reps,
-        if reps == 1 { "" } else { "es" }
     );
     let _ = writeln!(out, "{:>24} {:>9} {:>9}", "phase", "wall (s)", "runs/s");
     for (name, wall) in [
-        ("cold (compile+record)", cold_wall),
-        ("warm (fused replay)", warm_wall),
-        ("warm (unfused replay)", unfused_wall),
-        ("disk-warm (incremental)", disk_warm_wall),
+        ("cold (compile+record)", cold_wall_s),
+        ("warm (fused replay)", warm_wall_s),
+        ("disk-warm (incremental)", disk_warm_wall_s),
     ] {
         let _ = writeln!(
             out,
@@ -337,31 +243,16 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     }
     let _ = writeln!(
         out,
-        "speedup: warm fused vs unfused {speedup_fused_vs_unfused:.2}x, vs cold {speedup_vs_cold:.2}x"
-    );
-    let _ = writeln!(
-        out,
-        "         disk-warm vs cold {speedup_disk_warm_vs_cold:.2}x (fresh process reading {})",
+        "speedup: disk-warm vs cold {:.2}x (fresh process reading {})",
+        gates.speedup_disk_warm_vs_cold(),
         store_dir.display()
     );
+    let [fused_1t, fused_4t] = fused_vs_unfused;
     let _ = writeln!(
         out,
-        "fusion check (best of {reps} each side): 1 thread {speedup_fused_vs_unfused_1t:.2}x, \
-         4 threads {speedup_fused_vs_unfused_4t:.2}x fused vs unfused"
+        "fusion check (best of {REPS} each side): 1 thread {fused_1t:.2}x, \
+         4 threads {fused_4t:.2}x fused vs unfused"
     );
-    let _ = writeln!(
-        out,
-        "unfused split: tape scan {tape_scan_s:.3}s (perfect-cache pass) + mem step \
-         {mem_step_s:.3}s (real-cache wall minus it)"
-    );
-    if fusion_regressed {
-        let _ = writeln!(
-            out,
-            "NOTE: fused replay LOST to unfused at a pinned thread count \
-             (1t {speedup_fused_vs_unfused_1t:.2}x, 4t {speedup_fused_vs_unfused_4t:.2}x) — \
-             row-span scheduling should keep fused ahead; investigate before trusting timings"
-        );
-    }
     let _ = writeln!(
         out,
         "caches: {} compiles + {} hits, {} tape records + {} replays ({:.2} MiB resident)",
@@ -371,6 +262,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         tapes.hits,
         tapes.resident_bytes as f64 / (1024.0 * 1024.0)
     );
+    let (store, disk_store) = (gates.store, gates.disk_warm_store);
     let _ = writeln!(
         out,
         "store:  tapes {}h/{}m/{}w, results {}h/{}m/{}w (main) + {}h/{}m (disk-warm), {} corrupt, {} io errors",
@@ -390,130 +282,121 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         "results bit-identical across all passes (fused/unfused/disk-warm): {}",
         if identical { "yes" } else { "NO" }
     );
-
-    // One trajectory entry per invocation; the file accumulates them so
-    // BENCH_sweep.json reads as a perf history across runs.
-    let entry = format!(
-        concat!(
-            "{{\"date\":\"{}\",\"git\":\"{}\",\"threads\":{},\"reps\":{},",
-            "\"cold_wall_s\":{:.6},\"warm_wall_s\":{:.6},\"unfused_wall_s\":{:.6},",
-            "\"disk_warm_wall_s\":{:.6},",
-            "\"tape_scan_s\":{:.6},\"mem_step_s\":{:.6},",
-            "\"warm_runs_per_sec\":{:.2},",
-            "\"speedup_fused_vs_unfused\":{:.3},",
-            "\"speedup_fused_vs_unfused_1t\":{:.3},\"speedup_fused_vs_unfused_4t\":{:.3},",
-            "\"speedup_disk_warm_vs_cold\":{:.3},\"fusion_regressed\":{},",
-            "\"bit_identical\":{},\"oracle_checked\":{}}}"
-        ),
-        json_escape(&opts.date),
-        json_escape(&git),
-        threads,
-        reps,
-        cold_wall,
-        warm_wall,
-        unfused_wall,
-        disk_warm_wall,
-        tape_scan_s,
-        mem_step_s,
-        runs as f64 / warm_wall,
-        speedup_fused_vs_unfused,
-        speedup_fused_vs_unfused_1t,
-        speedup_fused_vs_unfused_4t,
-        speedup_disk_warm_vs_cold,
-        fusion_regressed,
-        identical,
-        // Set by verify.sh once the oracle gate has passed in the same
-        // verification run, so the perf history records whether each
-        // entry's commit was also oracle-clean.
-        std::env::var("NBL_ORACLE_CHECKED").is_ok_and(|v| v == "1"),
-    );
-    let path = std::env::var("NBL_BENCH_JSON").unwrap_or_else(|_| "BENCH_sweep.json".to_string());
-    let trajectory = match std::fs::read_to_string(&path)
-        .ok()
-        .as_deref()
-        .and_then(prior_trajectory)
-    {
-        Some(prior) if !prior.trim().is_empty() => format!("{prior},{entry}"),
-        _ => entry,
-    };
-
-    // Both engines share one disk directory, so their counters combine
-    // into a single per-process store telemetry object.
-    let combined = StoreStats {
-        tape_hits: store.tape_hits + disk_store.tape_hits,
-        tape_misses: store.tape_misses + disk_store.tape_misses,
-        tape_writes: store.tape_writes + disk_store.tape_writes,
-        result_hits: store.result_hits + disk_store.result_hits,
-        result_misses: store.result_misses + disk_store.result_misses,
-        result_writes: store.result_writes + disk_store.result_writes,
-        corruptions: store.corruptions + disk_store.corruptions,
-        io_errors: store.io_errors + disk_store.io_errors,
-    };
-    let latencies_json = format!("[{}]", LATENCIES.map(|l| l.to_string()).join(","));
-    let json = format!(
-        concat!(
-            "{{\"kind\":\"bench_sweep\",\"scale\":\"quick\",",
-            "\"benchmarks\":{},\"configs\":{},\"load_latencies\":{},",
-            "\"runs\":{},\"threads\":{},\"reps\":{},\"git\":\"{}\",\"date\":\"{}\",",
-            "\"cold_wall_s\":{:.6},\"warm_wall_s\":{:.6},\"unfused_wall_s\":{:.6},",
-            "\"disk_warm_wall_s\":{:.6},",
-            "\"tape_scan_s\":{:.6},\"mem_step_s\":{:.6},",
-            "\"warm_runs_per_sec\":{:.2},",
-            "\"speedup_fused_vs_unfused\":{:.3},",
-            "\"speedup_fused_vs_unfused_1t\":{:.3},\"speedup_fused_vs_unfused_4t\":{:.3},",
-            "\"speedup_warm_vs_cold\":{:.3},\"speedup_disk_warm_vs_cold\":{:.3},",
-            "\"fusion_regressed\":{},",
-            "\"bit_identical\":{},\"caches\":{},",
-            "\"trajectory\":[{}]}}\n"
-        ),
-        json_str_list(&ALL.map(String::from)),
-        json_str_list(&configs.iter().map(HwConfig::label).collect::<Vec<_>>()),
-        latencies_json,
-        runs,
-        threads,
-        reps,
-        json_escape(&git),
-        json_escape(&opts.date),
-        cold_wall,
-        warm_wall,
-        unfused_wall,
-        disk_warm_wall,
-        tape_scan_s,
-        mem_step_s,
-        runs as f64 / warm_wall,
-        speedup_fused_vs_unfused,
-        speedup_fused_vs_unfused_1t,
-        speedup_fused_vs_unfused_4t,
-        speedup_vs_cold,
-        speedup_disk_warm_vs_cold,
-        fusion_regressed,
-        identical,
-        report::caches_json(&compiled, &tapes, &combined),
-        trajectory,
-    );
-    std::fs::write(&path, json).map_err(|e| ExhibitError::new(format!("writing {path}"), e))?;
-    let n_entries = trajectory.matches("\"date\"").count();
-    let _ = writeln!(out, "wrote {path} ({n_entries}-entry trajectory)");
     let _ = writeln!(out);
-    Ok(())
+    write_json("bench", &gates.json())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prior_trajectory;
+    use super::*;
+
+    /// Every object key in `json` as a dotted path, in document order.
+    /// Enough for the snapshot, whose strings hold no quotes or braces.
+    fn key_paths(json: &str) -> Vec<String> {
+        let (mut open, mut paths) = (Vec::<&str>::new(), Vec::new());
+        let mut rest = json;
+        while let Some(at) = rest.find(['{', '}', '"']) {
+            let (token, tail) = rest[at..].split_at(1);
+            rest = tail;
+            match token {
+                "{" => open.push(""),
+                "}" => {
+                    open.pop();
+                }
+                _ => {
+                    let end = rest.find('"').expect("closed string");
+                    let (text, tail) = rest.split_at(end);
+                    rest = &tail[1..];
+                    if rest.starts_with(':') {
+                        if let Some(key) = open.last_mut() {
+                            *key = text;
+                        }
+                        paths.push(open.join("."));
+                    }
+                }
+            }
+        }
+        paths
+    }
 
     #[test]
-    fn trajectory_extraction_handles_missing_empty_and_tricky_strings() {
-        assert_eq!(prior_trajectory("{\"kind\":\"bench_sweep\"}"), None);
-        assert_eq!(prior_trajectory("{\"trajectory\":[]}"), Some(""));
-        let one = "{\"trajectory\":[{\"date\":\"2026-08-08\",\"x\":[1,2]}]}";
-        assert_eq!(
-            prior_trajectory(one),
-            Some("{\"date\":\"2026-08-08\",\"x\":[1,2]}")
-        );
-        // Brackets and escaped quotes inside string values must not
-        // derail the bracket matcher.
-        let tricky = "{\"trajectory\":[{\"git\":\"v1-g0a]\\\"[\"}],\"z\":1}";
-        assert_eq!(prior_trajectory(tricky), Some("{\"git\":\"v1-g0a]\\\"[\"}"));
+    fn snapshot_pins_the_keys_verify_reads() {
+        let gates = Gates {
+            runs: 864,
+            threads: 2,
+            cold_wall_s: 0.5,
+            warm_wall_s: 0.25,
+            disk_warm_wall_s: 0.01,
+            fused_vs_unfused: [1.5, 1.25],
+            bit_identical: true,
+            compiled: TierStats::default(),
+            tapes: TierStats {
+                derived: 66,
+                ..TierStats::default()
+            },
+            store: StoreStats {
+                tape_hits: 7,
+                ..StoreStats::default()
+            },
+            disk_warm_store: StoreStats {
+                result_hits: 864,
+                ..StoreStats::default()
+            },
+        };
+        let json = gates.json();
+        let store_keys = [
+            "tape_hits",
+            "tape_misses",
+            "tape_writes",
+            "result_hits",
+            "result_misses",
+            "result_writes",
+            "corruptions",
+            "io_errors",
+        ];
+        let mut expected: Vec<String> = [
+            "kind",
+            "runs",
+            "threads",
+            "cold_wall_s",
+            "warm_wall_s",
+            "disk_warm_wall_s",
+            "warm_runs_per_sec",
+            "speedup_disk_warm_vs_cold",
+            "speedup_fused_vs_unfused_1t",
+            "speedup_fused_vs_unfused_4t",
+            "bit_identical",
+            "caches",
+            "caches.compile_cache",
+            "caches.compile_cache.compiles",
+            "caches.compile_cache.hits",
+            "caches.tape_cache",
+            "caches.tape_cache.records",
+            "caches.tape_cache.hits",
+            "caches.tape_cache.evictions",
+            "caches.tape_cache.resident_bytes",
+            "caches.store",
+        ]
+        .map(String::from)
+        .into();
+        expected.extend(store_keys.map(|k| format!("caches.store.{k}")));
+        expected.push("disk_warm_store".into());
+        expected.extend(store_keys.map(|k| format!("disk_warm_store.{k}")));
+        assert_eq!(key_paths(&json), expected);
+        // Derived gate inputs, and the two engines' store counters
+        // reported apart.
+        for pair in [
+            "\"warm_runs_per_sec\":3456.00",
+            "\"speedup_disk_warm_vs_cold\":50.000",
+            "\"speedup_fused_vs_unfused_4t\":1.250",
+            "\"bit_identical\":true",
+            "\"tape_cache\":{\"records\":66,",
+            "\"store\":{\"tape_hits\":7,",
+            "\"disk_warm_store\":{\"tape_hits\":0,",
+            "\"result_hits\":864,",
+        ] {
+            assert!(json.contains(pair), "{pair} missing from {json}");
+        }
+        assert_eq!(json.matches("\"result_hits\":864").count(), 1);
     }
 }

@@ -30,15 +30,14 @@ pub const BENCHMARKS: [&str; 5] = ["doduc", "eqntott", "su2cor", "tomcatv", "xli
 
 /// Snaps a scaled latency to the nearest compiled value.
 pub fn snap_latency(scaled: f64) -> u32 {
-    LATENCIES
-        .into_iter()
-        .min_by(|a, b| {
-            (f64::from(*a) - scaled)
-                .abs()
-                .partial_cmp(&(f64::from(*b) - scaled).abs())
-                .expect("finite")
-        })
-        .expect("non-empty latency set")
+    let distance = |l: u32| (f64::from(l) - scaled).abs();
+    LATENCIES.into_iter().fold(LATENCIES[0], |best, l| {
+        if distance(l).total_cmp(&distance(best)).is_lt() {
+            l
+        } else {
+            best
+        }
+    })
 }
 
 /// Prints the Fig. 19 comparison.

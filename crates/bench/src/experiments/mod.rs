@@ -192,7 +192,7 @@ pub const EXHIBITS: &[Exhibit] = &[
     },
     Exhibit {
         name: "bench",
-        about: "record/replay pipeline timing on a pinned grid (BENCH_sweep.json)",
+        about: "record/replay pipeline gates on a pinned grid (bench.json with --json)",
         run: bench::run,
     },
 ];
@@ -244,34 +244,6 @@ pub fn write_json(name: &str, contents: &str) -> Result<(), ExhibitError> {
             .map_err(|e| ExhibitError::new(format!("writing {}", path.display()), e))?;
     }
     Ok(())
-}
-
-/// Command-line knobs for the `bench` exhibit, set once before exhibits
-/// run (mirrors [`enable_csv`]/[`enable_json`]).
-#[derive(Debug, Clone)]
-pub struct BenchOpts {
-    /// Best-of-N repetitions for each repeatable timed phase.
-    pub reps: usize,
-    /// ISO date stamped into the trajectory entry. Supplied by the
-    /// caller (`--bench-date` or `NBL_BENCH_DATE`) rather than read from
-    /// the wall clock, keeping result-producing code clock-free.
-    pub date: String,
-}
-
-static BENCH_OPTS: OnceLock<BenchOpts> = OnceLock::new();
-
-/// Registers the `bench` exhibit's options. Call once, before exhibits.
-pub fn set_bench_opts(opts: BenchOpts) {
-    let _ = BENCH_OPTS.set(opts);
-}
-
-/// The `bench` options in effect: whatever [`set_bench_opts`] installed,
-/// else best-of-2 with the date from `NBL_BENCH_DATE` (or `"unknown"`).
-pub fn bench_opts() -> BenchOpts {
-    BENCH_OPTS.get().cloned().unwrap_or_else(|| BenchOpts {
-        reps: 2,
-        date: std::env::var("NBL_BENCH_DATE").unwrap_or_else(|_| "unknown".to_string()),
-    })
 }
 
 /// The load latencies the paper sweeps.

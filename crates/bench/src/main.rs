@@ -25,7 +25,7 @@ use nbl_sim::telemetry::{Telemetry, TelemetrySnapshot};
 use std::io::Write;
 use std::time::Instant;
 
-const USAGE: &str = "usage: figures <exhibit ... | all | list> [--quick] [--out FILE] [--csv DIR] [--json DIR]\n                                                  [--bench-reps N] [--bench-date ISO]\n                                                  [--store DIR] [--incremental]\n       run `figures list` for the registered exhibits";
+const USAGE: &str = "usage: figures <exhibit ... | all | list> [--quick] [--out FILE] [--csv DIR] [--json DIR]\n                                                  [--store DIR] [--incremental]\n       run `figures list` for the registered exhibits";
 
 /// One timed exhibit: name, wall-clock seconds, simulated work done.
 struct Timing {
@@ -151,9 +151,6 @@ fn print_exhibits() {
     println!("options:  --quick (smoke scale), --out FILE (tee), --csv DIR (sweep CSVs),");
     println!("          --json DIR (machine-readable results, e.g. results/),");
     println!(
-        "          --bench-reps N (best-of-N bench phases), --bench-date ISO (trajectory stamp),"
-    );
-    println!(
         "          --store DIR (persist tapes/results in a content-addressed artifact store),"
     );
     println!(
@@ -168,15 +165,19 @@ fn main() {
     let mut scale = RunScale::Full;
     let mut out_path: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
-    let mut bench_reps: Option<usize> = None;
-    let mut bench_date: Option<String> = None;
     let mut store_dir: Option<String> = None;
     let mut incremental = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => scale = RunScale::Quick,
-            "--out" => out_path = it.next(),
+            "--out" => {
+                let Some(path) = it.next() else {
+                    eprintln!("--out needs a file");
+                    std::process::exit(2);
+                };
+                out_path = Some(path);
+            }
             "--store" => {
                 let Some(dir) = it.next() else {
                     eprintln!("--store needs a directory");
@@ -185,21 +186,6 @@ fn main() {
                 store_dir = Some(dir);
             }
             "--incremental" => incremental = true,
-            "--bench-reps" => {
-                let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|n| *n >= 1) else {
-                    eprintln!("--bench-reps needs a positive integer");
-                    std::process::exit(2);
-                };
-                bench_reps = Some(n);
-            }
-            "--bench-date" => {
-                let Some(d) = it.next() else {
-                    eprintln!("--bench-date needs a date string (e.g. 2026-08-08)");
-                    std::process::exit(2);
-                };
-                bench_date = Some(d);
-            }
             "--csv" => {
                 let Some(dir) = it.next() else {
                     eprintln!("--csv needs a directory");
@@ -247,13 +233,6 @@ fn main() {
     }
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
-    if bench_reps.is_some() || bench_date.is_some() {
-        let defaults = experiments::bench_opts();
-        experiments::set_bench_opts(experiments::BenchOpts {
-            reps: bench_reps.unwrap_or(defaults.reps),
-            date: bench_date.unwrap_or(defaults.date),
-        });
-    }
     if store_dir.is_some() || incremental {
         // Flags override the NBL_STORE_DIR / NBL_INCREMENTAL environment;
         // must be pinned before any exhibit builds the global engine.

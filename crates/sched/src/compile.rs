@@ -39,6 +39,12 @@ pub enum CompileError {
     /// More loop-carried registers were requested than the architecture
     /// has (the generators keep well under this).
     TooManyCarried(RegClass),
+    /// The list scheduler placed fewer ops than a block holds: its
+    /// dependences form a cycle.
+    Unscheduled {
+        /// Index of the failing block.
+        block: usize,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -49,6 +55,9 @@ impl std::fmt::Display for CompileError {
             }
             CompileError::TooManyCarried(c) => {
                 write!(f, "too many loop-carried {c:?} registers")
+            }
+            CompileError::Unscheduled { block } => {
+                write!(f, "dependence cycle left ops unscheduled in block {block}")
             }
         }
     }
@@ -128,6 +137,9 @@ pub fn compile(program: &Program, load_latency: u32) -> Result<CompiledProgram, 
     let mut blocks: Vec<MachineBlock> = Vec::with_capacity(program.blocks.len());
     for (bi, block) in program.blocks.iter().enumerate() {
         let order = schedule(block, load_latency);
+        if order.len() != block.ops.len() {
+            return Err(CompileError::Unscheduled { block: bi });
+        }
         let scheduled_ops = order.iter().map(|&i| block.ops[i]).collect();
         let mut ctx = AllocContext {
             carried: &carried_maps[bi],

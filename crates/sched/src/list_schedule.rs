@@ -105,7 +105,11 @@ fn heights(ops: &[IrOp], succs: &[Vec<(usize, u32)>]) -> Vec<u64> {
 }
 
 /// Schedules `block` for `load_latency`, returning the op indices in their
-/// new order. The permutation respects every dependence in the block.
+/// new order. The permutation respects every dependence in the block. It
+/// is short of `block.ops.len()` only if the dependences form a cycle,
+/// which cannot happen: every edge runs forward in source order.
+/// [`crate::compile::compile`] reports a short order as
+/// [`crate::compile::CompileError::Unscheduled`].
 ///
 /// # Examples
 ///
@@ -167,7 +171,11 @@ pub fn schedule(block: &Block, load_latency: u32) -> Vec<usize> {
         let Some((_, Reverse(i))) = ready.pop() else {
             // Nothing ready: jump to the next ready time (the machine
             // would be idle; the *sequence* simply continues there).
-            let (Reverse(rt), _) = *pending.peek().expect("acyclic DAG always progresses");
+            // Nothing pending either: only a dependence cycle strands
+            // ops, and the caller reports the short order.
+            let Some(&(Reverse(rt), _)) = pending.peek() else {
+                break;
+            };
             clock = rt;
             continue;
         };

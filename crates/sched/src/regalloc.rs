@@ -112,9 +112,12 @@ fn scan(
 ) -> Result<FastMap<VirtReg, PhysReg>, Result<VirtReg, AllocError>> {
     let ivs = intervals(ops, carried);
     let mut assignment: FastMap<VirtReg, PhysReg> = FastMap::default();
-    let mut free: FastMap<RegClass, Vec<PhysReg>> = FastMap::default();
-    free.insert(RegClass::Int, int_pool.to_vec());
-    free.insert(RegClass::Fp, fp_pool.to_vec());
+    // Free registers per class: `free[slot(class)]`.
+    let mut free = [int_pool.to_vec(), fp_pool.to_vec()];
+    let slot = |class| match class {
+        RegClass::Int => 0,
+        RegClass::Fp => 1,
+    };
     // Active intervals per class, with their ends.
     let mut active: Vec<Interval> = Vec::new();
     for iv in &ivs {
@@ -125,15 +128,13 @@ fn scan(
         // because the source is read while the destination is written).
         active.retain(|a| {
             if a.end < iv.start {
-                free.get_mut(&classes[a.vreg.0 as usize])
-                    .expect("class pools exist")
-                    .push(assignment[&a.vreg]);
+                free[slot(classes[a.vreg.0 as usize])].push(assignment[&a.vreg]);
                 false
             } else {
                 true
             }
         });
-        let pool = free.get_mut(&class).expect("class pools exist");
+        let pool = &mut free[slot(class)];
         if let Some(reg) = pool.pop() {
             assignment.insert(iv.vreg, reg);
             active.push(*iv);

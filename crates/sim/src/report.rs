@@ -489,8 +489,8 @@ pub fn store_json(store: &StoreStats) -> String {
 
 /// Serializes the store's memory-tier counters (compiled programs, then
 /// tapes) and its disk counters as one JSON object, so any emitter can
-/// place artifact-store telemetry next to its runs (`BENCH_sweep.json`
-/// embeds this under its `caches` key).
+/// place artifact-store telemetry next to its runs (the `bench`
+/// exhibit's `bench.json` snapshot embeds this under its `caches` key).
 pub fn caches_json(compiled: &TierStats, tapes: &TierStats, store: &StoreStats) -> String {
     format!(
         concat!(

@@ -220,86 +220,70 @@ assert best >= 90.0, f"best lru coverage {best:.1f}% < 90%"
 print("oracle.json: shape + coverage floor OK")
 EOF
 
-echo "== smoke: bench rail (fused/unfused/disk-warm + artifact store) =="
-bench_json="$replsens_dir/bench.json"
+echo "== smoke: bench gates (fused/unfused/disk-warm + artifact store) =="
 bench_store="$replsens_dir/store"
-bench_date="$(git log -1 --format=%cs 2>/dev/null || echo unknown)"
-# Two processes against one artifact store: the first populates the disk
-# tier from scratch, the second must warm-start from it — tapes decoded
-# instead of re-recorded, and still bit-identical. The second runs on a
-# pinned 4-thread pool so the multi-thread sweep scheduling is exercised
-# cross-process. The real commit date (not a placeholder) stamps both
-# trajectory entries.
-# NBL_ORACLE_CHECKED=1: the oracle gate above passed in this same
-# verification run, so both trajectory entries record oracle_checked.
-NBL_BENCH_JSON="$bench_json" NBL_BENCH_DATE="$bench_date" NBL_ORACLE_CHECKED=1 \
-  cargo run --release -p nbl-bench -- bench --store "$bench_store" \
-  --bench-reps 2 --out /dev/null >/dev/null
-NBL_BENCH_JSON="$bench_json" NBL_BENCH_DATE="$bench_date" NBL_ORACLE_CHECKED=1 \
-  NBL_THREADS=4 \
-  cargo run --release -p nbl-bench -- bench --store "$bench_store" \
-  --bench-reps 2 --out /dev/null >/dev/null
-python3 - "$bench_json" "$bench_date" <<'EOF'
+# Two processes against one artifact store, each writing its own
+# bench.json: the first populates the disk tier from scratch, the second
+# must warm-start from it — tapes decoded instead of re-recorded, and
+# still bit-identical. The second runs on a pinned 4-thread pool so the
+# multi-thread sweep scheduling is exercised cross-process.
+cargo run --release -p nbl-bench -- bench --store "$bench_store" \
+  --json "$replsens_dir/bench1" --out /dev/null >/dev/null
+NBL_THREADS=4 cargo run --release -p nbl-bench -- bench --store "$bench_store" \
+  --json "$replsens_dir/bench2" --out /dev/null >/dev/null
+python3 - "$replsens_dir"/bench{1,2}/bench.json <<'EOF'
 import json, sys
-d = json.load(open(sys.argv[1]))
-bench_date = sys.argv[2]
-assert d["kind"] == "bench_sweep", d["kind"]
-assert d["runs"] == len(d["benchmarks"]) * len(d["configs"]) * len(d["load_latencies"])
-assert d["bit_identical"] is True, "a replay or store path diverged"
-for key in ("cold_wall_s", "warm_wall_s", "unfused_wall_s",
-            "disk_warm_wall_s", "tape_scan_s", "mem_step_s",
-            "speedup_fused_vs_unfused", "speedup_warm_vs_cold",
-            "speedup_disk_warm_vs_cold"):
-    assert d[key] > 0, key
-# Fusion gate: fused replay must beat unfused at both pinned thread
-# counts — fusion-aware row-span scheduling is what holds the 4-thread
-# side, so a regression here is a scheduling or kernel defect.
-assert d["fusion_regressed"] is False, \
-    "fused replay lost to unfused at a pinned thread count"
-for key in ("speedup_fused_vs_unfused_1t", "speedup_fused_vs_unfused_4t"):
-    assert d[key] > 1.0, (key, d[key])
-# Throughput floor: well below any observed machine (baseline ~2.7k/s
-# before fusion) but high enough to catch a pipeline-wide regression.
-assert d["warm_runs_per_sec"] >= 2000, d["warm_runs_per_sec"]
-traj = d["trajectory"]
-assert [e["date"] for e in traj] == [bench_date, bench_date], traj
-assert bench_date != "unknown", "commit date must resolve"
-for e in traj:
-    for key in ("git", "threads", "reps", "warm_runs_per_sec", "disk_warm_wall_s",
-                "speedup_disk_warm_vs_cold", "fusion_regressed", "bit_identical",
-                "speedup_fused_vs_unfused_1t", "speedup_fused_vs_unfused_4t",
-                "tape_scan_s", "mem_step_s", "oracle_checked"):
-        assert key in e, key
-    assert e["bit_identical"] is True, e
-    assert e["fusion_regressed"] is False, e
-    assert e["oracle_checked"] is True, e
+first, second = (json.load(open(p)) for p in sys.argv[1:])
+store_keys = {"tape_hits", "tape_misses", "tape_writes",
+              "result_hits", "result_misses", "result_writes",
+              "corruptions", "io_errors"}
+for d in (first, second):
+    assert d["kind"] == "bench", d["kind"]
+    # 18 benchmarks x 8 configurations x 6 latencies.
+    assert d["runs"] == 864, d["runs"]
+    assert d["bit_identical"] is True, "a replay or store path diverged"
+    for key in ("cold_wall_s", "warm_wall_s", "disk_warm_wall_s",
+                "speedup_disk_warm_vs_cold"):
+        assert d[key] > 0, key
+    # Fusion gate: fused replay must beat unfused at both pinned thread
+    # counts — fusion-aware row-span scheduling is what holds the
+    # 4-thread side, so a regression here is a scheduling or kernel
+    # defect.
+    for key in ("speedup_fused_vs_unfused_1t", "speedup_fused_vs_unfused_4t"):
+        assert d[key] > 1.0, (key, d[key])
+    caches = d["caches"]
+    assert set(caches) == {"compile_cache", "tape_cache", "store"}, caches
+    assert set(caches["compile_cache"]) == {"compiles", "hits"}, caches["compile_cache"]
+    assert set(caches["tape_cache"]) == {"records", "hits", "evictions",
+                                         "resident_bytes"}, caches["tape_cache"]
+    for store in (caches["store"], d["disk_warm_store"]):
+        assert set(store) == store_keys, store
+        assert store["corruptions"] == 0 and store["io_errors"] == 0, store
+    # The disk-warm phase answers every cell from stored results.
+    assert d["disk_warm_store"]["result_hits"] >= d["runs"], d["disk_warm_store"]
+# Throughput floor on the 4-thread run: well below any observed machine
+# (baseline ~2.7k/s before fusion) but high enough to catch a
+# pipeline-wide regression.
+assert second["warm_runs_per_sec"] >= 2000, second["warm_runs_per_sec"]
 # Acceptance floor: a fresh incremental process over the populated store
-# must beat the cold (empty-store) pass by at least 1.5x. Entry 0 is the
-# only run whose cold pass saw an empty store.
-assert traj[0]["speedup_disk_warm_vs_cold"] >= 1.5, traj[0]
-caches = d["caches"]
-pairs = len(d["benchmarks"]) * len(d["load_latencies"])
-store = caches["store"]
-assert set(store) == {"tape_hits", "tape_misses", "tape_writes",
-                      "result_hits", "result_misses", "result_writes",
-                      "corruptions", "io_errors"}, store
-assert set(caches) == {"compile_cache", "tape_cache", "store"}, caches
-assert set(caches["compile_cache"]) == {"compiles", "hits"}, caches["compile_cache"]
-assert set(caches["tape_cache"]) == {"records", "hits", "evictions",
-                                     "resident_bytes"}, caches["tape_cache"]
+# must beat the cold (empty-store) pass by at least 1.5x. The first run
+# is the only one whose cold pass saw an empty store.
+assert first["speedup_disk_warm_vs_cold"] >= 1.5, first
 # Second process: every tape decoded from the disk tier, none
-# re-recorded; all 864 cells answered by the disk-warm phase. Tapes are
-# per schedule: the 108 (benchmark, latency) pairs compile to 66
-# schedules, and the other 42 pairs' lookups are memory-tier hits.
-schedules = 66
-assert caches["tape_cache"]["records"] == 0, caches["tape_cache"]
+# re-recorded. Tapes are per schedule: the 108 (benchmark, latency)
+# pairs compile to 66 schedules, and the other 42 pairs' lookups are
+# memory-tier hits.
+pairs, schedules = 18 * 6, 66
+tape_cache, store = second["caches"]["tape_cache"], second["caches"]["store"]
+assert tape_cache["records"] == 0, tape_cache
 assert store["tape_hits"] == schedules, store
-assert caches["tape_cache"]["records"] + store["tape_hits"] == schedules
-assert caches["tape_cache"]["hits"] >= pairs - schedules, caches["tape_cache"]
-assert store["result_hits"] >= d["runs"], store
-assert store["corruptions"] == 0 and store["io_errors"] == 0, store
-assert caches["tape_cache"]["hits"] > 0
-print("bench.json: shape + floors + store telemetry + 2-entry trajectory OK")
+assert tape_cache["records"] + store["tape_hits"] == schedules
+assert tape_cache["hits"] >= pairs - schedules, tape_cache
+assert tape_cache["hits"] > 0
+print("bench.json: gates + store telemetry OK (2 runs)")
 EOF
+
+echo "== cli: --out with no file exits 2 =="
+rc=0; ./target/release/figures fig5 --out >/dev/null 2>&1 || rc=$?; test "$rc" -eq 2
 
 echo "verify: OK"
