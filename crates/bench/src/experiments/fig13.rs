@@ -10,27 +10,20 @@ use nbl_trace::ir::Program;
 use nbl_trace::workloads::ALL;
 use std::io::Write;
 
-/// All 18 rows — the full 18 × 6 grid as one flat pool invocation, each
-/// benchmark compiled once (at latency 10) for all six configurations.
+/// All 18 rows — the full 18 × 6 grid as one fused grid sweep at the
+/// baseline latency, each benchmark compiled once (at latency 10) and
+/// replayed once for all six configurations.
 pub fn grid(scale: RunScale) -> Result<Vec<(&'static str, Vec<RunResult>)>, ExhibitError> {
     let programs = programs_for(&ALL, scale)?;
-    let configs = HwConfig::table13_six();
-    let nc = configs.len();
-    let jobs: Vec<(&Program, SimConfig)> = programs
-        .iter()
-        .flat_map(|p| {
-            configs
-                .iter()
-                .map(move |hw| (p, SimConfig::baseline(hw.clone())))
-        })
-        .collect();
-    let results = engine()
-        .run_many(&jobs)
+    let refs: Vec<&Program> = programs.iter().collect();
+    let base = SimConfig::baseline(HwConfig::NoRestrict);
+    let sweeps = engine()
+        .grid_sweep(&refs, &base, &HwConfig::table13_six(), &[base.load_latency])
         .map_err(|e| ExhibitError::new("Fig. 13 grid over all 18 benchmarks", e))?;
-    let mut iter = results.into_iter();
     Ok(ALL
         .iter()
-        .map(|name| (*name, iter.by_ref().take(nc).collect()))
+        .zip(sweeps)
+        .map(|(name, sweep)| (*name, sweep.rows.into_iter().flatten().collect()))
         .collect())
 }
 

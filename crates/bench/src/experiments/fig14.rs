@@ -11,7 +11,6 @@ use nbl_core::geometry::CacheGeometry;
 use nbl_core::mshr::cost::MshrCostModel;
 use nbl_core::mshr::TargetPolicy;
 use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_trace::ir::Program;
 use std::io::Write;
 
 /// The (sub-blocks, misses-per-sub-block) grid of the paper's Fig. 14:
@@ -38,23 +37,20 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
     let geom = CacheGeometry::baseline();
     let costs = MshrCostModel::default();
 
-    // One pool invocation: the unrestricted reference plus every layout.
+    // One fused row: the unrestricted reference, then every layout.
     let points: Vec<(u32, u32, TargetPolicy)> = GRID
         .iter()
         .copied()
         .chain(std::iter::once(IMPLICIT_8))
         .map(|(sub, misses)| (sub, misses, policy_for(sub, misses)))
         .collect();
-    let mut jobs: Vec<(&Program, SimConfig)> =
-        vec![(&p, SimConfig::baseline(HwConfig::NoRestrict))];
-    jobs.extend(
-        points
-            .iter()
-            .map(|(_, _, pol)| (&p, SimConfig::baseline(HwConfig::Targets(*pol)))),
-    );
-    let results = engine()
-        .run_many(&jobs)
+    let mut configs = vec![HwConfig::NoRestrict];
+    configs.extend(points.iter().map(|(_, _, pol)| HwConfig::Targets(*pol)));
+    let base = SimConfig::baseline(HwConfig::NoRestrict);
+    let sweep = engine()
+        .latency_sweep(&p, &base, &configs, &[base.load_latency])
         .map_err(|e| ExhibitError::new("doduc @ Fig. 14 target layouts", e))?;
+    let results = &sweep.rows[0];
     let unrestricted = results[0].mcpi;
 
     let _ = writeln!(

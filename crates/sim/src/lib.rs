@@ -11,11 +11,13 @@
 //!   entry point replays a recorded tape through a pooled
 //!   [`nbl_cpu::issue::IssueEngine`]; the dual-issue run
 //!   ([`driver::run_dual`]) is two such replays, real and perfect cache;
-//! * [`sweep`] — the parallel [`sweep::SweepEngine`] and its two result
+//! * [`sweep`] — the parallel [`sweep::SweepEngine`], whose every entry
+//!   runs on one fused-row runner (each row one tape walk for its
+//!   configurations; `run_many` rows hold one cell), and its two result
 //!   types: a [`sweep::Sweep`] (configuration × load latency or miss
-//!   penalty, every row one fused tape walk) and a [`sweep::PlaneSweep`]
-//!   (replacement policy or processor model × configuration × latency),
-//!   with compilation shared across configurations;
+//!   penalty) and a [`sweep::PlaneSweep`] (replacement policy or
+//!   processor model × configuration × latency), with compilation shared
+//!   across configurations;
 //! * [`pool`] — the scoped-thread job pool behind the parallel sweeps
 //!   (`NBL_THREADS` overrides the worker count);
 //! * [`store`] — the tiered artifact store: an exactly-once memory tier

@@ -8,10 +8,15 @@
 //! Compilation is shared across hardware configurations — the compiled
 //! program depends only on the load latency, so each (benchmark, latency)
 //! pair is compiled once and replayed under every configuration, exactly
-//! as the paper replays each binary.
+//! as the paper replays each binary. Every [`SweepEngine`] entry runs on
+//! one fused-row runner: a row is a program under configurations that
+//! share one load latency, replayed in one tape walk. Sweeps and plane
+//! sweeps build one row per point (per plane and latency);
+//! [`SweepEngine::run_many`] builds rows of one cell, the per-cell
+//! reference.
 
 use crate::config::{HwConfig, ProcessorKind, SimConfig};
-use crate::driver::{run_tape, run_tape_fused, RunResult, SimError};
+use crate::driver::{run_tape_fused, RunResult, SimError};
 use crate::pool::JobPool;
 use crate::store::{program_fingerprint, result_fingerprint, ArtifactStore};
 use nbl_core::tag_array::ReplacementKind;
@@ -185,9 +190,25 @@ impl PlaneSweep {
     }
 }
 
+/// One fused row: a program under configurations that share one load
+/// latency, and therefore one compiled schedule and one tape.
+type Row<'a> = (&'a Program, Vec<SimConfig>);
+
+/// The row configuration `row` under each hardware configuration of
+/// `configs`, in order.
+fn with_each(row: &SimConfig, configs: &[HwConfig]) -> Vec<SimConfig> {
+    configs
+        .iter()
+        .map(|hw| SimConfig {
+            hw: hw.clone(),
+            ..row.clone()
+        })
+        .collect()
+}
+
 /// One fusion-aware scheduling unit: configurations `lo..hi` of fused
-/// row `row` (a program under one row configuration). Produced by
-/// [`plan_row_spans`]; each span replays its slice in one fused walk.
+/// row `row`. Produced by [`plan_row_spans`]; each span replays its
+/// slice in one fused walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RowSpan {
     /// Row index, in the order the rows were given.
@@ -198,26 +219,38 @@ struct RowSpan {
     hi: usize,
 }
 
-/// Splits each fused row into contiguous configuration spans sized by the
-/// row's barrier weight, so a multi-thread pool schedules comparable work
-/// units instead of whole rows. A row whose share of the grid's total
-/// work exceeds one target-unit is split into proportionally many spans
-/// (capped at one configuration per span); light rows stay whole. Spans
-/// are emitted row-major (`row` ascending, `lo` ascending) so callers can
-/// stitch rows back by a single scan.
-fn plan_row_spans(weights: &[u64], nc: usize, threads: usize) -> Vec<RowSpan> {
-    debug_assert!(nc > 0, "spans need at least one configuration");
-    let row_work = |w: u64| w.saturating_mul(nc as u64).max(1);
-    let total: u64 = weights.iter().map(|&w| row_work(w)).sum();
+/// Splits each fused row (`widths[r]` configurations) into contiguous
+/// configuration spans sized by the row's barrier weight, so a
+/// multi-thread pool schedules comparable work units instead of whole
+/// rows. A row whose share of the grid's total work exceeds one
+/// target-unit is split into proportionally many spans (capped at one
+/// configuration per span); light rows stay whole, and a single-thread
+/// pool gets exactly one span per row. A row of width 0 keeps one empty
+/// span. Spans are emitted row-major (`row` ascending, `lo` ascending)
+/// so callers can stitch rows back by a single scan.
+fn plan_row_spans(weights: &[u64], widths: &[usize], threads: usize) -> Vec<RowSpan> {
+    debug_assert_eq!(weights.len(), widths.len(), "one weight per row");
+    let row_work = |w: u64, width: usize| w.saturating_mul(width as u64).max(1);
+    let total: u64 = weights
+        .iter()
+        .zip(widths)
+        .map(|(&w, &n)| row_work(w, n))
+        .sum();
     // Aim for ~4 units per worker (the chunked queue's oversubscription
     // factor) so claim-order balancing has slack without shrinking units
-    // into per-cell jobs that would repay the fusion win.
-    let target = (total / (threads as u64 * 4).max(1)).max(1);
+    // into per-cell jobs that would repay the fusion win. One worker has
+    // nothing to balance: every row is one unit.
+    let target = if threads <= 1 {
+        u64::MAX
+    } else {
+        (total / (threads as u64 * 4)).max(1)
+    };
     let mut spans = Vec::with_capacity(weights.len());
-    for (row, &w) in weights.iter().enumerate() {
-        let work = row_work(w);
-        let parts = (work.div_ceil(target)).clamp(1, nc as u64) as usize;
-        let (base_len, extra) = (nc / parts, nc % parts);
+    for (row, (&w, &width)) in weights.iter().zip(widths).enumerate() {
+        let parts = row_work(w, width)
+            .div_ceil(target)
+            .clamp(1, width.max(1) as u64) as usize;
+        let (base_len, extra) = (width / parts, width % parts);
         let mut lo = 0;
         for p in 0..parts {
             let len = base_len + usize::from(p < extra);
@@ -228,7 +261,7 @@ fn plan_row_spans(weights: &[u64], nc: usize, threads: usize) -> Vec<RowSpan> {
             });
             lo += len;
         }
-        debug_assert_eq!(lo, nc, "spans tile the row exactly");
+        debug_assert_eq!(lo, width, "spans tile the row exactly");
     }
     spans
 }
@@ -250,21 +283,23 @@ fn span_claim_order(spans: &[RowSpan], weights: &[u64]) -> Vec<usize> {
 /// (exactly-once compiled programs and tapes in memory, optionally
 /// backed by the content-addressed disk tier).
 ///
-/// Sweeps flatten their grids into a single pool invocation; each cell
-/// fetches its compiled program from the store (compiled exactly once per
-/// `(benchmark, latency)` pair)
-/// and the recorded tape through the store's tiers (the dynamic stream is
-/// materialized exactly once per compiled schedule, which latencies past
-/// a block's slack share — decoded from disk when a prior process
-/// persisted it), then replays the tape under its own hardware
-/// configuration — record once, replay at every grid point. With a disk
-/// tier every cell's [`RunResult`] also writes through under its input
-/// fingerprint; in incremental mode
+/// Every entry replays through one runner (`fused_rows`): it cuts its
+/// grid into rows — a program under configurations that share one load
+/// latency — and runs them as a single pool invocation. Each row fetches
+/// its compiled program from the store (compiled exactly once per
+/// `(benchmark, latency)` pair) and the recorded tape through the
+/// store's tiers (the dynamic stream is materialized exactly once per
+/// compiled schedule, which latencies past a block's slack share —
+/// decoded from disk when a prior process persisted it), then replays the
+/// tape once for all of its configurations — record once, replay at
+/// every grid point. With a disk tier every cell's [`RunResult`] also
+/// writes through under its input fingerprint; in incremental mode
 /// ([`ArtifactStore::incremental`]) cells whose fingerprints are
 /// unchanged are answered from those stored results without simulating.
 /// The pool places results in input order, so a sweep returns
 /// [`RunResult`]s **identical** at every thread count and identical to
-/// running each cell alone ([`Self::run_many`]).
+/// running each cell alone ([`Self::run_many`], whose rows hold one cell
+/// each).
 #[derive(Debug, Default)]
 pub struct SweepEngine {
     pool: JobPool,
@@ -315,38 +350,9 @@ impl SweepEngine {
         &self.store
     }
 
-    /// The result-artifact fingerprint of one cell, when the store has a
-    /// disk tier to address into.
-    fn cell_fingerprint(&self, program: &Program, cfg: &SimConfig) -> Option<u64> {
-        self.store
-            .disk()
-            .map(|_| result_fingerprint(program_fingerprint(program), cfg))
-    }
-
-    /// One grid cell: answered from the stored result when incremental
-    /// and unchanged, else compile (cached), record (tiered), replay —
-    /// writing the fresh result through to the disk tier.
-    fn run_cell(&self, program: &Program, cfg: &SimConfig) -> Result<RunResult, SimError> {
-        let fp = self.cell_fingerprint(program, cfg);
-        if self.store.incremental() {
-            if let Some(fp) = fp {
-                if let Some(stored) = self.store.load_result(&program.name, cfg.load_latency, fp) {
-                    return Ok(stored);
-                }
-            }
-        }
-        let compiled = self.store.get_or_compile(program, cfg.load_latency)?;
-        let tape = self.store.get_or_record(&compiled);
-        let result = run_tape(&program.name, &tape, cfg)?;
-        if let Some(fp) = fp {
-            self.store.store_result(&result, fp);
-        }
-        Ok(result)
-    }
-
-    /// One scheduling unit of a fused row: the hardware configurations
-    /// `hws` of `program` under the row configuration `row`, replayed in
-    /// one tape walk. In incremental mode, cells whose stored results are present
+    /// One scheduling unit of a fused row: the configurations `cfgs` of
+    /// `program`, which share one load latency, replayed in one tape
+    /// walk. In incremental mode, cells whose stored results are present
     /// under their exact input fingerprints are answered from the store;
     /// only the missing configurations are simulated (still fused, and
     /// each configuration's replay is independent of its row neighbours,
@@ -357,40 +363,33 @@ impl SweepEngine {
     /// and recorded **exactly once per sweep** — the first unit that
     /// needs the tape initializes the slot and the rest reuse the `Arc`
     /// without touching the store; store counters are identical to the
-    /// one-job-per-row path.
+    /// one-unit-per-row schedule.
     fn run_row_span(
         &self,
         program: &Program,
         program_fp: Option<u64>,
-        row: &SimConfig,
-        hws: &[HwConfig],
+        cfgs: &[SimConfig],
         tape_slot: &OnceLock<Result<Arc<TraceTape>, SimError>>,
     ) -> Result<Vec<RunResult>, SimError> {
-        let cfgs: Vec<SimConfig> = hws
-            .iter()
-            .map(|hw| SimConfig {
-                hw: hw.clone(),
-                ..row.clone()
-            })
-            .collect();
         let fps: Option<Vec<u64>> =
             program_fp.map(|pfp| cfgs.iter().map(|c| result_fingerprint(pfp, c)).collect());
         let mut results: Vec<Option<RunResult>> = vec![None; cfgs.len()];
         if self.store.incremental() {
             if let Some(fps) = &fps {
-                for (slot, &fp) in results.iter_mut().zip(fps) {
-                    *slot = self.store.load_result(&program.name, row.load_latency, fp);
+                for ((slot, &fp), cfg) in results.iter_mut().zip(fps).zip(cfgs) {
+                    *slot = self.store.load_result(&program.name, cfg.load_latency, fp);
                 }
             }
         }
-        if results.iter().any(Option::is_none) {
+        let missing: Vec<usize> = (0..cfgs.len()).filter(|&j| results[j].is_none()).collect();
+        if let Some(&first) = missing.first() {
+            let latency = cfgs[first].load_latency;
             let tape = tape_slot
                 .get_or_init(|| {
-                    let compiled = self.store.get_or_compile(program, row.load_latency)?;
+                    let compiled = self.store.get_or_compile(program, latency)?;
                     Ok(self.store.get_or_record(&compiled))
                 })
                 .clone()?;
-            let missing: Vec<usize> = (0..cfgs.len()).filter(|&j| results[j].is_none()).collect();
             let missing_cfgs: Vec<SimConfig> = missing.iter().map(|&j| cfgs[j].clone()).collect();
             let fresh = run_tape_fused(&program.name, &tape, &missing_cfgs)?;
             for (&j, result) in missing.iter().zip(fresh) {
@@ -403,44 +402,19 @@ impl SweepEngine {
         Ok(results.into_iter().flatten().collect())
     }
 
-    /// The scheduling weight of one `(program, latency)` row: the
-    /// recorded tape's barrier count when the tape is already resident
-    /// (warm sweeps — the common bench shape), else the program's
-    /// statically estimated dynamic instruction count. Both are
-    /// proportional to replay work; mixing the two across rows only
-    /// happens on a partially warm store, where any positive weight
-    /// already beats uniform chunking.
-    fn row_weight(&self, program: &Program, latency: u32) -> u64 {
-        self.store
-            .resident_barriers(&program.name, latency)
-            .unwrap_or_else(|| program.estimated_instructions())
-    }
-
-    /// Runs a `plane × latency × configuration` grid of independent
-    /// cells as one flat pool invocation, regrouped as
-    /// `rows[plane][latency][configuration]`. Plane `p` runs program
-    /// `planes[p].0` under configuration `planes[p].1`, at each latency
-    /// and hardware configuration.
-    fn run_cells(
-        &self,
-        planes: &[(&Program, SimConfig)],
-        configs: &[HwConfig],
-        latencies: &[u32],
-    ) -> Result<Vec<Vec<Vec<RunResult>>>, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let cells = self.pool.try_run(planes.len() * nl * nc, |idx| {
-            let (program, base) = &planes[idx / (nl * nc)];
-            let cfg = SimConfig {
-                hw: configs[idx % nc].clone(),
-                ..base.clone()
-            }
-            .at_latency(latencies[(idx / nc) % nl]);
-            self.run_cell(program, &cfg)
-        })?;
-        let mut iter = cells.into_iter();
-        (0..planes.len())
-            .map(|_| (0..nl).map(|_| iter.by_ref().take(nc).collect()).collect())
-            .collect()
+    /// The scheduling weight of one row: the recorded tape's barrier
+    /// count when the tape is already resident (warm sweeps — the common
+    /// bench shape), else the program's statically estimated dynamic
+    /// instruction count. Both are proportional to replay work; mixing
+    /// the two across rows only happens on a partially warm store, where
+    /// any positive weight already beats uniform chunking. A row with no
+    /// configurations weighs nothing.
+    fn row_weight(&self, (program, cfgs): &Row<'_>) -> u64 {
+        cfgs.first().map_or(0, |cfg| {
+            self.store
+                .resident_barriers(&program.name, cfg.load_latency)
+                .unwrap_or_else(|| program.estimated_instructions())
+        })
     }
 
     /// Fused sweep of `configs` along `axis` for one benchmark: every
@@ -453,11 +427,11 @@ impl SweepEngine {
         axis: Axis,
         points: &[u32],
     ) -> Result<Sweep, SimError> {
-        let rows: Vec<(&Program, SimConfig)> = points
+        let rows: Vec<Row<'_>> = points
             .iter()
-            .map(|&point| (program, axis.row(base, point)))
+            .map(|&point| (program, with_each(&axis.row(base, point), configs)))
             .collect();
-        let rows = self.fused_rows(&rows, configs)?;
+        let rows = self.fused_rows(&rows)?;
         Ok(Sweep::of(program, axis, configs, points, rows))
     }
 
@@ -494,6 +468,43 @@ impl SweepEngine {
         self.sweep(program, base, configs, Axis::MissPenalty, penalties)
     }
 
+    /// The rows of a cross-benchmark grid, program-major: one row per
+    /// `(program, latency)` pair, holding `base` at that latency under
+    /// each of `configs`.
+    fn grid_rows<'a>(
+        programs: &[&'a Program],
+        base: &SimConfig,
+        configs: &[HwConfig],
+        latencies: &[u32],
+    ) -> Vec<Row<'a>> {
+        programs
+            .iter()
+            .flat_map(|&p| {
+                latencies
+                    .iter()
+                    .map(move |&l| (p, with_each(&base.clone().at_latency(l), configs)))
+            })
+            .collect()
+    }
+
+    /// Regroups a grid's program-major result rows into one latency
+    /// [`Sweep`] per program, in input order.
+    fn grid_of(
+        programs: &[&Program],
+        configs: &[HwConfig],
+        latencies: &[u32],
+        rows: Vec<Vec<RunResult>>,
+    ) -> Vec<Sweep> {
+        let mut rows = rows.into_iter();
+        programs
+            .iter()
+            .map(|program| {
+                let own = rows.by_ref().take(latencies.len()).collect();
+                Sweep::of(program, Axis::LoadLatency, configs, latencies, own)
+            })
+            .collect()
+    }
+
     /// Cross-benchmark sweep, fused: every `(program, latency)` pair of
     /// the grid walks the shared tape **once**, advancing a simulator
     /// instance per hardware configuration in lockstep
@@ -512,102 +523,64 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<Vec<Sweep>, SimError> {
-        let rows: Vec<(&Program, SimConfig)> = programs
-            .iter()
-            .flat_map(|&p| {
-                latencies
-                    .iter()
-                    .map(move |&l| (p, base.clone().at_latency(l)))
-            })
-            .collect();
-        let mut rows = self.fused_rows(&rows, configs)?.into_iter();
-        Ok(programs
-            .iter()
-            .map(|program| {
-                let own = rows.by_ref().take(latencies.len()).collect();
-                Sweep::of(program, Axis::LoadLatency, configs, latencies, own)
-            })
-            .collect())
+        let rows = self.fused_rows(&Self::grid_rows(programs, base, configs, latencies))?;
+        Ok(Self::grid_of(programs, configs, latencies, rows))
     }
 
-    /// The one execution path of every [`Sweep`]: each row — a program
-    /// under a row configuration whose hardware each of `configs`
-    /// replaces — walks its tape once for all configurations
-    /// (`run_row_span`). Result rows come back in input order; the first
-    /// failing row's error wins.
+    /// The one execution path of every entry: each row — a program under
+    /// configurations that share one load latency — walks its tape once
+    /// for all of its configurations (`run_row_span`). Result rows come
+    /// back in input order; the first failing row's error wins.
     ///
-    /// Scheduling is fusion-aware: under a multi-thread pool, rows are
-    /// split into configuration spans sized by each row's barrier weight
-    /// (`plan_row_spans`) and claimed longest-first, so the ~8× coarser
-    /// fused jobs load-balance like the unfused per-cell grid instead of
-    /// regressing on it. Units of one row share the compiled program and
-    /// tape through a per-row slot; a single-thread pool keeps the
-    /// one-job-per-row shape.
-    fn fused_rows(
-        &self,
-        rows: &[(&Program, SimConfig)],
-        configs: &[HwConfig],
-    ) -> Result<Vec<Vec<RunResult>>, SimError> {
-        let (nrows, nc) = (rows.len(), configs.len());
+    /// Scheduling is fusion-aware: rows are split into configuration
+    /// spans sized by each row's barrier weight (`plan_row_spans`) and
+    /// claimed longest-first, so the coarse fused jobs load-balance like
+    /// per-cell jobs instead of regressing on them. Units of one row
+    /// share the compiled program and tape through a per-row slot. A
+    /// single-thread pool gets one unit per row and runs them in input
+    /// order.
+    fn fused_rows(&self, rows: &[Row<'_>]) -> Result<Vec<Vec<RunResult>>, SimError> {
         // One stable IR fingerprint per row (only needed when a disk tier
         // exists to address results into).
         let program_fps: Vec<Option<u64>> = rows
             .iter()
             .map(|(p, _)| self.store.disk().map(|_| program_fingerprint(p)))
             .collect();
-        let results: Vec<Result<Vec<RunResult>, SimError>> =
-            if self.pool.threads() <= 1 || nrows <= 1 || nc == 0 {
-                self.pool
-                    .try_run(nrows, |r| -> Result<Vec<RunResult>, SimError> {
-                        let (program, row) = &rows[r];
-                        self.run_row_span(program, program_fps[r], row, configs, &OnceLock::new())
-                    })?
-            } else {
-                let weights: Vec<u64> = rows
-                    .iter()
-                    .map(|(program, row)| self.row_weight(program, row.load_latency))
-                    .collect();
-                let spans = plan_row_spans(&weights, nc, self.pool.threads());
-                let order = span_claim_order(&spans, &weights);
-                let tape_slots: Vec<OnceLock<Result<Arc<TraceTape>, SimError>>> =
-                    (0..nrows).map(|_| OnceLock::new()).collect();
-                let parts = self.pool.try_run_order(
-                    spans.len(),
-                    &order,
-                    |u| -> Result<Vec<RunResult>, SimError> {
-                        let RowSpan { row: r, lo, hi } = spans[u];
-                        let (program, row) = &rows[r];
-                        self.run_row_span(
-                            program,
-                            program_fps[r],
-                            row,
-                            &configs[lo..hi],
-                            &tape_slots[r],
-                        )
-                    },
-                )?;
-                // Stitch spans back into whole rows: spans are row-major,
-                // so appending in span order rebuilds each row's
-                // configuration order. A row keeps its first (lowest-`lo`)
-                // error, matching the whole-row path's report.
-                let mut results: Vec<Result<Vec<RunResult>, SimError>> =
-                    (0..nrows).map(|_| Ok(Vec::with_capacity(nc))).collect();
-                for (span, part) in spans.iter().zip(parts) {
-                    match (&mut results[span.row], part) {
-                        (Ok(row), Ok(mut slice)) => row.append(&mut slice),
-                        (slot @ Ok(_), Err(e)) => *slot = Err(e),
-                        (Err(_), _) => {}
-                    }
-                }
-                results
-            };
+        let weights: Vec<u64> = rows.iter().map(|row| self.row_weight(row)).collect();
+        let widths: Vec<usize> = rows.iter().map(|(_, cfgs)| cfgs.len()).collect();
+        let spans = plan_row_spans(&weights, &widths, self.pool.threads());
+        let order = span_claim_order(&spans, &weights);
+        let tape_slots: Vec<OnceLock<Result<Arc<TraceTape>, SimError>>> =
+            rows.iter().map(|_| OnceLock::new()).collect();
+        let parts = self.pool.try_run_order(
+            spans.len(),
+            &order,
+            |u| -> Result<Vec<RunResult>, SimError> {
+                let RowSpan { row: r, lo, hi } = spans[u];
+                let (program, cfgs) = &rows[r];
+                self.run_row_span(program, program_fps[r], &cfgs[lo..hi], &tape_slots[r])
+            },
+        )?;
+        // Stitch spans back into whole rows: spans are row-major, so
+        // appending in span order rebuilds each row's configuration
+        // order. A row keeps its first (lowest-`lo`) error.
+        let mut results: Vec<Result<Vec<RunResult>, SimError>> =
+            widths.iter().map(|&n| Ok(Vec::with_capacity(n))).collect();
+        for (span, part) in spans.iter().zip(parts) {
+            match (&mut results[span.row], part) {
+                (Ok(row), Ok(mut slice)) => row.append(&mut slice),
+                (slot @ Ok(_), Err(e)) => *slot = Err(e),
+                (Err(_), _) => {}
+            }
+        }
         results.into_iter().collect()
     }
 
-    /// [`Self::grid_sweep`] without tape fusion: every
-    /// `(program, latency, config)` cell replays the tape independently as
-    /// its own pool job. The reference path the bench exhibit's
-    /// fused-vs-unfused bit-identity check compares against.
+    /// [`Self::grid_sweep`] without tape fusion: [`Self::run_many`] over
+    /// the grid's cells, so every `(program, latency, config)` cell
+    /// replays the tape independently as its own pool job. The reference
+    /// path the bench exhibit's fused-vs-unfused bit-identity check
+    /// compares against.
     ///
     /// # Errors
     ///
@@ -619,21 +592,24 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<Vec<Sweep>, SimError> {
-        let planes: Vec<(&Program, SimConfig)> =
-            programs.iter().map(|&p| (p, base.clone())).collect();
-        let grid = self.run_cells(&planes, configs, latencies)?;
-        Ok(programs
+        let rows = Self::grid_rows(programs, base, configs, latencies);
+        let jobs: Vec<(&Program, SimConfig)> = rows
             .iter()
-            .zip(grid)
-            .map(|(program, rows)| Sweep::of(program, Axis::LoadLatency, configs, latencies, rows))
-            .collect())
+            .flat_map(|(p, cfgs)| cfgs.iter().map(move |c| (*p, c.clone())))
+            .collect();
+        let mut cells = self.run_many(&jobs)?.into_iter();
+        let rows = rows
+            .iter()
+            .map(|(_, cfgs)| cells.by_ref().take(cfgs.len()).collect())
+            .collect();
+        Ok(Self::grid_of(programs, configs, latencies, rows))
     }
 
     /// The body of the plane sweeps: `program` under each labelled plane
-    /// configuration × `configs` × `latencies`, as one flat pool
-    /// invocation of independent cells. The compiled program depends
-    /// only on the latency, so every plane and configuration replays the
-    /// same recorded tapes; results are input-ordered and fully
+    /// configuration × `configs` × `latencies`, one fused row per
+    /// `(plane, latency)` in plane-major order. The compiled program
+    /// depends only on the latency, so every plane replays the same
+    /// recorded tapes; results are input-ordered and fully
     /// deterministic.
     fn plane_sweep(
         &self,
@@ -643,9 +619,18 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<PlaneSweep, SimError> {
-        let (labels, bases): (Vec<String>, Vec<(&Program, SimConfig)>) = planes
+        let rows: Vec<Row<'_>> = planes
+            .iter()
+            .flat_map(|(_, cfg)| {
+                latencies
+                    .iter()
+                    .map(move |&l| (program, with_each(&cfg.clone().at_latency(l), configs)))
+            })
+            .collect();
+        let mut rows = self.fused_rows(&rows)?.into_iter();
+        let (labels, grid) = planes
             .into_iter()
-            .map(|(label, cfg)| (label, (program, cfg)))
+            .map(|(label, _)| (label, rows.by_ref().take(latencies.len()).collect()))
             .unzip();
         Ok(PlaneSweep {
             benchmark: program.name.clone(),
@@ -653,7 +638,7 @@ impl SweepEngine {
             planes: labels,
             configs: configs.iter().map(HwConfig::label).collect(),
             latencies: latencies.to_vec(),
-            rows: self.run_cells(&bases, configs, latencies)?,
+            rows: grid,
         })
     }
 
@@ -703,21 +688,22 @@ impl SweepEngine {
     }
 
     /// Runs many independent `(program, config)` jobs on the pool, results
-    /// in input order, compilation cached. The workhorse for experiment
-    /// tables that aren't sweeps (per-benchmark rows, ablations), and the
+    /// in input order, compilation cached. Each job is a fused row of one,
+    /// so every cell fetches its own tape and replays it alone
+    /// ([`run_tape_fused`] of one configuration is one `run_tape`). The
+    /// workhorse for experiment tables whose configurations vary more
+    /// than hardware (geometry, victim buffer, memory gap), and the
     /// per-cell reference the fused sweeps are tested against.
     ///
     /// # Errors
     ///
     /// [`SimError`] from the compiler model or the engine.
     pub fn run_many(&self, jobs: &[(&Program, SimConfig)]) -> Result<Vec<RunResult>, SimError> {
-        self.pool
-            .try_run(jobs.len(), |i| -> Result<RunResult, SimError> {
-                let (program, cfg) = &jobs[i];
-                self.run_cell(program, cfg)
-            })?
-            .into_iter()
-            .collect()
+        let rows: Vec<Row<'_>> = jobs
+            .iter()
+            .map(|(p, cfg)| (*p, vec![cfg.clone()]))
+            .collect();
+        Ok(self.fused_rows(&rows)?.into_iter().flatten().collect())
     }
 }
 
@@ -726,44 +712,92 @@ mod tests {
     use super::*;
     use nbl_trace::workloads::{build, Scale};
 
+    /// Checks that `spans` tile rows of `widths` exactly, row-major and
+    /// contiguous, with at least one span per row; returns the span
+    /// count of each row.
+    fn assert_tiles(spans: &[RowSpan], widths: &[usize]) -> Vec<usize> {
+        let mut per_row = vec![0usize; widths.len()];
+        let mut next = (0, 0);
+        for s in spans {
+            if s.row != next.0 {
+                assert_eq!(next.1, widths[next.0], "row {} tiled exactly", next.0);
+                assert_eq!(s.row, next.0 + 1, "row-major emission");
+                next = (s.row, 0);
+            }
+            assert_eq!(s.lo, next.1, "contiguous spans");
+            assert!(s.hi >= s.lo && s.hi <= widths[s.row]);
+            next.1 = s.hi;
+            per_row[s.row] += 1;
+        }
+        assert_eq!(next.0 + 1, widths.len(), "every row has a span");
+        assert_eq!(next.1, widths[next.0], "last row tiled exactly");
+        per_row
+    }
+
     #[test]
     fn row_spans_tile_rows_and_split_by_weight() {
         // Row 1 carries ~8× the work of the others: it must split into
         // more spans, every row must be tiled exactly, and spans must be
         // emitted row-major.
         let weights = [100, 800, 100, 100];
-        let nc = 8;
-        let spans = plan_row_spans(&weights, nc, 4);
-        let mut next_row = 0;
-        let mut cursor = 0;
-        let mut per_row = [0usize; 4];
-        for s in &spans {
-            if s.row != next_row {
-                assert_eq!(cursor, nc, "row {next_row} tiled exactly");
-                assert_eq!(s.row, next_row + 1, "row-major emission");
-                next_row = s.row;
-                cursor = 0;
-            }
-            assert_eq!(s.lo, cursor, "contiguous spans");
-            assert!(s.hi > s.lo && s.hi <= nc);
-            cursor = s.hi;
-            per_row[s.row] += 1;
-        }
-        assert_eq!(cursor, nc, "last row tiled exactly");
+        let widths = [8; 4];
+        let spans = plan_row_spans(&weights, &widths, 4);
+        let per_row = assert_tiles(&spans, &widths);
         assert!(
             per_row[1] > per_row[0],
             "heavy row splits finer: {per_row:?}"
         );
-        assert!(per_row[1] <= nc, "never below one configuration per span");
+        assert!(per_row[1] <= 8, "never below one configuration per span");
         // Claim order starts with a slice of the heavy row.
         let order = span_claim_order(&spans, &weights);
         assert_eq!(spans[order[0]].row, 1, "heaviest unit claimed first");
-        // Degenerate shapes: uniform weights and single-thread targets
-        // still tile.
+        // Zero-weight rows still tile.
         for threads in [1, 2, 16] {
-            let spans = plan_row_spans(&[0, 0], 3, threads);
-            let covered: usize = spans.iter().map(|s| s.hi - s.lo).sum();
-            assert_eq!(covered, 6, "zero-weight rows still tile ({threads})");
+            assert_tiles(&plan_row_spans(&[0, 0], &[3, 3], threads), &[3, 3]);
+        }
+        // Per-row widths, a width of 0 among them: the empty row keeps
+        // one empty span and the others still tile.
+        let widths = [3, 0, 6, 1];
+        for threads in [1, 2, 4, 16] {
+            let spans = plan_row_spans(&[500, 500, 900, 10], &widths, threads);
+            let per_row = assert_tiles(&spans, &widths);
+            assert_eq!(per_row[1], 1, "{threads} threads");
+            assert!(spans
+                .iter()
+                .filter(|s| s.row == 1)
+                .all(|s| s.lo == 0 && s.hi == 0));
+            assert_eq!(per_row[3], 1, "a one-wide row never splits");
+        }
+        // One worker: exactly one whole span per row, however heavy.
+        let spans = plan_row_spans(&[100, 800, 0], &[8, 8, 2], 1);
+        let whole: Vec<RowSpan> = [8, 8, 2]
+            .into_iter()
+            .enumerate()
+            .map(|(row, hi)| RowSpan { row, lo: 0, hi })
+            .collect();
+        assert_eq!(spans, whole);
+        assert!(plan_row_spans(&[], &[], 4).is_empty());
+        // Whole sweeps: one with no configurations replays nothing and
+        // keeps one empty row per point; a one-row sweep keeps its row.
+        let p = build("eqntott", Scale::quick()).unwrap();
+        let base = SimConfig::baseline(HwConfig::Mc0);
+        for threads in [1, 4] {
+            let engine = SweepEngine::new(threads);
+            let empty = engine.latency_sweep(&p, &base, &[], &[1, 10]).unwrap();
+            assert_eq!(empty.rows, vec![Vec::<RunResult>::new(); 2], "{threads}");
+            assert!(empty.configs.is_empty());
+            let (compiled, tapes) = engine.store().memory_stats();
+            assert_eq!(
+                (compiled.derived, tapes.derived),
+                (0, 0),
+                "an empty row replays nothing"
+            );
+            let configs = [HwConfig::Mc0, HwConfig::Mc(1), HwConfig::NoRestrict];
+            let one = engine.latency_sweep(&p, &base, &configs, &[10]).unwrap();
+            assert_eq!(one.rows.len(), 1, "{threads}");
+            assert_eq!(one.rows[0].len(), 3, "{threads}");
+            assert_eq!(one.at("mc=1", 10).unwrap().config, "mc=1");
+            assert!(engine.run_many(&[]).unwrap().is_empty());
         }
     }
 

@@ -136,6 +136,15 @@ cargo run --release -p nbl-bench -- fig19 --quick --out "$replsens_dir/fig19.txt
 sed -n '/^== Figure 19/,/^$/{/^$/d;p}' "$replsens_dir/fig19.txt" \
   | diff -u scripts/golden/fig19_quick.txt -
 
+echo "== smoke: Fig. 6, 13 and 14 tables vs pinned goldens =="
+# Each table runs on the fused-row runner and must stay bit-identical to
+# the per-cell runs it replaced; the throughput summary is left out.
+for n in 6 13 14; do
+  cargo run --release -p nbl-bench -- "fig$n" --quick --out "$replsens_dir/fig$n.txt" >/dev/null
+  sed -n "/^== Figure $n:/,/^\$/{/^\$/d;p}" "$replsens_dir/fig$n.txt" \
+    | diff -u "scripts/golden/fig${n}_quick.txt" -
+done
+
 echo "== smoke: miss-lifecycle stats vs pinned golden =="
 cargo run --release -p nbl-bench -- misslife --quick --json "$replsens_dir" --out /dev/null >/dev/null
 # The lifecycle aggregates must be bit-identical to the pinned golden:
