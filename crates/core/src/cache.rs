@@ -883,4 +883,35 @@ mod tests {
         assert_eq!(c.counters().load_miss_rate(), 0.0);
         assert_eq!(c.counters().secondary_miss_rate(), 0.0);
     }
+
+    /// A direct-mapped blocking cache agrees access for access with a
+    /// reference model that keeps one tag per set.
+    #[test]
+    fn blocking_cache_matches_a_tag_per_set_model() {
+        let geometry = CacheGeometry::direct_mapped(1024, 32).unwrap();
+        crate::prop::check("blocking cache vs tag per set", 256, 0xcace, |rng| {
+            let mut cache = LockupFreeCache::new(CacheConfig {
+                geometry,
+                write_miss: WriteMissPolicy::WriteAround,
+                mshr: MshrConfig::Blocking,
+                victim_entries: 0,
+                replacement: ReplacementKind::default(),
+            });
+            let mut tags = std::collections::BTreeMap::new();
+            for _ in 0..1 + rng.next_below(400) {
+                let addr = Addr(rng.next_below(1 << 16));
+                let block = geometry.block_of(addr);
+                let set = geometry.set_of(addr);
+                let expect_hit = tags.get(&set) == Some(&geometry.tag_of_block(block));
+                let got = cache.access_load(addr, Dest::Reg(PhysReg::int(1)), LoadFormat::WORD);
+                if expect_hit {
+                    assert_eq!(got, LoadAccess::Hit, "{addr:?}");
+                } else {
+                    assert!(matches!(got, LoadAccess::Stalled(_)), "{addr:?}: {got:?}");
+                    cache.fill(block);
+                    tags.insert(set, geometry.tag_of_block(block));
+                }
+            }
+        });
+    }
 }

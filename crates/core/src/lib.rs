@@ -64,6 +64,8 @@ pub mod inst;
 pub mod limit;
 /// The four MSHR organizations from the paper and their shared target store.
 pub mod mshr;
+/// Seeded property cases and the shared random instruction generator.
+pub mod prop;
 /// In-tree SplitMix64 RNG — the workspace's only randomness source.
 pub mod rng;
 /// The policy-parameterized tag array shared by the L1 and L2 layers.

@@ -908,23 +908,34 @@ mod tests {
     }
 }
 
-/// Property suite for the probe-split lookup API, gated behind the
-/// off-by-default `probe-prop` feature (run with
-/// `cargo test -p nbl-core --features probe-prop`). The claim under
-/// test: for any access sequence, any geometry, and every
-/// [`ReplacementKind`], `probe` + [`TagArray::note_hit`] on a hit is
-/// observationally equal to the fused [`TagArray::touch`] — same hit
+/// Property suite for the tag array on random access sequences from the
+/// seeded [`crate::prop`] harness. The main claim: for any access
+/// sequence, any geometry, and every [`ReplacementKind`] (the random
+/// policy under a random seed), `probe` + [`TagArray::note_hit`] on a hit
+/// is observationally equal to the fused [`TagArray::touch`] — same hit
 /// answers, same evictions from [`TagArray::install`] and
 /// [`TagArray::claim_for_transit`] (the eviction-while-fetch-outstanding
 /// path), same resident sets — so a shared group probe cannot drift from
-/// the per-core path. Uses the in-tree
-/// [`SplitMix64`](crate::rng::SplitMix64) so the cases are deterministic
-/// and the workspace stays dependency-free.
-#[cfg(all(test, feature = "probe-prop"))]
-mod probe_prop {
+/// the per-core path, and a seeded random policy replays the same victims.
+#[cfg(test)]
+mod props {
     use super::*;
     use crate::geometry::CacheGeometry;
+    use crate::prop;
     use crate::rng::SplitMix64;
+    use std::collections::BTreeSet;
+
+    /// Every policy, the random one under a seed drawn from `rng`.
+    fn kinds(rng: &mut SplitMix64) -> [ReplacementKind; 4] {
+        [
+            ReplacementKind::Lru,
+            ReplacementKind::Fifo,
+            ReplacementKind::Random {
+                seed: rng.next_u64(),
+            },
+            ReplacementKind::TreePlru,
+        ]
+    }
 
     /// Every resident block of `t`, by flat slot — the observable tag
     /// state (policy state is compared behaviorally, by continuing the
@@ -947,14 +958,18 @@ mod probe_prop {
     /// `touch`, array `b` the split `probe` + `note_hit`, with installs
     /// after misses and occasional `claim_for_transit` + deferred
     /// install modelling an eviction while the fetch is outstanding.
-    fn drive_mirrored(geometry: CacheGeometry, kind: ReplacementKind, seed: u64, ops: usize) {
+    fn drive_mirrored(
+        geometry: CacheGeometry,
+        kind: ReplacementKind,
+        rng: &mut SplitMix64,
+        ops: usize,
+    ) {
         let mut a = TagArray::new(geometry, kind);
         let mut b = TagArray::new(geometry, kind);
-        let mut rng = SplitMix64::new(seed);
         // Working set ~2x the cache so sets fill and evictions are common.
         let universe = (geometry.num_lines() * 2).max(8);
         let mut outstanding: Vec<BlockAddr> = Vec::new();
-        let label = kind.label();
+        let label = format!("{kind}, {}-way", geometry.ways());
         for step in 0..ops {
             let block = BlockAddr(rng.next_below(universe));
             let hit_a = a.touch(block);
@@ -1017,11 +1032,13 @@ mod probe_prop {
             CacheGeometry::new(1024, 32, 4).unwrap(),
             CacheGeometry::fully_associative(512, 32).unwrap(),
         ];
-        for (gi, &geometry) in geometries.iter().enumerate() {
-            for (ki, kind) in ReplacementKind::all().into_iter().enumerate() {
-                drive_mirrored(geometry, kind, 0x9e37 + (gi * 17 + ki) as u64, 4096);
+        prop::check("probe split", 2, 0x9e37, |rng| {
+            for geometry in geometries {
+                for kind in kinds(rng) {
+                    drive_mirrored(geometry, kind, rng, 4096);
+                }
             }
-        }
+        });
     }
 
     #[test]
@@ -1030,8 +1047,91 @@ mod probe_prop {
         // a transit victim in a full set, hammering the
         // eviction-while-fetch-outstanding ordering.
         let geometry = CacheGeometry::new(256, 32, 2).unwrap();
-        for (ki, kind) in ReplacementKind::all().into_iter().enumerate() {
-            drive_mirrored(geometry, kind, 0x51ab + ki as u64, 8192);
-        }
+        prop::check("probe split, transit heavy", 2, 0x51ab, |rng| {
+            for kind in kinds(rng) {
+                drive_mirrored(geometry, kind, rng, 8192);
+            }
+        });
+    }
+
+    /// Under every policy, an eviction always removes a block that was
+    /// resident in the installed block's own set — the tag array never
+    /// invents a victim, and while any invalid way remains in a set it is
+    /// preferred over evicting.
+    #[test]
+    fn victim_is_always_a_resident_way() {
+        let geometry = CacheGeometry::new(1024, 32, 4).unwrap();
+        prop::check("resident victims", 256, 0x71c7, |rng| {
+            let len = 1 + rng.next_below(300) as usize;
+            let blocks: Vec<BlockAddr> = (0..len).map(|_| BlockAddr(rng.next_below(64))).collect();
+            for kind in kinds(rng) {
+                let mut tags = TagArray::new(geometry, kind);
+                let mut resident = BTreeSet::new();
+                for &block in &blocks {
+                    let set = geometry.set_of_block(block);
+                    let had_invalid_way = (0..tags.ways()).any(|w| !tags.is_valid(set, w));
+                    match tags.install(block) {
+                        Some(victim) => {
+                            assert!(
+                                resident.remove(&victim),
+                                "{kind}: evicted {victim:?}, never resident"
+                            );
+                            assert_eq!(
+                                geometry.set_of_block(victim),
+                                set,
+                                "{kind}: victim from another set"
+                            );
+                            assert!(
+                                !had_invalid_way || resident.contains(&block),
+                                "{kind}: evicted despite a free way"
+                            );
+                        }
+                        None => assert!(
+                            had_invalid_way || resident.contains(&block),
+                            "{kind}: full set filled without an eviction"
+                        ),
+                    }
+                    resident.insert(block);
+                    assert!(tags.contains(block), "{kind}: installed block not resident");
+                }
+                for &block in &resident {
+                    assert!(
+                        tags.contains(block),
+                        "{kind}: resident block {block:?} lost"
+                    );
+                }
+            }
+        });
+    }
+
+    /// Under LRU and tree-PLRU, a line that just hit is never the next
+    /// victim of its set (with more than one way): the touch must protect
+    /// it.
+    #[test]
+    fn hit_never_makes_the_line_the_next_victim() {
+        let geometry = CacheGeometry::new(1024, 32, 4).unwrap();
+        prop::check("hit protects the line", 256, 0x4177, |rng| {
+            let len = 1 + rng.next_below(200) as usize;
+            let blocks: Vec<BlockAddr> = (0..len).map(|_| BlockAddr(rng.next_below(64))).collect();
+            for kind in [ReplacementKind::Lru, ReplacementKind::TreePlru] {
+                let mut tags = TagArray::new(geometry, kind);
+                let mut resident: Vec<BlockAddr> = Vec::new();
+                for &block in &blocks {
+                    if let Some(victim) = tags.install(block) {
+                        resident.retain(|b| *b != victim);
+                    }
+                    if !resident.contains(&block) {
+                        resident.push(block);
+                    }
+                }
+                let block = resident[rng.next_below(resident.len() as u64) as usize];
+                assert!(tags.touch(block), "{kind}: picked block is resident");
+                let set = geometry.set_of_block(block);
+                let way = tags.find(block).unwrap() - set as usize * tags.ways();
+                let victim = tags.victim_way(set);
+                assert!(victim < tags.ways());
+                assert_ne!(victim, way, "{kind}: the just-hit line is the next victim");
+            }
+        });
     }
 }

@@ -1,6 +1,4 @@
-//! Differential property suite for the flat MSHR bookkeeping, gated
-//! behind the off-by-default `mshr-prop` feature (run with
-//! `cargo test -p nbl-core --features mshr-prop`).
+//! Differential property suite for the flat MSHR bookkeeping.
 //!
 //! The claim under test: every [`MshrConfig`] shape the sweeps use —
 //! blocking, `mc=1/2`, `fc=1/2`, `fs=1/2`, implicit/explicit/hybrid
@@ -13,9 +11,10 @@
 //! `outstanding_fetches`/`outstanding_misses`, `fetches_in_set`,
 //! `is_in_transit`, and the targets each fill returns (in arrival order
 //! for the per-fetch organizations, as a multiset for the inverted MSHR,
-//! whose match encoder has no order). Uses the in-tree
-//! [`SplitMix64`] so the cases are deterministic
-//! and the workspace stays dependency-free.
+//! whose match encoder has no order). The model enforces every limit on
+//! its own, so agreeing with it at every step also means no shape ever
+//! exceeds its entry, miss or per-set limit. Cases come from the seeded
+//! [`nbl_core::prop`] harness.
 
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::limit::Limit;
@@ -23,6 +22,7 @@ use nbl_core::mshr::{
     InvertedConfig, MissKind, MissRequest, MshrBank, MshrConfig, MshrResponse, RegisterFileConfig,
     Rejection, TargetPolicy, TargetRecord,
 };
+use nbl_core::prop;
 use nbl_core::rng::SplitMix64;
 use nbl_core::types::{BlockAddr, Dest, LoadFormat, PhysReg};
 use std::collections::BTreeMap;
@@ -349,12 +349,17 @@ fn assert_agrees(bank: &MshrBank, model: &Model, probe: BlockAddr, sets: u32, ct
     }
 }
 
-/// Drives `ops` seeded steps of misses, fills and resets through one
+/// Drives `ops` random steps of misses, fills and resets through one
 /// bank and its reference model, comparing after every step.
-fn drive(name: &str, config: &MshrConfig, geometry: CacheGeometry, seed: u64, ops: usize) {
+fn drive(
+    name: &str,
+    config: &MshrConfig,
+    geometry: CacheGeometry,
+    rng: &mut SplitMix64,
+    ops: usize,
+) {
     let mut bank = MshrBank::new(config, &geometry);
     let mut model = Model::new(config, &geometry);
-    let mut rng = SplitMix64::new(seed);
     let sets = geometry.num_sets() as u32;
     // Three blocks per set: merges, per-set conflicts and fresh blocks
     // all stay common.
@@ -362,7 +367,7 @@ fn drive(name: &str, config: &MshrConfig, geometry: CacheGeometry, seed: u64, op
     let ordered = !matches!(config, MshrConfig::Inverted(_));
     let (mut accepted, mut merged, mut rejected, mut woken) = (0, 0, 0, 0);
     for step in 0..ops {
-        let ctx = format!("{name} seed {seed} step {step}");
+        let ctx = format!("{name} step {step}");
         let roll = rng.next_below(100);
         let probe = BlockAddr(rng.next_below(universe));
         if roll < 60 {
@@ -371,7 +376,7 @@ fn drive(name: &str, config: &MshrConfig, geometry: CacheGeometry, seed: u64, op
                 block,
                 set: geometry.set_of_block(block),
                 offset: rng.next_below(u64::from(geometry.line_bytes())) as u32,
-                dest: random_dest(&mut rng),
+                dest: random_dest(rng),
                 format: if rng.next_below(2) == 0 {
                     LoadFormat::WORD
                 } else {
@@ -485,6 +490,11 @@ fn shapes() -> Vec<(String, MshrConfig)> {
             },
         ));
     }
+    // Every register-file limit finite at once.
+    shapes.push((
+        "2 entries, 3 misses, fs=1".to_string(),
+        register(Finite(2), explicit(Finite(2)), Finite(3), Finite(1)),
+    ));
     shapes.push((
         "inverted".to_string(),
         MshrConfig::Inverted(InvertedConfig::typical()),
@@ -496,24 +506,18 @@ fn shapes() -> Vec<(String, MshrConfig)> {
 fn flat_bookkeeping_matches_the_map_reference_on_every_shape() {
     let direct = CacheGeometry::direct_mapped(512, 32).unwrap();
     let two_way = CacheGeometry::new(512, 32, 2).unwrap();
-    for (si, (name, config)) in shapes().into_iter().enumerate() {
+    for (name, config) in shapes() {
         let geometries: &[CacheGeometry] = if config.evicts_on_miss() {
             &[direct, two_way]
         } else {
             &[direct]
         };
-        for (gi, &geometry) in geometries.iter().enumerate() {
-            for seed in 0..8u64 {
+        prop::check(&format!("mshr {name}"), 8, 0x5eed, |rng| {
+            for &geometry in geometries {
                 let name = format!("{name} ({} ways)", geometry.ways());
-                drive(
-                    &name,
-                    &config,
-                    geometry,
-                    0x5eed + seed * 97 + (si * 7 + gi) as u64,
-                    3000,
-                );
+                drive(&name, &config, geometry, rng, 3000);
             }
-        }
+        });
     }
 }
 
@@ -522,7 +526,9 @@ fn flat_bookkeeping_matches_under_a_tiny_universe() {
     // One set, three blocks: nearly every miss merges or collides, and
     // per-set limits bind on every primary.
     let geometry = CacheGeometry::new(64, 32, 2).unwrap();
-    for (si, (name, config)) in shapes().into_iter().enumerate() {
-        drive(&name, &config, geometry, 0xb10c + si as u64, 3000);
-    }
+    prop::check("mshr tiny universe", 2, 0xb10c, |rng| {
+        for (name, config) in shapes() {
+            drive(&name, &config, geometry, rng, 3000);
+        }
+    });
 }

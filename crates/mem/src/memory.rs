@@ -219,6 +219,7 @@ impl Iterator for DrainReady<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbl_core::prop;
 
     #[test]
     fn constant_latency() {
@@ -302,10 +303,9 @@ mod tests {
     /// `drain_ready` exactly its prefix completed by `now`.
     #[test]
     fn fill_queue_yields_completion_then_issue_order() {
-        use nbl_core::rng::SplitMix64;
         for gap in [0u32, 1, 3] {
-            for seed in 0..20u64 {
-                let mut rng = SplitMix64::new(seed * 31 + u64::from(gap));
+            let suite = format!("fill queue, gap {gap}");
+            prop::check(&suite, 20, u64::from(gap), |rng| {
                 let mut m = PipelinedMemory::with_gap(12, gap);
                 // (completion, issue sequence, block) of every queued fetch.
                 let mut reference: Vec<(Cycle, u64, BlockAddr)> = Vec::new();
@@ -340,12 +340,12 @@ mod tests {
                     match rng.next_below(8) {
                         0 => {
                             let got: Vec<_> = m.pop_next().into_iter().collect();
-                            assert_eq!(got, take(&mut reference, 1), "gap {gap}, seed {seed}");
+                            assert_eq!(got, take(&mut reference, 1));
                         }
                         1 => {
                             let got: Vec<_> = m.drain_ready(Cycle(now)).collect();
                             let due = reference.iter().filter(|f| f.0 <= Cycle(now)).count();
-                            assert_eq!(got, take(&mut reference, due), "gap {gap}, seed {seed}");
+                            assert_eq!(got, take(&mut reference, due));
                         }
                         _ => {}
                     }
@@ -353,12 +353,12 @@ mod tests {
                 }
                 let rest: Vec<_> = std::iter::from_fn(|| m.pop_next().ok()).collect();
                 let n = reference.len();
-                assert_eq!(rest, take(&mut reference, n), "gap {gap}, seed {seed}");
+                assert_eq!(rest, take(&mut reference, n));
                 // A gap serializes completions, so only the fully
                 // pipelined memory can be overtaken or tie.
-                assert_eq!(overtakes > 0, gap == 0, "gap {gap}, seed {seed}");
-                assert_eq!(ties > 0, gap == 0, "gap {gap}, seed {seed}");
-            }
+                assert_eq!(overtakes > 0, gap == 0);
+                assert_eq!(ties > 0, gap == 0);
+            });
         }
     }
 

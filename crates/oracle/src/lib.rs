@@ -25,7 +25,7 @@ pub mod check;
 pub mod domain;
 pub mod store;
 
-#[cfg(all(test, feature = "oracle-prop"))]
+#[cfg(test)]
 mod prop;
 
 pub use check::{check_cell, cross_check, CellReport, CrossCheckViolation};

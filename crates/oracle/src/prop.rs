@@ -1,53 +1,34 @@
-//! Property suite for the oracle (feature `oracle-prop`): random tapes
-//! × random geometries × every replacement policy, soundness-checked
-//! against the real engine, plus exactness assertions in the regimes
-//! where the analysis is supposed to be complete, plus a direct
-//! property test of the stamp characterization the soundness argument
-//! rests on (via [`TagArray::debug_ages`]).
-//!
-//! Everything is seeded [`SplitMix64`] — deterministic and
-//! dependency-free, in the style of the tape's `scan_prop` suite.
+//! Property suite for the oracle: random tapes × random geometries ×
+//! every replacement policy, soundness-checked against the real engine,
+//! plus exactness assertions in the regimes where the analysis is
+//! supposed to be complete, plus a direct property test of the stamp
+//! characterization the soundness argument rests on (via
+//! [`TagArray::debug_ages`]). Random cases come from the seeded
+//! [`nbl_core::prop`] harness.
 
 use crate::check::check_cell;
 use crate::domain::analyze_tape;
 use crate::OracleConfig;
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::inst::DynInst;
+use nbl_core::prop::{self, InstMix};
 use nbl_core::rng::SplitMix64;
 use nbl_core::tag_array::{ReplacementKind, TagArray};
 use nbl_core::types::{Addr, LoadFormat, PhysReg};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_trace::TraceTape;
 
-/// One random instruction; `mem_bias`/1000 is the memory-op rate and
-/// `addr_bits` bounds the address range (small ranges force set reuse).
-fn random_inst(rng: &mut SplitMix64, mem_bias: u64, addr_bits: u32) -> DynInst {
-    let reg = |rng: &mut SplitMix64| PhysReg::from_dense(rng.next_below(64) as usize);
-    let maybe_reg = |rng: &mut SplitMix64| {
-        if rng.next_below(2) == 0 {
-            None
-        } else {
-            Some(reg(rng))
-        }
+/// A random tape of 200 to 799 instructions, 60% memory operations over a
+/// 2 KiB address range, so the tiny caches below see constant set reuse.
+fn random_tape(rng: &mut SplitMix64) -> TraceTape {
+    let len = 200 + rng.next_below(600) as usize;
+    let mix = InstMix {
+        mem_per_mille: 600,
+        addr_bits: 11,
     };
-    if rng.next_below(1000) < mem_bias {
-        let addr = Addr(rng.next_below(1 << addr_bits));
-        if rng.next_below(3) == 0 {
-            DynInst::store(addr, maybe_reg(rng))
-        } else {
-            DynInst::load(addr, reg(rng), LoadFormat::WORD)
-        }
-    } else if rng.next_below(4) == 0 {
-        DynInst::branch([maybe_reg(rng), maybe_reg(rng)])
-    } else {
-        DynInst::alu(reg(rng), [maybe_reg(rng), maybe_reg(rng)])
-    }
-}
-
-fn random_tape(rng: &mut SplitMix64, len: usize, mem_bias: u64, addr_bits: u32) -> TraceTape {
     let mut tape = TraceTape::with_capacity("oracle-prop", 0, len);
     for _ in 0..len {
-        tape.push(random_inst(rng, mem_bias, addr_bits));
+        tape.push(prop::random_inst(rng, mix));
     }
     tape
 }
@@ -67,11 +48,9 @@ fn small_geometries() -> Vec<CacheGeometry> {
 /// regimes, the cross-check never observes a violation.
 #[test]
 fn random_tapes_never_violate_the_cross_check() {
-    let mut rng = SplitMix64::new(0x0bac1e_5eed);
     let hws = [HwConfig::Mc0, HwConfig::Fc(2), HwConfig::NoRestrict];
-    for case in 0..6 {
-        let len = 200 + rng.next_below(600) as usize;
-        let tape = random_tape(&mut rng, len, 600, 11);
+    prop::check("oracle soundness", 6, 0x000b_ac1e_5eed, |rng| {
+        let tape = random_tape(rng);
         for geometry in small_geometries() {
             for policy in ReplacementKind::all() {
                 for hw in &hws {
@@ -81,7 +60,7 @@ fn random_tapes_never_violate_the_cross_check() {
                     let report = check_cell("oracle-prop", &tape, &cfg).expect("cell");
                     assert!(
                         report.violations.is_empty(),
-                        "case {case} {} {} {}: {:?}",
+                        "{} {} {}: {:?}",
                         report.geometry,
                         report.policy,
                         report.hw,
@@ -90,7 +69,7 @@ fn random_tapes_never_violate_the_cross_check() {
                 }
             }
         }
-    }
+    });
 }
 
 /// Exactness: with a blocking cache (window 0) the analysis is complete
@@ -98,10 +77,8 @@ fn random_tapes_never_violate_the_cross_check() {
 /// associativity — zero unknowns, so the classes *equal* the outcomes.
 #[test]
 fn window_zero_is_exact_where_claimed() {
-    let mut rng = SplitMix64::new(0xeaac7);
-    for case in 0..6 {
-        let len = 200 + rng.next_below(600) as usize;
-        let tape = random_tape(&mut rng, len, 600, 11);
+    prop::check("oracle exactness at window 0", 6, 0xeaac7, |rng| {
+        let tape = random_tape(rng);
         for geometry in small_geometries() {
             for policy in ReplacementKind::all() {
                 let exact = geometry.ways() == 1
@@ -113,15 +90,15 @@ fn window_zero_is_exact_where_claimed() {
                     .with_geometry(geometry)
                     .with_replacement(policy);
                 let report = check_cell("oracle-prop", &tape, &cfg).expect("cell");
-                assert!(report.violations.is_empty(), "case {case}: violations");
+                assert!(report.violations.is_empty(), "violations");
                 assert_eq!(
                     report.coverage.unknown, 0,
-                    "case {case} {} {}: blocking analysis left unknowns",
+                    "{} {}: blocking analysis left unknowns",
                     report.geometry, report.policy
                 );
             }
         }
-    }
+    });
 }
 
 /// The write-around refinement: a store-only tape under `mc=0`
@@ -177,46 +154,49 @@ fn hand_built_lru_eviction_is_classified_exactly() {
 /// the `W` most recently *installed*.
 #[test]
 fn stamp_characterization_matches_debug_ages() {
-    let mut rng = SplitMix64::new(0x57a3b);
-    for (policy, stamps_on_hit) in [(ReplacementKind::Lru, true), (ReplacementKind::Fifo, false)] {
-        for geometry in small_geometries() {
-            let mut tags = TagArray::new(geometry, policy);
-            let ways = geometry.ways() as usize;
-            // Per-set model: distinct blocks in stamp order, oldest first.
-            let mut model: Vec<Vec<u64>> = vec![Vec::new(); geometry.num_sets() as usize];
-            for _ in 0..2000 {
-                let addr = Addr(rng.next_below(1 << 11));
-                let block = geometry.block_of(addr);
-                let set = geometry.set_of_block(block) as usize;
-                let hit = tags.touch(block);
-                if !hit {
-                    tags.install(block);
+    prop::check("stamp characterization", 2, 0x57a3b, |rng| {
+        for (policy, stamps_on_hit) in
+            [(ReplacementKind::Lru, true), (ReplacementKind::Fifo, false)]
+        {
+            for geometry in small_geometries() {
+                let mut tags = TagArray::new(geometry, policy);
+                let ways = geometry.ways() as usize;
+                // Per-set model: distinct blocks in stamp order, oldest first.
+                let mut model: Vec<Vec<u64>> = vec![Vec::new(); geometry.num_sets() as usize];
+                for _ in 0..2000 {
+                    let addr = Addr(rng.next_below(1 << 11));
+                    let block = geometry.block_of(addr);
+                    let set = geometry.set_of_block(block) as usize;
+                    let hit = tags.touch(block);
+                    if !hit {
+                        tags.install(block);
+                    }
+                    if hit && !stamps_on_hit {
+                        continue; // FIFO: hits don't re-stamp
+                    }
+                    model[set].retain(|&b| b != block.0);
+                    model[set].push(block.0);
                 }
-                if hit && !stamps_on_hit {
-                    continue; // FIFO: hits don't re-stamp
-                }
-                model[set].retain(|&b| b != block.0);
-                model[set].push(block.0);
-            }
-            for (set, stamped) in model.iter().enumerate() {
-                let resident: Vec<u64> = tags
-                    .debug_ages(set as u32)
-                    .into_iter()
-                    .filter_map(|w| w.block.map(|b| b.0))
-                    .collect();
-                let top: Vec<u64> = stamped.iter().rev().take(ways).copied().collect();
-                assert_eq!(
-                    resident.len(),
-                    top.len(),
-                    "{policy:?} set {set}: residency count"
-                );
-                for b in &top {
-                    assert!(
-                        resident.contains(b),
-                        "{policy:?} set {set}: top-{ways} block {b:#x} not resident"
+                for (set, stamped) in model.iter().enumerate() {
+                    let resident: Vec<u64> = tags
+                        .debug_ages(set as u32)
+                        .into_iter()
+                        .filter_map(|w| w.block.map(|b| b.0))
+                        .collect();
+                    let top: Vec<u64> = stamped.iter().rev().take(ways).copied().collect();
+                    assert_eq!(
+                        resident.len(),
+                        top.len(),
+                        "{policy:?} set {set}: residency count"
                     );
+                    for b in &top {
+                        assert!(
+                            resident.contains(b),
+                            "{policy:?} set {set}: top-{ways} block {b:#x} not resident"
+                        );
+                    }
                 }
             }
         }
-    }
+    });
 }

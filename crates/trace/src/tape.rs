@@ -633,30 +633,41 @@ pub(crate) fn reference_mem_ops(stream: &[DynInst]) -> Vec<MemOp> {
         .collect()
 }
 
-/// A random load format, so a kind byte's format bits take every value.
-#[cfg(all(test, any(feature = "scan-prop", feature = "codec-prop")))]
-pub(crate) fn random_format(rng: &mut nbl_core::rng::SplitMix64) -> LoadFormat {
-    let size = match rng.next_below(4) {
-        0 => AccessSize::B1,
-        1 => AccessSize::B2,
-        2 => AccessSize::B4,
-        _ => AccessSize::B8,
-    };
-    LoadFormat {
-        size,
-        sign_extend: rng.next_below(2) == 1,
+/// A tape of `len` random instructions of `mix`, with the stream pushed.
+#[cfg(test)]
+pub(crate) fn random_tape(
+    rng: &mut nbl_core::rng::SplitMix64,
+    len: usize,
+    mix: nbl_core::prop::InstMix,
+) -> (TraceTape, Vec<DynInst>) {
+    let pushed: Vec<DynInst> = (0..len)
+        .map(|_| nbl_core::prop::random_inst(rng, mix))
+        .collect();
+    let mut tape = TraceTape::with_capacity("prop", 0, len);
+    for &inst in &pushed {
+        tape.push(inst);
     }
+    (tape, pushed)
 }
 
-/// Property suite for the chunked mem-barrier scan, gated behind the
-/// off-by-default `scan-prop` feature (run with
-/// `cargo test -p nbl-trace --features scan-prop`). Uses the in-tree
-/// [`SplitMix64`](nbl_core::rng::SplitMix64) so the cases are
-/// deterministic and the workspace stays dependency-free.
-#[cfg(all(test, feature = "scan-prop"))]
+/// Property suite for the chunked mem-barrier scan and the address
+/// cursor, on random tapes from the seeded [`nbl_core::prop`] harness.
+#[cfg(test)]
 mod scan_prop {
     use super::*;
+    use nbl_core::prop::{self, InstMix};
     use nbl_core::rng::SplitMix64;
+
+    /// Memory-op rates per thousand, including all-mem (1000) and no-mem
+    /// (0) spans, so tapes take all-mem, no-mem and mixed layouts.
+    const MEM_RATES: [u64; 6] = [0, 15, 120, 500, 930, 1000];
+
+    fn mix(mem_per_mille: u64) -> InstMix {
+        InstMix {
+            mem_per_mille,
+            addr_bits: 20,
+        }
+    }
 
     fn scalar_next_mem_barrier(tape: &TraceTape, mut from: usize) -> usize {
         let barriers = tape.barriers();
@@ -666,72 +677,42 @@ mod scan_prop {
         from
     }
 
-    fn check_all_starts(tape: &TraceTape, label: &str) {
+    fn check_all_starts(tape: &TraceTape) {
         for from in 0..=tape.barriers().len() + 65 {
             assert_eq!(
                 tape.next_mem_barrier(from),
                 scalar_next_mem_barrier(tape, from.min(tape.barriers().len())),
-                "{label}: scan diverged at start {from}"
+                "scan diverged at start {from}"
             );
-        }
-    }
-
-    /// One random instruction; `mem_bias`/1000 is the memory-op rate, so
-    /// seeds can steer tapes toward all-mem, no-mem or mixed layouts.
-    fn random_inst(rng: &mut SplitMix64, mem_bias: u64) -> DynInst {
-        let reg = |rng: &mut SplitMix64| PhysReg::from_dense(rng.next_below(64) as usize);
-        let maybe_reg = |rng: &mut SplitMix64| {
-            if rng.next_below(2) == 0 {
-                None
-            } else {
-                Some(reg(rng))
-            }
-        };
-        if rng.next_below(1000) < mem_bias {
-            if rng.next_below(2) == 0 {
-                DynInst::load(Addr(rng.next_below(1 << 20)), reg(rng), random_format(rng))
-            } else {
-                DynInst::store(Addr(rng.next_below(1 << 20)), maybe_reg(rng))
-            }
-        } else if rng.next_below(4) == 0 {
-            DynInst::branch([maybe_reg(rng), maybe_reg(rng)])
-        } else {
-            DynInst::alu(reg(rng), [maybe_reg(rng), maybe_reg(rng)])
         }
     }
 
     #[test]
     fn chunked_scan_agrees_with_scalar_on_random_layouts() {
-        let mut rng = SplitMix64::new(0x5ca9);
-        // Mixed rates, including all-mem (1000) and no-mem (0) spans, and
-        // lengths chosen to land both short of and straddling word
-        // boundaries (tail-word coverage).
-        for &mem_bias in &[0, 15, 120, 500, 930, 1000] {
-            for case in 0..24 {
+        // Lengths land both short of and straddling word boundaries
+        // (tail-word coverage).
+        for rate in MEM_RATES {
+            let suite = format!("scan, mem rate {rate}");
+            prop::check(&suite, 24, 0x5ca9 + rate, |rng| {
                 let len = 1 + rng.next_below(400) as usize;
-                let mut tape = TraceTape::with_capacity("prop", 0, len);
-                for _ in 0..len {
-                    let inst = random_inst(&mut rng, mem_bias);
-                    tape.push(inst);
-                }
-                check_all_starts(&tape, &format!("bias {mem_bias} case {case}"));
-            }
+                check_all_starts(&random_tape(rng, len, mix(rate)).0);
+            });
         }
     }
 
     #[test]
     fn chunked_scan_handles_exact_word_multiples() {
-        let mut rng = SplitMix64::new(0xb0b);
         // Exactly 64 and 128 barriers: the tail word is full, exercising
         // the word-boundary exit paths.
-        for &barriers_wanted in &[64usize, 128] {
-            let mut tape = TraceTape::with_capacity("prop", 0, barriers_wanted);
-            while tape.barriers().len() < barriers_wanted {
-                let inst = random_inst(&mut rng, 700);
-                tape.push(inst);
+        prop::check("scan, word multiples", 4, 0xb0b, |rng| {
+            for barriers_wanted in [64usize, 128] {
+                let mut tape = TraceTape::with_capacity("prop", 0, barriers_wanted);
+                while tape.barriers().len() < barriers_wanted {
+                    tape.push(prop::random_inst(rng, mix(700)));
+                }
+                check_all_starts(&tape);
             }
-            check_all_starts(&tape, &format!("{barriers_wanted} barriers"));
-        }
+        });
     }
 
     /// The replay loops' barrier walk reduced to its cursor traffic: at
@@ -767,32 +748,22 @@ mod scan_prop {
 
     #[test]
     fn cursor_walks_reproduce_the_pushed_stream() {
-        let mut rng = SplitMix64::new(0xc0de_5ca9);
-        for &mem_bias in &[0, 15, 120, 500, 930, 1000] {
-            for case in 0..24 {
+        for rate in MEM_RATES {
+            let suite = format!("cursor walk, mem rate {rate}");
+            prop::check(&suite, 24, 0xc0de_5ca9 + rate, |rng| {
                 let len = rng.next_below(400) as usize;
-                let mut tape = TraceTape::with_capacity("prop", 0, len);
-                let pushed: Vec<DynInst> =
-                    (0..len).map(|_| random_inst(&mut rng, mem_bias)).collect();
-                for &inst in &pushed {
-                    tape.push(inst);
-                }
-                let label = format!("bias {mem_bias} case {case}");
+                let (tape, pushed) = random_tape(rng, len, mix(rate));
                 let expected = reference_mem_ops(&pushed);
-                assert_eq!(tape.iter().collect::<Vec<_>>(), pushed, "{label}: iter");
-                assert_eq!(
-                    tape.mem_ops().collect::<Vec<_>>(),
-                    expected,
-                    "{label}: mem_ops"
-                );
+                assert_eq!(tape.iter().collect::<Vec<_>>(), pushed, "iter");
+                assert_eq!(tape.mem_ops().collect::<Vec<_>>(), expected, "mem_ops");
                 // A full walk, whatever mix of strides and single steps it
                 // takes, meets every memory operation with its own address
                 // and leaves the cursor exactly at the address count.
-                let (met, addrs) = cursor_walk(&tape, &mut rng);
-                assert_eq!(met, expected, "{label}: cursor walk");
-                assert!(addrs.is_drained(), "{label}: addresses left over");
-                assert_eq!(tape.addr_count(), expected.len(), "{label}");
-            }
+                let (met, addrs) = cursor_walk(&tape, rng);
+                assert_eq!(met, expected, "cursor walk");
+                assert!(addrs.is_drained(), "addresses left over");
+                assert_eq!(tape.addr_count(), expected.len());
+            });
         }
     }
 

@@ -409,58 +409,32 @@ mod tests {
     }
 }
 
-/// Property suite for the codec, gated behind the off-by-default
-/// `codec-prop` feature (run with
-/// `cargo test -p nbl-trace --features codec-prop`), mirroring the
-/// `scan-prop` suite: randomized tapes from the in-tree
-/// [`SplitMix64`](nbl_core::rng::SplitMix64), zero external deps.
-#[cfg(all(test, feature = "codec-prop"))]
+/// Property suite for the codec on random tapes from the seeded
+/// [`nbl_core::prop`] harness: round-trip equality and corruption
+/// detection.
+#[cfg(test)]
 mod codec_prop {
     use super::*;
-    use crate::tape::random_format;
-    use nbl_core::inst::DynInst;
-    use nbl_core::rng::SplitMix64;
-    use nbl_core::types::{Addr, PhysReg};
+    use crate::tape::random_tape;
+    use nbl_core::prop::{self, InstMix};
 
-    /// One random instruction; `mem_bias`/1000 is the memory-op rate.
-    fn random_inst(rng: &mut SplitMix64, mem_bias: u64) -> DynInst {
-        let reg = |rng: &mut SplitMix64| PhysReg::from_dense(rng.next_below(64) as usize);
-        let maybe_reg = |rng: &mut SplitMix64| {
-            if rng.next_below(2) == 0 {
-                None
-            } else {
-                Some(reg(rng))
-            }
-        };
-        if rng.next_below(1000) < mem_bias {
-            if rng.next_below(2) == 0 {
-                DynInst::load(Addr(rng.next_below(1 << 40)), reg(rng), random_format(rng))
-            } else {
-                DynInst::store(Addr(rng.next_below(1 << 40)), maybe_reg(rng))
-            }
-        } else if rng.next_below(4) == 0 {
-            DynInst::branch([maybe_reg(rng), maybe_reg(rng)])
-        } else {
-            DynInst::alu(reg(rng), [maybe_reg(rng), maybe_reg(rng)])
+    fn mix(mem_per_mille: u64) -> InstMix {
+        InstMix {
+            mem_per_mille,
+            addr_bits: 40,
         }
     }
 
     #[test]
     fn random_tapes_round_trip_bit_identically() {
-        let mut rng = SplitMix64::new(0xc0dec);
-        for &mem_bias in &[0, 40, 500, 1000] {
-            for case in 0..24 {
+        for rate in [0, 40, 500, 1000] {
+            let suite = format!("codec round trip, mem rate {rate}");
+            prop::check(&suite, 24, 0xc0dec + rate, |rng| {
                 let len = rng.next_below(700) as usize;
-                let mut tape = TraceTape::with_capacity("prop", 0, len);
-                let pushed: Vec<DynInst> =
-                    (0..len).map(|_| random_inst(&mut rng, mem_bias)).collect();
-                for &inst in &pushed {
-                    tape.push(inst);
-                }
+                let (tape, pushed) = random_tape(rng, len, mix(rate));
                 let bytes = tape.to_bytes();
-                let back = TraceTape::from_bytes(&bytes)
-                    .unwrap_or_else(|e| panic!("bias {mem_bias} case {case}: {e}"));
-                assert_eq!(back, tape, "bias {mem_bias} case {case}");
+                let back = TraceTape::from_bytes(&bytes).unwrap_or_else(|e| panic!("decode: {e}"));
+                assert_eq!(back, tape);
                 assert_eq!(bytes, back.to_bytes());
                 // The decoded tape yields the pushed stream and its memory
                 // operations through the address cursor, and its artifact
@@ -481,39 +455,38 @@ mod codec_prop {
                         4
                     )
                 );
-            }
+            });
         }
     }
 
     #[test]
     fn random_corruption_never_decodes_to_a_different_tape() {
-        let mut rng = SplitMix64::new(0xdeadc0de);
-        let mut tape = TraceTape::with_capacity("prop", 1, 300);
-        for _ in 0..300 {
-            let inst = random_inst(&mut rng, 400);
-            tape.push(inst);
-        }
-        let bytes = tape.to_bytes();
-        for _ in 0..600 {
-            let mut bad = bytes.clone();
-            let pos = rng.next_below(bytes.len() as u64) as usize;
-            let bit = rng.next_below(8) as u32;
-            bad[pos] ^= 1 << bit;
-            // Either a typed error, or (if the flip hit nothing the
-            // checksum covers — impossible here, everything is covered)
-            // the identical tape. Never a silently different tape.
-            match TraceTape::from_bytes(&bad) {
-                Err(_) => {}
-                Ok(t) => assert_eq!(
-                    t, tape,
-                    "corruption at byte {pos} bit {bit} went undetected"
-                ),
+        prop::check("codec corruption", 2, 0xdead_c0de, |rng| {
+            let mut tape = random_tape(rng, 300, mix(400)).0;
+            tape.static_spill_ops = 1;
+            let bytes = tape.to_bytes();
+            for _ in 0..600 {
+                let mut bad = bytes.clone();
+                let pos = rng.next_below(bytes.len() as u64) as usize;
+                let bit = rng.next_below(8) as u32;
+                bad[pos] ^= 1 << bit;
+                // Either a typed error, or (if the flip hit nothing the
+                // checksum covers — impossible here, everything is
+                // covered) the identical tape. Never a silently different
+                // tape.
+                match TraceTape::from_bytes(&bad) {
+                    Err(_) => {}
+                    Ok(t) => assert_eq!(
+                        t, tape,
+                        "corruption at byte {pos} bit {bit} went undetected"
+                    ),
+                }
             }
-        }
-        // Random truncations, too.
-        for _ in 0..200 {
-            let cut = rng.next_below(bytes.len() as u64) as usize;
-            assert!(TraceTape::from_bytes(&bytes[..cut]).is_err());
-        }
+            // Random truncations, too.
+            for _ in 0..200 {
+                let cut = rng.next_below(bytes.len() as u64) as usize;
+                assert!(TraceTape::from_bytes(&bytes[..cut]).is_err());
+            }
+        });
     }
 }

@@ -13,23 +13,8 @@ cargo build --release
 echo "== tier 1: cargo test -q =="
 cargo test -q
 
-echo "== workspace tests =="
+echo "== workspace tests (every property suite included) =="
 cargo test --workspace -q
-
-echo "== scan-prop: chunked flag-plane scan vs scalar reference =="
-cargo test -q -p nbl-trace --features scan-prop
-
-echo "== codec-prop: tape artifact round-trip under random tapes =="
-cargo test -q -p nbl-trace --features codec-prop
-
-echo "== probe-prop: split probe/note_hit vs fused touch under all policies =="
-cargo test -q -p nbl-core --features probe-prop
-
-echo "== mshr-prop: flat MSHR slots vs an ordered-map reference on every shape =="
-cargo test -q -p nbl-core --features mshr-prop
-
-echo "== oracle-prop: abstract-domain soundness vs the engine on random tapes =="
-cargo test -q -p nbl-oracle --features oracle-prop
 
 echo "== warm arena: zero processor builds on warm replay (pinned counters) =="
 cargo test -q -p nbl-sim --test warm_arena
@@ -143,6 +128,16 @@ for n in 6 13 14; do
   cargo run --release -p nbl-bench -- "fig$n" --quick --out "$replsens_dir/fig$n.txt" >/dev/null
   sed -n "/^== Figure $n:/,/^\$/{/^\$/d;p}" "$replsens_dir/fig$n.txt" \
     | diff -u "scripts/golden/fig${n}_quick.txt" -
+done
+
+echo "== full scale: figures all CSV and JSON vs committed results/ =="
+# The committed full-scale results are the numbers EXPERIMENTS.md cites:
+# every figure CSV and JSON must regenerate byte for byte.
+full_dir="$replsens_dir/full"
+mkdir -p "$full_dir"
+cargo run --release -p nbl-bench -- all --csv "$full_dir" --json "$full_dir" --out /dev/null >/dev/null
+for f in results/csv/*.csv results/json/fig*.json results/json/misslife.json; do
+  cmp "$f" "$full_dir/$(basename "$f")"
 done
 
 echo "== smoke: miss-lifecycle stats vs pinned golden =="
