@@ -107,8 +107,8 @@ pub const LEDGER: &[LedgerEntry] = &[
     LedgerEntry {
         name: "GroupStepMem",
         decl_file: "crates/mem/src/system.rs",
-        kind: LedgerKind::EntryPoints(&["access_load_group"]),
-        surfaces: &["DESIGN.md"],
+        kind: LedgerKind::EntryPoints(&["load_hit_direct"]),
+        surfaces: &["crates/cpu/src/core_engine.rs", "DESIGN.md"],
     },
     LedgerEntry {
         name: "GroupStepCpu",

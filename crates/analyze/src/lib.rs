@@ -12,13 +12,11 @@
 //! | `determinism` | no wall clocks / un-seeded hashing on result paths |
 //! | `exhaustiveness` | ledgered enum variants wired through every consumer surface |
 //! | `event-guard` | `MemEvent` emission only via the zero-cost-when-disabled guard |
-//! | `doc-coverage` | pub API documented, debt burns down via `scripts/analyze-allow.toml` |
+//! | `doc-coverage` | pub API documented |
 //!
-//! Findings can be suppressed inline with `// nbl-allow(<id>): reason`
-//! (the reason is mandatory — `bad-allow` flags empty or unknown ones),
-//! or carried in the allowlist file, which refuses to grow.
+//! A finding is suppressed only inline, with `// nbl-allow(<id>): reason`
+//! (the reason is mandatory — `bad-allow` flags empty or unknown ones).
 
-pub mod allowlist;
 pub mod ledger;
 pub mod lexer;
 pub mod lints;
@@ -31,9 +29,6 @@ use scan::Scan;
 use source::SourceFile;
 use std::path::{Path, PathBuf};
 
-/// Repo-relative location of the burn-down allowlist.
-pub const ALLOWLIST_PATH: &str = "scripts/analyze-allow.toml";
-
 /// The outcome of a full-tree analysis.
 #[derive(Debug)]
 pub struct Analysis {
@@ -43,8 +38,6 @@ pub struct Analysis {
     pub files_scanned: usize,
     /// Inline `nbl-allow` directives that suppressed a finding.
     pub allows_used: usize,
-    /// Entries in the allowlist file.
-    pub allowlist_entries: usize,
 }
 
 /// Runs the full analysis rooted at `root` (the repo checkout).
@@ -108,20 +101,13 @@ pub fn run_analysis(root: &Path) -> std::io::Result<Analysis> {
 
     findings.extend(ledger::check_ledger(root));
 
-    let mut allow = allowlist::load(&root.join(ALLOWLIST_PATH), ALLOWLIST_PATH);
-    let allowlist_entries = allow.entries.len();
-    let mut all = std::mem::take(&mut allow.findings);
-    all.extend(findings);
-    let (mut kept, _used_entries) = allowlist::apply(&allow, all, ALLOWLIST_PATH);
-
-    kept.sort_by(|a, b| {
+    findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.lint).cmp(&(b.file.as_str(), b.line, b.col, b.lint))
     });
     Ok(Analysis {
-        findings: kept,
+        findings,
         files_scanned: files.len(),
         allows_used,
-        allowlist_entries,
     })
 }
 

@@ -10,9 +10,9 @@ use crate::lexer::TokKind;
 use crate::report::Finding;
 use crate::scan::Scan;
 
-/// All lint IDs the analyzer knows, in registry order. `bad-allow` and
-/// `allowlist` are meta-lints produced by the driver rather than by a
-/// per-file pass, but they are valid IDs for reporting purposes.
+/// All lint IDs the analyzer knows, in registry order. `bad-allow` is a
+/// meta-lint produced by the driver rather than by a per-file pass, but
+/// it is a valid ID for reporting purposes.
 pub const LINT_IDS: &[&str] = &[
     "no-panic",
     "determinism",
@@ -20,7 +20,6 @@ pub const LINT_IDS: &[&str] = &[
     "event-guard",
     "doc-coverage",
     "bad-allow",
-    "allowlist",
 ];
 
 /// Whether `id` names a known lint.
@@ -285,8 +284,6 @@ fn event_guard(scan: &Scan<'_>, out: &mut Vec<Finding>) {
 /// **doc-coverage**: every `pub` item (fn/struct/enum/trait/type/const/
 /// static/mod/macro) in the covered crates needs a doc comment.
 /// `pub(...)`-restricted items and `pub use` re-exports are exempt.
-/// Existing debt is carried in `scripts/analyze-allow.toml`, which only
-/// burns down.
 fn doc_coverage(scan: &Scan<'_>, out: &mut Vec<Finding>) {
     let src = scan.src();
     let toks = &scan.tokens;

@@ -47,16 +47,10 @@ fn main() -> ExitCode {
         println!("{}", f.render());
     }
     println!(
-        "nbl-analyze: {} finding(s) across {} file(s) ({} inline allow(s), {} allowlist entr{})",
+        "nbl-analyze: {} finding(s) across {} file(s) ({} inline allow(s))",
         analysis.findings.len(),
         analysis.files_scanned,
         analysis.allows_used,
-        analysis.allowlist_entries,
-        if analysis.allowlist_entries == 1 {
-            "y"
-        } else {
-            "ies"
-        },
     );
 
     if let Some(path) = json {
@@ -64,7 +58,6 @@ fn main() -> ExitCode {
             &analysis.findings,
             analysis.files_scanned,
             analysis.allows_used,
-            analysis.allowlist_entries,
         );
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Stable lint ID (`no-panic`, `determinism`, `exhaustiveness`,
-    /// `event-guard`, `doc-coverage`, `bad-allow`, `allowlist`).
+    /// `event-guard`, `doc-coverage`, `bad-allow`).
     pub lint: &'static str,
     /// Repo-relative file path with `/` separators.
     pub file: String,
@@ -19,8 +19,7 @@ pub struct Finding {
     /// 1-based column (0 when not meaningful).
     pub col: u32,
     /// The item the finding is about — the flagged token, enum variant,
-    /// or undocumented pub item name. This is the key the allowlist
-    /// matches against.
+    /// or undocumented pub item name.
     pub item: String,
     /// Human-readable explanation.
     pub message: String,
@@ -62,12 +61,7 @@ fn json_str(s: &str) -> String {
 }
 
 /// The `analyze.json` report: summary counts plus every finding.
-pub fn analyze_json(
-    findings: &[Finding],
-    files_scanned: usize,
-    allows_used: usize,
-    allowlist_entries: usize,
-) -> String {
+pub fn analyze_json(findings: &[Finding], files_scanned: usize, allows_used: usize) -> String {
     let mut per_lint: Vec<(&'static str, usize)> = Vec::new();
     for f in findings {
         match per_lint.iter_mut().find(|(l, _)| *l == f.lint) {
@@ -83,7 +77,6 @@ pub fn analyze_json(
     let _ = writeln!(out, "  \"files_scanned\": {files_scanned},");
     let _ = writeln!(out, "  \"findings_total\": {},", findings.len());
     let _ = writeln!(out, "  \"allows_used\": {allows_used},");
-    let _ = writeln!(out, "  \"allowlist_entries\": {allowlist_entries},");
     out.push_str("  \"per_lint\": {");
     for (i, (lint, n)) in per_lint.iter().enumerate() {
         if i > 0 {
@@ -151,7 +144,6 @@ mod tests {
             &[f("no-panic", "a.rs", 1), f("determinism", "b.rs", 2)],
             10,
             3,
-            4,
         );
         assert!(j.contains("\"kind\": \"analyze\""));
         assert!(j.contains("\"findings_total\": 2"));
@@ -164,7 +156,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_valid() {
-        let j = analyze_json(&[], 0, 0, 0);
+        let j = analyze_json(&[], 0, 0);
         assert!(j.contains("\"findings\": []"));
         assert!(j.contains("\"per_lint\": {}"));
     }

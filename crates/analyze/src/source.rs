@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 #[derive(Debug)]
 pub struct SourceFile {
     /// Path relative to the analysis root, with `/` separators — the
-    /// stable form used in diagnostics, scopes and the allowlist.
+    /// stable form used in diagnostics and scopes.
     pub rel_path: String,
     /// Absolute path on disk.
     pub abs_path: PathBuf,

@@ -1,6 +1,6 @@
 //! Fixture-corpus integration tests: every lint family must fire on the
 //! staged bad tree, with exact IDs and spans, and stay silent on the
-//! clean tree.
+//! clean tree — and on the real repository tree.
 
 use nbl_analyze::report::Finding;
 use nbl_analyze::{run_analysis, Analysis};
@@ -90,7 +90,6 @@ fn clean_tree_is_silent() {
     assert!(a.findings.is_empty(), "{:#?}", a.findings);
     assert_eq!(a.files_scanned, 1);
     assert_eq!(a.allows_used, 1);
-    assert_eq!(a.allowlist_entries, 0);
 }
 
 #[test]
@@ -141,4 +140,14 @@ fn modules_declared_under_a_test_cfg_are_test_code() {
         "{np:#?}"
     );
     assert_eq!(a.findings.len(), 1, "{:#?}", a.findings);
+}
+
+/// The real tree must be clean: `cargo test` enforces the same zero-
+/// findings bar as `nbl-analyze --deny` in scripts/verify.sh.
+#[test]
+fn real_tree_has_no_findings() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let a = run_analysis(&root).expect("repo tree readable");
+    let rendered: Vec<String> = a.findings.iter().map(|f| f.render()).collect();
+    assert!(a.findings.is_empty(), "{}", rendered.join("\n"));
 }

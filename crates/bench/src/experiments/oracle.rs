@@ -6,125 +6,26 @@
 //! simulator's per-access outcomes reports **zero violations** in every
 //! cell. Blocking cells have a zero-length fill window, where the LRU
 //! and FIFO analyses are exact (unknown% = 0); non-blocking cells show
-//! the price of fill-timing uncertainty.
+//! the price of fill-timing uncertainty. The grid runs on the oracle's
+//! one runner (`nbl_oracle::run_grid`), with no verdict store.
 
 use super::{write_csv, write_json, ExhibitError, RunScale};
-use nbl_core::geometry::CacheGeometry;
-use nbl_core::tag_array::ReplacementKind;
-use nbl_oracle::check_cell;
-use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_sim::store::ArtifactStore;
-use nbl_trace::workloads::{self, DETAILED_FIVE};
+use nbl_oracle::run_grid;
+use nbl_sim::config::HwConfig;
+use nbl_trace::workloads::DETAILED_FIVE;
 use std::io::Write;
-
-fn pct(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        100.0 * part as f64 / whole as f64
-    }
-}
 
 /// Runs the coverage grid and writes `oracle.csv` / `oracle.json`.
 /// Deterministic (fixed tapes, fixed random-policy seed).
 pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let geometries = [
-        CacheGeometry::new(8 * 1024, 32, 1)
-            .map_err(|e| ExhibitError::new("oracle dm geometry", e))?,
-        CacheGeometry::new(8 * 1024, 32, 4)
-            .map_err(|e| ExhibitError::new("oracle 4-way geometry", e))?,
-    ];
     let hws = [HwConfig::Mc0, HwConfig::Fc(2)];
-    let artifacts = ArtifactStore::in_memory();
+    let run = run_grid(&DETAILED_FIVE, scale.workload_scale(), &hws, None)
+        .map_err(|e| ExhibitError::new("oracle", e))?;
     let _ = writeln!(
         out,
         "== Static oracle coverage: must-hit/must-miss/unknown per cell =="
     );
-    let _ = writeln!(
-        out,
-        "{:<9} {:<12} {:<7} {:<6} {:>9} {:>7} {:>7} {:>7} {:>5}",
-        "bench", "geometry", "policy", "hw", "accesses", "hit%", "miss%", "unk%", "viol"
-    );
-    let mut csv =
-        String::from("bench,geometry,policy,hw,accesses,must_hit,must_miss,unknown,violations\n");
-    let mut rows = Vec::new();
-    let mut total_violations = 0usize;
-    for bench in DETAILED_FIVE {
-        let program = workloads::build(bench, scale.workload_scale())
-            .ok_or_else(|| ExhibitError::new(format!("oracle {bench}"), "unknown benchmark"))?;
-        let base = SimConfig::baseline(HwConfig::Mc0);
-        let compiled = artifacts
-            .get_or_compile(&program, base.load_latency)
-            .map_err(|e| ExhibitError::new(format!("oracle {bench} compile"), e))?;
-        let tape = artifacts.get_or_record(&compiled);
-        for geometry in geometries {
-            for policy in ReplacementKind::all() {
-                for hw in &hws {
-                    let cfg = SimConfig::baseline(hw.clone())
-                        .with_geometry(geometry)
-                        .with_replacement(policy);
-                    let report = check_cell(bench, &tape, &cfg).map_err(|e| {
-                        ExhibitError::new(
-                            format!("oracle {bench} {} {}", policy.label(), hw.label()),
-                            e,
-                        )
-                    })?;
-                    let c = &report.coverage;
-                    total_violations += report.violations.len();
-                    let _ = writeln!(
-                        out,
-                        "{:<9} {:<12} {:<7} {:<6} {:>9} {:>6.1} {:>6.1} {:>6.1} {:>6}",
-                        report.benchmark,
-                        report.geometry,
-                        report.policy,
-                        report.hw,
-                        c.accesses,
-                        pct(c.must_hit, c.accesses),
-                        pct(c.must_miss, c.accesses),
-                        pct(c.unknown, c.accesses),
-                        report.violations.len()
-                    );
-                    csv.push_str(&format!(
-                        "{},{},{},{},{},{},{},{},{}\n",
-                        report.benchmark,
-                        report.geometry,
-                        report.policy,
-                        report.hw,
-                        c.accesses,
-                        c.must_hit,
-                        c.must_miss,
-                        c.unknown,
-                        report.violations.len()
-                    ));
-                    rows.push(format!(
-                        "{{\"bench\": \"{}\", \"geometry\": \"{}\", \"policy\": \"{}\", \
-                         \"hw\": \"{}\", \"accesses\": {}, \"must_hit\": {}, \
-                         \"must_miss\": {}, \"unknown\": {}, \"violations\": {}}}",
-                        report.benchmark,
-                        report.geometry,
-                        report.policy,
-                        report.hw,
-                        c.accesses,
-                        c.must_hit,
-                        c.must_miss,
-                        c.unknown,
-                        report.violations.len()
-                    ));
-                }
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{} cells, {total_violations} cross-check violation(s)",
-        rows.len()
-    );
-    write_csv("oracle", &csv)?;
-    let json = format!(
-        "{{\n  \"exhibit\": \"oracle\",\n  \"cells\": {},\n  \"violations\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
-        rows.len(),
-        total_violations,
-        rows.join(",\n    ")
-    );
-    write_json("oracle", &json)
+    let _ = run.write_table(out);
+    write_csv("oracle", &run.csv())?;
+    write_json("oracle", &run.json())
 }

@@ -74,11 +74,9 @@ fn print_summary(out: &mut dyn Write, timings: &[Timing]) {
         total_wall += t.wall;
         total = TelemetrySnapshot {
             instructions: total.instructions + t.work.instructions,
-            cycles: total.cycles + t.work.cycles,
             runs: total.runs + t.work.runs,
             events: total.events + t.work.events,
             policy_runs: total.policy_runs + t.work.policy_runs,
-            model_runs: total.model_runs + t.work.model_runs,
             arena_builds: total.arena_builds + t.work.arena_builds,
             arena_reuses: total.arena_reuses + t.work.arena_reuses,
         };
@@ -156,8 +154,7 @@ fn print_exhibits() {
     println!(
         "          --incremental (serve unchanged grid cells from the store, skip simulation)"
     );
-    println!("env:      NBL_THREADS=N overrides the worker count (default: all cores);");
-    println!("          NBL_STORE_DIR / NBL_INCREMENTAL=1 mirror --store / --incremental");
+    println!("env:      NBL_THREADS=N overrides the worker count (default: all cores)");
 }
 
 fn main() {
@@ -234,12 +231,10 @@ fn main() {
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
     if store_dir.is_some() || incremental {
-        // Flags override the NBL_STORE_DIR / NBL_INCREMENTAL environment;
-        // must be pinned before any exhibit builds the global engine.
-        let env = nbl_sim::StoreSettings::from_env();
+        // Pinned before any exhibit builds the global engine.
         nbl_sim::configure_store(nbl_sim::StoreSettings {
-            dir: store_dir.map(Into::into).or(env.dir),
-            incremental: incremental || env.incremental,
+            dir: store_dir.map(Into::into),
+            incremental,
         });
     }
 

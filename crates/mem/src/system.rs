@@ -235,10 +235,11 @@ impl std::error::Error for GroupError {}
 /// per-config work — but only when every member decodes addresses
 /// identically. Construction checks exactly that (one common L1
 /// geometry); [`FusedMemGroup::decode`] then derives each address's
-/// [`DecodedAddr`] once, and [`MemorySystem::access_load_group`] (or
-/// per-system [`MemorySystem::access_load_decoded`] /
-/// [`MemorySystem::access_store_decoded`] calls) fan it out to the
-/// per-config MSHR banks and write buffers. Tag *state* still diverges
+/// [`DecodedAddr`] once, and per-system
+/// [`MemorySystem::access_load_decoded`] /
+/// [`MemorySystem::access_store_decoded`] calls (behind the
+/// direct-mapped [`MemorySystem::load_hit_direct`] fast path) fan it out
+/// to the per-config MSHR banks and write buffers. Tag *state* still diverges
 /// across members (fill timing differs per config), so probe results are
 /// never shared — only the decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,29 +459,6 @@ impl MemorySystem {
         false
     }
 
-    /// Steps one load of a shared replay stream through every system of a
-    /// fused group: the address is decoded once under the group's common
-    /// geometry and the result fanned out to each system's MSHR banks via
-    /// [`MemorySystem::access_load_decoded`]. `nows` gives each system's
-    /// current cycle (fused cores run skewed clocks); one response per
-    /// system is appended to `out`, in group order.
-    pub fn access_load_group(
-        group: &FusedMemGroup,
-        systems: &mut [&mut MemorySystem],
-        addr: Addr,
-        dest: Dest,
-        format: LoadFormat,
-        nows: &[Cycle],
-        out: &mut Vec<LoadResponse>,
-    ) {
-        debug_assert_eq!(systems.len(), nows.len());
-        let decoded = group.decode(addr);
-        for (system, &now) in systems.iter_mut().zip(nows) {
-            debug_assert_eq!(system.l1.config().geometry, *group.geometry());
-            out.push(system.access_load_decoded(&decoded, dest, format, now));
-        }
-    }
-
     /// Latency of fetching `block`: the L2 hit penalty when an L2 is
     /// configured and holds the line, otherwise the full miss penalty.
     /// Probing also updates the (inclusive) L2 tags: a hit touches the
@@ -588,8 +566,8 @@ impl MemorySystem {
 
     /// [`MemorySystem::access_load`] with the address already decoded
     /// under this system's L1 geometry — the per-system half of the fused
-    /// group step ([`MemorySystem::access_load_group`]): the shared decode
-    /// happens once, the MSHR/write-buffer state transition stays here.
+    /// group step ([`FusedMemGroup::decode`]): the shared decode happens
+    /// once, the MSHR/write-buffer state transition stays here.
     pub fn access_load_decoded(
         &mut self,
         decoded: &DecodedAddr,
@@ -1036,13 +1014,13 @@ mod tests {
 
     #[test]
     fn group_step_matches_independent_access_calls() {
-        // Two configs (different MSHR depth) replaying one stream: the
-        // group step must answer exactly what independent ports answer.
+        // Two configs (different MSHR depth) replaying one stream: one
+        // group decode per address, fanned out to every member, must
+        // answer exactly what independent ports answer.
         let addrs = [0x1000u64, 0x1008, 0x2000, 0x1000, 0x3000, 0x2008];
         let mut solo = [system(mc(1)), system(mc(4))];
         let mut fused = [system(mc(1)), system(mc(4))];
         let group = FusedMemGroup::new(fused.iter()).expect("same geometry");
-        let mut responses = Vec::new();
         for (i, &a) in addrs.iter().enumerate() {
             let dest = Dest::Reg(PhysReg::int(i as u8));
             let nows = [Cycle(i as u64), Cycle(2 * i as u64)];
@@ -1051,17 +1029,12 @@ mod tests {
                 .zip(nows)
                 .map(|(m, now)| m.access_load(Addr(a), dest, LoadFormat::WORD, now))
                 .collect();
-            responses.clear();
-            let mut refs: Vec<&mut MemorySystem> = fused.iter_mut().collect();
-            MemorySystem::access_load_group(
-                &group,
-                &mut refs,
-                Addr(a),
-                dest,
-                LoadFormat::WORD,
-                &nows,
-                &mut responses,
-            );
+            let decoded = group.decode(Addr(a));
+            let responses: Vec<LoadResponse> = fused
+                .iter_mut()
+                .zip(nows)
+                .map(|(m, now)| m.access_load_decoded(&decoded, dest, LoadFormat::WORD, now))
+                .collect();
             assert_eq!(responses, expected, "access {i} to {a:#x}");
         }
     }

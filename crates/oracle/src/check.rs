@@ -114,7 +114,7 @@ pub fn cross_check(
 }
 
 /// Outcome of checking one cell: coverage plus any violations.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellReport {
     /// Benchmark name.
     pub benchmark: String,
@@ -130,6 +130,33 @@ pub struct CellReport {
     pub violations: Vec<CrossCheckViolation>,
 }
 
+impl CellReport {
+    /// The report of `benchmark`'s cell under `cfg`, labelled from `cfg`:
+    /// the one place the geometry, policy and hardware labels are made,
+    /// for a fresh check and for a verdict read back from the store alike.
+    pub(crate) fn new(
+        benchmark: &str,
+        cfg: &SimConfig,
+        coverage: Coverage,
+        violations: Vec<CrossCheckViolation>,
+    ) -> CellReport {
+        let g = &cfg.geometry;
+        let ways = if g.ways() == 1 {
+            "dm".to_string()
+        } else {
+            format!("{}-way", g.ways())
+        };
+        CellReport {
+            benchmark: benchmark.to_string(),
+            geometry: format!("{}KB/{}B {ways}", g.size_bytes() / 1024, g.line_bytes()),
+            policy: cfg.replacement.label(),
+            hw: cfg.hw.label(),
+            coverage,
+            violations,
+        }
+    }
+}
+
 /// Analyzes `tape` under `cfg` and cross-validates against a traced
 /// replay through the real engine.
 ///
@@ -137,7 +164,7 @@ pub struct CellReport {
 ///
 /// [`OracleError::Unsupported`] when `cfg` is outside the model's
 /// envelope; [`OracleError::Engine`] when the traced replay fails.
-pub fn check_cell(
+pub(crate) fn check_cell(
     benchmark: &str,
     tape: &TraceTape,
     cfg: &SimConfig,
@@ -147,21 +174,10 @@ pub fn check_cell(
     let (_, trace) =
         run_tape_traced(benchmark, tape, cfg, 0).map_err(|e| OracleError::Engine(e.to_string()))?;
     let violations = cross_check(tape, &analysis.classes, &trace.outcomes);
-    Ok(CellReport {
-        benchmark: benchmark.to_string(),
-        geometry: format!(
-            "{}KB/{}B {}",
-            cfg.geometry.size_bytes() / 1024,
-            cfg.geometry.line_bytes(),
-            if cfg.geometry.ways() == 1 {
-                "dm".to_string()
-            } else {
-                format!("{}-way", cfg.geometry.ways())
-            }
-        ),
-        policy: cfg.replacement.label().to_string(),
-        hw: cfg.hw.label(),
-        coverage: analysis.coverage,
+    Ok(CellReport::new(
+        benchmark,
+        cfg,
+        analysis.coverage,
         violations,
-    })
+    ))
 }

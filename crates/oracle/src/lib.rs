@@ -13,7 +13,9 @@
 //! domain ([`analyze_tape`], one [`Classification`] per access) →
 //! cross-check ([`cross_check`] against the simulator's per-access
 //! [`AccessOutcome`](nbl_mem::AccessOutcome) log of a traced replay) → report
-//! ([`CellReport`], persisted verdicts in [`store`]).
+//! ([`CellReport`], persisted verdicts in [`store`]). One runner,
+//! [`run_grid`], walks a grid of such cells for both front ends and
+//! renders the coverage table, CSV and JSON ([`OracleRun`]).
 //!
 //! Soundness is the product: a [`Classification::MustHit`] access that
 //! the real [`MemorySystem`](nbl_mem::MemorySystem) misses — or a
@@ -23,13 +25,15 @@
 
 pub mod check;
 pub mod domain;
+pub mod runner;
 pub mod store;
 
 #[cfg(test)]
 mod prop;
 
-pub use check::{check_cell, cross_check, CellReport, CrossCheckViolation};
+pub use check::{cross_check, CellReport, CrossCheckViolation};
 pub use domain::{analyze_tape, Classification, Coverage, OracleAnalysis};
+pub use runner::{run_grid, OracleRun};
 pub use store::{verdict_key, CellVerdict, VerdictArtifact};
 
 use nbl_core::geometry::CacheGeometry;
@@ -52,7 +56,8 @@ pub enum OracleError {
     },
     /// The traced replay failed inside the engine.
     Engine(String),
-    /// A benchmark failed to build or compile (CLI path).
+    /// The runner could not build its grid: an unknown benchmark, a bad
+    /// geometry, or a failed compile.
     Compile(String),
 }
 
@@ -63,7 +68,7 @@ impl std::fmt::Display for OracleError {
                 write!(f, "configuration outside the oracle's envelope: {feature}")
             }
             OracleError::Engine(e) => write!(f, "traced replay failed: {e}"),
-            OracleError::Compile(e) => write!(f, "benchmark compilation failed: {e}"),
+            OracleError::Compile(e) => write!(f, "grid build failed: {e}"),
         }
     }
 }

@@ -248,12 +248,9 @@ fn release_engine(key: (EngineConfig, IssuePolicy), cpu: IssueEngine) {
 
 /// Telemetry common to every run that produces a [`RunResult`].
 fn record_single_run(cfg: &SimConfig, result: &RunResult, trace: Option<&MemTrace>) {
-    Telemetry::global().record_run(result.instructions, result.cycles);
+    Telemetry::global().record_run(result.instructions);
     if cfg.replacement != nbl_core::tag_array::ReplacementKind::default() {
         Telemetry::global().record_policy_run();
-    }
-    if cfg.processor != ProcessorKind::default() {
-        Telemetry::global().record_model_run();
     }
     if let Some(t) = trace {
         Telemetry::global().record_events(t.stats.total_events());
@@ -456,7 +453,7 @@ pub fn run_dual(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, Sim
     cpu.finish()?;
     let perfect_cycles = cpu.now().0;
     release_engine((perfect_config, IssuePolicy::DualInOrder), cpu);
-    Telemetry::global().record_run(real.instructions, perfect_cycles);
+    Telemetry::global().record_run(real.instructions);
 
     // `IssueEngine::mcpi_against` arithmetic, on the two finished passes.
     let mcpi = if real.instructions == 0 {
@@ -473,14 +470,6 @@ pub fn run_dual(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, Sim
         ipc: real.instructions as f64 / perfect_cycles.max(1) as f64,
         mcpi,
     })
-}
-
-impl RunResult {
-    /// `true` if `self` is at least as good (no larger MCPI) as `other`,
-    /// with a small tolerance for simulation noise.
-    pub fn no_worse_than(&self, other: &RunResult, tolerance: f64) -> bool {
-        self.mcpi <= other.mcpi * (1.0 + tolerance)
-    }
 }
 
 #[cfg(test)]

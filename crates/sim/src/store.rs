@@ -599,19 +599,6 @@ pub struct StoreSettings {
     pub incremental: bool,
 }
 
-impl StoreSettings {
-    /// Settings from the environment: `NBL_STORE_DIR` names the disk
-    /// tier, `NBL_INCREMENTAL=1` turns on incremental sweeps.
-    pub fn from_env() -> StoreSettings {
-        StoreSettings {
-            dir: std::env::var_os("NBL_STORE_DIR")
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from),
-            incremental: std::env::var("NBL_INCREMENTAL").is_ok_and(|v| v.trim() == "1"),
-        }
-    }
-}
-
 static SETTINGS: OnceLock<StoreSettings> = OnceLock::new();
 
 /// Pins the process-wide store settings (the CLI calls this once from
@@ -623,12 +610,9 @@ pub fn configure_store(settings: StoreSettings) -> bool {
 }
 
 /// The process-wide store settings: whatever [`configure_store`] pinned,
-/// else [`StoreSettings::from_env`].
+/// else the default (memory-only, not incremental).
 pub fn store_settings() -> StoreSettings {
-    SETTINGS
-        .get()
-        .cloned()
-        .unwrap_or_else(StoreSettings::from_env)
+    SETTINGS.get().cloned().unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------

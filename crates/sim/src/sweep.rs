@@ -327,8 +327,8 @@ impl SweepEngine {
 
     /// The process-wide engine: default thread count (`NBL_THREADS` or the
     /// machine's parallelism) and a store wired from
-    /// [`crate::store::store_settings`] (CLI flags or `NBL_STORE_DIR` /
-    /// `NBL_INCREMENTAL`), shared across every sweep and the driver's
+    /// [`crate::store::store_settings`] (the CLI's `--store` and
+    /// `--incremental`), shared across every sweep and the driver's
     /// program-level entries ([`crate::driver::run_program`] and kin), so
     /// a whole bench invocation compiles each pair and records each
     /// schedule at most once.

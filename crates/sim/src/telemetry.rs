@@ -12,11 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct Telemetry {
     instructions: AtomicU64,
-    cycles: AtomicU64,
     runs: AtomicU64,
     events: AtomicU64,
     policy_runs: AtomicU64,
-    model_runs: AtomicU64,
     arena_builds: AtomicU64,
     arena_reuses: AtomicU64,
 }
@@ -27,8 +25,6 @@ pub struct Telemetry {
 pub struct TelemetrySnapshot {
     /// Instructions simulated.
     pub instructions: u64,
-    /// Cycles simulated.
-    pub cycles: u64,
     /// Simulation runs completed.
     pub runs: u64,
     /// Miss-lifecycle events recorded by traced runs (0 unless tracing
@@ -37,9 +33,6 @@ pub struct TelemetrySnapshot {
     /// Runs simulated under a non-LRU replacement policy (0 unless a
     /// policy sweep ran).
     pub policy_runs: u64,
-    /// Runs simulated under a non-default processor model (0 unless a
-    /// model sweep ran).
-    pub model_runs: u64,
     /// Processors constructed from scratch because no pooled worker
     /// matched the run's configuration. On a warm worker arena this stays
     /// flat run-to-run — the allocation counter the zero-alloc tests pin.
@@ -55,11 +48,9 @@ impl TelemetrySnapshot {
     pub fn since(&self, earlier: TelemetrySnapshot) -> TelemetrySnapshot {
         TelemetrySnapshot {
             instructions: self.instructions.saturating_sub(earlier.instructions),
-            cycles: self.cycles.saturating_sub(earlier.cycles),
             runs: self.runs.saturating_sub(earlier.runs),
             events: self.events.saturating_sub(earlier.events),
             policy_runs: self.policy_runs.saturating_sub(earlier.policy_runs),
-            model_runs: self.model_runs.saturating_sub(earlier.model_runs),
             arena_builds: self.arena_builds.saturating_sub(earlier.arena_builds),
             arena_reuses: self.arena_reuses.saturating_sub(earlier.arena_reuses),
         }
@@ -80,11 +71,9 @@ impl Telemetry {
     pub fn global() -> &'static Telemetry {
         static GLOBAL: Telemetry = Telemetry {
             instructions: AtomicU64::new(0),
-            cycles: AtomicU64::new(0),
             runs: AtomicU64::new(0),
             events: AtomicU64::new(0),
             policy_runs: AtomicU64::new(0),
-            model_runs: AtomicU64::new(0),
             arena_builds: AtomicU64::new(0),
             arena_reuses: AtomicU64::new(0),
         };
@@ -92,9 +81,8 @@ impl Telemetry {
     }
 
     /// Records one completed simulation run.
-    pub fn record_run(&self, instructions: u64, cycles: u64) {
+    pub fn record_run(&self, instructions: u64) {
         self.instructions.fetch_add(instructions, Ordering::Relaxed);
-        self.cycles.fetch_add(cycles, Ordering::Relaxed);
         self.runs.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -106,11 +94,6 @@ impl Telemetry {
     /// Records one run simulated under a non-default replacement policy.
     pub fn record_policy_run(&self) {
         self.policy_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one run simulated under a non-default processor model.
-    pub fn record_model_run(&self) {
-        self.model_runs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one processor built from scratch for the worker arena.
@@ -127,11 +110,9 @@ impl Telemetry {
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             instructions: self.instructions.load(Ordering::Relaxed),
-            cycles: self.cycles.load(Ordering::Relaxed),
             runs: self.runs.load(Ordering::Relaxed),
             events: self.events.load(Ordering::Relaxed),
             policy_runs: self.policy_runs.load(Ordering::Relaxed),
-            model_runs: self.model_runs.load(Ordering::Relaxed),
             arena_builds: self.arena_builds.load(Ordering::Relaxed),
             arena_reuses: self.arena_reuses.load(Ordering::Relaxed),
         }
@@ -146,11 +127,10 @@ mod tests {
     fn record_and_delta() {
         let t = Telemetry::default();
         let before = t.snapshot();
-        t.record_run(40_000, 55_000);
-        t.record_run(40_000, 90_000);
+        t.record_run(40_000);
+        t.record_run(40_000);
         t.record_events(12);
         t.record_policy_run();
-        t.record_model_run();
         t.record_arena_build();
         t.record_arena_reuse();
         t.record_arena_reuse();
@@ -159,11 +139,9 @@ mod tests {
             d,
             TelemetrySnapshot {
                 instructions: 80_000,
-                cycles: 145_000,
                 runs: 2,
                 events: 12,
                 policy_runs: 1,
-                model_runs: 1,
                 arena_builds: 1,
                 arena_reuses: 2,
             }
@@ -175,10 +153,10 @@ mod tests {
     #[test]
     fn global_is_monotonic() {
         let before = Telemetry::global().snapshot();
-        Telemetry::global().record_run(1, 2);
+        Telemetry::global().record_run(1);
         let after = Telemetry::global().snapshot();
         let d = after.since(before);
         // Other tests may record concurrently; ours is at least included.
-        assert!(d.instructions >= 1 && d.cycles >= 2 && d.runs >= 1);
+        assert!(d.instructions >= 1 && d.runs >= 1);
     }
 }
