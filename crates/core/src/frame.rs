@@ -105,23 +105,13 @@ impl ByteWriter {
         self.bytes(s.as_bytes());
     }
 
-    /// Appends every value of `v` as a `u32`.
-    pub fn u32s(&mut self, v: &[u32]) {
-        self.words(v, u32::to_le_bytes);
-    }
-
-    /// Appends every value of `v` as a `u64`.
+    /// Appends every value of `v` as a `u64`. Sizes the buffer once, then
+    /// fills it word by word, so the loop carries no capacity checks.
     pub fn u64s(&mut self, v: &[u64]) {
-        self.words(v, u64::to_le_bytes);
-    }
-
-    /// Sizes the buffer once, then fills it word by word, so the loop
-    /// carries no capacity checks.
-    fn words<T: Copy, const N: usize>(&mut self, v: &[T], le: fn(T) -> [u8; N]) {
         let start = self.0.len();
-        self.0.resize(start + N * v.len(), 0);
+        self.0.resize(start + 8 * v.len(), 0);
         for (word, &x) in self.0[start..].as_chunks_mut().0.iter_mut().zip(v) {
-            *word = le(x);
+            *word = x.to_le_bytes();
         }
     }
 
@@ -196,23 +186,15 @@ impl<'a> ByteReader<'a> {
         self.utf8(len)
     }
 
-    /// The next `n` values written by [`ByteWriter::u32s`].
-    pub fn u32_vec(&mut self, n: usize) -> Result<Vec<u32>, CodecError> {
-        self.words(n, u32::from_le_bytes)
-    }
-
     /// The next `n` values written by [`ByteWriter::u64s`].
     pub fn u64_vec(&mut self, n: usize) -> Result<Vec<u64>, CodecError> {
-        self.words(n, u64::from_le_bytes)
-    }
-
-    fn words<T, const N: usize>(
-        &mut self,
-        n: usize,
-        le: fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, CodecError> {
-        let raw = self.take(n.checked_mul(N).ok_or(CodecError::Truncated)?)?;
-        Ok(raw.as_chunks().0.iter().map(|&w| le(w)).collect())
+        let raw = self.take(n.checked_mul(8).ok_or(CodecError::Truncated)?)?;
+        Ok(raw
+            .as_chunks()
+            .0
+            .iter()
+            .map(|&w| u64::from_le_bytes(w))
+            .collect())
     }
 
     /// The next `N` `u64`s.

@@ -33,7 +33,7 @@ use nbl_mem::system::{
     StoreResponse,
 };
 use nbl_mem::write_buffer::RetirePolicy;
-use nbl_trace::tape::{barrier_index, barrier_is_mem, AddrCursor, TapeKind, TraceTape};
+use nbl_trace::tape::{AddrCursor, TapeKind, TraceTape};
 
 /// Replay-bubble length for the *fast* causes (bank conflict, dcache
 /// NACK): the load re-enters from the replay queue after a short
@@ -488,7 +488,7 @@ impl Core {
 
     /// Issues `count` consecutive hazard-free non-memory instructions in
     /// bulk — the replay fast path for the gaps between a tape's barrier
-    /// entries (see [`TraceTape::barriers`]). Each such entry is Alu or
+    /// entries (see [`TraceTape::next_barrier`]). Each such entry is Alu or
     /// Branch and touches no register whose most recent writer is a load,
     /// so it cannot stall and its issue iteration reduces to one
     /// instruction counted and one cycle elapsed. Fills may still be in
@@ -504,67 +504,57 @@ impl Core {
     }
 
     /// Replays a recorded tape through the barrier loop: bulk-issues the
-    /// hazard-free gaps between barriers ([`TraceTape::barriers`]) and
-    /// runs the drain → hazards → execute → tick sequence only at the
+    /// hazard-free gaps between barriers ([`TraceTape::next_barrier`])
+    /// and runs the drain → hazards → execute → tick sequence only at the
     /// barriers themselves.
     ///
     /// A further fast path applies when the engine is *quiescent* (no
     /// fetch outstanding — which also means no register is pending, since
     /// a pending register always awaits a fill): a non-memory barrier
     /// then cannot stall and cannot observe any state change, so it
-    /// issues in bulk exactly like a gap entry.
+    /// issues in bulk exactly like a gap entry, and the walk strides
+    /// straight to the next memory operation ([`TraceTape::next_mem`]).
     ///
     /// # Errors
     ///
     /// The first [`EngineError`] any entry hits.
     pub fn replay(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
-        let barriers = tape.barriers();
         let n = tape.len();
         let mut addrs = tape.addr_cursor();
         let mut i = 0; // next instruction index to account for
-        let mut j = 0; // next barrier to process
-        while j < barriers.len() {
-            if self.mem.next_event().is_none() {
-                // Quiescent: skip ahead to the next *memory* barrier —
-                // every non-memory barrier until then is hazard-free and
-                // the whole span bulk-issues like a gap. The tape's packed
-                // flag plane lets the scan stride over non-memory spans a
-                // u64 word (64 barriers) at a time.
-                j = tape.next_mem_barrier(j);
-                let next = barriers.get(j).map_or(n, |&b| barrier_index(b));
-                if next > i {
-                    self.issue_free_run(next - i);
-                    i = next;
-                }
-                let Some(&b) = barriers.get(j) else { break };
-                // The memory barrier itself: nothing outstanding, so no
-                // drain and no register hazard is possible.
-                self.replay_execute(tape, barrier_index(b), addrs.next())?;
-                self.tick();
-                i = barrier_index(b) + 1;
-                j += 1;
+        while i < n {
+            let quiescent = self.mem.next_event().is_none();
+            // Quiescent: skip ahead to the next *memory* operation — every
+            // non-memory barrier until then is hazard-free and the whole
+            // span bulk-issues like a gap.
+            let b = if quiescent {
+                tape.next_mem(i)
             } else {
-                let entry = barriers[j];
-                let b = barrier_index(entry);
-                if b > i {
-                    self.issue_free_run(b - i);
-                }
+                tape.next_barrier(i)
+            };
+            if b > i {
+                self.issue_free_run(b - i);
+            }
+            if b == n {
+                break;
+            }
+            if quiescent {
+                // The memory operation itself: nothing outstanding, so no
+                // drain and no register hazard is possible.
+                self.replay_execute(tape, b, addrs.next())?;
+            } else {
                 self.drain_fills();
                 self.replay_hazards(tape, b)?;
-                self.replay_execute(tape, b, addrs.step(barrier_is_mem(entry)))?;
-                self.tick();
-                i = b + 1;
-                j += 1;
+                self.replay_execute(tape, b, addrs.step(tape.is_mem(b)))?;
             }
-        }
-        if i < n {
-            self.issue_free_run(n - i);
+            self.tick();
+            i = b + 1;
         }
         check_drained(&addrs, n)
     }
 
     /// Replays one recorded tape through several engines in lockstep,
-    /// walking the barrier index (and decoding each entry's packed bytes)
+    /// walking the barrier plane (and decoding each entry's packed bytes)
     /// once for the whole group instead of once per engine — the fused
     /// fast path for sweep rows that differ only in hardware
     /// configuration over a shared tape.
@@ -579,8 +569,8 @@ impl Core {
     /// independent replays by construction (pinned by tests and the
     /// sweep-level refactor-equivalence goldens). When every engine is
     /// quiescent at once the walk additionally strides to the next memory
-    /// barrier through the tape's packed flag plane, sharing one chunked
-    /// scan across the group.
+    /// operation ([`TraceTape::next_mem`]), sharing one scan across the
+    /// group.
     ///
     /// # Errors
     ///
@@ -596,22 +586,23 @@ impl Core {
                 return Self::replay_fused_direct(tape, cores, &group);
             }
         }
-        let barriers = tape.barriers();
         let n = tape.len();
         // Per-engine cursor: the next instruction index to account for.
         let mut cursors = vec![0usize; cores.len()];
         // One address cursor for the whole group: every engine steps
-        // every memory barrier, so the group takes one address each.
+        // every memory operation, so the group takes one address each.
         let mut addrs = tape.addr_cursor();
-        let mut j = 0;
-        while j < barriers.len() {
+        // The group's walk position: the next entry no engine has visited.
+        let mut at = 0;
+        while at < n {
             if cores.iter().all(|c| c.mem.next_event().is_none()) {
-                // Whole group quiescent: one shared chunked scan to the
-                // next memory barrier; the skipped span bulk-issues per
-                // engine at that barrier's free-run below.
-                j = tape.next_mem_barrier(j);
-                let Some(&entry) = barriers.get(j) else { break };
-                let b = barrier_index(entry);
+                // Whole group quiescent: one shared scan to the next memory
+                // operation; the skipped span bulk-issues per engine at
+                // that operation's free-run below.
+                let b = tape.next_mem(at);
+                if b == n {
+                    break;
+                }
                 let addr = addrs.next();
                 for (core, i) in cores.iter_mut().zip(&mut cursors) {
                     if b > *i {
@@ -622,17 +613,20 @@ impl Core {
                     core.tick();
                     *i = b + 1;
                 }
+                at = b + 1;
             } else {
-                let entry = barriers[j];
-                let b = barrier_index(entry);
-                let is_mem = barrier_is_mem(entry);
+                let b = tape.next_barrier(at);
+                if b == n {
+                    break;
+                }
+                let is_mem = tape.is_mem(b);
                 let addr = addrs.step(is_mem);
                 for (core, i) in cores.iter_mut().zip(&mut cursors) {
                     let quiescent = core.mem.next_event().is_none();
                     if quiescent && !is_mem {
                         // The scalar quiescent fast path: this barrier
                         // bulk-issues with the gap at the engine's next
-                        // memory barrier.
+                        // memory operation.
                         continue;
                     }
                     if b > *i {
@@ -646,8 +640,8 @@ impl Core {
                     core.tick();
                     *i = b + 1;
                 }
+                at = b + 1;
             }
-            j += 1;
         }
         for (core, i) in cores.iter_mut().zip(&cursors) {
             if *i < n {
@@ -694,7 +688,6 @@ impl Core {
         cores: &mut [&mut Core],
         group: &FusedMemGroup,
     ) -> Result<(), EngineError> {
-        let barriers = tape.barriers();
         let n = tape.len();
         let mut cursors = vec![0usize; cores.len()];
         let mut addrs = tape.addr_cursor();
@@ -709,14 +702,16 @@ impl Core {
                 quiescent |= 1 << k;
             }
         }
-        let mut j = 0;
-        while j < barriers.len() {
+        // The group's walk position: the next entry no engine has visited.
+        let mut at = 0;
+        while at < n {
             if quiescent == all {
-                // Whole group quiescent: one shared chunked scan to the
-                // next memory barrier, one shared decode of its entry.
-                j = tape.next_mem_barrier(j);
-                let Some(&entry) = barriers.get(j) else { break };
-                let b = barrier_index(entry);
+                // Whole group quiescent: one shared scan to the next memory
+                // operation, one shared decode of its entry.
+                let b = tape.next_mem(at);
+                if b == n {
+                    break;
+                }
                 let e = GroupEntry::decode(tape, b, &mut addrs, group)?;
                 // The operation is one and the same for the whole group,
                 // so the dispatch happens once out here and each arm is a
@@ -769,10 +764,13 @@ impl Core {
                         }
                     }
                 }
+                at = b + 1;
             } else {
-                let entry = barriers[j];
-                let b = barrier_index(entry);
-                if barrier_is_mem(entry) {
+                let b = tape.next_barrier(at);
+                if b == n {
+                    break;
+                }
+                if tape.is_mem(b) {
                     let e = GroupEntry::decode(tape, b, &mut addrs, group)?;
                     for (k, (core, i)) in cores.iter_mut().zip(&mut cursors).enumerate() {
                         let was_quiescent = quiescent & (1 << k) != 0;
@@ -839,8 +837,8 @@ impl Core {
                         }
                     }
                 }
+                at = b + 1;
             }
-            j += 1;
         }
         for (core, i) in cores.iter_mut().zip(&cursors) {
             if *i < n {

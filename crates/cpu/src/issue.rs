@@ -34,7 +34,7 @@ use nbl_core::inst::DynInst;
 use nbl_core::types::Cycle;
 use nbl_mem::event::ReplayCause;
 use nbl_mem::system::MemorySystem;
-use nbl_trace::tape::{barrier_index, barrier_is_mem, TraceTape};
+use nbl_trace::tape::TraceTape;
 
 /// Which issue discipline the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -241,53 +241,36 @@ impl IssueEngine {
     /// engine has no pending register to attribute a wait to), with the
     /// speculative execute and hazard-wait attribution at the barriers.
     fn run_tape_replaying(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
-        let barriers = tape.barriers();
         let n = tape.len();
         let mut addrs = tape.addr_cursor();
         let mut i = 0; // next instruction index to account for
-        let mut j = 0; // next barrier to process
-        while j < barriers.len() {
-            if self.core.memory().next_event().is_none() {
-                j = tape.next_mem_barrier(j);
-                let next = barriers.get(j).map_or(n, |&b| barrier_index(b));
-                if next > i {
-                    self.core.issue_free_run(next - i);
-                    i = next;
-                }
-                let Some(&b) = barriers.get(j) else { break };
-                self.core.replay_execute_speculative(
-                    tape,
-                    barrier_index(b),
-                    addrs.next(),
-                    &mut self.attribution,
-                )?;
-                self.core.tick();
-                i = barrier_index(b) + 1;
-                j += 1;
+        while i < n {
+            let quiescent = self.core.memory().next_event().is_none();
+            let b = if quiescent {
+                tape.next_mem(i)
             } else {
-                let entry = barriers[j];
-                let b = barrier_index(entry);
-                if b > i {
-                    self.core.issue_free_run(b - i);
-                }
+                tape.next_barrier(i)
+            };
+            if b > i {
+                self.core.issue_free_run(b - i);
+            }
+            if b == n {
+                break;
+            }
+            let addr = if quiescent {
+                addrs.next()
+            } else {
                 self.core.drain_fills();
                 let before = self.core.now();
                 self.core.replay_hazards(tape, b)?;
                 self.attribution.stall_cycles[ReplayCause::DcacheMiss.index()] +=
                     self.core.now().since(before);
-                self.core.replay_execute_speculative(
-                    tape,
-                    b,
-                    addrs.step(barrier_is_mem(entry)),
-                    &mut self.attribution,
-                )?;
-                self.core.tick();
-                i = b + 1;
-                j += 1;
-            }
-        }
-        if i < n {
-            self.core.issue_free_run(n - i);
+                addrs.step(tape.is_mem(b))
+            };
+            self.core
+                .replay_execute_speculative(tape, b, addr, &mut self.attribution)?;
+            self.core.tick();
+            i = b + 1;
         }
         check_drained(&addrs, n)
     }

@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! results/store/
-//!   tape-v3-<workload>-<fp:016x>.nbt               recorded trace tape
+//!   tape-v4-<workload>-<fp:016x>.nbt               recorded trace tape
 //!   result-v1-<workload>-l<latency>-<fp:016x>.nbr  one RunResult
 //!   oracle-v1-<key:016x>.nbo                       one oracle verdict
 //!   <name>.corrupt                                 quarantined artifact
@@ -37,8 +37,8 @@
 //! fingerprint of `(program-IR fingerprint, SimConfig)`, so a result can
 //! be looked up *before* compiling. Format versions are embedded in the
 //! name: a version bump makes old files invisible instead of misread (a
-//! `tape-v2-` file, keyed by latency before tapes were shared across
-//! schedules, is never opened, and stays where it is).
+//! `tape-v3-` file, which carried a `u32` barrier list where version 4
+//! carries a barrier bit plane, is never opened, and stays where it is).
 //!
 //! ## One read, publish and quarantine path
 //!
@@ -944,7 +944,7 @@ impl ArtifactStore {
         let schedule = compiled_fingerprint(&compiled);
         self.tapes.peek(
             |(n, fp)| n == name && *fp == schedule,
-            |tape| tape.barriers().len() as u64,
+            |tape| tape.barrier_count() as u64,
         )
     }
 
@@ -1097,7 +1097,7 @@ mod tests {
         // The scheduling peek answers from memory and moves no counter.
         assert_eq!(
             store.resident_barriers("doduc", 10),
-            Some(a.barriers().len() as u64)
+            Some(a.barrier_count() as u64)
         );
         assert_eq!(store.memory_stats().1, s);
     }
@@ -1150,7 +1150,7 @@ mod tests {
         // resident schedule: the scheduling peek already sees its tape.
         assert_eq!(
             store.resident_barriers("eqntott", 10),
-            Some(a.barriers().len() as u64)
+            Some(a.barrier_count() as u64)
         );
         assert_eq!(store.resident_barriers("eqntott", 3), None);
         assert_eq!(store.resident_barriers("eqntott", 20), None, "not compiled");

@@ -183,51 +183,94 @@ fn corrupted_tape_is_quarantined_and_transparently_re_recorded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `bytes` (a current, version 3 tape artifact) in the version 2 layout:
-/// the version field rewritten, the load latency version 2 carried after
-/// the name length put back, and the checksum resealed — an intact
-/// artifact of the previous format.
-fn as_version_2(v3: &[u8], latency: u32) -> Vec<u8> {
-    let mut bytes = v3[..12].to_vec();
-    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-    bytes.extend_from_slice(&latency.to_le_bytes());
-    bytes.extend_from_slice(&v3[12..]);
-    let body = bytes.len() - 8;
-    let sum = checksum_bytes(&bytes[..body]);
-    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+/// `v4` (a current, version 4 tape artifact) in the version 3 layout:
+/// the `u32` barrier list (instruction index, bit 31 set on a memory
+/// operation) and the flag plane over barrier positions rebuilt from the
+/// barrier plane and the kind bytes, their two counts put back in the
+/// header, and the checksum resealed — an intact artifact of the previous
+/// format.
+fn as_version_3(v4: &[u8]) -> Vec<u8> {
+    let u64_at = |at: usize| u64::from_le_bytes(v4[at..at + 8].try_into().unwrap());
+    let name_len = u32::from_le_bytes(v4[8..12].try_into().unwrap()) as usize;
+    let len = u64_at(20) as usize;
+    let plane_at = 52 + name_len;
+    let kinds_at = plane_at + 8 * len.div_ceil(64);
+    let mut barriers: Vec<u32> = Vec::new();
+    let mut flag_plane: Vec<u64> = Vec::new();
+    for i in 0..len {
+        if u64_at(plane_at + 8 * (i / 64)) >> (i % 64) & 1 == 0 {
+            continue;
+        }
+        let is_mem = v4[kinds_at + i] & 0b10 != 0;
+        let slot = barriers.len();
+        if slot.is_multiple_of(64) {
+            flag_plane.push(0);
+        }
+        flag_plane[slot / 64] |= u64::from(is_mem) << (slot % 64);
+        barriers.push(i as u32 | u32::from(is_mem) << 31);
+    }
+    let mut bytes = v4[..28].to_vec();
+    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+    bytes.extend_from_slice(&(barriers.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&(flag_plane.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&v4[28..plane_at]);
+    flag_plane
+        .iter()
+        .for_each(|w| bytes.extend_from_slice(&w.to_le_bytes()));
+    bytes.extend_from_slice(&v4[kinds_at..v4.len() - 8]);
+    barriers
+        .iter()
+        .for_each(|b| bytes.extend_from_slice(&b.to_le_bytes()));
+    let sum = checksum_bytes(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
     bytes
 }
 
-/// The name the tape at `v3` had under format version 2, where a tape
-/// was addressed per latency: `tape-v2-<workload>-l<latency>-<fp>.nbt`.
-fn version_2_name(v3: &Path, latency: u32) -> PathBuf {
-    let name = v3.file_name().unwrap().to_str().unwrap();
-    let rest = name.strip_prefix("tape-v3-").unwrap();
-    let (workload, fp) = rest.rsplit_once('-').unwrap();
-    v3.with_file_name(format!("tape-v2-{workload}-l{latency}-{fp}"))
+/// The name the tape at `v4` had under format version 3:
+/// `tape-v3-<workload>-<fp>.nbt`.
+fn version_3_name(v4: &Path) -> PathBuf {
+    let name = v4.file_name().unwrap().to_str().unwrap();
+    let rest = name.strip_prefix("tape-v4-").unwrap();
+    v4.with_file_name(format!("tape-v3-{rest}"))
 }
 
 #[test]
-fn stale_version_2_tape_is_ignored_and_left_alone() {
-    let dir = temp_store("stale-v2");
+fn version_3_reconstruction_reproduces_the_version_3_golden() {
+    // The byte-format golden the per-kind suite pinned for the version 3
+    // encoding of the fixture tape: the reconstruction the two tests
+    // below plant is a genuine version 3 artifact.
+    let v3 = as_version_3(&TapeArtifact::encode(&TapeArtifact::sample()));
+    assert_eq!(
+        (v3.len(), checksum_bytes(&v3)),
+        (2954, 0xe4d5_785c_86dc_d043)
+    );
+    assert_eq!(
+        TraceTape::from_bytes(&v3),
+        Err(CodecError::UnsupportedVersion(3))
+    );
+}
+
+#[test]
+fn stale_version_3_tape_is_ignored_and_left_alone() {
+    let dir = temp_store("stale-v3");
     let programs = grid_programs();
 
-    // Learn the v3 addresses from a populated store, then start over
-    // with only a v2-named, v2-framed file in the directory.
+    // Learn the v4 addresses from a populated store, then start over
+    // with only a v3-named, v3-framed file in the directory.
     let baseline = run_grid(&disk_engine(&dir, false), &programs);
-    let v3 = artifacts_with_extension(&dir, "nbt");
-    assert_eq!(v3.len(), SCHEDULES as usize);
-    let stale = as_version_2(&std::fs::read(&v3[0]).unwrap(), 6);
+    let v4 = artifacts_with_extension(&dir, "nbt");
+    assert_eq!(v4.len(), SCHEDULES as usize);
+    let stale = as_version_3(&std::fs::read(&v4[0]).unwrap());
     assert_eq!(
         TraceTape::from_bytes(&stale),
-        Err(CodecError::UnsupportedVersion(2))
+        Err(CodecError::UnsupportedVersion(3))
     );
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let v2_path = version_2_name(&v3[0], 6);
-    std::fs::write(&v2_path, &stale).unwrap();
+    let v3_path = version_3_name(&v4[0]);
+    std::fs::write(&v3_path, &stale).unwrap();
 
-    // The store never asks for the v2 name: every schedule records
+    // The store never asks for the v3 name: every schedule records
     // once, nothing counts as damage, and the old file is untouched.
     let b = disk_engine(&dir, false);
     let again = run_grid(&b, &programs);
@@ -239,29 +282,29 @@ fn stale_version_2_tape_is_ignored_and_left_alone() {
     );
     assert_eq!(sb.corruptions, 0);
     assert_eq!(b.store().memory_stats().1.derived, SCHEDULES);
-    assert_eq!(std::fs::read(&v2_path).unwrap(), stale, "left alone");
+    assert_eq!(std::fs::read(&v3_path).unwrap(), stale, "left alone");
     assert!(artifacts_with_extension(&dir, "corrupt").is_empty());
-    assert!(v3[0].exists(), "the v3 address is populated beside it");
+    assert!(v4[0].exists(), "the v4 address is populated beside it");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn version_2_frame_at_a_version_3_path_is_quarantined_and_re_recorded() {
-    let dir = temp_store("v2-at-v3");
+fn version_3_frame_at_a_version_4_path_is_quarantined_and_re_recorded() {
+    let dir = temp_store("v3-at-v4");
     let programs = grid_programs();
 
     let a = disk_engine(&dir, false);
     let baseline = run_grid(&a, &programs);
 
-    // Overwrite one v3 tape with the same content in a v2 frame.
+    // Overwrite one v4 tape with the same content in a v3 frame.
     let tapes = artifacts_with_extension(&dir, "nbt");
     let victim = &tapes[1];
     let original = std::fs::read(victim).unwrap();
-    let stale = as_version_2(&original, 10);
+    let stale = as_version_3(&original);
     assert_eq!(
         TraceTape::from_bytes(&stale),
-        Err(CodecError::UnsupportedVersion(2))
+        Err(CodecError::UnsupportedVersion(3))
     );
     std::fs::write(victim, &stale).unwrap();
 
@@ -282,7 +325,7 @@ fn version_2_frame_at_a_version_3_path_is_quarantined_and_re_recorded() {
     assert_eq!(
         std::fs::read(victim).unwrap(),
         original,
-        "the address is repopulated with the same v3 bytes"
+        "the address is repopulated with the same v4 bytes"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -388,7 +431,7 @@ trait Fixture: ArtifactKind<Value: PartialEq + Debug> {
 }
 
 impl Fixture for TapeArtifact {
-    const GOLDEN: (usize, u64) = (2954, 0xe4d5_785c_86dc_d043);
+    const GOLDEN: (usize, u64) = (2266, 0x63cf_b3e3_a02b_052e);
 
     fn sample() -> TraceTape {
         tape_of_len(300)
@@ -405,7 +448,7 @@ impl Fixture for TapeArtifact {
 }
 
 /// Loads, stores, ALU chains and branches, with barriers spanning more
-/// than one flag word.
+/// than one barrier-plane word.
 fn tape_of_len(len: u64) -> TraceTape {
     let mut tape = TraceTape::with_capacity("golden", 2, len as usize);
     for i in 0..len {

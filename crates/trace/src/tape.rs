@@ -23,28 +23,27 @@
 //! Effective addresses live apart, in one dense `u64` array in
 //! memory-operation order: the *k*-th address belongs to the *k*-th load
 //! or store. Nothing indexes it by instruction; replay reads it through an
-//! [`AddrCursor`] that advances once per memory barrier, in program
+//! [`AddrCursor`] that advances once per memory operation, in program
 //! order — exactly the memory-access sequence the static cache oracle
 //! consumes ([`TraceTape::mem_ops`]).
 //!
-//! A side index of **barrier** entries (`u32` each) lists the memory
-//! operations and the entries that read or rewrite a register whose most
-//! recent writer is a load. Only a barrier can stall or touch the memory
-//! system — a register is pending only while an outstanding load owns it,
-//! so an entry whose registers were all last written by non-loads can
-//! never wait ([`TraceTape::barriers`]). Replay exploits this by issuing
-//! everything between barriers in bulk.
-//!
-//! A packed flag plane (one `u64` word per 64 barriers, bit set = memory
-//! operation) shadows the barrier index so the replay loop's quiescent
-//! scan ([`TraceTape::next_mem_barrier`]) strides over non-memory spans
-//! 64 barriers at a time instead of probing bit 31 entry by entry.
+//! A **barrier plane** (one bit per instruction, packed in `u64` words)
+//! marks the memory operations and the entries that read or rewrite a
+//! register whose most recent writer is a load. Only a barrier can stall
+//! or touch the memory system — a register is pending only while an
+//! outstanding load owns it, so an entry whose registers were all last
+//! written by non-loads can never wait. Replay exploits this by issuing
+//! everything between barriers in bulk: [`TraceTape::next_barrier`]
+//! strides over the plane 64 instructions per word, and the quiescent
+//! scan [`TraceTape::next_mem`] reads the kind bytes eight at a time
+//! (memory-ness is bit 1 of the kind byte, so it needs no plane of its
+//! own).
 //!
 //! The footprint is 4 bytes per dynamic instruction, plus 8 per memory
-//! operation (~26 % of entries on the paper's workload mixes), plus 4 per
-//! barrier (~46 %), plus 8 per 64-barrier flag word — about 8 bytes per
+//! operation (~26 % of entries on the paper's workload mixes), plus one
+//! bit per instruction for the barrier plane — about 6.2 bytes per
 //! instruction in all, laid out so a replay touches each array linearly:
-//! ~0.3 MiB for a quick-scale (~40 k instruction) run and ~3 MiB for a
+//! ~0.25 MiB for a quick-scale (~40 k instruction) run and ~2.5 MiB for a
 //! full-scale (~400 k) one. [`TraceTape::bytes`] and the codec share the
 //! arithmetic; DESIGN.md §12 gives the measured bounds.
 //!
@@ -73,44 +72,25 @@ const KIND_MASK: u8 = 0b11;
 /// Shift of the packed [`LoadFormat`] within a load's kind byte.
 const FORMAT_SHIFT: u32 = 2;
 
-/// Bit 31 of a barrier entry: set when the barrier is a memory operation
-/// (see [`TraceTape::barriers`]). Instruction indices stay well below
-/// 2³¹, so the top bit is free for the flag the replay loop's quiescent
-/// scan needs on every entry — reading it from the packed entry avoids a
-/// random-stride lookup into the `kinds` array.
-pub const BARRIER_MEM: u32 = 1 << 31;
+/// A little-endian `u64` read over eight kind bytes, masked to bit 1 of
+/// each byte: non-zero exactly where a byte is a load or store.
+const MEM_BYTES: u64 = 0x0202_0202_0202_0202;
 
-/// Instruction index of a packed barrier entry.
-#[inline]
-#[must_use]
-pub fn barrier_index(entry: u32) -> usize {
-    (entry & !BARRIER_MEM) as usize
+/// Words of a barrier plane over `insts` instructions: one bit each.
+pub(crate) fn plane_words(insts: usize) -> usize {
+    insts.div_ceil(64)
 }
 
-/// `true` if a packed barrier entry is a memory operation.
-#[inline]
-#[must_use]
-pub fn barrier_is_mem(entry: u32) -> bool {
-    entry & BARRIER_MEM != 0
-}
-
-/// Bytes of a tape's arrays for `insts` entries, `mem_ops` memory
-/// operations, `barriers` barriers and `flag_words` flag-plane words:
-/// 4 per instruction (kind, destination, two sources), 8 per memory
-/// operation (its address), 4 per barrier, 8 per flag word. `None` on
-/// overflow. [`TraceTape::bytes`] and the codec's artifact length both
-/// use this one formula.
-pub(crate) fn layout_bytes(
-    insts: usize,
-    mem_ops: usize,
-    barriers: usize,
-    flag_words: usize,
-) -> Option<usize> {
+/// Bytes of a tape's arrays for `insts` entries and `mem_ops` memory
+/// operations: 4 per instruction (kind, destination, two sources), 8 per
+/// memory operation (its address), 8 per 64-instruction barrier-plane
+/// word. `None` on overflow. [`TraceTape::bytes`] and the codec's
+/// artifact length both use this one formula.
+pub(crate) fn layout_bytes(insts: usize, mem_ops: usize) -> Option<usize> {
     insts
         .checked_mul(4)?
         .checked_add(mem_ops.checked_mul(8)?)?
-        .checked_add(barriers.checked_mul(4)?)?
-        .checked_add(flag_words.checked_mul(8)?)
+        .checked_add(plane_words(insts).checked_mul(8)?)
 }
 
 /// What one tape entry does: bits 0–1 of its kind byte. The split of
@@ -174,7 +154,7 @@ pub struct MemOp {
 /// A read position in a tape's dense address array
 /// ([`TraceTape::addr_cursor`]). It yields the effective address of each
 /// memory operation in program order; a replay loop takes one address
-/// per memory barrier it executes, so the cursor and the barrier walk
+/// per memory operation it executes, so the cursor and the barrier walk
 /// stay in step without ever indexing addresses by instruction. A cursor
 /// that runs dry before the walk ends yields `None`, which replay reports
 /// as a malformed tape.
@@ -286,13 +266,10 @@ pub struct TraceTape {
     srcs: Vec<[u8; 2]>,
     /// Effective addresses of the memory operations, in program order.
     addrs: Vec<u64>,
-    barriers: Vec<u32>,
-    /// Packed flag plane over barrier *positions*: bit `k` of word `w` is
-    /// set when `barriers[w * 64 + k]` is a memory operation. Redundant
-    /// with bit 31 of each barrier entry, but laid out so the replay
-    /// loop's quiescent scan ([`TraceTape::next_mem_barrier`]) advances
-    /// in 64-barrier strides instead of probing entries one at a time.
-    mem_flags: Vec<u64>,
+    /// Barrier plane over instruction indices: bit `i % 64` of word
+    /// `i / 64` is set when entry `i` is a barrier. Every load and store
+    /// is one, and no bit is set at or past `len()`.
+    barrier_plane: Vec<u64>,
     /// Bitmap of registers whose most recent writer (so far) is a load —
     /// recording state for the barrier computation in [`TraceTape::push`].
     load_written: u64,
@@ -302,7 +279,8 @@ pub struct TraceTape {
 
 impl TraceTape {
     /// An empty tape with the given identity and room for `capacity`
-    /// instructions (the address array grows as memory operations arrive).
+    /// instructions and their barrier plane (the address array grows as
+    /// memory operations arrive).
     pub fn with_capacity(name: &str, static_spill_ops: usize, capacity: usize) -> TraceTape {
         TraceTape {
             name: name.to_string(),
@@ -311,8 +289,7 @@ impl TraceTape {
             dsts: Vec::with_capacity(capacity),
             srcs: Vec::with_capacity(capacity),
             addrs: Vec::new(),
-            barriers: Vec::new(),
-            mem_flags: Vec::new(),
+            barrier_plane: Vec::with_capacity(plane_words(capacity)),
             load_written: 0,
             loads: 0,
             stores: 0,
@@ -322,8 +299,8 @@ impl TraceTape {
     /// Records `compiled` by running the executor once into a fresh tape.
     /// The stream is bit-identical to what any processor-backed sink would
     /// have received — the tape just stores it instead of timing it. The
-    /// instruction arrays and the address array are reserved exactly from
-    /// [`CompiledProgram::dynamic_mix`].
+    /// instruction arrays, the barrier plane and the address array are
+    /// reserved exactly from [`CompiledProgram::dynamic_mix`].
     pub fn record(compiled: &CompiledProgram) -> TraceTape {
         let (loads, stores, other) = compiled.dynamic_mix();
         let count = |n: u64| usize::try_from(n).unwrap_or(0);
@@ -335,14 +312,12 @@ impl TraceTape {
         tape.addrs.reserve_exact(count(loads + stores));
         Executor::new(compiled).run(&mut tape);
         debug_assert_eq!(tape.len() as u64, compiled.dynamic_instructions());
-        tape.barriers.shrink_to_fit();
-        tape.mem_flags.shrink_to_fit();
         tape
     }
 
     /// Appends one instruction (the [`InstSink`] implementation calls this).
     ///
-    /// Besides the packed arrays this maintains the barrier index: the
+    /// Besides the packed arrays this maintains the barrier plane: the
     /// entry is a barrier when it is a memory operation, or when any of
     /// its registers (sources or destination) was most recently written
     /// by a load — the only way a register can be pending when the entry
@@ -369,17 +344,14 @@ impl TraceTape {
         };
         let d = pack_reg(dst);
         let [s0, s1] = [pack_reg(inst.srcs[0]), pack_reg(inst.srcs[1])];
-        let is_mem = is_mem_byte(kind);
-        if is_mem || (reg_bit(d) | reg_bit(s0) | reg_bit(s1)) & self.load_written != 0 {
-            let slot = self.barriers.len();
-            if slot.is_multiple_of(64) {
-                self.mem_flags.push(0);
-            }
-            if is_mem {
-                self.mem_flags[slot / 64] |= 1u64 << (slot % 64);
-            }
-            let flag = if is_mem { BARRIER_MEM } else { 0 };
-            self.barriers.push(self.kinds.len() as u32 | flag);
+        let barrier =
+            is_mem_byte(kind) || (reg_bit(d) | reg_bit(s0) | reg_bit(s1)) & self.load_written != 0;
+        let at = self.kinds.len();
+        if at.is_multiple_of(64) {
+            self.barrier_plane.push(0);
+        }
+        if let Some(word) = self.barrier_plane.last_mut() {
+            *word |= u64::from(barrier) << (at % 64);
         }
         match TapeKind::of(kind) {
             TapeKind::Load => self.load_written |= reg_bit(d),
@@ -430,18 +402,12 @@ impl TraceTape {
     }
 
     /// Bytes the tape's arrays hold: 4 per entry, plus 8 per memory
-    /// operation, plus 4 per barrier, plus 8 per 64-barrier flag word —
-    /// the same arithmetic the codec sizes an artifact's streams with.
+    /// operation, plus 8 per 64-entry barrier-plane word — the same
+    /// arithmetic the codec sizes an artifact's streams with.
     /// [`TraceTape::record`] and the decoder allocate every array to
     /// exactly its length, so this is also their heap footprint.
     pub fn bytes(&self) -> usize {
-        layout_bytes(
-            self.len(),
-            self.addrs.len(),
-            self.barriers.len(),
-            self.mem_flags.len(),
-        )
-        .unwrap_or(usize::MAX)
+        layout_bytes(self.len(), self.addrs.len()).unwrap_or(usize::MAX)
     }
 
     /// A cursor at the first address of the dense address array.
@@ -506,55 +472,70 @@ impl TraceTape {
             })
     }
 
-    /// The barrier entries, in ascending instruction order: the memory
-    /// operations plus every entry that reads or rewrites a register
-    /// whose most recent writer is a load. A register is pending only
-    /// while the load that last wrote it is outstanding, so entries *not*
-    /// in this index can never stall and never touch the memory system —
-    /// the replay loop issues the gaps between barriers in bulk (one
-    /// instruction, one cycle each) and runs the full
+    /// Index of the first barrier at or after `from`, or `len()` when
+    /// none remains. The barriers are the memory operations plus every
+    /// entry that reads or rewrites a register whose most recent writer
+    /// is a load. A register is pending only while the load that last
+    /// wrote it is outstanding, so entries between barriers can never
+    /// stall and never touch the memory system — the replay loop issues
+    /// them in bulk (one instruction, one cycle each) and runs the full
     /// drain/hazard/execute machinery only at the barriers themselves.
     ///
-    /// Each entry packs the instruction index in its low 31 bits
-    /// ([`barrier_index`]) and the memory-operation flag in bit 31
-    /// ([`barrier_is_mem`], [`BARRIER_MEM`]), so the replay loop's
-    /// quiescent scan classifies a barrier without touching the `kinds`
-    /// array.
-    #[inline]
-    pub fn barriers(&self) -> &[u32] {
-        &self.barriers
-    }
-
-    /// Index (into [`TraceTape::barriers`]) of the first barrier at or
-    /// after `from` that is a memory operation, or `barriers().len()` when
-    /// none remains.
-    ///
-    /// This is the vectorized form of the scalar scan
-    /// `while from < n && !barrier_is_mem(barriers[from]) { from += 1 }`:
-    /// it reads the packed flag plane in `u64` words, so a span of
-    /// non-memory barriers is skipped 64 entries per iteration instead of
-    /// one. The replay loop leans on this whenever the engine is
-    /// quiescent — every barrier until the next memory operation then
-    /// bulk-issues, and the scan is the only per-entry work left.
+    /// The scan reads the barrier plane a `u64` word (64 instructions) at
+    /// a time.
     #[inline]
     #[must_use]
-    pub fn next_mem_barrier(&self, from: usize) -> usize {
-        let n = self.barriers.len();
+    pub fn next_barrier(&self, from: usize) -> usize {
+        let n = self.len();
         if from >= n {
             return n;
         }
         let mut word = from / 64;
-        let mut bits = self.mem_flags[word] & (u64::MAX << (from % 64));
+        let mut bits = self.barrier_plane[word] & (u64::MAX << (from % 64));
         while bits == 0 {
             word += 1;
-            if word >= self.mem_flags.len() {
-                return n;
+            match self.barrier_plane.get(word) {
+                Some(&w) => bits = w,
+                None => return n,
             }
-            bits = self.mem_flags[word];
         }
-        // A set bit only ever marks a real barrier slot, so the result is
-        // in bounds by construction.
+        // No bit is set at or past `len()`, so the result is in bounds.
         word * 64 + bits.trailing_zeros() as usize
+    }
+
+    /// Index of the first memory operation at or after `from`, or `len()`
+    /// when none remains. Every memory operation is a barrier, so this is
+    /// where a quiescent replay must next stop: every barrier before it
+    /// bulk-issues. The scan reads the kind bytes eight at a time (bit 1
+    /// of a kind byte marks a load or store).
+    #[inline]
+    #[must_use]
+    pub fn next_mem(&self, from: usize) -> usize {
+        let n = self.len();
+        let mut at = from.min(n);
+        while let Some(group) = self.kinds.get(at..at + 8) {
+            let mut eight = [0u8; 8];
+            eight.copy_from_slice(group);
+            let bits = u64::from_le_bytes(eight) & MEM_BYTES;
+            if bits != 0 {
+                return at + bits.trailing_zeros() as usize / 8;
+            }
+            at += 8;
+        }
+        while at < n && !is_mem_byte(self.kinds[at]) {
+            at += 1;
+        }
+        at
+    }
+
+    /// Number of barriers: the barrier plane's population count, a
+    /// measure of a replay's full-machinery steps.
+    #[must_use]
+    pub fn barrier_count(&self) -> usize {
+        self.barrier_plane
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// `true` if entry `j` reads or rewrites the register entry `i` writes
@@ -633,6 +614,44 @@ pub(crate) fn reference_mem_ops(stream: &[DynInst]) -> Vec<MemOp> {
         .collect()
 }
 
+/// Reference for the barrier plane: per entry of an instruction stream,
+/// whether it is a memory operation or reads or rewrites a register whose
+/// most recent writer is a load — the recurrence [`TraceTape::push`]
+/// implements, written out over [`DynInst`]s. Shared by the unit tests
+/// and the plane property suite.
+#[cfg(test)]
+pub(crate) fn reference_barriers(stream: &[DynInst]) -> Vec<bool> {
+    let mut load_written: u64 = 0;
+    stream
+        .iter()
+        .map(|inst| {
+            let touches = inst
+                .srcs
+                .iter()
+                .copied()
+                .chain([inst.dst()])
+                .flatten()
+                .any(|r| load_written & (1u64 << r.dense_index()) != 0);
+            if let Some(d) = inst.dst() {
+                match inst.kind {
+                    DynKind::Load { .. } => load_written |= 1u64 << d.dense_index(),
+                    DynKind::Alu { .. } => load_written &= !(1u64 << d.dense_index()),
+                    DynKind::Store { .. } => unreachable!("stores write no register"),
+                }
+            }
+            inst.is_mem() || touches
+        })
+        .collect()
+}
+
+/// The set bits of a tape's barrier plane, read bit by bit (no scan).
+#[cfg(test)]
+pub(crate) fn plane_bits(tape: &TraceTape) -> Vec<bool> {
+    (0..tape.barrier_plane.len() * 64)
+        .map(|i| tape.barrier_plane[i / 64] >> (i % 64) & 1 != 0)
+        .collect()
+}
+
 /// A tape of `len` random instructions of `mix`, with the stream pushed.
 #[cfg(test)]
 pub(crate) fn random_tape(
@@ -650,10 +669,10 @@ pub(crate) fn random_tape(
     (tape, pushed)
 }
 
-/// Property suite for the chunked mem-barrier scan and the address
+/// Property suite for the barrier plane, its two scans and the address
 /// cursor, on random tapes from the seeded [`nbl_core::prop`] harness.
 #[cfg(test)]
-mod scan_prop {
+mod plane_prop {
     use super::*;
     use nbl_core::prop::{self, InstMix};
     use nbl_core::rng::SplitMix64;
@@ -669,79 +688,98 @@ mod scan_prop {
         }
     }
 
-    fn scalar_next_mem_barrier(tape: &TraceTape, mut from: usize) -> usize {
-        let barriers = tape.barriers();
-        while from < barriers.len() && !barrier_is_mem(barriers[from]) {
-            from += 1;
-        }
-        from
+    /// The first index at or after `from` where `marked` holds, else
+    /// `marked.len()`: one entry at a time.
+    fn scalar_next(marked: &[bool], from: usize) -> usize {
+        (from..marked.len())
+            .find(|&i| marked[i])
+            .unwrap_or(marked.len())
     }
 
-    fn check_all_starts(tape: &TraceTape) {
-        for from in 0..=tape.barriers().len() + 65 {
+    /// Checks the recorded plane against the reference recurrence over
+    /// the pushed stream, both scans against a scalar scan of it from
+    /// every start (and past the end), and the codec's round trip.
+    fn check_plane(tape: &TraceTape, pushed: &[DynInst]) {
+        let barriers = reference_barriers(pushed);
+        let mems: Vec<bool> = pushed.iter().map(DynInst::is_mem).collect();
+        let mut bits = plane_bits(tape);
+        assert_eq!(tape.barrier_plane.len(), plane_words(pushed.len()));
+        assert!(bits.drain(pushed.len()..).all(|b| !b), "a bit past len");
+        assert_eq!(bits, barriers, "plane vs reference recurrence");
+        assert_eq!(
+            tape.barrier_count(),
+            barriers.iter().filter(|&&b| b).count()
+        );
+        for from in 0..=pushed.len() + 65 {
+            let at = from.min(pushed.len());
             assert_eq!(
-                tape.next_mem_barrier(from),
-                scalar_next_mem_barrier(tape, from.min(tape.barriers().len())),
-                "scan diverged at start {from}"
+                tape.next_barrier(from),
+                scalar_next(&barriers, at),
+                "next_barrier({from})"
+            );
+            assert_eq!(
+                tape.next_mem(from),
+                scalar_next(&mems, at),
+                "next_mem({from})"
             );
         }
+        let back = TraceTape::from_bytes(&tape.to_bytes()).expect("decode");
+        assert_eq!(&back, tape, "decode of encode");
     }
 
     #[test]
-    fn chunked_scan_agrees_with_scalar_on_random_layouts() {
+    fn plane_and_scans_agree_with_the_pushed_stream() {
         // Lengths land both short of and straddling word boundaries
         // (tail-word coverage).
         for rate in MEM_RATES {
-            let suite = format!("scan, mem rate {rate}");
+            let suite = format!("plane, mem rate {rate}");
             prop::check(&suite, 24, 0x5ca9 + rate, |rng| {
-                let len = 1 + rng.next_below(400) as usize;
-                check_all_starts(&random_tape(rng, len, mix(rate)).0);
+                let len = rng.next_below(400) as usize;
+                let (tape, pushed) = random_tape(rng, len, mix(rate));
+                check_plane(&tape, &pushed);
             });
         }
     }
 
     #[test]
-    fn chunked_scan_handles_exact_word_multiples() {
-        // Exactly 64 and 128 barriers: the tail word is full, exercising
-        // the word-boundary exit paths.
-        prop::check("scan, word multiples", 4, 0xb0b, |rng| {
-            for barriers_wanted in [64usize, 128] {
-                let mut tape = TraceTape::with_capacity("prop", 0, barriers_wanted);
-                while tape.barriers().len() < barriers_wanted {
-                    tape.push(prop::random_inst(rng, mix(700)));
-                }
-                check_all_starts(&tape);
+    fn plane_handles_word_boundaries() {
+        // Exactly one and two full words, and one entry either side: the
+        // tail word is full, or holds a single entry, or is one short.
+        prop::check("plane, word boundaries", 4, 0xb0b, |rng| {
+            for len in [63, 64, 65, 127, 128, 129] {
+                let (tape, pushed) = random_tape(rng, len, mix(700));
+                check_plane(&tape, &pushed);
             }
         });
     }
 
-    /// The replay loops' barrier walk reduced to its cursor traffic: at
-    /// each step the walk either takes the quiescent stride (straight to
-    /// the next memory barrier) or steps one barrier, at random; every
+    /// The replay loops' walk reduced to its cursor traffic: at each step
+    /// the walk either takes the quiescent stride (straight to the next
+    /// memory operation) or steps to the next barrier, at random; every
     /// barrier it executes takes [`AddrCursor::step`]. Returns the memory
     /// operations it met, with the address the cursor gave each.
     fn cursor_walk<'t>(tape: &'t TraceTape, rng: &mut SplitMix64) -> (Vec<MemOp>, AddrCursor<'t>) {
-        let barriers = tape.barriers();
         let mut addrs = tape.addr_cursor();
         let mut met = Vec::new();
-        let mut j = 0;
-        while j < barriers.len() {
-            if rng.next_below(2) == 0 {
-                j = tape.next_mem_barrier(j);
-                let Some(&entry) = barriers.get(j) else { break };
-                assert!(barrier_is_mem(entry));
+        let mut at = 0;
+        while at < tape.len() {
+            let b = if rng.next_below(2) == 0 {
+                tape.next_mem(at)
+            } else {
+                tape.next_barrier(at)
+            };
+            if b == tape.len() {
+                break;
             }
-            let entry = barriers[j];
-            if let Some(addr) = addrs.step(barrier_is_mem(entry)) {
-                let index = barrier_index(entry);
-                let is_store = tape.kind(index) == TapeKind::Store;
+            if let Some(addr) = addrs.step(tape.is_mem(b)) {
+                let is_store = tape.kind(b) == TapeKind::Store;
                 met.push(MemOp {
-                    index,
+                    index: b,
                     is_store,
                     addr,
                 });
             }
-            j += 1;
+            at = b + 1;
         }
         (met, addrs)
     }
@@ -768,10 +806,14 @@ mod scan_prop {
     }
 
     #[test]
-    fn empty_tape_scan_is_a_no_op() {
+    fn empty_tape_scans_are_no_ops() {
         let tape = TraceTape::with_capacity("prop", 0, 0);
-        assert_eq!(tape.next_mem_barrier(0), 0);
-        assert_eq!(tape.next_mem_barrier(10), 0);
+        for from in [0, 10] {
+            assert_eq!(tape.next_barrier(from), 0);
+            assert_eq!(tape.next_mem(from), 0);
+        }
+        assert_eq!(tape.barrier_count(), 0);
+        assert_eq!(tape.bytes(), 0);
     }
 }
 
@@ -895,14 +937,11 @@ mod tests {
     }
 
     #[test]
-    fn footprint_is_four_bytes_per_instruction_plus_addresses_and_barriers() {
+    fn footprint_is_four_bytes_per_instruction_plus_addresses_and_a_bit_plane() {
         let tape = TraceTape::record(&exercise_program());
         let mem_ops = (tape.loads() + tape.stores()) as usize;
-        let flag_words = tape.barriers().len().div_ceil(64);
-        assert_eq!(
-            tape.bytes(),
-            4 * tape.len() + 8 * mem_ops + 4 * tape.barriers().len() + 8 * flag_words
-        );
+        let words = tape.len().div_ceil(64);
+        assert_eq!(tape.bytes(), 4 * tape.len() + 8 * mem_ops + 8 * words);
         assert!(!tape.is_empty());
         // Recording reserves every array exactly, so `bytes` is also the
         // heap footprint.
@@ -910,69 +949,35 @@ mod tests {
         assert_eq!(tape.dsts.capacity(), tape.len());
         assert_eq!(tape.srcs.capacity(), tape.len());
         assert_eq!(tape.addrs.capacity(), mem_ops);
-        assert_eq!(tape.barriers.capacity(), tape.barriers().len());
-        assert_eq!(tape.mem_flags.capacity(), flag_words);
-    }
-
-    /// Scalar reference for [`TraceTape::next_mem_barrier`]: the per-entry
-    /// bit-31 probe the chunked scan replaced.
-    fn scalar_next_mem_barrier(tape: &TraceTape, mut from: usize) -> usize {
-        let barriers = tape.barriers();
-        while from < barriers.len() && !barrier_is_mem(barriers[from]) {
-            from += 1;
-        }
-        from
+        assert_eq!(tape.barrier_plane.len(), words);
+        assert_eq!(tape.barrier_plane.capacity(), words);
     }
 
     #[test]
-    fn chunked_mem_scan_matches_scalar_probe_on_a_recorded_tape() {
+    fn scans_match_a_scalar_probe_on_a_recorded_tape() {
         let tape = TraceTape::record(&exercise_program());
-        assert!(tape.barriers().len() > 64, "needs a multi-word flag plane");
-        for from in 0..=tape.barriers().len() + 2 {
-            assert_eq!(
-                tape.next_mem_barrier(from),
-                scalar_next_mem_barrier(&tape, from.min(tape.barriers().len())),
-                "scan diverged at {from}"
-            );
+        assert!(tape.len() > 128, "needs a multi-word plane");
+        let n = tape.len();
+        let bits = plane_bits(&tape);
+        for from in 0..=n + 2 {
+            let at = from.min(n);
+            let barrier = (at..n).find(|&i| bits[i]).unwrap_or(n);
+            let mem = (at..n).find(|&i| tape.is_mem(i)).unwrap_or(n);
+            assert_eq!(tape.next_barrier(from), barrier, "next_barrier({from})");
+            assert_eq!(tape.next_mem(from), mem, "next_mem({from})");
         }
     }
 
     #[test]
     fn barriers_cover_exactly_the_entries_that_can_stall() {
         let tape = TraceTape::record(&exercise_program());
-        // Reference computation: walk the stream tracking which registers
-        // were most recently written by a load.
-        let mut loadw: u64 = 0;
-        let mut expected = Vec::new();
-        for (i, inst) in tape.iter().enumerate() {
-            let touches_loadw = inst
-                .srcs
-                .iter()
-                .copied()
-                .chain([inst.dst()])
-                .flatten()
-                .any(|r| loadw & (1u64 << r.dense_index()) != 0);
-            if inst.is_mem() || touches_loadw {
-                expected.push(i as u32 | if inst.is_mem() { BARRIER_MEM } else { 0 });
-            }
-            if let Some(d) = inst.dst() {
-                match inst.kind {
-                    DynKind::Load { .. } => loadw |= 1u64 << d.dense_index(),
-                    DynKind::Alu { .. } => loadw &= !(1u64 << d.dense_index()),
-                    DynKind::Store { .. } => unreachable!("stores write no register"),
-                }
-            }
-        }
-        assert_eq!(tape.barriers(), expected.as_slice());
-        // Every memory operation must be a barrier, flagged as one.
-        let mem_barriers: Vec<usize> = tape
-            .barriers()
-            .iter()
-            .filter(|&&e| barrier_is_mem(e))
-            .map(|&e| barrier_index(e))
-            .collect();
-        let mem_entries: Vec<usize> = (0..tape.len()).filter(|&i| tape.is_mem(i)).collect();
-        assert_eq!(mem_barriers, mem_entries);
+        let stream: Vec<DynInst> = tape.iter().collect();
+        let mut bits = plane_bits(&tape);
+        assert!(bits.drain(tape.len()..).all(|b| !b), "a bit past len");
+        assert_eq!(bits, reference_barriers(&stream));
+        // Every memory operation must be a barrier.
+        assert!((0..tape.len()).all(|i| !tape.is_mem(i) || bits[i]));
+        assert!(tape.barrier_count() > tape.addr_count());
     }
 
     #[test]
@@ -988,7 +993,11 @@ mod tests {
         tape.push(DynInst::alu(r1, [None, None]));
         // r1 now ALU-owned again: reading it is no barrier.
         tape.push(DynInst::alu(r3, [Some(r1), None]));
-        assert_eq!(tape.barriers(), &[2 | BARRIER_MEM, 3, 4]);
+        assert_eq!(tape.barrier_plane, [0b11100]);
+        assert_eq!(tape.barrier_count(), 3);
+        assert_eq!(tape.next_barrier(0), 2);
+        assert_eq!(tape.next_barrier(5), tape.len());
+        assert_eq!(tape.next_mem(3), tape.len());
     }
 
     #[test]

@@ -6,23 +6,24 @@
 //! loads with **one contiguous read** and no per-entry decoding:
 //!
 //! ```text
-//! magic "NBLT" | format_version u32 (= 3)
-//! header: name_len u32 | static_spill_ops u64
-//!         | len u64 | barriers u64 | flag_words u64
+//! magic "NBLT" | format_version u32 (= 4)
+//! header: name_len u32 | static_spill_ops u64 | len u64
 //!         | loads u64 | stores u64 | load_written u64
 //! name bytes (UTF-8, name_len)
-//! flag plane: mem_flags  (flag_words × 8 B)
-//! streams:   kinds (len) | dsts (len) | srcs (2·len)
-//!            | addrs (8·(loads + stores)) | barriers (4·barriers)
+//! barrier plane (8·⌈len/64⌉)
+//! streams: kinds (len) | dsts (len) | srcs (2·len)
+//!          | addrs (8·(loads + stores))
 //! checksum u64 over every preceding byte
 //! ```
 //!
 //! A kind byte carries the entry's kind in bits 0–1 and, on a load, the
 //! packed load format in bits 2–4; the address stream holds one address
-//! per memory operation, in program order. The header names no load
-//! latency: a tape is the recording of one compiled schedule, which
-//! several scheduled latencies may share (version 3 dropped the field
-//! version 2 carried).
+//! per memory operation, in program order. The barrier plane holds one
+//! bit per entry, so its length follows from `len`. The header names no
+//! load latency: a tape is the recording of one compiled schedule, which
+//! several scheduled latencies may share. Version 4 replaced version 3's
+//! `u32` barrier list and its flag plane over barrier positions with the
+//! instruction-indexed barrier plane.
 //!
 //! The shared frame (`nbl_core::frame`) makes every integer
 //! little-endian and ends the artifact with a checksum, so truncation and
@@ -31,10 +32,11 @@
 //! the structural invariants replay relies on, because a checksum only
 //! protects against *accidental* damage after a correct encode: every
 //! kind byte canonical and every register byte in range, the header's
-//! load and store counts equal to the kind stream's, barrier indices
-//! strictly ascending and in range with their memory flag matching both
-//! the entry's kind and the flag plane, and the address count equal to
-//! the flag plane's set bits and to loads + stores.
+//! load and store counts equal to the kind stream's (so the address
+//! count is the memory-operation count), every load and store marked in
+//! the barrier plane, and no plane bit at or past `len`. The plane is
+//! stored rather than re-derived: the load-written recurrence that
+//! derives it would cost as much as the rest of the decode.
 
 use super::{TapeKind, TraceTape};
 use nbl_core::frame::{CodecError, Frame};
@@ -46,20 +48,33 @@ use nbl_core::frame::{CodecError, Frame};
 /// than misparsed.
 pub const TAPE_FRAME: Frame = Frame {
     magic: *b"NBLT",
-    version: 3,
+    version: 4,
 };
 
-/// Fixed bytes before the name: magic + version + 1 `u32` + 7 `u64`.
-const FIXED_HEADER_BYTES: usize = 4 + 4 + 4 + 7 * 8;
+/// Fixed bytes before the name: magic + version + 1 `u32` + 5 `u64`.
+const FIXED_HEADER_BYTES: usize = 4 + 4 + 4 + 5 * 8;
 
 /// Bytes of the whole artifact for a tape of `n` entries, `m` memory
-/// operations, `nb` barriers, `nf` flag words and a `name_len`-byte name:
-/// header and checksum around the streams [`super::layout_bytes`] sizes.
-fn artifact_len(n: usize, m: usize, nb: usize, nf: usize, name_len: usize) -> Option<usize> {
+/// operations and a `name_len`-byte name: header and checksum around the
+/// plane and streams [`super::layout_bytes`] sizes.
+fn artifact_len(n: usize, m: usize, name_len: usize) -> Option<usize> {
     FIXED_HEADER_BYTES
         .checked_add(name_len)?
-        .checked_add(super::layout_bytes(n, m, nb, nf)?)?
+        .checked_add(super::layout_bytes(n, m)?)?
         .checked_add(8)
+}
+
+/// Bit `k` set when `kinds[k]` (at most 64 kind bytes) is a load or
+/// store: bit 1 of each byte, gathered eight bytes per multiply.
+fn mem_word(kinds: &[u8]) -> u64 {
+    kinds.chunks(8).enumerate().fold(0, |word, (g, group)| {
+        let mut eight = [0u8; 8];
+        eight[..group.len()].copy_from_slice(group);
+        let flags = (u64::from_le_bytes(eight) & super::MEM_BYTES) >> 1;
+        // Moves bit 8k to bit 56 + k; the partial products never overlap.
+        let gathered = flags.wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        word | gathered << (8 * g)
+    })
 }
 
 impl TraceTape {
@@ -68,26 +83,22 @@ impl TraceTape {
     /// pure function of the tape's content — no clocks, paths or
     /// process state — so equal tapes always produce equal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (n, nb, nf) = (self.kinds.len(), self.barriers.len(), self.mem_flags.len());
+        let n = self.kinds.len();
         let name = self.name.as_bytes();
-        let cap =
-            artifact_len(n, self.addrs.len(), nb, nf, name.len()).unwrap_or(FIXED_HEADER_BYTES);
+        let cap = artifact_len(n, self.addrs.len(), name.len()).unwrap_or(FIXED_HEADER_BYTES);
         let mut w = TAPE_FRAME.writer(cap);
         w.u32(name.len() as u32);
         w.u64(self.static_spill_ops as u64);
         w.u64(n as u64);
-        w.u64(nb as u64);
-        w.u64(nf as u64);
         w.u64(self.loads);
         w.u64(self.stores);
         w.u64(self.load_written);
         w.bytes(name);
-        w.u64s(&self.mem_flags);
+        w.u64s(&self.barrier_plane);
         w.bytes(&self.kinds);
         w.bytes(&self.dsts);
         w.bytes(self.srcs.as_flattened());
         w.u64s(&self.addrs);
-        w.u32s(&self.barriers);
         w.seal()
     }
 
@@ -107,8 +118,6 @@ impl TraceTape {
         let name_len = r.len_u32()?;
         let static_spill_ops = r.len_u64()?;
         let n = r.len_u64()?;
-        let nb = r.len_u64()?;
-        let nf = r.len_u64()?;
         let loads = r.u64()?;
         let stores = r.u64()?;
         let load_written = r.u64()?;
@@ -121,18 +130,15 @@ impl TraceTape {
         else {
             return Err(CodecError::Truncated);
         };
-        match artifact_len(n, m, nb, nf, name_len) {
+        match artifact_len(n, m, name_len) {
             Some(total) if total == bytes.len() => {}
             Some(total) if total < bytes.len() => return Err(CodecError::TrailingBytes),
             _ => return Err(CodecError::Truncated),
         }
         r.verify_checksum()?;
-        if nf != nb.div_ceil(64) {
-            return Err(CodecError::HeaderMismatch);
-        }
 
         let name = r.utf8(name_len)?;
-        let mem_flags = r.u64_vec(nf)?;
+        let barrier_plane = r.u64_vec(super::plane_words(n))?;
         let kinds = r.take(n)?.to_vec();
         let dsts = r.take(n)?.to_vec();
         let srcs: Vec<[u8; 2]> = r
@@ -141,7 +147,6 @@ impl TraceTape {
             .0
             .to_vec();
         let addrs = r.u64_vec(m)?;
-        let barriers = r.u32_vec(nb)?;
 
         // Every byte must be one `push` can write: canonical kinds and
         // registers that unpack without leaving the 64-register file. The
@@ -167,33 +172,23 @@ impl TraceTape {
             return Err(CodecError::HeaderMismatch);
         }
 
-        // Structural invariants behind the replay loop's cursor walk:
-        // barriers name real entries in strictly ascending order, each
-        // flagged as memory exactly when its entry is a load or store and
-        // exactly where the flag plane sets a bit, and the plane sets one
-        // bit per address — so a walk that takes one address per memory
-        // barrier consumes the address array exactly.
-        let mut next_index = 0;
-        for (slot, &entry) in barriers.iter().enumerate() {
-            let i = super::barrier_index(entry);
-            let is_mem = super::barrier_is_mem(entry);
-            if i < next_index || i >= n || is_mem != super::is_mem_byte(kinds[i]) {
-                return Err(CodecError::HeaderMismatch);
-            }
-            next_index = i + 1;
-            let word = mem_flags.get(slot / 64).copied().unwrap_or(0);
-            if (word >> (slot % 64)) & 1 != u64::from(is_mem) {
-                return Err(CodecError::HeaderMismatch);
-            }
-        }
-        if let Some(last) = mem_flags.last() {
-            let used = nb - (nf - 1) * 64;
-            if used < 64 && last >> used != 0 {
-                return Err(CodecError::HeaderMismatch);
-            }
-        }
-        let flagged: usize = mem_flags.iter().map(|w| w.count_ones() as usize).sum();
-        if flagged != m {
+        // Structural invariants behind the replay loop's cursor walk,
+        // checked a plane word (64 entries) at a time: every load and
+        // store is a barrier — the quiescent stride stops at each, and a
+        // walk that takes one address per memory operation then consumes
+        // the address array exactly — and no bit names an entry past the
+        // end.
+        let covered = barrier_plane
+            .iter()
+            .zip(kinds.chunks(64))
+            .fold(true, |ok, (&word, chunk)| {
+                ok & (mem_word(chunk) & !word == 0)
+            });
+        let tail = match (barrier_plane.last(), n % 64) {
+            (Some(&last), used) if used != 0 => last >> used,
+            _ => 0,
+        };
+        if !covered || tail != 0 {
             return Err(CodecError::HeaderMismatch);
         }
 
@@ -204,8 +199,7 @@ impl TraceTape {
             dsts,
             srcs,
             addrs,
-            barriers,
-            mem_flags,
+            barrier_plane,
             load_written,
             loads,
             stores,
@@ -221,7 +215,7 @@ mod tests {
     use nbl_core::types::{Addr, LoadFormat, PhysReg};
 
     /// A small mixed tape: loads, stores, ALU chains, barriers spanning
-    /// more than one flag word.
+    /// more than one plane word.
     fn sample_tape() -> TraceTape {
         let mut tape = TraceTape::with_capacity("sample", 2, 400);
         for i in 0..400u64 {
@@ -323,16 +317,6 @@ mod tests {
         assert!(TraceTape::from_bytes(&reseal(bytes)).is_ok());
     }
 
-    /// Rebuilds the flag plane from the barrier index's bit-31 flags.
-    fn reflag(tape: &mut TraceTape) {
-        tape.mem_flags = vec![0; tape.barriers.len().div_ceil(64)];
-        for (slot, &entry) in tape.barriers.iter().enumerate() {
-            if super::super::barrier_is_mem(entry) {
-                tape.mem_flags[slot / 64] |= 1 << (slot % 64);
-            }
-        }
-    }
-
     /// Encodes a doctored copy of [`sample_tape`] (a valid frame around
     /// inconsistent content) and decodes it.
     fn decode_doctored(doctor: impl FnOnce(&mut TraceTape)) -> Result<TraceTape, CodecError> {
@@ -384,27 +368,51 @@ mod tests {
             "kinds disagree with the header counts"
         );
         assert_eq!(
-            decode_doctored(|t| {
-                // Drop the store's barrier: the flag plane then sets one
-                // bit fewer than there are addresses.
-                t.barriers.retain(|&e| super::super::barrier_index(e) != 2);
-                reflag(t);
-            }),
+            decode_doctored(|t| t.barrier_plane[0] &= !(1 << 2)),
             Err(CodecError::HeaderMismatch),
-            "a memory operation missing from the barrier index"
+            "a store missing from the barrier plane"
         );
         assert_eq!(
-            decode_doctored(|t| t.barriers.swap(0, 1)),
-            Err(CodecError::HeaderMismatch),
-            "barriers out of order"
+            decode_doctored(|t| t.barrier_plane.push(0)),
+            Err(CodecError::TrailingBytes),
+            "a plane word the length does not account for"
         );
+    }
+
+    /// Byte offset of the sample's barrier plane: after the fixed header
+    /// and the six-byte name.
+    const PLANE_AT: usize = FIXED_HEADER_BYTES + "sample".len();
+
+    #[test]
+    fn resealed_frame_with_a_bad_barrier_plane_is_rejected() {
+        let tape = sample_tape();
+        let bytes = tape.to_bytes();
+        assert_eq!(tape.kind(0), TapeKind::Load);
+        assert_eq!(bytes[PLANE_AT] & 1, 1, "the first load is a barrier");
+        // A load's bit cleared: a quiescent stride would then still stop
+        // at it, but a busy walk would bulk-issue straight past it.
+        let mut cleared = bytes.clone();
+        cleared[PLANE_AT] &= !1;
         assert_eq!(
-            decode_doctored(|t| {
-                t.barriers[0] &= !super::super::BARRIER_MEM;
-                reflag(t);
-            }),
-            Err(CodecError::HeaderMismatch),
-            "a load's barrier flagged as non-memory"
+            TraceTape::from_bytes(&reseal(cleared)),
+            Err(CodecError::HeaderMismatch)
+        );
+        // A bit past the last entry: 400 entries leave the seventh word
+        // 16 bits used, so its top bit names entry 447.
+        assert_eq!(tape.len() % 64, 16);
+        let last_word = PLANE_AT + 8 * (tape.len().div_ceil(64) - 1);
+        let mut tail = bytes.clone();
+        tail[last_word + 7] |= 0x80;
+        assert_eq!(
+            TraceTape::from_bytes(&reseal(tail)),
+            Err(CodecError::HeaderMismatch)
+        );
+        // The first past-the-end bit alone is rejected too.
+        let mut first_past = bytes;
+        first_past[last_word + 2] |= 0x01;
+        assert_eq!(
+            TraceTape::from_bytes(&reseal(first_past)),
+            Err(CodecError::HeaderMismatch)
         );
     }
 }
@@ -445,16 +453,7 @@ mod codec_prop {
                     crate::tape::reference_mem_ops(&pushed)
                 );
                 assert_eq!(back.addr_count() as u64, back.loads() + back.stores());
-                assert_eq!(
-                    Some(bytes.len()),
-                    artifact_len(
-                        len,
-                        back.addr_count(),
-                        back.barriers().len(),
-                        back.mem_flags.len(),
-                        4
-                    )
-                );
+                assert_eq!(Some(bytes.len()), artifact_len(len, back.addr_count(), 4));
             });
         }
     }

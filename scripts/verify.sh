@@ -261,6 +261,9 @@ for d in (first, second):
     assert set(caches["compile_cache"]) == {"compiles", "hits"}, caches["compile_cache"]
     assert set(caches["tape_cache"]) == {"records", "hits", "evictions",
                                          "resident_bytes"}, caches["tape_cache"]
+    # The resident tapes are the 66 quick schedules, exactly: the sum of
+    # their `TraceTape::bytes()`, which the tape layout fixes.
+    assert caches["tape_cache"]["resident_bytes"] == 16_984_200, caches["tape_cache"]
     for store in (caches["store"], d["disk_warm_store"]):
         assert set(store) == store_keys, store
         assert store["corruptions"] == 0 and store["io_errors"] == 0, store

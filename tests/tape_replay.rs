@@ -21,7 +21,7 @@ use nonblocking_loads::sim::driver::{run_dual, run_program};
 use nonblocking_loads::sim::store::compiled_fingerprint;
 use nonblocking_loads::trace::exec::Executor;
 use nonblocking_loads::trace::machine::CompiledProgram;
-use nonblocking_loads::trace::tape::{barrier_index, barrier_is_mem, TraceTape};
+use nonblocking_loads::trace::tape::TraceTape;
 use nonblocking_loads::trace::workloads::{build, Scale, ALL};
 
 /// The Fig. 13 hardware configurations of the 72-row golden grid.
@@ -173,10 +173,21 @@ fn tape_replay_matches_interpreter_per_workload_family() {
 }
 
 /// The recorded tape's structure matches the program it came from: entry
-/// count, load/store mix, ascending barrier indices, and a mem flag on
-/// exactly the memory-operation barriers.
+/// count, load/store mix, a barrier at every memory operation, and a
+/// quiescent stride that stops at exactly the memory operations.
 #[test]
 fn recorded_tapes_are_structurally_sound_for_every_family() {
+    /// The indices `next` visits from 0, each search starting one past
+    /// the last hit.
+    fn walk(tape: &TraceTape, next: impl Fn(usize) -> usize) -> Vec<usize> {
+        let mut hits = Vec::new();
+        let mut at = next(0);
+        while at < tape.len() {
+            hits.push(at);
+            at = next(at + 1);
+        }
+        hits
+    }
     for bench in ["eqntott", "xlisp", "tomcatv", "doduc"] {
         let c = compiled(bench, 6);
         let tape = TraceTape::record(&c);
@@ -184,36 +195,27 @@ fn recorded_tapes_are_structurally_sound_for_every_family() {
         let (loads, stores, _) = c.dynamic_mix();
         assert_eq!(tape.loads(), loads, "{bench}");
         assert_eq!(tape.stores(), stores, "{bench}");
-        let mut prev = None;
-        for &entry in tape.barriers() {
-            let i = barrier_index(entry);
-            assert!(prev < Some(i), "{bench}: barrier indices must ascend");
-            prev = Some(i);
-            assert_eq!(
-                barrier_is_mem(entry),
-                tape.is_mem(i),
-                "{bench}: barrier {i} mem flag disagrees with its kind"
-            );
-        }
-        // Every memory operation must appear in the barrier index (a mem
-        // op always touches the memory system, so replay may never skip
-        // one in a bulk free-run).
-        let mem_ops = (0..tape.len()).filter(|&i| tape.is_mem(i)).count() as u64;
-        let mem_barriers = tape
-            .barriers()
-            .iter()
-            .filter(|&&e| barrier_is_mem(e))
-            .count() as u64;
-        assert_eq!(mem_ops, loads + stores, "{bench}");
-        assert_eq!(mem_barriers, mem_ops, "{bench}");
+        let barriers = walk(&tape, |i| tape.next_barrier(i));
+        assert_eq!(barriers.len(), tape.barrier_count(), "{bench}");
+        // Every memory operation must be a barrier (a mem op always
+        // touches the memory system, so replay may never skip one in a
+        // bulk free-run), and the quiescent stride meets each in turn.
+        let mem_ops: Vec<usize> = (0..tape.len()).filter(|&i| tape.is_mem(i)).collect();
+        assert_eq!(mem_ops.len() as u64, loads + stores, "{bench}");
+        assert!(
+            mem_ops.iter().all(|i| barriers.binary_search(i).is_ok()),
+            "{bench}: a memory operation is missing from the barrier plane"
+        );
+        assert_eq!(walk(&tape, |i| tape.next_mem(i)), mem_ops, "{bench}");
     }
 }
 
 /// The tape layout's footprint budget over the whole quick grid (the 18
-/// benchmarks at the 6 latencies, 108 tapes): at most 8.5 bytes per
-/// recorded instruction, all arrays counted. The layout lands at 8.03;
-/// storing an address or a format per instruction again would cost
-/// about 7 more and fail here.
+/// benchmarks at the 6 latencies, 108 tapes): at most 6.6 bytes per
+/// recorded instruction, all arrays counted. The layout lands at 6.24;
+/// a `u32` barrier list in place of the barrier bit plane would cost
+/// about 1.8 more, and storing an address or a format per instruction
+/// again about 7 more, and either would fail here.
 #[test]
 fn quick_grid_tapes_fit_the_footprint_budget() {
     let (mut bytes, mut insts) = (0usize, 0usize);
@@ -226,7 +228,7 @@ fn quick_grid_tapes_fit_the_footprint_budget() {
     }
     let per_inst = bytes as f64 / insts as f64;
     assert!(
-        per_inst <= 8.5,
+        per_inst <= 6.6,
         "{per_inst:.3} B/inst over {insts} instructions"
     );
 }
