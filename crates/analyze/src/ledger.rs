@@ -107,7 +107,7 @@ pub const LEDGER: &[LedgerEntry] = &[
     LedgerEntry {
         name: "GroupStepMem",
         decl_file: "crates/mem/src/system.rs",
-        kind: LedgerKind::EntryPoints(&["load_hit_direct"]),
+        kind: LedgerKind::EntryPoints(&["load_hit_decoded"]),
         surfaces: &["crates/cpu/src/core_engine.rs", "DESIGN.md"],
     },
     LedgerEntry {

@@ -307,23 +307,17 @@ impl LockupFreeCache {
         dest: Dest,
         format: LoadFormat,
     ) -> LoadAccess {
-        let block = decoded.block;
-        // A resident line is never in transit (a block misses to get in
-        // transit and only re-enters the tags at fill time), so a tag hit
-        // needs no MSHR probe at all.
-        if let Some(slot) = self.tags.probe_decoded(block, decoded.set, decoded.tag) {
-            self.tags.note_hit(slot);
-            self.counters.load_hits += 1;
+        if self.load_hit_decoded(decoded) {
             return LoadAccess::Hit;
         }
         self.load_miss_decoded(decoded, dest, format)
     }
 
     /// The miss half of [`LockupFreeCache::access_load_decoded`], for a
-    /// caller that has just seen the tag probe miss (the direct-mapped
-    /// fused kernel's [`LockupFreeCache::load_hit_direct`] returned
-    /// `false`, with no fill since): checks the victim buffer, then
-    /// presents the miss to the MSHRs, without probing the tags again.
+    /// caller that has just seen the tag probe miss
+    /// ([`LockupFreeCache::load_hit_decoded`] returned `false`, with no
+    /// fill since): checks the victim buffer, then presents the miss to
+    /// the MSHRs, without probing the tags again.
     pub fn load_miss_decoded(
         &mut self,
         decoded: &DecodedAddr,
@@ -380,9 +374,7 @@ impl LockupFreeCache {
         // an in-transit block is never resident); under write-around it
         // goes around (the fetched line will be superseded in memory by the
         // write-through, which our tag-only model need not track).
-        if let Some(slot) = self.tags.probe_decoded(block, decoded.set, decoded.tag) {
-            self.tags.note_hit(slot);
-            self.counters.store_hits += 1;
+        if self.store_hit_decoded(decoded) {
             return StoreAccess::Hit;
         }
         self.counters.store_misses += 1;
@@ -411,28 +403,30 @@ impl LockupFreeCache {
         }
     }
 
-    /// Direct-mapped load-hit fast path with pre-decoded set and tag:
-    /// bumps the hit counter and returns `true` exactly when
-    /// [`LockupFreeCache::access_load`] would return [`LoadAccess::Hit`]
-    /// for a `ways == 1` geometry (a resident line is never in transit,
-    /// and a direct-mapped hit updates no replacement state). On `false`
-    /// the caller must fall back to the full access path; nothing is
-    /// counted.
+    /// The load-hit half of [`LockupFreeCache::access_load_decoded`]:
+    /// probes the tags ([`TagArray::hit_decoded`], which moves the
+    /// replacement state on a hit), bumps the hit counter and returns
+    /// `true` exactly when the full access would return
+    /// [`LoadAccess::Hit`]. A resident line is never in transit (a block
+    /// misses to get in transit and only re-enters the tags at fill
+    /// time), so a tag hit needs no MSHR probe at all. On `false` nothing
+    /// is counted and the caller goes on to
+    /// [`LockupFreeCache::load_miss_decoded`].
     #[inline]
-    pub fn load_hit_direct(&mut self, set: u32, tag: u64) -> bool {
-        if self.tags.hit_direct(set, tag) {
+    pub fn load_hit_decoded(&mut self, decoded: &DecodedAddr) -> bool {
+        if self.tags.hit_decoded(decoded) {
             self.counters.load_hits += 1;
             return true;
         }
         false
     }
 
-    /// Direct-mapped store-hit fast path: the [`StoreAccess::Hit`] twin of
-    /// [`LockupFreeCache::load_hit_direct`], with the same fall-back
-    /// contract on `false`.
+    /// The store-hit half of [`LockupFreeCache::access_store_decoded`]:
+    /// the [`StoreAccess::Hit`] twin of
+    /// [`LockupFreeCache::load_hit_decoded`], counting nothing on `false`.
     #[inline]
-    pub fn store_hit_direct(&mut self, set: u32, tag: u64) -> bool {
-        if self.tags.hit_direct(set, tag) {
+    pub fn store_hit_decoded(&mut self, decoded: &DecodedAddr) -> bool {
+        if self.tags.hit_decoded(decoded) {
             self.counters.store_hits += 1;
             return true;
         }

@@ -19,7 +19,7 @@
 //! hardcoded LRU bit-for-bit — that equivalence is pinned by the 72
 //! golden rows in `tests/refactor_equivalence.rs`.
 
-use crate::geometry::CacheGeometry;
+use crate::geometry::{CacheGeometry, DecodedAddr};
 use crate::hash::FastMap;
 use crate::rng::SplitMix64;
 use crate::types::BlockAddr;
@@ -620,15 +620,25 @@ impl TagArray {
         }
     }
 
-    /// Direct-mapped resident check with pre-decoded set and tag: the
-    /// monomorphic fused fast path. Callers must guarantee `ways == 1`
-    /// (checked in debug builds); equivalent to [`TagArray::touch`] for
-    /// such arrays, which never update replacement state on a hit.
+    /// [`TagArray::touch`] on an address already decoded under this
+    /// array's geometry: the fused walk's hit probe. A direct-mapped array
+    /// answers with one tag compare (its hit moves no replacement state);
+    /// any other geometry runs [`TagArray::probe_decoded`] and, on a hit,
+    /// [`TagArray::note_hit`], so the policy state moves exactly as on the
+    /// full access path.
     #[inline]
-    pub fn hit_direct(&self, set: u32, tag: u64) -> bool {
-        debug_assert_eq!(self.ways, 1, "hit_direct requires a direct-mapped array");
-        let line = &self.lines[set as usize];
-        line.valid && line.tag == tag
+    pub fn hit_decoded(&mut self, decoded: &DecodedAddr) -> bool {
+        if self.ways == 1 {
+            let line = &self.lines[decoded.set as usize];
+            return line.valid && line.tag == decoded.tag;
+        }
+        match self.probe_decoded(decoded.block, decoded.set, decoded.tag) {
+            Some(slot) => {
+                self.note_hit(slot);
+                true
+            }
+            None => false,
+        }
     }
 
     /// The policy's current victim way for `set` (which must be full for
@@ -911,8 +921,9 @@ mod tests {
 /// Property suite for the tag array on random access sequences from the
 /// seeded [`crate::prop`] harness. The main claim: for any access
 /// sequence, any geometry, and every [`ReplacementKind`] (the random
-/// policy under a random seed), `probe` + [`TagArray::note_hit`] on a hit
-/// is observationally equal to the fused [`TagArray::touch`] — same hit
+/// policy under a random seed), `probe` + [`TagArray::note_hit`] on a hit,
+/// and the decoded hit probe [`TagArray::hit_decoded`], are each
+/// observationally equal to the fused [`TagArray::touch`] — same hit
 /// answers, same evictions from [`TagArray::install`] and
 /// [`TagArray::claim_for_transit`] (the eviction-while-fetch-outstanding
 /// path), same resident sets — so a shared group probe cannot drift from
@@ -923,6 +934,7 @@ mod props {
     use crate::geometry::CacheGeometry;
     use crate::prop;
     use crate::rng::SplitMix64;
+    use crate::types::Addr;
     use std::collections::BTreeSet;
 
     /// Every policy, the random one under a seed drawn from `rng`.
@@ -955,9 +967,10 @@ mod props {
     }
 
     /// Drives `ops` mirrored operations: array `a` uses the fused
-    /// `touch`, array `b` the split `probe` + `note_hit`, with installs
-    /// after misses and occasional `claim_for_transit` + deferred
-    /// install modelling an eviction while the fetch is outstanding.
+    /// `touch`, array `b` the split `probe` + `note_hit`, array `c` the
+    /// decoded hit probe `hit_decoded`, with installs after misses and
+    /// occasional `claim_for_transit` + deferred install modelling an
+    /// eviction while the fetch is outstanding.
     fn drive_mirrored(
         geometry: CacheGeometry,
         kind: ReplacementKind,
@@ -966,6 +979,7 @@ mod props {
     ) {
         let mut a = TagArray::new(geometry, kind);
         let mut b = TagArray::new(geometry, kind);
+        let mut c = TagArray::new(geometry, kind);
         // Working set ~2x the cache so sets fill and evictions are common.
         let universe = (geometry.num_lines() * 2).max(8);
         let mut outstanding: Vec<BlockAddr> = Vec::new();
@@ -980,22 +994,37 @@ mod props {
                 }
                 None => false,
             };
+            let decoded = geometry.decode(Addr(block.0 << geometry.block_bits()));
+            let hit_c = c.hit_decoded(&decoded);
             assert_eq!(hit_a, hit_b, "{label}: hit answers diverged at {step}");
+            assert_eq!(hit_a, hit_c, "{label}: decoded probe diverged at {step}");
             if !hit_a {
                 if rng.next_below(4) == 0 {
                     // In-cache transit claim: the victim is evicted now,
                     // the fill lands later.
+                    let victim = a.claim_for_transit(block);
                     assert_eq!(
-                        a.claim_for_transit(block),
+                        victim,
                         b.claim_for_transit(block),
                         "{label}: transit victims diverged at {step}"
                     );
+                    assert_eq!(
+                        victim,
+                        c.claim_for_transit(block),
+                        "{label}: transit victims diverged at {step} (decoded)"
+                    );
                     outstanding.push(block);
                 } else {
+                    let evicted = a.install(block);
                     assert_eq!(
-                        a.install(block),
+                        evicted,
                         b.install(block),
                         "{label}: fill evictions diverged at {step}"
+                    );
+                    assert_eq!(
+                        evicted,
+                        c.install(block),
+                        "{label}: fill evictions diverged at {step} (decoded)"
                     );
                 }
             }
@@ -1003,10 +1032,16 @@ mod props {
             if !outstanding.is_empty() && rng.next_below(4) == 0 {
                 let idx = rng.next_below(outstanding.len() as u64) as usize;
                 let fill = outstanding.swap_remove(idx);
+                let evicted = a.install(fill);
                 assert_eq!(
-                    a.install(fill),
+                    evicted,
                     b.install(fill),
                     "{label}: outstanding-fill evictions diverged at {step}"
+                );
+                assert_eq!(
+                    evicted,
+                    c.install(fill),
+                    "{label}: outstanding-fill evictions diverged at {step} (decoded)"
                 );
             }
             if step % 64 == 0 {
@@ -1015,14 +1050,24 @@ mod props {
                     resident(&b),
                     "{label}: tags diverged at {step}"
                 );
+                assert_eq!(
+                    resident(&a),
+                    resident(&c),
+                    "{label}: tags diverged at {step} (decoded)"
+                );
             }
         }
         assert_eq!(resident(&a), resident(&b), "{label}: final tags diverged");
+        assert_eq!(
+            resident(&a),
+            resident(&c),
+            "{label}: final tags diverged (decoded)"
+        );
     }
 
     #[test]
     fn split_probe_matches_fused_touch_for_all_policies_and_geometries() {
-        // Direct-mapped (the specialized kernel's shape), 2- and 4-way
+        // Direct-mapped (the one-compare probe), 2- and 4-way
         // set-associative, and fully associative 16-way (crosses
         // INDEXED_LOOKUP_MIN_WAYS, so the block-index path is mirrored
         // too).

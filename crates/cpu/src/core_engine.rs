@@ -18,7 +18,9 @@
 //!
 //! The single-issue, dual-issue and replaying models are the three
 //! [`crate::issue::IssuePolicy`] values of one [`crate::issue::IssueEngine`]
-//! over this engine.
+//! over this engine. The single-issue model replays a recorded tape
+//! through one walk, [`Core::replay_fused`], whether it drives one
+//! configuration or a fused sweep row of many.
 
 use crate::scoreboard::Scoreboard;
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution, StallCause};
@@ -185,9 +187,7 @@ enum GroupOp {
 /// One memory-barrier tape entry decoded once for a whole fused group:
 /// the packed-array fields (operation, destination, load format) plus the
 /// address split — block, set, tag, offset — under the group's shared
-/// geometry. The generic fused walk re-derives all of this once per
-/// engine; the specialized kernel derives it here, once per barrier, for
-/// every engine of the group.
+/// geometry, derived once per barrier for every engine of the group.
 struct GroupEntry {
     op: GroupOp,
     decoded: DecodedAddr,
@@ -503,74 +503,31 @@ impl Core {
         self.now = self.now.plus(count as u64);
     }
 
-    /// Replays a recorded tape through the barrier loop: bulk-issues the
-    /// hazard-free gaps between barriers ([`TraceTape::next_barrier`])
-    /// and runs the drain → hazards → execute → tick sequence only at the
-    /// barriers themselves.
+    /// Replays one recorded tape through a group of engines in lockstep:
+    /// the single-issue model's one tape walk, for one configuration (a
+    /// group of one) or a fused sweep row. The tape's barrier plane is
+    /// walked, and each memory barrier's packed fields and address split
+    /// decoded, once for the whole group instead of once per engine.
     ///
-    /// A further fast path applies when the engine is *quiescent* (no
-    /// fetch outstanding — which also means no register is pending, since
-    /// a pending register always awaits a fill): a non-memory barrier
-    /// then cannot stall and cannot observe any state change, so it
-    /// issues in bulk exactly like a gap entry, and the walk strides
-    /// straight to the next memory operation ([`TraceTape::next_mem`]).
+    /// Each engine keeps its own instruction cursor. The hazard-free gaps
+    /// between barriers ([`TraceTape::next_barrier`]) bulk-issue
+    /// ([`Core::issue_free_run`]); a *memory* barrier is stepped by every
+    /// engine, a non-memory barrier only by the engines with a fetch
+    /// outstanding. A *quiescent* engine (no fetch outstanding — which
+    /// also means no register is pending, since a pending register always
+    /// awaits a fill) cannot stall on or observe a non-memory barrier, so
+    /// it defers that barrier into its next bulk issue; when the whole
+    /// group is quiescent the walk strides straight to the next memory
+    /// operation ([`TraceTape::next_mem`]). Every engine thus steps
+    /// exactly what the per-instruction stream would, and the walk is
+    /// bit-identical to replaying each engine alone (pinned against the
+    /// stream rail by tests and by the sweep-level goldens).
     ///
-    /// # Errors
-    ///
-    /// The first [`EngineError`] any entry hits.
-    pub fn replay(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
-        let n = tape.len();
-        let mut addrs = tape.addr_cursor();
-        let mut i = 0; // next instruction index to account for
-        while i < n {
-            let quiescent = self.mem.next_event().is_none();
-            // Quiescent: skip ahead to the next *memory* operation — every
-            // non-memory barrier until then is hazard-free and the whole
-            // span bulk-issues like a gap.
-            let b = if quiescent {
-                tape.next_mem(i)
-            } else {
-                tape.next_barrier(i)
-            };
-            if b > i {
-                self.issue_free_run(b - i);
-            }
-            if b == n {
-                break;
-            }
-            if quiescent {
-                // The memory operation itself: nothing outstanding, so no
-                // drain and no register hazard is possible.
-                self.replay_execute(tape, b, addrs.next())?;
-            } else {
-                self.drain_fills();
-                self.replay_hazards(tape, b)?;
-                self.replay_execute(tape, b, addrs.step(tape.is_mem(b)))?;
-            }
-            self.tick();
-            i = b + 1;
-        }
-        check_drained(&addrs, n)
-    }
-
-    /// Replays one recorded tape through several engines in lockstep,
-    /// walking the barrier plane (and decoding each entry's packed bytes)
-    /// once for the whole group instead of once per engine — the fused
-    /// fast path for sweep rows that differ only in hardware
-    /// configuration over a shared tape.
-    ///
-    /// Each engine keeps its own instruction cursor and processes exactly
-    /// the barriers the scalar [`Core::replay`] would: a *memory* barrier
-    /// is stepped by every engine; a non-memory barrier only by engines
-    /// with a fetch outstanding. For a quiescent engine a non-memory
-    /// barrier cannot stall or observe any state change, so deferring it
-    /// into the next bulk issue is exactly the scalar loop's quiescent
-    /// fast path — the fused walk is bit-identical to `cores.len()`
-    /// independent replays by construction (pinned by tests and the
-    /// sweep-level refactor-equivalence goldens). When every engine is
-    /// quiescent at once the walk additionally strides to the next memory
-    /// operation ([`TraceTape::next_mem`]), sharing one scan across the
-    /// group.
+    /// What remains to select comes from the group itself: a group of
+    /// more than 64 engines walks in chunks of 64 (the width of the
+    /// quiescence mask), and a group whose engines do not share one L1
+    /// geometry — so one address decode cannot serve them all
+    /// ([`FusedMemGroup::new`]) — replays engine by engine.
     ///
     /// # Errors
     ///
@@ -578,116 +535,31 @@ impl Core {
     /// slice will have advanced past later ones when this happens, so the
     /// group's results must be discarded as a unit.
     pub fn replay_fused(tape: &TraceTape, cores: &mut [&mut Core]) -> Result<(), EngineError> {
-        if Self::group_qualifies_direct(cores) {
-            // The shared-geometry check doubles as the soundness gate for
-            // sharing one address decode across the group; a mixed group
-            // simply stays on the generic per-core walk below.
-            if let Ok(group) = FusedMemGroup::new(cores.iter().map(|c| &c.mem)) {
-                return Self::replay_fused_direct(tape, cores, &group);
+        for chunk in cores.chunks_mut(64) {
+            match FusedMemGroup::new(chunk.iter().map(|c| &c.mem)) {
+                Ok(group) => Self::replay_group(tape, chunk, &group)?,
+                Err(_) => {
+                    for core in chunk.iter_mut() {
+                        Self::replay_fused(tape, std::slice::from_mut(core))?;
+                    }
+                }
             }
         }
-        let n = tape.len();
-        // Per-engine cursor: the next instruction index to account for.
-        let mut cursors = vec![0usize; cores.len()];
-        // One address cursor for the whole group: every engine steps
-        // every memory operation, so the group takes one address each.
-        let mut addrs = tape.addr_cursor();
-        // The group's walk position: the next entry no engine has visited.
-        let mut at = 0;
-        while at < n {
-            if cores.iter().all(|c| c.mem.next_event().is_none()) {
-                // Whole group quiescent: one shared scan to the next memory
-                // operation; the skipped span bulk-issues per engine at
-                // that operation's free-run below.
-                let b = tape.next_mem(at);
-                if b == n {
-                    break;
-                }
-                let addr = addrs.next();
-                for (core, i) in cores.iter_mut().zip(&mut cursors) {
-                    if b > *i {
-                        core.issue_free_run(b - *i);
-                    }
-                    // Nothing outstanding: no drain, no hazard possible.
-                    core.replay_execute(tape, b, addr)?;
-                    core.tick();
-                    *i = b + 1;
-                }
-                at = b + 1;
-            } else {
-                let b = tape.next_barrier(at);
-                if b == n {
-                    break;
-                }
-                let is_mem = tape.is_mem(b);
-                let addr = addrs.step(is_mem);
-                for (core, i) in cores.iter_mut().zip(&mut cursors) {
-                    let quiescent = core.mem.next_event().is_none();
-                    if quiescent && !is_mem {
-                        // The scalar quiescent fast path: this barrier
-                        // bulk-issues with the gap at the engine's next
-                        // memory operation.
-                        continue;
-                    }
-                    if b > *i {
-                        core.issue_free_run(b - *i);
-                    }
-                    if !quiescent {
-                        core.drain_fills();
-                        core.replay_hazards(tape, b)?;
-                    }
-                    core.replay_execute(tape, b, addr)?;
-                    core.tick();
-                    *i = b + 1;
-                }
-                at = b + 1;
-            }
-        }
-        for (core, i) in cores.iter_mut().zip(&cursors) {
-            if *i < n {
-                core.issue_free_run(n - *i);
-            }
-        }
-        check_drained(&addrs, n)
+        Ok(())
     }
 
-    /// `true` when every engine in the group matches the specialized
-    /// kernel's shape: direct-mapped L1 (replacement is then irrelevant —
-    /// the lone way is always the victim), no L2, no victim buffer, no
-    /// tracing, no perfect-cache override. The group size is capped at 64
-    /// so quiescence fits one bitmask word. This is the dominant sweep
-    /// shape: the whole bench grid and the paper's baseline configurations
-    /// qualify.
-    fn group_qualifies_direct(cores: &[&mut Core]) -> bool {
-        !cores.is_empty()
-            && cores.len() <= 64
-            && cores.iter().all(|c| {
-                let cfg = c.mem.l1().config();
-                cfg.geometry.ways() == 1
-                    && cfg.victim_entries == 0
-                    && !c.mem.has_l2()
-                    && c.mem.trace().is_none()
-                    && !c.perfect
-            })
-    }
-
-    /// The specialized monomorphic twin of the generic fused walk for
-    /// groups passing [`Core::group_qualifies_direct`]: each memory
-    /// barrier's packed tape fields and address split are decoded once
-    /// via the [`FusedMemGroup`] and fanned out; a quiescent engine's
-    /// access takes the direct-mapped hit fast path (one tag compare, no
-    /// enum dispatch, no L2 plumbing) and falls back to the full decoded
-    /// port on a miss. Group quiescence lives in a bitmask, so the
-    /// all-quiescent check is one compare and non-memory barriers visit
-    /// only the engines with a fetch in flight. Step for step this runs
-    /// exactly what the generic walk runs — the fast paths are
-    /// bit-identical by construction (pinned by the mixed-config and
-    /// sweep-equivalence tests).
-    fn replay_fused_direct(
+    /// The walk of [`Core::replay_fused`] over at most 64 engines that
+    /// share `group`'s L1 geometry. Each memory barrier is decoded once
+    /// ([`GroupEntry::decode`]) and stepped by every engine
+    /// ([`Core::step_entry`]). Group quiescence lives in a bitmask, so
+    /// the all-quiescent check is one compare and non-memory barriers
+    /// visit only the engines with a fetch in flight.
+    fn replay_group(
         tape: &TraceTape,
         cores: &mut [&mut Core],
         group: &FusedMemGroup,
     ) -> Result<(), EngineError> {
+        debug_assert!(cores.len() <= 64, "the quiescence mask holds 64 engines");
         let n = tape.len();
         let mut cursors = vec![0usize; cores.len()];
         let mut addrs = tape.addr_cursor();
@@ -705,140 +577,64 @@ impl Core {
         // The group's walk position: the next entry no engine has visited.
         let mut at = 0;
         while at < n {
-            if quiescent == all {
-                // Whole group quiescent: one shared scan to the next memory
-                // operation, one shared decode of its entry.
-                let b = tape.next_mem(at);
-                if b == n {
-                    break;
-                }
-                let e = GroupEntry::decode(tape, b, &mut addrs, group)?;
-                // The operation is one and the same for the whole group,
-                // so the dispatch happens once out here and each arm is a
-                // tight per-engine loop: free-run span, one direct-mapped
-                // tag compare, counters, tick. Nothing is outstanding, so
-                // no drain and no hazard is possible; a hit cannot launch
-                // a fetch, so quiescence survives it without re-probing
-                // the memory pipe.
-                match e.op {
-                    GroupOp::Free => {
-                        for (core, i) in cores.iter_mut().zip(&mut cursors) {
-                            core.issue_free_run(b + 1 - *i);
-                            *i = b + 1;
-                        }
-                    }
-                    GroupOp::Load { dst, format } => {
-                        for (k, (core, i)) in cores.iter_mut().zip(&mut cursors).enumerate() {
-                            if b > *i {
-                                core.issue_free_run(b - *i);
-                            }
-                            let hit = core.mem.load_hit_direct(&e.decoded, core.now);
-                            if !hit {
-                                core.execute_load_missed(&e.decoded, dst, format)?;
-                            }
-                            core.stats.loads += 1;
-                            core.stats.instructions += 1;
-                            core.tick();
-                            *i = b + 1;
-                            if !hit && core.mem.next_event().is_some() {
-                                quiescent &= !(1 << k);
-                            }
-                        }
-                    }
-                    GroupOp::Store => {
-                        for (k, (core, i)) in cores.iter_mut().zip(&mut cursors).enumerate() {
-                            if b > *i {
-                                core.issue_free_run(b - *i);
-                            }
-                            let hit = core.mem.store_hit_direct(&e.decoded, core.now);
-                            if !hit {
-                                core.execute_store_decoded(&e.decoded);
-                            }
-                            core.stats.stores += 1;
-                            core.stats.instructions += 1;
-                            core.tick();
-                            *i = b + 1;
-                            if !hit && core.mem.next_event().is_some() {
-                                quiescent &= !(1 << k);
-                            }
-                        }
-                    }
-                }
-                at = b + 1;
+            // Whole group quiescent: one shared scan straight to the next
+            // memory operation.
+            let b = if quiescent == all {
+                tape.next_mem(at)
             } else {
-                let b = tape.next_barrier(at);
-                if b == n {
-                    break;
-                }
-                if tape.is_mem(b) {
-                    let e = GroupEntry::decode(tape, b, &mut addrs, group)?;
-                    for (k, (core, i)) in cores.iter_mut().zip(&mut cursors).enumerate() {
-                        let was_quiescent = quiescent & (1 << k) != 0;
-                        if b > *i {
-                            core.issue_free_run(b - *i);
-                        }
-                        if !was_quiescent {
-                            core.drain_fills();
-                            core.replay_hazards(tape, b)?;
-                        }
-                        let fast = match e.op {
-                            GroupOp::Free => true,
-                            GroupOp::Load { dst, format } => {
-                                let hit = core.mem.load_hit_direct(&e.decoded, core.now);
-                                if !hit {
-                                    core.execute_load_missed(&e.decoded, dst, format)?;
-                                }
-                                core.stats.loads += 1;
-                                hit
-                            }
-                            GroupOp::Store => {
-                                let hit = core.mem.store_hit_direct(&e.decoded, core.now);
-                                if !hit {
-                                    core.execute_store_decoded(&e.decoded);
-                                }
-                                core.stats.stores += 1;
-                                hit
-                            }
-                        };
-                        core.stats.instructions += 1;
-                        core.tick();
-                        *i = b + 1;
-                        // A hit on a quiescent engine leaves it quiescent;
-                        // anything else (a launch, or a drain that may have
-                        // emptied the pipe) re-probes.
-                        if !(was_quiescent && fast) {
-                            if core.mem.next_event().is_none() {
-                                quiescent |= 1 << k;
-                            } else {
-                                quiescent &= !(1 << k);
-                            }
-                        }
+                tape.next_barrier(at)
+            };
+            if b == n {
+                break;
+            }
+            if tape.is_mem(b) {
+                let e = GroupEntry::decode(tape, b, &mut addrs, group)?;
+                for (k, (core, i)) in cores.iter_mut().zip(&mut cursors).enumerate() {
+                    let was_quiescent = quiescent & (1 << k) != 0;
+                    if b > *i {
+                        core.issue_free_run(b - *i);
                     }
-                } else {
-                    // Non-memory barrier: quiescent engines defer it into
-                    // their next bulk issue (the scalar fast path); the
-                    // mask walk visits only the engines with work.
-                    let mut busy = !quiescent & all;
-                    while busy != 0 {
-                        let k = busy.trailing_zeros() as usize;
-                        busy &= busy - 1;
-                        let core = &mut *cores[k];
-                        let i = &mut cursors[k];
-                        if b > *i {
-                            core.issue_free_run(b - *i);
-                        }
+                    if !was_quiescent {
                         core.drain_fills();
                         core.replay_hazards(tape, b)?;
-                        core.replay_execute(tape, b, None)?;
-                        core.tick();
-                        *i = b + 1;
+                    }
+                    let hit = core.step_entry(&e)?;
+                    *i = b + 1;
+                    // A hit on a quiescent engine cannot launch a fetch,
+                    // so it stays quiescent; anything else (a launch, or a
+                    // drain that may have emptied the pipe) re-probes.
+                    if !(was_quiescent && hit) {
                         if core.mem.next_event().is_none() {
                             quiescent |= 1 << k;
+                        } else {
+                            quiescent &= !(1 << k);
                         }
                     }
                 }
-                at = b + 1;
+            } else {
+                // Non-memory barrier: quiescent engines defer it into
+                // their next bulk issue; the mask walk visits only the
+                // engines with work.
+                let mut busy = !quiescent & all;
+                while busy != 0 {
+                    let k = busy.trailing_zeros() as usize;
+                    busy &= busy - 1;
+                    let core = &mut *cores[k];
+                    let i = &mut cursors[k];
+                    if b > *i {
+                        core.issue_free_run(b - *i);
+                    }
+                    core.drain_fills();
+                    core.replay_hazards(tape, b)?;
+                    core.replay_execute(tape, b, None)?;
+                    core.tick();
+                    *i = b + 1;
+                    if core.mem.next_event().is_none() {
+                        quiescent |= 1 << k;
+                    }
+                }
             }
+            at = b + 1;
         }
         for (core, i) in cores.iter_mut().zip(&cursors) {
             if *i < n {
@@ -846,6 +642,37 @@ impl Core {
             }
         }
         check_drained(&addrs, n)
+    }
+
+    /// One engine's step of a decoded memory barrier, its hazards already
+    /// resolved: the hit probe ([`MemorySystem::load_hit_decoded`]), the
+    /// miss path only when that misses, the counters and the tick. A
+    /// perfect cache hits without touching its memory system, as
+    /// [`Core::execute_load`] does. Returns whether the access hit.
+    #[inline]
+    fn step_entry(&mut self, e: &GroupEntry) -> Result<bool, EngineError> {
+        let hit = match e.op {
+            GroupOp::Free => true,
+            GroupOp::Load { dst, format } => {
+                let hit = self.perfect || self.mem.load_hit_decoded(&e.decoded, self.now);
+                if !hit {
+                    self.execute_load_missed(&e.decoded, dst, format)?;
+                }
+                self.stats.loads += 1;
+                hit
+            }
+            GroupOp::Store => {
+                let hit = self.perfect || self.mem.store_hit_decoded(&e.decoded, self.now);
+                if !hit {
+                    self.execute_store_decoded(&e.decoded);
+                }
+                self.stats.stores += 1;
+                hit
+            }
+        };
+        self.stats.instructions += 1;
+        self.tick();
+        Ok(hit)
     }
 
     fn execute_load(
@@ -864,25 +691,21 @@ impl Core {
         self.complete_load(resp, &decoded, dst, format)
     }
 
-    /// The direct-mapped fused kernel's miss fallback: `decoded`'s tag
-    /// probe just missed ([`MemorySystem::load_hit_direct`]), so the first
-    /// attempt skips straight to the miss path
-    /// ([`MemorySystem::load_miss_direct`]); a structural retry probes
-    /// again in full, since the fill it waited for may have brought the
-    /// line in.
+    /// The fused walk's miss fallback: `decoded`'s tag probe just missed
+    /// ([`MemorySystem::load_hit_decoded`]), so the first attempt skips
+    /// straight to the miss path ([`MemorySystem::load_miss_decoded`]); a
+    /// structural retry probes again in full, since the fill it waited
+    /// for may have brought the line in.
     fn execute_load_missed(
         &mut self,
         decoded: &DecodedAddr,
         dst: PhysReg,
         format: LoadFormat,
     ) -> Result<(), EngineError> {
-        debug_assert!(
-            !self.perfect,
-            "the direct kernel never runs a perfect cache"
-        );
+        debug_assert!(!self.perfect, "a perfect cache never misses");
         let resp = self
             .mem
-            .load_miss_direct(decoded, Dest::Reg(dst), format, self.now);
+            .load_miss_decoded(decoded, Dest::Reg(dst), format, self.now);
         self.complete_load(resp, decoded, dst, format)
     }
 

@@ -175,14 +175,16 @@ impl IssueEngine {
 
     /// Replays a recorded tape with timing and stats bit-identical to
     /// pushing the equivalent stream, driven straight off the tape's
-    /// packed arrays through the policy's own replay loop.
+    /// packed arrays: the single-issue model runs the fused walk
+    /// ([`Core::replay_fused`]) over a group of one, the dual and
+    /// replaying models their own loops.
     ///
     /// # Errors
     ///
     /// The first [`EngineError`] any entry hits.
     pub fn run_tape(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
         match self.policy {
-            IssuePolicy::SingleInOrder => self.core.replay(tape),
+            IssuePolicy::SingleInOrder => Core::replay_fused(tape, &mut [&mut self.core]),
             IssuePolicy::DualInOrder => self.run_tape_dual(tape),
             IssuePolicy::ReplayCause => self.run_tape_replaying(tape),
         }
@@ -236,7 +238,7 @@ impl IssueEngine {
     }
 
     /// The replaying model's barrier loop: the same gap bulk-issue and
-    /// quiescent fast path as [`Core::replay`] (non-barrier entries never
+    /// quiescent fast path as [`Core::replay_fused`] (non-barrier entries never
     /// touch the memory system or the replay classifier, and a quiescent
     /// engine has no pending register to attribute a wait to), with the
     /// speculative execute and hazard-wait attribution at the barriers.
@@ -421,6 +423,12 @@ mod tests {
         EngineConfig::with_cache(CacheConfig::baseline(MshrConfig::Blocking))
     }
 
+    fn perfect() -> EngineConfig {
+        let mut config = unrestricted();
+        config.perfect_cache = true;
+        config
+    }
+
     fn engine(config: EngineConfig, policy: IssuePolicy) -> IssueEngine {
         IssueEngine::new(config, policy)
     }
@@ -433,6 +441,33 @@ mod tests {
         let mut config = unrestricted();
         config.perfect_cache = perfect;
         engine(config, IssuePolicy::DualInOrder)
+    }
+
+    /// The stream rail: `config` fed `stream` one instruction at a time,
+    /// the independent reference for every tape walk.
+    fn stream_rail(config: EngineConfig, stream: &[DynInst]) -> IssueEngine {
+        let mut rail = single(config);
+        rail.run(stream.iter().copied()).unwrap();
+        rail.finish().unwrap();
+        rail
+    }
+
+    /// Asserts two finished engines ended in the same observable state:
+    /// clock, stall statistics, cache counters and the in-flight
+    /// sampler's histograms.
+    fn assert_same_state(got: &IssueEngine, want: &IssueEngine, what: &str) {
+        assert_eq!(got.now(), want.now(), "{what}: cycles");
+        assert_eq!(got.stats(), want.stats(), "{what}: stats");
+        assert_eq!(
+            got.cache().counters(),
+            want.cache().counters(),
+            "{what}: cache counters"
+        );
+        let (g, w) = (got.sampler(), want.sampler());
+        assert_eq!(g.miss_histogram(), w.miss_histogram(), "{what}: misses");
+        assert_eq!(g.fetch_histogram(), w.fetch_histogram(), "{what}: fetches");
+        assert_eq!(g.max_misses(), w.max_misses(), "{what}: max misses");
+        assert_eq!(g.max_fetches(), w.max_fetches(), "{what}: max fetches");
     }
 
     fn tape_of(stream: &[DynInst]) -> TraceTape {
@@ -548,21 +583,26 @@ mod tests {
             })
             .collect();
         let tape = tape_of(&stream);
-        for config in [unrestricted(), mc1(), blocking()] {
-            let mut pushed = single(config.clone());
-            pushed.run(stream.iter().copied()).unwrap();
-            pushed.finish().unwrap();
+        for (label, config) in [
+            ("unrestricted", unrestricted()),
+            ("mc=1", mc1()),
+            ("blocking", blocking()),
+            ("perfect", perfect()),
+        ] {
+            let pushed = stream_rail(config.clone(), &stream);
             let mut replayed = single(config);
             replayed.run_tape(&tape).unwrap();
             replayed.finish().unwrap();
-            assert_eq!(replayed.now(), pushed.now());
-            assert_eq!(replayed.stats(), pushed.stats());
-            assert_eq!(
-                replayed.cache().counters(),
-                pushed.cache().counters(),
-                "replay must drive the memory system identically"
-            );
+            assert_same_state(&replayed, &pushed, label);
         }
+        // A perfect cache hits every access without touching its memory
+        // system, on both rails.
+        let mut replayed = single(perfect());
+        replayed.run_tape(&tape).unwrap();
+        replayed.finish().unwrap();
+        assert_eq!(replayed.stats().total_stall_cycles(), 0);
+        assert_eq!(replayed.cache().counters().load_hits, 0);
+        assert_eq!(replayed.memory().write_buffer_stats().writes, 0);
     }
 
     #[test]
@@ -593,14 +633,12 @@ mod tests {
 
     #[test]
     fn fused_replay_matches_independent_replays_across_mixed_configs() {
-        let tape = tape_of(&mixed_stream());
-        let configs = [unrestricted(), mc1(), blocking()];
-
-        let mut solo: Vec<IssueEngine> = configs.iter().cloned().map(single).collect();
-        for p in &mut solo {
-            p.run_tape(&tape).unwrap();
-            p.finish().unwrap();
-        }
+        // `run_tape` runs the same walk as a fused group, so the
+        // reference is the stream rail. The perfect-cache member shares
+        // the group's geometry and walks inside it.
+        let stream = mixed_stream();
+        let tape = tape_of(&stream);
+        let configs = [unrestricted(), mc1(), blocking(), perfect()];
 
         let mut fused: Vec<IssueEngine> = configs.iter().cloned().map(single).collect();
         {
@@ -611,11 +649,9 @@ mod tests {
             p.finish().unwrap();
         }
 
-        for (f, s) in fused.iter().zip(&solo) {
-            assert_eq!(f.now(), s.now());
-            assert_eq!(f.stats(), s.stats());
-            assert_eq!(f.cache().counters(), s.cache().counters());
-            assert_eq!(f.sampler().max_misses(), s.sampler().max_misses());
+        for (k, (f, config)) in fused.iter().zip(configs).enumerate() {
+            let rail = stream_rail(config, &stream);
+            assert_same_state(f, &rail, &format!("member {k}"));
         }
     }
 

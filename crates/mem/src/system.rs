@@ -238,7 +238,7 @@ impl std::error::Error for GroupError {}
 /// [`DecodedAddr`] once, and per-system
 /// [`MemorySystem::access_load_decoded`] /
 /// [`MemorySystem::access_store_decoded`] calls (behind the
-/// direct-mapped [`MemorySystem::load_hit_direct`] fast path) fan it out
+/// [`MemorySystem::load_hit_decoded`] hit probe) fan it out
 /// to the per-config MSHR banks and write buffers. Tag *state* still diverges
 /// across members (fill timing differs per config), so probe results are
 /// never shared — only the decode.
@@ -430,28 +430,29 @@ impl MemorySystem {
         self.l2.is_some()
     }
 
-    /// Direct-mapped load-hit fast path over a pre-decoded address: the
-    /// monomorphic fused kernel's first probe. Returns `true` — and
-    /// counts the hit — exactly when [`MemorySystem::access_load`] would
-    /// answer [`LoadResponse::Hit`] under a `ways == 1` L1 (a hit never
-    /// reaches the MSHRs, the L2 or the write buffer; its only event is
-    /// the `Resolved` hit). On `false` nothing is recorded; the caller
-    /// falls back to the full port.
+    /// Load-hit probe over a pre-decoded address: the fused walk's first
+    /// probe. Returns `true` — and counts the hit, moving the L1's
+    /// replacement state as the full port does — exactly when
+    /// [`MemorySystem::access_load`] would answer [`LoadResponse::Hit`]
+    /// (a hit never reaches the MSHRs, the L2 or the write buffer; its
+    /// only event is the `Resolved` hit). On `false` nothing is recorded;
+    /// the caller goes on to [`MemorySystem::load_miss_decoded`].
     #[inline]
-    pub fn load_hit_direct(&mut self, decoded: &DecodedAddr, now: Cycle) -> bool {
-        if self.l1.load_hit_direct(decoded.set, decoded.tag) {
+    pub fn load_hit_decoded(&mut self, decoded: &DecodedAddr, now: Cycle) -> bool {
+        if self.l1.load_hit_decoded(decoded) {
             self.resolve(AccessKind::Load, AccessOutcome::Hit, decoded.block, now);
             return true;
         }
         false
     }
 
-    /// Direct-mapped store-hit fast path: the [`StoreResponse::Done`]
-    /// hit twin of [`MemorySystem::load_hit_direct`] — counts the hit and
-    /// buffers the store. Same fall-back contract on `false`.
+    /// Store-hit probe: the [`StoreResponse::Done`] hit twin of
+    /// [`MemorySystem::load_hit_decoded`] — counts the hit and buffers the
+    /// store. On `false` nothing is recorded; the caller falls back to
+    /// [`MemorySystem::access_store_decoded`].
     #[inline]
-    pub fn store_hit_direct(&mut self, decoded: &DecodedAddr, now: Cycle) -> bool {
-        if self.l1.store_hit_direct(decoded.set, decoded.tag) {
+    pub fn store_hit_decoded(&mut self, decoded: &DecodedAddr, now: Cycle) -> bool {
+        if self.l1.store_hit_decoded(decoded) {
             self.resolve(AccessKind::Store, AccessOutcome::Hit, decoded.block, now);
             self.write_buffer.push(decoded.addr, now);
             return true;
@@ -579,13 +580,13 @@ impl MemorySystem {
         self.complete_load(access, decoded.block, now)
     }
 
-    /// The miss half of [`MemorySystem::access_load_decoded`] for the
-    /// direct-mapped fused kernel: `decoded`'s tag probe has just missed
-    /// ([`MemorySystem::load_hit_direct`] returned `false`, with no fill
+    /// The miss half of [`MemorySystem::access_load_decoded`]:
+    /// `decoded`'s tag probe has just missed
+    /// ([`MemorySystem::load_hit_decoded`] returned `false`, with no fill
     /// applied since), so the L1 goes straight to its victim buffer and
     /// MSHRs without probing the tags again. Answers exactly what
     /// [`MemorySystem::access_load_decoded`] would.
-    pub fn load_miss_direct(
+    pub fn load_miss_decoded(
         &mut self,
         decoded: &DecodedAddr,
         dest: Dest,
@@ -1052,31 +1053,78 @@ mod tests {
     }
 
     #[test]
-    fn direct_hit_fast_paths_match_the_full_port() {
-        let mut m = system(mc(2));
-        m.enable_tracing(0);
-        let addr = Addr(0x1000);
-        let d = m.l1().config().geometry.decode(addr);
-        // Cold: the fast paths refuse and record nothing.
-        assert!(!m.load_hit_direct(&d, Cycle(0)));
-        assert!(!m.store_hit_direct(&d, Cycle(0)));
-        assert_eq!(m.l1().counters().load_hits, 0);
-        assert_eq!(m.write_buffer_stats().writes, 0);
-        // Fill the line; both fast paths now hit, with side effects
-        // matching the full port (counters, write buffering).
-        let _ = m.access_load(addr, Dest::Reg(PhysReg::int(1)), LoadFormat::WORD, Cycle(0));
-        m.advance_to(Cycle(16), |_| {});
-        assert!(m.load_hit_direct(&d, Cycle(17)));
-        assert_eq!(m.l1().counters().load_hits, 1);
-        assert!(m.store_hit_direct(&d, Cycle(17)));
-        assert_eq!(m.l1().counters().store_hits, 1);
-        assert_eq!(m.write_buffer_stats().writes, 1);
-        // ...and each hit resolves exactly as the full port's would.
-        let outcomes = m.take_trace().expect("tracing was enabled").outcomes;
-        assert_eq!(
-            outcomes,
-            vec![AccessOutcome::Miss, AccessOutcome::Hit, AccessOutcome::Hit]
-        );
+    fn decoded_hit_probes_match_the_full_port() {
+        // Direct-mapped (the one-compare probe), 4-way LRU (probe plus
+        // policy touch) and fully associative (the indexed probe): one
+        // system hits through the decoded probes, its twin through the
+        // full port, and both must agree on counters, write buffering,
+        // `Resolved` outcomes and the victim the next miss evicts.
+        let dest = Dest::Reg(PhysReg::int(1));
+        for geometry in [
+            CacheGeometry::baseline(),
+            CacheGeometry::new(8 * 1024, 32, 4).unwrap(),
+            CacheGeometry::fully_associative(8 * 1024, 32).unwrap(),
+        ] {
+            let mk = || {
+                let mut cfg = CacheConfig::baseline(mc(2));
+                cfg.geometry = geometry;
+                let mut m = MemorySystem::new(MemSystemConfig::with_cache(cfg));
+                m.enable_tracing(0);
+                m
+            };
+            let (mut probed, mut port) = (mk(), mk());
+            // `ways + 1` blocks of one set: the first `ways` fill it, the
+            // last one evicts.
+            let ways = u64::from(geometry.ways());
+            let stride = geometry.num_sets() * u64::from(geometry.line_bytes());
+            let addrs: Vec<Addr> = (0..=ways).map(|k| Addr(0x1000 + k * stride)).collect();
+            let first = geometry.decode(addrs[0]);
+            // Cold: the probes refuse and record nothing.
+            assert!(!probed.load_hit_decoded(&first, Cycle(0)));
+            assert!(!probed.store_hit_decoded(&first, Cycle(0)));
+            assert_eq!(probed.l1().counters().load_hits, 0);
+            assert_eq!(probed.write_buffer_stats().writes, 0);
+            let mut now = 0;
+            for &a in &addrs[..ways as usize] {
+                for m in [&mut probed, &mut port] {
+                    let _ = m.access_load(a, dest, LoadFormat::WORD, Cycle(now));
+                    m.advance_to(Cycle(now + 16), |_| {});
+                }
+                now += 17;
+            }
+            // Hit the set's oldest line: through the probes on one side,
+            // the full port on the other.
+            assert!(probed.load_hit_decoded(&first, Cycle(now)));
+            assert!(probed.store_hit_decoded(&first, Cycle(now)));
+            assert_eq!(
+                port.access_load(addrs[0], dest, LoadFormat::WORD, Cycle(now)),
+                LoadResponse::Hit
+            );
+            assert_eq!(port.access_store(addrs[0], Cycle(now)), StoreResponse::Done);
+            // The next miss to the set evicts the same victim on both: the
+            // probe moved the replacement state exactly as the port did.
+            for m in [&mut probed, &mut port] {
+                let _ = m.access_load(addrs[ways as usize], dest, LoadFormat::WORD, Cycle(now + 1));
+                m.advance_to(Cycle(now + 17), |_| {});
+            }
+            let resident = |m: &MemorySystem| -> Vec<bool> {
+                addrs
+                    .iter()
+                    .map(|&a| m.l1().contains_block(geometry.block_of(a)))
+                    .collect()
+            };
+            assert_eq!(resident(&probed), resident(&port), "{geometry}: victims");
+            assert_eq!(
+                resident(&probed)[0],
+                ways > 1,
+                "{geometry}: the hit line survives under LRU"
+            );
+            assert_eq!(probed.l1().counters(), port.l1().counters(), "{geometry}");
+            assert_eq!(probed.l1().counters().load_hits, 1, "{geometry}");
+            assert_eq!(probed.write_buffer_stats(), port.write_buffer_stats());
+            let outcomes = |m: &mut MemorySystem| m.take_trace().expect("tracing").outcomes;
+            assert_eq!(outcomes(&mut probed), outcomes(&mut port), "{geometry}");
+        }
     }
 
     #[test]

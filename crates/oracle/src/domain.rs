@@ -6,7 +6,7 @@
 //!
 //! Tapes are single concrete paths, so every address is known; the only
 //! nondeterminism the domain abstracts is *fill timing*. The engine's
-//! discipline (see `Core::replay`) gives a hard bound: a miss finally
+//! discipline (see `Core::replay_fused`) gives a hard bound: a miss finally
 //! accessed at instruction `t` has installed its line before
 //! instruction `t + window` issues (`window` = effective miss penalty
 //! in cycles; the single-issue core burns at least one cycle per

@@ -332,11 +332,14 @@ pub fn run_tape_traced(
 }
 
 /// Replays one tape through several hardware configurations in a single
-/// lockstep walk ([`Core::replay_fused`]): the tape's barrier stream is
-/// decoded once and each entry is applied to every configuration before
-/// moving on, instead of one full traversal per configuration. Every
-/// configuration's latency must compile to the tape's schedule; results are
-/// bit-identical to calling [`run_tape`] per configuration, in order.
+/// lockstep walk ([`Core::replay_fused`], the single-issue model's one
+/// tape walk): the tape's barrier stream is decoded once and each entry is
+/// applied to every configuration before moving on, instead of one full
+/// traversal per configuration. Configurations that do not share one L1
+/// geometry walk one by one inside that call; a row holding any other
+/// processor model replays per configuration ([`run_tape`]). Every
+/// configuration's latency must compile to the tape's schedule; results
+/// are bit-identical to calling [`run_tape`] per configuration, in order.
 ///
 /// # Errors
 ///
@@ -348,9 +351,6 @@ pub fn run_tape_fused(
     tape: &TraceTape,
     cfgs: &[SimConfig],
 ) -> Result<Vec<RunResult>, EngineError> {
-    if cfgs.len() == 1 {
-        return Ok(vec![run_tape(benchmark, tape, &cfgs[0])?]);
-    }
     // The lockstep walk decodes a single-issue schedule; any other
     // processor model replays per configuration instead (identical
     // results, one traversal each).
