@@ -44,10 +44,12 @@ pub struct LedgerEntry {
 }
 
 /// The ledger itself. Surfaces are deliberately the places a reviewer
-/// would check by hand: the policy test suite and design doc for
-/// replacement policies, the emit sites and design doc for events, the
-/// design doc's error table for `SimError`, the issue-policy mapping and
-/// replay-penalty table for the processor-model and replay-cause enums,
+/// would check by hand: the policy test suite, the reference machine and
+/// design doc for replacement policies, the emit sites and design doc for
+/// events, the design doc's error table for `SimError`, the issue-policy
+/// mapping, the reference machine and replay-penalty table for the
+/// processor-model and replay-cause enums, the reference machine for the
+/// hardware configurations and MSHR organizations,
 /// the design doc's artifact-store section (§16) for the store and
 /// codec error enums, the design doc's fusion section (§17) for the
 /// group-step entry points and `GroupError`, and the experiments guide
@@ -57,7 +59,11 @@ pub const LEDGER: &[LedgerEntry] = &[
         name: "ReplacementKind",
         decl_file: "crates/core/src/tag_array.rs",
         kind: LedgerKind::Enum,
-        surfaces: &["tests/replacement_policies.rs", "DESIGN.md"],
+        surfaces: &[
+            "tests/replacement_policies.rs",
+            "tests/reference/mod.rs",
+            "DESIGN.md",
+        ],
     },
     LedgerEntry {
         name: "MemEvent",
@@ -75,7 +81,26 @@ pub const LEDGER: &[LedgerEntry] = &[
         name: "ProcessorKind",
         decl_file: "crates/sim/src/config.rs",
         kind: LedgerKind::Enum,
-        surfaces: &["crates/cpu/src/issue.rs", "DESIGN.md"],
+        surfaces: &[
+            "crates/cpu/src/issue.rs",
+            "tests/reference/mod.rs",
+            "DESIGN.md",
+        ],
+    },
+    // The independent reference machine models every organization and
+    // write policy the sweeps can name: a new hardware configuration or
+    // MSHR organization is a finding until the reference covers it.
+    LedgerEntry {
+        name: "HwConfig",
+        decl_file: "crates/sim/src/config.rs",
+        kind: LedgerKind::Enum,
+        surfaces: &["tests/reference/mod.rs"],
+    },
+    LedgerEntry {
+        name: "MshrConfig",
+        decl_file: "crates/core/src/mshr/mod.rs",
+        kind: LedgerKind::Enum,
+        surfaces: &["tests/reference/mod.rs"],
     },
     LedgerEntry {
         name: "ReplayCause",

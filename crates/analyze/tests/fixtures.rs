@@ -51,11 +51,12 @@ fn bad_tree_fires_every_lint_family() {
 
     // exhaustiveness: the unwired Clock variant, once per surface.
     let ex = of_lint(&a, "exhaustiveness");
-    assert_eq!(ex.len(), 2, "{ex:#?}");
+    assert_eq!(ex.len(), 3, "{ex:#?}");
     assert!(ex.iter().all(|f| f.item == "ReplacementKind::Clock"));
     let surfaces: Vec<&str> = ex.iter().map(|f| f.file.as_str()).collect();
     assert!(surfaces.contains(&"DESIGN.md"));
     assert!(surfaces.contains(&"tests/replacement_policies.rs"));
+    assert!(surfaces.contains(&"tests/reference/mod.rs"));
 
     // bad-allow: empty reason and unknown ID, each on its directive line.
     let ba = of_lint(&a, "bad-allow");
@@ -66,7 +67,7 @@ fn bad_tree_fires_every_lint_family() {
 
     // Only the reasoned directive counts as used.
     assert_eq!(a.allows_used, 1);
-    assert_eq!(a.findings.len(), 12, "{:#?}", a.findings);
+    assert_eq!(a.findings.len(), 13, "{:#?}", a.findings);
 }
 
 #[test]

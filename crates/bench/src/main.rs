@@ -21,6 +21,7 @@
 mod experiments;
 
 use experiments::{RunScale, EXHIBITS};
+use nbl_sim::store::{DiskTier, ResultArtifact, TapeArtifact};
 use nbl_sim::telemetry::{Telemetry, TelemetrySnapshot};
 use std::io::Write;
 use std::time::Instant;
@@ -230,6 +231,16 @@ fn main() {
     }
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
+    if let Some(dir) = &store_dir {
+        // Artifacts of an older format version are never opened again.
+        let tier = DiskTier::new(dir);
+        let tapes = tier.prune_superseded::<TapeArtifact>();
+        let results = tier.prune_superseded::<ResultArtifact>();
+        eprintln!(
+            "store {dir}: pruned {} superseded artifact(s) ({tapes} tapes, {results} results)",
+            tapes + results
+        );
+    }
     if store_dir.is_some() || incremental {
         // Pinned before any exhibit builds the global engine.
         nbl_sim::configure_store(nbl_sim::StoreSettings {

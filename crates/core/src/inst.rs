@@ -118,20 +118,6 @@ impl DynInst {
     pub fn is_store(&self) -> bool {
         matches!(self.kind, DynKind::Store { .. })
     }
-
-    /// Iterates over the source registers that are present.
-    #[inline]
-    pub fn sources(&self) -> impl Iterator<Item = PhysReg> + '_ {
-        self.srcs.iter().flatten().copied()
-    }
-
-    /// `true` if `other` reads or rewrites a register this instruction
-    /// writes (RAW or WAW) — the condition forbidding same-cycle dual
-    /// issue with single-cycle latencies.
-    pub fn conflicts_with(&self, other: &DynInst) -> bool {
-        let Some(d) = self.dst() else { return false };
-        other.sources().any(|s| s == d) || other.dst() == Some(d)
-    }
 }
 
 impl fmt::Display for DynInst {
@@ -158,10 +144,10 @@ mod tests {
         let ld = DynInst::load(Addr(0x10), r1, LoadFormat::WORD);
         assert!(ld.is_load() && ld.is_mem() && !ld.is_store());
         assert_eq!(ld.dst(), Some(r1));
-        assert_eq!(ld.sources().count(), 0);
+        assert_eq!(ld.srcs, [None, None]);
 
         let chase = DynInst::load_via(Addr(0x20), r1, r2, LoadFormat::DOUBLE);
-        assert_eq!(chase.sources().collect::<Vec<_>>(), vec![r1]);
+        assert_eq!(chase.srcs, [Some(r1), None]);
 
         let st = DynInst::store(Addr(0x30), Some(r2));
         assert!(st.is_store() && st.is_mem());
@@ -173,22 +159,6 @@ mod tests {
 
         let br = DynInst::branch([Some(r2), None]);
         assert_eq!(br.dst(), None);
-    }
-
-    #[test]
-    fn conflict_detection() {
-        let r1 = PhysReg::int(1);
-        let r2 = PhysReg::int(2);
-        let producer = DynInst::load(Addr(0), r1, LoadFormat::WORD);
-        let raw = DynInst::alu(r2, [Some(r1), None]);
-        let waw = DynInst::alu(r1, [None, None]);
-        let indep = DynInst::alu(r2, [Some(r2), None]);
-        assert!(producer.conflicts_with(&raw));
-        assert!(producer.conflicts_with(&waw));
-        assert!(!producer.conflicts_with(&indep));
-        // A store produces nothing, so nothing conflicts with it as producer.
-        let st = DynInst::store(Addr(0), Some(r1));
-        assert!(!st.conflicts_with(&raw));
     }
 
     #[test]

@@ -25,8 +25,7 @@
 use crate::scoreboard::Scoreboard;
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution, StallCause};
 use nbl_core::cache::{CacheConfig, LockupFreeCache};
-use nbl_core::geometry::{DecodedAddr, GeometryError};
-use nbl_core::inst::{DynInst, DynKind};
+use nbl_core::geometry::{CacheGeometry, DecodedAddr, GeometryError};
 use nbl_core::mshr::MissKind;
 use nbl_core::types::{Addr, Cycle, Dest, LoadFormat, PhysReg};
 use nbl_mem::event::ReplayCause;
@@ -167,12 +166,10 @@ impl EngineConfig {
     }
 }
 
-/// The operation of a pre-decoded memory-barrier entry. Decoding
-/// validates the tape structure once per barrier (a load must carry a
-/// destination), so the per-engine step is infallible on the fast path.
+/// The operation of a decoded memory entry. Decoding validates the tape
+/// structure (a load must carry a destination), so the per-engine step
+/// is infallible on the fast path.
 enum GroupOp {
-    /// Alu or Branch: issues in one cycle, touches no memory state.
-    Free,
     /// A load with its (validated) destination and format.
     Load {
         /// Destination register the fill will wake.
@@ -184,38 +181,36 @@ enum GroupOp {
     Store,
 }
 
-/// One memory-barrier tape entry decoded once for a whole fused group:
-/// the packed-array fields (operation, destination, load format) plus the
-/// address split — block, set, tag, offset — under the group's shared
-/// geometry, derived once per barrier for every engine of the group.
+/// One memory entry decoded once: the packed-array fields (operation,
+/// destination, load format) plus the address split — block, set, tag,
+/// offset — under an L1 geometry. The fused walk decodes each memory
+/// barrier once for its whole group; the dual walk decodes per access.
 struct GroupEntry {
     op: GroupOp,
     decoded: DecodedAddr,
 }
 
 impl GroupEntry {
-    /// Decodes memory barrier `b`, taking its address from `addrs`.
+    /// Decodes memory entry `i` at `addr` under `geometry`.
     #[inline]
     fn decode(
         tape: &TraceTape,
-        b: usize,
-        addrs: &mut AddrCursor<'_>,
-        group: &FusedMemGroup,
+        i: usize,
+        addr: Option<Addr>,
+        geometry: &CacheGeometry,
     ) -> Result<GroupEntry, EngineError> {
-        let addr = addrs
-            .next()
-            .ok_or(EngineError::MalformedTape { index: b })?;
-        let op = match tape.kind(b) {
-            TapeKind::Alu | TapeKind::Branch => GroupOp::Free,
+        let malformed = EngineError::MalformedTape { index: i };
+        let op = match tape.kind(i) {
             TapeKind::Load => GroupOp::Load {
-                dst: tape.dst(b).ok_or(EngineError::MalformedTape { index: b })?,
-                format: tape.format(b),
+                dst: tape.dst(i).ok_or(malformed)?,
+                format: tape.format(i),
             },
             TapeKind::Store => GroupOp::Store,
+            TapeKind::Alu | TapeKind::Branch => return Err(malformed),
         };
         Ok(GroupEntry {
             op,
-            decoded: group.decode(addr),
+            decoded: geometry.decode(addr.ok_or(malformed)?),
         })
     }
 }
@@ -285,12 +280,6 @@ impl Core {
     #[inline]
     pub fn cache(&self) -> &LockupFreeCache {
         self.mem.l1()
-    }
-
-    /// The scoreboard (pending registers).
-    #[inline]
-    pub fn scoreboard(&self) -> &Scoreboard {
-        &self.scoreboard
     }
 
     /// Starts the memory system's one observer (see [`nbl_mem::event`]):
@@ -368,63 +357,16 @@ impl Core {
         Ok(())
     }
 
-    /// Resolves every register hazard of `inst`: sources (RAW) and
+    /// Resolves entry `i`'s register hazards straight from the tape's
+    /// packed arrays: its sources (RAW), in recorded order, then its
     /// destination (WAW — the fill of an earlier load must not clobber
-    /// this instruction's result).
+    /// this instruction's result), each waited for with
+    /// [`Core::wait_for_reg`].
     ///
     /// # Errors
     ///
     /// [`EngineError::NoOutstandingFetch`] on a scoreboard/memory-system
     /// disagreement (see [`Core::wait_for_reg`]).
-    pub fn resolve_hazards(&mut self, inst: &DynInst) -> Result<(), EngineError> {
-        for src in inst.sources() {
-            self.wait_for_reg(src)?;
-        }
-        if let Some(dst) = inst.dst() {
-            self.wait_for_reg(dst)?;
-        }
-        Ok(())
-    }
-
-    /// `true` if `inst` could issue right now without waiting on any
-    /// pending register (used by the dual-issue pairing check).
-    pub fn hazards_clear(&self, inst: &DynInst) -> bool {
-        inst.sources().all(|s| !self.scoreboard.is_pending(s))
-            && inst.dst().is_none_or(|d| !self.scoreboard.is_pending(d))
-    }
-
-    /// Executes the operation of `inst` at the current cycle, resolving
-    /// structural stalls internally. Does **not** advance the issue clock;
-    /// the issue policy does that (it may place two instructions in one
-    /// cycle).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::NoOutstandingFetch`] if a structural retry had no
-    /// fill to wait on.
-    pub fn execute(&mut self, inst: &DynInst) -> Result<(), EngineError> {
-        match inst.kind {
-            DynKind::Alu { .. } => {}
-            DynKind::Load { addr, dst, format } => self.execute_load(addr, dst, format)?,
-            DynKind::Store { addr } => self.execute_store(addr),
-        }
-        self.stats.instructions += 1;
-        if inst.is_load() {
-            self.stats.loads += 1;
-        } else if inst.is_store() {
-            self.stats.stores += 1;
-        }
-        Ok(())
-    }
-
-    /// Tape-indexed twin of [`Core::resolve_hazards`]: resolves entry `i`'s
-    /// register hazards straight from the packed arrays (sources in
-    /// recorded order, then the destination) without materializing a
-    /// [`DynInst`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::NoOutstandingFetch`] as for [`Core::resolve_hazards`].
     pub fn replay_hazards(&mut self, tape: &TraceTape, i: usize) -> Result<(), EngineError> {
         if !self.scoreboard.any_pending() {
             return Ok(());
@@ -442,7 +384,8 @@ impl Core {
         Ok(())
     }
 
-    /// Tape-indexed twin of [`Core::hazards_clear`].
+    /// `true` if entry `i` could issue right now without waiting on any
+    /// pending register (the dual-issue pairing check).
     pub fn replay_hazards_clear(&self, tape: &TraceTape, i: usize) -> bool {
         let [s0, s1] = tape.srcs(i);
         s0.is_none_or(|s| !self.scoreboard.is_pending(s))
@@ -450,39 +393,34 @@ impl Core {
             && tape.dst(i).is_none_or(|d| !self.scoreboard.is_pending(d))
     }
 
-    /// Tape-indexed twin of [`Core::execute`]: performs entry `i`'s
-    /// operation and stats accounting directly from the packed arrays.
-    /// `addr` is the entry's address as the walk's [`AddrCursor`] yielded
-    /// it ([`AddrCursor::step`]): `Some` for a memory operation, `None`
-    /// otherwise.
+    /// Performs entry `i`'s operation and stats accounting directly from
+    /// the tape's packed arrays at the current cycle, resolving structural
+    /// stalls internally: a memory operation is decoded under this
+    /// engine's L1 geometry and executed as the fused walk executes it
+    /// (`Core::execute_entry`). Does **not** advance the issue clock;
+    /// the issue policy does that (it may place two instructions in one
+    /// cycle). `addr` is the entry's address as the walk's [`AddrCursor`]
+    /// yielded it ([`AddrCursor::step`]): `Some` for a memory operation,
+    /// `None` otherwise.
     ///
     /// # Errors
     ///
-    /// [`EngineError::NoOutstandingFetch`] as for [`Core::execute`], and
-    /// [`EngineError::MalformedTape`] if entry `i` is a load with no
-    /// recorded destination or a memory operation with no address.
+    /// [`EngineError::NoOutstandingFetch`] if a structural retry had no
+    /// fill to wait on, and [`EngineError::MalformedTape`] if entry `i` is
+    /// a load with no recorded destination or a memory operation with no
+    /// address.
     pub fn replay_execute(
         &mut self,
         tape: &TraceTape,
         i: usize,
         addr: Option<Addr>,
     ) -> Result<(), EngineError> {
-        match tape.kind(i) {
-            TapeKind::Alu | TapeKind::Branch => {}
-            TapeKind::Load => {
-                let (Some(addr), Some(dst)) = (addr, tape.dst(i)) else {
-                    return Err(EngineError::MalformedTape { index: i });
-                };
-                self.execute_load(addr, dst, tape.format(i))?;
-                self.stats.loads += 1;
-            }
-            TapeKind::Store => {
-                let addr = addr.ok_or(EngineError::MalformedTape { index: i })?;
-                self.execute_store(addr);
-                self.stats.stores += 1;
-            }
+        if tape.is_mem(i) {
+            let geometry = self.mem.l1().config().geometry;
+            self.execute_entry(&GroupEntry::decode(tape, i, addr, &geometry)?)?;
+        } else {
+            self.stats.instructions += 1;
         }
-        self.stats.instructions += 1;
         Ok(())
     }
 
@@ -519,9 +457,10 @@ impl Core {
     /// it defers that barrier into its next bulk issue; when the whole
     /// group is quiescent the walk strides straight to the next memory
     /// operation ([`TraceTape::next_mem`]). Every engine thus steps
-    /// exactly what the per-instruction stream would, and the walk is
+    /// exactly what a per-instruction machine would, and the walk is
     /// bit-identical to replaying each engine alone (pinned against the
-    /// stream rail by tests and by the sweep-level goldens).
+    /// workspace's cycle-stepped reference machine,
+    /// `tests/reference/mod.rs`, and by the sweep-level goldens).
     ///
     /// What remains to select comes from the group itself: a group of
     /// more than 64 engines walks in chunks of 64 (the width of the
@@ -550,8 +489,8 @@ impl Core {
 
     /// The walk of [`Core::replay_fused`] over at most 64 engines that
     /// share `group`'s L1 geometry. Each memory barrier is decoded once
-    /// ([`GroupEntry::decode`]) and stepped by every engine
-    /// ([`Core::step_entry`]). Group quiescence lives in a bitmask, so
+    /// ([`GroupEntry::decode`]) and executed by every engine
+    /// ([`Core::execute_entry`]). Group quiescence lives in a bitmask, so
     /// the all-quiescent check is one compare and non-memory barriers
     /// visit only the engines with a fetch in flight.
     fn replay_group(
@@ -588,7 +527,7 @@ impl Core {
                 break;
             }
             if tape.is_mem(b) {
-                let e = GroupEntry::decode(tape, b, &mut addrs, group)?;
+                let e = GroupEntry::decode(tape, b, addrs.next(), group.geometry())?;
                 for (k, (core, i)) in cores.iter_mut().zip(&mut cursors).enumerate() {
                     let was_quiescent = quiescent & (1 << k) != 0;
                     if b > *i {
@@ -598,7 +537,8 @@ impl Core {
                         core.drain_fills();
                         core.replay_hazards(tape, b)?;
                     }
-                    let hit = core.step_entry(&e)?;
+                    let hit = core.execute_entry(&e)?;
+                    core.tick();
                     *i = b + 1;
                     // A hit on a quiescent engine cannot launch a fetch,
                     // so it stays quiescent; anything else (a launch, or a
@@ -626,8 +566,7 @@ impl Core {
                     }
                     core.drain_fills();
                     core.replay_hazards(tape, b)?;
-                    core.replay_execute(tape, b, None)?;
-                    core.tick();
+                    core.issue_free_run(1);
                     *i = b + 1;
                     if core.mem.next_event().is_none() {
                         quiescent |= 1 << k;
@@ -644,19 +583,25 @@ impl Core {
         check_drained(&addrs, n)
     }
 
-    /// One engine's step of a decoded memory barrier, its hazards already
-    /// resolved: the hit probe ([`MemorySystem::load_hit_decoded`]), the
-    /// miss path only when that misses, the counters and the tick. A
-    /// perfect cache hits without touching its memory system, as
-    /// [`Core::execute_load`] does. Returns whether the access hit.
+    /// One engine's access for a decoded memory entry, its hazards
+    /// already resolved: the hit probe
+    /// ([`MemorySystem::load_hit_decoded`]), the miss path only when that
+    /// misses, and the counters; the caller advances the clock. A miss
+    /// goes straight to [`MemorySystem::load_miss_decoded`], since the
+    /// probe just missed; a structural retry probes again in full, since
+    /// the fill it waited for may have brought the line in. A perfect
+    /// cache hits without touching its memory system. Returns whether the
+    /// access hit.
     #[inline]
-    fn step_entry(&mut self, e: &GroupEntry) -> Result<bool, EngineError> {
+    fn execute_entry(&mut self, e: &GroupEntry) -> Result<bool, EngineError> {
         let hit = match e.op {
-            GroupOp::Free => true,
             GroupOp::Load { dst, format } => {
                 let hit = self.perfect || self.mem.load_hit_decoded(&e.decoded, self.now);
                 if !hit {
-                    self.execute_load_missed(&e.decoded, dst, format)?;
+                    let resp =
+                        self.mem
+                            .load_miss_decoded(&e.decoded, Dest::Reg(dst), format, self.now);
+                    self.complete_load(resp, &e.decoded, dst, format)?;
                 }
                 self.stats.loads += 1;
                 hit
@@ -664,49 +609,15 @@ impl Core {
             GroupOp::Store => {
                 let hit = self.perfect || self.mem.store_hit_decoded(&e.decoded, self.now);
                 if !hit {
-                    self.execute_store_decoded(&e.decoded);
+                    let resp = self.mem.access_store_decoded(&e.decoded, self.now);
+                    self.apply_store_response(resp);
                 }
                 self.stats.stores += 1;
                 hit
             }
         };
         self.stats.instructions += 1;
-        self.tick();
         Ok(hit)
-    }
-
-    fn execute_load(
-        &mut self,
-        addr: Addr,
-        dst: PhysReg,
-        format: LoadFormat,
-    ) -> Result<(), EngineError> {
-        if self.perfect {
-            return Ok(());
-        }
-        let decoded = self.mem.l1().config().geometry.decode(addr);
-        let resp = self
-            .mem
-            .access_load_decoded(&decoded, Dest::Reg(dst), format, self.now);
-        self.complete_load(resp, &decoded, dst, format)
-    }
-
-    /// The fused walk's miss fallback: `decoded`'s tag probe just missed
-    /// ([`MemorySystem::load_hit_decoded`]), so the first attempt skips
-    /// straight to the miss path ([`MemorySystem::load_miss_decoded`]); a
-    /// structural retry probes again in full, since the fill it waited
-    /// for may have brought the line in.
-    fn execute_load_missed(
-        &mut self,
-        decoded: &DecodedAddr,
-        dst: PhysReg,
-        format: LoadFormat,
-    ) -> Result<(), EngineError> {
-        debug_assert!(!self.perfect, "a perfect cache never misses");
-        let resp = self
-            .mem
-            .load_miss_decoded(decoded, Dest::Reg(dst), format, self.now);
-        self.complete_load(resp, decoded, dst, format)
     }
 
     /// Applies a load's port response on the processor side, waiting for
@@ -759,24 +670,6 @@ impl Core {
         Ok(())
     }
 
-    fn execute_store(&mut self, addr: Addr) {
-        if self.perfect {
-            return;
-        }
-        let decoded = self.mem.l1().config().geometry.decode(addr);
-        self.execute_store_decoded(&decoded);
-    }
-
-    /// [`Core::execute_store`] with the address pre-decoded under this
-    /// engine's L1 geometry.
-    fn execute_store_decoded(&mut self, decoded: &DecodedAddr) {
-        if self.perfect {
-            return;
-        }
-        let resp = self.mem.access_store_decoded(decoded, self.now);
-        self.apply_store_response(resp);
-    }
-
     fn apply_store_response(&mut self, resp: StoreResponse) {
         match resp {
             StoreResponse::Done => {}
@@ -797,43 +690,15 @@ impl Core {
         }
     }
 
-    /// Twin of [`Core::execute`] for the replaying pipeline model: loads go
-    /// through the speculative port and may bounce through replay bubbles,
-    /// stores feed the replay classifier.
+    /// [`Core::replay_execute`] for the replaying pipeline model: loads go
+    /// through the speculative port and may bounce through replay
+    /// bubbles, stores feed the replay classifier.
     ///
     /// # Errors
     ///
     /// [`EngineError::NoOutstandingFetch`] if a NACK fallback had no fill
-    /// to wait on.
-    pub(crate) fn execute_speculative(
-        &mut self,
-        inst: &DynInst,
-        attr: &mut ReplayAttribution,
-    ) -> Result<(), EngineError> {
-        match inst.kind {
-            DynKind::Alu { .. } => {}
-            DynKind::Load { addr, dst, format } => {
-                self.execute_load_speculative(addr, dst, format, attr)?;
-            }
-            DynKind::Store { addr } => self.execute_store_speculative(addr),
-        }
-        self.stats.instructions += 1;
-        if inst.is_load() {
-            self.stats.loads += 1;
-        } else if inst.is_store() {
-            self.stats.stores += 1;
-        }
-        Ok(())
-    }
-
-    /// Tape-indexed twin of [`Core::execute_speculative`], with `addr`
-    /// as for [`Core::replay_execute`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Core::execute_speculative`], plus
-    /// [`EngineError::MalformedTape`] if entry `i` is a load with no
-    /// recorded destination or a memory operation with no address.
+    /// to wait on, and [`EngineError::MalformedTape`] as for
+    /// [`Core::replay_execute`].
     pub(crate) fn replay_execute_speculative(
         &mut self,
         tape: &TraceTape,
@@ -984,6 +849,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbl_core::inst::DynInst;
     use nbl_core::limit::Limit;
     use nbl_core::mshr::{MshrConfig, RegisterFileConfig, TargetPolicy};
     use nbl_core::types::LoadFormat;
@@ -992,10 +858,19 @@ mod tests {
         Core::new(EngineConfig::with_cache(CacheConfig::baseline(mshr)))
     }
 
-    fn issue(core: &mut Core, inst: &DynInst) {
-        core.resolve_hazards(inst).unwrap();
-        core.execute(inst).unwrap();
-        core.tick();
+    /// Records `stream` into a tape and replays it on `core` through the
+    /// single-issue walk, without finishing: the state after the last
+    /// instruction issued is left to inspect.
+    fn replay(core: &mut Core, stream: &[DynInst]) {
+        let mut tape = TraceTape::with_capacity("t", 0, stream.len());
+        for inst in stream {
+            tape.push(*inst);
+        }
+        Core::replay_fused(&tape, &mut [core]).unwrap();
+    }
+
+    fn load(addr: u64, reg: u8) -> DynInst {
+        DynInst::load(Addr(addr), PhysReg::int(reg), LoadFormat::WORD)
     }
 
     fn mc1() -> MshrConfig {
@@ -1011,16 +886,12 @@ mod tests {
     fn load_use_stall_is_penalty_minus_distance() {
         let mut core = engine(mc1());
         let r1 = PhysReg::int(1);
-        // Load (miss), one independent ALU op, then a use of the load.
-        issue(
-            &mut core,
-            &DynInst::load(Addr(0x1000), r1, LoadFormat::WORD),
-        );
-        for _ in 0..3 {
-            issue(&mut core, &DynInst::alu(PhysReg::int(2), [None, None]));
-        }
-        // Use issues after stalling until the fill at cycle 16.
-        issue(&mut core, &DynInst::alu(PhysReg::int(3), [Some(r1), None]));
+        // Load (miss), three independent ALU ops, then a use of the load,
+        // which issues after stalling until the fill at cycle 16.
+        let mut stream = vec![load(0x1000, 1)];
+        stream.extend((0..3).map(|_| DynInst::alu(PhysReg::int(2), [None, None])));
+        stream.push(DynInst::alu(PhysReg::int(3), [Some(r1), None]));
+        replay(&mut core, &stream);
         // Load at cy0 (fill at 16), 3 ALU ops at cy1..3, use stalls 4..16.
         assert_eq!(core.stats().data_dep_stall_cycles, 12);
         assert_eq!(core.now(), Cycle(17));
@@ -1029,39 +900,26 @@ mod tests {
     #[test]
     fn blocking_cache_exposes_full_penalty() {
         let mut core = engine(MshrConfig::Blocking);
-        issue(
-            &mut core,
-            &DynInst::load(Addr(0x40), PhysReg::int(1), LoadFormat::WORD),
-        );
+        replay(&mut core, &[load(0x40, 1)]);
         assert_eq!(core.stats().blocking_stall_cycles, 16);
         assert_eq!(core.stats().blocking_load_misses, 1);
         assert_eq!(core.now(), Cycle(17));
         // The line is now resident: a reuse hits with no stall.
-        issue(
-            &mut core,
-            &DynInst::load(Addr(0x48), PhysReg::int(2), LoadFormat::WORD),
-        );
+        replay(&mut core, &[load(0x48, 2)]);
         assert_eq!(core.stats().total_stall_cycles(), 16);
     }
 
     #[test]
     fn structural_stall_waits_for_fill_then_retries() {
         let mut core = engine(mc1());
-        issue(
-            &mut core,
-            &DynInst::load(Addr(0x1000), PhysReg::int(1), LoadFormat::WORD),
-        );
         // Second load to a different line: mc=1 rejects; stalls until the
         // first fill (cycle 16), then becomes a fresh primary miss.
-        issue(
-            &mut core,
-            &DynInst::load(Addr(0x2000), PhysReg::int(2), LoadFormat::WORD),
-        );
+        replay(&mut core, &[load(0x1000, 1), load(0x2000, 2)]);
         assert_eq!(core.stats().structural_stall_cycles, 15); // 1 -> 16
         assert_eq!(core.stats().structural_stall_misses, 1);
         assert_eq!(core.cache().counters().load_primary_misses, 2);
-        assert!(!core.scoreboard().is_pending(PhysReg::int(1)));
-        assert!(core.scoreboard().is_pending(PhysReg::int(2)));
+        assert!(!core.scoreboard.is_pending(PhysReg::int(1)));
+        assert!(core.scoreboard.is_pending(PhysReg::int(2)));
     }
 
     #[test]
@@ -1073,20 +931,20 @@ mod tests {
             max_fetches_per_set: Limit::Unlimited,
         });
         let mut core = engine(fc1);
-        issue(
+        // Two loads of one line, then a use of the second register, which
+        // stalls only until the shared fill at 16.
+        replay(
             &mut core,
-            &DynInst::load(Addr(0x1000), PhysReg::int(1), LoadFormat::WORD),
-        );
-        issue(
-            &mut core,
-            &DynInst::load(Addr(0x1008), PhysReg::int(2), LoadFormat::WORD),
+            &[
+                load(0x1000, 1),
+                load(0x1008, 2),
+                DynInst::branch([Some(PhysReg::int(2)), None]),
+            ],
         );
         assert_eq!(core.cache().counters().load_secondary_misses, 1);
-        // Using the second register stalls only until the shared fill at 16.
-        issue(&mut core, &DynInst::branch([Some(PhysReg::int(2)), None]));
         assert_eq!(core.stats().data_dep_stall_cycles, 14); // 2 -> 16
         assert!(
-            !core.scoreboard().is_pending(PhysReg::int(1)),
+            !core.scoreboard.is_pending(PhysReg::int(1)),
             "fill wakes all targets at once"
         );
     }
@@ -1094,10 +952,11 @@ mod tests {
     #[test]
     fn waw_hazard_stalls() {
         let mut core = engine(mc1());
-        let r = PhysReg::int(1);
-        issue(&mut core, &DynInst::load(Addr(0x1000), r, LoadFormat::WORD));
-        // An ALU write to the same register must wait for the fill.
-        issue(&mut core, &DynInst::alu(r, [None, None]));
+        // An ALU write to the load's register must wait for the fill.
+        replay(
+            &mut core,
+            &[load(0x1000, 1), DynInst::alu(PhysReg::int(1), [None, None])],
+        );
         assert_eq!(core.stats().data_dep_stall_cycles, 15);
     }
 
@@ -1106,12 +965,8 @@ mod tests {
         let mut cfg = EngineConfig::with_cache(CacheConfig::baseline(MshrConfig::Blocking));
         cfg.perfect_cache = true;
         let mut core = Core::new(cfg);
-        for i in 0..100u64 {
-            issue(
-                &mut core,
-                &DynInst::load(Addr(i * 64), PhysReg::int((i % 30) as u8), LoadFormat::WORD),
-            );
-        }
+        let loads: Vec<_> = (0..100u64).map(|i| load(i * 64, (i % 30) as u8)).collect();
+        replay(&mut core, &loads);
         assert_eq!(core.stats().total_stall_cycles(), 0);
         assert_eq!(core.now(), Cycle(100));
     }
@@ -1119,9 +974,10 @@ mod tests {
     #[test]
     fn stores_never_stall_under_write_around() {
         let mut core = engine(mc1());
-        for i in 0..50u64 {
-            issue(&mut core, &DynInst::store(Addr(i * 4096), None));
-        }
+        let stores: Vec<_> = (0..50u64)
+            .map(|i| DynInst::store(Addr(i * 4096), None))
+            .collect();
+        replay(&mut core, &stores);
         assert_eq!(core.stats().total_stall_cycles(), 0);
         assert_eq!(core.stats().stores, 50);
         assert_eq!(core.memory().write_buffer_stats().writes, 50);
@@ -1138,9 +994,8 @@ mod tests {
         cache_cfg.write_miss = nbl_core::cache::WriteMissPolicy::WriteAllocate;
         let mut core = Core::new(EngineConfig::with_cache(cache_cfg));
         // Distinct sets: one cache size + one line apart.
-        for i in 0..4u64 {
-            issue(&mut core, &DynInst::store(Addr(i * 8224), None));
-        }
+        let store = |i: u64| DynInst::store(Addr(i * 8224), None);
+        replay(&mut core, &(0..4).map(store).collect::<Vec<_>>());
         assert_eq!(
             core.stats().total_stall_cycles(),
             0,
@@ -1149,15 +1004,13 @@ mod tests {
         assert_eq!(core.stats().nonblocking_store_misses, 4);
         assert_eq!(core.stats().blocking_store_misses, 0);
         // A fifth store miss finds no free MSHR and falls back to blocking.
-        issue(&mut core, &DynInst::store(Addr(5 * 8224), None));
+        replay(&mut core, &[store(5)]);
         assert_eq!(core.stats().blocking_store_misses, 1);
         assert!(core.stats().blocking_stall_cycles > 0);
         core.finish();
         assert_eq!(core.sampler().fetches_now(), 0);
         // After the fills, the lines are resident: stores now hit.
-        let st = DynInst::store(Addr(0), None);
-        core.resolve_hazards(&st).unwrap();
-        core.execute(&st).unwrap();
+        replay(&mut core, &[store(0)]);
         assert_eq!(
             core.stats().nonblocking_store_misses,
             4,
@@ -1179,28 +1032,19 @@ mod tests {
             hit_penalty: 6,
             replacement: nbl_core::tag_array::ReplacementKind::Lru,
         };
+        // a and b conflict in the 8KB L1, not in the L2.
+        let (a, b) = (0x10000, 0x20000);
+        let stream = [load(a, 1), load(b, 1), load(a, 1)];
 
         // Flat hierarchy: every blocking miss costs 30.
         let mut flat = mk(None);
-        let a = Addr(0x10000);
-        let b = Addr(0x20000); // conflicts with a in the 8KB L1, not in L2
-        for addr in [a, b, a] {
-            issue(
-                &mut flat,
-                &DynInst::load(addr, PhysReg::int(1), LoadFormat::WORD),
-            );
-        }
+        replay(&mut flat, &stream);
         assert_eq!(flat.stats().blocking_stall_cycles, 90);
 
         // Two-level: first touches miss L2 (30 each); the conflict re-miss
         // of `a` hits the L2 and costs only 6.
         let mut two = mk(Some(l2));
-        for addr in [a, b, a] {
-            issue(
-                &mut two,
-                &DynInst::load(addr, PhysReg::int(1), LoadFormat::WORD),
-            );
-        }
+        replay(&mut two, &stream);
         assert_eq!(two.stats().blocking_stall_cycles, 30 + 30 + 6);
     }
 
@@ -1222,40 +1066,31 @@ mod tests {
             replacement: nbl_core::tag_array::ReplacementKind::Lru,
         });
         let mut core = Core::new(cfg);
-        let a = Addr(0x10000);
-        let b = Addr(0x20000);
+        let (a, b) = (0x10000, 0x20000);
         // Warm the L2 with `a` (L1 conflict evicts it from L1 via `b`).
-        for addr in [a, b] {
-            issue(
-                &mut core,
-                &DynInst::load(addr, PhysReg::int(1), LoadFormat::WORD),
-            );
-        }
+        replay(&mut core, &[load(a, 1), load(b, 1)]);
         core.finish();
         let t0 = core.now();
         // Now: `b` is L1-resident; `a` was evicted but lives in L2. Issue a
-        // long L2-missing load (new line) then the L2-hitting reload of `a`:
-        // the later fetch finishes first and wakes its register first.
-        issue(
+        // long L2-missing load (new line), then the L2-hitting reload of
+        // `a`, then a use of its result: the later fetch finishes first
+        // and wakes its register first, about 6 cycles after issue, while
+        // the L2-missing fetch is still outstanding.
+        replay(
             &mut core,
-            &DynInst::load(Addr(0x40000), PhysReg::int(2), LoadFormat::WORD),
+            &[
+                load(0x40000, 2),
+                load(a, 3),
+                DynInst::branch([Some(PhysReg::int(3)), None]),
+            ],
         );
-        issue(
-            &mut core,
-            &DynInst::load(a, PhysReg::int(3), LoadFormat::WORD),
-        );
-        // Use the L2-hit result: it arrives ~6 cycles after issue even
-        // though the L2-missing fetch is still outstanding.
-        let use_r = DynInst::branch([Some(PhysReg::int(3)), None]);
-        core.resolve_hazards(&use_r).unwrap();
-        core.execute(&use_r).unwrap();
         let waited = core.now().since(t0);
         assert!(
             waited < 12,
             "L2 hit must not wait behind the L2 miss (waited {waited})"
         );
         assert!(
-            core.scoreboard().is_pending(PhysReg::int(2)),
+            core.scoreboard.is_pending(PhysReg::int(2)),
             "the long fetch is still in flight"
         );
         core.finish();
@@ -1264,10 +1099,7 @@ mod tests {
     #[test]
     fn finish_drains_outstanding_fills() {
         let mut core = engine(mc1());
-        issue(
-            &mut core,
-            &DynInst::load(Addr(0x1000), PhysReg::int(1), LoadFormat::WORD),
-        );
+        replay(&mut core, &[load(0x1000, 1)]);
         core.finish();
         assert_eq!(core.sampler().misses_now(), 0);
         assert_eq!(core.sampler().fetches_now(), 0);
@@ -1276,12 +1108,11 @@ mod tests {
     #[test]
     fn waiting_with_nothing_in_flight_is_a_typed_error() {
         // Force the invariant violation by hand: mark a register pending
-        // with no fetch outstanding, then resolve a use of it.
+        // with no fetch outstanding, then wait for it.
         let mut core = engine(mc1());
         core.scoreboard.set_pending(PhysReg::int(1));
-        let use_i = DynInst::alu(PhysReg::int(2), [Some(PhysReg::int(1)), None]);
         assert_eq!(
-            core.resolve_hazards(&use_i),
+            core.wait_for_reg(PhysReg::int(1)),
             Err(EngineError::NoOutstandingFetch)
         );
         assert_eq!(
@@ -1294,14 +1125,7 @@ mod tests {
     fn mem_tracing_round_trip_through_the_engine() {
         let mut core = engine(mc1());
         core.enable_mem_tracing(32);
-        issue(
-            &mut core,
-            &DynInst::load(Addr(0x1000), PhysReg::int(1), LoadFormat::WORD),
-        );
-        issue(
-            &mut core,
-            &DynInst::load(Addr(0x2000), PhysReg::int(2), LoadFormat::WORD),
-        );
+        replay(&mut core, &[load(0x1000, 1), load(0x2000, 2)]);
         core.finish();
         let trace = core.take_mem_trace().expect("tracing enabled");
         // mc=1: second load is rejected once, retries as a fresh primary.

@@ -21,16 +21,18 @@
 //!   pipeline, with per-cause counts and stall cycles accumulated into a
 //!   [`ReplayAttribution`].
 //!
-//! Every simulation replays a recorded tape ([`IssueEngine::run_tape`]).
-//! The stream rail ([`IssueEngine::push`] / [`IssueEngine::run`] over
-//! [`DynInst`]s) dispatches on the same policy and is the reference the
-//! tape rail is tested against, so a model is defined once and drives
-//! both rails identically.
+//! Every simulation replays a recorded tape ([`IssueEngine::run_tape`],
+//! then [`IssueEngine::finish`]), and each model has one tape walk: the
+//! single-issue model [`Core::replay_fused`] over a group of one, the
+//! dual and replaying models their own loops. A stream of
+//! [`nbl_core::inst::DynInst`]s is recorded into a tape first
+//! ([`TraceTape::push`]). The walks are checked against an independent,
+//! cycle-stepped reference machine (`tests/reference/mod.rs` at the
+//! workspace root) that shares no simulation code with this crate.
 
 use crate::core_engine::{check_drained, Core, EngineConfig, EngineError};
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution};
 use nbl_core::cache::LockupFreeCache;
-use nbl_core::inst::DynInst;
 use nbl_core::types::Cycle;
 use nbl_mem::event::ReplayCause;
 use nbl_mem::system::MemorySystem;
@@ -54,8 +56,8 @@ pub enum IssuePolicy {
 }
 
 /// The shared issue engine: a [`Core`] (scoreboard + clock + stats +
-/// memory port) plus the policy-specific issue state (the dual pairing
-/// buffer, the replay attribution counters).
+/// memory port) plus the policy-specific counters (dual-issue pairs, the
+/// replay attribution).
 ///
 /// # Examples
 ///
@@ -67,13 +69,16 @@ pub enum IssuePolicy {
 /// use nbl_core::mshr::inverted::InvertedConfig;
 /// use nbl_core::inst::DynInst;
 /// use nbl_core::types::{Addr, LoadFormat, PhysReg};
+/// use nbl_trace::tape::TraceTape;
 ///
+/// let mut tape = TraceTape::with_capacity("example", 0, 2);
+/// tape.push(DynInst::load(Addr(0x100), PhysReg::int(1), LoadFormat::WORD));
+/// tape.push(DynInst::alu(PhysReg::int(2), [Some(PhysReg::int(1)), None]));
 /// let config = EngineConfig::with_cache(CacheConfig::baseline(MshrConfig::Inverted(
 ///     InvertedConfig::typical(),
 /// )));
 /// let mut cpu = IssueEngine::new(config, IssuePolicy::SingleInOrder);
-/// cpu.push(DynInst::load(Addr(0x100), PhysReg::int(1), LoadFormat::WORD)).unwrap();
-/// cpu.push(DynInst::alu(PhysReg::int(2), [Some(PhysReg::int(1)), None])).unwrap();
+/// cpu.run_tape(&tape).unwrap();
 /// cpu.finish().unwrap();
 /// // The dependent use stalled for the miss penalty (16 - 1 issue cycle).
 /// assert_eq!(cpu.stats().data_dep_stall_cycles, 15);
@@ -82,8 +87,6 @@ pub enum IssuePolicy {
 pub struct IssueEngine {
     core: Core,
     policy: IssuePolicy,
-    /// Dual-issue pairing buffer: the not-yet-issued leader candidate.
-    slot: Option<DynInst>,
     /// Cycles in which two instructions issued together (dual only).
     pairs_issued: u64,
     /// Per-cause replay accounting (replaying model only).
@@ -96,7 +99,6 @@ impl IssueEngine {
         IssueEngine {
             core: Core::new(config),
             policy,
-            slot: None,
             pairs_issued: 0,
             attribution: ReplayAttribution::default(),
         }
@@ -107,77 +109,9 @@ impl IssueEngine {
         self.policy
     }
 
-    /// Feeds the next instruction of the in-order stream.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError`] if the engine had to wait on a fill that cannot
-    /// arrive (a model invariant violation).
-    pub fn push(&mut self, inst: DynInst) -> Result<(), EngineError> {
-        match self.policy {
-            IssuePolicy::SingleInOrder => {
-                self.core.drain_fills();
-                self.core.resolve_hazards(&inst)?;
-                self.core.execute(&inst)?;
-                self.core.tick();
-                Ok(())
-            }
-            IssuePolicy::DualInOrder => self.push_dual(inst),
-            IssuePolicy::ReplayCause => {
-                self.core.drain_fills();
-                let before = self.core.now();
-                self.core.resolve_hazards(&inst)?;
-                // A hazard wait is time spent waiting for a fill — the
-                // consumer-side cost of a miss completing out of order.
-                self.attribution.stall_cycles[ReplayCause::DcacheMiss.index()] +=
-                    self.core.now().since(before);
-                self.core
-                    .execute_speculative(&inst, &mut self.attribution)?;
-                self.core.tick();
-                Ok(())
-            }
-        }
-    }
-
-    fn push_dual(&mut self, inst: DynInst) -> Result<(), EngineError> {
-        let Some(leader) = self.slot.take() else {
-            self.slot = Some(inst);
-            return Ok(());
-        };
-        self.issue_leader(&leader)?;
-        if self.can_coissue(&leader, &inst) {
-            // Same cycle: the follower issues alongside the leader.
-            self.core.execute(&inst)?;
-            self.pairs_issued += 1;
-            self.core.tick();
-        } else {
-            self.core.tick();
-            self.slot = Some(inst);
-        }
-        Ok(())
-    }
-
-    /// Runs an entire instruction stream (still call
-    /// [`IssueEngine::finish`] afterwards).
-    ///
-    /// # Errors
-    ///
-    /// The first [`EngineError`] any instruction hits.
-    pub fn run<I>(&mut self, stream: I) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = DynInst>,
-    {
-        for inst in stream {
-            self.push(inst)?;
-        }
-        Ok(())
-    }
-
-    /// Replays a recorded tape with timing and stats bit-identical to
-    /// pushing the equivalent stream, driven straight off the tape's
-    /// packed arrays: the single-issue model runs the fused walk
-    /// ([`Core::replay_fused`]) over a group of one, the dual and
-    /// replaying models their own loops.
+    /// Replays a recorded tape, driven straight off its packed arrays:
+    /// the single-issue model runs the fused walk ([`Core::replay_fused`])
+    /// over a group of one, the dual and replaying models their own loops.
     ///
     /// # Errors
     ///
@@ -190,39 +124,31 @@ impl IssueEngine {
         }
     }
 
-    /// The dual pairing loop over packed tape entries: leader/follower
-    /// conflict and port checks use the byte-compare forms
-    /// ([`TraceTape::conflicts`], [`TraceTape::is_mem`]), addresses come
-    /// from one cursor stepped at each executed entry, and only a
-    /// trailing unpaired entry is ever reconstructed as a [`DynInst`] (it
-    /// lands in the pairing buffer for [`IssueEngine::finish`], exactly as
-    /// a pushed stream would).
+    /// The dual pairing loop over packed tape entries: each leader
+    /// resolves its hazards and issues, and the next entry co-issues
+    /// beside it when it neither reads nor rewrites the leader's
+    /// destination, the two do not both need the one memory port, and its
+    /// registers are valid. Conflict and port checks use the byte-compare
+    /// forms ([`TraceTape::conflicts`], [`TraceTape::is_mem`]), and
+    /// addresses come from one cursor stepped at each executed entry. The
+    /// last entry, when no leader takes it as a follower, issues alone.
     fn run_tape_dual(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
-        if self.slot.is_some() {
-            // A partial stream was already pushed; splicing indices would
-            // desynchronize the pairing, so fall back to the push path.
-            return self.run(tape.iter());
-        }
         let n = tape.len();
         let mut addrs = tape.addr_cursor();
         let mut i = 0;
         while i < n {
-            if i + 1 == n {
-                // Unpaired tail: buffered, flushed by `finish`.
-                let tail = tape.get(i, &mut addrs);
-                self.slot = Some(tail.ok_or(EngineError::MalformedTape { index: i })?);
-                break;
-            }
             self.core.drain_fills();
             self.core.replay_hazards(tape, i)?;
             self.core
                 .replay_execute(tape, i, addrs.step(tape.is_mem(i)))?;
-            let coissue = !(tape.conflicts(i, i + 1) || tape.is_mem(i) && tape.is_mem(i + 1)) && {
-                // Fills that completed during the leader's stalls may
-                // have freed the follower's registers this very cycle.
-                self.core.drain_fills();
-                self.core.replay_hazards_clear(tape, i + 1)
-            };
+            let coissue = i + 1 < n
+                && !(tape.conflicts(i, i + 1) || tape.is_mem(i) && tape.is_mem(i + 1))
+                && {
+                    // Fills that completed during the leader's stalls may
+                    // have freed the follower's registers this very cycle.
+                    self.core.drain_fills();
+                    self.core.replay_hazards_clear(tape, i + 1)
+                };
             if coissue {
                 self.core
                     .replay_execute(tape, i + 1, addrs.step(tape.is_mem(i + 1)))?;
@@ -277,48 +203,25 @@ impl IssueEngine {
         check_drained(&addrs, n)
     }
 
-    fn issue_leader(&mut self, leader: &DynInst) -> Result<(), EngineError> {
-        self.core.drain_fills();
-        self.core.resolve_hazards(leader)?;
-        self.core.execute(leader)
-    }
-
-    fn can_coissue(&mut self, leader: &DynInst, follower: &DynInst) -> bool {
-        if leader.conflicts_with(follower) {
-            return false;
-        }
-        if leader.is_mem() && follower.is_mem() {
-            return false;
-        }
-        // Fills that completed during the leader's stalls may have freed the
-        // follower's registers this very cycle.
-        self.core.drain_fills();
-        self.core.hazards_clear(follower)
-    }
-
-    /// Flushes the dual pairing buffer (a no-op for the single-width
-    /// policies, which never buffer) and finalizes the run.
+    /// Finalizes the run ([`Core::finish`]): every fetch still in flight
+    /// lands and the sampler closes out.
     ///
     /// # Errors
     ///
-    /// [`EngineError`] if issuing the last buffered instruction failed.
+    /// None today; the `Result` keeps the run/finish pair uniform for
+    /// callers that propagate [`EngineError`]s.
     pub fn finish(&mut self) -> Result<(), EngineError> {
-        if let Some(last) = self.slot.take() {
-            self.issue_leader(&last)?;
-            self.core.tick();
-        }
         self.core.finish();
         Ok(())
     }
 
     /// Returns the engine to its freshly-built state (cold cache, cycle
-    /// zero, zero counters, empty pairing buffer) while keeping internal
+    /// zero, zero counters) while keeping internal
     /// allocations, so a pooled worker can be reused run-to-run without
     /// touching the heap. Results after a reset are bit-identical to a new
     /// engine's.
     pub fn reset(&mut self) {
         self.core.reset();
-        self.slot = None;
         self.pairs_issued = 0;
         self.attribution = ReplayAttribution::default();
     }
@@ -397,6 +300,7 @@ impl IssueEngine {
 mod tests {
     use super::*;
     use nbl_core::cache::CacheConfig;
+    use nbl_core::inst::DynInst;
     use nbl_core::limit::Limit;
     use nbl_core::mshr::inverted::InvertedConfig;
     use nbl_core::mshr::{MshrConfig, RegisterFileConfig, TargetPolicy};
@@ -423,59 +327,43 @@ mod tests {
         EngineConfig::with_cache(CacheConfig::baseline(MshrConfig::Blocking))
     }
 
-    fn perfect() -> EngineConfig {
-        let mut config = unrestricted();
-        config.perfect_cache = true;
-        config
-    }
-
-    fn engine(config: EngineConfig, policy: IssuePolicy) -> IssueEngine {
-        IssueEngine::new(config, policy)
-    }
-
-    fn single(config: EngineConfig) -> IssueEngine {
-        engine(config, IssuePolicy::SingleInOrder)
-    }
-
-    fn dual(perfect: bool) -> IssueEngine {
-        let mut config = unrestricted();
-        config.perfect_cache = perfect;
-        engine(config, IssuePolicy::DualInOrder)
-    }
-
-    /// The stream rail: `config` fed `stream` one instruction at a time,
-    /// the independent reference for every tape walk.
-    fn stream_rail(config: EngineConfig, stream: &[DynInst]) -> IssueEngine {
-        let mut rail = single(config);
-        rail.run(stream.iter().copied()).unwrap();
-        rail.finish().unwrap();
-        rail
-    }
-
-    /// Asserts two finished engines ended in the same observable state:
-    /// clock, stall statistics, cache counters and the in-flight
-    /// sampler's histograms.
-    fn assert_same_state(got: &IssueEngine, want: &IssueEngine, what: &str) {
-        assert_eq!(got.now(), want.now(), "{what}: cycles");
-        assert_eq!(got.stats(), want.stats(), "{what}: stats");
-        assert_eq!(
-            got.cache().counters(),
-            want.cache().counters(),
-            "{what}: cache counters"
-        );
-        let (g, w) = (got.sampler(), want.sampler());
-        assert_eq!(g.miss_histogram(), w.miss_histogram(), "{what}: misses");
-        assert_eq!(g.fetch_histogram(), w.fetch_histogram(), "{what}: fetches");
-        assert_eq!(g.max_misses(), w.max_misses(), "{what}: max misses");
-        assert_eq!(g.max_fetches(), w.max_fetches(), "{what}: max fetches");
-    }
-
     fn tape_of(stream: &[DynInst]) -> TraceTape {
         let mut tape = TraceTape::with_capacity("t", 0, stream.len());
         for inst in stream {
             tape.push(*inst);
         }
         tape
+    }
+
+    /// `stream` recorded into a tape and replayed to the end under
+    /// `(config, policy)`.
+    fn ran(config: EngineConfig, policy: IssuePolicy, stream: &[DynInst]) -> IssueEngine {
+        let mut e = IssueEngine::new(config, policy);
+        e.run_tape(&tape_of(stream)).unwrap();
+        e.finish().unwrap();
+        e
+    }
+
+    fn single(config: EngineConfig, stream: &[DynInst]) -> IssueEngine {
+        ran(config, IssuePolicy::SingleInOrder, stream)
+    }
+
+    fn dual(perfect: bool, stream: &[DynInst]) -> IssueEngine {
+        let mut config = unrestricted();
+        config.perfect_cache = perfect;
+        ran(config, IssuePolicy::DualInOrder, stream)
+    }
+
+    fn replaying(config: EngineConfig, stream: &[DynInst]) -> IssueEngine {
+        ran(config, IssuePolicy::ReplayCause, stream)
+    }
+
+    fn load(addr: u64, reg: u8) -> DynInst {
+        DynInst::load(Addr(addr), PhysReg::int(reg), LoadFormat::WORD)
+    }
+
+    fn alu(dst: u8, src: Option<u8>) -> DynInst {
+        DynInst::alu(PhysReg::int(dst), [src.map(PhysReg::int), None])
     }
 
     /// Loads to distinct lines in recurring sets, each used by an ALU op
@@ -505,28 +393,24 @@ mod tests {
     /// A two-miss independent sequence: ld A; ld B; use A; use B.
     fn two_loads_two_uses() -> Vec<DynInst> {
         vec![
-            DynInst::load(Addr(0x1000), PhysReg::int(1), LoadFormat::WORD),
-            DynInst::load(Addr(0x2000), PhysReg::int(2), LoadFormat::WORD),
-            DynInst::alu(PhysReg::int(3), [Some(PhysReg::int(1)), None]),
-            DynInst::alu(PhysReg::int(4), [Some(PhysReg::int(2)), None]),
+            load(0x1000, 1),
+            load(0x2000, 2),
+            alu(3, Some(1)),
+            alu(4, Some(2)),
         ]
     }
 
     #[test]
     fn overlapping_misses_beat_hit_under_miss() {
         // Unrestricted: both misses overlap; total stall ≈ one penalty.
-        let mut best = single(unrestricted());
-        best.run(two_loads_two_uses()).unwrap();
-        best.finish().unwrap();
+        let best = single(unrestricted(), &two_loads_two_uses());
         // ld A cy0 (fill 16), ld B cy1 (fill 17), use A stalls 2..16,
         // use B issues at 17 with no stall.
         assert_eq!(best.stats().data_dep_stall_cycles, 14);
         assert_eq!(best.stats().total_stall_cycles(), 14);
 
         // mc=1: the second load structurally stalls until the first fill.
-        let mut hum = single(mc1());
-        hum.run(two_loads_two_uses()).unwrap();
-        hum.finish().unwrap();
+        let hum = single(mc1(), &two_loads_two_uses());
         // ld A cy0 (fill 16); ld B stalls 1..16 then misses (fill 32);
         // use A at 17 (no stall); use B stalls 18..32.
         assert_eq!(hum.stats().structural_stall_cycles, 15);
@@ -534,86 +418,37 @@ mod tests {
         assert!(hum.stats().total_stall_cycles() > best.stats().total_stall_cycles());
 
         // Blocking: both misses serialize completely.
-        let mut blk = single(blocking());
-        blk.run(two_loads_two_uses()).unwrap();
-        blk.finish().unwrap();
+        let blk = single(blocking(), &two_loads_two_uses());
         assert_eq!(blk.stats().blocking_stall_cycles, 32);
         assert!(blk.stats().total_stall_cycles() > hum.stats().total_stall_cycles());
     }
 
     #[test]
     fn mcpi_accounts_per_instruction() {
-        let mut p = single(blocking());
-        p.run(two_loads_two_uses()).unwrap();
-        p.finish().unwrap();
+        let p = single(blocking(), &two_loads_two_uses());
         assert_eq!(p.stats().instructions, 4);
         assert!((p.stats().mcpi() - 32.0 / 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn sampler_sees_overlap_only_when_hardware_allows() {
-        let mut best = single(unrestricted());
-        best.run(two_loads_two_uses()).unwrap();
-        best.finish().unwrap();
+        let best = single(unrestricted(), &two_loads_two_uses());
         assert_eq!(best.sampler().max_misses(), 2);
         assert_eq!(best.sampler().max_fetches(), 2);
 
-        let mut hum = single(mc1());
-        hum.run(two_loads_two_uses()).unwrap();
-        hum.finish().unwrap();
+        let hum = single(mc1(), &two_loads_two_uses());
         assert_eq!(hum.sampler().max_misses(), 1);
-    }
-
-    #[test]
-    fn single_issue_tape_replay_matches_pushed_stream() {
-        let stream: Vec<DynInst> = (0..40u64)
-            .flat_map(|i| {
-                [
-                    DynInst::load(
-                        Addr(i * 520), // distinct lines, recurring sets
-                        PhysReg::int((i % 8) as u8),
-                        LoadFormat::WORD,
-                    ),
-                    DynInst::alu(
-                        PhysReg::int(10 + (i % 8) as u8),
-                        [Some(PhysReg::int((i % 8) as u8)), None],
-                    ),
-                    DynInst::store(Addr(i * 520 + 4), Some(PhysReg::int(10 + (i % 8) as u8))),
-                ]
-            })
-            .collect();
-        let tape = tape_of(&stream);
-        for (label, config) in [
-            ("unrestricted", unrestricted()),
-            ("mc=1", mc1()),
-            ("blocking", blocking()),
-            ("perfect", perfect()),
-        ] {
-            let pushed = stream_rail(config.clone(), &stream);
-            let mut replayed = single(config);
-            replayed.run_tape(&tape).unwrap();
-            replayed.finish().unwrap();
-            assert_same_state(&replayed, &pushed, label);
-        }
-        // A perfect cache hits every access without touching its memory
-        // system, on both rails.
-        let mut replayed = single(perfect());
-        replayed.run_tape(&tape).unwrap();
-        replayed.finish().unwrap();
-        assert_eq!(replayed.stats().total_stall_cycles(), 0);
-        assert_eq!(replayed.cache().counters().load_hits, 0);
-        assert_eq!(replayed.memory().write_buffer_stats().writes, 0);
     }
 
     #[test]
     fn reset_matches_a_fresh_engine_bit_for_bit() {
         let tape = tape_of(&mixed_stream());
         for config in [unrestricted(), mc1(), blocking()] {
-            let mut fresh = single(config.clone());
+            let mut fresh = IssueEngine::new(config.clone(), IssuePolicy::SingleInOrder);
             fresh.run_tape(&tape).unwrap();
             fresh.finish().unwrap();
 
-            let mut reused = single(config);
+            let mut reused = IssueEngine::new(config, IssuePolicy::SingleInOrder);
             reused.run_tape(&tape).unwrap();
             reused.finish().unwrap();
             reused.reset();
@@ -632,63 +467,22 @@ mod tests {
     }
 
     #[test]
-    fn fused_replay_matches_independent_replays_across_mixed_configs() {
-        // `run_tape` runs the same walk as a fused group, so the
-        // reference is the stream rail. The perfect-cache member shares
-        // the group's geometry and walks inside it.
-        let stream = mixed_stream();
-        let tape = tape_of(&stream);
-        let configs = [unrestricted(), mc1(), blocking(), perfect()];
-
-        let mut fused: Vec<IssueEngine> = configs.iter().cloned().map(single).collect();
-        {
-            let mut cores: Vec<&mut Core> = fused.iter_mut().map(IssueEngine::core_mut).collect();
-            Core::replay_fused(&tape, &mut cores).unwrap();
-        }
-        for p in &mut fused {
-            p.finish().unwrap();
-        }
-
-        for (k, (f, config)) in fused.iter().zip(configs).enumerate() {
-            let rail = stream_rail(config, &stream);
-            assert_same_state(f, &rail, &format!("member {k}"));
-        }
-    }
-
-    #[test]
     fn run_of_hits_is_stall_free() {
-        let mut p = single(mc1());
-        // Touch a line (primary miss), let the fill land behind 16 ALU ops,
-        // then hammer the resident line: pure hits, no further stalls.
-        p.push(DynInst::load(Addr(0), PhysReg::int(1), LoadFormat::WORD))
-            .unwrap();
-        for _ in 0..16 {
-            p.push(DynInst::alu(PhysReg::int(2), [None, None])).unwrap();
-        }
-        let stalls_after_warmup = p.stats().total_stall_cycles();
-        let before = p.now();
-        for i in 0..20u64 {
-            p.push(DynInst::load(
-                Addr(i % 32),
-                PhysReg::int(3 + (i % 20) as u8),
-                LoadFormat::WORD,
-            ))
-            .unwrap();
-        }
-        p.finish().unwrap();
-        assert_eq!(
-            p.now().since(before),
-            20,
-            "hits cost exactly their issue cycle"
-        );
-        assert_eq!(p.stats().total_stall_cycles(), stalls_after_warmup);
+        // Touch a line (primary miss), let the fill land behind 16 ALU ops
+        // (cycles 1..=16, the fill at 16), then hammer the resident line:
+        // pure hits, each costing exactly its issue cycle.
+        let mut stream = vec![load(0, 1)];
+        stream.extend((0..16).map(|_| alu(2, None)));
+        stream.extend((0..20u64).map(|i| load(i % 32, 3 + (i % 20) as u8)));
+        let p = single(mc1(), &stream);
+        assert_eq!(p.stats().total_stall_cycles(), 0);
+        assert_eq!(p.now(), Cycle(37), "one cycle per instruction");
+        assert_eq!(p.cache().counters().load_hits, 20);
     }
 
     #[test]
     fn independent_alus_dual_issue_at_ipc_2() {
-        let mut p = dual(true);
-        p.run(independent_alus(17)).unwrap();
-        p.finish().unwrap();
+        let p = dual(true, &independent_alus(17));
         // 16 registers rotate, neighbours never conflict: 8 pairs + 1 single.
         assert_eq!(p.now(), Cycle(9));
         assert_eq!(p.stats().instructions, 17);
@@ -697,94 +491,50 @@ mod tests {
 
     #[test]
     fn dependent_chain_single_issues() {
-        let mut p = dual(true);
-        let chain: Vec<_> = (0..10)
-            .map(|i| {
-                DynInst::alu(
-                    PhysReg::int((i + 1) as u8),
-                    [Some(PhysReg::int(i as u8)), None],
-                )
-            })
-            .collect();
-        p.run(chain).unwrap();
-        p.finish().unwrap();
+        let chain: Vec<_> = (0..10u8).map(|i| alu(i + 1, Some(i))).collect();
+        let p = dual(true, &chain);
         assert_eq!(p.now(), Cycle(10));
         assert_eq!(p.pairs_issued(), 0);
     }
 
     #[test]
     fn only_one_memory_op_per_cycle() {
-        let mut p = dual(true);
-        let loads: Vec<_> = (0..10)
-            .map(|i| DynInst::load(Addr(i * 8), PhysReg::int(i as u8), LoadFormat::WORD))
-            .collect();
-        p.run(loads).unwrap();
-        p.finish().unwrap();
+        let loads: Vec<_> = (0..10u64).map(|i| load(i * 8, i as u8)).collect();
+        let p = dual(true, &loads);
         assert_eq!(p.now(), Cycle(10), "loads cannot pair with loads");
     }
 
     #[test]
     fn load_pairs_with_alu() {
-        let mut p = dual(true);
-        for i in 0..10u64 {
-            p.push(DynInst::load(
-                Addr(i * 8),
-                PhysReg::int(i as u8),
-                LoadFormat::WORD,
-            ))
-            .unwrap();
-            p.push(DynInst::alu(
-                PhysReg::int(20),
-                [Some(PhysReg::int(21)), None],
-            ))
-            .unwrap();
-        }
-        p.finish().unwrap();
+        let stream: Vec<_> = (0..10u64)
+            .flat_map(|i| [load(i * 8, i as u8), alu(20, Some(21))])
+            .collect();
+        let p = dual(true, &stream);
         assert_eq!(p.now(), Cycle(10));
         assert_eq!(p.pairs_issued(), 10);
     }
 
     #[test]
     fn follower_with_pending_source_waits_a_cycle() {
-        let mut p = dual(false);
         // Leader load misses; follower uses its result: cannot co-issue and
         // then stalls as leader of the next cycle until the fill.
-        p.push(DynInst::load(
-            Addr(0x1000),
-            PhysReg::int(1),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
-        p.push(DynInst::alu(PhysReg::int(2), [Some(PhysReg::int(1)), None]))
-            .unwrap();
-        p.finish().unwrap();
+        let p = dual(false, &[load(0x1000, 1), alu(2, Some(1))]);
         assert_eq!(p.pairs_issued(), 0);
         assert_eq!(p.stats().data_dep_stall_cycles, 15);
     }
 
     #[test]
     fn follower_structural_stall_blocks_the_pair() {
-        // mc=1: a second miss cannot be tracked.
-        let mut p = engine(mc1(), IssuePolicy::DualInOrder);
-        // Leader load misses; follower ALU pairs with it.
-        p.push(DynInst::load(
-            Addr(0x1000),
-            PhysReg::int(1),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
-        p.push(DynInst::alu(PhysReg::int(9), [None, None])).unwrap();
-        // Next pair: a second load misses structurally and must wait for
-        // the first fill before its fetch can start.
-        p.push(DynInst::load(
-            Addr(0x2000),
-            PhysReg::int(2),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
-        p.push(DynInst::alu(PhysReg::int(10), [None, None]))
-            .unwrap();
-        p.finish().unwrap();
+        // mc=1: leader load misses, follower ALU pairs with it; then a
+        // second load misses structurally and must wait for the first
+        // fill before its fetch can start.
+        let stream = [
+            load(0x1000, 1),
+            alu(9, None),
+            load(0x2000, 2),
+            alu(10, None),
+        ];
+        let p = ran(mc1(), IssuePolicy::DualInOrder, &stream);
         assert!(p.stats().structural_stall_cycles > 0);
         assert_eq!(p.stats().structural_stall_misses, 1);
         assert_eq!(p.stats().instructions, 4);
@@ -796,19 +546,18 @@ mod tests {
         // round it arrives: load-then-store and store-then-load both
         // single-issue, one memory op per cycle.
         for store_first in [false, true] {
-            let mut p = dual(true);
-            for i in 0..5u64 {
-                let load = DynInst::load(Addr(i * 8), PhysReg::int(i as u8), LoadFormat::WORD);
-                let store = DynInst::store(Addr(0x4000 + i * 8), None);
-                let (first, second) = if store_first {
-                    (store, load)
-                } else {
-                    (load, store)
-                };
-                p.push(first).unwrap();
-                p.push(second).unwrap();
-            }
-            p.finish().unwrap();
+            let stream: Vec<_> = (0..5u64)
+                .flat_map(|i| {
+                    let l = load(i * 8, i as u8);
+                    let s = DynInst::store(Addr(0x4000 + i * 8), None);
+                    if store_first {
+                        [s, l]
+                    } else {
+                        [l, s]
+                    }
+                })
+                .collect();
+            let p = dual(true, &stream);
             assert_eq!(p.pairs_issued(), 0, "store_first={store_first}");
             assert_eq!(p.now(), Cycle(10), "store_first={store_first}");
             assert_eq!(p.stats().instructions, 10);
@@ -816,122 +565,27 @@ mod tests {
     }
 
     #[test]
-    fn pair_split_across_stream_boundaries_matches_one_stream() {
-        // A leader buffered in the issue slot at the end of one `run`
-        // call must still pair with the follower that arrives at the
-        // start of the next — feeding the stream in arbitrary chunks is
-        // invisible in the timing.
-        let stream = independent_alus(12);
-        let mut whole = dual(true);
-        whole.run(stream.clone()).unwrap();
-        whole.finish().unwrap();
-        for split in [1, 3, 5, 11] {
-            let mut chunked = dual(true);
-            let (head, tail) = stream.split_at(split);
-            chunked.run(head.to_vec()).unwrap();
-            chunked.run(tail.to_vec()).unwrap();
-            chunked.finish().unwrap();
-            assert_eq!(chunked.now(), whole.now(), "split at {split}");
-            assert_eq!(chunked.stats(), whole.stats());
-            assert_eq!(chunked.pairs_issued(), whole.pairs_issued());
-        }
-    }
-
-    #[test]
-    fn odd_length_tail_single_issues_on_finish() {
-        // Odd stream: the last instruction has no partner and is flushed
-        // by `finish` as a lone leader.
-        let mut even = dual(true);
-        even.run(independent_alus(8)).unwrap();
-        even.finish().unwrap();
+    fn odd_length_tail_single_issues() {
+        // Odd stream: the last instruction has no partner and issues alone.
+        let even = dual(true, &independent_alus(8));
         assert_eq!(even.now(), Cycle(4));
         assert_eq!(even.pairs_issued(), 4);
-        let mut odd = dual(true);
-        odd.run(independent_alus(9)).unwrap();
-        odd.finish().unwrap();
+        let odd = dual(true, &independent_alus(9));
         assert_eq!(odd.now(), Cycle(5), "the tail costs one extra cycle");
         assert_eq!(odd.pairs_issued(), 4);
         assert_eq!(odd.stats().instructions, 9);
     }
 
     #[test]
-    fn run_then_finish_equals_push_sequence() {
-        let stream: Vec<DynInst> = (0..9)
-            .map(|i| DynInst::load(Addr(i * 8), PhysReg::int(i as u8), LoadFormat::WORD))
-            .collect();
-        let mut a = dual(true);
-        a.run(stream.clone()).unwrap();
-        a.finish().unwrap();
-        let mut b = dual(true);
-        for i in stream {
-            b.push(i).unwrap();
-        }
-        b.finish().unwrap();
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn dual_tape_replay_matches_push_sequence() {
-        // Mixed stream exercising every pairing outcome: co-issued
-        // load+ALU, mem/mem port conflicts, RAW conflicts, and (for the
-        // odd lengths) an unpaired tail flushed by `finish`.
-        let stream: Vec<DynInst> = (0..30u64)
-            .flat_map(|i| {
-                [
-                    DynInst::load(
-                        Addr(i * 4096),
-                        PhysReg::int((i % 8) as u8),
-                        LoadFormat::WORD,
-                    ),
-                    DynInst::alu(
-                        PhysReg::int(10 + (i % 4) as u8),
-                        [Some(PhysReg::int((i % 8) as u8)), None],
-                    ),
-                    DynInst::store(Addr(i * 4096 + 8), Some(PhysReg::int(10 + (i % 4) as u8))),
-                ]
-            })
-            .collect();
-        for len in [0, 1, 2, stream.len() - 1, stream.len()] {
-            let tape = tape_of(&stream[..len]);
-            for perfect in [true, false] {
-                let mut pushed = dual(perfect);
-                pushed.run(stream[..len].iter().copied()).unwrap();
-                pushed.finish().unwrap();
-                let mut replayed = dual(perfect);
-                replayed.run_tape(&tape).unwrap();
-                replayed.finish().unwrap();
-                assert_eq!(replayed.now(), pushed.now(), "len {len} perfect {perfect}");
-                assert_eq!(replayed.stats(), pushed.stats());
-                assert_eq!(replayed.pairs_issued(), pushed.pairs_issued());
-                assert_eq!(replayed.cache().counters(), pushed.cache().counters());
-            }
-        }
-    }
-
-    #[test]
     fn mcpi_against_perfect_run() {
-        let stream = |n: u64| {
-            (0..n).flat_map(move |i| {
-                [
-                    DynInst::load(
-                        Addr(i * 4096),
-                        PhysReg::int((i % 8) as u8),
-                        LoadFormat::WORD,
-                    ),
-                    DynInst::alu(
-                        PhysReg::int(10 + (i % 8) as u8),
-                        [Some(PhysReg::int((i % 8) as u8)), None],
-                    ),
-                ]
+        let stream: Vec<_> = (0..50u64)
+            .flat_map(|i| {
+                let r = (i % 8) as u8;
+                [load(i * 4096, r), alu(10 + r, Some(r))]
             })
-        };
-        let mut perfect = dual(true);
-        perfect.run(stream(50)).unwrap();
-        perfect.finish().unwrap();
-        let mut real = dual(false);
-        real.run(stream(50)).unwrap();
-        real.finish().unwrap();
+            .collect();
+        let perfect = dual(true, &stream);
+        let real = dual(false, &stream);
         let mcpi = real.mcpi_against(perfect.now());
         assert!(mcpi > 0.0, "misses must cost something: {mcpi}");
         // Every pair misses and immediately uses the data: near-worst case.
@@ -941,16 +595,7 @@ mod tests {
     /// ld A; use A — the use's wait is attributed to the miss cause.
     #[test]
     fn replaying_model_attributes_consumer_wait_to_dcache_miss() {
-        let mut e = engine(unrestricted(), IssuePolicy::ReplayCause);
-        e.push(DynInst::load(
-            Addr(0x1000),
-            PhysReg::int(1),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
-        e.push(DynInst::alu(PhysReg::int(2), [Some(PhysReg::int(1)), None]))
-            .unwrap();
-        e.finish().unwrap();
+        let e = replaying(unrestricted(), &[load(0x1000, 1), alu(2, Some(1))]);
         let attr = *e.attribution();
         assert_eq!(attr.count(ReplayCause::DcacheMiss), 1);
         assert_eq!(attr.count(ReplayCause::BankConflict), 0);
@@ -966,29 +611,18 @@ mod tests {
     /// Back-to-back loads to the same bank: the second replays exactly once.
     #[test]
     fn bank_conflict_fires_once_per_triggering_access() {
-        let mut e = engine(unrestricted(), IssuePolicy::ReplayCause);
         // Same bank (bits [3..6] of the address), different lines and
         // sets. Warm both lines first so the conflicting pair are pure
         // hits.
-        let a = Addr(0x0000);
-        let b = Addr(0x0440);
-        e.push(DynInst::load(a, PhysReg::int(1), LoadFormat::WORD))
-            .unwrap();
-        for _ in 0..40 {
-            e.push(DynInst::alu(PhysReg::int(9), [None, None])).unwrap();
-        }
-        e.push(DynInst::load(b, PhysReg::int(2), LoadFormat::WORD))
-            .unwrap();
-        for _ in 0..40 {
-            e.push(DynInst::alu(PhysReg::int(9), [None, None])).unwrap();
-        }
-        let before = *e.attribution();
-        e.push(DynInst::load(a, PhysReg::int(3), LoadFormat::WORD))
-            .unwrap();
-        e.push(DynInst::load(b, PhysReg::int(4), LoadFormat::WORD))
-            .unwrap();
-        e.finish().unwrap();
-        let attr = *e.attribution();
+        let (a, b) = (0x0000, 0x0440);
+        let mut warm = vec![load(a, 1)];
+        warm.extend((0..40).map(|_| alu(9, None)));
+        warm.push(load(b, 2));
+        warm.extend((0..40).map(|_| alu(9, None)));
+        let before = *replaying(unrestricted(), &warm).attribution();
+        let mut stream = warm;
+        stream.extend([load(a, 3), load(b, 4)]);
+        let attr = *replaying(unrestricted(), &stream).attribution();
         assert_eq!(
             attr.count(ReplayCause::BankConflict) - before.count(ReplayCause::BankConflict),
             1,
@@ -1004,27 +638,12 @@ mod tests {
     /// A load overlapping a just-issued store replays once for forward-fail.
     #[test]
     fn forward_fail_fires_once_per_triggering_access() {
-        let mut e = engine(unrestricted(), IssuePolicy::ReplayCause);
         // Warm the line so the load would otherwise be a pure hit.
-        e.push(DynInst::load(
-            Addr(0x100),
-            PhysReg::int(1),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
-        for _ in 0..40 {
-            e.push(DynInst::alu(PhysReg::int(9), [None, None])).unwrap();
-        }
-        e.push(DynInst::store(Addr(0x100), Some(PhysReg::int(9))))
-            .unwrap();
-        e.push(DynInst::load(
-            Addr(0x104),
-            PhysReg::int(2),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
-        e.finish().unwrap();
-        let attr = *e.attribution();
+        let mut stream = vec![load(0x100, 1)];
+        stream.extend((0..40).map(|_| alu(9, None)));
+        stream.push(DynInst::store(Addr(0x100), Some(PhysReg::int(9))));
+        stream.push(load(0x104, 2));
+        let attr = *replaying(unrestricted(), &stream).attribution();
         assert_eq!(attr.count(ReplayCause::ForwardFail), 1);
         assert_eq!(
             attr.stalls(ReplayCause::ForwardFail),
@@ -1043,20 +662,7 @@ mod tests {
     /// NACK cause).
     #[test]
     fn dcache_replay_nack_fires_once_then_waits() {
-        let mut e = engine(mc1(), IssuePolicy::ReplayCause);
-        e.push(DynInst::load(
-            Addr(0x1000),
-            PhysReg::int(1),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
-        e.push(DynInst::load(
-            Addr(0x2000),
-            PhysReg::int(2),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
-        e.finish().unwrap();
+        let e = replaying(mc1(), &[load(0x1000, 1), load(0x2000, 2)]);
         let attr = *e.attribution();
         assert_eq!(attr.count(ReplayCause::DcacheReplay), 1);
         assert!(
@@ -1073,20 +679,16 @@ mod tests {
     fn attribution_partitions_the_stall_total() {
         let stream: Vec<DynInst> = (0..60u64)
             .flat_map(|i| {
+                let r = (i % 8) as u8;
                 [
-                    DynInst::load(Addr(i * 520), PhysReg::int((i % 8) as u8), LoadFormat::WORD),
-                    DynInst::alu(
-                        PhysReg::int(10 + (i % 8) as u8),
-                        [Some(PhysReg::int((i % 8) as u8)), None],
-                    ),
-                    DynInst::store(Addr(i * 520 + 4), Some(PhysReg::int(10 + (i % 8) as u8))),
+                    load(i * 520, r),
+                    alu(10 + r, Some(r)),
+                    DynInst::store(Addr(i * 520 + 4), Some(PhysReg::int(10 + r))),
                 ]
             })
             .collect();
         for config in [unrestricted(), mc1()] {
-            let mut e = engine(config, IssuePolicy::ReplayCause);
-            e.run(stream.iter().copied()).unwrap();
-            e.finish().unwrap();
+            let e = replaying(config, &stream);
             let attr = *e.attribution();
             assert_eq!(
                 attr.total_stall_cycles(),
@@ -1097,43 +699,14 @@ mod tests {
         }
     }
 
-    /// The replaying model's tape rail is bit-identical to its push rail.
-    #[test]
-    fn replaying_tape_matches_pushed_stream() {
-        let stream = mixed_stream();
-        let tape = tape_of(&stream);
-        for config in [unrestricted(), mc1()] {
-            let mut pushed = engine(config.clone(), IssuePolicy::ReplayCause);
-            pushed.run(stream.iter().copied()).unwrap();
-            pushed.finish().unwrap();
-            let mut replayed = engine(config, IssuePolicy::ReplayCause);
-            replayed.run_tape(&tape).unwrap();
-            replayed.finish().unwrap();
-            assert_eq!(replayed.now(), pushed.now());
-            assert_eq!(replayed.stats(), pushed.stats());
-            assert_eq!(replayed.attribution(), pushed.attribution());
-            assert_eq!(replayed.cache().counters(), pushed.cache().counters());
-        }
-    }
-
     /// The replaying model emits `LoadReplayed` through the lifecycle
     /// tracer, mirroring the engine-side attribution counts.
     #[test]
     fn replay_events_mirror_attribution() {
-        let mut e = engine(mc1(), IssuePolicy::ReplayCause);
+        let mut e = IssueEngine::new(mc1(), IssuePolicy::ReplayCause);
         e.enable_mem_tracing(64);
-        e.push(DynInst::load(
-            Addr(0x1000),
-            PhysReg::int(1),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
-        e.push(DynInst::load(
-            Addr(0x2000),
-            PhysReg::int(2),
-            LoadFormat::WORD,
-        ))
-        .unwrap();
+        e.run_tape(&tape_of(&[load(0x1000, 1), load(0x2000, 2)]))
+            .unwrap();
         e.finish().unwrap();
         let attr = *e.attribution();
         let trace = e.take_mem_trace().expect("tracing was enabled");

@@ -234,8 +234,8 @@ impl std::error::Error for GroupError {}
 /// addresses, so the set-index/tag/block split is shared structure, not
 /// per-config work — but only when every member decodes addresses
 /// identically. Construction checks exactly that (one common L1
-/// geometry); [`FusedMemGroup::decode`] then derives each address's
-/// [`DecodedAddr`] once, and per-system
+/// geometry); the walk then derives each address's [`DecodedAddr`] once
+/// under [`FusedMemGroup::geometry`], and per-system
 /// [`MemorySystem::access_load_decoded`] /
 /// [`MemorySystem::access_store_decoded`] calls (behind the
 /// [`MemorySystem::load_hit_decoded`] hit probe) fan it out
@@ -279,12 +279,6 @@ impl FusedMemGroup {
     #[inline]
     pub fn geometry(&self) -> &CacheGeometry {
         &self.geometry
-    }
-
-    /// Decodes `addr` once for the whole group.
-    #[inline]
-    pub fn decode(&self, addr: Addr) -> DecodedAddr {
-        self.geometry.decode(addr)
     }
 }
 
@@ -567,7 +561,7 @@ impl MemorySystem {
 
     /// [`MemorySystem::access_load`] with the address already decoded
     /// under this system's L1 geometry — the per-system half of the fused
-    /// group step ([`FusedMemGroup::decode`]): the shared decode happens
+    /// group step ([`FusedMemGroup::geometry`]): the shared decode happens
     /// once, the MSHR/write-buffer state transition stays here.
     pub fn access_load_decoded(
         &mut self,
@@ -1030,7 +1024,7 @@ mod tests {
                 .zip(nows)
                 .map(|(m, now)| m.access_load(Addr(a), dest, LoadFormat::WORD, now))
                 .collect();
-            let decoded = group.decode(Addr(a));
+            let decoded = group.geometry().decode(Addr(a));
             let responses: Vec<LoadResponse> = fused
                 .iter_mut()
                 .zip(nows)

@@ -38,7 +38,9 @@
 //! be looked up *before* compiling. Format versions are embedded in the
 //! name: a version bump makes old files invisible instead of misread (a
 //! `tape-v3-` file, which carried a `u32` barrier list where version 4
-//! carries a barrier bit plane, is never opened, and stays where it is).
+//! carries a barrier bit plane, is never opened).
+//! [`DiskTier::prune_superseded`] removes such files on request; `figures
+//! --store` runs it for tapes and results before its first exhibit.
 //!
 //! ## One read, publish and quarantine path
 //!
@@ -148,6 +150,24 @@ fn portable(name: &str) -> String {
             _ => '-',
         })
         .collect()
+}
+
+/// `true` when `name` is exactly `<PREFIX>-v<N>-<address>.<EXT>` for
+/// kind `K`, with a non-empty address and a version `N` other than the
+/// current one.
+fn is_superseded<K: ArtifactKind>(name: &str) -> bool {
+    let Some(rest) = name
+        .strip_prefix(K::PREFIX)
+        .and_then(|r| r.strip_prefix("-v"))
+        .and_then(|r| r.strip_suffix(K::EXTENSION))
+        .and_then(|r| r.strip_suffix('.'))
+    else {
+        return false;
+    };
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let (version, address) = rest.split_at(digits);
+    address.strip_prefix('-').is_some_and(|a| !a.is_empty())
+        && version.parse::<u32>().is_ok_and(|v| v != K::FRAME.version)
 }
 
 /// Recorded [`TraceTape`]s, keyed by [`compiled_fingerprint`], at
@@ -391,6 +411,32 @@ impl DiskTier {
             published.insert(path);
         }
         Ok(())
+    }
+
+    /// Removes the `K` artifacts of superseded format versions: the files
+    /// named exactly `<PREFIX>-v<N>-<address>.<EXT>` whose `N` is not
+    /// `K::FRAME.version`, which no lookup ever opens again. Quarantined
+    /// `.corrupt` files, publish temp files and every other file stay.
+    /// Returns how many files were removed; a missing directory prunes
+    /// nothing, and a file that cannot be removed counts as an I/O error.
+    /// This is the tier's one directory scan, paid only by a caller that
+    /// asks for it: [`DiskTier::new`] stays free of I/O.
+    pub fn prune_superseded<K: ArtifactKind>(&self) -> usize {
+        let Ok(entries) = std::fs::read_dir(&self.root) else {
+            return 0;
+        };
+        let mut removed = 0;
+        for entry in entries.flatten() {
+            if !entry.file_name().to_str().is_some_and(is_superseded::<K>) {
+                continue;
+            }
+            if std::fs::remove_file(entry.path()).is_ok() {
+                removed += 1;
+            } else {
+                self.count::<K>(|s| &mut s.io_errors);
+            }
+        }
+        removed
     }
 
     /// Content address of the tape of schedule `fingerprint`. `_latency`

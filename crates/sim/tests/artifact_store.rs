@@ -290,6 +290,47 @@ fn stale_version_3_tape_is_ignored_and_left_alone() {
 }
 
 #[test]
+fn superseded_tapes_are_pruned_and_current_ones_kept() {
+    let dir = temp_store("prune");
+    let programs = grid_programs();
+    let baseline = run_grid(&disk_engine(&dir, false), &programs);
+    let current = artifacts_with_extension(&dir, "nbt");
+    assert_eq!(current.len(), SCHEDULES as usize);
+
+    // One superseded tape beside the current ones, plus the files the
+    // pass must leave alone: a quarantined tape, a publish temp file,
+    // and names that only resemble an artifact.
+    let stale = version_3_name(&current[0]);
+    std::fs::write(&stale, as_version_3(&std::fs::read(&current[0]).unwrap())).unwrap();
+    let stray = [
+        "tape-v3-eqntott-0000000000000000.nbt.corrupt",
+        "tape-v3-eqntott-0000000000000000.nbt.tmp-1-0",
+        "tape-v3-.nbt",
+        "tape-vx-eqntott.nbt",
+        "tapes-v3-eqntott.nbt",
+        "tape-v3-eqntott.nbr",
+    ];
+    for name in stray {
+        std::fs::write(dir.join(name), b"x").unwrap();
+    }
+
+    let tier = DiskTier::new(&dir);
+    assert_eq!(tier.prune_superseded::<TapeArtifact>(), 1);
+    assert!(!stale.exists(), "the version-3 tape is gone");
+    assert!(current.iter().all(|p| p.exists()), "current tapes stay");
+    assert!(stray.iter().all(|name| dir.join(name).exists()));
+    assert_eq!(tier.prune_superseded::<ResultArtifact>(), 0);
+    assert_eq!(tier.prune_superseded::<TapeArtifact>(), 0, "nothing left");
+
+    // The current tapes still serve a warm run.
+    let warm = disk_engine(&dir, false);
+    assert_eq!(run_grid(&warm, &programs), baseline);
+    assert_eq!(warm.store().disk_stats().tape_hits, SCHEDULES);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(DiskTier::new(&dir).prune_superseded::<TapeArtifact>(), 0);
+}
+
+#[test]
 fn version_3_frame_at_a_version_4_path_is_quarantined_and_re_recorded() {
     let dir = temp_store("v3-at-v4");
     let programs = grid_programs();

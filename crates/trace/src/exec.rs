@@ -367,7 +367,7 @@ mod tests {
         let mut sink: Vec<DynInst> = Vec::new();
         Executor::new(&p).run(&mut sink);
         for inst in &sink {
-            assert_eq!(inst.sources().collect::<Vec<_>>(), vec![PhysReg::int(1)]);
+            assert_eq!(inst.srcs, [Some(PhysReg::int(1)), None]);
             assert_eq!(inst.dst(), Some(PhysReg::int(1)));
         }
     }

@@ -539,8 +539,9 @@ impl TraceTape {
     }
 
     /// `true` if entry `j` reads or rewrites the register entry `i` writes
-    /// — [`DynInst::conflicts_with`] evaluated on the packed encoding (a
-    /// byte compare against the `0xff` sentinel, no decode).
+    /// (RAW or WAW) — the condition forbidding same-cycle dual issue with
+    /// single-cycle latencies — evaluated on the packed encoding (a byte
+    /// compare against the `0xff` sentinel, no decode).
     #[inline]
     pub fn conflicts(&self, i: usize, j: usize) -> bool {
         let d = self.dsts[i];
@@ -574,9 +575,10 @@ impl TraceTape {
     }
 
     /// Iterates the tape as reconstructed [`DynInst`]s (for consumers that
-    /// need owned instructions, e.g. the dual-issue pairing buffer's
-    /// push-path fallback; the replay loops read the arrays directly
-    /// instead). Walks one address cursor alongside the entries.
+    /// need owned instructions, e.g. the workspace's independent reference
+    /// machine and the codec round-trip checks; the replay loops read the
+    /// arrays directly instead). Walks one address cursor alongside the
+    /// entries.
     pub fn iter(&self) -> impl Iterator<Item = DynInst> + '_ {
         let mut addrs = self.addr_cursor();
         (0..self.len()).map_while(move |i| self.get(i, &mut addrs))
@@ -1024,8 +1026,30 @@ mod tests {
         }
     }
 
+    /// The RAW/WAW rule on owned instructions: `b` reads or rewrites the
+    /// register `a` writes.
+    fn reads_or_rewrites(a: &DynInst, b: &DynInst) -> bool {
+        let d = a.dst();
+        d.is_some() && (b.srcs.contains(&d) || b.dst() == d)
+    }
+
     #[test]
     fn packed_conflict_check_matches_dyninst() {
+        // Producer/consumer pairs: RAW, WAW, independent, and a store
+        // (which writes nothing) as producer.
+        let (r1, r2) = (PhysReg::int(1), PhysReg::int(2));
+        let producer = DynInst::load(Addr(0), r1, LoadFormat::WORD);
+        let raw = DynInst::alu(r2, [Some(r1), None]);
+        let waw = DynInst::alu(r1, [None, None]);
+        let indep = DynInst::alu(r2, [Some(r2), None]);
+        let st = DynInst::store(Addr(0), Some(r1));
+        let mut pairs = TraceTape::with_capacity("pairs", 0, 8);
+        for inst in [producer, raw, producer, waw, producer, indep, st, raw] {
+            pairs.push(inst);
+        }
+        let verdicts: Vec<bool> = (0..4).map(|k| pairs.conflicts(2 * k, 2 * k + 1)).collect();
+        assert_eq!(verdicts, [true, true, false, false]);
+
         let tape = TraceTape::record(&exercise_program());
         // One cursor walks the whole tape, reconstructing each entry once.
         let mut addrs = tape.addr_cursor();
@@ -1034,7 +1058,7 @@ mod tests {
             let b = tape.get(i + 1, &mut addrs).unwrap();
             assert_eq!(
                 tape.conflicts(i, i + 1),
-                a.conflicts_with(&b),
+                reads_or_rewrites(&a, &b),
                 "entry {i}: packed conflict check must agree"
             );
             assert_eq!(tape.is_mem(i), a.is_mem());

@@ -186,6 +186,7 @@ fn engine_composes_from_parts() {
     use nonblocking_loads::core::inst::DynInst;
     use nonblocking_loads::core::mshr::MshrConfig;
     use nonblocking_loads::core::types::{Addr, LoadFormat, PhysReg};
+    use nonblocking_loads::trace::tape::TraceTape;
 
     let p = build("eqntott", scale()).unwrap();
     let compiled = compile(&p, 10).unwrap();
@@ -193,20 +194,22 @@ fn engine_composes_from_parts() {
         EngineConfig::with_cache(CacheConfig::baseline(MshrConfig::Blocking)),
         IssuePolicy::SingleInOrder,
     );
-    let mut stream: Vec<DynInst> = Vec::new();
-    Executor::new(&compiled).run(&mut stream);
-    cpu.run(stream).unwrap();
+    // The executor's stream, recorded into a tape by hand.
+    let mut tape = TraceTape::with_capacity("eqntott", 0, 0);
+    Executor::new(&compiled).run(&mut tape);
+    cpu.run_tape(&tape).unwrap();
     cpu.finish().unwrap();
     assert!(cpu.stats().instructions > 10_000);
     assert!(cpu.stats().mcpi() > 0.0);
 
-    // Hand-rolled instructions interleave fine with the same engine.
-    cpu.push(DynInst::load(
+    // A hand-rolled tape continues on the same engine.
+    let mut more = TraceTape::with_capacity("hand", 0, 1);
+    more.push(DynInst::load(
         Addr(0xdead00),
         PhysReg::int(3),
         LoadFormat::WORD,
-    ))
-    .unwrap();
+    ));
+    cpu.run_tape(&more).unwrap();
     cpu.finish().unwrap();
     assert!(cpu.stats().blocking_load_misses > 0);
 }

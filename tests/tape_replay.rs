@@ -1,28 +1,31 @@
-//! Tape-replay equivalence guard for the record-once/replay-many backend.
+//! Tape-replay guard for the record-once/replay-many backend.
 //!
 //! Every simulation replays a recorded [`TraceTape`]
-//! ([`IssueEngine::run_tape`]) instead of walking the compiled script. This
-//! suite pins that the tape is invisible: for each processor model, an
-//! engine fed the `Executor`'s instruction stream through
-//! [`IssueEngine::run`] ends in exactly the state of one that replays the
-//! tape — clock, stall statistics, cache counters, in-flight sampler,
-//! replay attribution and dual-issue pair count, bit for bit. It covers
-//! the 72-cell golden grid `refactor_equivalence.rs` pins (under the
-//! stalling and the replaying model), one workload per family, and the
-//! dual-issue model's perfect- and real-cache passes, and ties each
-//! engine-level result back to the driver's answer for the same cell.
+//! ([`IssueEngine::run_tape`]). This suite pins the replay against the
+//! independent reference machine (`tests/reference/mod.rs`): for each
+//! processor model, the engine that replays the tape ends in exactly the
+//! reference's state — clock, stall statistics, cache counters, in-flight
+//! histograms, replay attribution and dual-issue pair count, bit for bit.
+//! It covers the 72-cell golden grid `refactor_equivalence.rs` pins
+//! (under the stalling and the replaying model), one workload per
+//! family, and the dual-issue model's perfect- and real-cache passes, and
+//! ties each engine-level result back to the driver's answer for the same
+//! cell. The tapes themselves are checked for structure, footprint and
+//! schedule sharing.
 
-use nonblocking_loads::core::inst::DynInst;
+mod reference;
+
 use nonblocking_loads::cpu::core_engine::EngineConfig;
-use nonblocking_loads::cpu::issue::{IssueEngine, IssuePolicy};
+use nonblocking_loads::cpu::issue::IssueEngine;
+use nonblocking_loads::mem::event::ReplayCause;
 use nonblocking_loads::sched::compile::compile;
 use nonblocking_loads::sim::config::{HwConfig, ProcessorKind, SimConfig};
 use nonblocking_loads::sim::driver::{run_dual, run_program};
 use nonblocking_loads::sim::store::compiled_fingerprint;
-use nonblocking_loads::trace::exec::Executor;
 use nonblocking_loads::trace::machine::CompiledProgram;
 use nonblocking_loads::trace::tape::TraceTape;
 use nonblocking_loads::trace::workloads::{build, Scale, ALL};
+use reference::Cause;
 
 /// The Fig. 13 hardware configurations of the 72-row golden grid.
 const GOLDEN_CONFIGS: [HwConfig; 6] = [
@@ -42,63 +45,94 @@ fn compiled(name: &str, latency: u32) -> CompiledProgram {
     compile(&p, latency).unwrap()
 }
 
-/// One compiled pair in both forms: the executor's instruction stream and
-/// the tape recorded from it.
-struct Streams {
-    stream: Vec<DynInst>,
-    tape: TraceTape,
-}
+/// Replays `tape` on `cfg` (with a perfect cache when `perfect`), asserts
+/// that the engine ended in the reference machine's state, and returns
+/// the engine.
+fn against_reference(tape: &TraceTape, cfg: &SimConfig, perfect: bool, what: &str) -> IssueEngine {
+    let config = EngineConfig {
+        perfect_cache: perfect,
+        ..cfg.engine_config().unwrap()
+    };
+    let mut e = IssueEngine::new(config, cfg.processor.policy());
+    e.run_tape(tape).unwrap();
+    e.finish().unwrap();
+    let r = reference::run(tape, cfg, perfect);
 
-fn streams(name: &str, latency: u32) -> Streams {
-    let compiled = compiled(name, latency);
-    let mut stream = Vec::new();
-    Executor::new(&compiled).run(&mut stream);
-    let tape = TraceTape::record(&compiled);
-    Streams { stream, tape }
-}
-
-/// Runs `s` both ways under `(config, policy)`, asserts the two engines
-/// ended in the same observable state, and returns the tape-fed one.
-fn both_rails(s: &Streams, config: EngineConfig, policy: IssuePolicy, what: &str) -> IssueEngine {
-    let mut by_stream = IssueEngine::new(config.clone(), policy);
-    by_stream.run(s.stream.iter().copied()).unwrap();
-    by_stream.finish().unwrap();
-    let mut by_tape = IssueEngine::new(config, policy);
-    by_tape.run_tape(&s.tape).unwrap();
-    by_tape.finish().unwrap();
-
-    assert_eq!(by_tape.now(), by_stream.now(), "{what}: cycles");
-    assert_eq!(by_tape.stats(), by_stream.stats(), "{what}: stats");
+    assert_eq!(e.now().0, r.cycles, "{what}: cycles");
+    let s = e.stats();
     assert_eq!(
-        by_tape.cache().counters(),
-        by_stream.cache().counters(),
+        [
+            s.instructions,
+            s.loads,
+            s.stores,
+            s.data_dep_stall_cycles,
+            s.structural_stall_cycles,
+            s.blocking_stall_cycles,
+            s.structural_stall_misses,
+            s.blocking_load_misses,
+            s.blocking_store_misses,
+            s.nonblocking_store_misses,
+        ],
+        [
+            r.stats.instructions,
+            r.stats.loads,
+            r.stats.stores,
+            r.stats.data_dep_stall_cycles,
+            r.stats.structural_stall_cycles,
+            r.stats.blocking_stall_cycles,
+            r.stats.structural_stall_misses,
+            r.stats.blocking_load_misses,
+            r.stats.blocking_store_misses,
+            r.stats.nonblocking_store_misses,
+        ],
+        "{what}: stats"
+    );
+    let c = e.cache().counters();
+    assert_eq!(
+        [
+            c.load_hits,
+            c.load_primary_misses,
+            c.load_secondary_misses,
+            c.store_hits,
+            c.store_misses,
+            c.victim_hits,
+            c.fills,
+        ],
+        [
+            r.counters.load_hits,
+            r.counters.load_primary_misses,
+            r.counters.load_secondary_misses,
+            r.counters.store_hits,
+            r.counters.store_misses,
+            r.counters.victim_hits,
+            r.counters.fills,
+        ],
         "{what}: cache counters"
     );
-    let (t, r) = (by_tape.sampler(), by_stream.sampler());
-    assert_eq!(t.max_misses(), r.max_misses(), "{what}: max misses");
-    assert_eq!(t.max_fetches(), r.max_fetches(), "{what}: max fetches");
-    assert_eq!(t.miss_histogram(), r.miss_histogram(), "{what}: miss dist");
+    let (t, o) = (e.sampler(), &r.occupancy);
+    assert_eq!(t.max_misses(), o.max_misses, "{what}: max misses");
+    assert_eq!(t.max_fetches(), o.max_fetches, "{what}: max fetches");
+    assert_eq!(t.miss_histogram(), &o.miss_histogram, "{what}: miss dist");
     assert_eq!(
         t.fetch_histogram(),
-        r.fetch_histogram(),
+        &o.fetch_histogram,
         "{what}: fetch dist"
     );
-    assert_eq!(
-        t.fraction_with_misses_in_flight().to_bits(),
-        r.fraction_with_misses_in_flight().to_bits(),
-        "{what}: busy fraction"
-    );
-    assert_eq!(
-        by_tape.attribution(),
-        by_stream.attribution(),
-        "{what}: replay attribution"
-    );
-    assert_eq!(
-        by_tape.pairs_issued(),
-        by_stream.pairs_issued(),
-        "{what}: pairs issued"
-    );
-    by_tape
+    for (cause, engine_cause) in Cause::ALL.into_iter().zip([
+        ReplayCause::ForwardFail,
+        ReplayCause::DcacheReplay,
+        ReplayCause::DcacheMiss,
+        ReplayCause::BankConflict,
+    ]) {
+        let a = e.attribution();
+        assert_eq!(
+            (a.count(engine_cause), a.stalls(engine_cause)),
+            (r.attribution.count(cause), r.attribution.stalls(cause)),
+            "{what}: replay attribution of {engine_cause:?}"
+        );
+    }
+    assert_eq!(e.pairs_issued(), r.pairs_issued, "{what}: pairs issued");
+    e
 }
 
 /// Checks every cell of `benches × latencies × configs` under `model`,
@@ -108,14 +142,14 @@ fn check_grid(benches: &[&str], latencies: &[u32], configs: &[HwConfig], model: 
     for bench in benches {
         let program = build(bench, Scale::quick()).unwrap();
         for &lat in latencies {
-            let s = streams(bench, lat);
+            let tape = TraceTape::record(&compiled(bench, lat));
             for hw in configs {
                 let cfg = SimConfig {
                     processor: model,
                     ..SimConfig::baseline(hw.clone()).at_latency(lat)
                 };
                 let what = format!("{bench} [{}] latency {lat} {model}", hw.label());
-                let engine = both_rails(&s, cfg.engine_config().unwrap(), model.policy(), &what);
+                let engine = against_reference(&tape, &cfg, false, &what);
                 let driver = run_program(&program, &cfg).unwrap();
                 assert_eq!(driver.cycles, engine.now().0, "{what}: driver cycles");
                 assert_eq!(
@@ -146,8 +180,8 @@ fn tape_replay_matches_interpreter_on_every_golden_cell() {
 }
 
 /// The replaying model on the same 72-cell grid: its barrier loop must
-/// reproduce the pushed stream's per-cause attribution on real
-/// workloads, not just on hand-built streams.
+/// reproduce the reference's per-cause attribution on real workloads,
+/// not just on hand-built streams.
 #[test]
 fn replay_cause_tape_replay_matches_interpreter_on_every_golden_cell() {
     check_grid(
@@ -278,22 +312,19 @@ fn latency_saturated_pairs_share_one_schedule_and_one_tape() {
     assert_eq!(shared, 42, "pairs answered by a lower latency's tape");
 }
 
-/// The dual-issue model's two passes, perfect-cache and real, match
-/// across rails, and [`run_dual`] reports exactly those two cycle counts.
+/// The dual-issue model's two passes, perfect-cache and real, match the
+/// reference, and [`run_dual`] reports exactly those two cycle counts.
 #[test]
 fn dual_issue_tape_replay_matches_interpreter() {
     for bench in ["eqntott", "doduc"] {
-        let s = streams(bench, 3);
+        let tape = TraceTape::record(&compiled(bench, 3));
         let program = build(bench, Scale::quick()).unwrap();
         for hw in [HwConfig::Mc(1), HwConfig::NoRestrict] {
             let cfg = SimConfig::baseline(hw.clone()).at_latency(3);
+            let dual = cfg.clone().with_processor(ProcessorKind::DualInOrder);
             let [perfect, real] = [true, false].map(|perfect| {
                 let what = format!("{bench} [{}] dual perfect={perfect}", hw.label());
-                let config = EngineConfig {
-                    perfect_cache: perfect,
-                    ..cfg.engine_config().unwrap()
-                };
-                both_rails(&s, config, IssuePolicy::DualInOrder, &what)
+                against_reference(&tape, &dual, perfect, &what)
             });
             let d = run_dual(&program, &cfg).unwrap();
             assert_eq!(d.cycles, real.now().0, "{bench} [{}]", hw.label());
