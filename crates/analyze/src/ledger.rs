@@ -132,7 +132,7 @@ pub const LEDGER: &[LedgerEntry] = &[
     LedgerEntry {
         name: "GroupStepMem",
         decl_file: "crates/mem/src/system.rs",
-        kind: LedgerKind::EntryPoints(&["load_hit_decoded"]),
+        kind: LedgerKind::EntryPoints(&["load_hit_decoded", "access_load_replay"]),
         surfaces: &["crates/cpu/src/core_engine.rs", "DESIGN.md"],
     },
     LedgerEntry {

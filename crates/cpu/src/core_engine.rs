@@ -18,9 +18,11 @@
 //!
 //! The single-issue, dual-issue and replaying models are the three
 //! [`crate::issue::IssuePolicy`] values of one [`crate::issue::IssueEngine`]
-//! over this engine. The single-issue model replays a recorded tape
+//! over this engine. Both single-width models replay a recorded tape
 //! through one walk, [`Core::replay_fused`], whether it drives one
-//! configuration or a fused sweep row of many.
+//! configuration or a fused sweep row of many; they differ only in the
+//! memory step (`Core::execute_entry`), where a replaying core sends
+//! its loads and stores through the speculative port.
 
 use crate::scoreboard::Scoreboard;
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution, StallCause};
@@ -224,6 +226,10 @@ pub struct Core {
     stats: CpuStats,
     sampler: InFlightSampler,
     perfect: bool,
+    /// The replaying pipeline model: memory operations go through the
+    /// speculative port ([`crate::issue::IssuePolicy::ReplayCause`]).
+    pub(crate) replaying: bool,
+    attribution: ReplayAttribution,
 }
 
 impl Core {
@@ -236,6 +242,8 @@ impl Core {
             stats: CpuStats::default(),
             sampler: InFlightSampler::new(),
             perfect: config.perfect_cache,
+            replaying: false,
+            attribution: ReplayAttribution::default(),
         }
     }
 
@@ -250,6 +258,7 @@ impl Core {
         self.now = Cycle::ZERO;
         self.stats = CpuStats::default();
         self.sampler = InFlightSampler::new();
+        self.attribution = ReplayAttribution::default();
     }
 
     /// Current simulation time.
@@ -262,6 +271,13 @@ impl Core {
     #[inline]
     pub fn stats(&self) -> &CpuStats {
         &self.stats
+    }
+
+    /// Per-cause replay accounting (all zero unless the core replays);
+    /// complete once [`Core::finish`] has run.
+    #[inline]
+    pub fn attribution(&self) -> &ReplayAttribution {
+        &self.attribution
     }
 
     /// The in-flight occupancy sampler (Fig. 6 histograms).
@@ -442,7 +458,8 @@ impl Core {
     }
 
     /// Replays one recorded tape through a group of engines in lockstep:
-    /// the single-issue model's one tape walk, for one configuration (a
+    /// the one tape walk of both single-width models (stalling and
+    /// replaying engines may share a group), for one configuration (a
     /// group of one) or a fused sweep row. The tape's barrier plane is
     /// walked, and each memory barrier's packed fields and address split
     /// decoded, once for the whole group instead of once per engine.
@@ -590,26 +607,40 @@ impl Core {
     /// goes straight to [`MemorySystem::load_miss_decoded`], since the
     /// probe just missed; a structural retry probes again in full, since
     /// the fill it waited for may have brought the line in. A perfect
-    /// cache hits without touching its memory system. Returns whether the
-    /// access hit.
+    /// cache hits without touching its memory system. A replaying core
+    /// sends the access through the speculative port instead
+    /// ([`MemorySystem::access_load_replay`],
+    /// [`MemorySystem::access_store_replay`]). Returns whether the access
+    /// hit with no fetch launched.
     #[inline]
     fn execute_entry(&mut self, e: &GroupEntry) -> Result<bool, EngineError> {
         let hit = match e.op {
             GroupOp::Load { dst, format } => {
-                let hit = self.perfect || self.mem.load_hit_decoded(&e.decoded, self.now);
-                if !hit {
+                let hit = if self.perfect {
+                    true
+                } else if self.replaying {
+                    self.execute_load_speculative(&e.decoded, dst, format)?
+                } else if self.mem.load_hit_decoded(&e.decoded, self.now) {
+                    true
+                } else {
                     let resp =
                         self.mem
                             .load_miss_decoded(&e.decoded, Dest::Reg(dst), format, self.now);
                     self.complete_load(resp, &e.decoded, dst, format)?;
-                }
+                    false
+                };
                 self.stats.loads += 1;
                 hit
             }
             GroupOp::Store => {
-                let hit = self.perfect || self.mem.store_hit_decoded(&e.decoded, self.now);
+                let hit = self.perfect
+                    || (!self.replaying && self.mem.store_hit_decoded(&e.decoded, self.now));
                 if !hit {
-                    let resp = self.mem.access_store_decoded(&e.decoded, self.now);
+                    let resp = if self.replaying {
+                        self.mem.access_store_replay(&e.decoded, self.now)
+                    } else {
+                        self.mem.access_store_decoded(&e.decoded, self.now)
+                    };
                     self.apply_store_response(resp);
                 }
                 self.stats.stores += 1;
@@ -690,72 +721,34 @@ impl Core {
         }
     }
 
-    /// [`Core::replay_execute`] for the replaying pipeline model: loads go
-    /// through the speculative port and may bounce through replay
-    /// bubbles, stores feed the replay classifier.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::NoOutstandingFetch`] if a NACK fallback had no fill
-    /// to wait on, and [`EngineError::MalformedTape`] as for
-    /// [`Core::replay_execute`].
-    pub(crate) fn replay_execute_speculative(
-        &mut self,
-        tape: &TraceTape,
-        i: usize,
-        addr: Option<Addr>,
-        attr: &mut ReplayAttribution,
-    ) -> Result<(), EngineError> {
-        match tape.kind(i) {
-            TapeKind::Alu | TapeKind::Branch => {}
-            TapeKind::Load => {
-                let (Some(addr), Some(dst)) = (addr, tape.dst(i)) else {
-                    return Err(EngineError::MalformedTape { index: i });
-                };
-                self.execute_load_speculative(addr, dst, tape.format(i), attr)?;
-                self.stats.loads += 1;
-            }
-            TapeKind::Store => {
-                let addr = addr.ok_or(EngineError::MalformedTape { index: i })?;
-                self.execute_store_speculative(addr);
-                self.stats.stores += 1;
-            }
-        }
-        self.stats.instructions += 1;
-        Ok(())
-    }
-
     /// One speculatively issued load. A thrown-back access charges its
     /// cause's replay-bubble penalty (fast for bank conflicts and NACKs,
     /// slow for forwarding failures) and reissues; a second consecutive
     /// NACK falls back to the stalling pipeline's wait-for-a-fill, with
     /// the elapsed cycles still attributed to [`ReplayCause::DcacheReplay`].
-    /// A genuine miss completes out of order through the scoreboard exactly
-    /// as in the stalling model and is counted under
-    /// [`ReplayCause::DcacheMiss`].
+    /// An access that reaches the data array completes as in the stalling
+    /// model ([`Core::complete_load`]): a genuine miss completes out of
+    /// order through the scoreboard and is counted under
+    /// [`ReplayCause::DcacheMiss`]. Returns whether the load hit.
     fn execute_load_speculative(
         &mut self,
-        addr: Addr,
+        decoded: &DecodedAddr,
         dst: PhysReg,
         format: LoadFormat,
-        attr: &mut ReplayAttribution,
-    ) -> Result<(), EngineError> {
-        if self.perfect {
-            return Ok(());
-        }
+    ) -> Result<bool, EngineError> {
         let mut reissue = false;
         let mut nacked = false;
         let mut stalled_structurally = false;
         loop {
-            let resp = self.mem.access_load_replay(
-                addr,
+            let resp = match self.mem.access_load_replay(
+                decoded,
                 Dest::Reg(dst),
                 format,
                 self.now,
                 reissue,
                 nacked,
-            );
-            match resp {
+            ) {
+                ReplayLoadResponse::Proceed(resp) => resp,
                 ReplayLoadResponse::Replay(cause) => {
                     if cause == ReplayCause::DcacheReplay {
                         if !stalled_structurally {
@@ -768,62 +761,30 @@ impl Core {
                             // MSHR resources, like the stalling pipeline.
                             let before = self.now;
                             self.wait_for_next_fill(StallCause::Structural)?;
-                            attr.stall_cycles[cause.index()] += self.now.since(before);
+                            self.attribution.stall_cycles[cause.index()] += self.now.since(before);
                             continue;
                         }
                         nacked = true;
                     }
-                    attr.counts[cause.index()] += 1;
+                    self.attribution.counts[cause.index()] += 1;
                     let (penalty, bucket) = replay_bubble(cause);
                     let before = self.now;
                     self.stall_until(self.now.plus(penalty), bucket);
-                    attr.stall_cycles[cause.index()] += self.now.since(before);
+                    self.attribution.stall_cycles[cause.index()] += self.now.since(before);
                     // Fills that landed during the bubble wake their
                     // registers before the reissue probes the cache.
                     self.drain_fills();
                     reissue = true;
+                    continue;
                 }
-                ReplayLoadResponse::Proceed(resp) => match resp {
-                    LoadResponse::Hit => break,
-                    LoadResponse::VictimHit => {
-                        self.stall_until(self.now.plus(1), StallCause::Blocking);
-                        break;
-                    }
-                    LoadResponse::Pending { kind } => {
-                        attr.counts[ReplayCause::DcacheMiss.index()] += 1;
-                        self.sampler.advance(self.now);
-                        self.sampler.on_miss(kind == MissKind::Primary);
-                        self.scoreboard.set_pending(dst);
-                        break;
-                    }
-                    LoadResponse::Ready { at } => {
-                        self.stats.blocking_load_misses += 1;
-                        self.stall_until(at, StallCause::Blocking);
-                        self.sampler.advance(self.now);
-                        break;
-                    }
-                    LoadResponse::Retry(_) => {
-                        // The speculative port maps every rejection to a
-                        // NACK replay; kept for defensive completeness.
-                        if !stalled_structurally {
-                            stalled_structurally = true;
-                            self.stats.structural_stall_misses += 1;
-                        }
-                        self.wait_for_next_fill(StallCause::Structural)?;
-                        reissue = true;
-                    }
-                },
+            };
+            if matches!(resp, LoadResponse::Pending { .. }) {
+                self.attribution.counts[ReplayCause::DcacheMiss.index()] += 1;
             }
+            let hit = resp == LoadResponse::Hit;
+            self.complete_load(resp, decoded, dst, format)?;
+            return Ok(hit);
         }
-        Ok(())
-    }
-
-    fn execute_store_speculative(&mut self, addr: Addr) {
-        if self.perfect {
-            return;
-        }
-        let resp = self.mem.access_store_replay(addr, self.now);
-        self.apply_store_response(resp);
     }
 
     /// Advances the issue clock by one cycle (every instruction or
@@ -834,7 +795,10 @@ impl Core {
 
     /// Finalizes the run: applies every outstanding fill (data that is
     /// still in flight when the program's last instruction issues wakes no
-    /// one, so no stall is charged) and closes out the sampler.
+    /// one, so no stall is charged) and closes out the sampler. A
+    /// replaying core's data-dependency stalls are forward-fail bubbles or
+    /// consumers waiting on a miss, so the miss cause's stall cycles are
+    /// the data-dependency total less the forward-fail bubbles.
     pub fn finish(&mut self) {
         while let Ok(fill) = self.mem.advance_to_next_event() {
             if fill.at > self.now {
@@ -843,6 +807,11 @@ impl Core {
             Self::apply_fill(&mut self.scoreboard, &mut self.sampler, fill);
         }
         self.sampler.advance(self.now);
+        if self.replaying {
+            let stalls = &mut self.attribution.stall_cycles;
+            stalls[ReplayCause::DcacheMiss.index()] =
+                self.stats.data_dep_stall_cycles - stalls[ReplayCause::ForwardFail.index()];
+        }
     }
 }
 

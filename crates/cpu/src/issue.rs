@@ -22,9 +22,10 @@
 //!   [`ReplayAttribution`].
 //!
 //! Every simulation replays a recorded tape ([`IssueEngine::run_tape`],
-//! then [`IssueEngine::finish`]), and each model has one tape walk: the
-//! single-issue model [`Core::replay_fused`] over a group of one, the
-//! dual and replaying models their own loops. A stream of
+//! then [`IssueEngine::finish`]), and each model has one tape walk: both
+//! single-width models step through [`Core::replay_fused`] over a group
+//! of one (the replaying model differs only in its memory step), the dual
+//! model through its pairing loop. A stream of
 //! [`nbl_core::inst::DynInst`]s is recorded into a tape first
 //! ([`TraceTape::push`]). The walks are checked against an independent,
 //! cycle-stepped reference machine (`tests/reference/mod.rs` at the
@@ -34,7 +35,6 @@ use crate::core_engine::{check_drained, Core, EngineConfig, EngineError};
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution};
 use nbl_core::cache::LockupFreeCache;
 use nbl_core::types::Cycle;
-use nbl_mem::event::ReplayCause;
 use nbl_mem::system::MemorySystem;
 use nbl_trace::tape::TraceTape;
 
@@ -56,8 +56,7 @@ pub enum IssuePolicy {
 }
 
 /// The shared issue engine: a [`Core`] (scoreboard + clock + stats +
-/// memory port) plus the policy-specific counters (dual-issue pairs, the
-/// replay attribution).
+/// memory port + replay attribution) plus the dual-issue pair count.
 ///
 /// # Examples
 ///
@@ -89,18 +88,17 @@ pub struct IssueEngine {
     policy: IssuePolicy,
     /// Cycles in which two instructions issued together (dual only).
     pairs_issued: u64,
-    /// Per-cause replay accounting (replaying model only).
-    attribution: ReplayAttribution,
 }
 
 impl IssueEngine {
     /// Creates an engine at cycle zero with a cold cache.
     pub fn new(config: EngineConfig, policy: IssuePolicy) -> IssueEngine {
+        let mut core = Core::new(config);
+        core.replaying = policy == IssuePolicy::ReplayCause;
         IssueEngine {
-            core: Core::new(config),
+            core,
             policy,
             pairs_issued: 0,
-            attribution: ReplayAttribution::default(),
         }
     }
 
@@ -110,17 +108,18 @@ impl IssueEngine {
     }
 
     /// Replays a recorded tape, driven straight off its packed arrays:
-    /// the single-issue model runs the fused walk ([`Core::replay_fused`])
-    /// over a group of one, the dual and replaying models their own loops.
+    /// the dual model runs its pairing loop, both single-width models the
+    /// fused walk ([`Core::replay_fused`]) over a group of one.
     ///
     /// # Errors
     ///
     /// The first [`EngineError`] any entry hits.
     pub fn run_tape(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
         match self.policy {
-            IssuePolicy::SingleInOrder => Core::replay_fused(tape, &mut [&mut self.core]),
             IssuePolicy::DualInOrder => self.run_tape_dual(tape),
-            IssuePolicy::ReplayCause => self.run_tape_replaying(tape),
+            IssuePolicy::SingleInOrder | IssuePolicy::ReplayCause => {
+                Core::replay_fused(tape, &mut [&mut self.core])
+            }
         }
     }
 
@@ -163,48 +162,9 @@ impl IssueEngine {
         check_drained(&addrs, n)
     }
 
-    /// The replaying model's barrier loop: the same gap bulk-issue and
-    /// quiescent fast path as [`Core::replay_fused`] (non-barrier entries never
-    /// touch the memory system or the replay classifier, and a quiescent
-    /// engine has no pending register to attribute a wait to), with the
-    /// speculative execute and hazard-wait attribution at the barriers.
-    fn run_tape_replaying(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
-        let n = tape.len();
-        let mut addrs = tape.addr_cursor();
-        let mut i = 0; // next instruction index to account for
-        while i < n {
-            let quiescent = self.core.memory().next_event().is_none();
-            let b = if quiescent {
-                tape.next_mem(i)
-            } else {
-                tape.next_barrier(i)
-            };
-            if b > i {
-                self.core.issue_free_run(b - i);
-            }
-            if b == n {
-                break;
-            }
-            let addr = if quiescent {
-                addrs.next()
-            } else {
-                self.core.drain_fills();
-                let before = self.core.now();
-                self.core.replay_hazards(tape, b)?;
-                self.attribution.stall_cycles[ReplayCause::DcacheMiss.index()] +=
-                    self.core.now().since(before);
-                addrs.step(tape.is_mem(b))
-            };
-            self.core
-                .replay_execute_speculative(tape, b, addr, &mut self.attribution)?;
-            self.core.tick();
-            i = b + 1;
-        }
-        check_drained(&addrs, n)
-    }
-
     /// Finalizes the run ([`Core::finish`]): every fetch still in flight
-    /// lands and the sampler closes out.
+    /// lands, the sampler closes out and the replay attribution is
+    /// completed.
     ///
     /// # Errors
     ///
@@ -223,12 +183,12 @@ impl IssueEngine {
     pub fn reset(&mut self) {
         self.core.reset();
         self.pairs_issued = 0;
-        self.attribution = ReplayAttribution::default();
     }
 
     /// Mutable access to the underlying core, for the fused multi-config
-    /// replay entry point ([`Core::replay_fused`] — valid only for
-    /// [`IssuePolicy::SingleInOrder`] engines).
+    /// replay entry point ([`Core::replay_fused`] — valid for the two
+    /// single-width models, [`IssuePolicy::SingleInOrder`] and
+    /// [`IssuePolicy::ReplayCause`], which may share one group).
     pub fn core_mut(&mut self) -> &mut Core {
         &mut self.core
     }
@@ -249,9 +209,10 @@ impl IssueEngine {
     }
 
     /// Per-cause replay accounting (all zero outside
-    /// [`IssuePolicy::ReplayCause`]).
+    /// [`IssuePolicy::ReplayCause`]; complete after
+    /// [`IssueEngine::finish`]).
     pub fn attribution(&self) -> &ReplayAttribution {
-        &self.attribution
+        self.core.attribution()
     }
 
     /// Number of cycles in which two instructions issued together.
@@ -305,6 +266,7 @@ mod tests {
     use nbl_core::mshr::inverted::InvertedConfig;
     use nbl_core::mshr::{MshrConfig, RegisterFileConfig, TargetPolicy};
     use nbl_core::types::{Addr, LoadFormat, PhysReg};
+    use nbl_mem::event::ReplayCause;
 
     fn unrestricted() -> EngineConfig {
         EngineConfig::with_cache(CacheConfig::baseline(MshrConfig::Inverted(

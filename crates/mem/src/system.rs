@@ -4,9 +4,10 @@
 //! L1 + MSHRs → optional L2 tags → pipelined main memory, with the write
 //! buffer alongside — behind a narrow port:
 //!
-//! * [`MemorySystem::access_load`] / [`MemorySystem::access_store`] submit
-//!   one access and report how it resolved ([`LoadResponse`] /
-//!   [`StoreResponse`]);
+//! * [`MemorySystem::access_load_decoded`] /
+//!   [`MemorySystem::access_store_decoded`] submit one access, its address
+//!   split under the L1 geometry, and report how it resolved
+//!   ([`LoadResponse`] / [`StoreResponse`]);
 //! * [`MemorySystem::next_event`] peeks the next fill completion time;
 //! * [`MemorySystem::advance_to`] applies every fill due by a given cycle,
 //!   in completion order, handing each [`FillEvent`] to the caller;
@@ -412,22 +413,10 @@ impl MemorySystem {
         self.memory.outstanding()
     }
 
-    /// The block containing `addr` under the L1 geometry.
-    #[inline]
-    pub fn block_of(&self, addr: Addr) -> BlockAddr {
-        self.l1.block_of(addr)
-    }
-
-    /// `true` when a second-level cache is configured.
-    #[inline]
-    pub fn has_l2(&self) -> bool {
-        self.l2.is_some()
-    }
-
     /// Load-hit probe over a pre-decoded address: the fused walk's first
     /// probe. Returns `true` — and counts the hit, moving the L1's
     /// replacement state as the full port does — exactly when
-    /// [`MemorySystem::access_load`] would answer [`LoadResponse::Hit`]
+    /// [`MemorySystem::access_load_decoded`] would answer [`LoadResponse::Hit`]
     /// (a hit never reaches the MSHRs, the L2 or the write buffer; its
     /// only event is the `Resolved` hit). On `false` nothing is recorded;
     /// the caller goes on to [`MemorySystem::load_miss_decoded`].
@@ -544,25 +533,14 @@ impl MemorySystem {
         (woken_regs, targets)
     }
 
-    /// Submits a load at time `now`. Hits resolve immediately; misses are
-    /// tracked, serviced synchronously (blocking cache), or rejected —
-    /// see [`LoadResponse`]. The port never advances the clock; the
-    /// caller charges whatever stall the response implies.
-    pub fn access_load(
-        &mut self,
-        addr: Addr,
-        dest: Dest,
-        format: LoadFormat,
-        now: Cycle,
-    ) -> LoadResponse {
-        let decoded = self.l1.config().geometry.decode(addr);
-        self.access_load_decoded(&decoded, dest, format, now)
-    }
-
-    /// [`MemorySystem::access_load`] with the address already decoded
-    /// under this system's L1 geometry — the per-system half of the fused
-    /// group step ([`FusedMemGroup::geometry`]): the shared decode happens
-    /// once, the MSHR/write-buffer state transition stays here.
+    /// Submits a load at time `now`, its address already decoded under
+    /// this system's L1 geometry — the per-system half of the fused group
+    /// step ([`FusedMemGroup::geometry`]): the shared decode happens once,
+    /// the MSHR/write-buffer state transition stays here. Hits resolve
+    /// immediately; misses are tracked, serviced synchronously (blocking
+    /// cache), or rejected — see [`LoadResponse`]. The port never
+    /// advances the clock; the caller charges whatever stall the response
+    /// implies.
     pub fn access_load_decoded(
         &mut self,
         decoded: &DecodedAddr,
@@ -632,17 +610,11 @@ impl MemorySystem {
         response
     }
 
-    /// Submits a store at time `now`. Write-around misses and hits are
-    /// buffered immediately; write-allocate misses fetch their line,
-    /// non-blocking when the MSHRs can track them — see [`StoreResponse`].
-    pub fn access_store(&mut self, addr: Addr, now: Cycle) -> StoreResponse {
-        let decoded = self.l1.config().geometry.decode(addr);
-        self.access_store_decoded(&decoded, now)
-    }
-
-    /// [`MemorySystem::access_store`] with the address already decoded
-    /// under this system's L1 geometry (the store half of the fused group
-    /// step).
+    /// Submits a store at time `now`, its address already decoded under
+    /// this system's L1 geometry (the store half of the fused group step).
+    /// Write-around misses and hits are buffered immediately;
+    /// write-allocate misses fetch their line, non-blocking when the MSHRs
+    /// can track them — see [`StoreResponse`].
     pub fn access_store_decoded(&mut self, decoded: &DecodedAddr, now: Cycle) -> StoreResponse {
         let (addr, block) = (decoded.addr, decoded.block);
         let access = self.l1.access_store_decoded(decoded);
@@ -687,17 +659,18 @@ impl MemorySystem {
     /// `nacked` marks such an already-NACKed access so the recurrence is
     /// not recorded as a fresh replay. An access that reaches the data
     /// array occupies its bank for the busy window; a replayed access
-    /// never reaches the array and leaves the bank state untouched.
+    /// never reaches the array and leaves the bank state untouched. The
+    /// address comes decoded, as the fused walk's group step decodes it.
     pub fn access_load_replay(
         &mut self,
-        addr: Addr,
+        decoded: &DecodedAddr,
         dest: Dest,
         format: LoadFormat,
         now: Cycle,
         reissue: bool,
         nacked: bool,
     ) -> ReplayLoadResponse {
-        let block = self.l1.block_of(addr);
+        let (addr, block) = (decoded.addr, decoded.block);
         if !reissue {
             if self.replay.forward_fail(block, now) {
                 self.emit(MemEvent::LoadReplayed {
@@ -716,7 +689,7 @@ impl MemorySystem {
                 return ReplayLoadResponse::Replay(ReplayCause::BankConflict);
             }
         }
-        match self.access_load(addr, dest, format, now) {
+        match self.access_load_decoded(decoded, dest, format, now) {
             LoadResponse::Retry(_) => {
                 if !nacked {
                     self.emit(MemEvent::LoadReplayed {
@@ -747,11 +720,11 @@ impl MemorySystem {
     /// their own pace), but they feed the classifier: the store opens the
     /// forwarding-failure window on its block and occupies its data-array
     /// bank for the busy window.
-    pub fn access_store_replay(&mut self, addr: Addr, now: Cycle) -> StoreResponse {
-        let block = self.l1.block_of(addr);
-        self.replay.last_store = Some((block, now));
-        self.replay.bank_free_at[ReplayClassifier::bank_of(addr)] = now.0 + BANK_BUSY_CYCLES;
-        self.access_store(addr, now)
+    pub fn access_store_replay(&mut self, decoded: &DecodedAddr, now: Cycle) -> StoreResponse {
+        self.replay.last_store = Some((decoded.block, now));
+        self.replay.bank_free_at[ReplayClassifier::bank_of(decoded.addr)] =
+            now.0 + BANK_BUSY_CYCLES;
+        self.access_store_decoded(decoded, now)
     }
 
     /// Completion time of the earliest outstanding fetch, if any.
@@ -825,6 +798,25 @@ mod tests {
         })
     }
 
+    /// The full port for a raw address, decoded under the system's own L1
+    /// geometry.
+    trait Port {
+        fn load(&mut self, addr: Addr, dest: Dest, now: Cycle) -> LoadResponse;
+        fn store(&mut self, addr: Addr, now: Cycle) -> StoreResponse;
+    }
+
+    impl Port for MemorySystem {
+        fn load(&mut self, addr: Addr, dest: Dest, now: Cycle) -> LoadResponse {
+            let decoded = self.l1.config().geometry.decode(addr);
+            self.access_load_decoded(&decoded, dest, LoadFormat::WORD, now)
+        }
+
+        fn store(&mut self, addr: Addr, now: Cycle) -> StoreResponse {
+            let decoded = self.l1.config().geometry.decode(addr);
+            self.access_store_decoded(&decoded, now)
+        }
+    }
+
     fn system(mshr: MshrConfig) -> MemorySystem {
         MemorySystem::new(MemSystemConfig::with_cache(CacheConfig::baseline(mshr)))
     }
@@ -832,12 +824,7 @@ mod tests {
     #[test]
     fn load_miss_fill_wake_roundtrip() {
         let mut m = system(mc(2));
-        let r = m.access_load(
-            Addr(0x1000),
-            Dest::Reg(PhysReg::int(1)),
-            LoadFormat::WORD,
-            Cycle(0),
-        );
+        let r = m.load(Addr(0x1000), Dest::Reg(PhysReg::int(1)), Cycle(0));
         assert_eq!(
             r,
             LoadResponse::Pending {
@@ -857,12 +844,7 @@ mod tests {
         assert_eq!(fills[0].woken_regs, 1 << PhysReg::int(1).dense_index());
         assert_eq!(m.next_event(), None);
         // The line is now resident.
-        let r = m.access_load(
-            Addr(0x1000),
-            Dest::Reg(PhysReg::int(2)),
-            LoadFormat::WORD,
-            Cycle(17),
-        );
+        let r = m.load(Addr(0x1000), Dest::Reg(PhysReg::int(2)), Cycle(17));
         assert_eq!(r, LoadResponse::Hit);
     }
 
@@ -879,14 +861,14 @@ mod tests {
         cfg.write_miss = WriteMissPolicy::WriteAllocate;
         let mut m = MemorySystem::new(MemSystemConfig::with_cache(cfg));
         assert_eq!(
-            m.access_store(Addr(0x1000), Cycle(0)),
+            m.store(Addr(0x1000), Cycle(0)),
             StoreResponse::Pending {
                 kind: MissKind::Primary
             }
         );
         for (reg, addr) in [(PhysReg::int(3), 0x1008), (PhysReg::fp(5), 0x1010)] {
             assert_eq!(
-                m.access_load(Addr(addr), Dest::Reg(reg), LoadFormat::WORD, Cycle(1)),
+                m.load(Addr(addr), Dest::Reg(reg), Cycle(1)),
                 LoadResponse::Pending {
                     kind: MissKind::Secondary
                 }
@@ -909,34 +891,19 @@ mod tests {
     #[test]
     fn rejection_then_forced_advance() {
         let mut m = system(mc(1));
-        let first = m.access_load(
-            Addr(0x1000),
-            Dest::Reg(PhysReg::int(1)),
-            LoadFormat::WORD,
-            Cycle(0),
-        );
+        let first = m.load(Addr(0x1000), Dest::Reg(PhysReg::int(1)), Cycle(0));
         assert_eq!(
             first,
             LoadResponse::Pending {
                 kind: MissKind::Primary
             }
         );
-        let second = m.access_load(
-            Addr(0x2000),
-            Dest::Reg(PhysReg::int(2)),
-            LoadFormat::WORD,
-            Cycle(1),
-        );
+        let second = m.load(Addr(0x2000), Dest::Reg(PhysReg::int(2)), Cycle(1));
         assert!(matches!(second, LoadResponse::Retry(_)));
         let fill = m.advance_to_next_event().expect("one fetch outstanding");
         assert_eq!(fill.at, Cycle(16));
         // Retry now succeeds as a fresh primary miss.
-        let retried = m.access_load(
-            Addr(0x2000),
-            Dest::Reg(PhysReg::int(2)),
-            LoadFormat::WORD,
-            Cycle(16),
-        );
+        let retried = m.load(Addr(0x2000), Dest::Reg(PhysReg::int(2)), Cycle(16));
         assert_eq!(
             retried,
             LoadResponse::Pending {
@@ -957,24 +924,14 @@ mod tests {
     #[test]
     fn blocking_load_ready_at_full_penalty() {
         let mut m = system(MshrConfig::Blocking);
-        let r = m.access_load(
-            Addr(0x40),
-            Dest::Reg(PhysReg::int(1)),
-            LoadFormat::WORD,
-            Cycle(5),
-        );
+        let r = m.load(Addr(0x40), Dest::Reg(PhysReg::int(1)), Cycle(5));
         assert_eq!(r, LoadResponse::Ready { at: Cycle(21) });
         assert_eq!(
             m.outstanding_fetches(),
             0,
             "blocking service is synchronous"
         );
-        let again = m.access_load(
-            Addr(0x48),
-            Dest::Reg(PhysReg::int(2)),
-            LoadFormat::WORD,
-            Cycle(21),
-        );
+        let again = m.load(Addr(0x48), Dest::Reg(PhysReg::int(2)), Cycle(21));
         assert_eq!(again, LoadResponse::Hit);
     }
 
@@ -982,7 +939,7 @@ mod tests {
     fn store_paths() {
         // Baseline is write-around: store misses are buffered, done.
         let mut m = system(mc(2));
-        assert_eq!(m.access_store(Addr(0x5000), Cycle(0)), StoreResponse::Done);
+        assert_eq!(m.store(Addr(0x5000), Cycle(0)), StoreResponse::Done);
         assert_eq!(m.write_buffer_stats().writes, 1);
 
         // Write-allocate with MSHRs: tracked, non-blocking.
@@ -990,7 +947,7 @@ mod tests {
         cfg.write_miss = WriteMissPolicy::WriteAllocate;
         let mut wa = MemorySystem::new(MemSystemConfig::with_cache(cfg));
         assert_eq!(
-            wa.access_store(Addr(0x5000), Cycle(0)),
+            wa.store(Addr(0x5000), Cycle(0)),
             StoreResponse::Pending {
                 kind: MissKind::Primary
             }
@@ -1002,7 +959,7 @@ mod tests {
         cfg.write_miss = WriteMissPolicy::WriteAllocate;
         let mut blk = MemorySystem::new(MemSystemConfig::with_cache(cfg));
         assert_eq!(
-            blk.access_store(Addr(0x5000), Cycle(0)),
+            blk.store(Addr(0x5000), Cycle(0)),
             StoreResponse::Ready { at: Cycle(16) }
         );
     }
@@ -1022,7 +979,7 @@ mod tests {
             let expected: Vec<LoadResponse> = solo
                 .iter_mut()
                 .zip(nows)
-                .map(|(m, now)| m.access_load(Addr(a), dest, LoadFormat::WORD, now))
+                .map(|(m, now)| m.load(Addr(a), dest, now))
                 .collect();
             let decoded = group.geometry().decode(Addr(a));
             let responses: Vec<LoadResponse> = fused
@@ -1081,7 +1038,7 @@ mod tests {
             let mut now = 0;
             for &a in &addrs[..ways as usize] {
                 for m in [&mut probed, &mut port] {
-                    let _ = m.access_load(a, dest, LoadFormat::WORD, Cycle(now));
+                    let _ = m.load(a, dest, Cycle(now));
                     m.advance_to(Cycle(now + 16), |_| {});
                 }
                 now += 17;
@@ -1090,15 +1047,12 @@ mod tests {
             // the full port on the other.
             assert!(probed.load_hit_decoded(&first, Cycle(now)));
             assert!(probed.store_hit_decoded(&first, Cycle(now)));
-            assert_eq!(
-                port.access_load(addrs[0], dest, LoadFormat::WORD, Cycle(now)),
-                LoadResponse::Hit
-            );
-            assert_eq!(port.access_store(addrs[0], Cycle(now)), StoreResponse::Done);
+            assert_eq!(port.load(addrs[0], dest, Cycle(now)), LoadResponse::Hit);
+            assert_eq!(port.store(addrs[0], Cycle(now)), StoreResponse::Done);
             // The next miss to the set evicts the same victim on both: the
             // probe moved the replacement state exactly as the port did.
             for m in [&mut probed, &mut port] {
-                let _ = m.access_load(addrs[ways as usize], dest, LoadFormat::WORD, Cycle(now + 1));
+                let _ = m.load(addrs[ways as usize], dest, Cycle(now + 1));
                 m.advance_to(Cycle(now + 17), |_| {});
             }
             let resident = |m: &MemorySystem| -> Vec<bool> {
@@ -1126,18 +1080,8 @@ mod tests {
         let mut m = system(mc(2));
         m.enable_tracing(64);
         // Primary miss, then a secondary to the same line, then the fill.
-        let _ = m.access_load(
-            Addr(0x1000),
-            Dest::Reg(PhysReg::int(1)),
-            LoadFormat::WORD,
-            Cycle(0),
-        );
-        let _ = m.access_load(
-            Addr(0x1008),
-            Dest::Reg(PhysReg::int(2)),
-            LoadFormat::WORD,
-            Cycle(1),
-        );
+        let _ = m.load(Addr(0x1000), Dest::Reg(PhysReg::int(1)), Cycle(0));
+        let _ = m.load(Addr(0x1008), Dest::Reg(PhysReg::int(2)), Cycle(1));
         m.advance_to(Cycle(16), |_| {});
         let trace = m.take_trace().expect("tracing was enabled");
         assert!(m.trace().is_none(), "take_trace disables tracing");
@@ -1156,12 +1100,7 @@ mod tests {
     #[test]
     fn tracing_disabled_records_nothing() {
         let mut m = system(mc(2));
-        let _ = m.access_load(
-            Addr(0x1000),
-            Dest::Reg(PhysReg::int(1)),
-            LoadFormat::WORD,
-            Cycle(0),
-        );
+        let _ = m.load(Addr(0x1000), Dest::Reg(PhysReg::int(1)), Cycle(0));
         assert!(m.trace().is_none());
         assert!(m.take_trace().is_none());
     }
@@ -1175,21 +1114,15 @@ mod tests {
             }
             let mut log = Vec::new();
             for (i, addr) in [0x1000u64, 0x1008, 0x2000, 0x1000].into_iter().enumerate() {
-                let r = m.access_load(
+                let r = m.load(
                     Addr(addr),
                     Dest::Reg(PhysReg::int(i as u8)),
-                    LoadFormat::WORD,
                     Cycle(i as u64),
                 );
                 log.push(format!("{r:?}"));
             }
             m.advance_to(Cycle(100), |f| log.push(format!("{f:?}")));
-            let r = m.access_load(
-                Addr(0x1000),
-                Dest::Reg(PhysReg::int(5)),
-                LoadFormat::WORD,
-                Cycle(100),
-            );
+            let r = m.load(Addr(0x1000), Dest::Reg(PhysReg::int(5)), Cycle(100));
             log.push(format!("{r:?}"));
             (log, m.take_trace())
         };
@@ -1221,10 +1154,9 @@ mod tests {
             }
             let mut log = Vec::new();
             for (i, addr) in [0x1000u64, 0x1008, 0x2000, 0x1000].into_iter().enumerate() {
-                let r = m.access_load(
+                let r = m.load(
                     Addr(addr),
                     Dest::Reg(PhysReg::int(i as u8)),
-                    LoadFormat::WORD,
                     Cycle(i as u64),
                 );
                 log.push(format!("{r:?}"));

@@ -332,12 +332,13 @@ pub fn run_tape_traced(
 }
 
 /// Replays one tape through several hardware configurations in a single
-/// lockstep walk ([`Core::replay_fused`], the single-issue model's one
-/// tape walk): the tape's barrier stream is decoded once and each entry is
-/// applied to every configuration before moving on, instead of one full
-/// traversal per configuration. Configurations that do not share one L1
-/// geometry walk one by one inside that call; a row holding any other
-/// processor model replays per configuration ([`run_tape`]). Every
+/// lockstep walk ([`Core::replay_fused`], the one tape walk of both
+/// single-width models, stalling and replaying members alike): the tape's
+/// barrier stream is decoded once and each entry is applied to every
+/// configuration before moving on, instead of one full traversal per
+/// configuration. Configurations that do not share one L1 geometry walk
+/// one by one inside that call; a row holding a dual-issue member replays
+/// per configuration ([`run_tape`]). Every
 /// configuration's latency must compile to the tape's schedule; results
 /// are bit-identical to calling [`run_tape`] per configuration, in order.
 ///
@@ -351,25 +352,25 @@ pub fn run_tape_fused(
     tape: &TraceTape,
     cfgs: &[SimConfig],
 ) -> Result<Vec<RunResult>, EngineError> {
-    // The lockstep walk decodes a single-issue schedule; any other
-    // processor model replays per configuration instead (identical
-    // results, one traversal each).
+    // The dual pairing loop has no lockstep form: a row holding a dual
+    // member replays per configuration instead (identical results, one
+    // traversal each).
     if cfgs
         .iter()
-        .any(|c| c.processor != ProcessorKind::SingleInOrder)
+        .any(|c| c.processor == ProcessorKind::DualInOrder)
     {
         return cfgs
             .iter()
             .map(|cfg| run_tape(benchmark, tape, cfg))
             .collect();
     }
-    let engine_configs = cfgs
+    let keys = cfgs
         .iter()
-        .map(SimConfig::engine_config)
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut cpus: Vec<IssueEngine> = engine_configs
+        .map(|c| Ok((c.engine_config()?, c.processor.policy())))
+        .collect::<Result<Vec<_>, EngineError>>()?;
+    let mut cpus: Vec<IssueEngine> = keys
         .iter()
-        .map(|c| acquire_engine(c, IssuePolicy::SingleInOrder))
+        .map(|(config, policy)| acquire_engine(config, *policy))
         .collect();
     {
         let mut cores: Vec<&mut Core> = cpus.iter_mut().map(IssueEngine::core_mut).collect();
@@ -380,8 +381,8 @@ pub fn run_tape_fused(
         let (result, _) = finish_single(benchmark, cfg, tape.static_spill_ops(), cpu)?;
         results.push(result);
     }
-    for (config, cpu) in engine_configs.into_iter().zip(cpus) {
-        release_engine((config, IssuePolicy::SingleInOrder), cpu);
+    for (key, cpu) in keys.into_iter().zip(cpus) {
+        release_engine(key, cpu);
     }
     Ok(results)
 }

@@ -6,7 +6,9 @@
 //! trigger (unit tests in the library binary run concurrently and would
 //! perturb the deltas).
 
-use nbl_sim::{run_tape, run_tape_fused, ArtifactStore, HwConfig, SimConfig, Telemetry};
+use nbl_sim::{
+    run_tape, run_tape_fused, ArtifactStore, HwConfig, ProcessorKind, SimConfig, Telemetry,
+};
 use nbl_trace::workloads::{build, Scale};
 use std::sync::Mutex;
 
@@ -52,6 +54,9 @@ fn warm_workers_serve_replays_without_building_processors() {
     assert_eq!(cold, warm, "pooled replay must be bit-identical");
 }
 
+/// Under each single-width model a row fuses, and its arena engines are
+/// keyed by each member's own policy: a warm worker serves the row with
+/// one reused engine per member and builds none.
 #[test]
 fn fused_replay_draws_from_and_refills_the_arena() {
     let _guard = COUNTER_LOCK.lock().unwrap();
@@ -60,24 +65,27 @@ fn fused_replay_draws_from_and_refills_the_arena() {
     let store = ArtifactStore::in_memory();
     let compiled = store.get_or_compile(&program, base.load_latency).unwrap();
     let tape = store.get_or_record(&compiled);
-    let cfgs = vec![
-        SimConfig::baseline(HwConfig::Mc0),
-        SimConfig::baseline(HwConfig::Mc(2)),
-        SimConfig::baseline(HwConfig::NoRestrict),
-    ];
+    for model in [ProcessorKind::SingleInOrder, ProcessorKind::ReplayCause] {
+        let cfgs: Vec<SimConfig> = [HwConfig::Mc0, HwConfig::Mc(2), HwConfig::NoRestrict]
+            .map(|hw| SimConfig::baseline(hw).with_processor(model))
+            .into();
 
-    let first = run_tape_fused(&program.name, &tape, &cfgs).unwrap();
-    let before = Telemetry::global().snapshot();
-    let second = run_tape_fused(&program.name, &tape, &cfgs).unwrap();
-    let delta = Telemetry::global().snapshot().since(before);
-    assert_eq!(delta.arena_builds, 0, "a warm fused walk builds nothing");
-    assert_eq!(delta.arena_reuses, cfgs.len() as u64);
-    assert_eq!(first, second);
+        let first = run_tape_fused(&program.name, &tape, &cfgs).unwrap();
+        let before = Telemetry::global().snapshot();
+        let second = run_tape_fused(&program.name, &tape, &cfgs).unwrap();
+        let delta = Telemetry::global().snapshot().since(before);
+        assert_eq!(
+            delta.arena_builds, 0,
+            "{model}: a warm fused walk builds nothing"
+        );
+        assert_eq!(delta.arena_reuses, cfgs.len() as u64, "{model}");
+        assert_eq!(first, second);
 
-    // Fused and unfused agree cell-for-cell.
-    let solo: Vec<_> = cfgs
-        .iter()
-        .map(|cfg| run_tape(&program.name, &tape, cfg).unwrap())
-        .collect();
-    assert_eq!(first, solo, "fusion must not change any metric");
+        // Fused and unfused agree cell-for-cell.
+        let solo: Vec<_> = cfgs
+            .iter()
+            .map(|cfg| run_tape(&program.name, &tape, cfg).unwrap())
+            .collect();
+        assert_eq!(first, solo, "{model}: fusion must not change any metric");
+    }
 }

@@ -10,9 +10,10 @@
 //!   buffers, L2s, perfect caches and any miss penalty, all on the seeded
 //!   `nbl_core::prop` harness.
 //! * Fused sweep rows (`run_tape_fused`): mixed L2 and victim-buffer
-//!   rows, 4-way rows with an L2 under every policy, fully associative
-//!   rows, rows of mixed geometry and a 65-member row; every member's
-//!   `RunResult` against one built from the reference.
+//!   rows and one row interleaving stalling and replaying members, 4-way
+//!   rows with an L2 under every policy and both single-width models,
+//!   fully associative rows, rows of mixed geometry and a 65-member row;
+//!   every member's `RunResult` against one built from the reference.
 //! * Hand-built streams through `IssueEngine::run_tape` and a fused
 //!   `Core::replay_fused` group, under all three models.
 //! * The 72-cell golden grid under the dual-issue model (the stalling and
@@ -396,7 +397,9 @@ fn mixed_configs(lat: u32) -> Vec<SimConfig> {
 }
 
 /// 2 benchmarks x 6 latencies x 6 mixed configurations, each fused row
-/// against the reference.
+/// against the reference; then one row that interleaves each
+/// configuration's stalling and replaying members over the one geometry,
+/// which the walk fuses as one group.
 #[test]
 fn mixed_rows_with_l2s_and_victim_buffers_match() {
     let store = ArtifactStore::in_memory();
@@ -408,31 +411,41 @@ fn mixed_rows_with_l2s_and_victim_buffers_match() {
         }
     }
     assert_eq!(cells, 72);
+    let interleaved: Vec<SimConfig> = mixed_configs(6)
+        .into_iter()
+        .flat_map(|cfg| [cfg.clone(), cfg.with_processor(ProcessorKind::ReplayCause)])
+        .collect();
+    let tape = workload_tape(&store, "doduc", Scale::quick(), 6);
+    assert_eq!(assert_row_matches("doduc", &tape, &interleaved), 12);
 }
 
 /// The `policy-model` machine, an 8 KB 4-way L1 over a 256 KB L2, with
-/// every replacement policy and three MSHR organizations in one row.
+/// every replacement policy and three MSHR organizations in one row,
+/// under each single-width model.
 #[test]
 fn four_way_rows_with_an_l2_match_under_every_policy() {
     let store = ArtifactStore::in_memory();
-    let base = SimConfig::baseline(HwConfig::NoRestrict)
-        .with_geometry(CacheGeometry::new(8 * 1024, 32, 4).unwrap())
-        .with_l2(256 * 1024, 12);
-    for lat in [2, 10] {
-        let cfgs: Vec<SimConfig> = ReplacementKind::all()
-            .into_iter()
-            .flat_map(|policy| {
-                [HwConfig::Mc(1), HwConfig::Fc(2), HwConfig::NoRestrict].map(|hw| {
-                    SimConfig {
-                        hw,
-                        ..base.clone().with_replacement(policy)
-                    }
-                    .at_latency(lat)
+    for model in [ProcessorKind::SingleInOrder, ProcessorKind::ReplayCause] {
+        let base = SimConfig::baseline(HwConfig::NoRestrict)
+            .with_geometry(CacheGeometry::new(8 * 1024, 32, 4).unwrap())
+            .with_l2(256 * 1024, 12)
+            .with_processor(model);
+        for lat in [2, 10] {
+            let cfgs: Vec<SimConfig> = ReplacementKind::all()
+                .into_iter()
+                .flat_map(|policy| {
+                    [HwConfig::Mc(1), HwConfig::Fc(2), HwConfig::NoRestrict].map(|hw| {
+                        SimConfig {
+                            hw,
+                            ..base.clone().with_replacement(policy)
+                        }
+                        .at_latency(lat)
+                    })
                 })
-            })
-            .collect();
-        let tape = workload_tape(&store, "doduc", Scale::quick(), lat);
-        assert_eq!(assert_row_matches("doduc", &tape, &cfgs), 12);
+                .collect();
+            let tape = workload_tape(&store, "doduc", Scale::quick(), lat);
+            assert_eq!(assert_row_matches("doduc", &tape, &cfgs), 12);
+        }
     }
 }
 

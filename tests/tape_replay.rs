@@ -179,9 +179,9 @@ fn tape_replay_matches_interpreter_on_every_golden_cell() {
     );
 }
 
-/// The replaying model on the same 72-cell grid: its barrier loop must
-/// reproduce the reference's per-cause attribution on real workloads,
-/// not just on hand-built streams.
+/// The replaying model on the same 72-cell grid: its memory step in the
+/// one single-width walk must reproduce the reference's per-cause
+/// attribution on real workloads, not just on hand-built streams.
 #[test]
 fn replay_cause_tape_replay_matches_interpreter_on_every_golden_cell() {
     check_grid(
