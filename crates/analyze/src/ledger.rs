@@ -52,8 +52,8 @@ pub struct LedgerEntry {
 /// hardware configurations and MSHR organizations,
 /// the design doc's artifact-store section (§16) for the store and
 /// codec error enums, the design doc's fusion section (§17) for the
-/// group-step entry points and `GroupError`, and the experiments guide
-/// for the exhibit registry.
+/// group-step entry points, and the experiments guide for the exhibit
+/// registry.
 pub const LEDGER: &[LedgerEntry] = &[
     LedgerEntry {
         name: "ReplacementKind",
@@ -117,12 +117,6 @@ pub const LEDGER: &[LedgerEntry] = &[
     LedgerEntry {
         name: "ArtifactError",
         decl_file: "crates/sim/src/store.rs",
-        kind: LedgerKind::Enum,
-        surfaces: &["DESIGN.md"],
-    },
-    LedgerEntry {
-        name: "GroupError",
-        decl_file: "crates/mem/src/system.rs",
         kind: LedgerKind::Enum,
         surfaces: &["DESIGN.md"],
     },

@@ -11,10 +11,6 @@ use nbl_sim::report;
 use nbl_sim::run_tape_traced;
 use std::io::Write;
 
-/// Ring capacity for the recorder: enough to keep the tail of the run
-/// for debugging without holding the whole event stream.
-const RING: usize = 4096;
-
 /// Scheduled load latency: 10, the operating point where schedules
 /// overlap enough for secondary misses to merge (at latency 1 nearly
 /// every miss is primary and the histograms are degenerate).
@@ -42,7 +38,7 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         let tape = store.get_or_record(&compiled);
         for hw in &configs {
             let cfg = SimConfig::baseline(hw.clone()).at_latency(LATENCY);
-            let (_result, trace) = run_tape_traced(name, &tape, &cfg, RING)
+            let (_result, trace) = run_tape_traced(name, &tape, &cfg)
                 .map_err(|e| ExhibitError::new(format!("{name} @ {} traced", hw.label()), e))?;
             let label = hw.label();
             let _ = writeln!(

@@ -16,7 +16,7 @@ use crate::mshr::{
     MissKind, MissRequest, MshrBank, MshrConfig, MshrResponse, Rejection, TargetRecord,
 };
 use crate::tag_array::{ReplacementKind, TagArray};
-use crate::types::{Addr, BlockAddr, Dest, LoadFormat};
+use crate::types::{BlockAddr, Dest, LoadFormat};
 use std::fmt;
 
 /// What happens on a store miss.
@@ -182,14 +182,16 @@ impl CacheCounters {
 ///     max_outstanding_misses: Limit::Finite(1),
 ///     max_fetches_per_set: Limit::Unlimited,
 /// }));
+/// // The port takes addresses split under the cache's geometry.
+/// let a = cfg.geometry.decode(Addr(0x1000));
 /// let mut cache = LockupFreeCache::new(cfg);
-/// let r1 = cache.access_load(Addr(0x1000), Dest::Reg(PhysReg::int(1)), LoadFormat::WORD);
+/// let r1 = cache.access_load_decoded(&a, Dest::Reg(PhysReg::int(1)), LoadFormat::WORD);
 /// assert_eq!(r1, LoadAccess::Miss(MissKind::Primary));
 /// // While that miss is outstanding, other lines still hit or stall — the
 /// // cache is not locked up.
-/// let wakeups = cache.fill(cache.block_of(Addr(0x1000)));
+/// let wakeups = cache.fill(a.block);
 /// assert_eq!(wakeups.len(), 1);
-/// assert!(cache.access_load(Addr(0x1000), Dest::Reg(PhysReg::int(2)), LoadFormat::WORD).is_hit());
+/// assert!(cache.access_load_decoded(&a, Dest::Reg(PhysReg::int(2)), LoadFormat::WORD).is_hit());
 /// ```
 #[derive(Debug, Clone)]
 pub struct LockupFreeCache {
@@ -241,18 +243,6 @@ impl LockupFreeCache {
         &self.counters
     }
 
-    /// Shorthand for the geometry's block mapping.
-    #[inline]
-    pub fn block_of(&self, addr: Addr) -> BlockAddr {
-        self.config.geometry.block_of(addr)
-    }
-
-    /// Set index for an address.
-    #[inline]
-    pub fn set_of(&self, addr: Addr) -> u32 {
-        self.config.geometry.set_of(addr)
-    }
-
     /// Direct access to the MSHR bank (for occupancy statistics).
     pub fn mshrs(&self) -> &MshrBank {
         &self.mshrs
@@ -288,19 +278,13 @@ impl LockupFreeCache {
         true
     }
 
-    /// Performs a load access for `dest`.
+    /// Performs a load access for `dest`, its address already decoded
+    /// under this cache's geometry ([`CacheGeometry::decode`]), so a fused
+    /// group of caches sharing one geometry pays for the decode once.
     ///
     /// The cache classifies the access but does not advance time; on a
     /// primary miss the caller must launch the fetch and later call
     /// [`LockupFreeCache::fill`].
-    pub fn access_load(&mut self, addr: Addr, dest: Dest, format: LoadFormat) -> LoadAccess {
-        let decoded = self.config.geometry.decode(addr);
-        self.access_load_decoded(&decoded, dest, format)
-    }
-
-    /// [`LockupFreeCache::access_load`] with the address already decoded
-    /// under this cache's geometry ([`CacheGeometry::decode`]), so a fused
-    /// group of caches sharing one geometry pays for the decode once.
     pub fn access_load_decoded(
         &mut self,
         decoded: &DecodedAddr,
@@ -356,18 +340,12 @@ impl LockupFreeCache {
         }
     }
 
-    /// Performs a store access. Stores are write-through; under write-around
-    /// a miss simply bypasses the cache. Under write-allocate, the miss is
-    /// tracked by an MSHR with a write-buffer destination when the
-    /// organization can hold it (no stall); otherwise the caller must
-    /// perform a blocking fetch.
-    pub fn access_store(&mut self, addr: Addr) -> StoreAccess {
-        let decoded = self.config.geometry.decode(addr);
-        self.access_store_decoded(&decoded)
-    }
-
-    /// [`LockupFreeCache::access_store`] with the address already decoded
-    /// under this cache's geometry ([`CacheGeometry::decode`]).
+    /// Performs a store access, its address already decoded under this
+    /// cache's geometry ([`CacheGeometry::decode`]). Stores are
+    /// write-through; under write-around a miss simply bypasses the cache.
+    /// Under write-allocate, the miss is tracked by an MSHR with a
+    /// write-buffer destination when the organization can hold it (no
+    /// stall); otherwise the caller must perform a blocking fetch.
     pub fn access_store_decoded(&mut self, decoded: &DecodedAddr) -> StoreAccess {
         let block = decoded.block;
         // A store to a line in transit does not hit (and cannot tag-hit:
@@ -482,10 +460,34 @@ mod tests {
     use super::*;
     use crate::limit::Limit;
     use crate::mshr::{InvertedConfig, RegisterFileConfig, TargetPolicy};
-    use crate::types::PhysReg;
+    use crate::types::{Addr, PhysReg};
 
     fn dest(i: u8) -> Dest {
         Dest::Reg(PhysReg::int(i))
+    }
+
+    /// The decoded ports for a raw address, split under the cache's own
+    /// geometry.
+    trait Port {
+        fn load(&mut self, addr: Addr, dest: Dest) -> LoadAccess;
+        fn store(&mut self, addr: Addr) -> StoreAccess;
+        fn block(&self, addr: Addr) -> BlockAddr;
+    }
+
+    impl Port for LockupFreeCache {
+        fn load(&mut self, addr: Addr, dest: Dest) -> LoadAccess {
+            let decoded = self.config.geometry.decode(addr);
+            self.access_load_decoded(&decoded, dest, LoadFormat::WORD)
+        }
+
+        fn store(&mut self, addr: Addr) -> StoreAccess {
+            let decoded = self.config.geometry.decode(addr);
+            self.access_store_decoded(&decoded)
+        }
+
+        fn block(&self, addr: Addr) -> BlockAddr {
+            self.config.geometry.block_of(addr)
+        }
     }
 
     fn unrestricted() -> CacheConfig {
@@ -505,14 +507,11 @@ mod tests {
     fn cold_miss_then_hit() {
         let mut c = LockupFreeCache::new(unrestricted());
         let a = Addr(0x4000);
-        assert_eq!(
-            c.access_load(a, dest(1), LoadFormat::WORD),
-            LoadAccess::Miss(MissKind::Primary)
-        );
-        let t = c.fill(c.block_of(a));
+        assert_eq!(c.load(a, dest(1)), LoadAccess::Miss(MissKind::Primary));
+        let t = c.fill(c.block(a));
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].dest, dest(1));
-        assert!(c.access_load(a, dest(2), LoadFormat::WORD).is_hit());
+        assert!(c.load(a, dest(2)).is_hit());
         assert_eq!(c.counters().load_hits, 1);
         assert_eq!(c.counters().load_primary_misses, 1);
     }
@@ -522,15 +521,9 @@ mod tests {
         let mut c = LockupFreeCache::new(unrestricted());
         let a = Addr(0x4000);
         let b = Addr(0x4008); // same 32-byte line
-        assert_eq!(
-            c.access_load(a, dest(1), LoadFormat::WORD),
-            LoadAccess::Miss(MissKind::Primary)
-        );
-        assert_eq!(
-            c.access_load(b, dest(2), LoadFormat::WORD),
-            LoadAccess::Miss(MissKind::Secondary)
-        );
-        let t = c.fill(c.block_of(a));
+        assert_eq!(c.load(a, dest(1)), LoadAccess::Miss(MissKind::Primary));
+        assert_eq!(c.load(b, dest(2)), LoadAccess::Miss(MissKind::Secondary));
+        let t = c.fill(c.block(a));
         assert_eq!(t.len(), 2);
     }
 
@@ -539,20 +532,17 @@ mod tests {
         let mut c = LockupFreeCache::new(unrestricted());
         let a = Addr(0x0000);
         let b = Addr(0x2000); // 8KB apart: same set, different tag
-        c.access_load(a, dest(1), LoadFormat::WORD);
-        c.fill(c.block_of(a));
-        assert!(c.contains_block(c.block_of(a)));
-        c.access_load(b, dest(2), LoadFormat::WORD);
-        c.fill(c.block_of(b));
-        assert!(c.contains_block(c.block_of(b)));
+        c.load(a, dest(1));
+        c.fill(c.block(a));
+        assert!(c.contains_block(c.block(a)));
+        c.load(b, dest(2));
+        c.fill(c.block(b));
+        assert!(c.contains_block(c.block(b)));
         assert!(
-            !c.contains_block(c.block_of(a)),
+            !c.contains_block(c.block(a)),
             "direct-mapped fill evicts the conflicting line"
         );
-        assert_eq!(
-            c.access_load(a, dest(3), LoadFormat::WORD),
-            LoadAccess::Miss(MissKind::Primary)
-        );
+        assert_eq!(c.load(a, dest(3)), LoadAccess::Miss(MissKind::Primary));
     }
 
     #[test]
@@ -562,13 +552,11 @@ mod tests {
         let mut c = LockupFreeCache::new(cfg);
         for i in 0..4u64 {
             let a = Addr(i * 0x2000); // all map to set 0 in a DM cache
-            c.access_load(a, dest(i as u8), LoadFormat::WORD);
-            c.fill(c.block_of(a));
+            c.load(a, dest(i as u8));
+            c.fill(c.block(a));
         }
         for i in 0..4u64 {
-            assert!(c
-                .access_load(Addr(i * 0x2000), dest(9), LoadFormat::WORD)
-                .is_hit());
+            assert!(c.load(Addr(i * 0x2000), dest(9)).is_hit());
         }
     }
 
@@ -579,32 +567,27 @@ mod tests {
         cfg.geometry = CacheGeometry::fully_associative(64, 32).unwrap();
         let mut c = LockupFreeCache::new(cfg);
         for a in [0u64, 0x20, 0x40] {
-            c.access_load(Addr(a), dest(1), LoadFormat::WORD);
-            c.fill(c.block_of(Addr(a)));
+            c.load(Addr(a), dest(1));
+            c.fill(c.block(Addr(a)));
         }
         // 0x00 was least recently used and should be gone; 0x20 remains.
-        assert!(!c.contains_block(c.block_of(Addr(0))));
-        assert!(c.contains_block(c.block_of(Addr(0x20))));
-        assert!(c.contains_block(c.block_of(Addr(0x40))));
+        assert!(!c.contains_block(c.block(Addr(0))));
+        assert!(c.contains_block(c.block(Addr(0x20))));
+        assert!(c.contains_block(c.block(Addr(0x40))));
         // Touch 0x20, fill 0x60: victim should now be 0x40.
-        assert!(c
-            .access_load(Addr(0x20), dest(2), LoadFormat::WORD)
-            .is_hit());
-        c.access_load(Addr(0x60), dest(3), LoadFormat::WORD);
-        c.fill(c.block_of(Addr(0x60)));
-        assert!(c.contains_block(c.block_of(Addr(0x20))));
-        assert!(!c.contains_block(c.block_of(Addr(0x40))));
+        assert!(c.load(Addr(0x20), dest(2)).is_hit());
+        c.load(Addr(0x60), dest(3));
+        c.fill(c.block(Addr(0x60)));
+        assert!(c.contains_block(c.block(Addr(0x20))));
+        assert!(!c.contains_block(c.block(Addr(0x40))));
     }
 
     #[test]
     fn structural_stall_surfaces_rejection() {
         let mut c = LockupFreeCache::new(fc(1));
-        assert!(matches!(
-            c.access_load(Addr(0x1000), dest(1), LoadFormat::WORD),
-            LoadAccess::Miss(_)
-        ));
+        assert!(matches!(c.load(Addr(0x1000), dest(1)), LoadAccess::Miss(_)));
         assert_eq!(
-            c.access_load(Addr(0x2000), dest(2), LoadFormat::WORD),
+            c.load(Addr(0x2000), dest(2)),
             LoadAccess::Stalled(Rejection::NoFreeMshr)
         );
         // Stalled accesses are not counted as misses.
@@ -615,14 +598,11 @@ mod tests {
     #[test]
     fn stores_write_around_without_stalling() {
         let mut c = LockupFreeCache::new(unrestricted());
-        assert_eq!(c.access_store(Addr(0x5000)), StoreAccess::MissAround);
+        assert_eq!(c.store(Addr(0x5000)), StoreAccess::MissAround);
         // Store miss does not allocate: the next load still misses.
-        assert!(matches!(
-            c.access_load(Addr(0x5000), dest(1), LoadFormat::WORD),
-            LoadAccess::Miss(_)
-        ));
-        c.fill(c.block_of(Addr(0x5000)));
-        assert_eq!(c.access_store(Addr(0x5008)), StoreAccess::Hit);
+        assert!(matches!(c.load(Addr(0x5000), dest(1)), LoadAccess::Miss(_)));
+        c.fill(c.block(Addr(0x5000)));
+        assert_eq!(c.store(Addr(0x5008)), StoreAccess::Hit);
         assert_eq!(c.counters().store_hits, 1);
         assert_eq!(c.counters().store_misses, 1);
     }
@@ -634,21 +614,21 @@ mod tests {
         let mut c = LockupFreeCache::new(cfg);
         // First store miss: tracked as a primary, no blocking fetch needed.
         assert_eq!(
-            c.access_store(Addr(0x5000)),
+            c.store(Addr(0x5000)),
             StoreAccess::MissAllocateTracked(MissKind::Primary)
         );
         // Second store to the same line merges as a secondary.
         assert_eq!(
-            c.access_store(Addr(0x5008)),
+            c.store(Addr(0x5008)),
             StoreAccess::MissAllocateTracked(MissKind::Secondary)
         );
         // A load to the in-transit line also merges.
         assert_eq!(
-            c.access_load(Addr(0x5010), dest(1), LoadFormat::WORD),
+            c.load(Addr(0x5010), dest(1)),
             LoadAccess::Miss(MissKind::Secondary)
         );
         // The fill wakes all three targets: two write-buffer slots + a reg.
-        let t = c.fill(c.block_of(Addr(0x5000)));
+        let t = c.fill(c.block(Addr(0x5000)));
         assert_eq!(t.len(), 3);
         let regs = t.iter().filter(|r| matches!(r.dest, Dest::Reg(_))).count();
         let wbs = t
@@ -656,7 +636,7 @@ mod tests {
             .filter(|r| matches!(r.dest, Dest::WriteBuffer(_)))
             .count();
         assert_eq!((regs, wbs), (1, 2));
-        assert_eq!(c.access_store(Addr(0x5000)), StoreAccess::Hit);
+        assert_eq!(c.store(Addr(0x5000)), StoreAccess::Hit);
     }
 
     #[test]
@@ -665,11 +645,11 @@ mod tests {
         cfg.write_miss = WriteMissPolicy::WriteAllocate;
         let mut c = LockupFreeCache::new(cfg);
         assert!(matches!(
-            c.access_store(Addr(0x5000)),
+            c.store(Addr(0x5000)),
             StoreAccess::MissAllocateTracked(MissKind::Primary)
         ));
         // The single MSHR is busy: a store to a different line must block.
-        assert_eq!(c.access_store(Addr(0x9000)), StoreAccess::MissAllocate);
+        assert_eq!(c.store(Addr(0x9000)), StoreAccess::MissAllocate);
     }
 
     #[test]
@@ -677,9 +657,9 @@ mod tests {
         let mut cfg = CacheConfig::baseline(MshrConfig::Blocking);
         cfg.write_miss = WriteMissPolicy::WriteAllocate;
         let mut c = LockupFreeCache::new(cfg);
-        assert_eq!(c.access_store(Addr(0x5000)), StoreAccess::MissAllocate);
-        c.fill(c.block_of(Addr(0x5000)));
-        assert_eq!(c.access_store(Addr(0x5008)), StoreAccess::Hit);
+        assert_eq!(c.store(Addr(0x5000)), StoreAccess::MissAllocate);
+        c.fill(c.block(Addr(0x5000)));
+        assert_eq!(c.store(Addr(0x5008)), StoreAccess::Hit);
     }
 
     #[test]
@@ -691,25 +671,22 @@ mod tests {
         let mut c = LockupFreeCache::new(cfg);
         let old = Addr(0x0000);
         let new = Addr(0x2000); // same set
-        c.access_load(old, dest(1), LoadFormat::WORD);
-        c.fill(c.block_of(old));
-        assert!(c.contains_block(c.block_of(old)));
+        c.load(old, dest(1));
+        c.fill(c.block(old));
+        assert!(c.contains_block(c.block(old)));
         // Primary miss on the conflicting line: the old line is claimed NOW.
-        assert_eq!(
-            c.access_load(new, dest(2), LoadFormat::WORD),
-            LoadAccess::Miss(MissKind::Primary)
-        );
+        assert_eq!(c.load(new, dest(2)), LoadAccess::Miss(MissKind::Primary));
         assert!(
-            !c.contains_block(c.block_of(old)),
+            !c.contains_block(c.block(old)),
             "in-cache MSHR storage reuses the victim line as MSHR state"
         );
         // And a third line in the same set must structurally stall (fs=1).
         assert_eq!(
-            c.access_load(Addr(0x4000), dest(3), LoadFormat::WORD),
+            c.load(Addr(0x4000), dest(3)),
             LoadAccess::Stalled(Rejection::PerSetFetchLimit)
         );
-        c.fill(c.block_of(new));
-        assert!(c.contains_block(c.block_of(new)));
+        c.fill(c.block(new));
+        assert!(c.contains_block(c.block(new)));
     }
 
     #[test]
@@ -719,26 +696,17 @@ mod tests {
         let mut c = LockupFreeCache::new(cfg);
         let a = Addr(0x0000);
         let b = Addr(0x2000); // same set as a
-        c.access_load(a, dest(1), LoadFormat::WORD);
-        c.fill(c.block_of(a));
-        c.access_load(b, dest(2), LoadFormat::WORD);
-        c.fill(c.block_of(b)); // evicts a -> victim buffer
-                               // The reload of `a` is a victim hit, not a miss.
-        assert_eq!(
-            c.access_load(a, dest(3), LoadFormat::WORD),
-            LoadAccess::VictimHit
-        );
+        c.load(a, dest(1));
+        c.fill(c.block(a));
+        c.load(b, dest(2));
+        c.fill(c.block(b)); // evicts a -> victim buffer
+                            // The reload of `a` is a victim hit, not a miss.
+        assert_eq!(c.load(a, dest(3)), LoadAccess::VictimHit);
         assert_eq!(c.counters().victim_hits, 1);
         // The swap displaced `b` into the buffer: it victim-hits too.
-        assert_eq!(
-            c.access_load(b, dest(4), LoadFormat::WORD),
-            LoadAccess::VictimHit
-        );
+        assert_eq!(c.load(b, dest(4)), LoadAccess::VictimHit);
         // And now `a` is back in the buffer again.
-        assert_eq!(
-            c.access_load(a, dest(5), LoadFormat::WORD),
-            LoadAccess::VictimHit
-        );
+        assert_eq!(c.load(a, dest(5)), LoadAccess::VictimHit);
         assert_eq!(
             c.counters().load_primary_misses,
             2,
@@ -755,21 +723,15 @@ mod tests {
         // oldest victim is forgotten.
         for i in 0..4u64 {
             let a = Addr(i * 0x2000);
-            c.access_load(a, dest(1), LoadFormat::WORD);
-            c.fill(c.block_of(a));
+            c.load(a, dest(1));
+            c.fill(c.block(a));
         }
         // Lines 0x2000 and 0x4000 were evicted most recently (0x6000 is
         // resident); 0x0000 fell out of the buffer.
-        assert!(matches!(
-            c.access_load(Addr(0), dest(2), LoadFormat::WORD),
-            LoadAccess::Miss(_)
-        ));
+        assert!(matches!(c.load(Addr(0), dest(2)), LoadAccess::Miss(_)));
         assert_eq!(c.counters().victim_hits, 0);
         // 0x4000 is still buffered.
-        assert_eq!(
-            c.access_load(Addr(0x4000), dest(3), LoadFormat::WORD),
-            LoadAccess::VictimHit
-        );
+        assert_eq!(c.load(Addr(0x4000), dest(3)), LoadAccess::VictimHit);
     }
 
     #[test]
@@ -780,32 +742,29 @@ mod tests {
         let resident = Addr(0x0000);
         let in_flight = Addr(0x2000); // same set
         let third = Addr(0x4000); // same set again
-        c.access_load(resident, dest(1), LoadFormat::WORD);
-        c.fill(c.block_of(resident));
+        c.load(resident, dest(1));
+        c.fill(c.block(resident));
         // Launch a fetch into the set and leave it outstanding.
         assert_eq!(
-            c.access_load(in_flight, dest(2), LoadFormat::WORD),
+            c.load(in_flight, dest(2)),
             LoadAccess::Miss(MissKind::Primary)
         );
         // A third conflicting fill lands while that fetch is in flight:
         // the resident line must be displaced into the victim buffer.
-        c.access_load(third, dest(3), LoadFormat::WORD);
-        c.fill(c.block_of(third));
-        assert_eq!(
-            c.access_load(resident, dest(4), LoadFormat::WORD),
-            LoadAccess::VictimHit
-        );
+        c.load(third, dest(3));
+        c.fill(c.block(third));
+        assert_eq!(c.load(resident, dest(4)), LoadAccess::VictimHit);
         // The in-flight block is a secondary miss, never a victim hit —
         // transit is checked before the buffer.
         assert_eq!(
-            c.access_load(in_flight, dest(5), LoadFormat::WORD),
+            c.load(in_flight, dest(5)),
             LoadAccess::Miss(MissKind::Secondary)
         );
         // Its fill still drains both targets and installs the line.
-        let t = c.fill(c.block_of(in_flight));
+        let t = c.fill(c.block(in_flight));
         assert_eq!(t.len(), 2);
-        assert!(c.contains_block(c.block_of(in_flight)));
-        assert!(c.access_load(in_flight, dest(6), LoadFormat::WORD).is_hit());
+        assert!(c.contains_block(c.block(in_flight)));
+        assert!(c.load(in_flight, dest(6)).is_hit());
     }
 
     #[test]
@@ -821,22 +780,16 @@ mod tests {
         let mut c = LockupFreeCache::new(cfg);
         let old = Addr(0x0000);
         let new = Addr(0x2000); // same set
-        c.access_load(old, dest(1), LoadFormat::WORD);
-        c.fill(c.block_of(old));
-        assert_eq!(
-            c.access_load(new, dest(2), LoadFormat::WORD),
-            LoadAccess::Miss(MissKind::Primary)
-        );
+        c.load(old, dest(1));
+        c.fill(c.block(old));
+        assert_eq!(c.load(new, dest(2)), LoadAccess::Miss(MissKind::Primary));
         assert!(
-            !c.contains_block(c.block_of(old)),
+            !c.contains_block(c.block(old)),
             "victim claimed as MSHR state"
         );
-        c.fill(c.block_of(new));
+        c.fill(c.block(new));
         assert!(
-            matches!(
-                c.access_load(old, dest(3), LoadFormat::WORD),
-                LoadAccess::Miss(_)
-            ),
+            matches!(c.load(old, dest(3)), LoadAccess::Miss(_)),
             "a claimed victim's data was reused through the buffer"
         );
     }
@@ -847,23 +800,20 @@ mod tests {
         let a = Addr(0x0000);
         let b = Addr(0x2000);
         for addr in [a, b] {
-            c.access_load(addr, dest(1), LoadFormat::WORD);
-            c.fill(c.block_of(addr));
+            c.load(addr, dest(1));
+            c.fill(c.block(addr));
         }
-        assert!(matches!(
-            c.access_load(a, dest(2), LoadFormat::WORD),
-            LoadAccess::Miss(_)
-        ));
+        assert!(matches!(c.load(a, dest(2)), LoadAccess::Miss(_)));
         assert_eq!(c.counters().victim_hits, 0);
     }
 
     #[test]
     fn counters_and_rates() {
         let mut c = LockupFreeCache::new(unrestricted());
-        c.access_load(Addr(0x100), dest(1), LoadFormat::WORD); // primary
-        c.access_load(Addr(0x108), dest(2), LoadFormat::WORD); // secondary
-        c.fill(c.block_of(Addr(0x100)));
-        c.access_load(Addr(0x110), dest(3), LoadFormat::WORD); // hit
+        c.load(Addr(0x100), dest(1)); // primary
+        c.load(Addr(0x108), dest(2)); // secondary
+        c.fill(c.block(Addr(0x100)));
+        c.load(Addr(0x110), dest(3)); // hit
         let k = c.counters();
         assert_eq!(k.loads(), 3);
         assert!((k.load_miss_rate() - 2.0 / 3.0).abs() < 1e-12);
@@ -897,7 +847,7 @@ mod tests {
                 let block = geometry.block_of(addr);
                 let set = geometry.set_of(addr);
                 let expect_hit = tags.get(&set) == Some(&geometry.tag_of_block(block));
-                let got = cache.access_load(addr, Dest::Reg(PhysReg::int(1)), LoadFormat::WORD);
+                let got = cache.load(addr, Dest::Reg(PhysReg::int(1)));
                 if expect_hit {
                     assert_eq!(got, LoadAccess::Hit, "{addr:?}");
                 } else {

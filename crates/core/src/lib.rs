@@ -41,10 +41,10 @@
 //! use nbl_core::types::{Addr, Dest, LoadFormat, PhysReg};
 //!
 //! // An unrestricted lockup-free cache (the paper's "no restrict" curve).
-//! let mut cache = LockupFreeCache::new(CacheConfig::baseline(
-//!     MshrConfig::Inverted(InvertedConfig::typical()),
-//! ));
-//! let r = cache.access_load(Addr(0x1000), Dest::Reg(PhysReg::int(4)), LoadFormat::WORD);
+//! let cfg = CacheConfig::baseline(MshrConfig::Inverted(InvertedConfig::typical()));
+//! let addr = cfg.geometry.decode(Addr(0x1000));
+//! let mut cache = LockupFreeCache::new(cfg);
+//! let r = cache.access_load_decoded(&addr, Dest::Reg(PhysReg::int(4)), LoadFormat::WORD);
 //! assert!(matches!(r, LoadAccess::Miss(_)));
 //! ```
 

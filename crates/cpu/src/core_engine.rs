@@ -2,9 +2,9 @@
 //!
 //! [`Core`] owns the issue clock, the register scoreboard and the stall
 //! accounting, and drives all memory traffic through the narrow
-//! [`MemorySystem`] port (which composes L1 + MSHRs, the optional L2, the
-//! pipelined memory and the write buffer). The engine implements the event
-//! mechanics the paper's model requires:
+//! [`MemorySystem`] port (which composes L1 + MSHRs, the optional L2 and
+//! the pipelined memory). The engine implements the event mechanics the
+//! paper's model requires:
 //!
 //! * fills complete in issue order (the memory is a constant-latency pipe)
 //!   and wake **all** waiting registers simultaneously (multi-write-port
@@ -32,10 +32,8 @@ use nbl_core::mshr::MissKind;
 use nbl_core::types::{Addr, Cycle, Dest, LoadFormat, PhysReg};
 use nbl_mem::event::ReplayCause;
 use nbl_mem::system::{
-    FillEvent, FusedMemGroup, LoadResponse, MemSystemConfig, MemorySystem, ReplayLoadResponse,
-    StoreResponse,
+    FillEvent, LoadResponse, MemSystemConfig, MemorySystem, ReplayLoadResponse, StoreResponse,
 };
-use nbl_mem::write_buffer::RetirePolicy;
 use nbl_trace::tape::{AddrCursor, TapeKind, TraceTape};
 
 /// Replay-bubble length for the *fast* causes (bank conflict, dcache
@@ -163,7 +161,6 @@ impl EngineConfig {
             miss_penalty: self.miss_penalty,
             memory_gap: self.memory_gap,
             l2: self.l2.clone(),
-            retire: RetirePolicy::Free,
         }
     }
 }
@@ -299,10 +296,10 @@ impl Core {
     }
 
     /// Starts the memory system's one observer (see [`nbl_mem::event`]):
-    /// lifecycle events (the ring keeps the last `ring_capacity`), their
-    /// stats, and one [`nbl_mem::AccessOutcome`] per resolved access.
-    pub fn enable_mem_tracing(&mut self, ring_capacity: usize) {
-        self.mem.enable_tracing(ring_capacity);
+    /// the lifecycle stats and one [`nbl_mem::AccessOutcome`] per
+    /// resolved access.
+    pub fn enable_mem_tracing(&mut self) {
+        self.mem.enable_tracing();
     }
 
     /// Stops tracing and returns the recorded trace, if any.
@@ -481,9 +478,9 @@ impl Core {
     ///
     /// What remains to select comes from the group itself: a group of
     /// more than 64 engines walks in chunks of 64 (the width of the
-    /// quiescence mask), and a group whose engines do not share one L1
-    /// geometry — so one address decode cannot serve them all
-    /// ([`FusedMemGroup::new`]) — replays engine by engine.
+    /// quiescence mask), and a chunk whose engines do not share one L1
+    /// geometry — so one address decode cannot serve them all — replays
+    /// engine by engine.
     ///
     /// # Errors
     ///
@@ -492,9 +489,12 @@ impl Core {
     /// group's results must be discarded as a unit.
     pub fn replay_fused(tape: &TraceTape, cores: &mut [&mut Core]) -> Result<(), EngineError> {
         for chunk in cores.chunks_mut(64) {
-            match FusedMemGroup::new(chunk.iter().map(|c| &c.mem)) {
-                Ok(group) => Self::replay_group(tape, chunk, &group)?,
-                Err(_) => {
+            let geometry = chunk.first().map(|c| c.cache().config().geometry);
+            match geometry {
+                Some(g) if chunk.iter().all(|c| c.cache().config().geometry == g) => {
+                    Self::replay_group(tape, chunk, &g)?
+                }
+                _ => {
                     for core in chunk.iter_mut() {
                         Self::replay_fused(tape, std::slice::from_mut(core))?;
                     }
@@ -505,7 +505,7 @@ impl Core {
     }
 
     /// The walk of [`Core::replay_fused`] over at most 64 engines that
-    /// share `group`'s L1 geometry. Each memory barrier is decoded once
+    /// share the L1 `geometry`. Each memory barrier is decoded once
     /// ([`GroupEntry::decode`]) and executed by every engine
     /// ([`Core::execute_entry`]). Group quiescence lives in a bitmask, so
     /// the all-quiescent check is one compare and non-memory barriers
@@ -513,7 +513,7 @@ impl Core {
     fn replay_group(
         tape: &TraceTape,
         cores: &mut [&mut Core],
-        group: &FusedMemGroup,
+        geometry: &CacheGeometry,
     ) -> Result<(), EngineError> {
         debug_assert!(cores.len() <= 64, "the quiescence mask holds 64 engines");
         let n = tape.len();
@@ -544,7 +544,7 @@ impl Core {
                 break;
             }
             if tape.is_mem(b) {
-                let e = GroupEntry::decode(tape, b, addrs.next(), group.geometry())?;
+                let e = GroupEntry::decode(tape, b, addrs.next(), geometry)?;
                 for (k, (core, i)) in cores.iter_mut().zip(&mut cursors).enumerate() {
                     let was_quiescent = quiescent & (1 << k) != 0;
                     if b > *i {
@@ -949,7 +949,8 @@ mod tests {
         replay(&mut core, &stores);
         assert_eq!(core.stats().total_stall_cycles(), 0);
         assert_eq!(core.stats().stores, 50);
-        assert_eq!(core.memory().write_buffer_stats().writes, 50);
+        let c = core.cache().counters();
+        assert_eq!(c.store_hits + c.store_misses, 50);
     }
 
     #[test]
@@ -1093,7 +1094,7 @@ mod tests {
     #[test]
     fn mem_tracing_round_trip_through_the_engine() {
         let mut core = engine(mc1());
-        core.enable_mem_tracing(32);
+        core.enable_mem_tracing();
         replay(&mut core, &[load(0x1000, 1), load(0x2000, 2)]);
         core.finish();
         let trace = core.take_mem_trace().expect("tracing enabled");

@@ -247,8 +247,8 @@ impl IssueEngine {
 
     /// Starts the memory system's one observer (see [`nbl_mem::event`]):
     /// lifecycle events, their stats, and the per-access outcome log.
-    pub fn enable_mem_tracing(&mut self, ring_capacity: usize) {
-        self.core.enable_mem_tracing(ring_capacity);
+    pub fn enable_mem_tracing(&mut self) {
+        self.core.enable_mem_tracing();
     }
 
     /// Stops tracing and returns the recorded trace, if any.
@@ -666,7 +666,7 @@ mod tests {
     #[test]
     fn replay_events_mirror_attribution() {
         let mut e = IssueEngine::new(mc1(), IssuePolicy::ReplayCause);
-        e.enable_mem_tracing(64);
+        e.enable_mem_tracing();
         e.run_tape(&tape_of(&[load(0x1000, 1), load(0x2000, 2)]))
             .unwrap();
         e.finish().unwrap();

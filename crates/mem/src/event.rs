@@ -17,11 +17,10 @@
 //! when disabled is one pointer null check per emission — no event is
 //! even constructed.
 //!
-//! The observer side is the [`MemEventSink`] trait; [`RingRecorder`] keeps
-//! the last N raw events for inspection, and [`MissLifecycleStats`]
+//! The observer side is the [`MemEventSink`] trait. [`MissLifecycleStats`]
 //! aggregates the per-run summary the paper-adjacent delayed-hits analyses
 //! need: merge depth per fetch, fill-to-wake fan-out, and time-in-flight
-//! histograms. [`MemTrace`] bundles both with the per-access outcome log
+//! histograms. [`MemTrace`] bundles it with the per-access outcome log
 //! the static cache oracle cross-checks against.
 
 use nbl_core::mshr::Rejection;
@@ -220,84 +219,10 @@ pub enum MemEvent {
     },
 }
 
-impl MemEvent {
-    /// The cycle the event occurred at.
-    pub fn at(&self) -> Cycle {
-        match *self {
-            MemEvent::Issued { at, .. }
-            | MemEvent::Merged { at, .. }
-            | MemEvent::Rejected { at, .. }
-            | MemEvent::FetchLaunched { at, .. }
-            | MemEvent::Filled { at, .. }
-            | MemEvent::TargetsWoken { at, .. }
-            | MemEvent::LoadReplayed { at, .. }
-            | MemEvent::Resolved { at, .. } => at,
-        }
-    }
-}
-
 /// An observer of memory-system lifecycle events.
 pub trait MemEventSink {
     /// Records one event. Called in simulation order.
     fn record(&mut self, event: &MemEvent);
-}
-
-/// Keeps the most recent events in a fixed-capacity ring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingRecorder {
-    buf: Vec<MemEvent>,
-    head: usize,
-    total: u64,
-    capacity: usize,
-}
-
-impl RingRecorder {
-    /// A recorder holding at most `capacity` events (the oldest are
-    /// overwritten). A zero capacity records nothing but still counts.
-    pub fn new(capacity: usize) -> RingRecorder {
-        RingRecorder {
-            buf: Vec::with_capacity(capacity.min(4096)),
-            head: 0,
-            total: 0,
-            capacity,
-        }
-    }
-
-    /// Total events observed (including overwritten ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &MemEvent> {
-        let (wrapped, recent) = self.buf.split_at(self.head.min(self.buf.len()));
-        recent.iter().chain(wrapped.iter())
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl MemEventSink for RingRecorder {
-    fn record(&mut self, event: &MemEvent) {
-        self.total += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.buf.len() < self.capacity {
-            self.buf.push(*event);
-        } else {
-            self.buf[self.head] = *event;
-            self.head = (self.head + 1) % self.capacity;
-        }
-    }
 }
 
 /// Bucket count for the lifecycle histograms (`merge depth`, `fan-out`);
@@ -369,11 +294,6 @@ impl Default for MissLifecycleStats {
 }
 
 impl MissLifecycleStats {
-    /// A fresh, empty summary.
-    pub fn new() -> MissLifecycleStats {
-        MissLifecycleStats::default()
-    }
-
     /// Total events observed.
     pub fn total_events(&self) -> u64 {
         self.issued
@@ -460,36 +380,15 @@ impl MemEventSink for MissLifecycleStats {
     }
 }
 
-/// The memory system's one observer: a [`RingRecorder`] of the most
-/// recent lifecycle events, the [`MissLifecycleStats`] aggregate, and the
-/// per-access outcome log. [`MemEvent::Resolved`] goes to the log only;
-/// every other event goes to the ring and the aggregate, so
-/// `ring.total() == stats.total_events()` always holds.
-#[derive(Debug, Clone, PartialEq)]
+/// The memory system's one observer: the [`MissLifecycleStats`]
+/// aggregate and the per-access outcome log. [`MemEvent::Resolved`] goes
+/// to the log only; every other event goes to the aggregate.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemTrace {
-    /// The last-N lifecycle events.
-    pub ring: RingRecorder,
     /// The per-run aggregate.
     pub stats: MissLifecycleStats,
     /// One outcome per [`MemEvent::Resolved`], in resolution order.
     pub outcomes: Vec<AccessOutcome>,
-}
-
-impl MemTrace {
-    /// A trace retaining the last `ring_capacity` lifecycle events.
-    pub fn new(ring_capacity: usize) -> MemTrace {
-        MemTrace {
-            ring: RingRecorder::new(ring_capacity),
-            stats: MissLifecycleStats::new(),
-            outcomes: Vec::new(),
-        }
-    }
-}
-
-impl Default for MemTrace {
-    fn default() -> Self {
-        MemTrace::new(0)
-    }
 }
 
 impl MemEventSink for MemTrace {
@@ -497,7 +396,6 @@ impl MemEventSink for MemTrace {
         if let MemEvent::Resolved { outcome, .. } = *event {
             self.outcomes.push(outcome);
         } else {
-            self.ring.record(event);
             self.stats.record(event);
         }
     }
@@ -540,40 +438,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_the_most_recent_events() {
-        let mut ring = RingRecorder::new(3);
-        for i in 0..5u64 {
-            ring.record(&MemEvent::Filled {
-                block: BlockAddr(i),
-                at: Cycle(i),
-            });
-        }
-        assert_eq!(ring.total(), 5);
-        assert_eq!(ring.len(), 3);
-        let kept: Vec<u64> = ring
-            .events()
-            .map(|e| match e {
-                MemEvent::Filled { block, .. } => block.0,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(kept, vec![2, 3, 4], "oldest first, oldest overwritten");
-    }
-
-    #[test]
-    fn zero_capacity_ring_only_counts() {
-        let mut ring = RingRecorder::new(0);
-        ring.record(&MemEvent::Filled {
-            block: BlockAddr(1),
-            at: Cycle(1),
-        });
-        assert_eq!(ring.total(), 1);
-        assert!(ring.is_empty());
-    }
-
-    #[test]
     fn stats_track_merge_depth_and_flight_time() {
-        let mut s = MissLifecycleStats::new();
+        let mut s = MissLifecycleStats::default();
         for e in launch(7, 0, 16) {
             s.record(&e);
         }
@@ -610,7 +476,7 @@ mod tests {
 
     #[test]
     fn histograms_saturate() {
-        let mut s = MissLifecycleStats::new();
+        let mut s = MissLifecycleStats::default();
         for e in launch(1, 0, 500) {
             s.record(&e);
         }
@@ -624,7 +490,7 @@ mod tests {
 
     #[test]
     fn rejection_counts() {
-        let mut s = MissLifecycleStats::new();
+        let mut s = MissLifecycleStats::default();
         s.record(&MemEvent::Issued {
             txn: 0,
             kind: AccessKind::Load,
@@ -642,8 +508,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_bundles_ring_and_stats() {
-        let mut t = MemTrace::new(8);
+    fn trace_splits_resolutions_from_lifecycle_events() {
+        let mut t = MemTrace::default();
         for e in launch(3, 2, 18) {
             t.record(&e);
         }
@@ -656,10 +522,12 @@ mod tests {
             block: BlockAddr(3),
             at: Cycle(2),
         });
-        assert_eq!(t.ring.total(), 4, "a resolution stays out of the ring");
         assert_eq!(t.stats.fetches, 1);
-        assert_eq!(t.stats.total_events(), 4);
+        assert_eq!(
+            t.stats.total_events(),
+            4,
+            "a resolution stays out of the stats"
+        );
         assert_eq!(t.outcomes, vec![AccessOutcome::Miss]);
-        assert_eq!(t.ring.events().last().unwrap().at(), Cycle(18));
     }
 }

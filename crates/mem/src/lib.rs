@@ -6,31 +6,25 @@
 //! * [`memory`] — the fully pipelined, constant-latency main memory, plus
 //!   the §5.2 line-size-dependent penalty formula (14 cycles for the first
 //!   16 bytes, 2 per additional 16);
-//! * [`write_buffer`] — the free-retirement write buffer (with a throttled
-//!   variant for ablation studies);
 //! * [`system`] — the [`system::MemorySystem`] port composing L1 + MSHRs,
-//!   the optional L2, the pipelined memory and the write buffer behind the
-//!   narrow access/advance API the processors drive;
+//!   the optional L2 and the pipelined memory behind the narrow
+//!   access/advance API the processors drive;
 //! * [`event`] — the miss-lifecycle event model (`Issued → Merged |
 //!   Rejected | FetchLaunched → Filled → TargetsWoken`, plus one
 //!   `Resolved` outcome per access) with its zero-cost-when-disabled
 //!   observer.
+//!
+//! The paper's write buffer is not modeled: it retires writes "with no
+//! memory cycles" (§3.1), so it never stalls the processor and holds no
+//! state a run could observe.
 
-/// Miss-lifecycle events, sinks and the zero-cost-when-disabled recorders.
+/// Miss-lifecycle events, their sink trait and the zero-cost-when-disabled observer.
 pub mod event;
 /// The pipelined main-memory model with its fixed service latency.
 pub mod memory;
 /// The port every processor drives: L1 + MSHRs -> optional L2 -> memory.
 pub mod system;
-/// The store write buffer with its retire policies.
-pub mod write_buffer;
 
-pub use event::{
-    AccessOutcome, MemEvent, MemEventSink, MemTrace, MissLifecycleStats, RingRecorder,
-};
+pub use event::{AccessOutcome, MemEvent, MemEventSink, MemTrace, MissLifecycleStats};
 pub use memory::{CompletedFetch, MemoryError, PipelinedMemory};
-pub use system::{
-    FillEvent, FusedMemGroup, GroupError, L2Params, LoadResponse, MemSystemConfig, MemorySystem,
-    StoreResponse,
-};
-pub use write_buffer::{RetirePolicy, WriteBuffer, WriteBufferStats};
+pub use system::{FillEvent, L2Params, LoadResponse, MemSystemConfig, MemorySystem, StoreResponse};

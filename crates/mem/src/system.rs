@@ -1,8 +1,8 @@
 //! The port-based memory system the processor models drive.
 //!
 //! [`MemorySystem`] composes the hierarchy of the paper's §3.1 machine —
-//! L1 + MSHRs → optional L2 tags → pipelined main memory, with the write
-//! buffer alongside — behind a narrow port:
+//! L1 + MSHRs → optional L2 tags → pipelined main memory — behind a
+//! narrow port:
 //!
 //! * [`MemorySystem::access_load_decoded`] /
 //!   [`MemorySystem::access_store_decoded`] submit one access, its address
@@ -16,24 +16,24 @@
 //!
 //! The processor owns *when* (its issue clock, stall accounting, register
 //! scoreboard); the memory system owns *what happens to memory traffic*
-//! (MSHR tracking, fetch launch and latency selection, fill ordering,
-//! write buffering). Each non-hit access moves through the explicit
-//! lifecycle `Issued → Merged | Rejected | FetchLaunched → Filled →
-//! TargetsWoken`, and every access that does not retry ends in one
-//! `Resolved` outcome; both are observable through the one observer armed
-//! by [`MemorySystem::enable_tracing`] — see [`crate::event`].
+//! (MSHR tracking, fetch launch and latency selection, fill ordering).
+//! Writes retire from the paper's write buffer for free (§3.1), so a
+//! store costs nothing past its L1 access and, under write allocate, its
+//! line fetch. Each non-hit access moves through the explicit lifecycle
+//! `Issued → Merged | Rejected | FetchLaunched → Filled → TargetsWoken`,
+//! and every access that does not retry ends in one `Resolved` outcome;
+//! both are observable through the one observer armed by
+//! [`MemorySystem::enable_tracing`] — see [`crate::event`].
 
 use crate::event::{
     AccessKind, AccessOutcome, MemEvent, MemEventSink, MemTrace, ReplayCause, ServiceLevel,
 };
 use crate::memory::{CompletedFetch, MemoryError, PipelinedMemory};
-use crate::write_buffer::{RetirePolicy, WriteBuffer, WriteBufferStats};
 use nbl_core::cache::{CacheConfig, LoadAccess, LockupFreeCache, StoreAccess};
 use nbl_core::geometry::{CacheGeometry, DecodedAddr};
 use nbl_core::mshr::{MissKind, Rejection, TargetRecord};
 use nbl_core::tag_array::{ReplacementKind, TagArray};
 use nbl_core::types::{Addr, BlockAddr, Cycle, Dest, LoadFormat};
-use std::fmt;
 
 /// A second-level cache between the L1 and main memory — an extension
 /// beyond the paper, which studies only on-chip first-level caches and
@@ -63,20 +63,17 @@ pub struct MemSystemConfig {
     /// Optional second-level cache (extension; `None` reproduces the
     /// paper's flat L1 + memory hierarchy).
     pub l2: Option<L2Params>,
-    /// Write-buffer retirement policy (paper: free).
-    pub retire: RetirePolicy,
 }
 
 impl MemSystemConfig {
-    /// Baseline memory (16-cycle penalty, free-retirement write buffer)
-    /// over the given cache.
+    /// Baseline memory (16-cycle penalty, fully pipelined, no L2) over
+    /// the given cache.
     pub fn with_cache(cache: CacheConfig) -> MemSystemConfig {
         MemSystemConfig {
             cache,
             miss_penalty: 16,
             memory_gap: 0,
             l2: None,
-            retire: RetirePolicy::Free,
         }
     }
 }
@@ -198,91 +195,6 @@ pub struct FillEvent {
     pub targets: u32,
 }
 
-/// Why a [`FusedMemGroup`] could not be formed over a set of memory
-/// systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupError {
-    /// The group has no members: there is nothing to share a decode with.
-    Empty,
-    /// A member decodes addresses differently from the first, so one
-    /// shared set/tag split would be unsound for it.
-    GeometryMismatch {
-        /// The first member's L1 geometry, which the group adopted.
-        expected: CacheGeometry,
-        /// The mismatching member's L1 geometry.
-        found: CacheGeometry,
-    },
-}
-
-impl fmt::Display for GroupError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GroupError::Empty => write!(f, "fused memory group is empty"),
-            GroupError::GeometryMismatch { expected, found } => {
-                write!(
-                    f,
-                    "fused memory group mixes geometries {expected} and {found}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for GroupError {}
-
-/// Shared-decode driver for a fused group of memory systems replaying
-/// one address stream. Configurations in a fused group see the *same*
-/// addresses, so the set-index/tag/block split is shared structure, not
-/// per-config work — but only when every member decodes addresses
-/// identically. Construction checks exactly that (one common L1
-/// geometry); the walk then derives each address's [`DecodedAddr`] once
-/// under [`FusedMemGroup::geometry`], and per-system
-/// [`MemorySystem::access_load_decoded`] /
-/// [`MemorySystem::access_store_decoded`] calls (behind the
-/// [`MemorySystem::load_hit_decoded`] hit probe) fan it out
-/// to the per-config MSHR banks and write buffers. Tag *state* still diverges
-/// across members (fill timing differs per config), so probe results are
-/// never shared — only the decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusedMemGroup {
-    geometry: CacheGeometry,
-}
-
-impl FusedMemGroup {
-    /// Forms a group over `systems`, validating that every member shares
-    /// the first member's L1 geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`GroupError::Empty`] for an empty iterator and
-    /// [`GroupError::GeometryMismatch`] when members disagree on how to
-    /// decode an address.
-    pub fn new<'a>(
-        systems: impl IntoIterator<Item = &'a MemorySystem>,
-    ) -> Result<FusedMemGroup, GroupError> {
-        let mut geometry = None;
-        for system in systems {
-            let g = system.l1.config().geometry;
-            match geometry {
-                None => geometry = Some(g),
-                Some(expected) if expected != g => {
-                    return Err(GroupError::GeometryMismatch { expected, found: g })
-                }
-                Some(_) => {}
-            }
-        }
-        geometry
-            .map(|geometry| FusedMemGroup { geometry })
-            .ok_or(GroupError::Empty)
-    }
-
-    /// The geometry every member decodes addresses under.
-    #[inline]
-    pub fn geometry(&self) -> &CacheGeometry {
-        &self.geometry
-    }
-}
-
 /// The composed memory hierarchy behind the port. See the module docs.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
@@ -291,8 +203,7 @@ pub struct MemorySystem {
     /// its hit penalty. Probed once per L1 fetch.
     l2: Option<(TagArray, u32)>,
     memory: PipelinedMemory,
-    write_buffer: WriteBuffer,
-    /// The one observer (lifecycle ring, stats and outcome log); `None`
+    /// The one observer (lifecycle stats and outcome log); `None`
     /// (the default) records nothing and costs one pointer null-check per
     /// emission.
     trace: Option<Box<MemTrace>>,
@@ -329,7 +240,6 @@ impl MemorySystem {
             memory: PipelinedMemory::with_gap(effective_penalty, config.memory_gap),
             l2,
             l1: LockupFreeCache::new(config.cache),
-            write_buffer: WriteBuffer::new(config.retire),
             trace: None,
             next_txn: 0,
             fill_targets: Vec::new(),
@@ -346,17 +256,16 @@ impl MemorySystem {
             l2.reset();
         }
         self.memory.reset();
-        self.write_buffer.reset();
         self.trace = None;
         self.next_txn = 0;
         self.replay = ReplayClassifier::default();
     }
 
     /// Starts recording every event into a fresh [`MemTrace`]: lifecycle
-    /// events into its ring (the last `ring_capacity` kept) and stats, and
-    /// each access's final outcome into its outcome log.
-    pub fn enable_tracing(&mut self, ring_capacity: usize) {
-        self.trace = Some(Box::new(MemTrace::new(ring_capacity)));
+    /// events into its stats, and each access's final outcome into its
+    /// outcome log.
+    pub fn enable_tracing(&mut self) {
+        self.trace = Some(Box::default());
     }
 
     /// The trace recorded so far, if tracing is enabled.
@@ -401,12 +310,6 @@ impl MemorySystem {
         &self.l1
     }
 
-    /// Write-buffer statistics.
-    #[inline]
-    pub fn write_buffer_stats(&self) -> WriteBufferStats {
-        self.write_buffer.stats()
-    }
-
     /// Number of fetches in flight.
     #[inline]
     pub fn outstanding_fetches(&self) -> usize {
@@ -417,8 +320,7 @@ impl MemorySystem {
     /// probe. Returns `true` — and counts the hit, moving the L1's
     /// replacement state as the full port does — exactly when
     /// [`MemorySystem::access_load_decoded`] would answer [`LoadResponse::Hit`]
-    /// (a hit never reaches the MSHRs, the L2 or the write buffer; its
-    /// only event is the `Resolved` hit). On `false` nothing is recorded;
+    /// (a hit never reaches the MSHRs or the L2; its only event is the `Resolved` hit). On `false` nothing is recorded;
     /// the caller goes on to [`MemorySystem::load_miss_decoded`].
     #[inline]
     pub fn load_hit_decoded(&mut self, decoded: &DecodedAddr, now: Cycle) -> bool {
@@ -430,14 +332,12 @@ impl MemorySystem {
     }
 
     /// Store-hit probe: the [`StoreResponse::Done`] hit twin of
-    /// [`MemorySystem::load_hit_decoded`] — counts the hit and buffers the
-    /// store. On `false` nothing is recorded; the caller falls back to
+    /// [`MemorySystem::load_hit_decoded`] — counts the hit. On `false` nothing is recorded; the caller falls back to
     /// [`MemorySystem::access_store_decoded`].
     #[inline]
     pub fn store_hit_decoded(&mut self, decoded: &DecodedAddr, now: Cycle) -> bool {
         if self.l1.store_hit_decoded(decoded) {
             self.resolve(AccessKind::Store, AccessOutcome::Hit, decoded.block, now);
-            self.write_buffer.push(decoded.addr, now);
             return true;
         }
         false
@@ -535,8 +435,8 @@ impl MemorySystem {
 
     /// Submits a load at time `now`, its address already decoded under
     /// this system's L1 geometry — the per-system half of the fused group
-    /// step ([`FusedMemGroup::geometry`]): the shared decode happens once,
-    /// the MSHR/write-buffer state transition stays here. Hits resolve
+    /// step: the shared decode happens once, the MSHR state transition
+    /// stays here. Hits resolve
     /// immediately; misses are tracked, serviced synchronously (blocking
     /// cache), or rejected — see [`LoadResponse`]. The port never
     /// advances the clock; the caller charges whatever stall the response
@@ -612,29 +512,23 @@ impl MemorySystem {
 
     /// Submits a store at time `now`, its address already decoded under
     /// this system's L1 geometry (the store half of the fused group step).
-    /// Write-around misses and hits are buffered immediately;
-    /// write-allocate misses fetch their line, non-blocking when the MSHRs
-    /// can track them — see [`StoreResponse`].
+    /// Write-around misses and hits are done at once; write-allocate
+    /// misses fetch their line, non-blocking when the MSHRs can track
+    /// them — see [`StoreResponse`].
     pub fn access_store_decoded(&mut self, decoded: &DecodedAddr, now: Cycle) -> StoreResponse {
-        let (addr, block) = (decoded.addr, decoded.block);
+        let block = decoded.block;
         let access = self.l1.access_store_decoded(decoded);
         let response = match access {
-            StoreAccess::Hit | StoreAccess::MissAround => {
-                self.write_buffer.push(addr, now);
-                StoreResponse::Done
-            }
+            StoreAccess::Hit | StoreAccess::MissAround => StoreResponse::Done,
             StoreAccess::MissAllocate => {
-                // Blocking write allocate: fetch the line synchronously;
-                // the store is buffered once the line arrives.
+                // Blocking write allocate: fetch the line synchronously.
                 let (at, _woken) = self.blocking_service(AccessKind::Store, block, now);
-                self.write_buffer.push(addr, at);
                 StoreResponse::Ready { at }
             }
             StoreAccess::MissAllocateTracked(kind) => {
                 // Non-blocking write allocate: the store data waits in the
                 // write buffer for the line; the processor does not stall.
                 self.track_miss(AccessKind::Store, kind, block, now);
-                self.write_buffer.push(addr, now);
                 StoreResponse::Pending { kind }
             }
         };
@@ -821,6 +715,14 @@ mod tests {
         MemorySystem::new(MemSystemConfig::with_cache(CacheConfig::baseline(mshr)))
     }
 
+    /// The count-level conservation law of a trace with nothing left in
+    /// flight: every issued transaction merged, was rejected or launched
+    /// a fetch, and every fetch filled.
+    fn assert_conserved(s: &crate::event::MissLifecycleStats) {
+        assert_eq!(s.issued, s.merged + s.rejected + s.fetches, "issued");
+        assert_eq!(s.fills, s.fetches, "filled");
+    }
+
     #[test]
     fn load_miss_fill_wake_roundtrip() {
         let mut m = system(mc(2));
@@ -940,7 +842,8 @@ mod tests {
         // Baseline is write-around: store misses are buffered, done.
         let mut m = system(mc(2));
         assert_eq!(m.store(Addr(0x5000), Cycle(0)), StoreResponse::Done);
-        assert_eq!(m.write_buffer_stats().writes, 1);
+        assert_eq!(m.l1().counters().store_misses, 1);
+        assert_eq!(m.outstanding_fetches(), 0, "write-around fetches nothing");
 
         // Write-allocate with MSHRs: tracked, non-blocking.
         let mut cfg = CacheConfig::baseline(mc(2));
@@ -972,7 +875,7 @@ mod tests {
         let addrs = [0x1000u64, 0x1008, 0x2000, 0x1000, 0x3000, 0x2008];
         let mut solo = [system(mc(1)), system(mc(4))];
         let mut fused = [system(mc(1)), system(mc(4))];
-        let group = FusedMemGroup::new(fused.iter()).expect("same geometry");
+        let geometry = fused[0].l1().config().geometry;
         for (i, &a) in addrs.iter().enumerate() {
             let dest = Dest::Reg(PhysReg::int(i as u8));
             let nows = [Cycle(i as u64), Cycle(2 * i as u64)];
@@ -981,7 +884,7 @@ mod tests {
                 .zip(nows)
                 .map(|(m, now)| m.load(Addr(a), dest, now))
                 .collect();
-            let decoded = group.geometry().decode(Addr(a));
+            let decoded = geometry.decode(Addr(a));
             let responses: Vec<LoadResponse> = fused
                 .iter_mut()
                 .zip(nows)
@@ -992,24 +895,12 @@ mod tests {
     }
 
     #[test]
-    fn group_rejects_mismatched_geometries_and_empty_groups() {
-        let small = system(mc(1));
-        let mut cfg = CacheConfig::baseline(mc(1));
-        cfg.geometry = CacheGeometry::direct_mapped(64 * 1024, 32).unwrap();
-        let large = MemorySystem::new(MemSystemConfig::with_cache(cfg));
-        let err = FusedMemGroup::new([&small, &large]).unwrap_err();
-        assert!(matches!(err, GroupError::GeometryMismatch { .. }));
-        assert!(err.to_string().contains("8KB"));
-        assert_eq!(FusedMemGroup::new([]).unwrap_err(), GroupError::Empty);
-    }
-
-    #[test]
     fn decoded_hit_probes_match_the_full_port() {
         // Direct-mapped (the one-compare probe), 4-way LRU (probe plus
         // policy touch) and fully associative (the indexed probe): one
         // system hits through the decoded probes, its twin through the
-        // full port, and both must agree on counters, write buffering,
-        // `Resolved` outcomes and the victim the next miss evicts.
+        // full port, and both must agree on counters, traces and the
+        // victim the next miss evicts.
         let dest = Dest::Reg(PhysReg::int(1));
         for geometry in [
             CacheGeometry::baseline(),
@@ -1020,7 +911,7 @@ mod tests {
                 let mut cfg = CacheConfig::baseline(mc(2));
                 cfg.geometry = geometry;
                 let mut m = MemorySystem::new(MemSystemConfig::with_cache(cfg));
-                m.enable_tracing(0);
+                m.enable_tracing();
                 m
             };
             let (mut probed, mut port) = (mk(), mk());
@@ -1034,7 +925,7 @@ mod tests {
             assert!(!probed.load_hit_decoded(&first, Cycle(0)));
             assert!(!probed.store_hit_decoded(&first, Cycle(0)));
             assert_eq!(probed.l1().counters().load_hits, 0);
-            assert_eq!(probed.write_buffer_stats().writes, 0);
+            assert_eq!(probed.l1().counters().store_hits, 0);
             let mut now = 0;
             for &a in &addrs[..ways as usize] {
                 for m in [&mut probed, &mut port] {
@@ -1069,16 +960,16 @@ mod tests {
             );
             assert_eq!(probed.l1().counters(), port.l1().counters(), "{geometry}");
             assert_eq!(probed.l1().counters().load_hits, 1, "{geometry}");
-            assert_eq!(probed.write_buffer_stats(), port.write_buffer_stats());
-            let outcomes = |m: &mut MemorySystem| m.take_trace().expect("tracing").outcomes;
-            assert_eq!(outcomes(&mut probed), outcomes(&mut port), "{geometry}");
+            let trace = probed.take_trace().expect("tracing");
+            assert_conserved(&trace.stats);
+            assert_eq!(Some(trace), port.take_trace(), "{geometry}");
         }
     }
 
     #[test]
     fn tracing_observes_the_full_lifecycle() {
         let mut m = system(mc(2));
-        m.enable_tracing(64);
+        m.enable_tracing();
         // Primary miss, then a secondary to the same line, then the fill.
         let _ = m.load(Addr(0x1000), Dest::Reg(PhysReg::int(1)), Cycle(0));
         let _ = m.load(Addr(0x1008), Dest::Reg(PhysReg::int(2)), Cycle(1));
@@ -1094,7 +985,22 @@ mod tests {
         assert_eq!(s.merge_depth[1], 1);
         assert_eq!(s.fanout[2], 1);
         assert_eq!(s.time_in_flight[16], 1);
-        assert_eq!(trace.ring.total(), s.total_events());
+        assert_conserved(s);
+    }
+
+    #[test]
+    fn blocking_service_traces_a_whole_lifecycle() {
+        // A lockup cache with write allocate services a load miss and a
+        // store miss synchronously; each still launches and fills.
+        let mut cfg = CacheConfig::baseline(MshrConfig::Blocking);
+        cfg.write_miss = WriteMissPolicy::WriteAllocate;
+        let mut m = MemorySystem::new(MemSystemConfig::with_cache(cfg));
+        m.enable_tracing();
+        let _ = m.load(Addr(0x40), Dest::Reg(PhysReg::int(1)), Cycle(0));
+        let _ = m.store(Addr(0x5000), Cycle(16));
+        let trace = m.take_trace().expect("tracing was enabled");
+        assert_eq!((trace.stats.issued, trace.stats.fills), (2, 2));
+        assert_conserved(&trace.stats);
     }
 
     #[test]
@@ -1110,7 +1016,7 @@ mod tests {
         let run = |traced: bool| {
             let mut m = system(mc(2));
             if traced {
-                m.enable_tracing(64);
+                m.enable_tracing();
             }
             let mut log = Vec::new();
             for (i, addr) in [0x1000u64, 0x1008, 0x2000, 0x1000].into_iter().enumerate() {
@@ -1140,9 +1046,8 @@ mod tests {
             trace.outcomes,
             vec![AccessOutcome::Miss, AccessOutcome::Miss, AccessOutcome::Hit]
         );
-        // Resolutions stay out of the lifecycle ring and stats.
-        assert_eq!(trace.ring.total(), trace.stats.total_events());
         assert_eq!(trace.stats.rejected, 2);
+        assert_conserved(&trace.stats);
     }
 
     #[test]
@@ -1150,7 +1055,7 @@ mod tests {
         let run = |traced: bool| {
             let mut m = system(mc(1));
             if traced {
-                m.enable_tracing(16);
+                m.enable_tracing();
             }
             let mut log = Vec::new();
             for (i, addr) in [0x1000u64, 0x1008, 0x2000, 0x1000].into_iter().enumerate() {

@@ -172,7 +172,7 @@ pub(crate) fn check_cell(
     let ocfg = OracleConfig::from_sim(cfg)?;
     let analysis = analyze_tape(tape, &ocfg);
     let (_, trace) =
-        run_tape_traced(benchmark, tape, cfg, 0).map_err(|e| OracleError::Engine(e.to_string()))?;
+        run_tape_traced(benchmark, tape, cfg).map_err(|e| OracleError::Engine(e.to_string()))?;
     let violations = cross_check(tape, &analysis.classes, &trace.outcomes);
     Ok(CellReport::new(
         benchmark,

@@ -308,13 +308,13 @@ pub fn run_tape(
 }
 
 /// [`run_tape`] with the memory system's observer armed: the returned
-/// [`MemTrace`] holds the last `ring_capacity` lifecycle events, the full
-/// [`nbl_mem::event::MissLifecycleStats`] aggregate, and one
-/// [`nbl_mem::AccessOutcome`] per resolved memory access in program order
-/// (the *n*-th outcome belongs to the *n*-th memory operation of the
-/// tape — the observation half of the static cache oracle's cross-check,
-/// DESIGN.md §18). Observing costs one null-check per emission, so the
-/// [`RunResult`] is identical to [`run_tape`]'s.
+/// [`MemTrace`] holds the [`nbl_mem::event::MissLifecycleStats`]
+/// aggregate and one [`nbl_mem::AccessOutcome`] per resolved memory
+/// access in program order (the *n*-th outcome belongs to the *n*-th
+/// memory operation of the tape — the observation half of the static
+/// cache oracle's cross-check, DESIGN.md §18). Observing costs one
+/// null-check per emission, so the [`RunResult`] is identical to
+/// [`run_tape`]'s.
 ///
 /// # Errors
 ///
@@ -323,11 +323,8 @@ pub fn run_tape_traced(
     benchmark: &str,
     tape: &TraceTape,
     cfg: &SimConfig,
-    ring_capacity: usize,
 ) -> Result<(RunResult, MemTrace), EngineError> {
-    let (result, trace) = replay_single(benchmark, tape, cfg, |cpu| {
-        cpu.enable_mem_tracing(ring_capacity);
-    })?;
+    let (result, trace) = replay_single(benchmark, tape, cfg, IssueEngine::enable_mem_tracing)?;
     Ok((result, trace.unwrap_or_default()))
 }
 

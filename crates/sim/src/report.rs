@@ -825,7 +825,7 @@ mod tests {
         let cfg = SimConfig::baseline(HwConfig::NoRestrict);
         let store = SweepEngine::global().store();
         let tape = store.get_or_record(&store.get_or_compile(&p, cfg.load_latency).unwrap());
-        let (_r, trace) = run_tape_traced(&p.name, &tape, &cfg, 128).unwrap();
+        let (_r, trace) = run_tape_traced(&p.name, &tape, &cfg).unwrap();
         let stats = &trace.stats;
         assert!(stats.fetches > 0, "tomcatv must miss");
         let table = miss_lifecycle_table("tomcatv", "no restrict", stats);

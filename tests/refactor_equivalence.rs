@@ -132,15 +132,20 @@ fn tracing_does_not_perturb_the_simulation() {
         let cfg = SimConfig::baseline(config_for(label)).at_latency(lat);
         let tape = store.get_or_record(&store.get_or_compile(&p, lat).unwrap());
         let plain = run_tape(bench, &tape, &cfg).unwrap();
-        let (traced, trace) = run_tape_traced(bench, &tape, &cfg, 64).unwrap();
+        let (traced, trace) = run_tape_traced(bench, &tape, &cfg).unwrap();
         let cell = format!("{bench} [{label}] latency {lat}");
         assert_eq!(plain, traced, "{cell}: tracing changed the run");
-        assert!(trace.stats.fetches > 0, "{cell}: trace recorded nothing");
+        let s = &trace.stats;
+        assert!(s.fetches > 0, "{cell}: trace recorded nothing");
+        // Conservation once the run has drained: every issued
+        // transaction merged, was rejected or launched a fetch, and
+        // every fetch filled.
         assert_eq!(
-            trace.ring.total(),
-            trace.stats.total_events(),
-            "{cell}: ring and stats saw different lifecycle streams"
+            s.issued,
+            s.merged + s.rejected + s.fetches,
+            "{cell}: an issued transaction has no outcome"
         );
+        assert_eq!(s.fills, s.fetches, "{cell}: a fetch never filled");
         assert_eq!(
             trace.outcomes.len() as u64,
             plain.loads + plain.stores,

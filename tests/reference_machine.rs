@@ -565,7 +565,8 @@ fn single_issue_streams_match() {
     let perfect = engine(&tape, &SimConfig::baseline(HwConfig::NoRestrict), true);
     assert_eq!(perfect.stats().total_stall_cycles(), 0);
     assert_eq!(perfect.cache().counters().load_hits, 0);
-    assert_eq!(perfect.memory().write_buffer_stats().writes, 0);
+    let c = perfect.cache().counters();
+    assert_eq!(c.store_hits + c.store_misses, 0);
 }
 
 /// One fused group of four configurations, a perfect cache among them,

@@ -32,16 +32,16 @@ const C: Addr = Addr(0x2000);
 const D: Addr = Addr(0x3000);
 
 fn load(cache: &mut LockupFreeCache, addr: Addr, reg: u8) -> LoadAccess {
-    cache.access_load(addr, dest(reg), LoadFormat::WORD)
+    let decoded = cache.config().geometry.decode(addr);
+    cache.access_load_decoded(&decoded, dest(reg), LoadFormat::WORD)
 }
 
 fn fill(cache: &mut LockupFreeCache, addr: Addr) {
-    let block = cache.block_of(addr);
-    cache.fill(block);
+    cache.fill(block(cache, addr));
 }
 
 fn block(cache: &LockupFreeCache, addr: Addr) -> BlockAddr {
-    cache.block_of(addr)
+    cache.config().geometry.block_of(addr)
 }
 
 /// Fills the set with A and B, launches an outstanding fetch of C, then
