@@ -52,8 +52,8 @@ pub struct LedgerEntry {
 /// hardware configurations and MSHR organizations,
 /// the design doc's artifact-store section (§16) for the store and
 /// codec error enums, the design doc's fusion section (§17) for the
-/// group-step entry points, and the experiments guide for the exhibit
-/// registry.
+/// group-step entry points, both cache levels and the design doc for the
+/// tag port, and the experiments guide for the exhibit registry.
 pub const LEDGER: &[LedgerEntry] = &[
     LedgerEntry {
         name: "ReplacementKind",
@@ -140,6 +140,19 @@ pub const LEDGER: &[LedgerEntry] = &[
         decl_file: "crates/sim/src/driver.rs",
         kind: LedgerKind::EntryPoints(&["run_tape_fused"]),
         surfaces: &["crates/sim/src/sweep.rs", "DESIGN.md"],
+    },
+    // The one tag port: the L1 and the tag-only L2 answer a hit through
+    // `hit_decoded` and fill through `install`, so a second probe path
+    // in either level is a finding.
+    LedgerEntry {
+        name: "TagPort",
+        decl_file: "crates/core/src/tag_array.rs",
+        kind: LedgerKind::EntryPoints(&["hit_decoded", "install"]),
+        surfaces: &[
+            "crates/core/src/cache.rs",
+            "crates/mem/src/system.rs",
+            "DESIGN.md",
+        ],
     },
     // The static cache oracle (DESIGN.md §18): its verdict enum, its
     // cross-check violation enum, its refusal enum, and the pipeline's

@@ -19,7 +19,7 @@ fn of_lint<'a>(a: &'a Analysis, lint: &str) -> Vec<&'a Finding> {
 #[test]
 fn bad_tree_fires_every_lint_family() {
     let a = run_analysis(&fixture("bad_tree")).expect("fixture tree readable");
-    assert_eq!(a.files_scanned, 3);
+    assert_eq!(a.files_scanned, 4);
 
     // no-panic: the panic! macro, the bare unwrap, and the two unwraps
     // whose suppressions are invalid (empty reason / unknown ID). The
@@ -49,14 +49,30 @@ fn bad_tree_fires_every_lint_family() {
     assert_eq!(items, vec![("MemEvent", 14), ("record", 15)], "{eg:#?}");
     assert!(eg.iter().all(|f| f.file == "crates/mem/src/lib.rs"));
 
-    // exhaustiveness: the unwired Clock variant, once per surface.
+    // exhaustiveness: the unwired Clock variant, once per surface; the
+    // L1 that probes its tags without the tag port's `hit_decoded`; and
+    // the tag port's L2 surface, which the tree does not stage.
     let ex = of_lint(&a, "exhaustiveness");
-    assert_eq!(ex.len(), 3, "{ex:#?}");
-    assert!(ex.iter().all(|f| f.item == "ReplacementKind::Clock"));
-    let surfaces: Vec<&str> = ex.iter().map(|f| f.file.as_str()).collect();
+    assert_eq!(ex.len(), 5, "{ex:#?}");
+    let (clock, port): (Vec<&Finding>, Vec<&Finding>) =
+        ex.iter().partition(|f| f.item == "ReplacementKind::Clock");
+    let surfaces: Vec<&str> = clock.iter().map(|f| f.file.as_str()).collect();
+    assert_eq!(surfaces.len(), 3, "{ex:#?}");
     assert!(surfaces.contains(&"DESIGN.md"));
     assert!(surfaces.contains(&"tests/replacement_policies.rs"));
     assert!(surfaces.contains(&"tests/reference/mod.rs"));
+    let port: Vec<(&str, &str)> = port
+        .iter()
+        .map(|f| (f.item.as_str(), f.file.as_str()))
+        .collect();
+    assert_eq!(
+        port,
+        vec![
+            ("TagPort::hit_decoded", "crates/core/src/cache.rs"),
+            ("TagPort", "crates/mem/src/system.rs"),
+        ],
+        "{ex:#?}"
+    );
 
     // bad-allow: empty reason and unknown ID, each on its directive line.
     let ba = of_lint(&a, "bad-allow");
@@ -67,7 +83,7 @@ fn bad_tree_fires_every_lint_family() {
 
     // Only the reasoned directive counts as used.
     assert_eq!(a.allows_used, 1);
-    assert_eq!(a.findings.len(), 13, "{:#?}", a.findings);
+    assert_eq!(a.findings.len(), 15, "{:#?}", a.findings);
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Fixture ledger declaration: `Clock` is deliberately unwired.
+//! Fixture ledger declarations: `Clock` is deliberately unwired, and the
+//! tag port's entry points are `hit_decoded` and `install`.
 
 /// Replacement-policy selector (fixture copy).
 pub enum ReplacementKind {

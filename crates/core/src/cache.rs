@@ -189,7 +189,8 @@ impl CacheCounters {
 /// assert_eq!(r1, LoadAccess::Miss(MissKind::Primary));
 /// // While that miss is outstanding, other lines still hit or stall — the
 /// // cache is not locked up.
-/// let wakeups = cache.fill(a.block);
+/// let mut wakeups = Vec::new();
+/// cache.fill_into(a.block, &mut wakeups);
 /// assert_eq!(wakeups.len(), 1);
 /// assert!(cache.access_load_decoded(&a, Dest::Reg(PhysReg::int(2)), LoadFormat::WORD).is_hit());
 /// ```
@@ -243,11 +244,6 @@ impl LockupFreeCache {
         &self.counters
     }
 
-    /// Direct access to the MSHR bank (for occupancy statistics).
-    pub fn mshrs(&self) -> &MshrBank {
-        &self.mshrs
-    }
-
     /// Records an evicted block in the victim buffer (if configured).
     fn remember_victim(&mut self, block: BlockAddr) {
         if self.config.victim_entries == 0 {
@@ -284,7 +280,7 @@ impl LockupFreeCache {
     ///
     /// The cache classifies the access but does not advance time; on a
     /// primary miss the caller must launch the fetch and later call
-    /// [`LockupFreeCache::fill`].
+    /// [`LockupFreeCache::fill_into`].
     pub fn access_load_decoded(
         &mut self,
         decoded: &DecodedAddr,
@@ -428,19 +424,12 @@ impl LockupFreeCache {
     }
 
     /// Installs the line for `block` (evicting the policy victim if the set
-    /// is full, into the victim buffer when one is configured) and drains
-    /// the MSHR targets waiting on it.
+    /// is full, into the victim buffer when one is configured) and appends
+    /// the MSHR targets waiting on it to `out`, a caller-provided
+    /// (typically recycled) vector.
     ///
-    /// Works for blocking-cache fills too, in which case the returned
-    /// vector is empty.
-    pub fn fill(&mut self, block: BlockAddr) -> Vec<TargetRecord> {
-        let mut records = Vec::new();
-        self.fill_into(block, &mut records);
-        records
-    }
-
-    /// [`LockupFreeCache::fill`], but appending the drained targets to a
-    /// caller-provided (typically recycled) vector instead of allocating.
+    /// Works for blocking-cache fills too, in which case nothing is
+    /// appended.
     pub fn fill_into(&mut self, block: BlockAddr, out: &mut Vec<TargetRecord>) {
         if let Some(victim) = self.tags.install(block) {
             self.remember_victim(victim);
@@ -472,6 +461,8 @@ mod tests {
         fn load(&mut self, addr: Addr, dest: Dest) -> LoadAccess;
         fn store(&mut self, addr: Addr) -> StoreAccess;
         fn block(&self, addr: Addr) -> BlockAddr;
+        /// The targets [`LockupFreeCache::fill_into`] drains for `block`.
+        fn drain(&mut self, block: BlockAddr) -> Vec<TargetRecord>;
     }
 
     impl Port for LockupFreeCache {
@@ -487,6 +478,12 @@ mod tests {
 
         fn block(&self, addr: Addr) -> BlockAddr {
             self.config.geometry.block_of(addr)
+        }
+
+        fn drain(&mut self, block: BlockAddr) -> Vec<TargetRecord> {
+            let mut out = Vec::new();
+            self.fill_into(block, &mut out);
+            out
         }
     }
 
@@ -508,7 +505,7 @@ mod tests {
         let mut c = LockupFreeCache::new(unrestricted());
         let a = Addr(0x4000);
         assert_eq!(c.load(a, dest(1)), LoadAccess::Miss(MissKind::Primary));
-        let t = c.fill(c.block(a));
+        let t = c.drain(c.block(a));
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].dest, dest(1));
         assert!(c.load(a, dest(2)).is_hit());
@@ -523,7 +520,7 @@ mod tests {
         let b = Addr(0x4008); // same 32-byte line
         assert_eq!(c.load(a, dest(1)), LoadAccess::Miss(MissKind::Primary));
         assert_eq!(c.load(b, dest(2)), LoadAccess::Miss(MissKind::Secondary));
-        let t = c.fill(c.block(a));
+        let t = c.drain(c.block(a));
         assert_eq!(t.len(), 2);
     }
 
@@ -533,10 +530,10 @@ mod tests {
         let a = Addr(0x0000);
         let b = Addr(0x2000); // 8KB apart: same set, different tag
         c.load(a, dest(1));
-        c.fill(c.block(a));
+        c.drain(c.block(a));
         assert!(c.contains_block(c.block(a)));
         c.load(b, dest(2));
-        c.fill(c.block(b));
+        c.drain(c.block(b));
         assert!(c.contains_block(c.block(b)));
         assert!(
             !c.contains_block(c.block(a)),
@@ -553,7 +550,7 @@ mod tests {
         for i in 0..4u64 {
             let a = Addr(i * 0x2000); // all map to set 0 in a DM cache
             c.load(a, dest(i as u8));
-            c.fill(c.block(a));
+            c.drain(c.block(a));
         }
         for i in 0..4u64 {
             assert!(c.load(Addr(i * 0x2000), dest(9)).is_hit());
@@ -568,7 +565,7 @@ mod tests {
         let mut c = LockupFreeCache::new(cfg);
         for a in [0u64, 0x20, 0x40] {
             c.load(Addr(a), dest(1));
-            c.fill(c.block(Addr(a)));
+            c.drain(c.block(Addr(a)));
         }
         // 0x00 was least recently used and should be gone; 0x20 remains.
         assert!(!c.contains_block(c.block(Addr(0))));
@@ -577,7 +574,7 @@ mod tests {
         // Touch 0x20, fill 0x60: victim should now be 0x40.
         assert!(c.load(Addr(0x20), dest(2)).is_hit());
         c.load(Addr(0x60), dest(3));
-        c.fill(c.block(Addr(0x60)));
+        c.drain(c.block(Addr(0x60)));
         assert!(c.contains_block(c.block(Addr(0x20))));
         assert!(!c.contains_block(c.block(Addr(0x40))));
     }
@@ -601,7 +598,7 @@ mod tests {
         assert_eq!(c.store(Addr(0x5000)), StoreAccess::MissAround);
         // Store miss does not allocate: the next load still misses.
         assert!(matches!(c.load(Addr(0x5000), dest(1)), LoadAccess::Miss(_)));
-        c.fill(c.block(Addr(0x5000)));
+        c.drain(c.block(Addr(0x5000)));
         assert_eq!(c.store(Addr(0x5008)), StoreAccess::Hit);
         assert_eq!(c.counters().store_hits, 1);
         assert_eq!(c.counters().store_misses, 1);
@@ -628,7 +625,7 @@ mod tests {
             LoadAccess::Miss(MissKind::Secondary)
         );
         // The fill wakes all three targets: two write-buffer slots + a reg.
-        let t = c.fill(c.block(Addr(0x5000)));
+        let t = c.drain(c.block(Addr(0x5000)));
         assert_eq!(t.len(), 3);
         let regs = t.iter().filter(|r| matches!(r.dest, Dest::Reg(_))).count();
         let wbs = t
@@ -658,7 +655,7 @@ mod tests {
         cfg.write_miss = WriteMissPolicy::WriteAllocate;
         let mut c = LockupFreeCache::new(cfg);
         assert_eq!(c.store(Addr(0x5000)), StoreAccess::MissAllocate);
-        c.fill(c.block(Addr(0x5000)));
+        c.drain(c.block(Addr(0x5000)));
         assert_eq!(c.store(Addr(0x5008)), StoreAccess::Hit);
     }
 
@@ -672,7 +669,7 @@ mod tests {
         let old = Addr(0x0000);
         let new = Addr(0x2000); // same set
         c.load(old, dest(1));
-        c.fill(c.block(old));
+        c.drain(c.block(old));
         assert!(c.contains_block(c.block(old)));
         // Primary miss on the conflicting line: the old line is claimed NOW.
         assert_eq!(c.load(new, dest(2)), LoadAccess::Miss(MissKind::Primary));
@@ -685,7 +682,7 @@ mod tests {
             c.load(Addr(0x4000), dest(3)),
             LoadAccess::Stalled(Rejection::PerSetFetchLimit)
         );
-        c.fill(c.block(new));
+        c.drain(c.block(new));
         assert!(c.contains_block(c.block(new)));
     }
 
@@ -697,10 +694,10 @@ mod tests {
         let a = Addr(0x0000);
         let b = Addr(0x2000); // same set as a
         c.load(a, dest(1));
-        c.fill(c.block(a));
+        c.drain(c.block(a));
         c.load(b, dest(2));
-        c.fill(c.block(b)); // evicts a -> victim buffer
-                            // The reload of `a` is a victim hit, not a miss.
+        c.drain(c.block(b)); // evicts a -> victim buffer
+                             // The reload of `a` is a victim hit, not a miss.
         assert_eq!(c.load(a, dest(3)), LoadAccess::VictimHit);
         assert_eq!(c.counters().victim_hits, 1);
         // The swap displaced `b` into the buffer: it victim-hits too.
@@ -724,7 +721,7 @@ mod tests {
         for i in 0..4u64 {
             let a = Addr(i * 0x2000);
             c.load(a, dest(1));
-            c.fill(c.block(a));
+            c.drain(c.block(a));
         }
         // Lines 0x2000 and 0x4000 were evicted most recently (0x6000 is
         // resident); 0x0000 fell out of the buffer.
@@ -743,7 +740,7 @@ mod tests {
         let in_flight = Addr(0x2000); // same set
         let third = Addr(0x4000); // same set again
         c.load(resident, dest(1));
-        c.fill(c.block(resident));
+        c.drain(c.block(resident));
         // Launch a fetch into the set and leave it outstanding.
         assert_eq!(
             c.load(in_flight, dest(2)),
@@ -752,7 +749,7 @@ mod tests {
         // A third conflicting fill lands while that fetch is in flight:
         // the resident line must be displaced into the victim buffer.
         c.load(third, dest(3));
-        c.fill(c.block(third));
+        c.drain(c.block(third));
         assert_eq!(c.load(resident, dest(4)), LoadAccess::VictimHit);
         // The in-flight block is a secondary miss, never a victim hit —
         // transit is checked before the buffer.
@@ -761,7 +758,7 @@ mod tests {
             LoadAccess::Miss(MissKind::Secondary)
         );
         // Its fill still drains both targets and installs the line.
-        let t = c.fill(c.block(in_flight));
+        let t = c.drain(c.block(in_flight));
         assert_eq!(t.len(), 2);
         assert!(c.contains_block(c.block(in_flight)));
         assert!(c.load(in_flight, dest(6)).is_hit());
@@ -781,13 +778,13 @@ mod tests {
         let old = Addr(0x0000);
         let new = Addr(0x2000); // same set
         c.load(old, dest(1));
-        c.fill(c.block(old));
+        c.drain(c.block(old));
         assert_eq!(c.load(new, dest(2)), LoadAccess::Miss(MissKind::Primary));
         assert!(
             !c.contains_block(c.block(old)),
             "victim claimed as MSHR state"
         );
-        c.fill(c.block(new));
+        c.drain(c.block(new));
         assert!(
             matches!(c.load(old, dest(3)), LoadAccess::Miss(_)),
             "a claimed victim's data was reused through the buffer"
@@ -801,7 +798,7 @@ mod tests {
         let b = Addr(0x2000);
         for addr in [a, b] {
             c.load(addr, dest(1));
-            c.fill(c.block(addr));
+            c.drain(c.block(addr));
         }
         assert!(matches!(c.load(a, dest(2)), LoadAccess::Miss(_)));
         assert_eq!(c.counters().victim_hits, 0);
@@ -812,7 +809,7 @@ mod tests {
         let mut c = LockupFreeCache::new(unrestricted());
         c.load(Addr(0x100), dest(1)); // primary
         c.load(Addr(0x108), dest(2)); // secondary
-        c.fill(c.block(Addr(0x100)));
+        c.drain(c.block(Addr(0x100)));
         c.load(Addr(0x110), dest(3)); // hit
         let k = c.counters();
         assert_eq!(k.loads(), 3);
@@ -852,7 +849,7 @@ mod tests {
                     assert_eq!(got, LoadAccess::Hit, "{addr:?}");
                 } else {
                     assert!(matches!(got, LoadAccess::Stalled(_)), "{addr:?}: {got:?}");
-                    cache.fill(block);
+                    cache.drain(block);
                     tags.insert(set, geometry.tag_of_block(block));
                 }
             }

@@ -14,16 +14,17 @@
 //! * [`mshr::targets`] — implicitly addressed, explicitly addressed and
 //!   hybrid target-field layouts (paper Figs. 1, 2 and 14);
 //! * [`mshr::file`] — discrete register MSHR files with limits on entries,
-//!   total outstanding misses (`mc=N`), and fetches per cache set (`fs=N`);
-//! * [`mshr::incache`] — in-cache MSHR storage via a transit bit per line
-//!   (paper §2.3);
+//!   total outstanding misses (`mc=N`), and fetches per cache set (`fs=N`),
+//!   which also run in-cache MSHR storage via a transit bit per line
+//!   (paper §2.3) as the `fs=ways` shape;
 //! * [`mshr::inverted`] — the inverted, per-destination MSHR the paper
 //!   introduces (§2.4), which realizes the "no restriction" configuration;
 //! * [`mshr::cost`] — the storage cost model that reproduces the paper's
 //!   bit counts (92/140/112/106 bits);
-//! * [`tag_array`] — the policy-parameterized tag array ([`TagArray`] +
-//!   the [`tag_array::ReplacementPolicy`] trait: LRU, FIFO, seeded-random
-//!   and tree-PLRU) shared by every cache level in the workspace;
+//! * [`tag_array`] — the policy-parameterized tag array ([`TagArray`],
+//!   with one [`tag_array::ReplacementKind`] each: LRU, FIFO,
+//!   seeded-random or tree-PLRU) shared by every cache level in the
+//!   workspace;
 //! * [`cache`] — the lockup-free cache proper: a [`TagArray`] combined
 //!   with MSHRs, write-through + write-around (or write-allocate) stores,
 //!   and fills that wake every waiting load simultaneously.

@@ -10,6 +10,8 @@
 //! * `fs=N` — unlimited MSHRs but at most `N` in-flight fetches per cache
 //!   set: `entries = Unlimited`, `max_fetches_per_set = N`.
 //! * Fig. 14's implicit/explicit/hybrid sweep — vary `targets`.
+//! * In-cache MSHR storage (§2.3) — `entries = Unlimited`,
+//!   `max_fetches_per_set = ways`: a set's lines are its MSHRs.
 
 use super::slots::FetchSlots;
 use super::targets::TargetPolicy;
@@ -64,11 +66,6 @@ impl RegisterMshrFile {
         }
     }
 
-    /// The configuration this file was built with.
-    pub fn config(&self) -> &RegisterFileConfig {
-        &self.config
-    }
-
     /// Empties the file back to its as-built state, keeping every slot's
     /// target storage for reuse.
     pub fn reset(&mut self) {
@@ -112,17 +109,9 @@ impl RegisterMshrFile {
         self.slots.allocate(req.block, req.set, record)
     }
 
-    /// Completes the fetch of `block`, returning all waiting targets.
-    pub fn fill(&mut self, block: BlockAddr) -> Vec<TargetRecord> {
-        let mut records = Vec::new();
-        self.fill_into(block, &mut records);
-        records
-    }
-
     /// Completes the fetch of `block`, appending all waiting targets to
-    /// `out` in arrival order — the allocation-free twin of
-    /// [`RegisterMshrFile::fill`]: the freed entry keeps its target
-    /// storage for the next primary miss.
+    /// `out` in arrival order. The freed entry keeps its target storage
+    /// for the next primary miss.
     #[inline]
     pub fn fill_into(&mut self, block: BlockAddr, out: &mut Vec<TargetRecord>) {
         self.slots.fill_into(block, out);
@@ -161,6 +150,13 @@ mod tests {
 
     fn geom() -> CacheGeometry {
         CacheGeometry::baseline()
+    }
+
+    /// The targets [`RegisterMshrFile::fill_into`] drains for `block`.
+    fn drain(f: &mut RegisterMshrFile, block: u64) -> Vec<TargetRecord> {
+        let mut out = Vec::new();
+        f.fill_into(BlockAddr(block), &mut out);
+        out
     }
 
     fn req(block: u64, set: u32, offset: u32, reg: u8) -> MissRequest {
@@ -218,7 +214,7 @@ mod tests {
             MshrResponse::Rejected(Rejection::MissLimit)
         );
         // After the fill both are possible again.
-        let targets = f.fill(BlockAddr(10));
+        let targets = drain(&mut f, 10);
         assert_eq!(targets.len(), 1);
         assert_eq!(f.outstanding_misses(), 0);
         assert!(f.try_load_miss(&req(11, 11, 0, 2)).is_accepted());
@@ -240,8 +236,8 @@ mod tests {
             f.try_load_miss(&req(3, 3, 0, 3)),
             MshrResponse::Rejected(Rejection::MissLimit)
         );
-        f.fill(BlockAddr(1));
-        f.fill(BlockAddr(2));
+        drain(&mut f, 1);
+        drain(&mut f, 2);
         // Or one primary + one secondary to a *different word* (the single
         // explicit field is taken by the primary, so same-entry merges need a
         // second MSHR... but mc=2 entries each have 1 field, so the secondary
@@ -276,7 +272,7 @@ mod tests {
             f.try_load_miss(&req(8, 8, 0, 2)),
             MshrResponse::Rejected(Rejection::NoFreeMshr)
         );
-        let targets = f.fill(BlockAddr(7));
+        let targets = drain(&mut f, 7);
         assert_eq!(targets.len(), 11);
         assert_eq!(f.outstanding_misses(), 0);
     }
@@ -316,7 +312,7 @@ mod tests {
         assert_eq!(f.fetches_in_set(0), 1);
         assert_eq!(f.fetches_in_set(1), 1);
         // After the fill the set frees up.
-        f.fill(BlockAddr(0x100));
+        drain(&mut f, 0x100);
         assert_eq!(f.fetches_in_set(0), 0);
         assert!(f.try_load_miss(&req(0x200, 0, 0, 2)).is_accepted());
     }
@@ -335,7 +331,7 @@ mod tests {
     #[test]
     fn fill_of_unknown_block_is_empty() {
         let mut f = RegisterMshrFile::new(fc(1), &geom());
-        assert!(f.fill(BlockAddr(99)).is_empty());
+        assert!(drain(&mut f, 99).is_empty());
     }
 
     #[test]
@@ -350,7 +346,7 @@ mod tests {
         assert_eq!(f.outstanding_misses(), 20);
         assert!(f.is_in_transit(BlockAddr(5)));
         for b in 0..20u64 {
-            f.fill(BlockAddr(b));
+            drain(&mut f, b);
         }
         assert_eq!(f.outstanding_fetches(), 0);
         assert_eq!(f.outstanding_misses(), 0);

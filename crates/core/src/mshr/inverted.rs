@@ -82,7 +82,6 @@ impl EntryState {
 /// Dynamic state of the inverted MSHR.
 #[derive(Debug, Clone)]
 pub struct InvertedMshr {
-    config: InvertedConfig,
     /// One entry per destination, indexed by [`slot_of`] (the
     /// per-destination field rows of Fig. 3). Grown on first use of a
     /// slot, so a register-only run holds 65 entries.
@@ -106,22 +105,19 @@ fn slot_of(dest: Dest) -> usize {
     }
 }
 
-impl InvertedMshr {
-    /// Creates an empty inverted MSHR.
-    pub fn new(config: InvertedConfig) -> InvertedMshr {
+impl Default for InvertedMshr {
+    /// An empty inverted MSHR. Its [`InvertedConfig`] sizes only the cost
+    /// model: entries grow on first use of a destination.
+    fn default() -> InvertedMshr {
         InvertedMshr {
-            config,
             entries: vec![EntryState::INVALID; WB_BASE],
             valid: Vec::new(),
             fetches: Vec::new(),
         }
     }
+}
 
-    /// The sizing this MSHR was built with.
-    pub fn config(&self) -> InvertedConfig {
-        self.config
-    }
-
+impl InvertedMshr {
     /// Clears all dynamic state while keeping the arrays' capacity for
     /// reuse by the next run on the same worker.
     pub fn reset(&mut self) {
@@ -167,16 +163,8 @@ impl InvertedMshr {
     }
 
     /// Completes the fetch of `block`: probes all entries (the match
-    /// encoder) and drains every destination waiting on this block.
-    pub fn fill(&mut self, block: BlockAddr) -> Vec<TargetRecord> {
-        let mut records = Vec::new();
-        self.fill_into(block, &mut records);
-        records
-    }
-
-    /// Completes the fetch of `block`, appending the waiting targets to
-    /// `out` in the order their entries became valid — the
-    /// allocation-free twin of [`InvertedMshr::fill`].
+    /// encoder) and appends every destination waiting on this block to
+    /// `out`, in the order their entries became valid.
     pub fn fill_into(&mut self, block: BlockAddr, out: &mut Vec<TargetRecord>) {
         let Some(pos) = self.fetches.iter().position(|&b| b == block) else {
             return;
@@ -216,10 +204,8 @@ impl InvertedMshr {
         self.valid.len()
     }
 
-    /// The inverted MSHR imposes no per-set limits; this always reports the
-    /// number of fetches as zero contribution per set is unknown without a
-    /// geometry, so callers needing per-set statistics should derive them
-    /// from their own fetch queue. Returns 0.
+    /// Always 0: the inverted organization imposes no per-set limit, so
+    /// it keeps no per-set count.
     #[inline]
     pub fn fetches_in_set(&self, _set: u32) -> usize {
         0
@@ -230,6 +216,13 @@ impl InvertedMshr {
 mod tests {
     use super::*;
     use crate::types::PhysReg;
+
+    /// The targets [`InvertedMshr::fill_into`] drains for `block`.
+    fn drain(m: &mut InvertedMshr, block: u64) -> Vec<TargetRecord> {
+        let mut out = Vec::new();
+        m.fill_into(BlockAddr(block), &mut out);
+        out
+    }
 
     fn req(block: u64, reg: u8) -> MissRequest {
         MissRequest {
@@ -253,7 +246,7 @@ mod tests {
 
     #[test]
     fn unlimited_fetches_and_merges() {
-        let mut m = InvertedMshr::new(InvertedConfig::typical());
+        let mut m = InvertedMshr::default();
         // 30 distinct blocks in flight at once — no restriction.
         for b in 0..30u64 {
             assert_eq!(
@@ -275,7 +268,7 @@ mod tests {
             m.try_load_miss(&second),
             MshrResponse::Accepted(MissKind::Secondary)
         );
-        let t = m.fill(BlockAddr(0));
+        let t = drain(&mut m, 0);
         assert_eq!(t.len(), 2);
         assert_eq!(m.outstanding_fetches(), 29);
         assert_eq!(m.outstanding_misses(), 29);
@@ -283,27 +276,27 @@ mod tests {
 
     #[test]
     fn busy_destination_rejects() {
-        let mut m = InvertedMshr::new(InvertedConfig::typical());
+        let mut m = InvertedMshr::default();
         assert!(m.try_load_miss(&req(1, 4)).is_accepted());
         // Same destination register, different block.
         assert_eq!(
             m.try_load_miss(&req(2, 4)),
             MshrResponse::Rejected(Rejection::DestinationBusy)
         );
-        m.fill(BlockAddr(1));
+        drain(&mut m, 1);
         assert!(m.try_load_miss(&req(2, 4)).is_accepted());
     }
 
     #[test]
     fn fill_returns_only_matching_destinations() {
-        let mut m = InvertedMshr::new(InvertedConfig::typical());
+        let mut m = InvertedMshr::default();
         m.try_load_miss(&req(1, 1));
         m.try_load_miss(&req(2, 2));
         m.try_load_miss(&MissRequest {
             offset: 16,
             ..req(1, 3)
         });
-        let t = m.fill(BlockAddr(1));
+        let t = drain(&mut m, 1);
         assert_eq!(t.len(), 2);
         assert!(t.iter().all(|r| r.offset == 0 || r.offset == 16));
         assert!(m.is_in_transit(BlockAddr(2)));
@@ -312,7 +305,7 @@ mod tests {
 
     #[test]
     fn fill_unknown_block_is_empty() {
-        let mut m = InvertedMshr::new(InvertedConfig::default());
-        assert!(m.fill(BlockAddr(77)).is_empty());
+        let mut m = InvertedMshr::default();
+        assert!(drain(&mut m, 77).is_empty());
     }
 }

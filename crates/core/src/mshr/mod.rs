@@ -7,9 +7,10 @@
 //!   organization of Fig. 14.
 //! * `file` — a Kroft-style file of discrete register MSHRs with
 //!   configurable entry count, total-miss cap and per-set fetch cap
-//!   (the paper's `mc=`, `fc=` and `fs=` configurations).
-//! * [`incache`](crate::mshr::incache) — in-cache MSHR storage (§2.3): a transit bit per cache
-//!   line, MSHR state stored in the line being fetched.
+//!   (the paper's `mc=`, `fc=` and `fs=` configurations). In-cache MSHR
+//!   storage (§2.3: a transit bit per cache line, MSHR state stored in
+//!   the line being fetched) runs as this file's `fs=ways` shape: the
+//!   only limit on its fetches is the lines of a set.
 //! * [`inverted`](crate::mshr::inverted) — the inverted MSHR (§2.4): one entry per possible
 //!   destination of fetch data.
 //! * [`cost`](crate::mshr::cost) — the storage cost model reproducing the paper's bit counts
@@ -31,22 +32,19 @@
 pub mod cost;
 /// The classic explicit MSHR file (Kroft): N entries, fully associative.
 pub mod file;
-/// In-cache MSHR storage: the missing line's own frame holds the bookkeeping.
-pub mod incache;
 /// The inverted MSHR organization: one entry per destination register.
 pub mod inverted;
-/// Flat slot-stable fetch storage behind the register-file and in-cache
-/// organizations.
+/// Flat slot-stable fetch storage behind the register file.
 mod slots;
 /// Per-miss target records and the bounded target-list storage.
 pub mod targets;
 
 use crate::geometry::CacheGeometry;
+use crate::limit::Limit;
 use crate::types::{BlockAddr, Dest, LoadFormat};
 use std::fmt;
 
 pub use file::{RegisterFileConfig, RegisterMshrFile};
-pub use incache::InCacheMshr;
 pub use inverted::{InvertedConfig, InvertedMshr};
 pub use targets::{TargetPolicy, TargetStorage};
 
@@ -141,7 +139,7 @@ impl MshrResponse {
     }
 }
 
-/// One waiting load recorded in an MSHR, returned by `fill`.
+/// One waiting load recorded in an MSHR, drained by `fill_into`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TargetRecord {
     /// Destination of the fetched data.
@@ -178,7 +176,9 @@ pub enum MshrConfig {
     /// A file of discrete register MSHRs (Kroft-style; `mc=`, `fc=`, `fs=`).
     Register(RegisterFileConfig),
     /// In-cache MSHR storage: transit bit per line, state stored in the
-    /// line being fetched (§2.3). One in-flight fetch per cache line.
+    /// line being fetched (§2.3). One in-flight fetch per cache line, so
+    /// at most `ways` per set; the bank is a register file with that
+    /// per-set cap and no other limit.
     InCache {
         /// Target-field layout stored in the transit line.
         targets: TargetPolicy,
@@ -227,10 +227,9 @@ impl MshrConfig {
 pub enum MshrBank {
     /// No miss may be outstanding.
     Blocking,
-    /// Discrete register MSHRs.
+    /// Discrete register MSHRs, or in-cache storage as the file shape
+    /// with `ways` fetches per set.
     Register(RegisterMshrFile),
-    /// Transit-bit in-cache storage.
-    InCache(InCacheMshr),
     /// Per-destination inverted organization.
     Inverted(InvertedMshr),
 }
@@ -244,10 +243,16 @@ impl MshrBank {
             MshrConfig::Register(cfg) => {
                 MshrBank::Register(RegisterMshrFile::new(cfg.clone(), geometry))
             }
-            MshrConfig::InCache { targets, .. } => {
-                MshrBank::InCache(InCacheMshr::new(*targets, geometry))
-            }
-            MshrConfig::Inverted(cfg) => MshrBank::Inverted(InvertedMshr::new(*cfg)),
+            MshrConfig::InCache { targets, .. } => MshrBank::Register(RegisterMshrFile::new(
+                RegisterFileConfig {
+                    entries: Limit::Unlimited,
+                    targets: *targets,
+                    max_outstanding_misses: Limit::Unlimited,
+                    max_fetches_per_set: Limit::Finite(geometry.ways()),
+                },
+                geometry,
+            )),
+            MshrConfig::Inverted(_) => MshrBank::Inverted(InvertedMshr::default()),
         }
     }
 
@@ -256,7 +261,6 @@ impl MshrBank {
         match self {
             MshrBank::Blocking => MshrResponse::Rejected(Rejection::Blocking),
             MshrBank::Register(f) => f.try_load_miss(req),
-            MshrBank::InCache(m) => m.try_load_miss(req),
             MshrBank::Inverted(m) => m.try_load_miss(req),
         }
     }
@@ -269,7 +273,6 @@ impl MshrBank {
         match self {
             MshrBank::Blocking => {}
             MshrBank::Register(f) => f.fill_into(block, out),
-            MshrBank::InCache(m) => m.fill_into(block, out),
             MshrBank::Inverted(m) => m.fill_into(block, out),
         }
     }
@@ -280,7 +283,6 @@ impl MshrBank {
         match self {
             MshrBank::Blocking => {}
             MshrBank::Register(f) => f.reset(),
-            MshrBank::InCache(m) => m.reset(),
             MshrBank::Inverted(m) => m.reset(),
         }
     }
@@ -290,7 +292,6 @@ impl MshrBank {
         match self {
             MshrBank::Blocking => false,
             MshrBank::Register(f) => f.is_in_transit(block),
-            MshrBank::InCache(m) => m.is_in_transit(block),
             MshrBank::Inverted(m) => m.is_in_transit(block),
         }
     }
@@ -300,7 +301,6 @@ impl MshrBank {
         match self {
             MshrBank::Blocking => 0,
             MshrBank::Register(f) => f.outstanding_fetches(),
-            MshrBank::InCache(m) => m.outstanding_fetches(),
             MshrBank::Inverted(m) => m.outstanding_fetches(),
         }
     }
@@ -311,7 +311,6 @@ impl MshrBank {
         match self {
             MshrBank::Blocking => 0,
             MshrBank::Register(f) => f.outstanding_misses(),
-            MshrBank::InCache(m) => m.outstanding_misses(),
             MshrBank::Inverted(m) => m.outstanding_misses(),
         }
     }
@@ -321,7 +320,6 @@ impl MshrBank {
         match self {
             MshrBank::Blocking => 0,
             MshrBank::Register(f) => f.fetches_in_set(set),
-            MshrBank::InCache(m) => m.fetches_in_set(set),
             MshrBank::Inverted(m) => m.fetches_in_set(set),
         }
     }
@@ -371,6 +369,95 @@ mod tests {
         assert!(!incache.is_blocking());
         assert_eq!(incache.fill_extra_cycles(), 2);
         assert_eq!(MshrConfig::Blocking.fill_extra_cycles(), 0);
+    }
+
+    /// An in-cache bank (explicit, unlimited target fields) for `geom`.
+    fn in_cache(geom: &CacheGeometry, targets: TargetPolicy) -> MshrBank {
+        let config = MshrConfig::InCache {
+            targets,
+            read_extra_cycles: 0,
+        };
+        MshrBank::new(&config, geom)
+    }
+
+    /// In-cache storage holds at most `ways` fetches per set: a set's
+    /// lines are its MSHRs. Secondaries to a line in transit merge, a
+    /// fill drains its targets in arrival order and frees the line, and
+    /// a reset frees every line.
+    #[test]
+    fn in_cache_allows_ways_fetches_per_set() {
+        for ways in [1u32, 2] {
+            let geom = CacheGeometry::new(8 * 1024, 32, ways).unwrap();
+            let mut bank = in_cache(&geom, TargetPolicy::explicit(Limit::Unlimited));
+            for b in 0..u64::from(ways) {
+                assert_eq!(
+                    bank.try_load_miss(&req(0x100 * (b + 1), 0, 0, b as u8)),
+                    MshrResponse::Accepted(MissKind::Primary),
+                    "{ways} ways"
+                );
+            }
+            // One more block in the same set: every line is in transit.
+            let blocked = req(0x1000, 0, 0, 9);
+            assert_eq!(
+                bank.try_load_miss(&blocked),
+                MshrResponse::Rejected(Rejection::PerSetFetchLimit),
+                "{ways} ways"
+            );
+            assert_eq!(bank.fetches_in_set(0), ways as usize);
+            // Secondary misses to an in-transit block merge freely.
+            assert_eq!(
+                bank.try_load_miss(&req(0x100, 0, 8, 10)),
+                MshrResponse::Accepted(MissKind::Secondary)
+            );
+            assert_eq!(
+                bank.try_load_miss(&req(0x100, 0, 16, 11)),
+                MshrResponse::Accepted(MissKind::Secondary)
+            );
+            // A different set is independent.
+            assert!(bank.try_load_miss(&req(0x101, 1, 0, 12)).is_accepted());
+            assert_eq!(bank.outstanding_fetches(), ways as usize + 1);
+            assert_eq!(bank.outstanding_misses(), ways as usize + 3);
+            // The fill wakes the primary and both secondaries, in order.
+            let mut woken = Vec::new();
+            bank.fill_into(BlockAddr(0x100), &mut woken);
+            let order: Vec<(u32, Dest)> = woken.iter().map(|t| (t.offset, t.dest)).collect();
+            let reg = |i| Dest::Reg(PhysReg::int(i));
+            assert_eq!(order, [(0, reg(0)), (8, reg(10)), (16, reg(11))]);
+            assert!(!bank.is_in_transit(BlockAddr(0x100)));
+            assert_eq!(bank.fetches_in_set(0), ways as usize - 1);
+            assert!(
+                bank.try_load_miss(&blocked).is_accepted(),
+                "the line is free"
+            );
+            // A reset frees every line.
+            bank.reset();
+            assert_eq!(bank.outstanding_fetches(), 0);
+            assert_eq!(bank.outstanding_misses(), 0);
+            assert_eq!(bank.fetches_in_set(0), 0);
+            for b in 0..u64::from(ways) {
+                assert!(bank
+                    .try_load_miss(&req(0x2000 * (b + 1), 0, 0, 1))
+                    .is_accepted());
+            }
+            let mut woken = Vec::new();
+            bank.fill_into(BlockAddr(0x100), &mut woken);
+            assert!(woken.is_empty(), "a reset drops the old fetches");
+        }
+    }
+
+    #[test]
+    fn in_cache_limited_targets_reject_like_any_mshr() {
+        let geom = CacheGeometry::baseline();
+        let mut bank = in_cache(&geom, TargetPolicy::implicit_sub_blocks(4));
+        assert!(bank.try_load_miss(&req(0x100, 0, 0, 1)).is_accepted());
+        assert_eq!(
+            bank.try_load_miss(&req(0x100, 0, 4, 2)),
+            MshrResponse::Rejected(Rejection::TargetConflict)
+        );
+        let mut woken = Vec::new();
+        bank.fill_into(BlockAddr(12), &mut woken);
+        assert!(woken.is_empty());
+        assert!(!bank.is_in_transit(BlockAddr(12)));
     }
 
     #[test]

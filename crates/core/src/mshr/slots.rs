@@ -1,6 +1,5 @@
-//! Flat, slot-stable storage for in-flight fetches, shared by the
-//! register-file ([`super::file`]) and in-cache ([`super::incache`])
-//! organizations.
+//! Flat, slot-stable storage for the in-flight fetches of the register
+//! file ([`super::file`]), which also runs in-cache MSHR storage.
 //!
 //! Each slot holds one fetch: its block, its cache set and its target
 //! fields. The blocks live in one dense array apart from the target
@@ -163,11 +162,5 @@ impl FetchSlots {
     #[inline]
     pub(crate) fn fetches_in_set(&self, set: u32) -> usize {
         self.per_set.get(set as usize).map_or(0, |&n| n as usize)
-    }
-
-    /// The target-field layout of every slot.
-    #[inline]
-    pub(crate) fn policy(&self) -> TargetPolicy {
-        self.policy
     }
 }

@@ -3,16 +3,16 @@
 //! A [`TagArray`] owns exactly the state a cache's tag pipeline owns in
 //! hardware: the valid/tag bits of every line, the resident-block index
 //! used for high-associativity geometries, and the replacement metadata.
-//! It answers *which line* — lookup, touch, install, evict — and nothing
-//! else; miss tracking (MSHRs), write buffering and timing live in the
-//! layers above. Both the L1 inside `LockupFreeCache` and the tag-only L2
-//! of `nbl_mem::system` instantiate this one type, so there is a single
-//! set-scan and a single eviction path in the workspace.
+//! It answers *which line* — hit probe, install, evict — and nothing
+//! else; miss tracking (MSHRs) and timing live in the layers above. Both
+//! the L1 inside `LockupFreeCache` and the tag-only L2 of
+//! `nbl_mem::system` instantiate this one type and probe it through the
+//! one [`TagArray::hit_decoded`], so there is a single hit probe, a
+//! single set-scan and a single eviction path in the workspace.
 //!
-//! Replacement is a plug-in: the [`ReplacementPolicy`](crate::tag_array::ReplacementPolicy) trait exposes the
-//! on-hit / on-fill / on-evict hooks plus victim selection, and
-//! [`ReplacementKind`] names the four shipped implementations — true LRU
-//! (the paper's policy and the default), FIFO, seeded-random
+//! Replacement is one private enum with an on-hit and an on-fill hook,
+//! victim selection and a reset, one variant per [`ReplacementKind`]:
+//! true LRU (the paper's policy and the default), FIFO, seeded-random
 //! (deterministic via the in-tree splitmix64), and tree-PLRU (the
 //! pseudo-LRU bit tree real set-associative caches implement). With
 //! [`ReplacementKind::Lru`] the array reproduces the pre-refactor
@@ -87,38 +87,22 @@ impl fmt::Display for ReplacementKind {
     }
 }
 
-/// Replacement-policy hooks a [`TagArray`] drives.
-///
-/// `set` is the set index and `way` the way within it. The array calls
-/// [`ReplacementPolicy::victim`] only when every way of the set is valid;
-/// invalid ways are always consumed first (in way order), exactly like
-/// the pre-refactor cache.
-pub trait ReplacementPolicy {
-    /// A resident line was touched by a hit.
-    fn on_hit(&mut self, set: u32, way: usize);
-    /// A line was (re)filled into `way`.
-    fn on_fill(&mut self, set: u32, way: usize);
-    /// The line in `way` was evicted or invalidated.
-    fn on_evict(&mut self, set: u32, way: usize);
-    /// The way to evict next, given a full set. May mutate policy state
-    /// (the random policy consumes its PRNG stream here).
-    fn victim(&mut self, set: u32) -> usize;
-}
-
-/// True LRU: one monotonically increasing stamp per line. Stamps are
-/// assigned in touch order, so the victim ordering is identical to the
-/// pre-refactor `use_clock`/`last_use` scheme (which also ticked on
-/// misses — ticks that never changed the relative order of touches).
+/// Per-line stamps from one clock, the state of the two stamp policies:
+/// LRU stamps a line on every hit and fill, FIFO on fill only, and both
+/// evict the oldest stamp. LRU stamps are assigned in touch order, so the
+/// victim ordering is identical to the pre-refactor `use_clock`/`last_use`
+/// scheme (which also ticked on misses — ticks that never changed the
+/// relative order of touches).
 #[derive(Debug, Clone)]
-struct LruPolicy {
+struct Stamps {
     ways: usize,
     stamps: Vec<u64>,
     clock: u64,
 }
 
-impl LruPolicy {
-    fn new(sets: usize, ways: usize) -> LruPolicy {
-        LruPolicy {
+impl Stamps {
+    fn new(sets: usize, ways: usize) -> Stamps {
+        Stamps {
             ways,
             stamps: vec![0; sets * ways],
             clock: 0,
@@ -130,62 +114,10 @@ impl LruPolicy {
         self.clock += 1;
         self.stamps[set as usize * self.ways + way] = self.clock;
     }
-}
 
-impl ReplacementPolicy for LruPolicy {
-    fn on_hit(&mut self, set: u32, way: usize) {
-        self.touch(set, way);
-    }
-
-    fn on_fill(&mut self, set: u32, way: usize) {
-        self.touch(set, way);
-    }
-
-    fn on_evict(&mut self, _set: u32, _way: usize) {}
-
-    fn victim(&mut self, set: u32) -> usize {
-        let base = set as usize * self.ways;
-        let slice = &self.stamps[base..base + self.ways];
-        // Min stamp, first way on ties — the pre-refactor scan order.
-        let mut best = 0;
-        for (w, &s) in slice.iter().enumerate() {
-            if s < slice[best] {
-                best = w;
-            }
-        }
-        best
-    }
-}
-
-/// FIFO: stamps are assigned on fill only, so hits never save a line.
-#[derive(Debug, Clone)]
-struct FifoPolicy {
-    ways: usize,
-    stamps: Vec<u64>,
-    clock: u64,
-}
-
-impl FifoPolicy {
-    fn new(sets: usize, ways: usize) -> FifoPolicy {
-        FifoPolicy {
-            ways,
-            stamps: vec![0; sets * ways],
-            clock: 0,
-        }
-    }
-}
-
-impl ReplacementPolicy for FifoPolicy {
-    fn on_hit(&mut self, _set: u32, _way: usize) {}
-
-    fn on_fill(&mut self, set: u32, way: usize) {
-        self.clock += 1;
-        self.stamps[set as usize * self.ways + way] = self.clock;
-    }
-
-    fn on_evict(&mut self, _set: u32, _way: usize) {}
-
-    fn victim(&mut self, set: u32) -> usize {
+    /// The way with the oldest stamp, the first on ties — the
+    /// pre-refactor scan order.
+    fn oldest(&self, set: u32) -> usize {
         let base = set as usize * self.ways;
         let slice = &self.stamps[base..base + self.ways];
         let mut best = 0;
@@ -198,183 +130,128 @@ impl ReplacementPolicy for FifoPolicy {
     }
 }
 
-/// Seeded-random victim selection. The stream is consumed only by
-/// [`ReplacementPolicy::victim`], so for a fixed seed the whole victim
-/// sequence is a pure function of the access sequence.
-#[derive(Debug, Clone)]
-struct RandomPolicy {
-    ways: usize,
-    /// The seed the stream started from, kept so [`TagArray::reset`] can
-    /// rewind the policy to its as-built state.
-    seed: u64,
-    rng: SplitMix64,
-}
-
-impl ReplacementPolicy for RandomPolicy {
-    fn on_hit(&mut self, _set: u32, _way: usize) {}
-
-    fn on_fill(&mut self, _set: u32, _way: usize) {}
-
-    fn on_evict(&mut self, _set: u32, _way: usize) {}
-
-    fn victim(&mut self, _set: u32) -> usize {
-        self.rng.next_below(self.ways as u64) as usize
-    }
-}
-
-/// Tree pseudo-LRU over a power-of-two number of ways ([`CacheGeometry`]
-/// guarantees that): `ways - 1` bits per set, heap-indexed. Each bit
-/// points toward the half holding the next victim; touching a way flips
-/// every bit on its root path away from it, so a just-touched line is
-/// never the victim.
-#[derive(Debug, Clone)]
-struct TreePlruPolicy {
-    ways: usize,
-    /// `(ways - 1)` bits per set, flattened.
-    bits: Vec<bool>,
-}
-
-impl TreePlruPolicy {
-    fn new(sets: usize, ways: usize) -> TreePlruPolicy {
-        TreePlruPolicy {
-            ways,
-            bits: vec![false; sets * ways.saturating_sub(1)],
-        }
-    }
-
-    #[inline]
-    fn touch(&mut self, set: u32, way: usize) {
-        let base = set as usize * (self.ways - 1);
-        let (mut node, mut lo, mut hi) = (0usize, 0usize, self.ways);
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if way < mid {
-                // Accessed the left half: next victim is on the right.
-                self.bits[base + node] = true;
-                node = 2 * node + 1;
-                hi = mid;
-            } else {
-                self.bits[base + node] = false;
-                node = 2 * node + 2;
-                lo = mid;
-            }
-        }
-    }
-}
-
-impl ReplacementPolicy for TreePlruPolicy {
-    fn on_hit(&mut self, set: u32, way: usize) {
-        if self.ways > 1 {
-            self.touch(set, way);
-        }
-    }
-
-    fn on_fill(&mut self, set: u32, way: usize) {
-        if self.ways > 1 {
-            self.touch(set, way);
-        }
-    }
-
-    fn on_evict(&mut self, _set: u32, _way: usize) {}
-
-    fn victim(&mut self, set: u32) -> usize {
-        if self.ways == 1 {
-            return 0;
-        }
-        let base = set as usize * (self.ways - 1);
-        let (mut node, mut lo, mut hi) = (0usize, 0usize, self.ways);
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.bits[base + node] {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
-        }
-        lo
-    }
-}
-
-/// Enum dispatch over the shipped policies: keeps [`TagArray`] `Clone` +
-/// `Debug` and the per-access cost a jump, not a vtable load.
+/// The replacement state of a [`TagArray`], one variant per
+/// [`ReplacementKind`]. `set` is the set index and `way` the way within
+/// it. The array asks for a [`Policy::victim`] only when every way of the
+/// set is valid; invalid ways are always consumed first (in way order),
+/// exactly like the pre-refactor cache. LRU and FIFO share [`Stamps`] but
+/// stay separate variants, so a hit takes one jump and no further branch.
 #[derive(Debug, Clone)]
 enum Policy {
-    Lru(LruPolicy),
-    Fifo(FifoPolicy),
-    Random(RandomPolicy),
-    TreePlru(TreePlruPolicy),
+    Lru(Stamps),
+    Fifo(Stamps),
+    /// Seeded-random victims. The stream is consumed only by
+    /// [`Policy::victim`], so for a fixed seed the whole victim sequence
+    /// is a pure function of the access sequence. The seed is kept so
+    /// [`Policy::reset`] can rewind the stream.
+    Random {
+        ways: usize,
+        seed: u64,
+        rng: SplitMix64,
+    },
+    /// Tree pseudo-LRU over a power-of-two number of ways
+    /// ([`CacheGeometry`] guarantees that): `ways - 1` bits per set,
+    /// heap-indexed and flattened. Each bit points toward the half holding
+    /// the next victim; touching a way flips every bit on its root path
+    /// away from it, so a just-touched line is never the victim.
+    TreePlru {
+        ways: usize,
+        bits: Vec<bool>,
+    },
 }
 
 impl Policy {
     fn new(kind: ReplacementKind, sets: usize, ways: usize) -> Policy {
         match kind {
-            ReplacementKind::Lru => Policy::Lru(LruPolicy::new(sets, ways)),
-            ReplacementKind::Fifo => Policy::Fifo(FifoPolicy::new(sets, ways)),
-            ReplacementKind::Random { seed } => Policy::Random(RandomPolicy {
+            ReplacementKind::Lru => Policy::Lru(Stamps::new(sets, ways)),
+            ReplacementKind::Fifo => Policy::Fifo(Stamps::new(sets, ways)),
+            ReplacementKind::Random { seed } => Policy::Random {
                 ways,
                 seed,
                 rng: SplitMix64::new(seed),
-            }),
-            ReplacementKind::TreePlru => Policy::TreePlru(TreePlruPolicy::new(sets, ways)),
+            },
+            ReplacementKind::TreePlru => Policy::TreePlru {
+                ways,
+                bits: vec![false; sets * ways.saturating_sub(1)],
+            },
         }
     }
-}
 
-impl ReplacementPolicy for Policy {
+    /// A resident line was touched by a hit.
+    #[inline]
     fn on_hit(&mut self, set: u32, way: usize) {
         match self {
-            Policy::Lru(p) => p.on_hit(set, way),
-            Policy::Fifo(p) => p.on_hit(set, way),
-            Policy::Random(p) => p.on_hit(set, way),
-            Policy::TreePlru(p) => p.on_hit(set, way),
+            Policy::Lru(stamps) => stamps.touch(set, way),
+            Policy::TreePlru { ways, bits } => plru_touch(bits, *ways, set, way),
+            Policy::Fifo(_) | Policy::Random { .. } => {}
         }
     }
 
+    /// A line was (re)filled into `way`.
+    #[inline]
     fn on_fill(&mut self, set: u32, way: usize) {
         match self {
-            Policy::Lru(p) => p.on_fill(set, way),
-            Policy::Fifo(p) => p.on_fill(set, way),
-            Policy::Random(p) => p.on_fill(set, way),
-            Policy::TreePlru(p) => p.on_fill(set, way),
+            Policy::Lru(stamps) | Policy::Fifo(stamps) => stamps.touch(set, way),
+            Policy::TreePlru { ways, bits } => plru_touch(bits, *ways, set, way),
+            Policy::Random { .. } => {}
         }
     }
 
-    fn on_evict(&mut self, set: u32, way: usize) {
-        match self {
-            Policy::Lru(p) => p.on_evict(set, way),
-            Policy::Fifo(p) => p.on_evict(set, way),
-            Policy::Random(p) => p.on_evict(set, way),
-            Policy::TreePlru(p) => p.on_evict(set, way),
-        }
-    }
-
+    /// The way to evict next, given a full set. Consumes the random
+    /// policy's PRNG stream.
     fn victim(&mut self, set: u32) -> usize {
         match self {
-            Policy::Lru(p) => p.victim(set),
-            Policy::Fifo(p) => p.victim(set),
-            Policy::Random(p) => p.victim(set),
-            Policy::TreePlru(p) => p.victim(set),
+            Policy::Lru(stamps) | Policy::Fifo(stamps) => stamps.oldest(set),
+            Policy::Random { ways, rng, .. } => rng.next_below(*ways as u64) as usize,
+            Policy::TreePlru { ways, bits } => {
+                let base = set as usize * (*ways - 1);
+                let (mut node, mut lo, mut hi) = (0usize, 0usize, *ways);
+                while hi - lo > 1 {
+                    let mid = (lo + hi) / 2;
+                    if bits[base + node] {
+                        node = 2 * node + 2;
+                        lo = mid;
+                    } else {
+                        node = 2 * node + 1;
+                        hi = mid;
+                    }
+                }
+                lo
+            }
         }
     }
-}
 
-impl Policy {
     /// Rewinds the policy to its as-built state without releasing any
     /// backing storage (the metadata vectors are zeroed in place).
     fn reset(&mut self) {
         match self {
-            Policy::Lru(p) => {
-                p.stamps.fill(0);
-                p.clock = 0;
+            Policy::Lru(stamps) | Policy::Fifo(stamps) => {
+                stamps.stamps.fill(0);
+                stamps.clock = 0;
             }
-            Policy::Fifo(p) => {
-                p.stamps.fill(0);
-                p.clock = 0;
-            }
-            Policy::Random(p) => p.rng = SplitMix64::new(p.seed),
-            Policy::TreePlru(p) => p.bits.fill(false),
+            Policy::Random { seed, rng, .. } => *rng = SplitMix64::new(*seed),
+            Policy::TreePlru { bits, .. } => bits.fill(false),
+        }
+    }
+}
+
+/// Points every tree-PLRU bit on `way`'s root path of `set` away from it.
+/// A one-way tree has no bits and no path.
+#[inline]
+fn plru_touch(bits: &mut [bool], ways: usize, set: u32, way: usize) {
+    let base = set as usize * (ways - 1);
+    let (mut node, mut lo, mut hi) = (0usize, 0usize, ways);
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if way < mid {
+            // Accessed the left half: next victim is on the right.
+            bits[base + node] = true;
+            node = 2 * node + 1;
+            hi = mid;
+        } else {
+            bits[base + node] = false;
+            node = 2 * node + 2;
+            lo = mid;
         }
     }
 }
@@ -415,13 +292,13 @@ const INDEXED_LOOKUP_MIN_WAYS: usize = 16;
 /// ```
 /// use nbl_core::geometry::CacheGeometry;
 /// use nbl_core::tag_array::{ReplacementKind, TagArray};
-/// use nbl_core::types::BlockAddr;
+/// use nbl_core::types::{Addr, BlockAddr};
 ///
 /// let geom = CacheGeometry::new(64, 32, 2).unwrap(); // one 2-way set
 /// let mut tags = TagArray::new(geom, ReplacementKind::Lru);
 /// assert_eq!(tags.install(BlockAddr(0)), None);
 /// assert_eq!(tags.install(BlockAddr(1)), None);
-/// assert!(tags.touch(BlockAddr(0))); // 0 is now MRU
+/// assert!(tags.hit_decoded(&geom.decode(Addr(0)))); // block 0 is now MRU
 /// assert_eq!(tags.install(BlockAddr(2)), Some(BlockAddr(1)));
 /// ```
 #[derive(Debug, Clone)]
@@ -517,17 +394,13 @@ impl TagArray {
     /// as-built value of `0`; with one way per set the stamp carries no
     /// ordering information anyway.
     pub fn debug_ages(&self, set: u32) -> Vec<WayAge> {
-        let range = self.set_slots(set);
-        let start = range.start;
-        range
+        self.set_slots(set)
             .map(|slot| {
-                let way = slot - start;
                 let line = self.lines[slot];
                 let block = line.valid.then(|| self.block_at(slot));
                 let stamp = match &self.policy {
-                    Policy::Lru(p) => Some(p.stamps[set as usize * p.ways + way]),
-                    Policy::Fifo(p) => Some(p.stamps[set as usize * p.ways + way]),
-                    Policy::Random(_) | Policy::TreePlru(_) => None,
+                    Policy::Lru(p) | Policy::Fifo(p) => Some(p.stamps[slot]),
+                    Policy::Random { .. } | Policy::TreePlru { .. } => None,
                 };
                 WayAge { block, stamp }
             })
@@ -539,11 +412,19 @@ impl TagArray {
     /// no replacement-state update.
     #[inline]
     pub fn find(&self, block: BlockAddr) -> Option<usize> {
+        self.slot_of(
+            block,
+            self.geometry.set_of_block(block),
+            self.geometry.tag_of_block(block),
+        )
+    }
+
+    /// [`TagArray::find`] with `block`'s set and tag already decoded.
+    #[inline]
+    fn slot_of(&self, block: BlockAddr, set: u32, tag: u64) -> Option<usize> {
         if let Some(index) = &self.index {
             return index.get(&block).map(|&s| s as usize);
         }
-        let set = self.geometry.set_of_block(block);
-        let tag = self.geometry.tag_of_block(block);
         let range = self.set_slots(set);
         self.lines[range.clone()]
             .iter()
@@ -557,84 +438,22 @@ impl TagArray {
         self.find(block).is_some()
     }
 
-    /// The pure-lookup half of [`TagArray::touch`]: flat slot of `block`
-    /// if resident, with the same direct-mapped fast path, and no
-    /// replacement-state update. `probe` followed by [`TagArray::note_hit`]
-    /// on a `Some` result is exactly `touch` (which is implemented that
-    /// way), so a shared lookup can be fanned out across fused
-    /// configurations while the policy touch stays per-array.
+    /// The one hit probe of every cache level, on an address decoded under
+    /// this array's geometry ([`CacheGeometry::decode`]): answers whether
+    /// the block is resident and, on a hit, moves the replacement state.
     #[inline]
-    pub fn probe(&self, block: BlockAddr) -> Option<usize> {
-        self.probe_decoded(
-            block,
-            self.geometry.set_of_block(block),
-            self.geometry.tag_of_block(block),
-        )
-    }
-
-    /// [`TagArray::probe`] with the set index and tag already decoded
-    /// (e.g. once per fused group via [`CacheGeometry::decode`]). The
-    /// caller must have decoded them under this array's geometry.
-    #[inline]
-    pub fn probe_decoded(&self, block: BlockAddr, set: u32, tag: u64) -> Option<usize> {
+    pub fn hit_decoded(&mut self, decoded: &DecodedAddr) -> bool {
         if self.ways == 1 {
             // Direct-mapped: the set's lone way is always the victim, so
             // no policy bookkeeping can affect any later decision and a
             // hit reduces to one tag compare. This is the hot path of
             // every access under the paper's baseline geometry.
-            let line = &self.lines[set as usize];
-            return (line.valid && line.tag == tag).then_some(set as usize);
-        }
-        if let Some(index) = &self.index {
-            return index.get(&block).map(|&s| s as usize);
-        }
-        let range = self.set_slots(set);
-        self.lines[range.clone()]
-            .iter()
-            .position(|l| l.valid && l.tag == tag)
-            .map(|i| range.start + i)
-    }
-
-    /// The state-update half of [`TagArray::touch`]: notifies the policy
-    /// that the resident line in flat `slot` (as returned by
-    /// [`TagArray::probe`]) was hit. A no-op for direct-mapped arrays,
-    /// where the lone way is always the victim.
-    #[inline]
-    pub fn note_hit(&mut self, slot: usize) {
-        if self.ways > 1 {
-            let set = (slot / self.ways) as u32;
-            self.policy.on_hit(set, slot % self.ways);
-        }
-    }
-
-    /// Probes for `block`; on a hit, notifies the policy (LRU touch).
-    /// Returns whether it hit. Exactly [`TagArray::probe`] followed by
-    /// [`TagArray::note_hit`].
-    pub fn touch(&mut self, block: BlockAddr) -> bool {
-        match self.probe(block) {
-            Some(slot) => {
-                self.note_hit(slot);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// [`TagArray::touch`] on an address already decoded under this
-    /// array's geometry: the fused walk's hit probe. A direct-mapped array
-    /// answers with one tag compare (its hit moves no replacement state);
-    /// any other geometry runs [`TagArray::probe_decoded`] and, on a hit,
-    /// [`TagArray::note_hit`], so the policy state moves exactly as on the
-    /// full access path.
-    #[inline]
-    pub fn hit_decoded(&mut self, decoded: &DecodedAddr) -> bool {
-        if self.ways == 1 {
             let line = &self.lines[decoded.set as usize];
             return line.valid && line.tag == decoded.tag;
         }
-        match self.probe_decoded(decoded.block, decoded.set, decoded.tag) {
+        match self.slot_of(decoded.block, decoded.set, decoded.tag) {
             Some(slot) => {
-                self.note_hit(slot);
+                self.policy.on_hit(decoded.set, slot % self.ways);
                 true
             }
             None => false,
@@ -649,10 +468,10 @@ impl TagArray {
     }
 
     /// The single eviction path: asks the policy for a victim in `set`
-    /// (all ways valid), invalidates it, and returns its block address.
-    /// Every eviction — L1 fill, L2 fill, in-cache MSHR victim claiming —
-    /// funnels through here.
-    fn evict(&mut self, set: u32) -> BlockAddr {
+    /// (all ways valid), invalidates it, and returns the flat slot it
+    /// cleared and the block it held. Every eviction — L1 fill, L2 fill,
+    /// in-cache MSHR victim claiming — funnels through here.
+    fn evict(&mut self, set: u32) -> (usize, BlockAddr) {
         let way = self.policy.victim(set);
         debug_assert!(way < self.ways, "policy victim out of range");
         let slot = set as usize * self.ways + way;
@@ -662,8 +481,7 @@ impl TagArray {
         if let Some(index) = &mut self.index {
             index.remove(&block);
         }
-        self.policy.on_evict(set, way);
-        block
+        (slot, block)
     }
 
     /// Installs `block` (a fill reaching the tag array): reuses the
@@ -676,9 +494,9 @@ impl TagArray {
         if self.ways == 1 {
             // Direct-mapped: the set's lone way is the victim, so no
             // policy consultation (and no policy bookkeeping — see
-            // [`TagArray::touch`]) is needed. The random policy's PRNG
-            // stream is untouched, but `victim() % 1` never depended on
-            // it anyway.
+            // [`TagArray::hit_decoded`]) is needed. The random policy's
+            // PRNG stream is untouched, but `victim() % 1` never depended
+            // on it anyway.
             let set_bits = self.geometry.num_sets().trailing_zeros();
             let line = &mut self.lines[set as usize];
             let evicted = (line.valid && line.tag != tag)
@@ -687,14 +505,15 @@ impl TagArray {
             return evicted;
         }
         let range = self.set_slots(set);
-        let (slot, evicted) = if let Some(s) = self.find(block) {
+        let (slot, evicted) = if let Some(s) = self.slot_of(block, set, tag) {
             (s, None) // refetch of a resident line (possible after races)
         } else if let Some(i) = self.lines[range.clone()].iter().position(|l| !l.valid) {
             (range.start + i, None)
         } else {
-            let victim = self.evict(set);
-            let way = self.policy_slot_of(victim, set);
-            (way, Some(victim))
+            // The set is full, so the slot the eviction clears is the
+            // one the fill takes.
+            let (slot, victim) = self.evict(set);
+            (slot, Some(victim))
         };
         self.lines[slot] = TagLine { valid: true, tag };
         if let Some(index) = &mut self.index {
@@ -702,21 +521,6 @@ impl TagArray {
         }
         self.policy.on_fill(set, slot % self.ways);
         evicted
-    }
-
-    /// Flat slot the just-evicted `victim` occupied (the first invalid
-    /// way of its set — eviction leaves exactly one).
-    #[inline]
-    fn policy_slot_of(&self, _victim: BlockAddr, set: u32) -> usize {
-        let range = self.set_slots(set);
-        debug_assert!(
-            self.lines[range.clone()].iter().any(|l| !l.valid),
-            "evict() invalidated a way"
-        );
-        self.lines[range.clone()]
-            .iter()
-            .position(|l| !l.valid)
-            .map_or(range.start, |i| range.start + i)
     }
 
     /// In-cache MSHR storage claims the victim line at miss time: if the
@@ -729,13 +533,21 @@ impl TagArray {
         if self.lines[range].iter().any(|l| !l.valid) {
             return None;
         }
-        Some(self.evict(set))
+        Some(self.evict(set).1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Addr;
+
+    /// [`TagArray::hit_decoded`] on `block`, decoded under the array's
+    /// own geometry.
+    pub(super) fn hit(t: &mut TagArray, block: BlockAddr) -> bool {
+        let geometry = *t.geometry();
+        t.hit_decoded(&geometry.decode(Addr(block.0 << geometry.block_bits())))
+    }
 
     fn two_way() -> CacheGeometry {
         CacheGeometry::new(64, 32, 2).unwrap() // a single 2-way set
@@ -753,7 +565,7 @@ mod tests {
         // 0 is LRU: a third fill evicts it.
         assert_eq!(t.install(BlockAddr(2)), Some(BlockAddr(0)));
         // Touch 1, fill 3: victim must be 2.
-        assert!(t.touch(BlockAddr(1)));
+        assert!(hit(&mut t, BlockAddr(1)));
         assert_eq!(t.install(BlockAddr(3)), Some(BlockAddr(2)));
         assert!(t.contains(BlockAddr(1)) && t.contains(BlockAddr(3)));
     }
@@ -764,7 +576,7 @@ mod tests {
         t.install(BlockAddr(0));
         t.install(BlockAddr(1));
         // Touching 0 does not refresh it: it is still first-in.
-        assert!(t.touch(BlockAddr(0)));
+        assert!(hit(&mut t, BlockAddr(0)));
         assert_eq!(t.install(BlockAddr(2)), Some(BlockAddr(0)));
     }
 
@@ -773,7 +585,7 @@ mod tests {
         let mut t = TagArray::new(two_way(), ReplacementKind::Lru);
         t.install(BlockAddr(0));
         t.install(BlockAddr(1));
-        assert!(t.touch(BlockAddr(0))); // 0 becomes most recent
+        assert!(hit(&mut t, BlockAddr(0))); // 0 becomes most recent
         let ages = t.debug_ages(0);
         assert_eq!(ages.len(), 2);
         let of = |b: u64| {
@@ -800,7 +612,7 @@ mod tests {
             assert_eq!(t.install(BlockAddr(b)), None);
         }
         for b in 0..4u64 {
-            assert!(t.touch(BlockAddr(b)));
+            assert!(hit(&mut t, BlockAddr(b)));
             let v = t.victim_way(0);
             let spared = t.find(BlockAddr(b)).unwrap();
             assert_ne!(v, spared, "victim way {v} is the just-touched line");
@@ -865,7 +677,7 @@ mod tests {
                 t.install(BlockAddr(b * geom.num_sets()));
             }
             for b in 0..ways {
-                assert!(t.touch(BlockAddr(b * geom.num_sets())));
+                assert!(hit(&mut t, BlockAddr(b * geom.num_sets())));
             }
             let evicted = t.install(BlockAddr(ways * geom.num_sets())).unwrap();
             assert_eq!(evicted, BlockAddr(0), "LRU victim via either lookup path");
@@ -881,7 +693,7 @@ mod tests {
                 (0..12u64)
                     .map(|b| {
                         if b % 3 == 0 {
-                            t.touch(BlockAddr(b / 2));
+                            hit(t, BlockAddr(b / 2));
                         }
                         t.install(BlockAddr(b))
                     })
@@ -921,20 +733,19 @@ mod tests {
 /// Property suite for the tag array on random access sequences from the
 /// seeded [`crate::prop`] harness. The main claim: for any access
 /// sequence, any geometry, and every [`ReplacementKind`] (the random
-/// policy under a random seed), `probe` + [`TagArray::note_hit`] on a hit,
-/// and the decoded hit probe [`TagArray::hit_decoded`], are each
-/// observationally equal to the fused [`TagArray::touch`] — same hit
-/// answers, same evictions from [`TagArray::install`] and
+/// policy under a random seed), the one hit probe
+/// [`TagArray::hit_decoded`], [`TagArray::install`] and
 /// [`TagArray::claim_for_transit`] (the eviction-while-fetch-outstanding
-/// path), same resident sets — so a shared group probe cannot drift from
-/// the per-core path, and a seeded random policy replays the same victims.
+/// path) agree with a per-set model of the resident blocks: the same hit
+/// answers, no eviction while a way is free, LRU victims in recency order
+/// and FIFO victims in fill order, and the same resident sets.
 #[cfg(test)]
 mod props {
+    use super::tests::hit;
     use super::*;
     use crate::geometry::CacheGeometry;
     use crate::prop;
     use crate::rng::SplitMix64;
-    use crate::types::Addr;
     use std::collections::BTreeSet;
 
     /// Every policy, the random one under a seed drawn from `rng`.
@@ -949,127 +760,153 @@ mod props {
         ]
     }
 
-    /// Every resident block of `t`, by flat slot — the observable tag
-    /// state (policy state is compared behaviorally, by continuing the
-    /// mirrored sequence).
-    fn resident(t: &TagArray) -> Vec<(usize, BlockAddr)> {
-        let sets = t.geometry().num_sets() as u32;
-        let mut out = Vec::new();
-        for set in 0..sets {
-            for way in 0..t.ways() {
-                if t.is_valid(set, way) {
-                    let slot = set as usize * t.ways() + way;
-                    out.push((slot, t.block_at(slot)));
+    /// The reference for one array: each set's resident blocks, oldest
+    /// first. Under LRU the order is recency (a hit moves the block to
+    /// the back), under FIFO it is fill order (a hit leaves it), and both
+    /// evict the front, so their victims are predicted exactly. Random
+    /// and tree-PLRU victims are only checked to be resident in the set.
+    struct SetModel {
+        kind: ReplacementKind,
+        ways: usize,
+        sets: Vec<Vec<BlockAddr>>,
+    }
+
+    impl SetModel {
+        fn new(geometry: CacheGeometry, kind: ReplacementKind) -> SetModel {
+            SetModel {
+                kind,
+                ways: geometry.ways() as usize,
+                sets: vec![Vec::new(); geometry.num_sets() as usize],
+            }
+        }
+
+        fn stamped(&self) -> bool {
+            matches!(self.kind, ReplacementKind::Lru | ReplacementKind::Fifo)
+        }
+
+        /// `true` if `block` is resident in `set`; an LRU hit moves it to
+        /// the back.
+        fn hit(&mut self, set: u32, block: BlockAddr) -> bool {
+            let lines = &mut self.sets[set as usize];
+            let Some(pos) = lines.iter().position(|&b| b == block) else {
+                return false;
+            };
+            if self.kind == ReplacementKind::Lru {
+                lines.remove(pos);
+                lines.push(block);
+            }
+            true
+        }
+
+        /// Applies the array's answer to an eviction request on `set`:
+        /// none while a way is free, else a resident block of the set —
+        /// the oldest under LRU and FIFO.
+        fn evict(&mut self, set: u32, victim: Option<BlockAddr>, ctx: &str) {
+            let stamped = self.stamped();
+            let lines = &mut self.sets[set as usize];
+            if lines.len() < self.ways {
+                assert_eq!(victim, None, "{ctx}: evicted despite a free way");
+                return;
+            }
+            let victim = victim.unwrap_or_else(|| panic!("{ctx}: full set without an eviction"));
+            let pos = lines
+                .iter()
+                .position(|&b| b == victim)
+                .unwrap_or_else(|| panic!("{ctx}: victim {victim:?} not resident in set {set}"));
+            if stamped {
+                assert_eq!(pos, 0, "{ctx}: victim {victim:?} is not the oldest");
+            }
+            lines.remove(pos);
+        }
+
+        /// Applies a fill of `block` that evicted `evicted`: a refetch of
+        /// a resident block evicts nothing, and every fill (re)stamps the
+        /// block as the newest.
+        fn install(&mut self, block: BlockAddr, set: u32, evicted: Option<BlockAddr>, ctx: &str) {
+            let lines = &mut self.sets[set as usize];
+            match lines.iter().position(|&b| b == block) {
+                Some(pos) => {
+                    assert_eq!(evicted, None, "{ctx}: a refetch evicted");
+                    lines.remove(pos);
+                }
+                None => self.evict(set, evicted, ctx),
+            }
+            self.sets[set as usize].push(block);
+        }
+
+        /// Compares every set's resident blocks with `t`'s, and with more
+        /// than one way under LRU and FIFO their stamp order too.
+        fn check(&self, t: &TagArray, ctx: &str) {
+            for (set, lines) in self.sets.iter().enumerate() {
+                let mut ways: Vec<(Option<u64>, BlockAddr)> = t
+                    .debug_ages(set as u32)
+                    .into_iter()
+                    .filter_map(|w| Some((w.stamp, w.block?)))
+                    .collect();
+                if self.stamped() && self.ways > 1 {
+                    ways.sort_unstable();
+                    let order: Vec<BlockAddr> = ways.iter().map(|&(_, b)| b).collect();
+                    assert_eq!(&order, lines, "{ctx}: set {set} order");
+                } else {
+                    let got: BTreeSet<BlockAddr> = ways.iter().map(|&(_, b)| b).collect();
+                    let want: BTreeSet<BlockAddr> = lines.iter().copied().collect();
+                    assert_eq!(got, want, "{ctx}: set {set} residents");
                 }
             }
         }
-        out
     }
 
-    /// Drives `ops` mirrored operations: array `a` uses the fused
-    /// `touch`, array `b` the split `probe` + `note_hit`, array `c` the
-    /// decoded hit probe `hit_decoded`, with installs after misses and
-    /// occasional `claim_for_transit` + deferred install modelling an
-    /// eviction while the fetch is outstanding.
-    fn drive_mirrored(
+    /// Drives `ops` random operations through one array and its
+    /// [`SetModel`]: a hit probe per access, an install after most
+    /// misses, and otherwise a `claim_for_transit` whose deferred install
+    /// lands later, modelling an eviction while the fetch is outstanding.
+    fn drive_against_model(
         geometry: CacheGeometry,
         kind: ReplacementKind,
         rng: &mut SplitMix64,
         ops: usize,
     ) {
-        let mut a = TagArray::new(geometry, kind);
-        let mut b = TagArray::new(geometry, kind);
-        let mut c = TagArray::new(geometry, kind);
+        let mut tags = TagArray::new(geometry, kind);
+        let mut model = SetModel::new(geometry, kind);
         // Working set ~2x the cache so sets fill and evictions are common.
         let universe = (geometry.num_lines() * 2).max(8);
         let mut outstanding: Vec<BlockAddr> = Vec::new();
         let label = format!("{kind}, {}-way", geometry.ways());
         for step in 0..ops {
+            let ctx = format!("{label} at {step}");
             let block = BlockAddr(rng.next_below(universe));
-            let hit_a = a.touch(block);
-            let hit_b = match b.probe(block) {
-                Some(slot) => {
-                    b.note_hit(slot);
-                    true
-                }
-                None => false,
-            };
-            let decoded = geometry.decode(Addr(block.0 << geometry.block_bits()));
-            let hit_c = c.hit_decoded(&decoded);
-            assert_eq!(hit_a, hit_b, "{label}: hit answers diverged at {step}");
-            assert_eq!(hit_a, hit_c, "{label}: decoded probe diverged at {step}");
-            if !hit_a {
+            let set = geometry.set_of_block(block);
+            let is_hit = hit(&mut tags, block);
+            assert_eq!(is_hit, model.hit(set, block), "{ctx}: hit answer");
+            if !is_hit {
                 if rng.next_below(4) == 0 {
                     // In-cache transit claim: the victim is evicted now,
                     // the fill lands later.
-                    let victim = a.claim_for_transit(block);
-                    assert_eq!(
-                        victim,
-                        b.claim_for_transit(block),
-                        "{label}: transit victims diverged at {step}"
-                    );
-                    assert_eq!(
-                        victim,
-                        c.claim_for_transit(block),
-                        "{label}: transit victims diverged at {step} (decoded)"
-                    );
+                    model.evict(set, tags.claim_for_transit(block), &ctx);
                     outstanding.push(block);
                 } else {
-                    let evicted = a.install(block);
-                    assert_eq!(
-                        evicted,
-                        b.install(block),
-                        "{label}: fill evictions diverged at {step}"
-                    );
-                    assert_eq!(
-                        evicted,
-                        c.install(block),
-                        "{label}: fill evictions diverged at {step} (decoded)"
-                    );
+                    model.install(block, set, tags.install(block), &ctx);
                 }
             }
             // Drain an outstanding fetch about as often as one is made.
             if !outstanding.is_empty() && rng.next_below(4) == 0 {
                 let idx = rng.next_below(outstanding.len() as u64) as usize;
                 let fill = outstanding.swap_remove(idx);
-                let evicted = a.install(fill);
-                assert_eq!(
-                    evicted,
-                    b.install(fill),
-                    "{label}: outstanding-fill evictions diverged at {step}"
-                );
-                assert_eq!(
-                    evicted,
-                    c.install(fill),
-                    "{label}: outstanding-fill evictions diverged at {step} (decoded)"
-                );
+                let set = geometry.set_of_block(fill);
+                model.install(fill, set, tags.install(fill), &ctx);
             }
             if step % 64 == 0 {
-                assert_eq!(
-                    resident(&a),
-                    resident(&b),
-                    "{label}: tags diverged at {step}"
-                );
-                assert_eq!(
-                    resident(&a),
-                    resident(&c),
-                    "{label}: tags diverged at {step} (decoded)"
-                );
+                model.check(&tags, &ctx);
             }
         }
-        assert_eq!(resident(&a), resident(&b), "{label}: final tags diverged");
-        assert_eq!(
-            resident(&a),
-            resident(&c),
-            "{label}: final tags diverged (decoded)"
-        );
+        model.check(&tags, &label);
     }
 
     #[test]
-    fn split_probe_matches_fused_touch_for_all_policies_and_geometries() {
+    fn probe_install_and_claim_match_the_set_model_for_all_policies_and_geometries() {
         // Direct-mapped (the one-compare probe), 2- and 4-way
         // set-associative, and fully associative 16-way (crosses
-        // INDEXED_LOOKUP_MIN_WAYS, so the block-index path is mirrored
+        // INDEXED_LOOKUP_MIN_WAYS, so the block-index path is covered
         // too).
         let geometries = [
             CacheGeometry::direct_mapped(512, 32).unwrap(),
@@ -1077,24 +914,24 @@ mod props {
             CacheGeometry::new(1024, 32, 4).unwrap(),
             CacheGeometry::fully_associative(512, 32).unwrap(),
         ];
-        prop::check("probe split", 2, 0x9e37, |rng| {
+        prop::check("tag array vs set model", 2, 0x9e37, |rng| {
             for geometry in geometries {
                 for kind in kinds(rng) {
-                    drive_mirrored(geometry, kind, rng, 4096);
+                    drive_against_model(geometry, kind, rng, 4096);
                 }
             }
         });
     }
 
     #[test]
-    fn split_probe_matches_under_transit_heavy_sequences() {
+    fn probe_install_and_claim_match_under_transit_heavy_sequences() {
         // A 2-way geometry with a tiny universe: almost every miss claims
         // a transit victim in a full set, hammering the
         // eviction-while-fetch-outstanding ordering.
         let geometry = CacheGeometry::new(256, 32, 2).unwrap();
-        prop::check("probe split, transit heavy", 2, 0x51ab, |rng| {
+        prop::check("tag array vs set model, transit heavy", 2, 0x51ab, |rng| {
             for kind in kinds(rng) {
-                drive_mirrored(geometry, kind, rng, 8192);
+                drive_against_model(geometry, kind, rng, 8192);
             }
         });
     }
@@ -1170,7 +1007,7 @@ mod props {
                     }
                 }
                 let block = resident[rng.next_below(resident.len() as u64) as usize];
-                assert!(tags.touch(block), "{kind}: picked block is resident");
+                assert!(hit(&mut tags, block), "{kind}: picked block is resident");
                 let set = geometry.set_of_block(block);
                 let way = tags.find(block).unwrap() - set as usize * tags.ways();
                 let victim = tags.victim_way(set);

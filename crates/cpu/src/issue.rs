@@ -1,6 +1,6 @@
 //! The policy-parameterized issue engine: the one processor type, with
 //! each processor model an [`IssuePolicy`] value (enum dispatch, the same
-//! seam shape as the tag arrays' `ReplacementPolicy`):
+//! seam shape as the tag arrays' replacement policies):
 //!
 //! * [`IssuePolicy::SingleInOrder`] — the paper's §3.1 machine, which all
 //!   baseline figures use. One instruction issues per cycle with

@@ -352,7 +352,10 @@ impl MemorySystem {
         let Some((l2, hit_penalty)) = self.l2.as_mut() else {
             return (self.memory.miss_penalty(), ServiceLevel::Memory);
         };
-        if l2.touch(block) {
+        // L1 and L2 share a line size, so the L1 block is the L2 block.
+        let geometry = *l2.geometry();
+        let decoded = geometry.decode(Addr(block.0 << geometry.block_bits()));
+        if l2.hit_decoded(&decoded) {
             (*hit_penalty, ServiceLevel::L2Hit)
         } else {
             l2.install(block); // tag-only and write-through: evictions drop

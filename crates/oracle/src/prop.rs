@@ -167,7 +167,7 @@ fn stamp_characterization_matches_debug_ages() {
                     let addr = Addr(rng.next_below(1 << 11));
                     let block = geometry.block_of(addr);
                     let set = geometry.set_of_block(block) as usize;
-                    let hit = tags.touch(block);
+                    let hit = tags.hit_decoded(&geometry.decode(addr));
                     if !hit {
                         tags.install(block);
                     }

@@ -7,7 +7,7 @@
 
 use nonblocking_loads::core::cache::{CacheConfig, LoadAccess, LockupFreeCache};
 use nonblocking_loads::core::geometry::CacheGeometry;
-use nonblocking_loads::core::mshr::{InvertedConfig, MissKind, MshrConfig};
+use nonblocking_loads::core::mshr::{InvertedConfig, MissKind, MshrConfig, TargetRecord};
 use nonblocking_loads::core::tag_array::ReplacementKind;
 use nonblocking_loads::core::types::{Addr, BlockAddr, Dest, LoadFormat, PhysReg};
 
@@ -36,8 +36,11 @@ fn load(cache: &mut LockupFreeCache, addr: Addr, reg: u8) -> LoadAccess {
     cache.access_load_decoded(&decoded, dest(reg), LoadFormat::WORD)
 }
 
-fn fill(cache: &mut LockupFreeCache, addr: Addr) {
-    cache.fill(block(cache, addr));
+/// Fills the line of `addr`, returning the targets it woke.
+fn fill(cache: &mut LockupFreeCache, addr: Addr) -> Vec<TargetRecord> {
+    let mut woken = Vec::new();
+    cache.fill_into(block(cache, addr), &mut woken);
+    woken
 }
 
 fn block(cache: &LockupFreeCache, addr: Addr) -> BlockAddr {
@@ -87,8 +90,8 @@ fn run_eviction_scenario(replacement: ReplacementKind) -> (bool, bool) {
         "[{replacement}] the displaced line swaps back from the victim buffer"
     );
     // C's fill still drains both waiting targets and installs the line.
+    let targets = fill(&mut cache, C);
     let c_block = block(&cache, C);
-    let targets = cache.fill(c_block);
     assert_eq!(
         targets.len(),
         2,
